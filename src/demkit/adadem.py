@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .em_losses import LossEval, _sign
-from .numkit import _softmax, as_vector, softmax_rows
+from .numkit import _softmax, as_matrix, as_vector, softmax_rows
 
 __all__ = [
     "MecState",
@@ -260,16 +260,19 @@ def adadem_eval(
 ) -> list[LossEval]:
     """Per-sample AdaDEM evaluations for a batch of logit vectors.
 
-    Accepts a list of vectors or an ``n x C`` matrix; updates ``state``
-    (one EMA step for the whole batch) before evaluating, and treats the
-    calibrator rows and delta as constants in the gradients.
+    Accepts a list of vectors or an ``n x C`` matrix, either of which
+    must be finite with at least two classes (``ValueError`` otherwise,
+    with ``state`` untouched); updates ``state`` (one EMA step for the
+    whole batch) before evaluating, and treats the calibrator rows and
+    delta as constants in the gradients.
     """
-    Z = np.asarray(
-        [as_vector(z, min_len=2) for z in z_batch]
-        if not isinstance(z_batch, np.ndarray)
-        else z_batch,
-        dtype=np.float64,
-    )
-    Z = np.atleast_2d(Z)
+    if isinstance(z_batch, np.ndarray):
+        Z = as_matrix(z_batch)
+        if Z.shape[1] < 2:
+            raise ValueError(f"logit rows need at least 2 entries, got {Z.shape[1]}")
+    else:
+        Z = np.atleast_2d(
+            np.asarray([as_vector(z, min_len=2) for z in z_batch], dtype=np.float64)
+        )
     values, grads = adadem_rows(Z, state, variant, direction)
     return [LossEval(float(v), g) for v, g in zip(values, grads.copy())]

@@ -22,13 +22,12 @@ that consumes it) and aggregated into :class:`MetricsReport`.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import adapt_stream, forward, SgdConfig
+from .model import DivergenceError, adapt_stream, forward, SgdConfig
 from .numkit import as_matrix, as_vector, Rng, softmax_rows
 
 __all__ = [
@@ -320,19 +319,18 @@ def metrics(probs, labels) -> MetricsReport:
     preds = np.argmax(P, axis=1)
     accuracy = float(np.mean(preds == y))
 
-    per_class_f1 = np.zeros(C)
-    for c in range(C):
-        tp = float(np.sum((preds == c) & (y == c)))
-        fp = float(np.sum((preds == c) & (y != c)))
-        fn = float(np.sum((preds != c) & (y == c)))
-        denom = 2.0 * tp + fp + fn
-        per_class_f1[c] = 2.0 * tp / denom if denom > 0 else 0.0
+    pred_counts = np.bincount(preds, minlength=C)
+    label_counts = np.bincount(y, minlength=C)
+    tp = np.bincount(y[preds == y], minlength=C)
+    denom = 2.0 * tp + (pred_counts - tp) + (label_counts - tp)
+    # denom = 0 implies tp = 0, so the clamp leaves those classes at 0.0
+    per_class_f1 = 2.0 * tp / np.maximum(denom, 1.0)
 
     marginal = P.mean(axis=0)
     safe = np.maximum(marginal, 1e-300)
     marginal_entropy = float(-np.sum(np.where(marginal > 0, marginal * np.log(safe), 0.0)))
-    label_marginal = np.bincount(y, minlength=C) / y.shape[0]
-    proportions = np.sort(np.bincount(preds, minlength=C) / y.shape[0])[::-1]
+    label_marginal = label_counts / y.shape[0]
+    proportions = np.sort(pred_counts / y.shape[0])[::-1]
 
     return MetricsReport(
         accuracy=accuracy,
@@ -343,15 +341,6 @@ def metrics(probs, labels) -> MetricsReport:
         sorted_class_proportions=proportions,
         avg_max_prob=float(np.mean(np.max(P, axis=1))),
     )
-
-
-def _baseline_accuracy(model, batches) -> float:
-    hits = total = 0
-    for X, y in batches:
-        preds = np.argmax(forward(model, X), axis=1)
-        hits += int(np.sum(preds == y))
-        total += len(y)
-    return hits / total
 
 
 def _trace_metrics(trace, batches) -> MetricsReport:
@@ -367,43 +356,39 @@ def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdCo
     ``plugin_factory`` builds a fresh loss plugin (single-domain mode
     calls it once per shift, continual mode once for the whole stream,
     so stateful losses persist across shifts exactly when the model
-    does).  Metrics are online: every batch is scored before the update
-    it triggers.
+    does).  Optimizer momentum does not persist in either mode: every
+    shift is one :func:`adapt_stream` call, which starts from zero
+    velocity.  Metrics are online: every batch is scored before the
+    update it triggers.  A diverging update raises
+    :class:`DivergenceError` naming the shift and the batch.
     """
     if mode not in ("single_domain", "continual"):
         raise ValueError(f"unknown mode {mode!r}")
+    correct = [
+        [np.argmax(forward(source_model, X), axis=1) == y for X, y in batches]
+        for batches in shift_data
+    ]
+    baseline_per_shift = [
+        sum(int(np.sum(c)) for c in shift) / sum(len(c) for c in shift) for shift in correct
+    ]
+    baseline_overall = float(np.mean(np.concatenate([c for shift in correct for c in shift])))
+
     per_shift = []
     traces = []
-    baseline_per_shift = [_baseline_accuracy(source_model, b) for b in shift_data]
-
-    if mode == "single_domain":
-        for batches in shift_data:
-            model = source_model.copy()
-            _, trace = adapt_stream(model, batches, plugin_factory(), cfg)
-            per_shift.append(_trace_metrics(trace, batches))
-            traces.append(trace)
-    else:
-        model = source_model.copy()
-        plugin = plugin_factory()
-        for batches in shift_data:
+    model = plugin = None
+    for s, batches in enumerate(shift_data):
+        if model is None or mode == "single_domain":
+            model, plugin = source_model.copy(), plugin_factory()
+        try:
             _, trace = adapt_stream(model, batches, plugin, cfg)
-            per_shift.append(_trace_metrics(trace, batches))
-            traces.append(trace)
+        except DivergenceError as exc:
+            raise DivergenceError(exc.stage, exc.batch, s) from exc
+        per_shift.append(_trace_metrics(trace, batches))
+        traces.append(trace)
 
     all_probs = np.concatenate([t["probs"] for trace in traces for t in trace])
     all_labels = np.concatenate([yb for batches in shift_data for _, yb in batches])
     overall = metrics(all_probs, all_labels)
-    baseline_overall = float(
-        np.mean(
-            np.concatenate(
-                [
-                    np.argmax(forward(source_model, X), axis=1) == y
-                    for batches in shift_data
-                    for X, y in batches
-                ]
-            )
-        )
-    )
     return ProtocolResult(per_shift, overall, baseline_per_shift, baseline_overall, traces)
 
 

@@ -712,12 +712,15 @@ def cmd_lr_sweep(args) -> int:
     scope = cfg["optimizer"]["scope"]
     momentum = cfg["optimizer"]["momentum"]
 
+    # A diverged run at an aggressive rate is a legitimate sweep outcome:
+    # it scores NaN, which counts below the baseline.
     def protocol(lr: float) -> float:
         sgd = _model.SgdConfig(lr=lr, momentum=momentum, scope=scope)
-        return _bench.run_protocol(model, data, sspec.mode, factory, sgd).overall.accuracy
+        try:
+            return _bench.run_protocol(model, data, sspec.mode, factory, sgd).overall.accuracy
+        except _model.DivergenceError:
+            return math.nan
 
-    # A diverged run at an aggressive rate is a legitimate sweep outcome:
-    # its (possibly non-finite) accuracy simply counts below the baseline.
     result = _search.lr_sweep(protocol, cfg["lrs"])
     if not math.isfinite(result.baseline):
         print("lr-sweep: numeric failure (non-finite baseline)", file=sys.stderr)

@@ -14,11 +14,21 @@ gradients, and one SGD step is applied.  Plugins wrap the loss family:
 cross-entropy (supervised plumbing for source training and oracle
 baselines), classical EM, decoupled EM, and AdaDEM, which threads its
 calibrator state through the whole stream.
+
+Validation follows the convention of :mod:`demkit.numkit`: the public
+``forward`` and ``backward`` validate their input once (a finite float64
+matrix of the model's input width) and hand it to the private kernels
+``_forward`` and ``_backward``, which check nothing.  ``_forward``
+returns the logits together with the activations the backward pass needs
+(the MLP's pre- and post-rectifier hidden layers), and ``_backward``
+reuses them instead of recomputing the forward pass.  The step loops
+(``train_source``, ``adapt_stream``) validate each batch once, run
+``_forward`` once per step and pass its activations to ``_backward``.
 """
 
 from __future__ import annotations
 
-import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +55,7 @@ __all__ = [
     "DemPlugin",
     "AdaDemPlugin",
     "param_distance",
+    "DivergenceError",
 ]
 
 
@@ -114,24 +125,50 @@ def init_mlp(C: int, d: int, hidden: int, rng, scale: float = 0.5) -> Mlp:
     return Mlp(W1, np.zeros(hidden), W2, np.zeros(C))
 
 
-def _forward_mlp(model: Mlp, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    H = X @ model.W1.T + model.b1
-    A = np.maximum(H, 0.0)
-    return A @ model.W2.T + model.b2, H, A
+def _validated_input(model, X) -> np.ndarray:
+    """``X`` as a finite float64 matrix of the model's input width."""
+    X = as_matrix(X)
+    if isinstance(model, LinearSoftmax):
+        width = model.W.shape[1]
+    elif isinstance(model, Mlp):
+        width = model.W1.shape[1]
+    else:
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    if X.shape[1] != width:
+        raise ValueError("input dimension does not match the model")
+    return X
+
+
+def _forward(model, X: np.ndarray):
+    """Kernel of :func:`forward` for validated input: ``(Z, cache)``.
+
+    ``cache`` holds what :func:`_backward` needs besides ``X``: the MLP's
+    ``(H, A)`` hidden pre- and post-activations, ``None`` for the linear
+    model.
+    """
+    if isinstance(model, Mlp):
+        H = X @ model.W1.T + model.b1
+        A = np.maximum(H, 0.0)
+        return A @ model.W2.T + model.b2, (H, A)
+    return X @ model.W.T + model.b, None
+
+
+def _backward(model, X: np.ndarray, dlogits: np.ndarray, cache) -> dict[str, np.ndarray]:
+    """Kernel of :func:`backward`; ``cache`` comes from ``_forward(model, X)``."""
+    G = dlogits / X.shape[0]
+    if cache is None:
+        return {"W": G.T @ X, "b": G.sum(axis=0)}
+    H, A = cache
+    dW2 = G.T @ A
+    db2 = G.sum(axis=0)
+    dA = G @ model.W2
+    dH = dA * (H > 0.0)
+    return {"W1": dH.T @ X, "b1": dH.sum(axis=0), "W2": dW2, "b2": db2}
 
 
 def forward(model, X) -> np.ndarray:
     """Batch logits, shape n x C."""
-    X = as_matrix(X)
-    if isinstance(model, LinearSoftmax):
-        if X.shape[1] != model.W.shape[1]:
-            raise ValueError("input dimension does not match the model")
-        return X @ model.W.T + model.b
-    if isinstance(model, Mlp):
-        if X.shape[1] != model.W1.shape[1]:
-            raise ValueError("input dimension does not match the model")
-        return _forward_mlp(model, X)[0]
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    return _forward(model, _validated_input(model, X))[0]
 
 
 def backward(model, X, dlogits) -> dict[str, np.ndarray]:
@@ -141,22 +178,11 @@ def backward(model, X, dlogits) -> dict[str, np.ndarray]:
     logits; the result is the gradient of ``mean_s loss_s`` for every
     parameter, keyed like ``model.params()``.
     """
-    X = as_matrix(X)
+    X = _validated_input(model, X)
     dlogits = as_matrix(dlogits)
-    n = X.shape[0]
-    if dlogits.shape[0] != n:
+    if dlogits.shape[0] != X.shape[0]:
         raise ValueError("dlogits and X disagree on batch size")
-    G = dlogits / n
-    if isinstance(model, LinearSoftmax):
-        return {"W": G.T @ X, "b": G.sum(axis=0)}
-    if isinstance(model, Mlp):
-        _, H, A = _forward_mlp(model, X)
-        dW2 = G.T @ A
-        db2 = G.sum(axis=0)
-        dA = G @ model.W2
-        dH = dA * (H > 0.0)
-        return {"W1": dH.T @ X, "b1": dH.sum(axis=0), "W2": dW2, "b2": db2}
-    raise TypeError(f"unknown model type {type(model).__name__}")
+    return _backward(model, X, dlogits, _forward(model, X)[1])
 
 
 def cross_entropy_eval(z, target: int) -> _em.LossEval:
@@ -169,11 +195,16 @@ def cross_entropy_eval(z, target: int) -> _em.LossEval:
     return _em.LossEval(_logsumexp(z) - float(z[target]), grad)
 
 
-def _ce_rows(Z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    values = logsumexp_rows(Z) - Z[np.arange(Z.shape[0]), targets]
+def _ce_grad(Z: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-row cross-entropy gradients: ``softmax(Z)`` minus the one-hot."""
     grads = softmax_rows(Z)
     grads[np.arange(Z.shape[0]), targets] -= 1.0
-    return values, grads
+    return grads
+
+
+def _ce_rows(Z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    values = logsumexp_rows(Z) - Z[np.arange(Z.shape[0]), targets]
+    return values, _ce_grad(Z, targets)
 
 
 @dataclass(frozen=True)
@@ -205,10 +236,15 @@ class SgdState:
     velocities: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _active_names(model, cfg: SgdConfig):
+    """Names of the parameters an SGD step under ``cfg`` moves."""
+    return model.params().keys() if cfg.scope == "all" else model.head_param_names()
+
+
 def sgd_step(model, grads: dict[str, np.ndarray], cfg: SgdConfig, state: SgdState) -> None:
     """One in-place step: ``v <- momentum v + g``, ``theta <- theta - lr v``."""
     params = model.params()
-    active = set(params if cfg.scope == "all" else model.head_param_names())
+    active = _active_names(model, cfg)
     for name, p in params.items():
         g = grads[name]
         v = state.velocities.get(name)
@@ -284,14 +320,32 @@ def param_distance(a, b) -> float:
     )
 
 
+class DivergenceError(FloatingPointError):
+    """Adaptation produced non-finite logits or loss gradients.
+
+    ``stage`` is ``"logits"`` or ``"loss gradients"``, ``batch`` the
+    index of the batch within its stream, and ``shift`` the index of the
+    shift within the protocol when one is known.
+    """
+
+    def __init__(self, stage: str, batch: int, shift: int | None = None):
+        where = f"batch {batch}" if shift is None else f"shift {shift}, batch {batch}"
+        super().__init__(f"adaptation diverged at {where}: non-finite {stage}")
+        self.stage = stage
+        self.batch = batch
+        self.shift = shift
+
+
 def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int = 64):
     """Mini-batch supervised training on labeled data; returns the model.
 
     Shuffles with the supplied generator each epoch, so a fixed seed
     yields bit-identical parameters.  ``epochs = 0`` leaves the model
-    unchanged.
+    unchanged.  ``X`` is validated once; each step runs the forward pass
+    once, takes only the cross-entropy gradient (no loss values) and
+    reuses the forward activations in the backward pass.
     """
-    X = as_matrix(X)
+    X = _validated_input(model, X)
     y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
     if n == 0:
@@ -301,9 +355,9 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int 
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            Z = forward(model, X[idx])
-            _, dlogits = _ce_rows(Z, y[idx])
-            grads = backward(model, X[idx], dlogits)
+            Xb = X[idx]
+            Z, cache = _forward(model, Xb)
+            grads = _backward(model, Xb, _ce_grad(Z, y[idx]), cache)
             sgd_step(model, grads, cfg, state)
     return model
 
@@ -315,18 +369,33 @@ def adapt_stream(model, batches, plugin, cfg: SgdConfig):
     the loss.  Returns ``(model, trace)`` where each trace entry (one
     per batch) records the pre-update predictions: hit count, prediction
     sums (for marginals), argmax counts, mean loss, mean max probability,
-    and the parameter movement caused by the update.
+    and the parameter movement caused by the update, ``lr * ||v||`` over
+    the velocities of the parameters the step moves.
+
+    Each call starts from a fresh :class:`SgdState`, so momentum never
+    carries over from one call to the next: a continual protocol, which
+    calls this once per shift, resets momentum at every shift while the
+    model and the plugin's state carry over.
+
+    Non-finite logits or loss gradients raise :class:`DivergenceError`
+    naming the batch.
     """
     state = SgdState()
+    active = _active_names(model, cfg)
     trace = []
-    for X, y in batches:
-        Z = forward(model, X)
+    for i, (X, y) in enumerate(batches):
+        X = _validated_input(model, X)
+        Z, cache = _forward(model, X)
+        if not np.isfinite(Z).all():
+            raise DivergenceError("logits", i)
         P = softmax_rows(Z)
         preds = np.argmax(P, axis=1)
         values, dlogits = plugin.batch_eval(Z)
-        before = copy.deepcopy(model)
-        grads = backward(model, X, dlogits)
-        sgd_step(model, grads, cfg, state)
+        if not np.isfinite(dlogits).all():
+            raise DivergenceError("loss gradients", i)
+        sgd_step(model, _backward(model, X, dlogits, cache), cfg, state)
+        v = state.velocities
+        movement = cfg.lr * math.sqrt(sum(float(np.vdot(v[k], v[k])) for k in active))
         trace.append(
             {
                 "n": int(X.shape[0]),
@@ -335,9 +404,9 @@ def adapt_stream(model, batches, plugin, cfg: SgdConfig):
                 "argmax_counts": np.bincount(preds, minlength=Z.shape[1]),
                 "probs": P,
                 "labels": np.asarray(y, dtype=np.int64),
-                "mean_loss": float(np.mean(values)),
-                "avg_max_prob": float(np.mean(np.max(P, axis=1))),
-                "movement": param_distance(model, before),
+                "mean_loss": float(values.mean()),
+                "avg_max_prob": float(P.max(axis=1).mean()),
+                "movement": movement,
             }
         )
     return model, trace

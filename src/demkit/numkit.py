@@ -83,8 +83,8 @@ def _logsumexp(z: np.ndarray) -> float:
 
 def logsumexp_rows(Z: np.ndarray) -> np.ndarray:
     """Row-wise stable log-sum-exp for an ``n x C`` matrix."""
-    m = np.max(Z, axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(Z - m), axis=1, keepdims=True)))[:, 0]
+    m = Z.max(axis=1, keepdims=True)
+    return (m + np.log(np.exp(Z - m).sum(axis=1, keepdims=True)))[:, 0]
 
 
 def softmax(z) -> np.ndarray:
@@ -107,8 +107,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def softmax_rows(Z: np.ndarray) -> np.ndarray:
     """Row-wise softmax for an ``n x C`` matrix (same path as softmax)."""
-    e = np.exp(Z - np.max(Z, axis=1, keepdims=True))
-    return e / np.sum(e, axis=1, keepdims=True)
+    e = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def tempered_softmax(z, tau: float) -> np.ndarray:

@@ -320,6 +320,33 @@ class TestAdaDemRows:
         assert all(e.grad.shape == (3,) for e in evals)
         assert state.steps == 1  # one EMA step for the whole batch
 
+    def test_eval_wrapper_accepts_a_matrix(self):
+        Z = np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
+        by_rows = adadem_eval(list(Z), mec_init(3))
+        by_matrix = adadem_eval(Z, mec_init(3))
+        for a, b in zip(by_rows, by_matrix):
+            assert a.value == b.value
+            np.testing.assert_array_equal(a.grad, b.grad)
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            np.array([[np.nan, 0.0, 1.0]]),
+            [np.array([np.nan, 0.0, 1.0])],
+            np.array([[np.inf, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+            [np.array([0.0, 0.0, 0.0]), np.array([-np.inf, 0.0, 1.0])],
+            np.array([1.0, 0.0, -1.0]),  # a matrix batch must be 2-D
+            np.zeros((2, 1)),  # fewer than two classes
+            [np.zeros(1), np.zeros(1)],
+        ],
+    )
+    def test_eval_wrapper_rejects_bad_batches_without_touching_state(self, batch):
+        state = mec_init(3)
+        with pytest.raises(ValueError):
+            adadem_eval(batch, state)
+        np.testing.assert_array_equal(state.table, mec_init(3).table)
+        assert state.steps == 0
+
     def test_full_entropy_delta_floor_keeps_gradients_finite(self):
         # At uniform logits the full-entropy normalizer vanishes; the
         # floor keeps the division finite.

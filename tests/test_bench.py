@@ -25,7 +25,16 @@ from demkit.bench import (
     sample_batch,
     suggest_tau,
 )
-from demkit.model import EmPlugin, SgdConfig, init_linear, train_source
+from demkit.model import (
+    AdaDemPlugin,
+    DivergenceError,
+    EmPlugin,
+    SgdConfig,
+    adapt_stream,
+    forward,
+    init_linear,
+    train_source,
+)
 from demkit.numkit import Rng
 
 
@@ -294,6 +303,23 @@ class TestMetrics:
         rep = metrics(P, [0, 0])
         assert rep.per_class_f1[1] == 0.0 and rep.per_class_f1[2] == 0.0
 
+    def test_per_class_f1_matches_reference_loop(self):
+        rng = Rng(41)
+        for n, C in ((1, 2), (7, 3), (200, 10)):
+            P = rng.uniforms(n * C).reshape(n, C)
+            y = rng.integers(n, 0, C)
+            preds = np.argmax(P, axis=1)
+            expected = np.zeros(C)
+            for c in range(C):
+                tp = float(np.sum((preds == c) & (y == c)))
+                fp = float(np.sum((preds == c) & (y != c)))
+                fn = float(np.sum((preds != c) & (y == c)))
+                denom = 2.0 * tp + fp + fn
+                expected[c] = 2.0 * tp / denom if denom > 0 else 0.0
+            rep = metrics(P, y)
+            assert np.array_equal(rep.per_class_f1, expected)
+            assert rep.macro_f1 == float(np.mean(expected))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             metrics(np.ones((2, 3)) / 3, [0])
@@ -394,6 +420,60 @@ class TestRunProtocol:
         calls.clear()
         run_protocol(model, data, "continual", factory, SgdConfig(lr=0.01))
         assert len(calls) == 1
+
+    def test_baselines_match_the_frozen_model(self):
+        model, data = self._setup()
+        res = run_protocol(model, data, "single_domain", EmPlugin, SgdConfig(lr=0.01))
+        hits = [[int(np.sum(np.argmax(forward(model, X), axis=1) == y)) for X, y in b]
+                for b in data]
+        sizes = [sum(len(y) for _, y in b) for b in data]
+        assert res.baseline_per_shift == [sum(h) / n for h, n in zip(hits, sizes)]
+        assert res.baseline_overall == sum(map(sum, hits)) / sum(sizes)
+
+    def test_continual_resets_momentum_at_every_shift(self):
+        # The model and the plugin (here AdaDEM's calibrator) carry over
+        # between shifts; the optimizer's velocity does not.
+        mix, model = _quick_source()
+        a, b = ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0)
+        data = make_stream(mix, StreamSpec("continual", (a, b), 10, 32), Rng(21))
+        cfg = SgdConfig(lr=0.05, momentum=0.9)
+        res = run_protocol(model, data, "continual", AdaDemPlugin, cfg)
+
+        def accuracy(trace, batches):
+            return metrics(np.concatenate([t["probs"] for t in trace]),
+                           np.concatenate([y for _, y in batches])).accuracy
+
+        adapted, plugin = model.copy(), AdaDemPlugin()
+        per_call = []
+        for batches in data:
+            _, trace = adapt_stream(adapted, batches, plugin, cfg)
+            per_call.append(accuracy(trace, batches))
+        assert [rep.accuracy for rep in res.per_shift] == per_call
+
+        _, trace = adapt_stream(model.copy(), data[0] + data[1], AdaDemPlugin(), cfg)
+        one_call = [accuracy(trace[:10], data[0]), accuracy(trace[10:], data[1])]
+        assert one_call[0] == per_call[0]
+        assert one_call[1] != per_call[1]
+
+    def test_divergence_names_the_shift(self):
+        model, data = self._setup()
+
+        class NanOnSecondShift:
+            def __init__(self, shift):
+                self.shift = shift
+
+            def batch_eval(self, Z):
+                values, grads = EmPlugin().batch_eval(Z)
+                if self.shift == 1:
+                    grads[:] = np.inf
+                return values, grads
+
+        shifts = iter(range(len(data)))
+        with pytest.raises(DivergenceError) as info:
+            run_protocol(model, data, "single_domain",
+                         lambda: NanOnSecondShift(next(shifts)), SgdConfig(lr=0.01))
+        assert (info.value.shift, info.value.batch) == (1, 0)
+        assert "shift 1, batch 0" in str(info.value)
 
     def test_rejects_unknown_mode(self):
         model, data = self._setup()

@@ -5,9 +5,11 @@ one subprocess test covers the real interpreter entry point.
 """
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from demkit.cli import (
@@ -219,6 +221,14 @@ class TestRunCommand:
         assert summary["mode"] == "continual"
         assert len(summary["per_shift_accuracy"]) == 2
 
+    def test_divergence_exits_3_naming_where(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, optimizer={"lr": 1e308, "momentum": 0.9, "scope": "all"})
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(cfg)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure: adaptation diverged at shift 0, batch " in err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
     def test_schema_violation_exit_64(self, tmp_path, capsys):
         cfg = small_config(tmp_path, typo_section={"x": 1})
         assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
@@ -281,6 +291,12 @@ class TestGridSearchCommand:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["classical"] is None
 
+    def test_divergence_exits_3(self, tmp_path):
+        cfg = small_config(tmp_path, grid=self.GRID,
+                           optimizer={"lr": 1e308, "momentum": 0.9, "scope": "all"})
+        with np.errstate(all="ignore"):
+            assert main(["grid-search", "--config", str(cfg)]) == EXIT_NUMERIC
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = small_config(tmp_path, grid=self.GRID)
         assert main(["grid-search", "--config", str(cfg)]) == EXIT_OK
@@ -305,6 +321,17 @@ class TestLrSweepCommand:
         assert summary["lrs"] == [0.001, 0.005]
         assert 0 <= summary["tolerance_count"] <= 2
         assert len(summary["accuracies"]) == 2
+
+    def test_diverged_rate_scores_nan_below_baseline(self, tmp_path):
+        cfg = small_config(tmp_path, lrs=[1e-3, 1e308])
+        with np.errstate(all="ignore"):
+            assert main(["lr-sweep", "--config", str(cfg)]) == EXIT_OK
+        lines = (tmp_path / "out" / "lr_sweep.csv").read_text().splitlines()
+        assert lines[2] == "1e+308,nan"
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert math.isnan(summary["accuracies"][1])
+        stable = 1 if summary["accuracies"][0] >= summary["baseline_accuracy"] else 0
+        assert summary["tolerance_count"] == stable
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = small_config(tmp_path)

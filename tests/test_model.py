@@ -11,6 +11,7 @@ from demkit.model import (
     AdaDemPlugin,
     CrossEntropyPlugin,
     DemPlugin,
+    DivergenceError,
     EmPlugin,
     LinearSoftmax,
     Mlp,
@@ -273,6 +274,36 @@ class TestTrainSource:
                      SgdConfig(lr=1.0), Rng(0))
         assert param_distance(model, frozen) == 0.0
 
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_matches_public_reference_loop(self, arch):
+        # The fused step (one forward, its activations reused by backward,
+        # gradient-only cross-entropy) must reproduce the loop built from
+        # the public entry points bit for bit.
+        X, y = _blobs(Rng(8).derive("data"), 40, self.MEANS)
+        def make():
+            if arch == "linear":
+                return init_linear(3, 2, Rng(9), scale=0.5)
+            return init_mlp(3, 2, 6, Rng(9))
+
+        cfg = SgdConfig(lr=0.2, momentum=0.9)
+        fused = train_source(make(), X, y, 3, cfg, Rng(10), batch_size=16)
+
+        ref, rng, state = make(), Rng(10), SgdState()
+        for _ in range(3):
+            order = rng.permutation(X.shape[0])
+            for start in range(0, X.shape[0], 16):
+                idx = order[start : start + 16]
+                Z = forward(ref, X[idx])
+                _, dlogits = CrossEntropyPlugin(y[idx]).batch_eval(Z)
+                sgd_step(ref, backward(ref, X[idx], dlogits), cfg, state)
+        for name, p in fused.params().items():
+            assert np.array_equal(p, ref.params()[name]), name
+
+    def test_rejects_width_mismatch(self):
+        with pytest.raises(ValueError):
+            train_source(init_linear(3, 2), np.ones((4, 5)), np.zeros(4, dtype=int),
+                         1, SgdConfig(lr=0.1), Rng(0))
+
     def test_rejects_empty_set(self):
         with pytest.raises(ValueError):
             train_source(init_linear(3, 2), np.zeros((0, 2)), np.zeros(0, dtype=int),
@@ -334,6 +365,63 @@ class TestAdaptStream:
         _, trace = adapt_stream(model, [(X, y)], EmPlugin(), SgdConfig(lr=0.05))
         assert trace[0]["avg_max_prob"] > 0.999
         assert trace[0]["movement"] < 1e-4
+
+    @pytest.mark.parametrize("scope", ["all", "head"])
+    def test_movement_is_the_update_norm(self, scope):
+        # Movement is computed from the update, not from a copy of the
+        # model; it must agree with the parameter distance to rounding,
+        # and the fused loop must move the model exactly as the loop of
+        # public entry points does.
+        batches = self._stream(Rng(35), n_batches=4)
+        cfg = SgdConfig(lr=0.3, momentum=0.5, scope=scope)
+        model = init_mlp(3, 2, 6, Rng(36))
+        ref = model.copy()
+        _, trace = adapt_stream(model, batches, EmPlugin(), cfg)
+
+        state = SgdState()
+        for entry, (X, _) in zip(trace, batches):
+            before = ref.copy()
+            _, dlogits = EmPlugin().batch_eval(forward(ref, X))
+            sgd_step(ref, backward(ref, X, dlogits), cfg, state)
+            expected = param_distance(ref, before)
+            assert expected > 0.0
+            assert abs(entry["movement"] - expected) <= 1e-12 * expected
+        for name, p in model.params().items():
+            assert np.array_equal(p, ref.params()[name]), name
+
+    def test_non_finite_gradients_name_the_batch(self):
+        class NanAfterFirst:
+            calls = 0
+
+            def batch_eval(self, Z):
+                self.calls += 1
+                values, grads = EmPlugin().batch_eval(Z)
+                if self.calls > 1:
+                    grads[0, 0] = np.nan
+                return values, grads
+
+        batches = self._stream(Rng(30), n_batches=3)
+        model = init_linear(3, 2, Rng(31), scale=0.5)
+        with pytest.raises(DivergenceError) as info:
+            adapt_stream(model, batches, NanAfterFirst(), SgdConfig(lr=0.1))
+        assert isinstance(info.value, FloatingPointError)
+        assert (info.value.stage, info.value.batch) == ("loss gradients", 1)
+        assert str(info.value) == (
+            "adaptation diverged at batch 1: non-finite loss gradients"
+        )
+
+    def test_overflowing_logits_name_the_batch(self):
+        model = LinearSoftmax(np.full((3, 2), 1e308), np.zeros(3))
+        X = np.array([[10.0, 10.0]])
+        with pytest.raises(DivergenceError) as info, np.errstate(over="ignore"):
+            adapt_stream(model, [(X, np.array([0]))], EmPlugin(), SgdConfig(lr=0.1))
+        assert (info.value.stage, info.value.batch) == ("logits", 0)
+
+    def test_non_finite_input_is_a_value_error(self):
+        model = init_linear(3, 2)
+        X = np.array([[np.nan, 0.0]])
+        with pytest.raises(ValueError):
+            adapt_stream(model, [(X, np.array([0]))], EmPlugin(), SgdConfig(lr=0.1))
 
     def test_adadem_state_threads_across_batches(self):
         batches = self._stream(Rng(33), n_batches=4)
