@@ -197,7 +197,13 @@ def pseudo_label(p) -> int:
 
 
 def _deltas_rows(Z: np.ndarray, P: np.ndarray, variant: AdaDemVariant) -> np.ndarray:
-    """Per-row delta values, matching the scalar ``delta`` bit for bit."""
+    """Per-row delta values: the scalar ``delta``'s formulas, not its bits.
+
+    ``S`` is a row-wise ``np.sum`` of ``P * Z`` where ``delta`` takes
+    ``np.dot(p, z)``, and ``P`` is the batched softmax, so the two can
+    round differently in the last places; they agree to about 1e-14
+    under ``rel_err``.
+    """
     n = Z.shape[0]
     if variant.kind == "mec_only":
         return np.ones(n)

@@ -34,7 +34,6 @@ __all__ = [
     "MixtureSpec",
     "ShiftSpec",
     "StreamSpec",
-    "ImbalanceSpec",
     "MetricsReport",
     "ProtocolResult",
     "LEVEL_MULTIPLIERS",
@@ -135,23 +134,6 @@ class StreamSpec:
             if abs(float(np.sum(priors)) - 1.0) > 1e-9 or np.any(priors < 0):
                 raise ValueError("label_priors must form a probability simplex")
             object.__setattr__(self, "label_priors", priors)
-
-
-@dataclass(frozen=True)
-class ImbalanceSpec:
-    """Long-tail imbalance: most/least populous class ratio ``rho``."""
-
-    rho: float
-    profile: str = "exponential"
-
-    def __post_init__(self):
-        if self.rho < 1:
-            raise ValueError(f"rho must be >= 1, got {self.rho}")
-        if self.profile != "exponential":
-            raise ValueError(f"unknown profile {self.profile!r}")
-
-    def priors(self, C: int) -> np.ndarray:
-        return long_tail_priors(C, self.rho)
 
 
 @dataclass

@@ -85,7 +85,9 @@ class DemConfig:
     """Decoupled-EM configuration: temperature, GMC weight, direction.
 
     ``alpha = 0`` (pure tempered CADF) is always admitted; for
-    ``alpha > 0`` the pair must satisfy ``tau <= 2/alpha``.
+    ``alpha > 0`` the pair must satisfy ``tau <= 2/alpha``.  An invalid
+    pair is rejected at construction with a ``ConfigError`` naming the
+    violated bound, so the losses taking a ``DemConfig`` never check it.
     ``direction = "maximize"`` flips the sign of value and gradient,
     turning the minimizer into an entropy-maximization objective.
     """
@@ -97,6 +99,12 @@ class DemConfig:
     def __post_init__(self):
         if self.direction not in ("minimize", "maximize"):
             raise ValueError(f"unknown direction {self.direction!r}")
+        if not validate_config(self.tau, self.alpha):
+            bound = 2.0 / self.alpha if self.alpha else float("inf")
+            raise ConfigError(
+                f"invalid hyperparameters tau={self.tau}, alpha={self.alpha}: "
+                f"requires tau > 0 and, for alpha > 0, tau <= 2/alpha = {bound:.6g}"
+            )
 
 
 def _logits(z) -> np.ndarray:
@@ -225,14 +233,8 @@ def boundary_second_derivative(tau: float, alpha: float, C: int) -> float:
 def dem_eval(z, cfg: DemConfig) -> LossEval:
     """Decoupled EM: ``T_tau(z) + alpha * Q(z)``.
 
-    At ``(tau=1, alpha=1)`` this is classical EM exactly.  Invalid
-    configurations raise ``ConfigError`` naming the violated bound.
+    At ``(tau=1, alpha=1)`` this is classical EM exactly.
     """
-    if not validate_config(cfg.tau, cfg.alpha):
-        raise ConfigError(
-            f"invalid config tau={cfg.tau}, alpha={cfg.alpha}: requires "
-            f"tau > 0 and, for alpha > 0, tau <= 2/alpha = {2.0 / cfg.alpha if cfg.alpha else float('inf'):.6g}"
-        )
     z = _logits(z)
     sign = _sign(cfg.direction)
     t_tau, grad = _cadf_tempered(z, cfg.tau)
@@ -277,8 +279,6 @@ def em_rows(Z: np.ndarray, direction: str = "minimize") -> tuple[np.ndarray, np.
 
 def dem_rows(Z: np.ndarray, cfg: DemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Batched decoupled EM: per-row values and gradients."""
-    if not validate_config(cfg.tau, cfg.alpha):
-        raise ConfigError(f"invalid config tau={cfg.tau}, alpha={cfg.alpha}")
     sign = _sign(cfg.direction)
     P_tau = softmax_rows(Z / cfg.tau)
     S_tau = np.sum(P_tau * Z, axis=1, keepdims=True)

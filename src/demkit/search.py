@@ -10,15 +10,12 @@ on the scoring data.
 
 ``lr_sweep`` runs one protocol per learning rate and reports the
 tolerance count: how many rates end at or above the no-adapt baseline.
-Both helpers accept a thread count (default: the DEMKIT_THREADS
-environment variable) and assemble results in grid order regardless of
-completion order, so output is deterministic.
+Both helpers run their protocols one after another in grid order, so
+output is deterministic.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,12 +80,6 @@ class LrSweepResult:
     tolerance_count: int
 
 
-def _threads(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get("DEMKIT_THREADS", "1"))
-    return max(1, threads)
-
-
 def grid_points(grid: GridSpec):
     """All (tau, alpha, valid) triples of the grid, in row-major order.
 
@@ -104,7 +95,7 @@ def grid_points(grid: GridSpec):
     return points
 
 
-def grid_search(protocol, grid: GridSpec = GridSpec(), threads: int | None = None):
+def grid_search(protocol, grid: GridSpec = GridSpec()):
     """Score every valid grid point with ``protocol(tau, alpha)``.
 
     Returns ``(best, table)`` where the table lists every point
@@ -116,14 +107,7 @@ def grid_search(protocol, grid: GridSpec = GridSpec(), threads: int | None = Non
     valid = [(t, a) for t, a, ok in points if ok]
     if not valid:
         raise ConfigError("the grid contains no valid (tau, alpha) points")
-
-    workers = _threads(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(lambda p: float(protocol(*p)), valid))
-    else:
-        scores = [float(protocol(t, a)) for t, a in valid]
-
+    scores = [float(protocol(t, a)) for t, a in valid]
     by_pair = dict(zip(valid, scores))
     table = [
         TrialResult(t, a, ok, by_pair.get((t, a)) if ok else None)
@@ -136,7 +120,7 @@ def grid_search(protocol, grid: GridSpec = GridSpec(), threads: int | None = Non
     return best, table
 
 
-def lr_sweep(protocol, lrs=DEFAULT_LR_GRID, threads: int | None = None) -> LrSweepResult:
+def lr_sweep(protocol, lrs=DEFAULT_LR_GRID) -> LrSweepResult:
     """Run ``protocol(lr)`` per rate; count rates at or above the baseline.
 
     The baseline is the protocol at lr = 0 (no parameter movement), so
@@ -148,14 +132,7 @@ def lr_sweep(protocol, lrs=DEFAULT_LR_GRID, threads: int | None = None) -> LrSwe
     if any(lr < 0 for lr in lrs):
         raise ValueError("learning rates must be non-negative")
     baseline = float(protocol(0.0))
-
-    workers = _threads(threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            accs = list(pool.map(lambda lr: float(protocol(lr)), lrs))
-    else:
-        accs = [float(protocol(lr)) for lr in lrs]
-
+    accs = [float(protocol(lr)) for lr in lrs]
     rows = list(zip(lrs, accs))
     count = sum(1 for _, acc in rows if acc >= baseline)
     return LrSweepResult(rows=rows, baseline=baseline, tolerance_count=count)

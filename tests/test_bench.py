@@ -8,7 +8,6 @@ import pytest
 from demkit.bench import (
     LEVEL_MULTIPLIERS,
     SHIFT_KINDS,
-    ImbalanceSpec,
     MixtureSpec,
     ShiftSpec,
     StreamSpec,
@@ -90,14 +89,6 @@ class TestLongTailPriors:
             long_tail_priors(10, 0.5)
         with pytest.raises(ValueError):
             long_tail_priors(1, 2.0)
-
-    def test_imbalance_spec_delegates(self):
-        spec = ImbalanceSpec(rho=10.0)
-        np.testing.assert_array_equal(spec.priors(5), long_tail_priors(5, 10.0))
-        with pytest.raises(ValueError):
-            ImbalanceSpec(rho=0.9)
-        with pytest.raises(ValueError):
-            ImbalanceSpec(rho=2.0, profile="step")
 
 
 class TestSampleBatch:

@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,26 @@ class TestRunCommand:
         assert "numeric failure: adaptation diverged at shift 0, batch " in err
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
+    def test_divergence_removes_previous_outputs(self, tmp_path):
+        assert main(["run", "--config", str(small_config(tmp_path))]) == EXIT_OK
+        out = tmp_path / "out"
+        assert (out / "metrics.csv").exists() and (out / "summary.json").exists()
+        cfg = small_config(tmp_path, optimizer={"lr": 1e308, "momentum": 0.9, "scope": "all"})
+        assert main(["run", "--config", str(cfg)]) == EXIT_NUMERIC
+        assert not (out / "metrics.csv").exists()
+        assert not (out / "summary.json").exists()
+
+    def test_divergence_raises_no_runtime_warning(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, optimizer={"lr": 1e308, "momentum": 0.9, "scope": "all"})
+        errs = []
+        for action in ("ignore", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                assert main(["run", "--config", str(cfg)]) == EXIT_NUMERIC
+            errs.append(capsys.readouterr().err)
+        assert errs[1] == errs[0]
+        assert errs[1].startswith("demkit: numeric failure: adaptation diverged at shift 0")
+
     def test_schema_violation_exit_64(self, tmp_path, capsys):
         cfg = small_config(tmp_path, typo_section={"x": 1})
         assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
@@ -292,10 +313,15 @@ class TestGridSearchCommand:
         assert summary["classical"] is None
 
     def test_divergence_exits_3(self, tmp_path):
+        good = small_config(tmp_path, grid=self.GRID)
+        assert main(["grid-search", "--config", str(good)]) == EXIT_OK
         cfg = small_config(tmp_path, grid=self.GRID,
                            optimizer={"lr": 1e308, "momentum": 0.9, "scope": "all"})
         with np.errstate(all="ignore"):
             assert main(["grid-search", "--config", str(cfg)]) == EXIT_NUMERIC
+        # The previous run's outputs are gone, not left looking current.
+        assert not (tmp_path / "out" / "grid.csv").exists()
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = small_config(tmp_path, grid=self.GRID)

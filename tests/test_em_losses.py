@@ -227,6 +227,10 @@ class TestDem:
     def test_invalid_config_raises_with_bound(self):
         with pytest.raises(ConfigError, match="2/alpha"):
             dem_eval(Z123, DemConfig(3.0, 1.0))
+        # The pair is rejected where the config is built, before any loss.
+        for tau, alpha in [(3.0, 1.0), (0.0, 1.0)]:
+            with pytest.raises(ConfigError, match=r"invalid hyperparameters.*2/alpha = 2\b"):
+                DemConfig(tau, alpha)
 
     def test_value_is_tempered_cadf_plus_alpha_gmc(self):
         cfg = DemConfig(1.5, 0.8)

@@ -86,17 +86,6 @@ class TestGridSearch:
             else:
                 assert row.accuracy == 0.0
 
-    def test_thread_parity(self):
-        def protocol(tau, alpha):
-            return math.sin(3 * tau) * math.cos(2 * alpha)
-
-        b1, t1 = grid_search(protocol, GridSpec(step=0.5), threads=1)
-        b4, t4 = grid_search(protocol, GridSpec(step=0.5), threads=4)
-        assert (b1.tau, b1.alpha, b1.accuracy) == (b4.tau, b4.alpha, b4.accuracy)
-        assert [(r.tau, r.alpha, r.accuracy) for r in t1] == [
-            (r.tau, r.alpha, r.accuracy) for r in t4
-        ]
-
     def test_all_invalid_grid_raises(self):
         # tau in [3, 4] with alpha = 2 violates tau <= 2/alpha everywhere.
         spec = GridSpec(tau_min=3.0, tau_max=4.0, alpha_min=2.0, alpha_max=2.0,
@@ -139,15 +128,6 @@ class TestLrSweep:
     def test_equal_to_baseline_is_tolerated(self):
         res = lr_sweep(lambda lr: 0.5, lrs=[1e-3, 1e-2])
         assert res.tolerance_count == 2
-
-    def test_thread_parity(self):
-        def protocol(lr):
-            return 1.0 / (1.0 + lr)
-
-        r1 = lr_sweep(protocol, threads=1)
-        r4 = lr_sweep(protocol, threads=4)
-        assert r1.rows == r4.rows
-        assert r1.tolerance_count == r4.tolerance_count
 
     def test_validation(self):
         with pytest.raises(ValueError):
