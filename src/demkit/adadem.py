@@ -27,7 +27,6 @@ calibrator always reflects the batch it is about to judge.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -45,7 +44,6 @@ __all__ = [
     "delta",
     "mec_init",
     "mec_update",
-    "pseudo_label",
     "adadem_eval",
     "adadem_rows",
     "DELTA_FLOOR",
@@ -82,28 +80,6 @@ class MecState:
 
     def copy(self) -> "MecState":
         return MecState(self.table.copy(), self.pi, self.steps)
-
-    def reset(self) -> None:
-        """Return every row to the uniform distribution (episodic restart)."""
-        self.table[:] = 1.0 / self.C
-        self.steps = 0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "C": self.C,
-                "pi": self.pi,
-                "steps": self.steps,
-                "table": [float(x) for x in self.table.ravel()],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MecState":
-        obj = json.loads(text)
-        C = int(obj["C"])
-        table = np.asarray(obj["table"], dtype=np.float64).reshape(C, C)
-        return cls(table, float(obj["pi"]), int(obj["steps"]))
 
 
 @dataclass(frozen=True)
@@ -189,11 +165,6 @@ def mec_update(state: MecState, probs, pseudo_labels) -> MecState:
         state.table[k] = (1.0 - state.pi) * state.table[k] + state.pi * mean_k
     state.steps += 1
     return state
-
-
-def pseudo_label(p) -> int:
-    """Argmax class of a probability vector; ties go to the lowest index."""
-    return int(np.argmax(as_vector(p)))
 
 
 def _deltas_rows(Z: np.ndarray, P: np.ndarray, variant: AdaDemVariant) -> np.ndarray:

@@ -47,7 +47,6 @@ __all__ = [
     "metrics",
     "kl_divergence",
     "run_protocol",
-    "suggest_tau",
 ]
 
 SHIFT_KINDS = ("translate", "rotate2d", "feature_noise", "feature_scale")
@@ -372,16 +371,3 @@ def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdCo
     all_labels = np.concatenate([yb for batches in shift_data for _, yb in batches])
     overall = metrics(all_probs, all_labels)
     return ProtocolResult(per_shift, overall, baseline_per_shift, baseline_overall, traces)
-
-
-def suggest_tau(avg_max_prob: float, alpha: float, a: float = 0.5, b: float = 1.5) -> float:
-    """Heuristic temperature from source confidence: ``a + b * avg_max_prob``.
-
-    Clamped into ``[0.1, 2/alpha]`` (or ``[0.1, 2.0]`` when alpha is 0) so
-    the suggestion is always a valid configuration.  This is a rule of
-    thumb for picking a starting point, not a fitted relation.
-    """
-    if not 0.0 <= avg_max_prob <= 1.0:
-        raise ValueError(f"avg_max_prob must lie in [0, 1], got {avg_max_prob}")
-    hi = 2.0 / alpha if alpha > 0 else 2.0
-    return float(min(max(a + b * avg_max_prob, 0.1), hi))

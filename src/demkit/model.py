@@ -7,6 +7,12 @@ respect to the logits, and ``backward`` chains them into parameter
 gradients with mean reduction over the batch, so the learning-rate scale
 is batch-size invariant.
 
+Each model stores its parameters in one float64 vector ``theta``; the
+weight matrices and biases are reshaped views of it, and ``model.head``
+is the offset where the final linear layer starts.  Gradients, SGD
+velocity and updates are flat vectors laid out like ``theta``, so the
+head-only scope is the slice ``theta[head:]``.
+
 ``adapt_stream`` is the online protocol: for each unlabeled batch the
 model first predicts (metrics are recorded from these pre-update
 predictions), then the loss plugin turns the logits into per-sample
@@ -29,7 +35,7 @@ reuses them instead of recomputing the forward pass.  The step loops
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,49 +60,55 @@ __all__ = [
     "EmPlugin",
     "DemPlugin",
     "AdaDemPlugin",
-    "param_distance",
     "DivergenceError",
 ]
 
 
-@dataclass
+def _pack(*arrays):
+    """``(theta, views)``: one float64 vector holding a copy of ``arrays``
+    end to end, and a view of it shaped like each array, in order."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    theta = np.concatenate([a.ravel() for a in arrays])
+    views, start = [], 0
+    for a in arrays:
+        views.append(theta[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return theta, views
+
+
 class LinearSoftmax:
-    """Logits = W x + b with W of shape C x d."""
+    """Logits = W x + b with W of shape C x d.
 
-    W: np.ndarray
-    b: np.ndarray
+    ``theta`` holds ``W`` then ``b``; both are views of it.  The whole
+    model is the head, so ``head = 0``.
+    """
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"W": self.W, "b": self.b}
+    head = 0
 
-    def head_param_names(self) -> tuple[str, ...]:
-        return ("W", "b")
+    def __init__(self, W, b):
+        self.theta, (self.W, self.b) = _pack(W, b)
 
     def copy(self) -> "LinearSoftmax":
-        return LinearSoftmax(self.W.copy(), self.b.copy())
+        return LinearSoftmax(self.W, self.b)
 
     @property
     def C(self) -> int:
         return self.W.shape[0]
 
 
-@dataclass
 class Mlp:
-    """Logits = W2 relu(W1 x + b1) + b2."""
+    """Logits = W2 relu(W1 x + b1) + b2.
 
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
+    ``theta`` holds ``W1``, ``b1``, ``W2``, ``b2`` in that order, each a
+    view of it; the head (``W2``, ``b2``) is ``theta[head:]``.
+    """
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
-
-    def head_param_names(self) -> tuple[str, ...]:
-        return ("W2", "b2")
+    def __init__(self, W1, b1, W2, b2):
+        self.theta, (self.W1, self.b1, self.W2, self.b2) = _pack(W1, b1, W2, b2)
+        self.head = self.W1.size + self.b1.size
 
     def copy(self) -> "Mlp":
-        return Mlp(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
+        return Mlp(self.W1, self.b1, self.W2, self.b2)
 
     @property
     def C(self) -> int:
@@ -153,17 +165,16 @@ def _forward(model, X: np.ndarray):
     return X @ model.W.T + model.b, None
 
 
-def _backward(model, X: np.ndarray, dlogits: np.ndarray, cache) -> dict[str, np.ndarray]:
+def _backward(model, X: np.ndarray, dlogits: np.ndarray, cache) -> np.ndarray:
     """Kernel of :func:`backward`; ``cache`` comes from ``_forward(model, X)``."""
     G = dlogits / X.shape[0]
     if cache is None:
-        return {"W": G.T @ X, "b": G.sum(axis=0)}
+        return np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)])
     H, A = cache
-    dW2 = G.T @ A
-    db2 = G.sum(axis=0)
-    dA = G @ model.W2
-    dH = dA * (H > 0.0)
-    return {"W1": dH.T @ X, "b1": dH.sum(axis=0), "W2": dW2, "b2": db2}
+    dH = (G @ model.W2) * (H > 0.0)
+    return np.concatenate(
+        [(dH.T @ X).ravel(), dH.sum(axis=0), (G.T @ A).ravel(), G.sum(axis=0)]
+    )
 
 
 def forward(model, X) -> np.ndarray:
@@ -171,12 +182,12 @@ def forward(model, X) -> np.ndarray:
     return _forward(model, _validated_input(model, X))[0]
 
 
-def backward(model, X, dlogits) -> dict[str, np.ndarray]:
-    """Parameter gradients of the batch-mean loss.
+def backward(model, X, dlogits) -> np.ndarray:
+    """Parameter gradient of the batch-mean loss.
 
     ``dlogits`` holds per-sample loss gradients with respect to the
-    logits; the result is the gradient of ``mean_s loss_s`` for every
-    parameter, keyed like ``model.params()``.
+    logits; the result is the gradient of ``mean_s loss_s`` with respect
+    to ``model.theta``, one flat vector laid out like it.
     """
     X = _validated_input(model, X)
     dlogits = as_matrix(dlogits)
@@ -231,30 +242,24 @@ class SgdConfig:
 
 @dataclass
 class SgdState:
-    """Per-parameter velocity buffers, created lazily on first use."""
+    """The velocity vector, shaped like ``theta``; created on first use."""
 
-    velocities: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-def _active_names(model, cfg: SgdConfig):
-    """Names of the parameters an SGD step under ``cfg`` moves."""
-    return model.params().keys() if cfg.scope == "all" else model.head_param_names()
+    velocity: np.ndarray | None = None
 
 
-def sgd_step(model, grads: dict[str, np.ndarray], cfg: SgdConfig, state: SgdState) -> None:
-    """One in-place step: ``v <- momentum v + g``, ``theta <- theta - lr v``."""
-    params = model.params()
-    active = _active_names(model, cfg)
-    for name, p in params.items():
-        g = grads[name]
-        v = state.velocities.get(name)
-        if v is None:
-            v = np.zeros_like(p)
-            state.velocities[name] = v
-        v *= cfg.momentum
-        v += g
-        if name in active:
-            p -= cfg.lr * v
+def sgd_step(model, grad: np.ndarray, cfg: SgdConfig, state: SgdState) -> None:
+    """One in-place step: ``v <- momentum v + g``, ``theta <- theta - lr v``.
+
+    Under ``scope = "head"`` only ``theta[model.head:]`` moves; the
+    velocity of the frozen trunk still accumulates.
+    """
+    if state.velocity is None:
+        state.velocity = np.zeros_like(model.theta)
+    v = state.velocity
+    v *= cfg.momentum
+    v += grad
+    a = model.head if cfg.scope == "head" else 0
+    model.theta[a:] -= cfg.lr * v[a:]
 
 
 class CrossEntropyPlugin:
@@ -310,14 +315,6 @@ class AdaDemPlugin:
         return _adadem.adadem_rows(Z, self.state, self.variant, self.direction)
 
 
-def param_distance(a, b) -> float:
-    """Euclidean distance between two models' stacked parameters."""
-    pa, pb = a.params(), b.params()
-    return float(
-        np.sqrt(sum(float(np.sum((pa[k] - pb[k]) ** 2)) for k in pa))
-    )
-
-
 class DivergenceError(FloatingPointError):
     """Adaptation produced non-finite logits or loss gradients.
 
@@ -355,8 +352,7 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int 
             idx = order[start : start + batch_size]
             Xb = X[idx]
             Z, cache = _forward(model, Xb)
-            grads = _backward(model, Xb, _ce_grad(Z, y[idx]), cache)
-            sgd_step(model, grads, cfg, state)
+            sgd_step(model, _backward(model, Xb, _ce_grad(Z, y[idx]), cache), cfg, state)
     return model
 
 
@@ -367,8 +363,9 @@ def adapt_stream(model, batches, plugin, cfg: SgdConfig):
     the loss.  Returns ``(model, trace)`` where each trace entry (one
     per batch) records the pre-update predictions: hit count, prediction
     sums (for marginals), argmax counts, mean loss, mean max probability,
-    and the parameter movement caused by the update, ``lr * ||v||`` over
-    the velocities of the parameters the step moves.
+    and the parameter movement caused by the update, ``lr * ||v[a:]||``
+    over the slice ``theta[a:]`` the step moves (``a = model.head`` under
+    ``scope = "head"``, else 0).
 
     Each call starts from a fresh :class:`SgdState`, so momentum never
     carries over from one call to the next: a continual protocol, which
@@ -381,7 +378,7 @@ def adapt_stream(model, batches, plugin, cfg: SgdConfig):
     silenced for the loop, since a step that overflows fails one of them.
     """
     state = SgdState()
-    active = _active_names(model, cfg)
+    a = model.head if cfg.scope == "head" else 0
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):
         for i, (X, y) in enumerate(batches):
@@ -395,8 +392,8 @@ def adapt_stream(model, batches, plugin, cfg: SgdConfig):
             if not np.isfinite(dlogits).all():
                 raise DivergenceError("loss gradients", i)
             sgd_step(model, _backward(model, X, dlogits, cache), cfg, state)
-            v = state.velocities
-            movement = cfg.lr * math.sqrt(sum(float(np.vdot(v[k], v[k])) for k in active))
+            v = state.velocity[a:]
+            movement = cfg.lr * math.sqrt(float(np.vdot(v, v)))
             trace.append(
                 {
                     "n": int(X.shape[0]),

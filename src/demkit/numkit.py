@@ -119,8 +119,13 @@ def tempered_softmax(z, tau: float) -> np.ndarray:
 
 
 def _scaled(z: np.ndarray, tau: float) -> np.ndarray:
-    """``z / tau`` for a validated vector, refusing a quotient that overflows."""
-    zt = z / tau
+    """``z / tau`` for a validated vector, refusing a quotient that overflows.
+
+    The overflow is reported by the ``ValueError`` alone, not also by a
+    numpy warning.
+    """
+    with np.errstate(over="ignore"):
+        zt = z / tau
     if not np.isfinite(zt).all():
         raise ValueError(f"logits / temperature overflow at tau={tau}")
     return zt

@@ -19,7 +19,6 @@ from demkit.adadem import (
     delta,
     mec_init,
     mec_update,
-    pseudo_label,
     _deltas_rows,
 )
 from demkit.em_losses import em_eval, em_rows
@@ -171,7 +170,7 @@ class TestMecState:
         for _ in range(10_000):
             logits = (rng.uniforms(5) - 0.5) * 30.0
             p = softmax(logits)
-            mec_update(state, p[None, :], [pseudo_label(p)])
+            mec_update(state, p[None, :], [int(np.argmax(p))])
         sums = state.table.sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
         assert np.all(state.table >= 0.0)
@@ -185,36 +184,11 @@ class TestMecState:
         with pytest.raises(ValueError):
             mec_update(state, np.full((1, 3), 1 / 3), [3])  # label range
 
-    def test_reset_restores_uniform(self):
-        state = mec_init(3)
-        mec_update(state, np.array([[0.7, 0.2, 0.1]]), [0])
-        state.reset()
-        np.testing.assert_array_equal(state.table, np.full((3, 3), 1 / 3))
-        assert state.steps == 0
-
-    def test_json_roundtrip_is_bit_exact(self):
-        state = mec_init(4, pi=0.25)
-        rng = Rng(3)
-        for _ in range(5):
-            p = softmax((rng.uniforms(4) - 0.5) * 10.0)
-            mec_update(state, p[None, :], [pseudo_label(p)])
-        clone = MecState.from_json(state.to_json())
-        np.testing.assert_array_equal(clone.table, state.table)
-        assert clone.pi == state.pi and clone.steps == state.steps
-
     def test_copy_is_independent(self):
         state = mec_init(3)
         clone = state.copy()
         mec_update(state, np.array([[0.7, 0.2, 0.1]]), [0])
         np.testing.assert_array_equal(clone.table, np.full((3, 3), 1 / 3))
-
-
-class TestPseudoLabel:
-    def test_argmax(self):
-        assert pseudo_label([0.2, 0.5, 0.3]) == 1
-
-    def test_ties_go_to_lowest_index(self):
-        assert pseudo_label([0.4, 0.4, 0.2]) == 0
 
 
 class TestVariants:
@@ -286,7 +260,7 @@ class TestAdaDemRows:
         _, grads = adadem_rows(z[None, :], state)
 
         p = softmax(z)
-        k = pseudo_label(p)
+        k = int(np.argmax(p))
         mec_update(frozen, p[None, :], [k])
         c = frozen.table[k]
         d = max(delta(z), DELTA_FLOOR)
@@ -383,7 +357,7 @@ class TestAdaDemRows:
             _, grads = adadem_rows(Z.copy(), state, variant)
             state2 = mec_init(6)
             P = np.stack([softmax(z) for z in Z])
-            labels = [pseudo_label(p) for p in P]
+            labels = [int(np.argmax(p)) for p in P]
             mec_update(state2, P, labels)
             for i, z in enumerate(Z):
                 d = max(delta(z, norm), DELTA_FLOOR)

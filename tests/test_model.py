@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from demkit.adadem import AdaDemVariant, MecState
-from demkit.em_losses import ConfigError, DemConfig, em_eval
+from demkit.em_losses import DemConfig, em_eval
 from demkit.model import (
     AdaDemPlugin,
     CrossEntropyPlugin,
@@ -23,7 +23,6 @@ from demkit.model import (
     forward,
     init_linear,
     init_mlp,
-    param_distance,
     sgd_step,
     train_source,
 )
@@ -88,8 +87,40 @@ class TestInitAndForward:
     def test_copy_is_deep(self):
         m = init_mlp(3, 2, 4, Rng(1))
         c = m.copy()
+        for a in (m.theta, m.W1, m.b1, m.W2, m.b2):
+            for b in (c.theta, c.W1, c.b1, c.W2, c.b2):
+                assert not np.shares_memory(a, b)
+        assert c.head == m.head
         m.W1 += 1.0
-        assert param_distance(m, c) > 0
+        assert not np.array_equal(m.theta, c.theta)
+        np.testing.assert_array_equal(c.theta[c.head :], m.theta[m.head :])
+
+
+class TestLayout:
+    def test_views_share_theta(self):
+        m = init_mlp(3, 2, 4, Rng(1))
+        views = [m.W1, m.b1, m.W2, m.b2]
+        assert m.theta.dtype == np.float64
+        assert m.theta.shape == (sum(v.size for v in views),)
+        for v in views:
+            assert np.shares_memory(v, m.theta)
+        m.W1[1, 0] += 2.5
+        assert m.theta[2] == m.W1[1, 0]
+        lin = init_linear(3, 2, Rng(2), scale=1.0)
+        assert np.shares_memory(lin.W, lin.theta) and np.shares_memory(lin.b, lin.theta)
+        np.testing.assert_array_equal(lin.theta, np.concatenate([lin.W.ravel(), lin.b]))
+
+    def test_head_is_the_tail_slice(self):
+        m = init_mlp(3, 2, 4, Rng(1))
+        assert m.head == m.W1.size + m.b1.size
+        np.testing.assert_array_equal(m.theta[m.head :], np.concatenate([m.W2.ravel(), m.b2]))
+        assert init_linear(3, 2).head == 0
+
+    def test_constructor_copies_its_arrays(self):
+        W1 = np.ones((4, 2))
+        m = Mlp(W1, np.zeros(4), np.ones((3, 4)), np.zeros(3))
+        W1[0, 0] = 7.0
+        assert m.W1[0, 0] == 1.0
 
 
 class TestCrossEntropy:
@@ -120,21 +151,17 @@ class TestCrossEntropy:
 
 def _param_fd(model, X, plugin, h=1e-6):
     """Central-difference gradient of mean batch loss over every entry."""
-    grads = {}
-    for name, p in model.params().items():
-        g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.shape[0]):
-            orig = flat[i]
-            flat[i] = orig + h
-            vp, _ = plugin.batch_eval(forward(model, X))
-            flat[i] = orig - h
-            vm, _ = plugin.batch_eval(forward(model, X))
-            flat[i] = orig
-            gflat[i] = (np.mean(vp) - np.mean(vm)) / (2 * h)
-        grads[name] = g
-    return grads
+    theta = model.theta
+    g = np.zeros_like(theta)
+    for i in range(theta.shape[0]):
+        orig = theta[i]
+        theta[i] = orig + h
+        vp, _ = plugin.batch_eval(forward(model, X))
+        theta[i] = orig - h
+        vm, _ = plugin.batch_eval(forward(model, X))
+        theta[i] = orig
+        g[i] = (np.mean(vp) - np.mean(vm)) / (2 * h)
+    return g
 
 
 class TestBackward:
@@ -146,10 +173,9 @@ class TestBackward:
         _, dl = EmPlugin().batch_eval(Z)
         single = backward(model, X, dl)
         doubled = backward(model, np.vstack([X, X]), np.vstack([dl, dl]))
-        for k in single:
-            # matmul reduction order differs with batch size, so the
-            # match is to rounding, not bit-exact
-            assert rel_err(single[k], doubled[k]) < 1e-14
+        # matmul reduction order differs with batch size, so the match is
+        # to rounding, not bit-exact
+        assert rel_err(single, doubled) < 1e-14
 
     def test_rejects_batch_mismatch(self):
         model = init_linear(3, 2)
@@ -174,9 +200,22 @@ class TestBackward:
         Z = forward(model, X)
         _, dl = plugin.batch_eval(Z)
         analytic = backward(model, X, dl)
+        assert analytic.shape == model.theta.shape
         numeric = _param_fd(model, X, plugin)
-        for k in analytic:
-            assert rel_err(analytic[k], numeric[k]) < 1e-6, k
+        assert rel_err(analytic, numeric) < 1e-6
+
+    def test_flat_gradient_is_the_per_array_gradients_in_order(self):
+        # theta's layout: W1, b1, W2, b2, each row-major.
+        rng = Rng(24)
+        X = rng.normals(10).reshape(5, 2)
+        model = init_mlp(3, 2, 4, rng)
+        _, dl = EmPlugin().batch_eval(forward(model, X))
+        G = dl / 5
+        H = X @ model.W1.T + model.b1
+        dH = (G @ model.W2) * (H > 0.0)
+        expected = [dH.T @ X, dH.sum(axis=0), G.T @ np.maximum(H, 0.0), G.sum(axis=0)]
+        grad = backward(model, X, dl)
+        np.testing.assert_array_equal(grad, np.concatenate([e.ravel() for e in expected]))
 
 
 class TestSgd:
@@ -193,13 +232,13 @@ class TestSgd:
         model = LinearSoftmax(np.array([[1.0]]), np.array([0.0]))
         cfg = SgdConfig(lr=0.1, momentum=0.9)
         state = SgdState()
-        g = {"W": np.array([[0.5]]), "b": np.array([0.0])}
+        g = np.array([0.5, 0.0])  # theta = (W[0, 0], b[0])
         sgd_step(model, g, cfg, state)
         # v = 0.5, p = 1 - 0.1 * 0.5
         assert model.W[0, 0] == 1.0 - 0.1 * 0.5
         sgd_step(model, g, cfg, state)
         # v = 0.9 * 0.5 + 0.5 = 0.95
-        assert state.velocities["W"][0, 0] == 0.9 * 0.5 + 0.5
+        assert state.velocity[0] == 0.9 * 0.5 + 0.5
         assert model.W[0, 0] == (1.0 - 0.05) - 0.1 * (0.9 * 0.5 + 0.5)
 
     def test_head_scope_freezes_trunk_but_tracks_velocity(self):
@@ -207,32 +246,42 @@ class TestSgd:
         frozen = model.copy()
         cfg = SgdConfig(lr=0.1, momentum=0.5, scope="head")
         state = SgdState()
-        grads = {k: np.ones_like(v) for k, v in model.params().items()}
-        sgd_step(model, grads, cfg, state)
+        sgd_step(model, np.ones_like(model.theta), cfg, state)
         np.testing.assert_array_equal(model.W1, frozen.W1)
         np.testing.assert_array_equal(model.b1, frozen.b1)
         assert not np.array_equal(model.W2, frozen.W2)
         assert not np.array_equal(model.b2, frozen.b2)
         # trunk velocity still accumulates so a later scope change is sane
-        np.testing.assert_array_equal(state.velocities["W1"], np.ones_like(model.W1))
+        np.testing.assert_array_equal(state.velocity[: model.head], np.ones(model.head))
 
     def test_zero_lr_touches_nothing(self):
         model = init_linear(3, 2, Rng(4), scale=1.0)
         frozen = model.copy()
         state = SgdState()
-        grads = {k: np.ones_like(v) for k, v in model.params().items()}
-        sgd_step(model, grads, SgdConfig(lr=0.0, momentum=0.9), state)
-        assert param_distance(model, frozen) == 0.0
-        np.testing.assert_array_equal(state.velocities["W"], np.ones((3, 2)))
+        sgd_step(model, np.ones(9), SgdConfig(lr=0.0, momentum=0.9), state)
+        np.testing.assert_array_equal(model.theta, frozen.theta)
+        np.testing.assert_array_equal(state.velocity, np.ones(9))
 
-
-class TestParamDistance:
-    def test_hand_case(self):
-        a = LinearSoftmax(np.zeros((2, 2)), np.zeros(2))
-        b = LinearSoftmax(np.zeros((2, 2)), np.zeros(2))
-        b.W[0, 0] = 3.0
-        b.b[1] = 4.0
-        assert param_distance(a, b) == 5.0
+    @pytest.mark.parametrize("scope", ["all", "head"])
+    def test_flat_step_matches_per_array_reference(self, scope):
+        # Reference: separate W1, b1, W2, b2 arrays, each with its own
+        # velocity, updated name by name; the head is (W2, b2).
+        model = init_mlp(3, 2, 4, Rng(3))
+        cfg = SgdConfig(lr=0.3, momentum=0.5, scope=scope)
+        params = [model.W1.copy(), model.b1.copy(), model.W2.copy(), model.b2.copy()]
+        velocities = [np.zeros_like(p) for p in params]
+        moved = range(4) if scope == "all" else (2, 3)
+        state, rng = SgdState(), Rng(4)
+        for _ in range(5):
+            grads = [rng.normals(p.size).reshape(p.shape) for p in params]
+            sgd_step(model, np.concatenate([g.ravel() for g in grads]), cfg, state)
+            for i, (p, v, g) in enumerate(zip(params, velocities, grads)):
+                v *= cfg.momentum
+                v += g
+                if i in moved:
+                    p -= cfg.lr * v
+            assert np.array_equal(model.theta, np.concatenate([p.ravel() for p in params]))
+            assert np.array_equal(state.velocity, np.concatenate([v.ravel() for v in velocities]))
 
 
 def _blobs(rng, n_per, means, sigma=0.3):
@@ -265,14 +314,14 @@ class TestTrainSource:
             model = init_mlp(3, 2, 4, Rng(9))
             train_source(model, X, y, 3, SgdConfig(lr=0.1, momentum=0.9), Rng(10))
             runs.append(model)
-        assert param_distance(runs[0], runs[1]) == 0.0
+        assert np.array_equal(runs[0].theta, runs[1].theta)
 
     def test_zero_epochs_is_identity(self):
         model = init_linear(3, 2, Rng(1), scale=1.0)
         frozen = model.copy()
         train_source(model, np.ones((4, 2)), np.zeros(4, dtype=int), 0,
                      SgdConfig(lr=1.0), Rng(0))
-        assert param_distance(model, frozen) == 0.0
+        np.testing.assert_array_equal(model.theta, frozen.theta)
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
     def test_matches_public_reference_loop(self, arch):
@@ -296,8 +345,7 @@ class TestTrainSource:
                 Z = forward(ref, X[idx])
                 _, dlogits = CrossEntropyPlugin(y[idx]).batch_eval(Z)
                 sgd_step(ref, backward(ref, X[idx], dlogits), cfg, state)
-        for name, p in fused.params().items():
-            assert np.array_equal(p, ref.params()[name]), name
+        assert np.array_equal(fused.theta, ref.theta)
 
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
@@ -339,7 +387,7 @@ class TestAdaptStream:
         model = init_linear(3, 2, Rng(31), scale=0.5)
         frozen = model.copy()
         _, trace = adapt_stream(model, batches, EmPlugin(), SgdConfig(lr=0.0))
-        assert param_distance(model, frozen) == 0.0
+        np.testing.assert_array_equal(model.theta, frozen.theta)
         assert all(t["movement"] == 0.0 for t in trace)
 
     def test_metrics_come_from_pre_update_predictions(self):
@@ -383,11 +431,10 @@ class TestAdaptStream:
             before = ref.copy()
             _, dlogits = EmPlugin().batch_eval(forward(ref, X))
             sgd_step(ref, backward(ref, X, dlogits), cfg, state)
-            expected = param_distance(ref, before)
+            expected = np.linalg.norm(ref.theta - before.theta)
             assert expected > 0.0
             assert abs(entry["movement"] - expected) <= 1e-12 * expected
-        for name, p in model.params().items():
-            assert np.array_equal(p, ref.params()[name]), name
+        assert np.array_equal(model.theta, ref.theta)
 
     def test_non_finite_gradients_name_the_batch(self):
         class NanAfterFirst:
@@ -436,12 +483,6 @@ class TestAdaptStream:
 
 
 class TestPlugins:
-    def test_dem_plugin_validates_at_construction(self):
-        with pytest.raises(ConfigError):
-            DemPlugin(DemConfig(1.5, 2.0))  # violates tau <= 2/alpha
-        with pytest.raises(ConfigError):
-            DemPlugin(DemConfig(0.0, 1.0))  # tau must be positive
-
     def test_em_plugin_matches_scalar_eval(self):
         Z = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
         values, grads = EmPlugin().batch_eval(Z)
