@@ -28,7 +28,7 @@ calibrator always reflects the batch it is about to judge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

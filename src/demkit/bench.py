@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import DivergenceError, adapt_stream, forward, SgdConfig
-from .numkit import as_matrix, as_vector, Rng, softmax_rows
+from .numkit import as_matrix, as_vector, Rng
 
 __all__ = [
     "MixtureSpec",

@@ -1,6 +1,5 @@
 """Tests for the adaptive variant: delta normalizer, calibrator, gradients."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,6 @@ from demkit.adadem import (
     DELTA_SOURCES,
     NORM_KINDS,
     AdaDemVariant,
-    MecState,
     adadem_eval,
     adadem_rows,
     delta,
@@ -21,7 +19,7 @@ from demkit.adadem import (
     mec_update,
     _deltas_rows,
 )
-from demkit.em_losses import em_eval, em_rows
+from demkit.em_losses import em_eval
 from demkit.numkit import Rng, rel_err, softmax, softmax_rows
 
 logit_vectors = st.lists(
