@@ -270,6 +270,18 @@ class TestAdaDemRows:
 
         assert rel_err(grads[0], finite_diff_grad(objective, z)) < 1e-6
 
+    def test_tied_pseudo_labels_go_to_lowest_index(self):
+        # Classes 0 and 1 tie exactly; the calibrator row of class 0
+        # absorbs the sample and row 1 stays uniform.
+        state = mec_init(3)
+        z = np.log(np.array([[0.4, 0.4, 0.2]]))
+        adadem_rows(z, state)
+        p = softmax(z[0])
+        assert p[0] == p[1]
+        np.testing.assert_allclose(state.table[0], 0.9 / 3 + 0.1 * p, atol=1e-15)
+        np.testing.assert_array_equal(state.table[1], np.full(3, 1 / 3))
+        np.testing.assert_array_equal(state.table[2], np.full(3, 1 / 3))
+
     def test_mec_only_uses_unit_delta(self):
         z = np.array([[3.0, 0.0, -3.0]])
         sa = mec_init(3)

@@ -164,6 +164,20 @@ class TestGradcheckCommand:
             assert f"gradcheck {name}:" in out
         assert "[ok]" in out and "FAIL" not in out
 
+    def test_end_to_end_cases_are_one_flat_pair_per_model_and_loss(self):
+        from demkit.cli import _end_to_end_cases
+        from demkit.numkit import Rng, rel_err
+
+        sizes = {"linear": 4 * 3 + 4, "mlp": 5 * 3 + 5 + 4 * 5 + 4}
+        names = []
+        for name, analytic, oracle in _end_to_end_cases(Rng(0).derive("end-to-end")):
+            names.append(name)
+            size = sizes[name.split("/")[0]]
+            assert analytic.shape == oracle.shape == (size,)
+            assert rel_err(analytic, oracle) < 1e-6
+        assert names == [f"{m}/{l}" for m in ("linear", "mlp")
+                         for l in ("em", "dem", "cross_entropy", "adadem")]
+
     def test_corrupted_gradient_fails_with_exit_3(self, capsys):
         assert main(["gradcheck", "--trials", "2", "--corrupt"]) == EXIT_NUMERIC
         captured = capsys.readouterr()

@@ -95,6 +95,17 @@ class TestInitAndForward:
         assert not np.array_equal(m.theta, c.theta)
         np.testing.assert_array_equal(c.theta[c.head :], m.theta[m.head :])
 
+    def test_linear_copy_is_deep(self):
+        m = init_linear(3, 2, Rng(1), scale=1.0)
+        c = m.copy()
+        for a in (m.theta, m.W, m.b):
+            for b in (c.theta, c.W, c.b):
+                assert not np.shares_memory(a, b)
+        assert c.head == 0
+        np.testing.assert_array_equal(c.theta, m.theta)
+        m.b += 1.0
+        np.testing.assert_array_equal(c.b, m.b - 1.0)
+
 
 class TestLayout:
     def test_views_share_theta(self):
@@ -217,6 +228,15 @@ class TestBackward:
         grad = backward(model, X, dl)
         np.testing.assert_array_equal(grad, np.concatenate([e.ravel() for e in expected]))
 
+    def test_linear_flat_gradient_is_weight_then_bias(self):
+        rng = Rng(25)
+        X = rng.normals(10).reshape(5, 2)
+        model = init_linear(3, 2, rng, scale=0.5)
+        _, dl = EmPlugin().batch_eval(forward(model, X))
+        G = dl / 5
+        grad = backward(model, X, dl)
+        np.testing.assert_array_equal(grad, np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)]))
+
 
 class TestSgd:
     def test_config_validation(self):
@@ -261,6 +281,18 @@ class TestSgd:
         sgd_step(model, np.ones(9), SgdConfig(lr=0.0, momentum=0.9), state)
         np.testing.assert_array_equal(model.theta, frozen.theta)
         np.testing.assert_array_equal(state.velocity, np.ones(9))
+
+    def test_velocity_is_one_vector_updated_in_place(self):
+        model = init_mlp(3, 2, 4, Rng(5))
+        state = SgdState()
+        assert state.velocity is None
+        sgd_step(model, np.zeros_like(model.theta), SgdConfig(lr=0.1, momentum=0.5), state)
+        v = state.velocity
+        assert v.dtype == np.float64 and v.shape == model.theta.shape
+        np.testing.assert_array_equal(v, np.zeros_like(model.theta))
+        sgd_step(model, np.ones_like(model.theta), SgdConfig(lr=0.1, momentum=0.5), state)
+        assert state.velocity is v
+        np.testing.assert_array_equal(v, np.ones_like(model.theta))
 
     @pytest.mark.parametrize("scope", ["all", "head"])
     def test_flat_step_matches_per_array_reference(self, scope):
@@ -434,6 +466,28 @@ class TestAdaptStream:
             expected = np.linalg.norm(ref.theta - before.theta)
             assert expected > 0.0
             assert abs(entry["movement"] - expected) <= 1e-12 * expected
+        assert np.array_equal(model.theta, ref.theta)
+
+    def test_head_scope_leaves_the_trunk_bit_identical(self):
+        batches = self._stream(Rng(37), n_batches=3)
+        model = init_mlp(3, 2, 6, Rng(38))
+        before = model.copy()
+        adapt_stream(model, batches, EmPlugin(), SgdConfig(lr=0.3, momentum=0.5, scope="head"))
+        np.testing.assert_array_equal(model.theta[: model.head], before.theta[: before.head])
+        assert not np.array_equal(model.theta[model.head :], before.theta[before.head :])
+
+    def test_each_call_starts_with_fresh_momentum(self):
+        first, second = self._stream(Rng(39), n_batches=2), self._stream(Rng(40), n_batches=2)
+        cfg = SgdConfig(lr=0.2, momentum=0.9)
+        model = init_linear(3, 2, Rng(41), scale=0.5)
+        ref = model.copy()
+        adapt_stream(model, first, EmPlugin(), cfg)
+        adapt_stream(model, second, EmPlugin(), cfg)
+        for batches in (first, second):
+            state = SgdState()
+            for X, _ in batches:
+                _, dlogits = EmPlugin().batch_eval(forward(ref, X))
+                sgd_step(ref, backward(ref, X, dlogits), cfg, state)
         assert np.array_equal(model.theta, ref.theta)
 
     def test_non_finite_gradients_name_the_batch(self):
