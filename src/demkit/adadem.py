@@ -72,14 +72,13 @@ class MecState:
 
     table: np.ndarray
     pi: float = 0.1
-    steps: int = 0
 
     @property
     def C(self) -> int:
         return self.table.shape[0]
 
     def copy(self) -> "MecState":
-        return MecState(self.table.copy(), self.pi, self.steps)
+        return MecState(self.table.copy(), self.pi)
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ def mec_init(C: int, pi: float = 0.1) -> MecState:
         raise ValueError(f"need at least two classes, got {C}")
     if not 0.0 < pi <= 1.0:
         raise ValueError(f"momentum pi must lie in (0, 1], got {pi}")
-    return MecState(np.full((C, C), 1.0 / C), pi=pi, steps=0)
+    return MecState(np.full((C, C), 1.0 / C), pi=pi)
 
 
 def mec_update(state: MecState, probs, pseudo_labels) -> MecState:
@@ -163,7 +162,6 @@ def mec_update(state: MecState, probs, pseudo_labels) -> MecState:
     for k in np.unique(labels):
         mean_k = P[labels == k].mean(axis=0)
         state.table[k] = (1.0 - state.pi) * state.table[k] + state.pi * mean_k
-    state.steps += 1
     return state
 
 

@@ -17,13 +17,15 @@ unlabeled batches.  Two protocols mirror test-time-adaptation practice:
   whole shift sequence.
 
 Metrics are computed online (each batch is predicted before the update
-that consumes it) and aggregated into :class:`MetricsReport`.
+that consumes it) and aggregated into :class:`MetricsReport`; the
+no-adapt baseline, the frozen source model's accuracy on the same
+batches, is :func:`no_adapt_accuracy`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +48,7 @@ __all__ = [
     "make_stream",
     "metrics",
     "kl_divergence",
+    "no_adapt_accuracy",
     "run_protocol",
 ]
 
@@ -150,17 +153,14 @@ class MetricsReport:
 
 @dataclass
 class ProtocolResult:
-    """Everything a protocol run produces.
+    """A protocol's online metrics: one report per shift and one overall.
 
-    ``baseline_*`` fields hold the no-adapt accuracies of the untouched
-    source model on the same batches.
+    The frozen source model's baseline on the same data is
+    :func:`no_adapt_accuracy`.
     """
 
     per_shift: list
     overall: MetricsReport
-    baseline_per_shift: list
-    baseline_overall: float
-    traces: list = field(default_factory=list)
 
 
 def circle_means(C: int, radius: float) -> np.ndarray:
@@ -324,10 +324,22 @@ def metrics(probs, labels) -> MetricsReport:
     )
 
 
-def _trace_metrics(trace, batches) -> MetricsReport:
-    P = np.concatenate([t["probs"] for t in trace])
-    y = np.concatenate([yb for _, yb in batches])
-    return metrics(P, y)
+def no_adapt_accuracy(source_model, shift_data) -> tuple[list, float]:
+    """Accuracies of the frozen source model on stream data.
+
+    ``shift_data`` is the output of :func:`make_stream`.  Returns
+    ``(per_shift, overall)``: one accuracy per shift and one over every
+    batch, the baseline an adaptation protocol is compared against.
+    """
+    correct = [
+        [np.argmax(forward(source_model, X), axis=1) == y for X, y in batches]
+        for batches in shift_data
+    ]
+    per_shift = [
+        sum(int(np.sum(c)) for c in shift) / sum(len(c) for c in shift) for shift in correct
+    ]
+    overall = float(np.mean(np.concatenate([c for shift in correct for c in shift])))
+    return per_shift, overall
 
 
 def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdConfig) -> ProtocolResult:
@@ -339,35 +351,23 @@ def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdCo
     so stateful losses persist across shifts exactly when the model
     does).  Optimizer momentum does not persist in either mode: every
     shift is one :func:`adapt_stream` call, which starts from zero
-    velocity.  Metrics are online: every batch is scored before the
-    update it triggers.  A diverging update raises
+    velocity and sees the inputs only.  Metrics are online: every batch
+    is scored, against its labels, on the probabilities predicted before
+    the update it triggers.  A diverging update raises
     :class:`DivergenceError` naming the shift and the batch.
     """
     if mode not in ("single_domain", "continual"):
         raise ValueError(f"unknown mode {mode!r}")
-    correct = [
-        [np.argmax(forward(source_model, X), axis=1) == y for X, y in batches]
-        for batches in shift_data
-    ]
-    baseline_per_shift = [
-        sum(int(np.sum(c)) for c in shift) / sum(len(c) for c in shift) for shift in correct
-    ]
-    baseline_overall = float(np.mean(np.concatenate([c for shift in correct for c in shift])))
-
-    per_shift = []
-    traces = []
+    per_shift, probs, labels = [], [], []
     model = plugin = None
     for s, batches in enumerate(shift_data):
         if model is None or mode == "single_domain":
             model, plugin = source_model.copy(), plugin_factory()
         try:
-            _, trace = adapt_stream(model, batches, plugin, cfg)
+            P = np.concatenate(adapt_stream(model, (X for X, _ in batches), plugin, cfg))
         except DivergenceError as exc:
             raise DivergenceError(exc.stage, exc.batch, s) from exc
-        per_shift.append(_trace_metrics(trace, batches))
-        traces.append(trace)
-
-    all_probs = np.concatenate([t["probs"] for trace in traces for t in trace])
-    all_labels = np.concatenate([yb for batches in shift_data for _, yb in batches])
-    overall = metrics(all_probs, all_labels)
-    return ProtocolResult(per_shift, overall, baseline_per_shift, baseline_overall, traces)
+        probs.append(P)
+        labels.append(np.concatenate([y for _, y in batches]))
+        per_shift.append(metrics(P, labels[-1]))
+    return ProtocolResult(per_shift, metrics(np.concatenate(probs), np.concatenate(labels)))

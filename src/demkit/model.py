@@ -14,8 +14,8 @@ velocity and updates are flat vectors laid out like ``theta``, so the
 head-only scope is the slice ``theta[head:]``.
 
 ``adapt_stream`` is the online protocol: for each unlabeled batch the
-model first predicts (metrics are recorded from these pre-update
-predictions), then the loss plugin turns the logits into per-sample
+model first predicts (the loop returns these pre-update probabilities
+for scoring), then the loss plugin turns the logits into per-sample
 gradients, and one SGD step is applied.  Plugins wrap the loss family:
 cross-entropy (supervised plumbing for source training and oracle
 baselines), classical EM, decoupled EM, and AdaDEM, which carries its
@@ -34,7 +34,6 @@ reuses them instead of recomputing the forward pass.  The step loops
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,19 +294,19 @@ class DemPlugin:
 
 
 class AdaDemPlugin:
-    """AdaDEM; owns a MecState threaded across every batch it sees."""
+    """AdaDEM; owns a MecState, created on the first batch and threaded
+    across every batch it sees."""
 
     def __init__(
         self,
         variant: _adadem.AdaDemVariant = _adadem.AdaDemVariant(),
         pi: float = 0.1,
         direction: str = "minimize",
-        state: _adadem.MecState | None = None,
     ):
         self.variant = variant
         self.pi = pi
         self.direction = direction
-        self.state = state
+        self.state = None
 
     def batch_eval(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.state is None:
@@ -356,16 +355,14 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int 
     return model
 
 
-def adapt_stream(model, batches, plugin, cfg: SgdConfig):
-    """Online adaptation: predict, record, update, repeat.
+def adapt_stream(model, inputs, plugin, cfg: SgdConfig) -> list[np.ndarray]:
+    """Online adaptation: predict, update, repeat.
 
-    ``batches`` yields ``(X, y)`` pairs; labels feed metrics only, never
-    the loss.  Returns ``(model, trace)`` where each trace entry (one
-    per batch) records the pre-update predictions: hit count, prediction
-    sums (for marginals), argmax counts, mean loss, mean max probability,
-    and the parameter movement caused by the update, ``lr * ||v[a:]||``
-    over the slice ``theta[a:]`` the step moves (``a = model.head`` under
-    ``scope = "head"``, else 0).
+    ``inputs`` yields unlabeled input matrices, so the loop never sees a
+    label.  For each batch the model first predicts, then ``plugin``
+    turns the logits into per-sample gradients and one SGD step moves
+    ``model`` in place.  Returns the pre-update probabilities
+    ``softmax_rows(Z)``, one matrix per batch, for the caller to score.
 
     Each call starts from a fresh :class:`SgdState`, so momentum never
     carries over from one call to the next: a continual protocol, which
@@ -378,33 +375,16 @@ def adapt_stream(model, batches, plugin, cfg: SgdConfig):
     silenced for the loop, since a step that overflows fails one of them.
     """
     state = SgdState()
-    a = model.head if cfg.scope == "head" else 0
-    trace = []
+    probs = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (X, y) in enumerate(batches):
+        for i, X in enumerate(inputs):
             X = _validated_input(model, X)
             Z, cache = _forward(model, X)
             if not np.isfinite(Z).all():
                 raise DivergenceError("logits", i)
-            P = softmax_rows(Z)
-            preds = np.argmax(P, axis=1)
-            values, dlogits = plugin.batch_eval(Z)
+            probs.append(softmax_rows(Z))
+            _, dlogits = plugin.batch_eval(Z)
             if not np.isfinite(dlogits).all():
                 raise DivergenceError("loss gradients", i)
             sgd_step(model, _backward(model, X, dlogits, cache), cfg, state)
-            v = state.velocity[a:]
-            movement = cfg.lr * math.sqrt(float(np.vdot(v, v)))
-            trace.append(
-                {
-                    "n": int(X.shape[0]),
-                    "hits": int(np.sum(preds == np.asarray(y))),
-                    "pred_sum": P.sum(axis=0),
-                    "argmax_counts": np.bincount(preds, minlength=Z.shape[1]),
-                    "probs": P,
-                    "labels": np.asarray(y, dtype=np.int64),
-                    "mean_loss": float(values.mean()),
-                    "avg_max_prob": float(P.max(axis=1).mean()),
-                    "movement": movement,
-                }
-            )
-    return model, trace
+    return probs

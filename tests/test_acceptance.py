@@ -36,7 +36,6 @@ from demkit.bench import (
     default_continual,
     default_mixture,
     default_single_domain,
-    kl_divergence,
     make_stream,
     run_protocol,
     sample_batch,
@@ -104,12 +103,8 @@ def _ada_factory():
 
 
 def _marginal_kl_vs_uniform(result, C: int) -> float:
-    total = sum(t["n"] for trace in result.traces for t in trace)
-    marginal = sum(
-        (t["pred_sum"] for trace in result.traces for t in trace),
-        start=np.zeros(C),
-    ) / total
-    return kl_divergence(marginal, np.full(C, 1.0 / C))
+    # KL(m || uniform) = log C - H(m) for the overall output marginal m.
+    return math.log(C) - result.overall.marginal_entropy
 
 
 # --------------------------------------------------------------------------

@@ -102,7 +102,6 @@ class TestMecState:
         state = mec_init(4)
         np.testing.assert_array_equal(state.table, np.full((4, 4), 0.25))
         assert state.pi == 0.1
-        assert state.steps == 0
 
     def test_init_validation(self):
         with pytest.raises(ValueError):
@@ -118,7 +117,11 @@ class TestMecState:
         mec_update(state, np.array([[0.7, 0.2, 0.1]]), [0])
         np.testing.assert_allclose(state.table[0], [0.37, 0.32, 0.31], atol=1e-15)
         np.testing.assert_allclose(state.table[1], 1 / 3, atol=1e-15)
-        assert state.steps == 1
+        # Exactly one EMA step on row 0, and none on the others.
+        np.testing.assert_array_equal(
+            state.table[0], (1 - 0.1) * np.full(3, 1 / 3) + 0.1 * np.array([0.7, 0.2, 0.1])
+        )
+        np.testing.assert_array_equal(state.table[1:], np.full((2, 3), 1 / 3))
 
     def test_absent_classes_keep_rows(self):
         state = mec_init(3)
@@ -318,7 +321,12 @@ class TestAdaDemRows:
         evals = adadem_eval([np.array([1.0, 0.0, -1.0]), np.array([0.0, 2.0, 0.0])], state)
         assert len(evals) == 2
         assert all(e.grad.shape == (3,) for e in evals)
-        assert state.steps == 1  # one EMA step for the whole batch
+        # One EMA step for the whole batch: the rows of both pseudo-labels
+        # moved once, toward their own sample, and the third kept its row.
+        ref = mec_init(3)
+        P = softmax_rows(np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 0.0]]))
+        mec_update(ref, P, [0, 1])
+        np.testing.assert_array_equal(state.table, ref.table)
 
     def test_eval_wrapper_accepts_a_matrix(self):
         Z = np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
@@ -345,7 +353,6 @@ class TestAdaDemRows:
         with pytest.raises(ValueError):
             adadem_eval(batch, state)
         np.testing.assert_array_equal(state.table, mec_init(3).table)
-        assert state.steps == 0
 
     def test_full_entropy_delta_floor_keeps_gradients_finite(self):
         # At uniform logits the full-entropy normalizer vanishes; the

@@ -1,10 +1,13 @@
 """Tests for the synthetic shift benchmark, metrics, and protocols."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 
+import demkit.bench
+import demkit.model
 from demkit.bench import (
     LEVEL_MULTIPLIERS,
     SHIFT_KINDS,
@@ -20,6 +23,7 @@ from demkit.bench import (
     long_tail_priors,
     make_stream,
     metrics,
+    no_adapt_accuracy,
     run_protocol,
     sample_batch,
 )
@@ -336,9 +340,7 @@ class TestSeverityScaling:
                 "single_domain", (ShiftSpec("feature_noise", 1.0, level),), 20, 64
             )
             data = make_stream(mix, spec, Rng(11))
-            res = run_protocol(model, data, "single_domain",
-                               EmPlugin, SgdConfig(lr=0.0))
-            accs.append(res.baseline_overall)
+            accs.append(no_adapt_accuracy(model, data)[1])
         for lo, hi in zip(accs[1:], accs[:-1]):
             assert lo <= hi + 0.01  # nonincreasing up to sampling noise
         assert accs[0] - accs[4] >= 0.10
@@ -354,8 +356,9 @@ class TestRunProtocol:
     def test_zero_lr_matches_baseline(self):
         model, data = self._setup()
         res = run_protocol(model, data, "single_domain", EmPlugin, SgdConfig(lr=0.0))
-        assert res.overall.accuracy == res.baseline_overall
-        for rep, base in zip(res.per_shift, res.baseline_per_shift):
+        base_per_shift, base_overall = no_adapt_accuracy(model, data)
+        assert res.overall.accuracy == base_overall
+        for rep, base in zip(res.per_shift, base_per_shift):
             assert rep.accuracy == base
 
     def test_deterministic(self):
@@ -411,12 +414,42 @@ class TestRunProtocol:
 
     def test_baselines_match_the_frozen_model(self):
         model, data = self._setup()
-        res = run_protocol(model, data, "single_domain", EmPlugin, SgdConfig(lr=0.01))
+        before = model.copy()
+        base_per_shift, base_overall = no_adapt_accuracy(model, data)
         hits = [[int(np.sum(np.argmax(forward(model, X), axis=1) == y)) for X, y in b]
                 for b in data]
         sizes = [sum(len(y) for _, y in b) for b in data]
-        assert res.baseline_per_shift == [sum(h) / n for h, n in zip(hits, sizes)]
-        assert res.baseline_overall == sum(map(sum, hits)) / sum(sizes)
+        assert base_per_shift == [sum(h) / n for h, n in zip(hits, sizes)]
+        assert base_overall == sum(map(sum, hits)) / sum(sizes)
+        assert np.array_equal(model.theta, before.theta)
+
+    def test_makes_no_public_forward_pass(self, monkeypatch):
+        # The frozen model's baseline is no_adapt_accuracy's alone: a
+        # protocol runs no forward pass besides adapt_stream's fused one,
+        # and it hands adapt_stream a plain generator of input matrices.
+        model, data = self._setup()
+        cfg = SgdConfig(lr=0.01)
+        expected = run_protocol(model, data, "continual", EmPlugin, cfg)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("public forward called by run_protocol")
+
+        seen = []
+
+        def inputs_only(model, inputs, plugin, cfg):
+            assert isinstance(inputs, types.GeneratorType)
+            matrices = list(inputs)
+            assert all(isinstance(X, np.ndarray) and X.ndim == 2 for X in matrices)
+            seen.append(len(matrices))
+            return adapt_stream(model, (X for X in matrices), plugin, cfg)
+
+        monkeypatch.setattr(demkit.bench, "forward", no_forward)
+        monkeypatch.setattr(demkit.model, "forward", no_forward)
+        monkeypatch.setattr(demkit.bench, "adapt_stream", inputs_only)
+        res = run_protocol(model, data, "continual", EmPlugin, cfg)
+        assert seen == [len(batches) for batches in data]
+        assert [r.accuracy for r in res.per_shift] == [r.accuracy for r in expected.per_shift]
+        assert res.overall.marginal_entropy == expected.overall.marginal_entropy
 
     def test_continual_resets_momentum_at_every_shift(self):
         # The model and the plugin (here AdaDEM's calibrator) carry over
@@ -427,19 +460,20 @@ class TestRunProtocol:
         cfg = SgdConfig(lr=0.05, momentum=0.9)
         res = run_protocol(model, data, "continual", AdaDemPlugin, cfg)
 
-        def accuracy(trace, batches):
-            return metrics(np.concatenate([t["probs"] for t in trace]),
+        def accuracy(probs, batches):
+            return metrics(np.concatenate(probs),
                            np.concatenate([y for _, y in batches])).accuracy
 
         adapted, plugin = model.copy(), AdaDemPlugin()
         per_call = []
         for batches in data:
-            _, trace = adapt_stream(adapted, batches, plugin, cfg)
-            per_call.append(accuracy(trace, batches))
+            probs = adapt_stream(adapted, (X for X, _ in batches), plugin, cfg)
+            per_call.append(accuracy(probs, batches))
         assert [rep.accuracy for rep in res.per_shift] == per_call
 
-        _, trace = adapt_stream(model.copy(), data[0] + data[1], AdaDemPlugin(), cfg)
-        one_call = [accuracy(trace[:10], data[0]), accuracy(trace[10:], data[1])]
+        probs = adapt_stream(model.copy(), (X for X, _ in data[0] + data[1]),
+                             AdaDemPlugin(), cfg)
+        one_call = [accuracy(probs[:10], data[0]), accuracy(probs[10:], data[1])]
         assert one_call[0] == per_call[0]
         assert one_call[1] != per_call[1]
 

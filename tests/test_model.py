@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from demkit.adadem import AdaDemVariant, MecState
+from demkit.adadem import AdaDemVariant, MecState, mec_init, mec_update
 from demkit.em_losses import DemConfig, em_eval
 from demkit.model import (
     AdaDemPlugin,
@@ -398,81 +398,83 @@ class TestAdaptStream:
         return [(X[i * batch : (i + 1) * batch], y[i * batch : (i + 1) * batch])
                 for i in range(n_batches)]
 
-    def test_trace_fields_are_consistent(self):
+    def test_returns_pre_update_probabilities_per_batch(self):
         batches = self._stream(Rng(30))
         model = init_linear(3, 2, Rng(31), scale=0.5)
-        _, trace = adapt_stream(model, batches, EmPlugin(), SgdConfig(lr=0.01))
-        assert len(trace) == len(batches)
-        for entry, (X, y) in zip(trace, batches):
-            assert entry["n"] == X.shape[0]
-            assert 0 <= entry["hits"] <= entry["n"]
-            assert entry["pred_sum"].shape == (3,)
-            assert abs(entry["pred_sum"].sum() - entry["n"]) < 1e-9
-            assert entry["argmax_counts"].sum() == entry["n"]
-            assert entry["probs"].shape == (X.shape[0], 3)
-            np.testing.assert_array_equal(entry["labels"], y)
-            assert entry["movement"] >= 0.0
-            assert 0.0 < entry["avg_max_prob"] <= 1.0
+        ref = model.copy()
+        probs = adapt_stream(model, (X for X, _ in batches), EmPlugin(), SgdConfig(lr=0.01))
+        assert len(probs) == len(batches)
+        state = SgdState()
+        for P, (X, _) in zip(probs, batches):
+            Z = forward(ref, X)
+            np.testing.assert_array_equal(P, softmax_rows(Z))
+            _, dlogits = EmPlugin().batch_eval(Z)
+            sgd_step(ref, backward(ref, X, dlogits), SgdConfig(lr=0.01), state)
+        assert np.array_equal(model.theta, ref.theta)
 
     def test_zero_lr_reproduces_frozen_model(self):
         batches = self._stream(Rng(30))
         model = init_linear(3, 2, Rng(31), scale=0.5)
         frozen = model.copy()
-        _, trace = adapt_stream(model, batches, EmPlugin(), SgdConfig(lr=0.0))
+        probs = adapt_stream(model, [X for X, _ in batches], EmPlugin(), SgdConfig(lr=0.0))
         np.testing.assert_array_equal(model.theta, frozen.theta)
-        assert all(t["movement"] == 0.0 for t in trace)
+        for P, (X, _) in zip(probs, batches):
+            np.testing.assert_array_equal(P, softmax_rows(forward(frozen, X)))
 
     def test_metrics_come_from_pre_update_predictions(self):
         # A zero-initialized model predicts uniformly on the first batch;
-        # the recorded max probability must be exactly 1/C even though
+        # the returned max probability must be exactly 1/C even though
         # the update that follows breaks the symmetry.  (EM would stay
         # stationary at uniform, so the probe uses a supervised loss.)
         batches = self._stream(Rng(32), n_batches=2)
         model = init_linear(3, 2)
+        before = model.copy()
         plugin = CrossEntropyPlugin(batches[0][1])
-        _, trace = adapt_stream(model, batches, plugin, SgdConfig(lr=0.5))
-        assert trace[0]["avg_max_prob"] == 1 / 3
-        assert trace[0]["movement"] > 0.0
-        assert trace[1]["avg_max_prob"] != 1 / 3
+        probs = adapt_stream(model, [X for X, _ in batches], plugin, SgdConfig(lr=0.5))
+        assert probs[0].max(axis=1).mean() == 1 / 3
+        assert np.linalg.norm(model.theta - before.theta) > 0.0
+        assert probs[1].max(axis=1).mean() != 1 / 3
 
     def test_confident_model_barely_moves_under_em(self):
         # Logits 8 * (mean_k . x) give margins of ~20 at the cluster
         # centers, so EM's reward has collapsed and the step is tiny.
         means = np.asarray(TestTrainSource.MEANS)
         model = LinearSoftmax(8.0 * means, np.zeros(3))
+        before = model.copy()
         X = np.vstack([means, means])
-        y = np.array([0, 1, 2, 0, 1, 2])
-        _, trace = adapt_stream(model, [(X, y)], EmPlugin(), SgdConfig(lr=0.05))
-        assert trace[0]["avg_max_prob"] > 0.999
-        assert trace[0]["movement"] < 1e-4
+        probs = adapt_stream(model, [X], EmPlugin(), SgdConfig(lr=0.05))
+        assert probs[0].max(axis=1).mean() > 0.999
+        assert np.linalg.norm(model.theta - before.theta) < 1e-4
 
     @pytest.mark.parametrize("scope", ["all", "head"])
     def test_movement_is_the_update_norm(self, scope):
-        # Movement is computed from the update, not from a copy of the
-        # model; it must agree with the parameter distance to rounding,
-        # and the fused loop must move the model exactly as the loop of
-        # public entry points does.
+        # Each step moves the parameters by lr * ||v[a:]||, over the slice
+        # the scope updates, and the fused loop must move the model
+        # exactly as the loop of public entry points does.
         batches = self._stream(Rng(35), n_batches=4)
         cfg = SgdConfig(lr=0.3, momentum=0.5, scope=scope)
         model = init_mlp(3, 2, 6, Rng(36))
         ref = model.copy()
-        _, trace = adapt_stream(model, batches, EmPlugin(), cfg)
+        adapt_stream(model, [X for X, _ in batches], EmPlugin(), cfg)
 
+        a = ref.head if scope == "head" else 0
         state = SgdState()
-        for entry, (X, _) in zip(trace, batches):
+        for X, _ in batches:
             before = ref.copy()
             _, dlogits = EmPlugin().batch_eval(forward(ref, X))
             sgd_step(ref, backward(ref, X, dlogits), cfg, state)
-            expected = np.linalg.norm(ref.theta - before.theta)
+            movement = np.linalg.norm(ref.theta - before.theta)
+            expected = cfg.lr * np.linalg.norm(state.velocity[a:])
             assert expected > 0.0
-            assert abs(entry["movement"] - expected) <= 1e-12 * expected
+            assert abs(movement - expected) <= 1e-12 * expected
         assert np.array_equal(model.theta, ref.theta)
 
     def test_head_scope_leaves_the_trunk_bit_identical(self):
         batches = self._stream(Rng(37), n_batches=3)
         model = init_mlp(3, 2, 6, Rng(38))
         before = model.copy()
-        adapt_stream(model, batches, EmPlugin(), SgdConfig(lr=0.3, momentum=0.5, scope="head"))
+        adapt_stream(model, [X for X, _ in batches], EmPlugin(),
+                     SgdConfig(lr=0.3, momentum=0.5, scope="head"))
         np.testing.assert_array_equal(model.theta[: model.head], before.theta[: before.head])
         assert not np.array_equal(model.theta[model.head :], before.theta[before.head :])
 
@@ -481,8 +483,8 @@ class TestAdaptStream:
         cfg = SgdConfig(lr=0.2, momentum=0.9)
         model = init_linear(3, 2, Rng(41), scale=0.5)
         ref = model.copy()
-        adapt_stream(model, first, EmPlugin(), cfg)
-        adapt_stream(model, second, EmPlugin(), cfg)
+        adapt_stream(model, [X for X, _ in first], EmPlugin(), cfg)
+        adapt_stream(model, [X for X, _ in second], EmPlugin(), cfg)
         for batches in (first, second):
             state = SgdState()
             for X, _ in batches:
@@ -504,7 +506,7 @@ class TestAdaptStream:
         batches = self._stream(Rng(30), n_batches=3)
         model = init_linear(3, 2, Rng(31), scale=0.5)
         with pytest.raises(DivergenceError) as info:
-            adapt_stream(model, batches, NanAfterFirst(), SgdConfig(lr=0.1))
+            adapt_stream(model, [X for X, _ in batches], NanAfterFirst(), SgdConfig(lr=0.1))
         assert isinstance(info.value, FloatingPointError)
         assert (info.value.stage, info.value.batch) == ("loss gradients", 1)
         assert str(info.value) == (
@@ -515,25 +517,29 @@ class TestAdaptStream:
         model = LinearSoftmax(np.full((3, 2), 1e308), np.zeros(3))
         X = np.array([[10.0, 10.0]])
         with pytest.raises(DivergenceError) as info, np.errstate(over="ignore"):
-            adapt_stream(model, [(X, np.array([0]))], EmPlugin(), SgdConfig(lr=0.1))
+            adapt_stream(model, [X], EmPlugin(), SgdConfig(lr=0.1))
         assert (info.value.stage, info.value.batch) == ("logits", 0)
 
     def test_non_finite_input_is_a_value_error(self):
         model = init_linear(3, 2)
         X = np.array([[np.nan, 0.0]])
         with pytest.raises(ValueError):
-            adapt_stream(model, [(X, np.array([0]))], EmPlugin(), SgdConfig(lr=0.1))
+            adapt_stream(model, [X], EmPlugin(), SgdConfig(lr=0.1))
 
     def test_adadem_state_threads_across_batches(self):
         batches = self._stream(Rng(33), n_batches=4)
         plugin = AdaDemPlugin(AdaDemVariant(), pi=0.2)
         assert plugin.state is None
         model = init_linear(3, 2, Rng(34), scale=0.5)
-        adapt_stream(model, batches, plugin, SgdConfig(lr=0.01))
+        probs = adapt_stream(model, [X for X, _ in batches], plugin, SgdConfig(lr=0.01))
         assert isinstance(plugin.state, MecState)
         assert plugin.state.C == 3
         assert plugin.state.pi == 0.2
-        assert plugin.state.steps == 4
+        # The table has absorbed all four batches' predictions, in order.
+        ref = mec_init(3, pi=0.2)
+        for P in probs:
+            mec_update(ref, P, np.argmax(P, axis=1))
+        np.testing.assert_array_equal(plugin.state.table, ref.table)
 
 
 class TestPlugins:
