@@ -150,69 +150,76 @@ def mec_update(state: MecState, probs, pseudo_labels) -> MecState:
     """One EMA step: each class present in the batch pulls its row
     toward the mean prediction of its samples; absent classes keep their
     rows.  Mutates ``state`` in place and returns it.
+
+    The per-class sums are scattered in one pass with ``np.add.at``,
+    which adds rows strictly in batch order, as the per-class
+    ``P[labels == k].mean(axis=0)`` does, so the table keeps the same
+    bits.  ``np.add.reduceat`` and a ones-vector matmul sum in another
+    order and do not.
     """
     P = np.atleast_2d(np.asarray(probs, dtype=np.float64))
     labels = np.asarray(pseudo_labels, dtype=np.int64).ravel()
     if P.shape[0] != labels.shape[0]:
         raise ValueError("probs and pseudo_labels disagree on batch size")
-    if P.shape[1] != state.C:
-        raise ValueError(f"expected {state.C} classes, got {P.shape[1]}")
-    if labels.size and (labels.min() < 0 or labels.max() >= state.C):
+    C = state.C
+    if P.shape[1] != C:
+        raise ValueError(f"expected {C} classes, got {P.shape[1]}")
+    if labels.size and (labels.min() < 0 or labels.max() >= C):
         raise ValueError("pseudo-label out of range")
-    for k in np.unique(labels):
-        mean_k = P[labels == k].mean(axis=0)
-        state.table[k] = (1.0 - state.pi) * state.table[k] + state.pi * mean_k
+    sums = np.zeros((C, C))
+    np.add.at(sums, labels, P)
+    counts = np.bincount(labels, minlength=C)
+    present = counts > 0
+    means = sums[present] / counts[present][:, None]
+    state.table[present] = (1.0 - state.pi) * state.table[present] + state.pi * means
     return state
 
 
-def _deltas_rows(Z: np.ndarray, P: np.ndarray, variant: AdaDemVariant) -> np.ndarray:
+def _deltas_rows(
+    Z: np.ndarray, P: np.ndarray, S: np.ndarray, Rc: np.ndarray, variant: AdaDemVariant
+) -> np.ndarray:
     """Per-row delta values: the scalar ``delta``'s formulas, not its bits.
 
-    ``S`` is a row-wise ``np.sum`` of ``P * Z`` where ``delta`` takes
-    ``np.dot(p, z)``, and ``P`` is the batched softmax, so the two can
-    round differently in the last places; they agree to about 1e-14
-    under ``rel_err``.
+    ``S`` is the row-wise ``np.sum(P * Z)`` and ``Rc = P * (Z + 1 - S)``
+    the CADF reward rows, both built once by ``adadem_rows``; the
+    ``"full_entropy"`` source builds its own ``P * (Z - S)``.  ``delta``
+    takes ``np.dot(p, z)`` on a single-row softmax, so the two can round
+    differently in the last places; they agree to about 1e-14 under
+    ``rel_err``.
     """
     n = Z.shape[0]
     if variant.kind == "mec_only":
         return np.ones(n)
-    S = np.sum(P * Z, axis=1, keepdims=True)
-    if variant.delta_source == "cadf":
-        R = P * (Z + 1.0 - S)
-    else:
-        R = P * (Z - S)
+    R = Rc if variant.delta_source == "cadf" else P * (Z - S)
     if variant.norm == "L1":
-        A = np.abs(R)
-        out = np.fromiter(
-            (math.fsum(A[i].tolist()) for i in range(n)), dtype=np.float64, count=n
+        return np.fromiter(map(math.fsum, np.abs(R).tolist()), dtype=np.float64, count=n)
+    if variant.norm == "L2":
+        return np.fromiter(
+            (math.sqrt(math.fsum(r)) for r in (R * R).tolist()), dtype=np.float64, count=n
         )
-    elif variant.norm == "L2":
-        out = np.fromiter(
-            (math.sqrt(math.fsum((R[i] * R[i]).tolist())) for i in range(n)),
-            dtype=np.float64,
-            count=n,
-        )
-    else:
-        out = np.max(np.abs(R), axis=1)
-    return out
+    return np.max(np.abs(R), axis=1)
 
 
 def adadem_rows(
     Z: np.ndarray,
+    P: np.ndarray,
     state: MecState,
     variant: AdaDemVariant = AdaDemVariant(),
     direction: str = "minimize",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched AdaDEM: updates ``state``, returns per-row values and grads.
 
-    Ordering contract: the calibrator absorbs this batch first, then the
-    loss is evaluated against the updated rows.
+    ``P`` must be ``softmax_rows(Z)``; it is read, never written, so a
+    caller that scores it keeps its bits.  Ordering contract: the
+    calibrator absorbs this batch first, then the loss is evaluated
+    against the updated rows.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     if Z.shape[1] != state.C:
         raise ValueError(f"expected {state.C} classes, got {Z.shape[1]}")
+    if P.shape != Z.shape:
+        raise ValueError(f"probabilities of shape {P.shape} for logits of shape {Z.shape}")
     sign = _sign(direction)
-    P = softmax_rows(Z)
     labels = np.argmax(P, axis=1)
     mec_update(state, P, labels)
 
@@ -220,10 +227,11 @@ def adadem_rows(
         Cmat = P
     else:
         Cmat = variant.mec_alpha * state.table[labels]
-    d = np.maximum(_deltas_rows(Z, P, variant), DELTA_FLOOR)[:, None]
     S = np.sum(P * Z, axis=1, keepdims=True)
+    Rc = P * (Z + 1.0 - S)
+    d = np.maximum(_deltas_rows(Z, P, S, Rc, variant), DELTA_FLOOR)[:, None]
     values = -np.sum((P - Cmat) * Z, axis=1, keepdims=True) / d
-    grads = -(P * (Z + 1.0 - S) - Cmat) / d
+    grads = -(Rc - Cmat) / d
     return sign * values[:, 0], sign * grads
 
 
@@ -249,5 +257,5 @@ def adadem_eval(
         Z = np.atleast_2d(
             np.asarray([as_vector(z, min_len=2) for z in z_batch], dtype=np.float64)
         )
-    values, grads = adadem_rows(Z, state, variant, direction)
+    values, grads = adadem_rows(Z, softmax_rows(Z), state, variant, direction)
     return [LossEval(float(v), g) for v, g in zip(values, grads.copy())]

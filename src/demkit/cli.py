@@ -449,9 +449,9 @@ def _gradcheck_cases(rng: Rng, trials: int):
 
         state = _ad.mec_init(C)
         batch = (rng.uniforms(3 * C).reshape(3, C) - 0.5) * 10.0
-        _ad.adadem_rows(batch, state)
+        _ad.adadem_rows(batch, softmax_rows(batch), state)
         frozen = state.copy()
-        analytic = _ad.adadem_rows(z[None, :], state)[1][0]
+        analytic = _ad.adadem_rows(z[None, :], softmax_rows(z[None, :]), state)[1][0]
         p = softmax(z)
         k = int(np.argmax(p))
         _ad.mec_update(frozen, p[None, :], [k])
@@ -496,11 +496,13 @@ def _end_to_end_cases(rng: Rng):
     for mname, model in models.items():
         for lname, plugin in plugins.items():
             Z = _model.forward(model, X)
-            _, dlogits = plugin.batch_eval(Z)
+            _, dlogits = plugin.batch_eval(Z, softmax_rows(Z))
             grad = _model.backward(model, X, dlogits)
-            objective = lambda m=model, pl=plugin: float(
-                np.mean(pl.batch_eval(_model.forward(m, X))[0])
-            )
+
+            def objective(m=model, pl=plugin):
+                Zt = _model.forward(m, X)
+                return float(np.mean(pl.batch_eval(Zt, softmax_rows(Zt))[0]))
+
             yield f"{mname}/{lname}", grad, param_fd(model, objective)
 
         # AdaDEM end to end: the calibrator rows and per-sample deltas are
@@ -509,11 +511,11 @@ def _end_to_end_cases(rng: Rng):
         # the analytic gradient used.
         state = _ad.mec_init(C)
         warm = (rng.uniforms(4 * C).reshape(4, C) - 0.5) * 6.0
-        _ad.adadem_rows(warm, state)
+        _ad.adadem_rows(warm, softmax_rows(warm), state)
         Z0 = _model.forward(model, X)
-        _, dlogits = _ad.adadem_rows(Z0, state.copy())
-        grad = _model.backward(model, X, dlogits)
         P0 = softmax_rows(Z0)
+        _, dlogits = _ad.adadem_rows(Z0, P0, state.copy())
+        grad = _model.backward(model, X, dlogits)
         labels0 = np.argmax(P0, axis=1)
         replay = state.copy()
         _ad.mec_update(replay, P0, labels0)

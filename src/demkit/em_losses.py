@@ -277,11 +277,15 @@ def em_rows(Z: np.ndarray, direction: str = "minimize") -> tuple[np.ndarray, np.
     return sign * values, sign * grads
 
 
-def dem_rows(Z: np.ndarray, cfg: DemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Batched decoupled EM: per-row values and gradients."""
+def dem_rows(Z: np.ndarray, P: np.ndarray, cfg: DemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Batched decoupled EM: per-row values and gradients.
+
+    ``P`` must be ``softmax_rows(Z)``, the untempered probabilities of
+    the ``alpha`` term; it is read, never written.
+    """
     sign = _sign(cfg.direction)
     P_tau = softmax_rows(Z / cfg.tau)
     S_tau = np.sum(P_tau * Z, axis=1, keepdims=True)
     values = -S_tau[:, 0] + cfg.alpha * logsumexp_rows(Z)
-    grads = -(P_tau / cfg.tau) * (Z - S_tau + cfg.tau) + cfg.alpha * softmax_rows(Z)
+    grads = -(P_tau / cfg.tau) * (Z - S_tau + cfg.tau) + cfg.alpha * P
     return sign * values, sign * grads

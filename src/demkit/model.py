@@ -15,11 +15,11 @@ head-only scope is the slice ``theta[head:]``.
 
 ``adapt_stream`` is the online protocol: for each unlabeled batch the
 model first predicts (the loop returns these pre-update probabilities
-for scoring), then the loss plugin turns the logits into per-sample
-gradients, and one SGD step is applied.  Plugins wrap the loss family:
-cross-entropy (supervised plumbing for source training and oracle
-baselines), classical EM, decoupled EM, and AdaDEM, which carries its
-calibrator state through the whole stream.
+for scoring), then the loss plugin turns the logits and those
+probabilities into per-sample gradients, and one SGD step is applied.
+Plugins wrap the loss family: cross-entropy (supervised plumbing for
+source training and oracle baselines), classical EM, decoupled EM, and
+AdaDEM, which carries its calibrator state through the whole stream.
 
 Validation follows the convention of :mod:`demkit.numkit`: the public
 ``forward`` and ``backward`` validate their input once (a finite float64
@@ -267,7 +267,7 @@ class CrossEntropyPlugin:
     def __init__(self, targets):
         self.targets = np.asarray(targets, dtype=np.int64)
 
-    def batch_eval(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if Z.shape[0] != self.targets.shape[0]:
             raise ValueError("batch size does not match the stored targets")
         return _ce_rows(Z, self.targets)
@@ -279,7 +279,9 @@ class EmPlugin:
     def __init__(self, direction: str = "minimize"):
         self.direction = direction
 
-    def batch_eval(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # em_rows builds its probabilities as exp(Z - lse), whose bits
+        # differ from softmax_rows(Z), so P is not used here.
         return _em.em_rows(Z, self.direction)
 
 
@@ -289,8 +291,8 @@ class DemPlugin:
     def __init__(self, cfg: _em.DemConfig):
         self.cfg = cfg
 
-    def batch_eval(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _em.dem_rows(Z, self.cfg)
+    def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _em.dem_rows(Z, P, self.cfg)
 
 
 class AdaDemPlugin:
@@ -308,10 +310,10 @@ class AdaDemPlugin:
         self.direction = direction
         self.state = None
 
-    def batch_eval(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self.state is None:
             self.state = _adadem.mec_init(Z.shape[1], pi=self.pi)
-        return _adadem.adadem_rows(Z, self.state, self.variant, self.direction)
+        return _adadem.adadem_rows(Z, P, self.state, self.variant, self.direction)
 
 
 class DivergenceError(FloatingPointError):
@@ -359,10 +361,13 @@ def adapt_stream(model, inputs, plugin, cfg: SgdConfig) -> list[np.ndarray]:
     """Online adaptation: predict, update, repeat.
 
     ``inputs`` yields unlabeled input matrices, so the loop never sees a
-    label.  For each batch the model first predicts, then ``plugin``
-    turns the logits into per-sample gradients and one SGD step moves
-    ``model`` in place.  Returns the pre-update probabilities
-    ``softmax_rows(Z)``, one matrix per batch, for the caller to score.
+    label.  For each batch the model first predicts, then
+    ``plugin.batch_eval(Z, P)`` turns the logits ``Z`` and their
+    probabilities ``P = softmax_rows(Z)`` into per-sample loss values and
+    gradients, and one SGD step moves ``model`` in place.  Returns the
+    pre-update probabilities, one matrix per batch, for the caller to
+    score.  Each is the very ``P`` handed to the plugin, computed once
+    per batch, so a plugin must read ``P`` and never write into it.
 
     Each call starts from a fresh :class:`SgdState`, so momentum never
     carries over from one call to the next: a continual protocol, which
@@ -382,8 +387,9 @@ def adapt_stream(model, inputs, plugin, cfg: SgdConfig) -> list[np.ndarray]:
             Z, cache = _forward(model, X)
             if not np.isfinite(Z).all():
                 raise DivergenceError("logits", i)
-            probs.append(softmax_rows(Z))
-            _, dlogits = plugin.batch_eval(Z)
+            P = softmax_rows(Z)
+            probs.append(P)
+            _, dlogits = plugin.batch_eval(Z, P)
             if not np.isfinite(dlogits).all():
                 raise DivergenceError("loss gradients", i)
             sgd_step(model, _backward(model, X, dlogits, cache), cfg, state)

@@ -62,7 +62,7 @@ from demkit.model import (
     init_mlp,
     train_source,
 )
-from demkit.numkit import Rng, rel_err
+from demkit.numkit import Rng, rel_err, softmax_rows
 from demkit.search import DEFAULT_LR_GRID, GridSpec, grid_search, lr_sweep
 
 SEEDS = (0, 1, 2)
@@ -280,7 +280,7 @@ def test_c08_delta_normalization_exactness():
         C = int(rng.integers(1, 2, 13)[0])
         z = (rng.uniforms(C) - 0.5) * 30.0
         state = mec_init(C)
-        _, grads = adadem_rows(z[None, :], state, variant)
+        _, grads = adadem_rows(z[None, :], softmax_rows(z[None, :]), state, variant)
         worst = max(worst, rel_err(grads[0] * delta(z), em_eval(z).grad))
     ok = d_uniform == 1.0 and worst <= 1e-12
     _report("C8", ok,

@@ -1,5 +1,6 @@
 """Tests for the adaptive variant: delta normalizer, calibrator, gradients."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,9 @@ from demkit.adadem import (
     DELTA_FLOOR,
     DELTA_SOURCES,
     NORM_KINDS,
+    VARIANT_KINDS,
     AdaDemVariant,
+    MecState,
     adadem_eval,
     adadem_rows,
     delta,
@@ -21,6 +24,43 @@ from demkit.adadem import (
 )
 from demkit.em_losses import em_eval
 from demkit.numkit import Rng, rel_err, softmax, softmax_rows
+
+
+
+def _mec_update_per_class(state, P, labels):
+    """The per-class loop ``mec_update`` replaced; the bit-exact reference."""
+    for k in np.unique(labels):
+        mean_k = P[labels == k].mean(axis=0)
+        state.table[k] = (1.0 - state.pi) * state.table[k] + state.pi * mean_k
+    return state
+
+
+def _adadem_rows_unshared(Z, state, variant, direction):
+    """``adadem_rows`` with softmax, ``S`` and the reward rows recomputed
+    where each is used, as before they were computed once and shared."""
+    sign = 1.0 if direction == "minimize" else -1.0
+    P = softmax_rows(Z)
+    labels = np.argmax(P, axis=1)
+    _mec_update_per_class(state, P, labels)
+    Cmat = P if variant.kind == "norm_only" else variant.mec_alpha * state.table[labels]
+    n = Z.shape[0]
+    if variant.kind == "mec_only":
+        d = np.ones(n)
+    else:
+        S = np.sum(P * Z, axis=1, keepdims=True)
+        R = P * (Z + 1.0 - S) if variant.delta_source == "cadf" else P * (Z - S)
+        if variant.norm == "L1":
+            d = np.array([math.fsum(np.abs(R[i]).tolist()) for i in range(n)])
+        elif variant.norm == "L2":
+            d = np.array([math.sqrt(math.fsum((R[i] * R[i]).tolist())) for i in range(n)])
+        else:
+            d = np.max(np.abs(R), axis=1)
+    d = np.maximum(d, DELTA_FLOOR)[:, None]
+    S = np.sum(P * Z, axis=1, keepdims=True)
+    values = -np.sum((P - Cmat) * Z, axis=1, keepdims=True) / d
+    grads = -(P * (Z + 1.0 - S) - Cmat) / d
+    return sign * values[:, 0], sign * grads
+
 
 logit_vectors = st.lists(
     st.floats(min_value=-20, max_value=20), min_size=2, max_size=10
@@ -84,7 +124,9 @@ class TestDelta:
                 variant = AdaDemVariant(norm=norm, delta_source=source)
                 for C in range(2, 12):
                     Z = rng.uniform(-8.0, 8.0, (200, C))
-                    rows = _deltas_rows(Z, softmax_rows(Z), variant)
+                    P = softmax_rows(Z)
+                    S = np.sum(P * Z, axis=1, keepdims=True)
+                    rows = _deltas_rows(Z, P, S, P * (Z + 1.0 - S), variant)
                     for z, d in zip(Z, rows):
                         assert rel_err(d, delta(z, norm, source)) <= 1e-14
 
@@ -185,6 +227,34 @@ class TestMecState:
         with pytest.raises(ValueError):
             mec_update(state, np.full((1, 3), 1 / 3), [3])  # label range
 
+    def test_scatter_matches_the_per_class_loop_bit_for_bit(self):
+        # np.add.at adds each class's rows strictly in batch order, as
+        # P[labels == k].mean(axis=0) does.  np.add.reduceat and a
+        # ones-vector matmul sum in another order and change a few
+        # percent of the cells, so neither may stand in for it.
+        rng = np.random.default_rng(17)
+        for C in range(2, 12):
+            for n in (1, 2, 5, 64, 300):
+                for labelling in ("argmax", "uniform", "one_class", "half_absent"):
+                    P = softmax_rows(rng.uniform(-8.0, 8.0, (n, C)))
+                    if labelling == "argmax":
+                        labels = np.argmax(P, axis=1)
+                    elif labelling == "uniform":
+                        labels = rng.integers(0, C, n)
+                    elif labelling == "one_class":
+                        labels = np.full(n, rng.integers(0, C))
+                    else:
+                        labels = rng.integers(0, max(1, C // 2), n)
+                    # A non-uniform starting table and momentum.
+                    table = softmax_rows(rng.uniform(-3.0, 3.0, (C, C)))
+                    pi = float(rng.uniform(0.01, 1.0))
+                    ours, ref = MecState(table.copy(), pi), MecState(table.copy(), pi)
+                    mec_update(ours, P, labels)
+                    _mec_update_per_class(ref, P, labels)
+                    assert np.array_equal(ours.table, ref.table), (C, n, labelling)
+                    absent = np.setdiff1d(np.arange(C), labels)
+                    assert np.array_equal(ours.table[absent], table[absent])
+
     def test_copy_is_independent(self):
         state = mec_init(3)
         clone = state.copy()
@@ -217,7 +287,7 @@ class TestAdaDemRows:
         for _ in range(200):
             z = (rng.uniforms(6) - 0.5) * 20.0
             state = mec_init(6)
-            _, grads = adadem_rows(z[None, :], state, variant)
+            _, grads = adadem_rows(z[None, :], softmax_rows(z[None, :]), state, variant)
             d = max(delta(z), DELTA_FLOOR)
             assert rel_err(grads[0] * d, em_eval(z).grad) <= 1e-12
 
@@ -225,7 +295,8 @@ class TestAdaDemRows:
         # p equals the calibrator row up to EMA rounding, so value and
         # gradient sit at numerical zero.
         state = mec_init(10)
-        values, grads = adadem_rows(np.zeros((1, 10)), state)
+        Z = np.zeros((1, 10))
+        values, grads = adadem_rows(Z, softmax_rows(Z), state)
         assert abs(values[0]) < 1e-12
         np.testing.assert_allclose(grads[0], 0.0, atol=1e-12)
 
@@ -236,7 +307,7 @@ class TestAdaDemRows:
         d = max(delta(z[0]), DELTA_FLOOR)
 
         state = mec_init(3)
-        values, grads = adadem_rows(z, state)
+        values, grads = adadem_rows(z, softmax_rows(z), state)
 
         # Hand-compute both orderings; the committed contract is
         # update-first, so the returned value must use the row that has
@@ -255,10 +326,10 @@ class TestAdaDemRows:
         z = (rng.uniforms(5) - 0.5) * 8.0
         state = mec_init(5)
         warm = (rng.uniforms(15).reshape(3, 5) - 0.5) * 8.0
-        adadem_rows(warm, state)
+        adadem_rows(warm, softmax_rows(warm), state)
 
         frozen = state.copy()
-        _, grads = adadem_rows(z[None, :], state)
+        _, grads = adadem_rows(z[None, :], softmax_rows(z[None, :]), state)
 
         p = softmax(z)
         k = int(np.argmax(p))
@@ -278,7 +349,7 @@ class TestAdaDemRows:
         # absorbs the sample and row 1 stays uniform.
         state = mec_init(3)
         z = np.log(np.array([[0.4, 0.4, 0.2]]))
-        adadem_rows(z, state)
+        adadem_rows(z, softmax_rows(z), state)
         p = softmax(z[0])
         assert p[0] == p[1]
         np.testing.assert_allclose(state.table[0], 0.9 / 3 + 0.1 * p, atol=1e-15)
@@ -289,16 +360,16 @@ class TestAdaDemRows:
         z = np.array([[3.0, 0.0, -3.0]])
         sa = mec_init(3)
         sb = mec_init(3)
-        _, g_mec = adadem_rows(z, sa, AdaDemVariant(kind="mec_only"))
-        _, g_full = adadem_rows(z, sb, AdaDemVariant(kind="full"))
+        _, g_mec = adadem_rows(z, softmax_rows(z), sa, AdaDemVariant(kind="mec_only"))
+        _, g_full = adadem_rows(z, softmax_rows(z), sb, AdaDemVariant(kind="full"))
         d = max(delta(z[0]), DELTA_FLOOR)
         np.testing.assert_allclose(g_mec[0], g_full[0] * d, rtol=1e-12)
 
     def test_mec_alpha_scales_calibrator(self):
         z = np.array([[1.0, -1.0, 0.5]])
         sa, sb = mec_init(3), mec_init(3)
-        _, g1 = adadem_rows(z, sa, AdaDemVariant(mec_alpha=1.0))
-        _, g0 = adadem_rows(z, sb, AdaDemVariant(mec_alpha=0.0))
+        _, g1 = adadem_rows(z, softmax_rows(z), sa, AdaDemVariant(mec_alpha=1.0))
+        _, g0 = adadem_rows(z, softmax_rows(z), sb, AdaDemVariant(mec_alpha=0.0))
         p = softmax(z[0])
         d = max(delta(z[0]), DELTA_FLOOR)
         c = sa.table[int(np.argmax(p))]
@@ -307,14 +378,41 @@ class TestAdaDemRows:
     def test_maximize_flips_sign(self):
         z = np.array([[1.0, 2.0, -0.5]])
         sa, sb = mec_init(3), mec_init(3)
-        v_min, g_min = adadem_rows(z, sa, direction="minimize")
-        v_max, g_max = adadem_rows(z, sb, direction="maximize")
+        v_min, g_min = adadem_rows(z, softmax_rows(z), sa, direction="minimize")
+        v_max, g_max = adadem_rows(z, softmax_rows(z), sb, direction="maximize")
         np.testing.assert_array_equal(v_max, -v_min)
         np.testing.assert_array_equal(g_max, -g_min)
 
+    @pytest.mark.parametrize("norm", NORM_KINDS)
+    @pytest.mark.parametrize("source", DELTA_SOURCES)
+    @pytest.mark.parametrize("kind", VARIANT_KINDS)
+    def test_shared_reward_rows_keep_every_bit(self, kind, source, norm):
+        # S and the CADF reward rows are built once and shared by delta
+        # and the gradient; the full-entropy delta must still use its own
+        # P * (Z - S).  Values, gradients and the table must equal the
+        # unshared formulas exactly, over several batches of one stream.
+        variant = AdaDemVariant(kind=kind, mec_alpha=0.7, delta_source=source, norm=norm)
+        rng = np.random.default_rng(23)
+        for direction in ("minimize", "maximize"):
+            ours, ref = mec_init(7, pi=0.2), mec_init(7, pi=0.2)
+            for n in (64, 1, 13):
+                Z = rng.uniform(-9.0, 9.0, (n, 7))
+                P = softmax_rows(Z)
+                values, grads = adadem_rows(Z, P, ours, variant, direction)
+                ref_values, ref_grads = _adadem_rows_unshared(Z, ref, variant, direction)
+                assert np.array_equal(values, ref_values)
+                assert np.array_equal(grads, ref_grads)
+                assert np.array_equal(ours.table, ref.table)
+                assert np.array_equal(P, softmax_rows(Z))  # P is read, not written
+
+    def test_probabilities_must_match_the_logits(self):
+        Z = np.zeros((2, 3))
+        with pytest.raises(ValueError):
+            adadem_rows(Z, softmax_rows(Z[:1]), mec_init(3))
+
     def test_state_class_count_must_match(self):
         with pytest.raises(ValueError):
-            adadem_rows(np.zeros((1, 4)), mec_init(3))
+            adadem_rows(np.zeros((1, 4)), np.full((1, 4), 0.25), mec_init(3))
 
     def test_eval_wrapper_returns_per_sample_evals(self):
         state = mec_init(3)
@@ -359,7 +457,8 @@ class TestAdaDemRows:
         # floor keeps the division finite.
         state = mec_init(4)
         variant = AdaDemVariant(delta_source="full_entropy")
-        values, grads = adadem_rows(np.zeros((1, 4)), state, variant)
+        Z = np.zeros((1, 4))
+        values, grads = adadem_rows(Z, softmax_rows(Z), state, variant)
         assert np.all(np.isfinite(grads))
         assert np.isfinite(values[0])
 
@@ -371,7 +470,7 @@ class TestAdaDemRows:
         for norm in ("L1", "L2", "Linf"):
             variant = AdaDemVariant(norm=norm)
             state = mec_init(6)
-            _, grads = adadem_rows(Z.copy(), state, variant)
+            _, grads = adadem_rows(Z.copy(), softmax_rows(Z), state, variant)
             state2 = mec_init(6)
             P = np.stack([softmax(z) for z in Z])
             labels = [int(np.argmax(p)) for p in P]

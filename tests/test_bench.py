@@ -484,8 +484,8 @@ class TestRunProtocol:
             def __init__(self, shift):
                 self.shift = shift
 
-            def batch_eval(self, Z):
-                values, grads = EmPlugin().batch_eval(Z)
+            def batch_eval(self, Z, P):
+                values, grads = EmPlugin().batch_eval(Z, P)
                 if self.shift == 1:
                     grads[:] = np.inf
                 return values, grads

@@ -33,7 +33,7 @@ from demkit.em_losses import (
     validate_config,
 )
 from demkit import numkit
-from demkit.numkit import finite_diff_grad, rel_err, softmax
+from demkit.numkit import finite_diff_grad, rel_err, softmax, softmax_rows
 
 Z123 = np.array([1.0, 2.0, 3.0])
 
@@ -319,7 +319,7 @@ class TestBatchedRows:
         rng = np.random.default_rng(2)
         Z = rng.uniform(-8, 8, (30, 5))
         cfg = DemConfig(1.4, 0.9)
-        values, grads = dem_rows(Z, cfg)
+        values, grads = dem_rows(Z, softmax_rows(Z), cfg)
         for i in range(Z.shape[0]):
             single = dem_eval(Z[i], cfg)
             assert abs(values[i] - single.value) < 1e-12

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from demkit import adadem, em_losses
 from demkit.adadem import AdaDemVariant, MecState, mec_init, mec_update
 from demkit.em_losses import DemConfig, em_eval
 from demkit.model import (
@@ -160,6 +161,11 @@ class TestCrossEntropy:
             cross_entropy_eval(np.zeros(3), -1)
 
 
+def _batch_eval(plugin, Z):
+    """``plugin.batch_eval`` given the probabilities ``adapt_stream`` passes."""
+    return plugin.batch_eval(Z, softmax_rows(Z))
+
+
 def _param_fd(model, X, plugin, h=1e-6):
     """Central-difference gradient of mean batch loss over every entry."""
     theta = model.theta
@@ -167,9 +173,9 @@ def _param_fd(model, X, plugin, h=1e-6):
     for i in range(theta.shape[0]):
         orig = theta[i]
         theta[i] = orig + h
-        vp, _ = plugin.batch_eval(forward(model, X))
+        vp, _ = _batch_eval(plugin, forward(model, X))
         theta[i] = orig - h
-        vm, _ = plugin.batch_eval(forward(model, X))
+        vm, _ = _batch_eval(plugin, forward(model, X))
         theta[i] = orig
         g[i] = (np.mean(vp) - np.mean(vm)) / (2 * h)
     return g
@@ -181,7 +187,7 @@ class TestBackward:
         X = rng.normals(8).reshape(4, 2)
         model = init_linear(3, 2, rng, scale=0.5)
         Z = forward(model, X)
-        _, dl = EmPlugin().batch_eval(Z)
+        _, dl = _batch_eval(EmPlugin(), Z)
         single = backward(model, X, dl)
         doubled = backward(model, np.vstack([X, X]), np.vstack([dl, dl]))
         # matmul reduction order differs with batch size, so the match is
@@ -209,7 +215,7 @@ class TestBackward:
         else:
             plugin = DemPlugin(DemConfig(1.3, 0.4))
         Z = forward(model, X)
-        _, dl = plugin.batch_eval(Z)
+        _, dl = _batch_eval(plugin, Z)
         analytic = backward(model, X, dl)
         assert analytic.shape == model.theta.shape
         numeric = _param_fd(model, X, plugin)
@@ -220,7 +226,7 @@ class TestBackward:
         rng = Rng(24)
         X = rng.normals(10).reshape(5, 2)
         model = init_mlp(3, 2, 4, rng)
-        _, dl = EmPlugin().batch_eval(forward(model, X))
+        _, dl = _batch_eval(EmPlugin(), forward(model, X))
         G = dl / 5
         H = X @ model.W1.T + model.b1
         dH = (G @ model.W2) * (H > 0.0)
@@ -232,7 +238,7 @@ class TestBackward:
         rng = Rng(25)
         X = rng.normals(10).reshape(5, 2)
         model = init_linear(3, 2, rng, scale=0.5)
-        _, dl = EmPlugin().batch_eval(forward(model, X))
+        _, dl = _batch_eval(EmPlugin(), forward(model, X))
         G = dl / 5
         grad = backward(model, X, dl)
         np.testing.assert_array_equal(grad, np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)]))
@@ -375,7 +381,7 @@ class TestTrainSource:
             for start in range(0, X.shape[0], 16):
                 idx = order[start : start + 16]
                 Z = forward(ref, X[idx])
-                _, dlogits = CrossEntropyPlugin(y[idx]).batch_eval(Z)
+                _, dlogits = _batch_eval(CrossEntropyPlugin(y[idx]), Z)
                 sgd_step(ref, backward(ref, X[idx], dlogits), cfg, state)
         assert np.array_equal(fused.theta, ref.theta)
 
@@ -408,7 +414,7 @@ class TestAdaptStream:
         for P, (X, _) in zip(probs, batches):
             Z = forward(ref, X)
             np.testing.assert_array_equal(P, softmax_rows(Z))
-            _, dlogits = EmPlugin().batch_eval(Z)
+            _, dlogits = _batch_eval(EmPlugin(), Z)
             sgd_step(ref, backward(ref, X, dlogits), SgdConfig(lr=0.01), state)
         assert np.array_equal(model.theta, ref.theta)
 
@@ -461,7 +467,7 @@ class TestAdaptStream:
         state = SgdState()
         for X, _ in batches:
             before = ref.copy()
-            _, dlogits = EmPlugin().batch_eval(forward(ref, X))
+            _, dlogits = _batch_eval(EmPlugin(), forward(ref, X))
             sgd_step(ref, backward(ref, X, dlogits), cfg, state)
             movement = np.linalg.norm(ref.theta - before.theta)
             expected = cfg.lr * np.linalg.norm(state.velocity[a:])
@@ -488,7 +494,7 @@ class TestAdaptStream:
         for batches in (first, second):
             state = SgdState()
             for X, _ in batches:
-                _, dlogits = EmPlugin().batch_eval(forward(ref, X))
+                _, dlogits = _batch_eval(EmPlugin(), forward(ref, X))
                 sgd_step(ref, backward(ref, X, dlogits), cfg, state)
         assert np.array_equal(model.theta, ref.theta)
 
@@ -496,9 +502,9 @@ class TestAdaptStream:
         class NanAfterFirst:
             calls = 0
 
-            def batch_eval(self, Z):
+            def batch_eval(self, Z, P):
                 self.calls += 1
-                values, grads = EmPlugin().batch_eval(Z)
+                values, grads = EmPlugin().batch_eval(Z, P)
                 if self.calls > 1:
                     grads[0, 0] = np.nan
                 return values, grads
@@ -541,11 +547,54 @@ class TestAdaptStream:
             mec_update(ref, P, np.argmax(P, axis=1))
         np.testing.assert_array_equal(plugin.state.table, ref.table)
 
+    @pytest.mark.parametrize(
+        "make_plugin",
+        [lambda: DemPlugin(DemConfig(1.3, 0.4)), lambda: AdaDemPlugin(AdaDemVariant())],
+        ids=["dem", "adadem"],
+    )
+    def test_plugins_score_the_returned_probabilities(self, make_plugin, monkeypatch):
+        # adapt_stream computes P = softmax_rows(Z) once per batch: the
+        # plugin receives the very matrix that is returned, leaves it
+        # unwritten and never recomputes it.  dem_rows still takes the
+        # softmax of Z / tau, which is another matrix.
+        seen = []
+
+        class Recording:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def batch_eval(self, Z, P):
+                seen.append((Z, P))
+                before = P.copy()
+                out = self.inner.batch_eval(Z, P)
+                assert np.array_equal(P, before)
+                return out
+
+        tempered_only = em_losses.softmax_rows
+
+        def no_softmax_of_the_logits(A):
+            if np.array_equal(A, seen[-1][0]):
+                raise AssertionError("softmax_rows recomputed on the logits")
+            return tempered_only(A)
+
+        def no_softmax(A):
+            raise AssertionError("adadem recomputed softmax_rows")
+
+        monkeypatch.setattr(em_losses, "softmax_rows", no_softmax_of_the_logits)
+        monkeypatch.setattr(adadem, "softmax_rows", no_softmax)
+        batches = self._stream(Rng(42), n_batches=4)
+        model = init_mlp(3, 2, 6, Rng(43))
+        probs = adapt_stream(
+            model, [X for X, _ in batches], Recording(make_plugin()), SgdConfig(lr=0.05)
+        )
+        assert len(seen) == len(probs) == 4
+        assert all(P is returned for (_, P), returned in zip(seen, probs))
+
 
 class TestPlugins:
     def test_em_plugin_matches_scalar_eval(self):
         Z = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-        values, grads = EmPlugin().batch_eval(Z)
+        values, grads = _batch_eval(EmPlugin(), Z)
         for i, z in enumerate(Z):
             out = em_eval(z)
             assert abs(values[i] - out.value) < 1e-12
@@ -554,4 +603,4 @@ class TestPlugins:
     def test_cross_entropy_plugin_checks_batch_size(self):
         plugin = CrossEntropyPlugin([0, 1])
         with pytest.raises(ValueError):
-            plugin.batch_eval(np.zeros((3, 4)))
+            _batch_eval(plugin, np.zeros((3, 4)))
