@@ -156,6 +156,10 @@ def mec_update(state: MecState, probs, pseudo_labels) -> MecState:
     ``P[labels == k].mean(axis=0)`` does, so the table keeps the same
     bits.  ``np.add.reduceat`` and a ones-vector matmul sum in another
     order and do not.
+
+    The input is validated here, then handed to the kernel
+    ``_mec_update``; ``adadem_rows``, which builds ``P`` and its argmax
+    labels itself, calls the kernel directly.
     """
     P = np.atleast_2d(np.asarray(probs, dtype=np.float64))
     labels = np.asarray(pseudo_labels, dtype=np.int64).ravel()
@@ -166,6 +170,13 @@ def mec_update(state: MecState, probs, pseudo_labels) -> MecState:
         raise ValueError(f"expected {C} classes, got {P.shape[1]}")
     if labels.size and (labels.min() < 0 or labels.max() >= C):
         raise ValueError("pseudo-label out of range")
+    return _mec_update(state, P, labels)
+
+
+def _mec_update(state: MecState, P: np.ndarray, labels: np.ndarray) -> MecState:
+    """Kernel of :func:`mec_update` for an ``n x C`` float64 ``P`` and
+    ``n`` int64 labels in ``[0, C)``; checks nothing."""
+    C = state.C
     sums = np.zeros((C, C))
     np.add.at(sums, labels, P)
     counts = np.bincount(labels, minlength=C)
@@ -221,7 +232,7 @@ def adadem_rows(
         raise ValueError(f"probabilities of shape {P.shape} for logits of shape {Z.shape}")
     sign = _sign(direction)
     labels = np.argmax(P, axis=1)
-    mec_update(state, P, labels)
+    _mec_update(state, P, labels)
 
     if variant.kind == "norm_only":
         Cmat = P

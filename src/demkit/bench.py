@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -153,14 +154,28 @@ class MetricsReport:
 
 @dataclass
 class ProtocolResult:
-    """A protocol's online metrics: one report per shift and one overall.
+    """A protocol's online predictions, scored on first access.
 
-    The frozen source model's baseline on the same data is
+    ``probs`` and ``labels`` hold, per shift, the concatenated
+    pre-update probabilities and the true labels of its batches.
+    ``per_shift`` (one :class:`MetricsReport` per shift) and ``overall``
+    (one over every batch) are computed by :func:`metrics` the first
+    time each is read and kept, so a caller that reads only
+    ``overall.accuracy`` pays for one ``metrics`` call.  The frozen
+    source model's baseline on the same data is
     :func:`no_adapt_accuracy`.
     """
 
-    per_shift: list
-    overall: MetricsReport
+    probs: list
+    labels: list
+
+    @cached_property
+    def per_shift(self) -> list:
+        return [metrics(P, y) for P, y in zip(self.probs, self.labels)]
+
+    @cached_property
+    def overall(self) -> MetricsReport:
+        return metrics(np.concatenate(self.probs), np.concatenate(self.labels))
 
 
 def circle_means(C: int, radius: float) -> np.ndarray:
@@ -353,12 +368,13 @@ def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdCo
     shift is one :func:`adapt_stream` call, which starts from zero
     velocity and sees the inputs only.  Metrics are online: every batch
     is scored, against its labels, on the probabilities predicted before
-    the update it triggers.  A diverging update raises
+    the update it triggers; the returned :class:`ProtocolResult` scores
+    them when its metrics are first read.  A diverging update raises
     :class:`DivergenceError` naming the shift and the batch.
     """
     if mode not in ("single_domain", "continual"):
         raise ValueError(f"unknown mode {mode!r}")
-    per_shift, probs, labels = [], [], []
+    probs, labels = [], []
     model = plugin = None
     for s, batches in enumerate(shift_data):
         if model is None or mode == "single_domain":
@@ -369,5 +385,4 @@ def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdCo
             raise DivergenceError(exc.stage, exc.batch, s) from exc
         probs.append(P)
         labels.append(np.concatenate([y for _, y in batches]))
-        per_shift.append(metrics(P, labels[-1]))
-    return ProtocolResult(per_shift, metrics(np.concatenate(probs), np.concatenate(labels)))
+    return ProtocolResult(probs, labels)

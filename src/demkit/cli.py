@@ -473,10 +473,15 @@ def _end_to_end_cases(rng: Rng):
         "linear": _model.init_linear(C, d, rng, scale=0.7),
         "mlp": _model.init_mlp(C, d, h, rng, scale=0.7),
     }
+    dem_cfg = _em.DemConfig(1.3, 0.4)
+    # Each plugin with the per-row loss values its gradients differentiate.
     plugins = {
-        "em": _model.EmPlugin(),
-        "dem": _model.DemPlugin(_em.DemConfig(1.3, 0.4)),
-        "cross_entropy": _model.CrossEntropyPlugin(targets),
+        "em": (_model.EmPlugin(), lambda Z: _em.em_rows(Z)[0]),
+        "dem": (_model.DemPlugin(dem_cfg), lambda Z: _em.dem_row_values(Z, dem_cfg)),
+        "cross_entropy": (
+            _model.CrossEntropyPlugin(targets),
+            lambda Z: _model._ce_rows(Z, targets)[0],
+        ),
     }
 
     def param_fd(model, objective):
@@ -494,14 +499,12 @@ def _end_to_end_cases(rng: Rng):
         return oracle
 
     for mname, model in models.items():
-        for lname, plugin in plugins.items():
+        for lname, (plugin, values) in plugins.items():
             Z = _model.forward(model, X)
-            _, dlogits = plugin.batch_eval(Z, softmax_rows(Z))
-            grad = _model.backward(model, X, dlogits)
+            grad = _model.backward(model, X, plugin.batch_eval(Z, softmax_rows(Z)))
 
-            def objective(m=model, pl=plugin):
-                Zt = _model.forward(m, X)
-                return float(np.mean(pl.batch_eval(Zt, softmax_rows(Zt))[0]))
+            def objective(m=model, values=values):
+                return float(np.mean(values(_model.forward(m, X))))
 
             yield f"{mname}/{lname}", grad, param_fd(model, objective)
 

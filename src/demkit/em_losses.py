@@ -61,6 +61,7 @@ __all__ = [
     "REWARD_CURVE_HEADER",
     "em_rows",
     "dem_rows",
+    "dem_row_values",
 ]
 
 VALIDITY_SLACK = 1e-12
@@ -277,15 +278,26 @@ def em_rows(Z: np.ndarray, direction: str = "minimize") -> tuple[np.ndarray, np.
     return sign * values, sign * grads
 
 
-def dem_rows(Z: np.ndarray, P: np.ndarray, cfg: DemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Batched decoupled EM: per-row values and gradients.
+def dem_row_values(Z: np.ndarray, cfg: DemConfig) -> np.ndarray:
+    """Batched decoupled EM: the per-row values ``T_tau(z) + alpha * Q(z)``.
 
-    ``P`` must be ``softmax_rows(Z)``, the untempered probabilities of
-    the ``alpha`` term; it is read, never written.
+    These are the values whose gradients :func:`dem_rows` returns; the
+    adaptation loop never reads them, gradient checks and tests do.
     """
-    sign = _sign(cfg.direction)
     P_tau = softmax_rows(Z / cfg.tau)
     S_tau = np.sum(P_tau * Z, axis=1, keepdims=True)
-    values = -S_tau[:, 0] + cfg.alpha * logsumexp_rows(Z)
+    return _sign(cfg.direction) * (-S_tau[:, 0] + cfg.alpha * logsumexp_rows(Z))
+
+
+def dem_rows(Z: np.ndarray, P: np.ndarray, cfg: DemConfig) -> np.ndarray:
+    """Batched decoupled EM: the per-row gradients w.r.t. the logits.
+
+    ``P`` must be ``softmax_rows(Z)``, the untempered probabilities of
+    the ``alpha`` term; it is read, never written.  The adaptation loop
+    reads gradients only, so no loss values are built here; they are
+    :func:`dem_row_values`.
+    """
+    P_tau = softmax_rows(Z / cfg.tau)
+    S_tau = np.sum(P_tau * Z, axis=1, keepdims=True)
     grads = -(P_tau / cfg.tau) * (Z - S_tau + cfg.tau) + cfg.alpha * P
-    return sign * values, sign * grads
+    return _sign(cfg.direction) * grads

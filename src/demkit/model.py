@@ -267,10 +267,10 @@ class CrossEntropyPlugin:
     def __init__(self, targets):
         self.targets = np.asarray(targets, dtype=np.int64)
 
-    def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
         if Z.shape[0] != self.targets.shape[0]:
             raise ValueError("batch size does not match the stored targets")
-        return _ce_rows(Z, self.targets)
+        return _ce_grad(Z, self.targets)
 
 
 class EmPlugin:
@@ -279,10 +279,10 @@ class EmPlugin:
     def __init__(self, direction: str = "minimize"):
         self.direction = direction
 
-    def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
         # em_rows builds its probabilities as exp(Z - lse), whose bits
         # differ from softmax_rows(Z), so P is not used here.
-        return _em.em_rows(Z, self.direction)
+        return _em.em_rows(Z, self.direction)[1]
 
 
 class DemPlugin:
@@ -291,7 +291,7 @@ class DemPlugin:
     def __init__(self, cfg: _em.DemConfig):
         self.cfg = cfg
 
-    def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
         return _em.dem_rows(Z, P, self.cfg)
 
 
@@ -310,10 +310,10 @@ class AdaDemPlugin:
         self.direction = direction
         self.state = None
 
-    def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
         if self.state is None:
             self.state = _adadem.mec_init(Z.shape[1], pi=self.pi)
-        return _adadem.adadem_rows(Z, P, self.state, self.variant, self.direction)
+        return _adadem.adadem_rows(Z, P, self.state, self.variant, self.direction)[1]
 
 
 class DivergenceError(FloatingPointError):
@@ -332,28 +332,48 @@ class DivergenceError(FloatingPointError):
         self.shift = shift
 
 
+def _validated_labels(y, n: int, C: int) -> np.ndarray:
+    """``y`` as a 1-D integer array of ``n`` labels in ``[0, C)``."""
+    y = np.asarray(y)
+    if y.ndim != 1 or y.dtype.kind not in "iu":
+        raise ValueError(f"labels must be 1-D integers, got {y.dtype} of shape {y.shape}")
+    if y.shape[0] != n:
+        raise ValueError(f"expected one label per input row ({n}), got {y.shape[0]}")
+    if y.min() < 0 or y.max() >= C:
+        raise ValueError(f"labels must lie in [0, {C})")
+    return y
+
+
 def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int = 64):
     """Mini-batch supervised training on labeled data; returns the model.
 
     Shuffles with the supplied generator each epoch, so a fixed seed
     yields bit-identical parameters.  ``epochs = 0`` leaves the model
-    unchanged.  ``X`` is validated once; each step runs the forward pass
-    once, takes only the cross-entropy gradient (no loss values) and
-    reuses the forward activations in the backward pass.
+    unchanged.  ``X`` and ``y`` are validated once: ``y`` must hold one
+    integer label in ``[0, C)`` per row of ``X`` (``ValueError``
+    otherwise).
+
+    Each epoch gathers the shuffled inputs and one-hot targets once and
+    steps through contiguous slices of them.  A step runs the forward
+    pass once, takes only the cross-entropy gradient ``softmax(Z) - T``
+    (no loss values) and reuses the forward activations in the backward
+    pass.  The gradient has the bits of subtracting 1 at each target in
+    place: ``p - 1.0`` is that subtraction and ``p - 0.0`` is ``p``.
     """
     X = _validated_input(model, X)
-    y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
     if n == 0:
         raise ValueError("empty training set")
+    T = np.eye(model.C)[_validated_labels(y, n, model.C)]
     state = SgdState()
     for _ in range(epochs):
         order = rng.permutation(n)
+        Xo, To = X[order], T[order]
         for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            Xb = X[idx]
+            Xb = Xo[start : start + batch_size]
             Z, cache = _forward(model, Xb)
-            sgd_step(model, _backward(model, Xb, _ce_grad(Z, y[idx]), cache), cfg, state)
+            G = softmax_rows(Z) - To[start : start + batch_size]
+            sgd_step(model, _backward(model, Xb, G, cache), cfg, state)
     return model
 
 
@@ -363,11 +383,13 @@ def adapt_stream(model, inputs, plugin, cfg: SgdConfig) -> list[np.ndarray]:
     ``inputs`` yields unlabeled input matrices, so the loop never sees a
     label.  For each batch the model first predicts, then
     ``plugin.batch_eval(Z, P)`` turns the logits ``Z`` and their
-    probabilities ``P = softmax_rows(Z)`` into per-sample loss values and
-    gradients, and one SGD step moves ``model`` in place.  Returns the
-    pre-update probabilities, one matrix per batch, for the caller to
-    score.  Each is the very ``P`` handed to the plugin, computed once
-    per batch, so a plugin must read ``P`` and never write into it.
+    probabilities ``P = softmax_rows(Z)`` into the ``n x C`` matrix of
+    per-sample loss gradients with respect to the logits (gradients
+    only: nothing here reads a loss value), and one SGD step moves
+    ``model`` in place.  Returns the pre-update probabilities, one
+    matrix per batch, for the caller to score.  Each is the very ``P``
+    handed to the plugin, computed once per batch, so a plugin must read
+    ``P`` and never write into it.
 
     Each call starts from a fresh :class:`SgdState`, so momentum never
     carries over from one call to the next: a continual protocol, which
@@ -389,7 +411,7 @@ def adapt_stream(model, inputs, plugin, cfg: SgdConfig) -> list[np.ndarray]:
                 raise DivergenceError("logits", i)
             P = softmax_rows(Z)
             probs.append(P)
-            _, dlogits = plugin.batch_eval(Z, P)
+            dlogits = plugin.batch_eval(Z, P)
             if not np.isfinite(dlogits).all():
                 raise DivergenceError("loss gradients", i)
             sgd_step(model, _backward(model, X, dlogits, cache), cfg, state)

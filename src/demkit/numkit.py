@@ -248,8 +248,20 @@ class Rng:
         ).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
-        """A uniformly random permutation of ``range(n)``."""
-        return np.argsort(self.uniforms(n), kind="stable")
+        """A uniformly random permutation of ``range(n)``: the stable
+        ascending order of ``n`` uniforms.
+
+        The default (unstable, faster) sort gives that order whenever
+        the uniforms are distinct, since distinct keys have exactly one
+        ascending order; only when two adjacent sorted uniforms are equal
+        is the stable sort run, which keeps tied indices in index order.
+        """
+        u = self.uniforms(n)
+        order = np.argsort(u)
+        s = u[order]
+        if (s[1:] == s[:-1]).any():
+            order = np.argsort(u, kind="stable")
+        return order
 
     def split(self, stream_id: int) -> "Rng":
         """Independent child generator for a numbered parallel stream.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demkit import adadem
 from demkit.adadem import (
     DELTA_FLOOR,
     DELTA_SOURCES,
@@ -227,6 +228,25 @@ class TestMecState:
         with pytest.raises(ValueError):
             mec_update(state, np.full((1, 3), 1 / 3), [3])  # label range
 
+    def test_validation_runs_before_the_kernel(self, monkeypatch):
+        # Bad input is refused by the public wrapper: the kernel is never
+        # reached and the table keeps its bits.
+        def no_kernel(*args):
+            raise AssertionError("_mec_update reached with invalid input")
+
+        monkeypatch.setattr(adadem, "_mec_update", no_kernel)
+        state = mec_init(3)
+        before = state.table.copy()
+        for probs, labels in [
+            (np.zeros((2, 3)), [0]),
+            (np.full((1, 4), 0.25), [0]),
+            (np.full((1, 3), 1 / 3), [-1]),
+            (np.full((2, 3), 1 / 3), [0, 3]),
+        ]:
+            with pytest.raises(ValueError):
+                mec_update(state, probs, labels)
+        assert np.array_equal(state.table, before)
+
     def test_scatter_matches_the_per_class_loop_bit_for_bit(self):
         # np.add.at adds each class's rows strictly in batch order, as
         # P[labels == k].mean(axis=0) does.  np.add.reduceat and a
@@ -404,6 +424,22 @@ class TestAdaDemRows:
                 assert np.array_equal(grads, ref_grads)
                 assert np.array_equal(ours.table, ref.table)
                 assert np.array_equal(P, softmax_rows(Z))  # P is read, not written
+
+    def test_never_calls_the_validating_update(self, monkeypatch):
+        # adadem_rows builds P and its argmax labels itself, so it runs
+        # the unchecked kernel; the table still matches the public update.
+        ref = mec_init(4)
+        Z = np.random.default_rng(3).uniform(-5.0, 5.0, (32, 4))
+        P = softmax_rows(Z)
+        mec_update(ref, P, np.argmax(P, axis=1))
+
+        def no_public_update(*args):
+            raise AssertionError("adadem_rows called the public mec_update")
+
+        monkeypatch.setattr(adadem, "mec_update", no_public_update)
+        state = mec_init(4)
+        adadem_rows(Z, P, state)
+        assert np.array_equal(state.table, ref.table)
 
     def test_probabilities_must_match_the_logits(self):
         Z = np.zeros((2, 3))

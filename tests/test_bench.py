@@ -1,5 +1,6 @@
 """Tests for the synthetic shift benchmark, metrics, and protocols."""
 
+import dataclasses
 import math
 import types
 
@@ -451,6 +452,49 @@ class TestRunProtocol:
         assert [r.accuracy for r in res.per_shift] == [r.accuracy for r in expected.per_shift]
         assert res.overall.marginal_entropy == expected.overall.marginal_entropy
 
+    def test_scores_once_on_first_access(self, monkeypatch):
+        # run_protocol scores nothing; reading overall makes one metrics
+        # call and per_shift one per shift, each kept after the first read.
+        model, data = self._setup()
+        calls = []
+
+        def counting(probs, labels):
+            calls.append(len(labels))
+            return metrics(probs, labels)
+
+        monkeypatch.setattr(demkit.bench, "metrics", counting)
+        res = run_protocol(model, data, "continual", EmPlugin, SgdConfig(lr=0.01))
+        assert calls == []
+        res.overall.accuracy
+        res.overall.macro_f1
+        assert len(calls) == 1
+        res.per_shift
+        res.per_shift
+        assert len(calls) == 1 + len(data)
+
+    @pytest.mark.parametrize("mode", ["single_domain", "continual"])
+    def test_lazy_reports_equal_eager_metrics(self, mode):
+        model, data = self._setup()
+        cfg = SgdConfig(lr=0.05, momentum=0.9)
+        res = run_protocol(model, data, mode, AdaDemPlugin, cfg)
+
+        probs, labels = [], []
+        adapted = plugin = None
+        for batches in data:
+            if adapted is None or mode == "single_domain":
+                adapted, plugin = model.copy(), AdaDemPlugin()
+            P = adapt_stream(adapted, (X for X, _ in batches), plugin, cfg)
+            probs.append(np.concatenate(P))
+            labels.append(np.concatenate([y for _, y in batches]))
+        eager_per_shift = [metrics(P, y) for P, y in zip(probs, labels)]
+        eager_overall = metrics(np.concatenate(probs), np.concatenate(labels))
+
+        for got, want in zip(res.per_shift + [res.overall], eager_per_shift + [eager_overall]):
+            for field in dataclasses.fields(want):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert np.array_equal(a, b), field.name
+        assert len(res.per_shift) == len(data)
+
     def test_continual_resets_momentum_at_every_shift(self):
         # The model and the plugin (here AdaDEM's calibrator) carry over
         # between shifts; the optimizer's velocity does not.
@@ -485,10 +529,10 @@ class TestRunProtocol:
                 self.shift = shift
 
             def batch_eval(self, Z, P):
-                values, grads = EmPlugin().batch_eval(Z, P)
+                grads = EmPlugin().batch_eval(Z, P)
                 if self.shift == 1:
                     grads[:] = np.inf
-                return values, grads
+                return grads
 
         shifts = iter(range(len(data)))
         with pytest.raises(DivergenceError) as info:

@@ -23,6 +23,7 @@ from demkit.em_losses import (
     cadf_tempered_eval,
     conditional_entropy,
     dem_eval,
+    dem_row_values,
     dem_rows,
     detached_em_eval,
     em_eval,
@@ -33,7 +34,7 @@ from demkit.em_losses import (
     validate_config,
 )
 from demkit import numkit
-from demkit.numkit import finite_diff_grad, rel_err, softmax, softmax_rows
+from demkit.numkit import finite_diff_grad, logsumexp_rows, rel_err, softmax, softmax_rows
 
 Z123 = np.array([1.0, 2.0, 3.0])
 
@@ -319,11 +320,33 @@ class TestBatchedRows:
         rng = np.random.default_rng(2)
         Z = rng.uniform(-8, 8, (30, 5))
         cfg = DemConfig(1.4, 0.9)
-        values, grads = dem_rows(Z, softmax_rows(Z), cfg)
+        values, grads = dem_row_values(Z, cfg), dem_rows(Z, softmax_rows(Z), cfg)
         for i in range(Z.shape[0]):
             single = dem_eval(Z[i], cfg)
             assert abs(values[i] - single.value) < 1e-12
             assert rel_err(grads[i], single.grad) < 1e-12
+
+    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
+    @pytest.mark.parametrize("tau, alpha", [(1.0, 1.0), (1.4, 0.9), (0.3, 0.0), (2.0, 1.0)])
+    def test_dem_rows_and_values_keep_the_bits_of_the_joint_kernel(self, tau, alpha, direction):
+        # The joint (values, grads) kernel that dem_rows and
+        # dem_row_values were split from, operation for operation.
+        def joint(Z, P, cfg):
+            sign = 1.0 if cfg.direction == "minimize" else -1.0
+            P_tau = softmax_rows(Z / cfg.tau)
+            S_tau = np.sum(P_tau * Z, axis=1, keepdims=True)
+            values = -S_tau[:, 0] + cfg.alpha * logsumexp_rows(Z)
+            grads = -(P_tau / cfg.tau) * (Z - S_tau + cfg.tau) + cfg.alpha * P
+            return sign * values, sign * grads
+
+        rng = np.random.default_rng(7)
+        cfg = DemConfig(tau, alpha, direction)
+        for n, C in ((64, 10), (1, 2), (17, 5)):
+            Z = rng.uniform(-12, 12, (n, C))
+            P = softmax_rows(Z)
+            values, grads = joint(Z, P, cfg)
+            assert np.array_equal(dem_row_values(Z, cfg), values)
+            assert np.array_equal(dem_rows(Z, P, cfg), grads)
 
     def test_direction_flips_batch(self):
         Z = np.array([[1.0, -1.0, 0.0]])

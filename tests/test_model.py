@@ -7,7 +7,7 @@ import pytest
 
 from demkit import adadem, em_losses
 from demkit.adadem import AdaDemVariant, MecState, mec_init, mec_update
-from demkit.em_losses import DemConfig, em_eval
+from demkit.em_losses import DemConfig, dem_row_values, em_eval, em_rows
 from demkit.model import (
     AdaDemPlugin,
     CrossEntropyPlugin,
@@ -24,6 +24,10 @@ from demkit.model import (
     forward,
     init_linear,
     init_mlp,
+    _backward,
+    _ce_grad,
+    _ce_rows,
+    _forward,
     sgd_step,
     train_source,
 )
@@ -162,20 +166,22 @@ class TestCrossEntropy:
 
 
 def _batch_eval(plugin, Z):
-    """``plugin.batch_eval`` given the probabilities ``adapt_stream`` passes."""
+    """``plugin.batch_eval`` given the probabilities ``adapt_stream`` passes:
+    the per-row logit gradients."""
     return plugin.batch_eval(Z, softmax_rows(Z))
 
 
-def _param_fd(model, X, plugin, h=1e-6):
-    """Central-difference gradient of mean batch loss over every entry."""
+def _param_fd(model, X, values, h=1e-6):
+    """Central-difference gradient of mean batch loss over every entry;
+    ``values`` maps the logits to the per-row loss values."""
     theta = model.theta
     g = np.zeros_like(theta)
     for i in range(theta.shape[0]):
         orig = theta[i]
         theta[i] = orig + h
-        vp, _ = _batch_eval(plugin, forward(model, X))
+        vp = values(forward(model, X))
         theta[i] = orig - h
-        vm, _ = _batch_eval(plugin, forward(model, X))
+        vm = values(forward(model, X))
         theta[i] = orig
         g[i] = (np.mean(vp) - np.mean(vm)) / (2 * h)
     return g
@@ -187,7 +193,7 @@ class TestBackward:
         X = rng.normals(8).reshape(4, 2)
         model = init_linear(3, 2, rng, scale=0.5)
         Z = forward(model, X)
-        _, dl = _batch_eval(EmPlugin(), Z)
+        dl = _batch_eval(EmPlugin(), Z)
         single = backward(model, X, dl)
         doubled = backward(model, np.vstack([X, X]), np.vstack([dl, dl]))
         # matmul reduction order differs with batch size, so the match is
@@ -209,16 +215,20 @@ class TestBackward:
         else:
             model = init_mlp(3, 2, 4, rng)
         if loss == "ce":
-            plugin = CrossEntropyPlugin(rng.integers(5, 0, 3))
+            targets = rng.integers(5, 0, 3)
+            plugin = CrossEntropyPlugin(targets)
+            values = lambda Z: _ce_rows(Z, targets)[0]
         elif loss == "em":
             plugin = EmPlugin()
+            values = lambda Z: em_rows(Z)[0]
         else:
             plugin = DemPlugin(DemConfig(1.3, 0.4))
+            values = lambda Z: dem_row_values(Z, DemConfig(1.3, 0.4))
         Z = forward(model, X)
-        _, dl = _batch_eval(plugin, Z)
+        dl = _batch_eval(plugin, Z)
         analytic = backward(model, X, dl)
         assert analytic.shape == model.theta.shape
-        numeric = _param_fd(model, X, plugin)
+        numeric = _param_fd(model, X, values)
         assert rel_err(analytic, numeric) < 1e-6
 
     def test_flat_gradient_is_the_per_array_gradients_in_order(self):
@@ -226,7 +236,7 @@ class TestBackward:
         rng = Rng(24)
         X = rng.normals(10).reshape(5, 2)
         model = init_mlp(3, 2, 4, rng)
-        _, dl = _batch_eval(EmPlugin(), forward(model, X))
+        dl = _batch_eval(EmPlugin(), forward(model, X))
         G = dl / 5
         H = X @ model.W1.T + model.b1
         dH = (G @ model.W2) * (H > 0.0)
@@ -238,7 +248,7 @@ class TestBackward:
         rng = Rng(25)
         X = rng.normals(10).reshape(5, 2)
         model = init_linear(3, 2, rng, scale=0.5)
-        _, dl = _batch_eval(EmPlugin(), forward(model, X))
+        dl = _batch_eval(EmPlugin(), forward(model, X))
         G = dl / 5
         grad = backward(model, X, dl)
         np.testing.assert_array_equal(grad, np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)]))
@@ -381,9 +391,55 @@ class TestTrainSource:
             for start in range(0, X.shape[0], 16):
                 idx = order[start : start + 16]
                 Z = forward(ref, X[idx])
-                _, dlogits = _batch_eval(CrossEntropyPlugin(y[idx]), Z)
+                dlogits = _batch_eval(CrossEntropyPlugin(y[idx]), Z)
                 sgd_step(ref, backward(ref, X[idx], dlogits), cfg, state)
         assert np.array_equal(fused.theta, ref.theta)
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    @pytest.mark.parametrize("batch_size", [16, 64])
+    def test_matches_the_index_gather_loop(self, arch, batch_size):
+        # One gather per epoch and the one-hot subtraction must keep the
+        # bits of gathering each batch by index and subtracting 1 at the
+        # targets in place (_ce_grad).  300 rows leave a short last batch
+        # at both sizes.
+        X, y = _blobs(Rng(8).derive("data"), 100, self.MEANS)
+        def make():
+            if arch == "linear":
+                return init_linear(3, 2, Rng(9), scale=0.5)
+            return init_mlp(3, 2, 6, Rng(9))
+
+        cfg = SgdConfig(lr=0.2, momentum=0.9)
+        fused = train_source(make(), X, y, 3, cfg, Rng(10), batch_size=batch_size)
+
+        ref, rng, state = make(), Rng(10), SgdState()
+        for _ in range(3):
+            order = np.argsort(rng.uniforms(X.shape[0]), kind="stable")
+            for start in range(0, X.shape[0], batch_size):
+                idx = order[start : start + batch_size]
+                Xb = X[idx]
+                Z, cache = _forward(ref, Xb)
+                sgd_step(ref, _backward(ref, Xb, _ce_grad(Z, y[idx]), cache), cfg, state)
+        assert np.array_equal(fused.theta, ref.theta)
+
+    @pytest.mark.parametrize(
+        "y",
+        [
+            np.array([0, 1, 2, -1, 0, 1, 2, 0, 1, 2]),
+            np.array([0, 1, 2, 3, 0, 1, 2, 0, 1, 2]),
+            np.array([0, 1, 2] * 4),
+            np.array([0, 1, 2] * 3),
+            np.full(10, 0.7),
+            np.zeros((10, 1), dtype=np.int64),
+        ],
+        ids=["negative", "equal-to-C", "12-for-10-rows", "9-for-10-rows", "float", "2-d"],
+    )
+    def test_rejects_bad_labels(self, y):
+        model = init_linear(3, 2, Rng(1), scale=0.5)
+        before = model.copy()
+        X = Rng(2).normals(20).reshape(10, 2)
+        with pytest.raises(ValueError):
+            train_source(model, X, y, 1, SgdConfig(lr=0.1), Rng(0))
+        np.testing.assert_array_equal(model.theta, before.theta)
 
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
@@ -414,7 +470,7 @@ class TestAdaptStream:
         for P, (X, _) in zip(probs, batches):
             Z = forward(ref, X)
             np.testing.assert_array_equal(P, softmax_rows(Z))
-            _, dlogits = _batch_eval(EmPlugin(), Z)
+            dlogits = _batch_eval(EmPlugin(), Z)
             sgd_step(ref, backward(ref, X, dlogits), SgdConfig(lr=0.01), state)
         assert np.array_equal(model.theta, ref.theta)
 
@@ -467,7 +523,7 @@ class TestAdaptStream:
         state = SgdState()
         for X, _ in batches:
             before = ref.copy()
-            _, dlogits = _batch_eval(EmPlugin(), forward(ref, X))
+            dlogits = _batch_eval(EmPlugin(), forward(ref, X))
             sgd_step(ref, backward(ref, X, dlogits), cfg, state)
             movement = np.linalg.norm(ref.theta - before.theta)
             expected = cfg.lr * np.linalg.norm(state.velocity[a:])
@@ -494,7 +550,7 @@ class TestAdaptStream:
         for batches in (first, second):
             state = SgdState()
             for X, _ in batches:
-                _, dlogits = _batch_eval(EmPlugin(), forward(ref, X))
+                dlogits = _batch_eval(EmPlugin(), forward(ref, X))
                 sgd_step(ref, backward(ref, X, dlogits), cfg, state)
         assert np.array_equal(model.theta, ref.theta)
 
@@ -504,10 +560,10 @@ class TestAdaptStream:
 
             def batch_eval(self, Z, P):
                 self.calls += 1
-                values, grads = EmPlugin().batch_eval(Z, P)
+                grads = EmPlugin().batch_eval(Z, P)
                 if self.calls > 1:
                     grads[0, 0] = np.nan
-                return values, grads
+                return grads
 
         batches = self._stream(Rng(30), n_batches=3)
         model = init_linear(3, 2, Rng(31), scale=0.5)
@@ -594,7 +650,7 @@ class TestAdaptStream:
 class TestPlugins:
     def test_em_plugin_matches_scalar_eval(self):
         Z = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-        values, grads = _batch_eval(EmPlugin(), Z)
+        values, grads = em_rows(Z)[0], _batch_eval(EmPlugin(), Z)
         for i, z in enumerate(Z):
             out = em_eval(z)
             assert abs(values[i] - out.value) < 1e-12

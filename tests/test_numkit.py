@@ -233,6 +233,30 @@ class TestRng:
             counts[Rng(i).permutation(4)[0]] += 1
         np.testing.assert_allclose(counts / 2000, 0.25, atol=0.05)
 
+    def test_permutation_is_the_stable_argsort_of_its_uniforms(self):
+        # The default sort is exact whenever the uniforms are distinct.
+        for seed in range(25):
+            for n in (0, 1, 2, 3, 17, 64, 255, 256, 257, 1000, 5000):
+                expected = np.argsort(Rng(seed).uniforms(n), kind="stable")
+                assert np.array_equal(Rng(seed).permutation(n), expected)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.zeros(6),
+            np.array([0.5, 0.25, 0.5, 0.25, 0.75, 0.5]),
+            np.arange(17) * 7919 % 3 / 3.0,
+            np.arange(300) * 7919 % 10 / 10.0,
+        ],
+        ids=["all-equal", "some-equal", "3-values-17", "10-values-300"],
+    )
+    def test_permutation_keeps_tied_uniforms_in_index_order(self, keys, monkeypatch):
+        # The last two are tie patterns the default sort does not keep in
+        # index order, so they need the stable fallback.
+        monkeypatch.setattr(Rng, "uniforms", lambda self, n: keys[:n].copy())
+        perm = Rng(0).permutation(keys.shape[0])
+        assert np.array_equal(perm, np.argsort(keys, kind="stable"))
+
     def test_split_children_are_independent(self):
         rng = Rng(5)
         a = rng.split(0).uniforms(50)
