@@ -1,50 +1,41 @@
 """EM, tuned DEM, and AdaDEM on the continual rotation ladder.
 
-The continual task chains three rotations of growing angle with no
-reset between them, so early mistakes compound.  Per seed this script
-reports the best learning rate and accuracy for EM and AdaDEM, and for
-DEM it first grid-searches (tau, alpha) on a leading subset of each
+The continual task of ``configs/continual_adadem.json`` chains three
+rotations of growing angle with no reset between them, so early mistakes
+compound.  Per seed this script builds that config's source model and
+stream, reports the best learning rate and accuracy for EM and AdaDEM,
+and for DEM first grid-searches (tau, alpha) on a leading subset of each
 shift's batches at a fixed rate, then scores the winner on the full
-stream next to the classical point tau = alpha = 1.
+stream next to the classical point tau = alpha = 1.  A rate whose run
+diverges scores NaN, as in the CLI's ``lr-sweep``, and is never the best;
+when every rate diverges, the best rate and accuracy are NaN.
 
 Run:
     python3 scripts/continual_comparison.py --seeds 3
 """
 
 import argparse
+import math
 import statistics
+from pathlib import Path
 
-from demkit.bench import (
-    default_continual,
-    default_mixture,
-    make_stream,
-    run_protocol,
-    sample_batch,
-)
+from demkit.bench import run_protocol
+from demkit.cli import load_config, prepared_experiment
 from demkit.em_losses import DemConfig
-from demkit.model import (
-    AdaDemPlugin,
-    DemPlugin,
-    EmPlugin,
-    SgdConfig,
-    init_mlp,
-    train_source,
-)
-from demkit.numkit import Rng
+from demkit.model import AdaDemPlugin, DemPlugin, EmPlugin, SgdConfig
 from demkit.search import DEFAULT_LR_GRID, GridSpec, grid_search, lr_sweep
 
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "continual_adadem.json"
 MOMENTUM = 0.9
 GRID_LR = 1e-3
 SUBSET_FRACTION = 0.2
 
 
 def prepared(seed: int):
-    mix = default_mixture()
-    rng = Rng(seed)
-    X, y = sample_batch(mix, mix.priors, 5000, rng.derive("source-data"))
-    model = init_mlp(mix.C, mix.d, 32, rng.derive("source-init"), 0.5)
-    train_source(model, X, y, 300, SgdConfig(0.05, 0.9), rng.derive("source-train"), 64)
-    data = make_stream(mix, default_continual(), Rng(seed).derive("stream"))
+    """Source model plus stream data of the shipped config at ``seed``."""
+    cfg = load_config(str(CONFIG))
+    cfg["seed"] = seed
+    _, model, data = prepared_experiment(cfg)
     return model, data
 
 
@@ -54,9 +45,8 @@ def best_lr(model, data, factory):
         return run_protocol(model, data, "continual", factory, cfg).overall.accuracy
 
     res = lr_sweep(protocol, DEFAULT_LR_GRID)
-    finite = [row for row in res.rows if row[1] == row[1]]
-    lr, acc = max(finite, key=lambda row: row[1])
-    return lr, acc
+    finite = [row for row in res.rows if not math.isnan(row[1])]
+    return max(finite, key=lambda row: row[1], default=(math.nan, math.nan))
 
 
 def dem_accuracy(model, data, tau: float, alpha: float) -> float:

@@ -1,9 +1,11 @@
 """Learning-rate robustness of EM versus AdaDEM on the rotation task.
 
-Sweeps a log-spaced learning-rate grid for both losses on the default
-single-domain stream (three repeats of a 0.5 rad rotation) and counts,
-per seed, how many rates keep online accuracy at or above the no-adapt
-baseline.  A wider tolerated band means less tuning risk.
+Sweeps a log-spaced learning-rate grid for both losses on the stream and
+source model of ``configs/single_domain_em.json`` (three repeats of a
+0.5 rad rotation) and counts, per seed, how many rates keep online
+accuracy at or above the no-adapt baseline.  A wider tolerated band
+means less tuning risk.  A rate whose run diverges scores NaN, as in the
+CLI's ``lr-sweep``.
 
 Run:
     python3 scripts/lr_robustness.py --seeds 3 --out lr_robustness.csv
@@ -12,30 +14,22 @@ Run:
 import argparse
 import csv
 import statistics
+from pathlib import Path
 
-from demkit.bench import (
-    default_mixture,
-    default_single_domain,
-    make_stream,
-    run_protocol,
-    sample_batch,
-)
-from demkit.model import AdaDemPlugin, EmPlugin, SgdConfig, init_mlp, train_source
-from demkit.numkit import Rng
+from demkit.bench import run_protocol
+from demkit.cli import load_config, prepared_experiment
+from demkit.model import AdaDemPlugin, EmPlugin, SgdConfig
 from demkit.search import DEFAULT_LR_GRID, lr_sweep
 
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "single_domain_em.json"
 MOMENTUM = 0.9
 
 
 def prepared(seed: int):
-    """Source model plus stream data for one seed, the standard recipe."""
-    mix = default_mixture()
-    rng = Rng(seed)
-    X, y = sample_batch(mix, mix.priors, 5000, rng.derive("source-data"))
-    model = init_mlp(mix.C, mix.d, 32, rng.derive("source-init"), 0.5)
-    train_source(model, X, y, 300, SgdConfig(0.05, 0.9), rng.derive("source-train"), 64)
-    spec = default_single_domain()
-    data = make_stream(mix, spec, Rng(seed).derive("stream"))
+    """Source model plus stream data of the shipped config at ``seed``."""
+    cfg = load_config(str(CONFIG))
+    cfg["seed"] = seed
+    _, model, data = prepared_experiment(cfg)
     return model, data
 
 

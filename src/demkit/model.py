@@ -205,16 +205,9 @@ def cross_entropy_eval(z, target: int) -> _em.LossEval:
     return _em.LossEval(_logsumexp(z) - float(z[target]), grad)
 
 
-def _ce_grad(Z: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-row cross-entropy gradients: ``softmax(Z)`` minus the one-hot."""
-    grads = softmax_rows(Z)
-    grads[np.arange(Z.shape[0]), targets] -= 1.0
-    return grads
-
-
-def _ce_rows(Z: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    values = logsumexp_rows(Z) - Z[np.arange(Z.shape[0]), targets]
-    return values, _ce_grad(Z, targets)
+def _ce_row_values(Z: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-row cross-entropy values: ``logsumexp(Z) - Z[target]``."""
+    return logsumexp_rows(Z) - Z[np.arange(Z.shape[0]), targets]
 
 
 @dataclass(frozen=True)
@@ -270,7 +263,8 @@ class CrossEntropyPlugin:
     def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
         if Z.shape[0] != self.targets.shape[0]:
             raise ValueError("batch size does not match the stored targets")
-        return _ce_grad(Z, self.targets)
+        # The same expression as train_source's: softmax minus the one-hot.
+        return P - np.eye(Z.shape[1])[self.targets]
 
 
 class EmPlugin:

@@ -10,17 +10,20 @@ on the scoring data.
 
 ``lr_sweep`` runs one protocol per learning rate and reports the
 tolerance count: how many rates end at or above the no-adapt baseline.
-Both helpers run their protocols one after another in grid order, so
-output is deterministic.
+It owns the divergence rule: a protocol that raises ``DivergenceError``
+scores NaN, which counts below the baseline.  Both helpers run their
+protocols one after another in grid order, so output is deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .em_losses import ConfigError, validate_config
+from .model import DivergenceError
 
 __all__ = [
     "GridSpec",
@@ -125,14 +128,24 @@ def lr_sweep(protocol, lrs=DEFAULT_LR_GRID) -> LrSweepResult:
 
     The baseline is the protocol at lr = 0 (no parameter movement), so
     the count answers: at how many of these rates does adapting not hurt?
+    A run that diverges at an aggressive rate is a legitimate sweep
+    outcome: a ``DivergenceError`` from ``protocol``, at a rate or at the
+    baseline, scores NaN.  Any other exception propagates.
     """
     lrs = list(lrs)
     if not lrs:
         raise ValueError("need at least one learning rate")
     if any(lr < 0 for lr in lrs):
         raise ValueError("learning rates must be non-negative")
-    baseline = float(protocol(0.0))
-    accs = [float(protocol(lr)) for lr in lrs]
+
+    def score(lr: float) -> float:
+        try:
+            return float(protocol(lr))
+        except DivergenceError:
+            return math.nan
+
+    baseline = score(0.0)
+    accs = [score(lr) for lr in lrs]
     rows = list(zip(lrs, accs))
     count = sum(1 for _, acc in rows if acc >= baseline)
     return LrSweepResult(rows=rows, baseline=baseline, tolerance_count=count)

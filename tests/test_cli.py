@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
 
 from demkit.cli import (
     DEFAULT_CONFIG,
@@ -20,6 +21,7 @@ from demkit.cli import (
     EXIT_OK,
     EXIT_USAGE,
     METRICS_HEADER,
+    SCHEMA,
     UsageError,
     fmt9,
     jround,
@@ -78,6 +80,14 @@ class TestFormatting:
 
 
 class TestLoadConfig:
+    def test_defaults_validate_against_the_schema(self):
+        Draft202012Validator(SCHEMA).validate(DEFAULT_CONFIG)
+
+    def test_default_shifts_are_distinct_dicts(self):
+        # deepcopy keeps aliasing, so load_config's copies stay distinct too.
+        shifts = DEFAULT_CONFIG["stream"]["shifts"]
+        assert len({id(sh) for sh in shifts}) == len(shifts) == 3
+
     def test_sections_merge_over_defaults(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"optimizer": {"lr": 0.01}}))
@@ -178,8 +188,17 @@ class TestGradcheckCommand:
         assert names == [f"{m}/{l}" for m in ("linear", "mlp")
                          for l in ("em", "dem", "cross_entropy", "adadem")]
 
-    def test_corrupted_gradient_fails_with_exit_3(self, capsys):
-        assert main(["gradcheck", "--trials", "2", "--corrupt"]) == EXIT_NUMERIC
+    def test_corrupted_gradient_fails_with_exit_3(self, monkeypatch, capsys):
+        from demkit import cli
+
+        cases = cli._gradcheck_cases
+
+        def corrupted(rng, trials):
+            for name, analytic, oracle in cases(rng, trials):
+                yield name, analytic + 1e-3 if name == "em" else analytic, oracle
+
+        monkeypatch.setattr(cli, "_gradcheck_cases", corrupted)
+        assert main(["gradcheck", "--trials", "2"]) == EXIT_NUMERIC
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "gradcheck failed" in captured.err
@@ -274,9 +293,10 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == EXIT_BAD_HYPERPARAMS
         assert "invalid hyperparameters" in capsys.readouterr().err
 
-    def test_three_dimensional_mixture_rejected(self, tmp_path):
+    def test_three_dimensional_mixture_rejected(self, tmp_path, capsys):
         cfg = small_config(tmp_path, mixture={"C": 5, "d": 3, "radius": 4.0, "sigma": 1.0})
         assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
+        assert "schema violation at mixture/d" in capsys.readouterr().err
 
     def test_label_priors_length_checked(self, tmp_path):
         cfg = small_config(

@@ -25,8 +25,7 @@ from demkit.model import (
     init_linear,
     init_mlp,
     _backward,
-    _ce_grad,
-    _ce_rows,
+    _ce_row_values,
     _forward,
     sgd_step,
     train_source,
@@ -165,6 +164,14 @@ class TestCrossEntropy:
             cross_entropy_eval(np.zeros(3), -1)
 
 
+def _ce_grad(Z, targets):
+    """Reference cross-entropy gradients: ``softmax(Z)`` with 1 subtracted
+    at each row's target in place."""
+    grads = softmax_rows(Z)
+    grads[np.arange(Z.shape[0]), targets] -= 1.0
+    return grads
+
+
 def _batch_eval(plugin, Z):
     """``plugin.batch_eval`` given the probabilities ``adapt_stream`` passes:
     the per-row logit gradients."""
@@ -217,7 +224,7 @@ class TestBackward:
         if loss == "ce":
             targets = rng.integers(5, 0, 3)
             plugin = CrossEntropyPlugin(targets)
-            values = lambda Z: _ce_rows(Z, targets)[0]
+            values = lambda Z: _ce_row_values(Z, targets)
         elif loss == "em":
             plugin = EmPlugin()
             values = lambda Z: em_rows(Z)[0]
@@ -655,6 +662,19 @@ class TestPlugins:
             out = em_eval(z)
             assert abs(values[i] - out.value) < 1e-12
             np.testing.assert_allclose(grads[i], out.grad, atol=1e-12)
+
+    def test_cross_entropy_plugin_matches_the_in_place_reference(self, monkeypatch):
+        Z = (Rng(5).uniforms(7 * 4).reshape(7, 4) - 0.5) * 12.0
+        targets = np.array([0, 3, 1, 1, 2, 0, 3])
+        P = softmax_rows(Z)
+
+        def no_softmax(_):
+            raise AssertionError("the plugin must use the P it is given")
+
+        monkeypatch.setattr("demkit.model.softmax_rows", no_softmax)
+        grads = CrossEntropyPlugin(targets).batch_eval(Z, P)
+        monkeypatch.undo()
+        assert np.array_equal(grads, _ce_grad(Z, targets))
 
     def test_cross_entropy_plugin_checks_batch_size(self):
         plugin = CrossEntropyPlugin([0, 1])

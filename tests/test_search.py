@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from demkit.em_losses import ConfigError, validate_config
+from demkit.model import DivergenceError
 from demkit.search import (
     DEFAULT_LR_GRID,
     GridSpec,
@@ -124,6 +125,33 @@ class TestLrSweep:
         res = lr_sweep(protocol)
         assert res.tolerance_count == 7
         assert any(math.isnan(acc) for _, acc in res.rows)
+
+    def test_divergence_scores_nan_at_a_rate_and_at_the_baseline(self):
+        def protocol(lr):
+            if lr > 1e-2:
+                raise DivergenceError("logits", 1, 0)
+            return 0.6
+
+        res = lr_sweep(protocol)
+        diverged = [math.isnan(acc) for _, acc in res.rows]
+        assert diverged == [lr > 1e-2 for lr in DEFAULT_LR_GRID]
+        assert res.tolerance_count == 7
+
+        def diverges_at_baseline(lr):
+            if lr == 0.0:
+                raise DivergenceError("loss gradients", 0)
+            return 0.6
+
+        res = lr_sweep(diverges_at_baseline, lrs=[1e-3])
+        assert math.isnan(res.baseline)
+        assert res.rows == [(1e-3, 0.6)] and res.tolerance_count == 0
+
+    def test_other_protocol_errors_propagate(self):
+        def protocol(lr):
+            raise ValueError("not a divergence")
+
+        with pytest.raises(ValueError, match="not a divergence"):
+            lr_sweep(protocol, lrs=[1e-3])
 
     def test_equal_to_baseline_is_tolerated(self):
         res = lr_sweep(lambda lr: 0.5, lrs=[1e-3, 1e-2])
