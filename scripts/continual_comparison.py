@@ -42,7 +42,7 @@ def prepared(seed: int):
 def best_lr(model, data, factory):
     def protocol(lr: float) -> float:
         cfg = SgdConfig(lr=lr, momentum=MOMENTUM)
-        return run_protocol(model, data, "continual", factory, cfg).overall.accuracy
+        return run_protocol(model, data, "continual", factory, cfg).accuracy
 
     res = lr_sweep(protocol, DEFAULT_LR_GRID)
     finite = [row for row in res.rows if not math.isnan(row[1])]
@@ -52,7 +52,7 @@ def best_lr(model, data, factory):
 def dem_accuracy(model, data, tau: float, alpha: float) -> float:
     cfg = SgdConfig(lr=GRID_LR, momentum=MOMENTUM)
     factory = lambda: DemPlugin(DemConfig(tau, alpha))
-    return run_protocol(model, data, "continual", factory, cfg).overall.accuracy
+    return run_protocol(model, data, "continual", factory, cfg).accuracy
 
 
 def main() -> None:

@@ -36,7 +36,7 @@ def prepared(seed: int):
 def sweep(model, data, factory):
     def protocol(lr: float) -> float:
         cfg = SgdConfig(lr=lr, momentum=MOMENTUM)
-        return run_protocol(model, data, "single_domain", factory, cfg).overall.accuracy
+        return run_protocol(model, data, "single_domain", factory, cfg).accuracy
 
     return lr_sweep(protocol, DEFAULT_LR_GRID)
 

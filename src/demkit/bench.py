@@ -160,14 +160,20 @@ class ProtocolResult:
     pre-update probabilities and the true labels of its batches.
     ``per_shift`` (one :class:`MetricsReport` per shift) and ``overall``
     (one over every batch) are computed by :func:`metrics` the first
-    time each is read and kept, so a caller that reads only
-    ``overall.accuracy`` pays for one ``metrics`` call.  The frozen
-    source model's baseline on the same data is
-    :func:`no_adapt_accuracy`.
+    time each is read and kept.  ``accuracy``, the overall accuracy with
+    the bits of ``overall.accuracy``, is kept the same way and builds no
+    report, so a sweep that scores protocols by accuracy alone pays for
+    no ``metrics`` call.  The frozen source model's baseline on the same
+    data is :func:`no_adapt_accuracy`.
     """
 
     probs: list
     labels: list
+
+    @cached_property
+    def accuracy(self) -> float:
+        preds = np.concatenate([np.argmax(P, axis=1) for P in self.probs])
+        return _accuracy(preds, np.concatenate(self.labels))
 
     @cached_property
     def per_shift(self) -> list:
@@ -305,6 +311,11 @@ def kl_divergence(p, q, smoothing: float = 1e-12) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
+def _accuracy(preds: np.ndarray, y: np.ndarray) -> float:
+    """The share of predicted classes that equal their labels."""
+    return float(np.mean(preds == y))
+
+
 def metrics(probs, labels) -> MetricsReport:
     """Diagnostics for a block of probability rows and true labels."""
     P = as_matrix(probs)
@@ -313,7 +324,6 @@ def metrics(probs, labels) -> MetricsReport:
         raise ValueError("probs and labels must be nonempty and aligned")
     C = P.shape[1]
     preds = np.argmax(P, axis=1)
-    accuracy = float(np.mean(preds == y))
 
     pred_counts = np.bincount(preds, minlength=C)
     label_counts = np.bincount(y, minlength=C)
@@ -329,7 +339,7 @@ def metrics(probs, labels) -> MetricsReport:
     proportions = np.sort(pred_counts / y.shape[0])[::-1]
 
     return MetricsReport(
-        accuracy=accuracy,
+        accuracy=_accuracy(preds, y),
         macro_f1=float(np.mean(per_class_f1)),
         per_class_f1=per_class_f1,
         marginal_entropy=marginal_entropy,

@@ -605,7 +605,7 @@ def cmd_grid_search(args) -> int:
     def dem_accuracy(batches, tau: float, alpha: float) -> float:
         dem_cfg = _em.DemConfig(tau, alpha)
         factory = lambda: _model.DemPlugin(dem_cfg)
-        return _bench.run_protocol(model, batches, sspec.mode, factory, sgd).overall.accuracy
+        return _bench.run_protocol(model, batches, sspec.mode, factory, sgd).accuracy
 
     best, table = _search.grid_search(lambda t, a: dem_accuracy(subset, t, a), grid)
     best_full = dem_accuracy(data, best.tau, best.alpha)
@@ -670,7 +670,7 @@ def cmd_lr_sweep(args) -> int:
 
     def protocol(lr: float) -> float:
         run = _bench.run_protocol(model, data, sspec.mode, factory, replace(sgd, lr=lr))
-        return run.overall.accuracy
+        return run.accuracy
 
     result = _search.lr_sweep(protocol, cfg["lrs"])
     if not math.isfinite(result.baseline):

@@ -299,5 +299,9 @@ def dem_rows(Z: np.ndarray, P: np.ndarray, cfg: DemConfig) -> np.ndarray:
     """
     P_tau = softmax_rows(Z / cfg.tau)
     S_tau = np.sum(P_tau * Z, axis=1, keepdims=True)
-    grads = -(P_tau / cfg.tau) * (Z - S_tau + cfg.tau) + cfg.alpha * P
-    return _sign(cfg.direction) * grads
+    # The same bits as -(P_tau / tau) * (Z - S_tau + tau) + alpha * P
+    # times the direction's sign: IEEE negation and subtraction are exact.
+    grads = cfg.alpha * P - (P_tau / cfg.tau) * (Z - S_tau + cfg.tau)
+    if cfg.direction == "maximize":
+        np.negative(grads, out=grads)
+    return grads

@@ -24,17 +24,27 @@ AdaDEM, which carries its calibrator state through the whole stream.
 Validation follows the convention of :mod:`demkit.numkit`: the public
 ``forward`` and ``backward`` validate their input once (a finite float64
 matrix of the model's input width) and hand it to the private kernels
-``_forward`` and ``_backward``, which check nothing.  ``_forward``
-returns the logits together with the activations the backward pass needs
-(the MLP's pre- and post-rectifier hidden layers), and ``_backward``
-reuses them instead of recomputing the forward pass.  The step loops
-(``train_source``, ``adapt_stream``) validate each batch once, run
-``_forward`` once per step and pass its activations to ``_backward``.
+``_forward`` and ``_backward``, which check nothing.  The kernels are
+the only forward and backward pass, and they write into a
+:class:`_Workspace` instead of allocating: it holds the logits, the MLP's
+hidden activations (which ``_backward`` reuses instead of recomputing
+the forward pass), the backward intermediates and one flat gradient
+laid out like ``theta``.  The step loops (``train_source``,
+``adapt_stream``) build one workspace per call, validate each batch once
+and run ``_forward`` and ``_backward`` once per step; the public
+``forward`` and ``backward`` run them on a fresh workspace, so what they
+return belongs to the caller.  ``sgd_step`` likewise writes ``lr * v``
+into a scratch vector of its :class:`SgdState`.
+
+The plugin contract of ``adapt_stream``: the ``Z`` handed to
+``batch_eval`` is a workspace buffer that the next step overwrites, so a
+plugin reads it and neither keeps it nor writes into it; ``P`` is a
+fresh array per batch, the one the loop returns, and is read only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,16 +73,21 @@ __all__ = [
 ]
 
 
+def _views(flat: np.ndarray, arrays) -> list:
+    """Views of ``flat``, end to end, shaped like each of ``arrays`` in order."""
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return views
+
+
 def _pack(*arrays):
     """``(theta, views)``: one float64 vector holding a copy of ``arrays``
     end to end, and a view of it shaped like each array, in order."""
     arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
     theta = np.concatenate([a.ravel() for a in arrays])
-    views, start = [], 0
-    for a in arrays:
-        views.append(theta[start : start + a.size].reshape(a.shape))
-        start += a.size
-    return theta, views
+    return theta, _views(theta, arrays)
 
 
 class LinearSoftmax:
@@ -150,35 +165,92 @@ def _validated_input(model, X) -> np.ndarray:
     return X
 
 
-def _forward(model, X: np.ndarray):
-    """Kernel of :func:`forward` for validated input: ``(Z, cache)``.
+class _Workspace:
+    """The buffers of one step loop, reused by every step.
 
-    ``cache`` holds what :func:`_backward` needs besides ``X``: the MLP's
-    ``(H, A)`` hidden pre- and post-activations, ``None`` for the linear
-    model.
+    Row buffers hold one batch: the logits ``Z`` (``n x C``) and, for the
+    MLP, the hidden pre- and post-activations ``H`` and ``A``
+    (``n x hidden``).  With ``backward`` (the default) they also include
+    the scaled logit gradients ``G`` and, for the MLP, the hidden
+    gradient ``dH`` and the rectifier mask ``M``; ``g`` is then one flat
+    parameter gradient laid out like ``theta``, and ``grads`` are its
+    views shaped like the model's arrays (``W``, ``b`` or ``W1``, ``b1``,
+    ``W2``, ``b2``).  :meth:`fit` slices the row buffers to a batch's
+    row count, first regrowing them if the batch is longer than any
+    before it.
     """
+
+    def __init__(self, model, n: int, backward: bool = True):
+        mlp = isinstance(model, Mlp)
+        C, h = model.C, model.W1.shape[0] if mlp else 0
+        # (name, columns, dtype) of each row buffer.
+        self._specs = [("Z", C, float)] + ([("H", h, float), ("A", h, float)] if mlp else [])
+        if backward:
+            self._specs += [("G", C, float)] + ([("dH", h, float), ("M", h, bool)] if mlp else [])
+            self.g = np.empty_like(model.theta)
+            arrays = (model.W1, model.b1, model.W2, model.b2) if mlp else (model.W, model.b)
+            self.grads = _views(self.g, arrays)
+        self.rows = self.n = -1
+        self.fit(n)
+
+    def fit(self, n: int) -> None:
+        """Slice the row buffers to ``n`` rows."""
+        if n == self.n:
+            return
+        if n > self.rows:
+            self._full = {name: np.empty((n, cols), dt) for name, cols, dt in self._specs}
+            self.rows = n
+            self.__dict__.update(self._full)
+        else:
+            self.__dict__.update((name, buf[:n]) for name, buf in self._full.items())
+        self.n = n
+
+
+def _forward(model, X: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Kernel of :func:`forward` for validated input.
+
+    Fits ``ws`` to the rows of ``X`` and writes the logits into ``ws.Z``
+    (returned) and, for the MLP, the hidden activations into ``ws.H`` and
+    ``ws.A``, where :func:`_backward` reads them.
+    """
+    ws.fit(X.shape[0])
+    Z = ws.Z
     if isinstance(model, Mlp):
-        H = X @ model.W1.T + model.b1
-        A = np.maximum(H, 0.0)
-        return A @ model.W2.T + model.b2, (H, A)
-    return X @ model.W.T + model.b, None
+        H, A = ws.H, ws.A
+        np.matmul(X, model.W1.T, out=H)
+        H += model.b1
+        np.maximum(H, 0.0, out=A)
+        np.matmul(A, model.W2.T, out=Z)
+        Z += model.b2
+    else:
+        np.matmul(X, model.W.T, out=Z)
+        Z += model.b
+    return Z
 
 
-def _backward(model, X: np.ndarray, dlogits: np.ndarray, cache) -> np.ndarray:
-    """Kernel of :func:`backward`; ``cache`` comes from ``_forward(model, X)``."""
-    G = dlogits / X.shape[0]
-    if cache is None:
-        return np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)])
-    H, A = cache
-    dH = (G @ model.W2) * (H > 0.0)
-    return np.concatenate(
-        [(dH.T @ X).ravel(), dH.sum(axis=0), (G.T @ A).ravel(), G.sum(axis=0)]
-    )
+def _backward(model, X: np.ndarray, dlogits: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Kernel of :func:`backward`: the flat gradient, written into ``ws.g``
+    (returned).  ``ws`` holds what ``_forward(model, X, ws)`` wrote."""
+    G = np.divide(dlogits, X.shape[0], out=ws.G)
+    if isinstance(model, Mlp):
+        gW1, gb1, gW2, gb2 = ws.grads
+        dH = np.matmul(G, model.W2, out=ws.dH)
+        dH *= np.greater(ws.H, 0.0, out=ws.M)
+        np.matmul(dH.T, X, out=gW1)
+        np.add.reduce(dH, axis=0, out=gb1)
+        np.matmul(G.T, ws.A, out=gW2)
+        np.add.reduce(G, axis=0, out=gb2)
+    else:
+        gW, gb = ws.grads
+        np.matmul(G.T, X, out=gW)
+        np.add.reduce(G, axis=0, out=gb)
+    return ws.g
 
 
 def forward(model, X) -> np.ndarray:
     """Batch logits, shape n x C."""
-    return _forward(model, _validated_input(model, X))[0]
+    X = _validated_input(model, X)
+    return _forward(model, X, _Workspace(model, X.shape[0], backward=False))
 
 
 def backward(model, X, dlogits) -> np.ndarray:
@@ -190,9 +262,13 @@ def backward(model, X, dlogits) -> np.ndarray:
     """
     X = _validated_input(model, X)
     dlogits = as_matrix(dlogits)
-    if dlogits.shape[0] != X.shape[0]:
-        raise ValueError("dlogits and X disagree on batch size")
-    return _backward(model, X, dlogits, _forward(model, X)[1])
+    if dlogits.shape != (X.shape[0], model.C):
+        raise ValueError(
+            f"dlogits must be {X.shape[0]} x {model.C} (batch x classes), got {dlogits.shape}"
+        )
+    ws = _Workspace(model, X.shape[0])
+    _forward(model, X, ws)
+    return _backward(model, X, dlogits, ws)
 
 
 def cross_entropy_eval(z, target: int) -> _em.LossEval:
@@ -234,9 +310,13 @@ class SgdConfig:
 
 @dataclass
 class SgdState:
-    """The velocity vector, shaped like ``theta``; created on first use."""
+    """The velocity vector, shaped like ``theta``; created on first use.
+
+    ``scaled`` is the step's scratch vector for ``lr * v``.
+    """
 
     velocity: np.ndarray | None = None
+    scaled: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 def sgd_step(model, grad: np.ndarray, cfg: SgdConfig, state: SgdState) -> None:
@@ -245,13 +325,15 @@ def sgd_step(model, grad: np.ndarray, cfg: SgdConfig, state: SgdState) -> None:
     Under ``scope = "head"`` only ``theta[model.head:]`` moves; the
     velocity of the frozen trunk still accumulates.
     """
-    if state.velocity is None:
-        state.velocity = np.zeros_like(model.theta)
+    if state.scaled is None:
+        state.scaled = np.empty_like(model.theta)
+        if state.velocity is None:
+            state.velocity = np.zeros_like(model.theta)
     v = state.velocity
     v *= cfg.momentum
     v += grad
     a = model.head if cfg.scope == "head" else 0
-    model.theta[a:] -= cfg.lr * v[a:]
+    model.theta[a:] -= np.multiply(v[a:], cfg.lr, out=state.scaled[a:])
 
 
 class CrossEntropyPlugin:
@@ -353,21 +435,26 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int 
     (no loss values) and reuses the forward activations in the backward
     pass.  The gradient has the bits of subtracting 1 at each target in
     place: ``p - 1.0`` is that subtraction and ``p - 0.0`` is ``p``.
+    Every step writes into one :class:`_Workspace`, sized once per call.
+    ``batch_size < 1`` and ``epochs < 0`` raise ``ValueError``.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be non-negative, got {epochs}")
     X = _validated_input(model, X)
     n = X.shape[0]
     if n == 0:
         raise ValueError("empty training set")
     T = np.eye(model.C)[_validated_labels(y, n, model.C)]
-    state = SgdState()
+    state, ws = SgdState(), _Workspace(model, min(batch_size, n))
     for _ in range(epochs):
         order = rng.permutation(n)
         Xo, To = X[order], T[order]
         for start in range(0, n, batch_size):
             Xb = Xo[start : start + batch_size]
-            Z, cache = _forward(model, Xb)
-            G = softmax_rows(Z) - To[start : start + batch_size]
-            sgd_step(model, _backward(model, Xb, G, cache), cfg, state)
+            G = softmax_rows(_forward(model, Xb, ws)) - To[start : start + batch_size]
+            sgd_step(model, _backward(model, Xb, G, ws), cfg, state)
     return model
 
 
@@ -381,9 +468,13 @@ def adapt_stream(model, inputs, plugin, cfg: SgdConfig) -> list[np.ndarray]:
     per-sample loss gradients with respect to the logits (gradients
     only: nothing here reads a loss value), and one SGD step moves
     ``model`` in place.  Returns the pre-update probabilities, one
-    matrix per batch, for the caller to score.  Each is the very ``P``
-    handed to the plugin, computed once per batch, so a plugin must read
-    ``P`` and never write into it.
+    matrix per batch, for the caller to score.
+
+    The plugin contract: ``P`` is a fresh array per batch, the very one
+    returned, so a plugin reads it and never writes into it.  ``Z`` is
+    a buffer of the loop's :class:`_Workspace` that the next step
+    overwrites, so a plugin reads it during ``batch_eval`` and neither
+    keeps it nor writes into it.
 
     Each call starts from a fresh :class:`SgdState`, so momentum never
     carries over from one call to the next: a continual protocol, which
@@ -395,12 +486,11 @@ def adapt_stream(model, inputs, plugin, cfg: SgdConfig) -> list[np.ndarray]:
     diverging step: numpy's overflow and invalid-value warnings are
     silenced for the loop, since a step that overflows fails one of them.
     """
-    state = SgdState()
-    probs = []
+    state, ws, probs = SgdState(), _Workspace(model, 0), []
     with np.errstate(over="ignore", invalid="ignore"):
         for i, X in enumerate(inputs):
             X = _validated_input(model, X)
-            Z, cache = _forward(model, X)
+            Z = _forward(model, X, ws)
             if not np.isfinite(Z).all():
                 raise DivergenceError("logits", i)
             P = softmax_rows(Z)
@@ -408,5 +498,5 @@ def adapt_stream(model, inputs, plugin, cfg: SgdConfig) -> list[np.ndarray]:
             dlogits = plugin.batch_eval(Z, P)
             if not np.isfinite(dlogits).all():
                 raise DivergenceError("loss gradients", i)
-            sgd_step(model, _backward(model, X, dlogits, cache), cfg, state)
+            sgd_step(model, _backward(model, X, dlogits, ws), cfg, state)
     return probs

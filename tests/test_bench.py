@@ -473,6 +473,24 @@ class TestRunProtocol:
         assert len(calls) == 1 + len(data)
 
     @pytest.mark.parametrize("mode", ["single_domain", "continual"])
+    def test_accuracy_builds_no_report(self, monkeypatch, mode):
+        # Sweeps read .accuracy alone: no metrics call, the bits of
+        # overall.accuracy, computed once.
+        model, data = self._setup()
+        calls = []
+
+        def counting(probs, labels):
+            calls.append(len(labels))
+            return metrics(probs, labels)
+
+        monkeypatch.setattr(demkit.bench, "metrics", counting)
+        res = run_protocol(model, data, mode, AdaDemPlugin, SgdConfig(lr=0.05, momentum=0.9))
+        acc = res.accuracy
+        assert calls == [] and type(acc) is float
+        assert res.accuracy is acc
+        assert acc == res.overall.accuracy and len(calls) == 1
+
+    @pytest.mark.parametrize("mode", ["single_domain", "continual"])
     def test_lazy_reports_equal_eager_metrics(self, mode):
         model, data = self._setup()
         cfg = SgdConfig(lr=0.05, momentum=0.9)

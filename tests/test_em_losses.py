@@ -330,7 +330,9 @@ class TestBatchedRows:
     @pytest.mark.parametrize("tau, alpha", [(1.0, 1.0), (1.4, 0.9), (0.3, 0.0), (2.0, 1.0)])
     def test_dem_rows_and_values_keep_the_bits_of_the_joint_kernel(self, tau, alpha, direction):
         # The joint (values, grads) kernel that dem_rows and
-        # dem_row_values were split from, operation for operation.
+        # dem_row_values were split from, operation for operation.  Bytes
+        # are compared, so a signed zero counts; all-zero columns and
+        # logit scales from 0.1 to 30 reach them.
         def joint(Z, P, cfg):
             sign = 1.0 if cfg.direction == "minimize" else -1.0
             P_tau = softmax_rows(Z / cfg.tau)
@@ -341,12 +343,14 @@ class TestBatchedRows:
 
         rng = np.random.default_rng(7)
         cfg = DemConfig(tau, alpha, direction)
-        for n, C in ((64, 10), (1, 2), (17, 5)):
-            Z = rng.uniform(-12, 12, (n, C))
-            P = softmax_rows(Z)
-            values, grads = joint(Z, P, cfg)
-            assert np.array_equal(dem_row_values(Z, cfg), values)
-            assert np.array_equal(dem_rows(Z, P, cfg), grads)
+        for scale in (0.1, 1.0, 12.0, 30.0):
+            for n, C in ((64, 10), (1, 2), (17, 5)):
+                Z = rng.uniform(-scale, scale, (n, C))
+                Z[:, rng.integers(C)] = 0.0
+                P = softmax_rows(Z)
+                values, grads = joint(Z, P, cfg)
+                assert dem_row_values(Z, cfg).tobytes() == values.tobytes()
+                assert dem_rows(Z, P, cfg).tobytes() == grads.tobytes()
 
     def test_direction_flips_batch(self):
         Z = np.array([[1.0, -1.0, 0.0]])

@@ -24,9 +24,7 @@ from demkit.model import (
     forward,
     init_linear,
     init_mlp,
-    _backward,
     _ce_row_values,
-    _forward,
     sgd_step,
     train_source,
 )
@@ -178,6 +176,47 @@ def _batch_eval(plugin, Z):
     return plugin.batch_eval(Z, softmax_rows(Z))
 
 
+def _inline_forward(model, X):
+    """The forward pass written out as plain expressions: ``(Z, cache)``,
+    ``cache`` the MLP's ``(H, A)`` or ``None`` for the linear model.  An
+    arithmetic reference independent of the model's buffered kernels."""
+    if isinstance(model, Mlp):
+        H = X @ model.W1.T + model.b1
+        A = np.maximum(H, 0.0)
+        return A @ model.W2.T + model.b2, (H, A)
+    return X @ model.W.T + model.b, None
+
+
+def _inline_step(model, X, dlogits, cache, cfg, v):
+    """Backward and one SGD step as plain expressions: the four gradient
+    blocks concatenated, ``v <- m v + g`` and ``theta[a:] -= lr * v[a:]``."""
+    G = dlogits / X.shape[0]
+    if cache is None:
+        grad = np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)])
+    else:
+        H, A = cache
+        dH = (G @ model.W2) * (H > 0.0)
+        grad = np.concatenate(
+            [(dH.T @ X).ravel(), dH.sum(axis=0), (G.T @ A).ravel(), G.sum(axis=0)]
+        )
+    v *= cfg.momentum
+    v += grad
+    a = model.head if cfg.scope == "head" else 0
+    model.theta[a:] -= cfg.lr * v[a:]
+
+
+def _inline_adapt(model, inputs, plugin, cfg):
+    """``adapt_stream`` written out with the inline expressions; returns
+    the pre-update probabilities."""
+    v, probs = np.zeros_like(model.theta), []
+    for X in inputs:
+        Z, cache = _inline_forward(model, X)
+        P = softmax_rows(Z)
+        probs.append(P)
+        _inline_step(model, X, plugin.batch_eval(Z, P), cache, cfg, v)
+    return probs
+
+
 def _param_fd(model, X, values, h=1e-6):
     """Central-difference gradient of mean batch loss over every entry;
     ``values`` maps the logits to the per-row loss values."""
@@ -211,6 +250,14 @@ class TestBackward:
         model = init_linear(3, 2)
         with pytest.raises(ValueError):
             backward(model, np.ones((2, 2)), np.ones((3, 3)))
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_rejects_a_column_count_that_would_broadcast(self, arch):
+        # One gradient column per row would broadcast into the n x C
+        # buffer; it must be refused, not spread over the classes.
+        model = init_linear(3, 2) if arch == "linear" else init_mlp(3, 2, 4, Rng(2))
+        with pytest.raises(ValueError, match="2 x 3"):
+            backward(model, np.ones((2, 2)), np.ones((2, 1)))
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
     @pytest.mark.parametrize("loss", ["ce", "em", "dem"])
@@ -313,8 +360,9 @@ class TestSgd:
         v = state.velocity
         assert v.dtype == np.float64 and v.shape == model.theta.shape
         np.testing.assert_array_equal(v, np.zeros_like(model.theta))
+        scaled = state.scaled
         sgd_step(model, np.ones_like(model.theta), SgdConfig(lr=0.1, momentum=0.5), state)
-        assert state.velocity is v
+        assert state.velocity is v and state.scaled is scaled
         np.testing.assert_array_equal(v, np.ones_like(model.theta))
 
     @pytest.mark.parametrize("scope", ["all", "head"])
@@ -424,9 +472,24 @@ class TestTrainSource:
             for start in range(0, X.shape[0], batch_size):
                 idx = order[start : start + batch_size]
                 Xb = X[idx]
-                Z, cache = _forward(ref, Xb)
-                sgd_step(ref, _backward(ref, Xb, _ce_grad(Z, y[idx]), cache), cfg, state)
+                sgd_step(ref, backward(ref, Xb, _ce_grad(forward(ref, Xb), y[idx])), cfg, state)
         assert np.array_equal(fused.theta, ref.theta)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"batch_size": 0}, "batch_size"), ({"batch_size": -1}, "batch_size"),
+         ({"epochs": -3}, "epochs")],
+        ids=["batch-size-0", "batch-size-minus-1", "epochs-minus-3"],
+    )
+    def test_rejects_bad_loop_sizes(self, kwargs, name):
+        model = init_linear(3, 2, Rng(1), scale=0.5)
+        before = model.copy()
+        X, y = _blobs(Rng(2), 4, self.MEANS)
+        args = {"epochs": 2, "batch_size": 4, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            train_source(model, X, y, args["epochs"], SgdConfig(lr=0.1), Rng(0),
+                         batch_size=args["batch_size"])
+        np.testing.assert_array_equal(model.theta, before.theta)
 
     @pytest.mark.parametrize(
         "y",
@@ -652,6 +715,79 @@ class TestAdaptStream:
         )
         assert len(seen) == len(probs) == 4
         assert all(P is returned for (_, P), returned in zip(seen, probs))
+
+
+class TestStepKernels:
+    """The buffered kernels against :func:`_inline_forward` and
+    :func:`_inline_step`, bit for bit."""
+
+    @staticmethod
+    def _make(arch):
+        if arch == "linear":
+            return init_linear(3, 2, Rng(9), scale=0.5)
+        return init_mlp(3, 2, 6, Rng(9))
+
+    @staticmethod
+    def _inputs(sizes, seed=11):
+        rng = Rng(seed)
+        return [2.0 * rng.normals(2 * n).reshape(n, 2) for n in sizes]
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    @pytest.mark.parametrize("scope", ["all", "head"])
+    def test_train_source_matches_inline_arithmetic(self, arch, scope):
+        # 120 rows in batches of 36 leave a short last batch of 12.  No
+        # batch size is a power of two, so dividing by it rounds.
+        X, y = _blobs(Rng(8).derive("data"), 40, TestTrainSource.MEANS)
+        cfg = SgdConfig(lr=0.2, momentum=0.9, scope=scope)
+        trained = train_source(self._make(arch), X, y, 3, cfg, Rng(10), batch_size=36)
+
+        ref, rng = self._make(arch), Rng(10)
+        v, T = np.zeros_like(ref.theta), np.eye(3)[y]
+        for _ in range(3):
+            order = rng.permutation(X.shape[0])
+            for start in range(0, X.shape[0], 36):
+                idx = order[start : start + 36]
+                Z, cache = _inline_forward(ref, X[idx])
+                _inline_step(ref, X[idx], softmax_rows(Z) - T[idx], cache, cfg, v)
+        assert trained.theta.tobytes() == ref.theta.tobytes()
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    @pytest.mark.parametrize("scope", ["all", "head"])
+    def test_adapt_stream_matches_inline_arithmetic(self, arch, scope):
+        inputs = self._inputs([64, 8, 100, 64, 1])
+        cfg = SgdConfig(lr=0.1, momentum=0.9, scope=scope)
+        model, ref = self._make(arch), self._make(arch)
+        probs = adapt_stream(model, inputs, AdaDemPlugin(), cfg)
+        expected = _inline_adapt(ref, inputs, AdaDemPlugin(), cfg)
+        assert model.theta.tobytes() == ref.theta.tobytes()
+        assert [P.tobytes() for P in probs] == [P.tobytes() for P in expected]
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_growing_workspace_never_aliases_the_returned_probabilities(self, arch):
+        # Batches of 64, 8, 100 and 64 rows make the workspace grow twice
+        # and be sliced twice.  The logits handed to the plugin live in it;
+        # the returned probabilities must not.
+        sizes = [64, 8, 100, 64]
+        inputs = self._inputs(sizes, seed=12)
+        seen = []
+
+        class Recording:
+            inner = DemPlugin(DemConfig(1.3, 0.4))
+
+            def batch_eval(self, Z, P):
+                seen.append(Z)
+                return self.inner.batch_eval(Z, P)
+
+        cfg = SgdConfig(lr=0.1, momentum=0.5)
+        probs = adapt_stream(self._make(arch), inputs, Recording(), cfg)
+        assert [P.shape for P in probs] == [(n, 3) for n in sizes]
+        for i, P in enumerate(probs):
+            assert not any(np.shares_memory(P, Q) for Q in probs[i + 1 :])
+            assert not any(np.shares_memory(P, Z) for Z in seen)
+        # The logits buffer is reused: a batch that fits is a slice of it.
+        assert np.shares_memory(seen[0], seen[1]) and np.shares_memory(seen[2], seen[3])
+        expected = _inline_adapt(self._make(arch), inputs, DemPlugin(DemConfig(1.3, 0.4)), cfg)
+        assert [P.tobytes() for P in probs] == [P.tobytes() for P in expected]
 
 
 class TestPlugins:
