@@ -31,7 +31,18 @@ one against a central finite-difference oracle.
 
 Each public function validates its logits once (``_logits``) and then
 works through the private kernels below, which take a validated float64
-vector and never validate again.
+vector and never validate again.  Every scalar loss has one value kernel
+that computes the value alone, with no gradient:
+
+* ``_entropy(z)`` for ``em_eval`` and ``conditional_entropy``,
+* ``_cadf_tempered_value(z, tau, direction)`` for ``cadf_tempered_eval``,
+* ``_dem_value(z, cfg)`` for ``dem_eval``,
+* ``model._cross_entropy_value(z, target)`` for ``model.cross_entropy_eval``.
+
+The public ``*_eval(...).value`` is that kernel's result, and the
+gradient check (``demkit gradcheck``) differentiates the same kernel by
+central differences, so the oracle checks each analytic gradient against
+exactly the function whose value the public API returns.
 """
 
 from __future__ import annotations
@@ -123,11 +134,26 @@ def _em_grad(z: np.ndarray) -> np.ndarray:
     return -p * (t + z)
 
 
-def _cadf_tempered(z: np.ndarray, tau: float) -> tuple[float, np.ndarray]:
-    """Unsigned tempered-CADF value and gradient."""
+def _tempered(z: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+    """``p_tau = softmax(z / tau)`` and the tempered CADF ``t_tau = -p_tau . z``."""
     p_tau = _softmax(_scaled(z, tau))
-    t_tau = -np.dot(p_tau, z)
-    return t_tau, -(p_tau / tau) * (t_tau + z + tau)
+    return p_tau, -np.dot(p_tau, z)
+
+
+def _cadf_tempered_grad(z: np.ndarray, tau: float) -> np.ndarray:
+    """Unsigned tempered-CADF gradient ``-(p_tau / tau) (t_tau + z + tau)``."""
+    p_tau, t_tau = _tempered(z, tau)
+    return -(p_tau / tau) * (t_tau + z + tau)
+
+
+def _cadf_tempered_value(z: np.ndarray, tau: float, direction: str = "minimize") -> float:
+    """Value kernel of :func:`cadf_tempered_eval`."""
+    return _sign(direction) * _tempered(z, tau)[1]
+
+
+def _dem_value(z: np.ndarray, cfg: DemConfig) -> float:
+    """Value kernel of :func:`dem_eval`: ``T_tau(z) + alpha * Q(z)``, signed."""
+    return _sign(cfg.direction) * (_tempered(z, cfg.tau)[1] + cfg.alpha * _logsumexp(z))
 
 
 def _sign(direction: str) -> float:
@@ -198,9 +224,8 @@ def cadf_tempered_eval(z, tau: float, direction: str = "minimize") -> LossEval:
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     z = _logits(z)
-    sign = _sign(direction)
-    t_tau, grad = _cadf_tempered(z, tau)
-    return LossEval(sign * t_tau, sign * grad)
+    grad = _sign(direction) * _cadf_tempered_grad(z, tau)
+    return LossEval(_cadf_tempered_value(z, tau, direction), grad)
 
 
 def validate_config(tau: float, alpha: float) -> bool:
@@ -237,11 +262,8 @@ def dem_eval(z, cfg: DemConfig) -> LossEval:
     At ``(tau=1, alpha=1)`` this is classical EM exactly.
     """
     z = _logits(z)
-    sign = _sign(cfg.direction)
-    t_tau, grad = _cadf_tempered(z, cfg.tau)
-    value = t_tau + cfg.alpha * _logsumexp(z)
-    grad = grad + cfg.alpha * _softmax(z)
-    return LossEval(sign * value, sign * grad)
+    grad = _cadf_tempered_grad(z, cfg.tau) + cfg.alpha * _softmax(z)
+    return LossEval(_dem_value(z, cfg), _sign(cfg.direction) * grad)
 
 
 def reward_curve(C: int, cfg: DemConfig, m_grid) -> list[tuple[float, float, float]]:

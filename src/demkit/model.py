@@ -278,7 +278,12 @@ def cross_entropy_eval(z, target: int) -> _em.LossEval:
         raise ValueError(f"target {target} out of range for {z.shape[0]} classes")
     grad = softmax_rows(z[None, :])[0]
     grad[target] -= 1.0
-    return _em.LossEval(_logsumexp(z) - float(z[target]), grad)
+    return _em.LossEval(_cross_entropy_value(z, target), grad)
+
+
+def _cross_entropy_value(z: np.ndarray, target: int) -> float:
+    """Value kernel of :func:`cross_entropy_eval` for a validated vector."""
+    return _logsumexp(z) - float(z[target])
 
 
 def _ce_row_values(Z: np.ndarray, targets: np.ndarray) -> np.ndarray:

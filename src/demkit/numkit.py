@@ -77,14 +77,18 @@ def logsumexp(z) -> float:
 
 def _logsumexp(z: np.ndarray) -> float:
     """Kernel of :func:`logsumexp` for a validated float64 vector."""
-    m = float(z.max())
-    return m + math.log(float(np.exp(z - m).sum()))
+    m = float(np.maximum.reduce(z))
+    e = z - m
+    np.exp(e, out=e)
+    return m + math.log(float(np.add.reduce(e)))
 
 
 def logsumexp_rows(Z: np.ndarray) -> np.ndarray:
     """Row-wise stable log-sum-exp for an ``n x C`` matrix."""
-    m = Z.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(Z - m).sum(axis=1, keepdims=True)))[:, 0]
+    m = np.maximum.reduce(Z, axis=1, keepdims=True)
+    E = Z - m
+    np.exp(E, out=E)
+    return (m + np.log(np.add.reduce(E, axis=1, keepdims=True)))[:, 0]
 
 
 def softmax(z) -> np.ndarray:
@@ -101,14 +105,18 @@ def softmax(z) -> np.ndarray:
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Kernel of :func:`softmax` for a validated float64 vector."""
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    e = z - np.maximum.reduce(z)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e)
+    return e
 
 
 def softmax_rows(Z: np.ndarray) -> np.ndarray:
     """Row-wise softmax for an ``n x C`` matrix (same path as softmax)."""
-    e = np.exp(Z - Z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    E = Z - np.maximum.reduce(Z, axis=1, keepdims=True)
+    np.exp(E, out=E)
+    E /= np.add.reduce(E, axis=1, keepdims=True)
+    return E
 
 
 def tempered_softmax(z, tau: float) -> np.ndarray:
@@ -136,10 +144,11 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], z, h: float = 1e-5) -> np
 
     ``f`` must return a finite scalar; a non-finite value raises
     ``FloatingPointError`` so broken integrands fail loudly instead of
-    silently contaminating a gradient check.
+    silently contaminating a gradient check.  The step ``h`` must be
+    positive and finite (``ValueError`` otherwise).
     """
-    if h <= 0:
-        raise ValueError(f"step must be positive, got {h}")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"step must be positive and finite, got {h}")
     z = as_vector(z)
     grad = np.empty_like(z)
     for i in range(z.shape[0]):

@@ -31,6 +31,24 @@ from demkit.cli import (
 )
 
 
+GRADCHECK_TRIALS_40_SEED_3 = """\
+gradcheck adadem: max rel err 1.87395044e-10 [ok]
+gradcheck cadf_tempered: max rel err 1.33268131e-10 [ok]
+gradcheck cross_entropy: max rel err 1.00136344e-10 [ok]
+gradcheck dem: max rel err 1.7620061e-10 [ok]
+gradcheck detached_em: max rel err 0 [ok]
+gradcheck em: max rel err 3.746084e-11 [ok]
+gradcheck linear/adadem: max rel err 1.60820281e-11 [ok]
+gradcheck linear/cross_entropy: max rel err 3.05518388e-11 [ok]
+gradcheck linear/dem: max rel err 9.13577547e-12 [ok]
+gradcheck linear/em: max rel err 1.38169892e-11 [ok]
+gradcheck mlp/adadem: max rel err 6.03320172e-12 [ok]
+gradcheck mlp/cross_entropy: max rel err 1.72442234e-11 [ok]
+gradcheck mlp/dem: max rel err 8.65474359e-12 [ok]
+gradcheck mlp/em: max rel err 1.69064832e-11 [ok]
+"""
+
+
 def small_config(tmp_path, **overrides):
     """A config small enough that every command finishes in well under a
     second; sections in ``overrides`` replace the corresponding block."""
@@ -202,6 +220,70 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
         assert "gradcheck failed" in captured.err
+
+    @pytest.mark.parametrize("where", ["every", "first", "last"])
+    def test_nan_error_fails_with_exit_3(self, monkeypatch, capsys, where):
+        # Python's max(0.0, nan) is 0.0, so a fold through the builtin
+        # max would report a NaN error as "0 [ok]".
+        from demkit import cli
+
+        cases = cli._gradcheck_cases
+        trials = 5
+
+        def corrupted(rng, trials):
+            k = 0
+            for name, analytic, oracle in cases(rng, trials):
+                if name == "em":
+                    if where == "every" or (where, k) in (("first", 0), ("last", trials - 1)):
+                        analytic = analytic.copy()
+                        analytic[0] = np.nan
+                    k += 1
+                yield name, analytic, oracle
+
+        monkeypatch.setattr(cli, "_gradcheck_cases", corrupted)
+        assert main(["gradcheck", "--trials", str(trials)]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert "gradcheck em: max rel err nan [FAIL]" in captured.out
+        assert captured.out.count("FAIL") == 1
+        assert "gradcheck failed for: em" in captured.err
+
+    def test_nan_error_in_an_end_to_end_case_fails(self, monkeypatch, capsys):
+        from demkit import cli
+
+        cases = cli._end_to_end_cases
+
+        def corrupted(rng):
+            for name, analytic, oracle in cases(rng):
+                yield name, oracle * np.nan if name == "mlp/dem" else analytic, oracle
+
+        monkeypatch.setattr(cli, "_end_to_end_cases", corrupted)
+        assert main(["gradcheck", "--trials", "1"]) == EXIT_NUMERIC
+        assert "gradcheck mlp/dem: max rel err nan [FAIL]" in capsys.readouterr().out
+
+    def test_stdout_is_pinned(self, capsys):
+        # Recorded before the oracles moved onto the value kernels; every
+        # value kernel keeps the bits of the expression it replaced.
+        assert main(["gradcheck", "--trials", "40", "--seed", "3"]) == EXIT_OK
+        assert capsys.readouterr().out == GRADCHECK_TRIALS_40_SEED_3
+
+    def test_oracle_differentiates_the_public_dem_value(self, monkeypatch, capsys):
+        # A change inside the dem value kernel moves dem_eval's value and
+        # the oracle's function alike, so gradcheck sees it.
+        from demkit import cli
+        from demkit import em_losses as em
+
+        z = np.array([0.3, -1.2, 2.0])
+        cfg = em.DemConfig(0.9, 1.1)
+        before = em.dem_eval(z, cfg).value
+        kernel = em._dem_value
+        monkeypatch.setattr(em, "_dem_value", lambda v, c: kernel(v, c) + 1e-3 * v[0])
+        assert em.dem_eval(z, cfg).value == before + 1e-3 * z[0]
+        assert main(["gradcheck", "--trials", "2"]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert [line for line in captured.out.splitlines() if "FAIL" in line] == [
+            line for line in captured.out.splitlines() if line.startswith("gradcheck dem:")
+        ]
+        assert "gradcheck failed for: dem\n" == captured.err
 
     def test_zero_trials_is_usage_error(self):
         assert main(["gradcheck", "--trials", "0"]) == EXIT_USAGE

@@ -33,7 +33,7 @@ from demkit.em_losses import (
     reward_curve,
     validate_config,
 )
-from demkit import numkit
+from demkit import em_losses, model, numkit
 from demkit.numkit import finite_diff_grad, logsumexp_rows, rel_err, softmax, softmax_rows
 
 Z123 = np.array([1.0, 2.0, 3.0])
@@ -413,3 +413,63 @@ class TestEntryPointValidation:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError):
                 fn([1e300, 0.0])
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _value_kernel_logits():
+    """Logit vectors for the value-kernel checks: C = 2 up to 9, scales
+    from 0.1 to 400 (large logits), and a zero vector."""
+    rng = np.random.default_rng(11)
+    yield np.zeros(2)
+    yield np.array([400.0, -350.0])
+    for i in range(120):
+        C = 2 + i % 8
+        yield rng.uniform(-1.0, 1.0, C) * (0.1, 1.0, 8.0, 60.0, 400.0)[i % 5]
+
+
+class TestValueKernels:
+    """Each public ``*_eval(...).value`` is its value kernel's result, bit
+    for bit: the function that ``gradcheck`` differentiates."""
+
+    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
+    @pytest.mark.parametrize("tau, alpha", [(1.0, 1.0), (0.3, 2.0), (1.7, 0.4), (2.5, 0.0)])
+    def test_dem(self, tau, alpha, direction):
+        cfg = DemConfig(tau, alpha, direction)
+        sign = 1.0 if direction == "minimize" else -1.0
+        for z in _value_kernel_logits():
+            value = em_losses._dem_value(z, cfg)
+            assert _bits(value) == _bits(dem_eval(z, cfg).value)
+            # The expression the joint value-and-gradient code computed.
+            p_tau = softmax(z / tau)
+            expected = sign * (-np.dot(p_tau, z) + alpha * numkit.logsumexp(z))
+            assert _bits(value) == _bits(expected)
+
+    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
+    @pytest.mark.parametrize("tau", [0.3, 1.0, 2.2])
+    def test_cadf_tempered(self, tau, direction):
+        for z in _value_kernel_logits():
+            value = em_losses._cadf_tempered_value(z, tau, direction)
+            assert _bits(value) == _bits(cadf_tempered_eval(z, tau, direction).value)
+
+    def test_cross_entropy(self):
+        for z in _value_kernel_logits():
+            for target in (0, z.shape[0] - 1):
+                value = model._cross_entropy_value(z, target)
+                assert _bits(value) == _bits(model.cross_entropy_eval(z, target).value)
+
+    def test_em(self):
+        for z in _value_kernel_logits():
+            value = em_losses._entropy(z)
+            assert _bits(value) == _bits(conditional_entropy(z))
+            assert _bits(value) == _bits(em_eval(z).value)
+            assert _bits(-value) == _bits(em_eval(z, "maximize").value)
+
+    def test_value_kernels_refuse_overflow_at_temperature(self):
+        cfg = DemConfig(1e-10, 0.0)
+        with pytest.raises(ValueError, match="overflow"):
+            em_losses._dem_value(np.array([1e300, 0.0]), cfg)
+        with pytest.raises(ValueError, match="overflow"):
+            em_losses._cadf_tempered_value(np.array([1e300, 0.0]), 1e-10)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from demkit.numkit import (
     Rng,
+    _logsumexp,
+    _softmax,
     as_matrix,
     as_vector,
     finite_diff_grad,
@@ -146,6 +148,63 @@ class TestFiniteDiff:
 
         with pytest.raises(FloatingPointError):
             finite_diff_grad(f, np.zeros(2))
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1e-5])
+    def test_rejects_a_step_that_is_not_positive_and_finite(self, h):
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return 0.0
+
+        with pytest.raises(ValueError, match=r"step must be positive and finite"):
+            finite_diff_grad(f, np.zeros(2), h=h)
+        assert calls == []  # refused before the objective is evaluated
+
+
+def _reduction_inputs():
+    """Vectors and matrices for the bitwise kernel checks: C from 1 to 39,
+    scales 0.01-50, all-zero rows and rows holding ``-0.0``."""
+    rng = np.random.default_rng(20)
+    for i in range(600):
+        C = 1 + i % 39
+        n = 1 + i % 7
+        Z = rng.standard_normal((n, C)) * rng.choice([0.01, 0.3, 1.0, 8.0, 50.0])
+        if i % 5 == 0:
+            Z[0] = 0.0
+        if i % 7 == 0:
+            Z[-1, : (C + 1) // 2] = -0.0
+        yield Z
+
+
+class TestReductionKernels:
+    """The kernels reduce with ``np.maximum.reduce``/``np.add.reduce`` and an
+    in-place ``exp`` and divide; each keeps the bits of the method-call
+    expression it replaced."""
+
+    def test_vector_kernels_keep_the_bits(self):
+        for Z in _reduction_inputs():
+            for z in Z:
+                e = np.exp(z - z.max())
+                assert _softmax(z).tobytes() == (e / e.sum()).tobytes()
+                m = float(z.max())
+                lse = m + math.log(float(np.exp(z - m).sum()))
+                assert np.float64(_logsumexp(z)).tobytes() == np.float64(lse).tobytes()
+
+    def test_row_kernels_keep_the_bits(self):
+        for Z in _reduction_inputs():
+            e = np.exp(Z - Z.max(axis=1, keepdims=True))
+            expected = e / e.sum(axis=1, keepdims=True)
+            assert softmax_rows(Z).tobytes() == expected.tobytes()
+            m = Z.max(axis=1, keepdims=True)
+            lse = (m + np.log(np.exp(Z - m).sum(axis=1, keepdims=True)))[:, 0]
+            assert logsumexp_rows(Z).tobytes() == lse.tobytes()
+
+    def test_inputs_are_read_not_written(self):
+        Z = np.array([[0.5, -0.0, 2.0], [3.0, 3.0, 3.0]])
+        before = Z.tobytes()
+        softmax_rows(Z), logsumexp_rows(Z), _softmax(Z[0]), _logsumexp(Z[1])
+        assert Z.tobytes() == before
 
 
 class TestRelErr:
