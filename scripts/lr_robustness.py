@@ -1,11 +1,13 @@
 """Learning-rate robustness of EM versus AdaDEM on the rotation task.
 
-Sweeps a log-spaced learning-rate grid for both losses on the stream and
-source model of ``configs/single_domain_em.json`` (three repeats of a
-0.5 rad rotation) and counts, per seed, how many rates keep online
-accuracy at or above the no-adapt baseline.  A wider tolerated band
-means less tuning risk.  A rate whose run diverges scores NaN, as in the
-CLI's ``lr-sweep``.
+Sweeps the learning-rate grid of ``configs/single_domain_em.json`` (three
+repeats of a 0.5 rad rotation) for both losses and counts, per seed, how
+many rates keep online accuracy at or above the no-adapt baseline.  A
+wider tolerated band means less tuning risk.  Per seed the script builds
+the config's source model and stream once and runs the CLI's ``lr-sweep``
+recipe on them for each loss, swapping only the config's loss name, so
+each count is ``lr-sweep``'s ``tolerance_count`` for that config and
+seed, and a rate whose run diverges scores NaN.
 
 Run:
     python3 scripts/lr_robustness.py --seeds 3 --out lr_robustness.csv
@@ -16,29 +18,10 @@ import csv
 import statistics
 from pathlib import Path
 
-from demkit.bench import run_protocol
-from demkit.cli import load_config, prepared_experiment
-from demkit.model import AdaDemPlugin, EmPlugin, SgdConfig
-from demkit.search import DEFAULT_LR_GRID, lr_sweep
+from demkit.cli import load_config, lr_sweep_result, prepared_experiment
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "single_domain_em.json"
-MOMENTUM = 0.9
-
-
-def prepared(seed: int):
-    """Source model plus stream data of the shipped config at ``seed``."""
-    cfg = load_config(str(CONFIG))
-    cfg["seed"] = seed
-    _, model, data = prepared_experiment(cfg)
-    return model, data
-
-
-def sweep(model, data, factory):
-    def protocol(lr: float) -> float:
-        cfg = SgdConfig(lr=lr, momentum=MOMENTUM)
-        return run_protocol(model, data, "single_domain", factory, cfg).accuracy
-
-    return lr_sweep(protocol, DEFAULT_LR_GRID)
+LOSSES = ("em", "adadem")
 
 
 def main() -> None:
@@ -47,25 +30,25 @@ def main() -> None:
     ap.add_argument("--out", default=None, help="optional CSV path")
     args = ap.parse_args()
 
-    factories = {"em": lambda: EmPlugin(), "adadem": lambda: AdaDemPlugin()}
     rows = []
-    counts = {name: [] for name in factories}
+    counts = {name: [] for name in LOSSES}
     print(f"{'seed':>4} {'loss':>7} {'baseline':>9} {'best acc':>9} {'tolerated':>10}")
     for seed in range(args.seeds):
-        model, data = prepared(seed)
-        for name, factory in factories.items():
-            res = sweep(model, data, factory)
+        cfg = load_config(str(CONFIG))
+        cfg["seed"] = seed
+        _, model, data = prepared_experiment(cfg)
+        for name in LOSSES:
+            cfg["loss"]["name"] = name
+            res = lr_sweep_result(cfg, model, data)
             counts[name].append(res.tolerance_count)
-            finite = [acc for _, acc in res.rows if acc == acc]
-            best = max(finite) if finite else float("nan")
             print(
                 f"{seed:>4} {name:>7} {res.baseline:>9.4f} "
-                f"{best:>9.4f} {res.tolerance_count:>10}"
+                f"{res.best[1]:>9.4f} {res.tolerance_count:>10}"
             )
             for lr, acc in res.rows:
                 rows.append([seed, name, f"{lr:g}", f"{acc:.6f}"])
 
-    for name in factories:
+    for name in LOSSES:
         print(f"median tolerated rates, {name}: {statistics.median(counts[name])}")
 
     if args.out:

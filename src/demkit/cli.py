@@ -17,11 +17,11 @@ their own previous outputs before computing, so a failed command leaves
 none behind that could pass for current.
 
 Configs are JSON objects validated against a strict schema (unknown keys
-are rejected); every key is optional and falls back to the default that
-``SCHEMA`` carries for it as a ``"default"`` annotation (``DEFAULT_CONFIG``
-is read from those annotations).  The builders hand config sections to
-the library types, whose own defaults fill a shift's omitted magnitude
-and level.  The ``loss`` section admits the unsupervised family only
+and non-finite numbers are rejected); every key is optional and falls
+back to the default that ``SCHEMA`` carries for it as a ``"default"``
+annotation (``DEFAULT_CONFIG`` is read from those annotations).  The
+builders hand config sections to the library types, whose own defaults
+fill a shift's omitted magnitude and level.  The ``loss`` section admits the unsupervised family only
 (em, dem, adadem) - the adaptation loop never sees labels, which flow
 exclusively to metrics and, for grid search scoring, to the held subset.
 """
@@ -37,6 +37,7 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -252,10 +253,18 @@ class UsageError(Exception):
     """Config problems that are the caller's fault: exit 64."""
 
 
+def _finite_number(text: str) -> float:
+    """A JSON float literal, refusing ``NaN``, ``Infinity`` and overflow."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise UsageError(f"config number {text} is not finite")
+    return x
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            user = json.load(fh)
+            user = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -595,33 +604,53 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _subset(data, fraction: float):
-    """The leading fraction of each shift's batches (at least one)."""
-    k = max(1, round(len(data[0]) * fraction))
-    return [batches[:k] for batches in data]
+class GridResult(NamedTuple):
+    """DEM* by grid search: the subset-scored table and the full-stream scores."""
+
+    best: _search.TrialResult
+    table: list
+    best_full: float
+    classical_subset: float | None  # both None when (1, 1) is not a valid point
+    classical_full: float | None
+
+
+def grid_search_result(cfg: dict, model, data) -> GridResult:
+    """Grid-search DEM's (tau, alpha) on the labeled subset of ``data``.
+
+    Every point runs the config's stream mode and optimizer; the winner
+    and the classical point tau = alpha = 1 are then scored on the full
+    stream.  The subset is the leading ``grid.subset_fraction`` of each
+    shift's batches (at least one).
+    """
+    mode = cfg["stream"]["mode"]
+    sgd = _model.SgdConfig(**cfg["optimizer"])
+    grid = _search.GridSpec(**cfg["grid"])
+    k = max(1, round(len(data[0]) * grid.subset_fraction))
+    subset = [batches[:k] for batches in data]
+
+    def score(batches, tau: float, alpha: float) -> float:
+        dem_cfg = _em.DemConfig(tau, alpha)
+        factory = lambda: _model.DemPlugin(dem_cfg)
+        return _bench.run_protocol(model, batches, mode, factory, sgd).accuracy
+
+    best, table = _search.grid_search(lambda t, a: score(subset, t, a), grid)
+    best_full = score(data, best.tau, best.alpha)
+    classical_subset = next(
+        (r.accuracy for r in table if r.tau == 1.0 and r.alpha == 1.0 and r.valid),
+        None,
+    )
+    classical_full = score(data, 1.0, 1.0) if classical_subset is not None else None
+    return GridResult(best, table, best_full, classical_subset, classical_full)
 
 
 def cmd_grid_search(args) -> int:
     cfg = load_config(args.config)
     out = cfg["output_dir"]
     remove_outputs(out, "grid.csv")
-    sspec, model, data = prepared_experiment(cfg)
-    sgd = _model.SgdConfig(**cfg["optimizer"])
-    grid = _search.GridSpec(**cfg["grid"])
-    subset = _subset(data, grid.subset_fraction)
-
-    def dem_accuracy(batches, tau: float, alpha: float) -> float:
-        dem_cfg = _em.DemConfig(tau, alpha)
-        factory = lambda: _model.DemPlugin(dem_cfg)
-        return _bench.run_protocol(model, batches, sspec.mode, factory, sgd).accuracy
-
-    best, table = _search.grid_search(lambda t, a: dem_accuracy(subset, t, a), grid)
-    best_full = dem_accuracy(data, best.tau, best.alpha)
-    classical_subset = next(
-        (r.accuracy for r in table if r.tau == 1.0 and r.alpha == 1.0 and r.valid),
-        None,
+    _, model, data = prepared_experiment(cfg)
+    best, table, best_full, classical_subset, classical_full = grid_search_result(
+        cfg, model, data
     )
-    classical_full = dem_accuracy(data, 1.0, 1.0) if classical_subset is not None else None
 
     write_csv(
         os.path.join(out, "grid.csv"),
@@ -668,19 +697,25 @@ def cmd_grid_search(args) -> int:
     return EXIT_OK
 
 
-def cmd_lr_sweep(args) -> int:
-    cfg = load_config(args.config)
-    out = cfg["output_dir"]
-    remove_outputs(out, "lr_sweep.csv")
-    sspec, model, data = prepared_experiment(cfg)
+def lr_sweep_result(cfg: dict, model, data) -> _search.LrSweepResult:
+    """Sweep the config's ``lrs`` for its loss, mode and optimizer settings."""
+    mode = cfg["stream"]["mode"]
     factory = plugin_factory_from(cfg)
     sgd = _model.SgdConfig(**cfg["optimizer"])
 
     def protocol(lr: float) -> float:
-        run = _bench.run_protocol(model, data, sspec.mode, factory, replace(sgd, lr=lr))
+        run = _bench.run_protocol(model, data, mode, factory, replace(sgd, lr=lr))
         return run.accuracy
 
-    result = _search.lr_sweep(protocol, cfg["lrs"])
+    return _search.lr_sweep(protocol, cfg["lrs"])
+
+
+def cmd_lr_sweep(args) -> int:
+    cfg = load_config(args.config)
+    out = cfg["output_dir"]
+    remove_outputs(out, "lr_sweep.csv")
+    _, model, data = prepared_experiment(cfg)
+    result = lr_sweep_result(cfg, model, data)
     if not math.isfinite(result.baseline):
         print("lr-sweep: numeric failure (non-finite baseline)", file=sys.stderr)
         return EXIT_NUMERIC

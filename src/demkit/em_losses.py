@@ -151,6 +151,11 @@ def _cadf_tempered_value(z: np.ndarray, tau: float, direction: str = "minimize")
     return _sign(direction) * _tempered(z, tau)[1]
 
 
+def _dem_grad(z: np.ndarray, cfg: DemConfig) -> np.ndarray:
+    """Gradient kernel of :func:`dem_eval` and :func:`reward_curve`, signed."""
+    return _sign(cfg.direction) * (_cadf_tempered_grad(z, cfg.tau) + cfg.alpha * _softmax(z))
+
+
 def _dem_value(z: np.ndarray, cfg: DemConfig) -> float:
     """Value kernel of :func:`dem_eval`: ``T_tau(z) + alpha * Q(z)``, signed."""
     return _sign(cfg.direction) * (_tempered(z, cfg.tau)[1] + cfg.alpha * _logsumexp(z))
@@ -233,9 +238,10 @@ def validate_config(tau: float, alpha: float) -> bool:
 
     True iff ``tau > 0`` and either ``alpha = 0`` (the pure-CADF
     ablation, always admitted) or ``tau <= 2/alpha`` with a 1e-12 slack
-    so grids that land exactly on the boundary are kept.
+    so grids that land exactly on the boundary are kept.  A NaN tau or
+    alpha is never valid.
     """
-    if tau <= 0:
+    if not tau > 0:
         return False
     if alpha == 0:
         return True
@@ -262,8 +268,7 @@ def dem_eval(z, cfg: DemConfig) -> LossEval:
     At ``(tau=1, alpha=1)`` this is classical EM exactly.
     """
     z = _logits(z)
-    grad = _cadf_tempered_grad(z, cfg.tau) + cfg.alpha * _softmax(z)
-    return LossEval(_dem_value(z, cfg), _sign(cfg.direction) * grad)
+    return LossEval(_dem_value(z, cfg), _dem_grad(z, cfg))
 
 
 def reward_curve(C: int, cfg: DemConfig, m_grid) -> list[tuple[float, float, float]]:
@@ -282,7 +287,7 @@ def reward_curve(C: int, cfg: DemConfig, m_grid) -> list[tuple[float, float, flo
     for m in m_grid:
         z = np.zeros(C)
         z[0] = float(m)
-        reward = -float(dem_eval(z, cfg).grad[0])
+        reward = -float(_dem_grad(z, cfg)[0])
         p_max = float(_softmax(z)[0])
         rows.append((float(m), p_max, reward))
     return rows

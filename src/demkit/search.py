@@ -11,8 +11,9 @@ on the scoring data.
 ``lr_sweep`` runs one protocol per learning rate and reports the
 tolerance count: how many rates end at or above the no-adapt baseline.
 It owns the divergence rule: a protocol that raises ``DivergenceError``
-scores NaN, which counts below the baseline.  Both helpers run their
-protocols one after another in grid order, so output is deterministic.
+scores NaN, which counts below the baseline and is never the sweep's
+``best``.  Both helpers run their protocols one after another in grid
+order, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -81,6 +82,12 @@ class LrSweepResult:
     rows: list
     baseline: float
     tolerance_count: int
+
+    @property
+    def best(self) -> tuple[float, float]:
+        """The first row of highest finite accuracy; ``(nan, nan)`` if none."""
+        finite = [row for row in self.rows if not math.isnan(row[1])]
+        return max(finite, key=lambda row: row[1], default=(math.nan, math.nan))
 
 
 def grid_points(grid: GridSpec):

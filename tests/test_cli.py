@@ -145,6 +145,29 @@ class TestLoadConfig:
             load_config(str(bad))
 
 
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("lr-sweep", {"lrs": [math.nan, 1e-3]}),
+            ("run", {"loss": {"name": "dem", "tau": math.nan, "alpha": 0}}),
+            ("run", {"optimizer": {"lr": math.inf}}),
+            ("grid-search", {"grid": {"tau_max": -math.inf}}),
+        ],
+    )
+    def test_non_finite_numbers_exit_64(self, tmp_path, capsys, command, overrides):
+        # json.dumps writes NaN, Infinity and -Infinity, which json.load
+        # would parse; load_config refuses them before the schema runs.
+        cfg = small_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+        assert "is not finite" in capsys.readouterr().err
+
+    def test_overflowing_number_is_refused(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"optimizer": {"lr": 1e999}}')
+        with pytest.raises(UsageError, match="1e999 is not finite"):
+            load_config(str(path))
+
+
 class TestRewardCurveCommand:
     def test_writes_curve(self, tmp_path, capsys):
         out = tmp_path / "curve.csv"

@@ -175,6 +175,13 @@ class TestValidityRegion:
         assert not validate_config(-1.0, 0.0)
         assert not validate_config(2.1, 1.0)
         assert not validate_config(1.5, 2.0)
+        assert not validate_config(math.nan, 0.0)  # not short-circuited by alpha = 0
+        assert not validate_config(math.nan, 1.0)
+        assert not validate_config(1.0, math.nan)
+
+    def test_nan_temperature_is_refused_at_construction(self):
+        with pytest.raises(ConfigError, match="invalid hyperparameters"):
+            DemConfig(math.nan, 0.0)
 
     def test_boundary_second_derivative_reference(self):
         # (1 - 1/10) * (1/10 - 2/10) in double precision.

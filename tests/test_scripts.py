@@ -1,23 +1,24 @@
-"""Smoke tests for the example scripts under ``scripts/``.
+"""Tests for the example scripts under ``scripts/``.
 
-The scripts build their experiments with ``cli.prepared_experiment`` from
-the shipped configs and call ``search``, ``bench`` and the loss modules
-directly, so importing each one catches a removed export, and running the
-cheapest one end to end catches a changed signature on its path.
+The experiment scripts are seed loops over the CLI's recipes: each seed
+loads the shipped config, replaces its seed, builds the experiment with
+``cli.prepared_experiment`` and runs ``cli.lr_sweep_result`` or
+``cli.grid_search_result`` on it.  Pointing a script's ``CONFIG`` at a
+small config checks that its numbers are the CLI's for the same config
+and seed.
 """
 
+import copy
 import importlib.util
-import math
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from demkit.bench import ShiftSpec, StreamSpec, default_mixture, make_stream
-from demkit.cli import load_config
-from demkit.model import EmPlugin, init_mlp
-from demkit.numkit import Rng
+from demkit.cli import GridResult, grid_search_result, jround, load_config, main
+from demkit.search import LrSweepResult, TrialResult
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -50,45 +51,131 @@ def test_reward_curves_runs(tmp_path, monkeypatch, capsys):
     "name, config",
     [("lr_robustness", "single_domain_em"), ("continual_comparison", "continual_adadem")],
 )
-def test_prepared_runs_the_shipped_config_at_the_seed(name, config, monkeypatch):
+def test_each_seed_runs_the_shipped_config_with_only_the_seed_replaced(
+    name, config, monkeypatch
+):
     script = load_script(name)
     seen = []
 
     def recording(cfg):
-        seen.append(cfg)
+        seen.append(copy.deepcopy(cfg))
         return "spec", "model", "data"
 
+    point = TrialResult(1.0, 1.0, True, 0.5)
     monkeypatch.setattr(script, "prepared_experiment", recording)
-    assert script.prepared(7) == ("model", "data")
-    expected = load_config(str(ROOT / "configs" / f"{config}.json"))
-    expected["seed"] = 7
-    assert seen == [expected]
+    monkeypatch.setattr(
+        script, "lr_sweep_result", lambda cfg, model, data: LrSweepResult([(1e-3, 0.5)], 0.4, 1)
+    )
+    monkeypatch.setattr(
+        script,
+        "grid_search_result",
+        lambda cfg, model, data: GridResult(point, [point], 0.5, 0.5, 0.5),
+        raising=False,
+    )
+    monkeypatch.setattr(sys, "argv", [name, "--seeds", "2"])
+    script.main()
+    expected = []
+    for seed in (0, 1):
+        cfg = load_config(str(ROOT / "configs" / f"{config}.json"))
+        cfg["seed"] = seed
+        expected.append(cfg)
+    assert seen == expected
 
 
-def tiny_experiment(mode):
-    """A two-shift stream of two 16-row batches and a small MLP."""
-    mix = default_mixture()
-    shift = ShiftSpec("rotate2d", 0.5)
-    data = make_stream(mix, StreamSpec(mode, (shift, shift), 2, 16), Rng(0).derive("stream"))
-    return init_mlp(mix.C, mix.d, 4, Rng(1), 0.5), data
+def small_config(tmp_path, mode, **overrides):
+    """A two-shift stream of eight 16-row batches, a small MLP and a
+    six-point (tau, alpha) grid whose best point is not the classical
+    one, written where ``script.CONFIG`` can point."""
+    cfg = {
+        "seed": 0,
+        "output_dir": str(tmp_path / "out"),
+        "source": {"hidden": 8, "epochs": 20, "n": 400},
+        "stream": {
+            "mode": mode,
+            "shifts": [{"kind": "rotate2d", "magnitude": 0.5}] * 2,
+            "batches_per_shift": 8,
+            "batch_size": 16,
+        },
+        "optimizer": {"lr": 0.025, "momentum": 0.9},
+        "grid": {"tau_min": 1.0, "alpha_max": 2.0, "step": 1.0, "subset_fraction": 0.4},
+        "lrs": [1e-3, 1e-2, 5e-2],
+    }
+    cfg.update(overrides)
+    path = tmp_path / f"{mode}.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
 
-def test_lr_robustness_scores_a_diverging_rate_nan(monkeypatch):
-    script = load_script("lr_robustness")
-    model, data = tiny_experiment("single_domain")
-    monkeypatch.setattr(script, "DEFAULT_LR_GRID", (1e-3, 1e308))
-    with np.errstate(all="ignore"):
-        res = script.sweep(model, data, EmPlugin)
-    assert [lr for lr, _ in res.rows] == [1e-3, 1e308]
-    assert not math.isnan(res.rows[0][1]) and math.isnan(res.rows[1][1])
-
-
-def test_continual_comparison_best_lr_skips_diverged_rates(monkeypatch):
+def test_continual_comparison_dem_star_is_grid_search_full_accuracy(
+    tmp_path, monkeypatch, capsys
+):
     script = load_script("continual_comparison")
-    model, data = tiny_experiment("continual")
-    monkeypatch.setattr(script, "DEFAULT_LR_GRID", (1e-3, 1e308))
+    config = small_config(tmp_path, "continual")
+    results = []
+
+    def recording(cfg, model, data):
+        results.append(grid_search_result(cfg, model, data))
+        return results[-1]
+
+    monkeypatch.setattr(script, "CONFIG", config)
+    monkeypatch.setattr(script, "grid_search_result", recording)
+    monkeypatch.setattr(sys, "argv", ["continual_comparison.py", "--seeds", "1"])
+    script.main()
+    out = capsys.readouterr().out
+
+    assert main(["grid-search", "--config", str(config)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    (res,) = results
+    assert (res.best.tau, res.best.alpha) != (1.0, 1.0)
+    assert jround(res.best_full) == summary["best"]["full_accuracy"]
+    assert jround(res.classical_full) == summary["classical"]["full_accuracy"]
+    assert (jround(res.best.tau), jround(res.best.alpha)) == (
+        summary["best"]["tau"],
+        summary["best"]["alpha"],
+    )
+    assert f"dem* {res.best_full:.4f}" in out
+    assert f"lr 0.025), classical {res.classical_full:.4f}" in out
+
+
+def run_lr_robustness(tmp_path, monkeypatch, capsys, config):
+    """The script's stdout rows and CSV rows, one seed, on ``config``."""
+    script = load_script("lr_robustness")
+    out = tmp_path / "robustness.csv"
+    monkeypatch.setattr(script, "CONFIG", config)
+    monkeypatch.setattr(
+        sys, "argv", ["lr_robustness.py", "--seeds", "1", "--out", str(out)]
+    )
     with np.errstate(all="ignore"):
-        assert script.best_lr(model, data, EmPlugin)[0] == 1e-3
-        monkeypatch.setattr(script, "DEFAULT_LR_GRID", (1e308,))
-        lr, acc = script.best_lr(model, data, EmPlugin)
-    assert math.isnan(lr) and math.isnan(acc)
+        script.main()
+    stdout = capsys.readouterr().out.splitlines()
+    table = {line.split()[1]: line.split() for line in stdout[1:3]}
+    return table, out.read_text().splitlines()
+
+
+def test_lr_robustness_count_is_lr_sweep_tolerance_count(tmp_path, monkeypatch, capsys):
+    config = small_config(tmp_path, "single_domain")
+    table, csv_rows = run_lr_robustness(tmp_path, monkeypatch, capsys, config)
+    for name in ("em", "adadem"):
+        cfg = json.loads(config.read_text())
+        cfg["loss"] = {"name": name}
+        config.write_text(json.dumps(cfg))
+        assert main(["lr-sweep", "--config", str(config)]) == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        seed, loss, baseline, best, tolerated = table[name]
+        assert int(tolerated) == summary["tolerance_count"]
+        assert baseline == f"{summary['baseline_accuracy']:.4f}"
+        assert best == f"{max(summary['accuracies']):.4f}"
+        assert [row for row in csv_rows if f",{name}," in row] == [
+            f"0,{name},{lr:g},{acc:.6f}"
+            for lr, acc in zip(summary["lrs"], summary["accuracies"])
+        ]
+
+
+def test_lr_robustness_scores_a_diverging_rate_nan(tmp_path, monkeypatch, capsys):
+    config = small_config(tmp_path, "single_domain", lrs=[1e-3, 1e308])
+    _, csv_rows = run_lr_robustness(tmp_path, monkeypatch, capsys, config)
+    for name in ("em", "adadem"):
+        stable, diverged = [row for row in csv_rows if f",{name}," in row]
+        assert stable.startswith(f"0,{name},0.001,") and not stable.endswith("nan")
+        assert diverged == f"0,{name},1e+308,nan"

@@ -146,6 +146,27 @@ class TestLrSweep:
         assert math.isnan(res.baseline)
         assert res.rows == [(1e-3, 0.6)] and res.tolerance_count == 0
 
+    def test_best_is_the_first_highest_finite_row(self):
+        scores = {0.0: 0.5, 1e-3: 0.6, 1e-2: 0.7, 1e-1: 0.7}
+
+        def protocol(lr):
+            if lr == 2.5e-2:
+                raise DivergenceError("logits", 1, 0)
+            return scores[lr]
+
+        res = lr_sweep(protocol, lrs=[1e-3, 1e-2, 2.5e-2, 1e-1])
+        assert math.isnan(res.rows[2][1])
+        assert res.best == (1e-2, 0.7)
+
+    def test_best_is_nan_when_every_rate_diverges(self):
+        def protocol(lr):
+            if lr > 0.0:
+                raise DivergenceError("logits", 0, 0)
+            return 0.5
+
+        lr, acc = lr_sweep(protocol, lrs=[1e-3, 1e-2]).best
+        assert math.isnan(lr) and math.isnan(acc)
+
     def test_other_protocol_errors_propagate(self):
         def protocol(lr):
             raise ValueError("not a divergence")
