@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em_losses import LossEval, _sign
+from .em_losses import LossEval
 from .numkit import _softmax, as_matrix, as_vector, softmax_rows
 
 __all__ = [
@@ -216,9 +216,11 @@ def adadem_rows(
     P: np.ndarray,
     state: MecState,
     variant: AdaDemVariant = AdaDemVariant(),
-    direction: str = "minimize",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched AdaDEM: updates ``state``, returns per-row values and grads.
+
+    The values are the losses ``L(z)`` of the module docstring, to be
+    minimized; the grads are their gradients w.r.t. the logits.
 
     ``P`` must be ``softmax_rows(Z)``; it is read, never written, so a
     caller that scores it keeps its bits.  Ordering contract: the
@@ -230,7 +232,6 @@ def adadem_rows(
         raise ValueError(f"expected {state.C} classes, got {Z.shape[1]}")
     if P.shape != Z.shape:
         raise ValueError(f"probabilities of shape {P.shape} for logits of shape {Z.shape}")
-    sign = _sign(direction)
     labels = np.argmax(P, axis=1)
     _mec_update(state, P, labels)
 
@@ -243,30 +244,23 @@ def adadem_rows(
     d = np.maximum(_deltas_rows(Z, P, S, Rc, variant), DELTA_FLOOR)[:, None]
     values = -np.sum((P - Cmat) * Z, axis=1, keepdims=True) / d
     grads = -(Rc - Cmat) / d
-    return sign * values[:, 0], sign * grads
+    return values[:, 0], grads
 
 
 def adadem_eval(
-    z_batch,
-    state: MecState,
-    variant: AdaDemVariant = AdaDemVariant(),
-    direction: str = "minimize",
+    z_batch, state: MecState, variant: AdaDemVariant = AdaDemVariant()
 ) -> list[LossEval]:
     """Per-sample AdaDEM evaluations for a batch of logit vectors.
 
-    Accepts a list of vectors or an ``n x C`` matrix, either of which
-    must be finite with at least two classes (``ValueError`` otherwise,
-    with ``state`` untouched); updates ``state`` (one EMA step for the
+    ``z_batch`` is an ``n x C`` matrix, or a list of ``n`` equal-length
+    vectors, which ``np.asarray`` turns into the same matrix; it must be
+    finite with at least two classes (``ValueError`` otherwise, with
+    ``state`` untouched).  Updates ``state`` (one EMA step for the
     whole batch) before evaluating, and treats the calibrator rows and
     delta as constants in the gradients.
     """
-    if isinstance(z_batch, np.ndarray):
-        Z = as_matrix(z_batch)
-        if Z.shape[1] < 2:
-            raise ValueError(f"logit rows need at least 2 entries, got {Z.shape[1]}")
-    else:
-        Z = np.atleast_2d(
-            np.asarray([as_vector(z, min_len=2) for z in z_batch], dtype=np.float64)
-        )
-    values, grads = adadem_rows(Z, softmax_rows(Z), state, variant, direction)
+    Z = as_matrix(z_batch)
+    if Z.shape[1] < 2:
+        raise ValueError(f"logit rows need at least 2 entries, got {Z.shape[1]}")
+    values, grads = adadem_rows(Z, softmax_rows(Z), state, variant)
     return [LossEval(float(v), g) for v, g in zip(values, grads.copy())]

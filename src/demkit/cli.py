@@ -175,11 +175,6 @@ SCHEMA = {
                 "batches_per_shift": {"type": "integer", "minimum": 1, "default": 60},
                 "batch_size": {"type": "integer", "minimum": 1, "default": 64},
                 "label_rho": {"type": "number", "minimum": 1, "default": 1.0},
-                "label_priors": {
-                    "type": "array",
-                    "minItems": 2,
-                    "items": {"type": "number", "minimum": 0},
-                },
             },
         },
         "optimizer": {
@@ -205,7 +200,7 @@ SCHEMA = {
                 "pi": {"type": "number", "exclusiveMinimum": 0, "maximum": 1, "default": 0.1},
                 "mec_alpha": {"type": "number", "minimum": 0, "default": 1.0},
                 "delta_source": {"enum": list(_ad.DELTA_SOURCES), "default": "cadf"},
-                "direction": {"enum": ["minimize", "maximize"], "default": "minimize"},
+                "direction": {"const": "minimize"},
             },
         },
         "grid": {
@@ -275,8 +270,6 @@ def load_config(path: str) -> dict:
     if errors:
         where = "/".join(str(p) for p in errors[0].path) or "<root>"
         raise UsageError(f"config schema violation at {where}: {errors[0].message}")
-    if "stream" in user and "label_rho" in user["stream"] and "label_priors" in user["stream"]:
-        raise UsageError("config sets both label_rho and label_priors; pick one")
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     for key, value in user.items():
         if isinstance(value, dict):
@@ -306,18 +299,8 @@ def build_mixture(cfg: dict) -> _bench.MixtureSpec:
 def build_stream_spec(cfg: dict, C: int) -> _bench.StreamSpec:
     s = cfg["stream"]
     shifts = tuple(_bench.ShiftSpec(**sh) for sh in s["shifts"])
-    if "label_priors" in s:
-        priors = np.asarray(s["label_priors"], dtype=np.float64)
-        if priors.shape[0] != C:
-            raise UsageError("label_priors length must equal the class count")
-        total = float(np.sum(priors))
-        if total <= 0:
-            raise UsageError("label_priors must have positive mass")
-        priors = priors / total
-    elif s["label_rho"] > 1.0:
-        priors = _bench.long_tail_priors(C, s["label_rho"])
-    else:
-        priors = None
+    rho = s["label_rho"]
+    priors = _bench.long_tail_priors(C, rho) if rho > 1.0 else None
     return _bench.StreamSpec(
         mode=s["mode"],
         shifts=shifts,
@@ -348,9 +331,9 @@ def plugin_factory_from(cfg: dict):
     loss = cfg["loss"]
     name = loss["name"]
     if name == "em":
-        return lambda: _model.EmPlugin(loss["direction"])
+        return _model.EmPlugin
     if name == "dem":
-        dem_cfg = _em.DemConfig(loss["tau"], loss["alpha"], loss["direction"])
+        dem_cfg = _em.DemConfig(loss["tau"], loss["alpha"])
         return lambda: _model.DemPlugin(dem_cfg)
     variant = _ad.AdaDemVariant(
         kind=loss["variant"],
@@ -358,7 +341,7 @@ def plugin_factory_from(cfg: dict):
         delta_source=loss["delta_source"],
         norm=loss["norm"],
     )
-    return lambda: _model.AdaDemPlugin(variant, pi=loss["pi"], direction=loss["direction"])
+    return lambda: _model.AdaDemPlugin(variant, pi=loss["pi"])
 
 
 def prepared_experiment(cfg: dict):
@@ -746,6 +729,14 @@ def cmd_lr_sweep(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """Argument type: a float, refusing ``inf`` and ``nan``."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return x
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -763,11 +754,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     rc = sub.add_parser("reward-curve", help="write a (m, p_max, reward) CSV")
     rc.add_argument("--c", type=int, default=10, help="number of classes")
-    rc.add_argument("--tau", type=float, default=1.0)
-    rc.add_argument("--alpha", type=float, default=1.0)
-    rc.add_argument("--m-min", type=float, default=0.0)
-    rc.add_argument("--m-max", type=float, default=30.0)
-    rc.add_argument("--m-step", type=float, default=0.05)
+    rc.add_argument("--tau", type=_finite_float, default=1.0)
+    rc.add_argument("--alpha", type=_finite_float, default=1.0)
+    rc.add_argument("--m-min", type=_finite_float, default=0.0)
+    rc.add_argument("--m-max", type=_finite_float, default=30.0)
+    rc.add_argument("--m-step", type=_finite_float, default=0.05)
     rc.add_argument("--out", default="reward_curve.csv")
     rc.set_defaults(func=cmd_reward_curve)
 

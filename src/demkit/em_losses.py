@@ -35,7 +35,7 @@ vector and never validate again.  Every scalar loss has one value kernel
 that computes the value alone, with no gradient:
 
 * ``_entropy(z)`` for ``em_eval`` and ``conditional_entropy``,
-* ``_cadf_tempered_value(z, tau, direction)`` for ``cadf_tempered_eval``,
+* ``_cadf_tempered_value(z, tau)`` for ``cadf_tempered_eval``,
 * ``_dem_value(z, cfg)`` for ``dem_eval``,
 * ``model._cross_entropy_value(z, target)`` for ``model.cross_entropy_eval``.
 
@@ -94,23 +94,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class DemConfig:
-    """Decoupled-EM configuration: temperature, GMC weight, direction.
+    """Decoupled-EM configuration: temperature and GMC weight.
 
     ``alpha = 0`` (pure tempered CADF) is always admitted; for
     ``alpha > 0`` the pair must satisfy ``tau <= 2/alpha``.  An invalid
     pair is rejected at construction with a ``ConfigError`` naming the
     violated bound, so the losses taking a ``DemConfig`` never check it.
-    ``direction = "maximize"`` flips the sign of value and gradient,
-    turning the minimizer into an entropy-maximization objective.
     """
 
     tau: float
     alpha: float
-    direction: str = "minimize"
 
     def __post_init__(self):
-        if self.direction not in ("minimize", "maximize"):
-            raise ValueError(f"unknown direction {self.direction!r}")
         if not validate_config(self.tau, self.alpha):
             bound = 2.0 / self.alpha if self.alpha else float("inf")
             raise ConfigError(
@@ -141,32 +136,24 @@ def _tempered(z: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
 
 
 def _cadf_tempered_grad(z: np.ndarray, tau: float) -> np.ndarray:
-    """Unsigned tempered-CADF gradient ``-(p_tau / tau) (t_tau + z + tau)``."""
+    """Tempered-CADF gradient ``-(p_tau / tau) (t_tau + z + tau)``."""
     p_tau, t_tau = _tempered(z, tau)
     return -(p_tau / tau) * (t_tau + z + tau)
 
 
-def _cadf_tempered_value(z: np.ndarray, tau: float, direction: str = "minimize") -> float:
+def _cadf_tempered_value(z: np.ndarray, tau: float) -> float:
     """Value kernel of :func:`cadf_tempered_eval`."""
-    return _sign(direction) * _tempered(z, tau)[1]
+    return _tempered(z, tau)[1]
 
 
 def _dem_grad(z: np.ndarray, cfg: DemConfig) -> np.ndarray:
-    """Gradient kernel of :func:`dem_eval` and :func:`reward_curve`, signed."""
-    return _sign(cfg.direction) * (_cadf_tempered_grad(z, cfg.tau) + cfg.alpha * _softmax(z))
+    """Gradient kernel of :func:`dem_eval` and :func:`reward_curve`."""
+    return _cadf_tempered_grad(z, cfg.tau) + cfg.alpha * _softmax(z)
 
 
 def _dem_value(z: np.ndarray, cfg: DemConfig) -> float:
-    """Value kernel of :func:`dem_eval`: ``T_tau(z) + alpha * Q(z)``, signed."""
-    return _sign(cfg.direction) * (_tempered(z, cfg.tau)[1] + cfg.alpha * _logsumexp(z))
-
-
-def _sign(direction: str) -> float:
-    if direction == "minimize":
-        return 1.0
-    if direction == "maximize":
-        return -1.0
-    raise ValueError(f"unknown direction {direction!r}")
+    """Value kernel of :func:`dem_eval`: ``T_tau(z) + alpha * Q(z)``."""
+    return _tempered(z, cfg.tau)[1] + cfg.alpha * _logsumexp(z)
 
 
 def conditional_entropy(z) -> float:
@@ -202,24 +189,23 @@ def gmc_reward(z) -> np.ndarray:
     return -_softmax(_logits(z))
 
 
-def em_eval(z, direction: str = "minimize") -> LossEval:
+def em_eval(z) -> LossEval:
     """Classical EM: value ``H(z)``, gradient ``-p_i (T + z_i)``."""
     z = _logits(z)
-    sign = _sign(direction)
-    return LossEval(sign * _entropy(z), sign * _em_grad(z))
+    return LossEval(_entropy(z), _em_grad(z))
 
 
-def detached_em_eval(z, direction: str = "minimize") -> LossEval:
+def detached_em_eval(z) -> LossEval:
     """Surrogate ``-sum_i (p_i - const(p_i)) z_i``.
 
     The constant copy cancels at the evaluation point, so the value is
     exactly 0 while the gradient equals the classical EM gradient.
     """
     z = _logits(z)
-    return LossEval(0.0, _sign(direction) * _em_grad(z))
+    return LossEval(0.0, _em_grad(z))
 
 
-def cadf_tempered_eval(z, tau: float, direction: str = "minimize") -> LossEval:
+def cadf_tempered_eval(z, tau: float) -> LossEval:
     """Tempered CADF: value ``-sum_i p_{tau,i} z_i``.
 
     The gradient is ``-(1/tau) p_{tau,i} (T_tau + z_i + tau)`` where
@@ -229,8 +215,7 @@ def cadf_tempered_eval(z, tau: float, direction: str = "minimize") -> LossEval:
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     z = _logits(z)
-    grad = _sign(direction) * _cadf_tempered_grad(z, tau)
-    return LossEval(_cadf_tempered_value(z, tau, direction), grad)
+    return LossEval(_cadf_tempered_value(z, tau), _cadf_tempered_grad(z, tau))
 
 
 def validate_config(tau: float, alpha: float) -> bool:
@@ -293,16 +278,15 @@ def reward_curve(C: int, cfg: DemConfig, m_grid) -> list[tuple[float, float, flo
     return rows
 
 
-def em_rows(Z: np.ndarray, direction: str = "minimize") -> tuple[np.ndarray, np.ndarray]:
+def em_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched classical EM: per-row values and gradients for ``n x C`` logits."""
-    sign = _sign(direction)
     lse = logsumexp_rows(Z)
     logp = Z - lse[:, None]
     P = np.exp(logp)
     values = -np.sum(P * logp, axis=1)
     S = np.sum(P * Z, axis=1, keepdims=True)
     grads = -P * (Z - S)
-    return sign * values, sign * grads
+    return values, grads
 
 
 def dem_row_values(Z: np.ndarray, cfg: DemConfig) -> np.ndarray:
@@ -313,7 +297,7 @@ def dem_row_values(Z: np.ndarray, cfg: DemConfig) -> np.ndarray:
     """
     P_tau = softmax_rows(Z / cfg.tau)
     S_tau = np.sum(P_tau * Z, axis=1, keepdims=True)
-    return _sign(cfg.direction) * (-S_tau[:, 0] + cfg.alpha * logsumexp_rows(Z))
+    return -S_tau[:, 0] + cfg.alpha * logsumexp_rows(Z)
 
 
 def dem_rows(Z: np.ndarray, P: np.ndarray, cfg: DemConfig) -> np.ndarray:
@@ -326,9 +310,6 @@ def dem_rows(Z: np.ndarray, P: np.ndarray, cfg: DemConfig) -> np.ndarray:
     """
     P_tau = softmax_rows(Z / cfg.tau)
     S_tau = np.sum(P_tau * Z, axis=1, keepdims=True)
-    # The same bits as -(P_tau / tau) * (Z - S_tau + tau) + alpha * P
-    # times the direction's sign: IEEE negation and subtraction are exact.
-    grads = cfg.alpha * P - (P_tau / cfg.tau) * (Z - S_tau + cfg.tau)
-    if cfg.direction == "maximize":
-        np.negative(grads, out=grads)
-    return grads
+    # The same bits as -(P_tau / tau) * (Z - S_tau + tau) + alpha * P:
+    # IEEE negation is exact and addition commutes.
+    return cfg.alpha * P - (P_tau / cfg.tau) * (Z - S_tau + cfg.tau)

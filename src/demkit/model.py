@@ -357,13 +357,10 @@ class CrossEntropyPlugin:
 class EmPlugin:
     """Classical entropy minimization."""
 
-    def __init__(self, direction: str = "minimize"):
-        self.direction = direction
-
     def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
         # em_rows builds its probabilities as exp(Z - lse), whose bits
         # differ from softmax_rows(Z), so P is not used here.
-        return _em.em_rows(Z, self.direction)[1]
+        return _em.em_rows(Z)[1]
 
 
 class DemPlugin:
@@ -384,17 +381,15 @@ class AdaDemPlugin:
         self,
         variant: _adadem.AdaDemVariant = _adadem.AdaDemVariant(),
         pi: float = 0.1,
-        direction: str = "minimize",
     ):
         self.variant = variant
         self.pi = pi
-        self.direction = direction
         self.state = None
 
     def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
         if self.state is None:
             self.state = _adadem.mec_init(Z.shape[1], pi=self.pi)
-        return _adadem.adadem_rows(Z, P, self.state, self.variant, self.direction)[1]
+        return _adadem.adadem_rows(Z, P, self.state, self.variant)[1]
 
 
 class DivergenceError(FloatingPointError):

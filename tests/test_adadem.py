@@ -36,10 +36,9 @@ def _mec_update_per_class(state, P, labels):
     return state
 
 
-def _adadem_rows_unshared(Z, state, variant, direction):
+def _adadem_rows_unshared(Z, state, variant):
     """``adadem_rows`` with softmax, ``S`` and the reward rows recomputed
     where each is used, as before they were computed once and shared."""
-    sign = 1.0 if direction == "minimize" else -1.0
     P = softmax_rows(Z)
     labels = np.argmax(P, axis=1)
     _mec_update_per_class(state, P, labels)
@@ -60,7 +59,7 @@ def _adadem_rows_unshared(Z, state, variant, direction):
     S = np.sum(P * Z, axis=1, keepdims=True)
     values = -np.sum((P - Cmat) * Z, axis=1, keepdims=True) / d
     grads = -(P * (Z + 1.0 - S) - Cmat) / d
-    return sign * values[:, 0], sign * grads
+    return values[:, 0], grads
 
 
 logit_vectors = st.lists(
@@ -395,14 +394,6 @@ class TestAdaDemRows:
         c = sa.table[int(np.argmax(p))]
         np.testing.assert_allclose(g1[0] - g0[0], c / d, rtol=1e-12)
 
-    def test_maximize_flips_sign(self):
-        z = np.array([[1.0, 2.0, -0.5]])
-        sa, sb = mec_init(3), mec_init(3)
-        v_min, g_min = adadem_rows(z, softmax_rows(z), sa, direction="minimize")
-        v_max, g_max = adadem_rows(z, softmax_rows(z), sb, direction="maximize")
-        np.testing.assert_array_equal(v_max, -v_min)
-        np.testing.assert_array_equal(g_max, -g_min)
-
     @pytest.mark.parametrize("norm", NORM_KINDS)
     @pytest.mark.parametrize("source", DELTA_SOURCES)
     @pytest.mark.parametrize("kind", VARIANT_KINDS)
@@ -413,17 +404,16 @@ class TestAdaDemRows:
         # unshared formulas exactly, over several batches of one stream.
         variant = AdaDemVariant(kind=kind, mec_alpha=0.7, delta_source=source, norm=norm)
         rng = np.random.default_rng(23)
-        for direction in ("minimize", "maximize"):
-            ours, ref = mec_init(7, pi=0.2), mec_init(7, pi=0.2)
-            for n in (64, 1, 13):
-                Z = rng.uniform(-9.0, 9.0, (n, 7))
-                P = softmax_rows(Z)
-                values, grads = adadem_rows(Z, P, ours, variant, direction)
-                ref_values, ref_grads = _adadem_rows_unshared(Z, ref, variant, direction)
-                assert np.array_equal(values, ref_values)
-                assert np.array_equal(grads, ref_grads)
-                assert np.array_equal(ours.table, ref.table)
-                assert np.array_equal(P, softmax_rows(Z))  # P is read, not written
+        ours, ref = mec_init(7, pi=0.2), mec_init(7, pi=0.2)
+        for n in (64, 1, 13):
+            Z = rng.uniform(-9.0, 9.0, (n, 7))
+            P = softmax_rows(Z)
+            values, grads = adadem_rows(Z, P, ours, variant)
+            ref_values, ref_grads = _adadem_rows_unshared(Z, ref, variant)
+            assert np.array_equal(values, ref_values)
+            assert np.array_equal(grads, ref_grads)
+            assert np.array_equal(ours.table, ref.table)
+            assert np.array_equal(P, softmax_rows(Z))  # P is read, not written
 
     def test_never_calls_the_validating_update(self, monkeypatch):
         # adadem_rows builds P and its argmax labels itself, so it runs

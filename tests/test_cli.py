@@ -128,14 +128,6 @@ class TestLoadConfig:
         with pytest.raises(UsageError, match="schema"):
             load_config(str(path))
 
-    def test_rho_and_priors_conflict(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(
-            json.dumps({"stream": {"label_rho": 5.0, "label_priors": [0.5, 0.5]}})
-        )
-        with pytest.raises(UsageError, match="pick one"):
-            load_config(str(path))
-
     def test_missing_file_and_bad_json(self, tmp_path):
         with pytest.raises(UsageError):
             load_config(str(tmp_path / "absent.json"))
@@ -204,6 +196,18 @@ class TestRewardCurveCommand:
         assert main(base + ["--m-step", "0"]) == EXIT_USAGE
         assert main(base + ["--m-min", "2", "--m-max", "1"]) == EXIT_USAGE
         assert main(base + ["--c", "1"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--m-min", "--m-max", "--m-step", "--tau", "--alpha"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_flag_exit_64(self, tmp_path, capsys, flag, value):
+        # An infinite --m-max cannot size the grid, and tau = inf with
+        # alpha = 0 makes every reward NaN.
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["reward-curve", f"{flag}={value}", "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument {flag}: must be finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGradcheckCommand:
@@ -403,18 +407,25 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
         assert "schema violation at mixture/d" in capsys.readouterr().err
 
-    def test_label_priors_length_checked(self, tmp_path):
-        cfg = small_config(
-            tmp_path,
-            stream={
-                "mode": "single_domain",
-                "shifts": [{"kind": "translate"}],
-                "batches_per_shift": 2,
-                "batch_size": 8,
-                "label_priors": [0.5, 0.5],  # mixture has five classes
-            },
-        )
+    def test_maximize_direction_rejected(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, loss={"name": "em", "direction": "maximize"})
         assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
+        assert "schema violation at loss/direction" in capsys.readouterr().err
+
+    def test_label_priors_rejected(self, tmp_path, capsys):
+        stream = {"mode": "single_domain", "label_priors": [0.2] * 5}
+        cfg = small_config(tmp_path, stream=stream)
+        assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
+        assert "schema violation at stream:" in capsys.readouterr().err
+
+    def test_minimize_direction_still_runs(self, tmp_path):
+        # The spelled-out direction is the only one, so it changes no byte.
+        metrics = []
+        for loss in ({"name": "em"}, {"name": "em", "direction": "minimize"}):
+            cfg = small_config(tmp_path, loss=loss)
+            assert main(["run", "--config", str(cfg)]) == EXIT_OK
+            metrics.append((tmp_path / "out" / "metrics.csv").read_bytes())
+        assert metrics[1] == metrics[0]
 
 
 class TestGridSearchCommand:

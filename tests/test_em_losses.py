@@ -105,12 +105,6 @@ class TestEmGradient:
     def test_value_is_the_entropy(self):
         assert em_eval(Z123).value == conditional_entropy(Z123)
 
-    def test_maximize_flips_sign(self):
-        lo = em_eval(Z123, "minimize")
-        hi = em_eval(Z123, "maximize")
-        assert hi.value == -lo.value
-        np.testing.assert_array_equal(hi.grad, -lo.grad)
-
     @given(logit_vectors)
     @settings(max_examples=60)
     def test_matches_finite_differences(self, z):
@@ -131,11 +125,6 @@ class TestDetachedEm:
         det = detached_em_eval(z)
         assert det.value == 0.0
         assert rel_err(det.grad, em_eval(z).grad) <= 1e-12
-
-    def test_maximize_direction_passes_through(self):
-        np.testing.assert_array_equal(
-            detached_em_eval(Z123, "maximize").grad, em_eval(Z123, "maximize").grad
-        )
 
 
 class TestTemperedCadf:
@@ -249,12 +238,6 @@ class TestDem:
         expected = cadf_tempered_eval(Z123, 1.5).value + 0.8 * gmc(Z123)
         assert dem_eval(Z123, cfg).value == pytest.approx(expected, abs=1e-15)
 
-    def test_maximize_flips_sign(self):
-        lo = dem_eval(Z123, DemConfig(1.2, 0.5))
-        hi = dem_eval(Z123, DemConfig(1.2, 0.5, "maximize"))
-        assert hi.value == -lo.value
-        np.testing.assert_array_equal(hi.grad, -lo.grad)
-
     @given(
         logit_vectors,
         st.floats(min_value=0.2, max_value=2.0),
@@ -333,23 +316,21 @@ class TestBatchedRows:
             assert abs(values[i] - single.value) < 1e-12
             assert rel_err(grads[i], single.grad) < 1e-12
 
-    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
     @pytest.mark.parametrize("tau, alpha", [(1.0, 1.0), (1.4, 0.9), (0.3, 0.0), (2.0, 1.0)])
-    def test_dem_rows_and_values_keep_the_bits_of_the_joint_kernel(self, tau, alpha, direction):
+    def test_dem_rows_and_values_keep_the_bits_of_the_joint_kernel(self, tau, alpha):
         # The joint (values, grads) kernel that dem_rows and
         # dem_row_values were split from, operation for operation.  Bytes
         # are compared, so a signed zero counts; all-zero columns and
         # logit scales from 0.1 to 30 reach them.
         def joint(Z, P, cfg):
-            sign = 1.0 if cfg.direction == "minimize" else -1.0
             P_tau = softmax_rows(Z / cfg.tau)
             S_tau = np.sum(P_tau * Z, axis=1, keepdims=True)
             values = -S_tau[:, 0] + cfg.alpha * logsumexp_rows(Z)
             grads = -(P_tau / cfg.tau) * (Z - S_tau + cfg.tau) + cfg.alpha * P
-            return sign * values, sign * grads
+            return values, grads
 
         rng = np.random.default_rng(7)
-        cfg = DemConfig(tau, alpha, direction)
+        cfg = DemConfig(tau, alpha)
         for scale in (0.1, 1.0, 12.0, 30.0):
             for n, C in ((64, 10), (1, 2), (17, 5)):
                 Z = rng.uniform(-scale, scale, (n, C))
@@ -358,13 +339,6 @@ class TestBatchedRows:
                 values, grads = joint(Z, P, cfg)
                 assert dem_row_values(Z, cfg).tobytes() == values.tobytes()
                 assert dem_rows(Z, P, cfg).tobytes() == grads.tobytes()
-
-    def test_direction_flips_batch(self):
-        Z = np.array([[1.0, -1.0, 0.0]])
-        v_min, g_min = em_rows(Z, "minimize")
-        v_max, g_max = em_rows(Z, "maximize")
-        np.testing.assert_array_equal(v_max, -v_min)
-        np.testing.assert_array_equal(g_max, -g_min)
 
 
 # Every public scalar entry point, as a one-argument call on the logits,
@@ -441,25 +415,22 @@ class TestValueKernels:
     """Each public ``*_eval(...).value`` is its value kernel's result, bit
     for bit: the function that ``gradcheck`` differentiates."""
 
-    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
     @pytest.mark.parametrize("tau, alpha", [(1.0, 1.0), (0.3, 2.0), (1.7, 0.4), (2.5, 0.0)])
-    def test_dem(self, tau, alpha, direction):
-        cfg = DemConfig(tau, alpha, direction)
-        sign = 1.0 if direction == "minimize" else -1.0
+    def test_dem(self, tau, alpha):
+        cfg = DemConfig(tau, alpha)
         for z in _value_kernel_logits():
             value = em_losses._dem_value(z, cfg)
             assert _bits(value) == _bits(dem_eval(z, cfg).value)
             # The expression the joint value-and-gradient code computed.
             p_tau = softmax(z / tau)
-            expected = sign * (-np.dot(p_tau, z) + alpha * numkit.logsumexp(z))
+            expected = -np.dot(p_tau, z) + alpha * numkit.logsumexp(z)
             assert _bits(value) == _bits(expected)
 
-    @pytest.mark.parametrize("direction", ["minimize", "maximize"])
     @pytest.mark.parametrize("tau", [0.3, 1.0, 2.2])
-    def test_cadf_tempered(self, tau, direction):
+    def test_cadf_tempered(self, tau):
         for z in _value_kernel_logits():
-            value = em_losses._cadf_tempered_value(z, tau, direction)
-            assert _bits(value) == _bits(cadf_tempered_eval(z, tau, direction).value)
+            value = em_losses._cadf_tempered_value(z, tau)
+            assert _bits(value) == _bits(cadf_tempered_eval(z, tau).value)
 
     def test_cross_entropy(self):
         for z in _value_kernel_logits():
@@ -472,7 +443,6 @@ class TestValueKernels:
             value = em_losses._entropy(z)
             assert _bits(value) == _bits(conditional_entropy(z))
             assert _bits(value) == _bits(em_eval(z).value)
-            assert _bits(-value) == _bits(em_eval(z, "maximize").value)
 
     def test_value_kernels_refuse_overflow_at_temperature(self):
         cfg = DemConfig(1e-10, 0.0)
