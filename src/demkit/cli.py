@@ -24,6 +24,13 @@ builders hand config sections to the library types, whose own defaults
 fill a shift's omitted magnitude and level.  The ``loss`` section admits the unsupervised family only
 (em, dem, adadem) - the adaptation loop never sees labels, which flow
 exclusively to metrics and, for grid search scoring, to the held subset.
+
+``SCHEMA`` is JSON Schema (draft 2020-12), so any JSON Schema tool can
+check a config.  The CLI checks it with ``_schema_errors``, a walker over
+the keywords ``SCHEMA`` uses that reports jsonschema's message texts, so
+numpy is the only runtime dependency.  One rule is stricter than the
+draft: an integer setting takes a JSON integer only, and ``300.0`` is a
+schema violation (exit 64).
 """
 
 from __future__ import annotations
@@ -40,7 +47,6 @@ from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import adadem as _ad
 from . import bench as _bench
@@ -230,6 +236,83 @@ SCHEMA = {
 }
 
 
+# The JSON types ``SCHEMA`` names.  An ``"integer"`` is a Python ``int``,
+# so an integral float such as ``300.0`` is refused (draft 2020-12 admits it).
+_JSON_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+}
+
+
+def _same(x, constant) -> bool:
+    """JSON equality with a scalar of ``SCHEMA``: ``2.0`` and ``True`` are not ``2``."""
+    return type(x) is type(constant) and x == constant
+
+
+def _schema_errors(node: dict, x, path: tuple = ()):
+    """Yield a ``(path, message)`` pair for each way ``x`` violates ``node``.
+
+    Covers the keywords ``SCHEMA`` uses, visited in the node's order with
+    jsonschema 4.26's message texts, and refuses any other keyword.
+    """
+    number = _JSON_TYPES["number"](x)
+    for key, want in node.items():
+        match key:
+            case "$schema" | "default":
+                pass
+            case "type":
+                if not _JSON_TYPES[want](x):
+                    yield path, f"{x!r} is not of type {want!r}"
+            case "enum":
+                if not any(_same(x, v) for v in want):
+                    yield path, f"{x!r} is not one of {want!r}"
+            case "const":
+                if not _same(x, want):
+                    yield path, f"{want!r} was expected"
+            case "minimum":
+                if number and x < want:
+                    yield path, f"{x!r} is less than the minimum of {want!r}"
+            case "maximum":
+                if number and x > want:
+                    yield path, f"{x!r} is greater than the maximum of {want!r}"
+            case "exclusiveMinimum":
+                if number and x <= want:
+                    yield path, f"{x!r} is less than or equal to the minimum of {want!r}"
+            case "exclusiveMaximum":
+                if number and x >= want:
+                    yield path, f"{x!r} is greater than or equal to the maximum of {want!r}"
+            case "minLength" | "minItems":
+                if isinstance(x, str if key == "minLength" else list) and len(x) < want:
+                    yield path, f"{x!r} {'should be non-empty' if want == 1 else 'is too short'}"
+            case "items":
+                if isinstance(x, list):
+                    for i, item in enumerate(x):
+                        yield from _schema_errors(want, item, path + (i,))
+            case "required":
+                if isinstance(x, dict):
+                    for name in want:
+                        if name not in x:
+                            yield path, f"{name!r} is a required property"
+            case "properties":
+                if isinstance(x, dict):
+                    for name, sub in want.items():
+                        if name in x:
+                            yield from _schema_errors(sub, x[name], path + (name,))
+            case "additionalProperties" if want is False:
+                extras = isinstance(x, dict) and sorted(set(x) - set(node["properties"]))
+                if extras:
+                    listed = ", ".join(repr(k) for k in extras)
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, (
+                        f"Additional properties are not allowed ({listed} {verb} unexpected)"
+                    )
+            case _:
+                raise KeyError(f"schema keyword {key!r} is not supported")
+
+
 def _defaults(node: dict):
     """The value of a schema node's ``"default"`` annotations, as a config."""
     if "default" in node:
@@ -264,12 +347,11 @@ def load_config(path: str) -> dict:
         raise UsageError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
-    errors = sorted(
-        Draft202012Validator(SCHEMA).iter_errors(user), key=lambda e: list(e.path)
-    )
+    errors = sorted(_schema_errors(SCHEMA, user), key=lambda e: e[0])
     if errors:
-        where = "/".join(str(p) for p in errors[0].path) or "<root>"
-        raise UsageError(f"config schema violation at {where}: {errors[0].message}")
+        path, message = errors[0]
+        where = "/".join(str(p) for p in path) or "<root>"
+        raise UsageError(f"config schema violation at {where}: {message}")
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     for key, value in user.items():
         if isinstance(value, dict):

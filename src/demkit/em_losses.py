@@ -47,6 +47,7 @@ exactly the function whose value the public API returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,22 +97,25 @@ class ConfigError(ValueError):
 class DemConfig:
     """Decoupled-EM configuration: temperature and GMC weight.
 
-    ``alpha = 0`` (pure tempered CADF) is always admitted; for
-    ``alpha > 0`` the pair must satisfy ``tau <= 2/alpha``.  An invalid
-    pair is rejected at construction with a ``ConfigError`` naming the
-    violated bound, so the losses taking a ``DemConfig`` never check it.
+    Both must be finite.  ``alpha = 0`` (pure tempered CADF) is always
+    admitted; for ``alpha > 0`` the pair must satisfy ``tau <= 2/alpha``.
+    An invalid pair is rejected at construction with a ``ConfigError``
+    naming the violated bound, so the losses taking a ``DemConfig`` never
+    check it.
     """
 
     tau: float
     alpha: float
 
     def __post_init__(self):
-        if not validate_config(self.tau, self.alpha):
+        if validate_config(self.tau, self.alpha):
+            return
+        if math.isfinite(self.tau) and math.isfinite(self.alpha):
             bound = 2.0 / self.alpha if self.alpha else float("inf")
-            raise ConfigError(
-                f"invalid hyperparameters tau={self.tau}, alpha={self.alpha}: "
-                f"requires tau > 0 and, for alpha > 0, tau <= 2/alpha = {bound:.6g}"
-            )
+            need = f"requires tau > 0 and, for alpha > 0, tau <= 2/alpha = {bound:.6g}"
+        else:
+            need = "requires finite tau and alpha"
+        raise ConfigError(f"invalid hyperparameters tau={self.tau}, alpha={self.alpha}: {need}")
 
 
 def _logits(z) -> np.ndarray:
@@ -221,12 +225,14 @@ def cadf_tempered_eval(z, tau: float) -> LossEval:
 def validate_config(tau: float, alpha: float) -> bool:
     """Whether (tau, alpha) lies in the valid region.
 
-    True iff ``tau > 0`` and either ``alpha = 0`` (the pure-CADF
-    ablation, always admitted) or ``tau <= 2/alpha`` with a 1e-12 slack
-    so grids that land exactly on the boundary are kept.  A NaN tau or
-    alpha is never valid.
+    True iff both are finite, ``tau > 0`` and either ``alpha = 0`` (the
+    pure-CADF ablation, always admitted) or ``tau <= 2/alpha`` with a
+    1e-12 slack so grids that land exactly on the boundary are kept.  A
+    NaN or infinite tau or alpha is never valid: ``tau = inf`` at
+    ``alpha = 0`` and ``alpha = inf`` at a tiny tau would otherwise pass
+    and give NaN gradients.
     """
-    if not tau > 0:
+    if not (tau > 0 and math.isfinite(tau) and math.isfinite(alpha)):
         return False
     if alpha == 0:
         return True

@@ -129,14 +129,14 @@ def tempered_softmax(z, tau: float) -> np.ndarray:
 def _scaled(z: np.ndarray, tau: float) -> np.ndarray:
     """``z / tau`` for a validated vector, refusing a quotient that overflows.
 
-    The overflow is reported by the ``ValueError`` alone, not also by a
-    numpy warning.
+    An entry of ``z / tau`` overflows exactly when ``max|z| / tau`` does,
+    so that one Python-float division is checked before the array is
+    divided, and the overflow is reported by the ``ValueError`` alone,
+    not also by a numpy warning.
     """
-    with np.errstate(over="ignore"):
-        zt = z / tau
-    if not np.isfinite(zt).all():
+    if math.isinf(float(np.maximum.reduce(np.abs(z))) / float(tau)):
         raise ValueError(f"logits / temperature overflow at tau={tau}")
-    return zt
+    return z / tau
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], z, h: float = 1e-5) -> np.ndarray:

@@ -9,9 +9,12 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 from demkit.cli import (
@@ -23,6 +26,7 @@ from demkit.cli import (
     METRICS_HEADER,
     SCHEMA,
     UsageError,
+    _schema_errors,
     fmt9,
     jround,
     load_config,
@@ -30,6 +34,7 @@ from demkit.cli import (
     vec9,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GRADCHECK_TRIALS_40_SEED_3 = """\
 gradcheck adadem: max rel err 1.87395044e-10 [ok]
@@ -100,6 +105,7 @@ class TestFormatting:
 class TestLoadConfig:
     def test_defaults_validate_against_the_schema(self):
         Draft202012Validator(SCHEMA).validate(DEFAULT_CONFIG)
+        assert list(_schema_errors(SCHEMA, DEFAULT_CONFIG)) == []
 
     def test_default_shifts_are_distinct_dicts(self):
         # deepcopy keeps aliasing, so load_config's copies stay distinct too.
@@ -158,6 +164,152 @@ class TestLoadConfig:
         path.write_text('{"optimizer": {"lr": 1e999}}')
         with pytest.raises(UsageError, match="1e999 is not finite"):
             load_config(str(path))
+
+
+def _schema_nodes(node=SCHEMA, path=()):
+    """Every ``(path, node)`` of ``SCHEMA``, the root included."""
+    yield path, node
+    for name, sub in node.get("properties", {}).items():
+        yield from _schema_nodes(sub, path + (name,))
+    if "items" in node:
+        yield from _schema_nodes(node["items"], path + ("items",))
+
+
+def _sorted_errors(errors):
+    return sorted(errors, key=lambda e: e[0])
+
+
+def _jsonschema_errors(config):
+    errors = Draft202012Validator(SCHEMA).iter_errors(config)
+    return _sorted_errors((tuple(e.path), e.message) for e in errors)
+
+
+def _integral_float_paths(config, node=SCHEMA, path=()):
+    """Paths of integral floats in integer settings, which only demkit refuses."""
+    integer = node.get("type") == "integer" or type(node.get("const")) is int
+    if integer and isinstance(config, float) and config.is_integer():
+        yield path
+    if isinstance(config, dict):
+        for name, sub in node.get("properties", {}).items():
+            if name in config:
+                yield from _integral_float_paths(config[name], sub, path + (name,))
+    if isinstance(config, list) and "items" in node:
+        for i, item in enumerate(config):
+            yield from _integral_float_paths(item, node["items"], path + (i,))
+
+
+_SCHEMA_STRINGS = sorted(
+    {v for _, node in _schema_nodes() for v in node.get("enum", ()) if isinstance(v, str)}
+    | {"minimize", "maximize", ""}
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 5.0, 6.0, 300.0, 1e-300, 1e300]),
+    st.floats(-3.0, 12.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_SCHEMA_STRINGS),
+    st.text(max_size=2),
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=2), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _weighted(common, weight, rare):
+    """``common`` ``weight`` times as often as ``rare`` (``one_of`` would merge repeats)."""
+    return st.sampled_from([common] * weight + [rare]).flatmap(lambda s: s)
+
+
+_BOUNDS = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
+
+
+def _instances(node):
+    """Values for a schema node: mostly shaped like it, sometimes any JSON."""
+    if "properties" in node:
+        known = st.fixed_dictionaries(
+            {}, optional={k: _instances(sub) for k, sub in node["properties"].items()}
+        )
+        extra = st.dictionaries(st.sampled_from(["typo", "Z", "a b", "0"]), _SCALARS, max_size=2)
+        shaped = st.builds(lambda k, e: {**e, **k}, known, _weighted(st.just({}), 2, extra))
+    elif "items" in node:
+        shaped = st.lists(_instances(node["items"]), max_size=3)
+    else:
+        # The node's own values and numbers on and around its bounds.
+        named = list(node.get("enum", [])) + ([node["const"]] if "const" in node else [])
+        near = [node[k] + d for k in _BOUNDS if k in node for d in (-1, -0.5, 0, 0.5)]
+        shaped = st.sampled_from(named + near) | _SCALARS if named + near else _SCALARS
+    return _weighted(shaped, 7, _JSON)
+
+
+class TestSchemaValidator:
+    """``cli._schema_errors`` against jsonschema's ``Draft202012Validator``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_instances(SCHEMA))
+    def test_matches_jsonschema_except_integral_floats(self, config):
+        floats = set(_integral_float_paths(config))
+        ours = _sorted_errors(_schema_errors(SCHEMA, config))
+        theirs = _jsonschema_errors(config)
+        assert floats <= {path for path, _ in ours}
+        # Elsewhere every (path, message) pair and their order agree, so
+        # without integral floats load_config reports jsonschema's first error.
+        assert [e for e in ours if e[0] not in floats] == [
+            e for e in theirs if e[0] not in floats
+        ]
+
+    def test_every_schema_keyword_is_handled(self):
+        # An unhandled keyword raises, whatever the instance.
+        for _, node in _schema_nodes():
+            for probe in (None, True, 0, 0.5, "", [], {}):
+                list(_schema_errors(node, probe))
+
+    def test_unhandled_keyword_raises(self):
+        with pytest.raises(KeyError, match="'pattern' is not supported"):
+            list(_schema_errors({"type": "string", "pattern": "x"}, "y"))
+        with pytest.raises(KeyError, match="'additionalProperties'"):
+            list(_schema_errors({"additionalProperties": True}, {}))
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_configs_have_no_errors(self, path):
+        config = json.loads(path.read_text())
+        assert list(_schema_errors(SCHEMA, config)) == []
+
+    @pytest.mark.parametrize(
+        "config, path, message",
+        [
+            ([], (), "[] is not of type 'object'"),
+            ({"b": 1, "a": 2}, (), "Additional properties are not allowed ('a', 'b' were unexpected)"),
+            ({"seed": -1}, ("seed",), "-1 is less than the minimum of 0"),
+            ({"output_dir": ""}, ("output_dir",), "'' should be non-empty"),
+            ({"lrs": []}, ("lrs",), "[] should be non-empty"),
+            ({"lrs": [0.1, "x"]}, ("lrs", 1), "'x' is not of type 'number'"),
+            ({"mixture": {"d": 3}}, ("mixture", "d"), "2 was expected"),
+            (
+                {"source": {"momentum": 1}},
+                ("source", "momentum"),
+                "1 is greater than or equal to the maximum of 1",
+            ),
+            ({"grid": {"step": 0}}, ("grid", "step"), "0 is less than or equal to the minimum of 0"),
+            ({"loss": {"pi": 1.5}}, ("loss", "pi"), "1.5 is greater than the maximum of 1"),
+            ({"loss": {"name": "ce"}}, ("loss", "name"), "'ce' is not one of ['em', 'dem', 'adadem']"),
+            ({"stream": {"shifts": [{}]}}, ("stream", "shifts", 0), "'kind' is a required property"),
+        ],
+    )
+    def test_messages_are_jsonschemas(self, config, path, message):
+        first = (path, message)
+        assert _sorted_errors(_schema_errors(SCHEMA, config))[0] == first
+        assert _jsonschema_errors(config)[0] == first
+
+    def test_import_leaves_jsonschema_unloaded(self):
+        code = "import sys, demkit.cli; print('jsonschema' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestRewardCurveCommand:
@@ -406,6 +558,31 @@ class TestRunCommand:
         cfg = small_config(tmp_path, mixture={"C": 5, "d": 3, "radius": 4.0, "sigma": 1.0})
         assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
         assert "schema violation at mixture/d" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, where, message",
+        [
+            ({"seed": 1.0}, "seed", "1.0 is not of type 'integer'"),
+            ({"source": {"epochs": 300.0}}, "source/epochs", "300.0 is not of type 'integer'"),
+            ({"mixture": {"C": 4.0}}, "mixture/C", "4.0 is not of type 'integer'"),
+            ({"mixture": {"d": 2.0}}, "mixture/d", "2 was expected"),
+            (
+                {"stream": {"shifts": [{"kind": "rotate2d", "level": 2.0}]}},
+                "stream/shifts/0/level",
+                "2.0 is not of type 'integer'",
+            ),
+        ],
+        ids=["seed", "epochs", "C", "d", "level"],
+    )
+    def test_integral_float_setting_exit_64(self, tmp_path, capsys, overrides, where, message):
+        # JSON Schema's "integer" admits 300.0; demkit wants a JSON integer,
+        # since a float seed, count or class number crashed, and a float
+        # level keyed different stream data than the integer.
+        cfg = small_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"demkit: config schema violation at {where}: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_maximize_direction_rejected(self, tmp_path, capsys):
         cfg = small_config(tmp_path, loss={"name": "em", "direction": "maximize"})

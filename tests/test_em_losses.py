@@ -172,6 +172,17 @@ class TestValidityRegion:
         with pytest.raises(ConfigError, match="invalid hyperparameters"):
             DemConfig(math.nan, 0.0)
 
+    @pytest.mark.parametrize(
+        "tau, alpha",
+        [(math.inf, 0.0), (1e-13, math.inf), (0.0, math.inf), (1.0, -math.inf)],
+    )
+    def test_non_finite_settings_are_refused(self, tau, alpha):
+        # tau = inf passed at alpha = 0, and alpha = inf at tau <= 1e-12
+        # (2/inf + slack), and dem_eval then returned NaN gradients.
+        assert not validate_config(tau, alpha)
+        with pytest.raises(ConfigError, match="requires finite tau and alpha"):
+            DemConfig(tau, alpha)
+
     def test_boundary_second_derivative_reference(self):
         # (1 - 1/10) * (1/10 - 2/10) in double precision.
         assert boundary_second_derivative(1.0, 1.0, 10) == -0.09000000000000001

@@ -1,6 +1,7 @@
 """Tests for the numeric kernel: stable reductions and the counter RNG."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from demkit.numkit import (
     Rng,
     _logsumexp,
+    _scaled,
     _softmax,
     as_matrix,
     as_vector,
@@ -130,6 +132,37 @@ class TestSoftmax:
     def test_tempered_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             tempered_softmax([1.0, 2.0], 0.0)
+
+
+class TestScaled:
+    TOP = np.finfo(np.float64).max
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+        st.floats(min_value=5e-324, allow_infinity=False),
+    )
+    def test_quotient_keeps_the_bytes_of_the_division(self, z, tau):
+        z = np.asarray(z)
+        with np.errstate(over="ignore"):
+            expected = z / tau
+        if np.isfinite(expected).all():
+            assert _scaled(z, tau).tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(ValueError, match="overflow"):
+                _scaled(z, tau)
+
+    def test_largest_finite_quotient_is_kept(self):
+        z = np.array([self.TOP, -self.TOP, 0.0])
+        assert _scaled(z, 1.0).tobytes() == z.tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflow_is_refused_without_a_warning(self, sign):
+        # The quotient rounds up past the largest float by one ulp of tau.
+        tau = np.nextafter(1.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"logits / temperature overflow at tau={tau}"):
+                _scaled(np.array([0.5, sign * self.TOP]), tau)
 
 
 class TestFiniteDiff:
