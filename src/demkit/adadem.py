@@ -46,6 +46,7 @@ __all__ = [
     "mec_update",
     "adadem_eval",
     "adadem_rows",
+    "adadem_row_values",
     "DELTA_FLOOR",
 ]
 
@@ -175,14 +176,20 @@ def mec_update(state: MecState, probs, pseudo_labels) -> MecState:
 
 def _mec_update(state: MecState, P: np.ndarray, labels: np.ndarray) -> MecState:
     """Kernel of :func:`mec_update` for an ``n x C`` float64 ``P`` and
-    ``n`` int64 labels in ``[0, C)``; checks nothing."""
+    ``n`` int64 labels in ``[0, C)``; checks nothing.
+
+    It updates the whole table at once and copies back only the rows of
+    classes present in the batch; each copied row has the bits of the
+    per-row update, and dividing an absent class's zero sums by 1 instead
+    of 0 keeps the discarded rows finite.
+    """
     C = state.C
     sums = np.zeros((C, C))
     np.add.at(sums, labels, P)
     counts = np.bincount(labels, minlength=C)
-    present = counts > 0
-    means = sums[present] / counts[present][:, None]
-    state.table[present] = (1.0 - state.pi) * state.table[present] + state.pi * means
+    means = sums / np.maximum(counts, 1)[:, None]
+    new = (1.0 - state.pi) * state.table + state.pi * means
+    np.copyto(state.table, new, where=(counts > 0)[:, None])
     return state
 
 
@@ -211,40 +218,82 @@ def _deltas_rows(
     return np.max(np.abs(R), axis=1)
 
 
+def _checked(Z, P: np.ndarray, state: MecState) -> np.ndarray:
+    """``Z`` as a float64 matrix whose shape matches ``P`` and ``state``."""
+    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+    if Z.shape[1] != state.C:
+        raise ValueError(f"expected {state.C} classes, got {Z.shape[1]}")
+    if P.shape != Z.shape:
+        raise ValueError(f"probabilities of shape {P.shape} for logits of shape {Z.shape}")
+    return Z
+
+
+def _loss_terms(Z, P, labels, state, variant):
+    """The calibrator rows, CADF reward rows and floored deltas of a batch.
+
+    ``Cmat`` holds each row's calibrator row (``P`` itself for
+    ``norm_only``), read from ``state`` as it stands.  ``S`` is the
+    row-wise ``np.add.reduce(P * Z)``, the bits of ``np.sum``, and the
+    reward rows ``Rc = P * (Z + 1 - S)`` are built in one buffer in that
+    operand order (the product commutes).
+    """
+    if variant.kind == "norm_only":
+        Cmat = P
+    else:
+        Cmat = variant.mec_alpha * state.table[labels]
+    S = np.add.reduce(P * Z, axis=1, keepdims=True)
+    Rc = Z + 1.0
+    Rc -= S
+    Rc *= P
+    d = np.maximum(_deltas_rows(Z, P, S, Rc, variant), DELTA_FLOOR)[:, None]
+    return Cmat, Rc, d
+
+
 def adadem_rows(
     Z: np.ndarray,
     P: np.ndarray,
     state: MecState,
     variant: AdaDemVariant = AdaDemVariant(),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched AdaDEM: updates ``state``, returns per-row values and grads.
+) -> np.ndarray:
+    """Batched AdaDEM: updates ``state``, returns the per-row gradients.
 
-    The values are the losses ``L(z)`` of the module docstring, to be
-    minimized; the grads are their gradients w.r.t. the logits.
+    The gradients are those of the losses ``L(z)`` of the module
+    docstring w.r.t. the logits.  The adaptation loop reads gradients
+    only, so no loss values are built here; they are
+    :func:`adadem_row_values`.
 
     ``P`` must be ``softmax_rows(Z)``; it is read, never written, so a
     caller that scores it keeps its bits.  Ordering contract: the
     calibrator absorbs this batch first, then the loss is evaluated
     against the updated rows.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    if Z.shape[1] != state.C:
-        raise ValueError(f"expected {state.C} classes, got {Z.shape[1]}")
-    if P.shape != Z.shape:
-        raise ValueError(f"probabilities of shape {P.shape} for logits of shape {Z.shape}")
+    Z = _checked(Z, P, state)
     labels = np.argmax(P, axis=1)
     _mec_update(state, P, labels)
+    Cmat, grads, d = _loss_terms(Z, P, labels, state, variant)
+    # -(Rc - Cmat) / d, one operation at a time in the same buffer.
+    grads -= Cmat
+    np.negative(grads, out=grads)
+    grads /= d
+    return grads
 
-    if variant.kind == "norm_only":
-        Cmat = P
-    else:
-        Cmat = variant.mec_alpha * state.table[labels]
-    S = np.sum(P * Z, axis=1, keepdims=True)
-    Rc = P * (Z + 1.0 - S)
-    d = np.maximum(_deltas_rows(Z, P, S, Rc, variant), DELTA_FLOOR)[:, None]
-    values = -np.sum((P - Cmat) * Z, axis=1, keepdims=True) / d
-    grads = -(Rc - Cmat) / d
-    return values[:, 0], grads
+
+def adadem_row_values(
+    Z: np.ndarray,
+    P: np.ndarray,
+    state: MecState,
+    variant: AdaDemVariant = AdaDemVariant(),
+) -> np.ndarray:
+    """Batched AdaDEM: the per-row losses ``L(z)``, to be minimized.
+
+    These are the values whose gradients :func:`adadem_rows` returns.
+    ``state`` is read, not updated: call this after :func:`adadem_rows`
+    has absorbed the batch, so the values use the same calibrator rows
+    as the gradients.  ``P`` must be ``softmax_rows(Z)``.
+    """
+    Z = _checked(Z, P, state)
+    Cmat, _, d = _loss_terms(Z, P, np.argmax(P, axis=1), state, variant)
+    return (-np.sum((P - Cmat) * Z, axis=1, keepdims=True) / d)[:, 0]
 
 
 def adadem_eval(
@@ -262,5 +311,7 @@ def adadem_eval(
     Z = as_matrix(z_batch)
     if Z.shape[1] < 2:
         raise ValueError(f"logit rows need at least 2 entries, got {Z.shape[1]}")
-    values, grads = adadem_rows(Z, softmax_rows(Z), state, variant)
-    return [LossEval(float(v), g) for v, g in zip(values, grads.copy())]
+    P = softmax_rows(Z)
+    grads = adadem_rows(Z, P, state, variant)
+    values = adadem_row_values(Z, P, state, variant)
+    return [LossEval(float(v), g) for v, g in zip(values, grads)]

@@ -30,7 +30,9 @@ check a config.  The CLI checks it with ``_schema_errors``, a walker over
 the keywords ``SCHEMA`` uses that reports jsonschema's message texts, so
 numpy is the only runtime dependency.  One rule is stricter than the
 draft: an integer setting takes a JSON integer only, and ``300.0`` is a
-schema violation (exit 64).
+schema violation (exit 64).  A number setting refuses an integer literal
+too large for a float, such as ``1`` followed by 400 zeros (exit 64);
+integer settings such as ``seed`` take any JSON integer.
 """
 
 from __future__ import annotations
@@ -252,11 +254,21 @@ def _same(x, constant) -> bool:
     return type(x) is type(constant) and x == constant
 
 
+def _overflows_float(x: int) -> bool:
+    try:
+        float(x)
+    except OverflowError:
+        return True
+    return False
+
+
 def _schema_errors(node: dict, x, path: tuple = ()):
     """Yield a ``(path, message)`` pair for each way ``x`` violates ``node``.
 
     Covers the keywords ``SCHEMA`` uses, visited in the node's order with
-    jsonschema 4.26's message texts, and refuses any other keyword.
+    jsonschema 4.26's message texts, and refuses any other keyword.  A
+    ``"number"`` that is an integer too large for a float is an error
+    jsonschema does not report: every number setting is used as a float.
     """
     number = _JSON_TYPES["number"](x)
     for key, want in node.items():
@@ -266,6 +278,8 @@ def _schema_errors(node: dict, x, path: tuple = ()):
             case "type":
                 if not _JSON_TYPES[want](x):
                     yield path, f"{x!r} is not of type {want!r}"
+                elif want == "number" and isinstance(x, int) and _overflows_float(x):
+                    yield path, f"a {len(str(abs(x)))}-digit integer is too large for a float"
             case "enum":
                 if not any(_same(x, v) for v in want):
                     yield path, f"{x!r} is not one of {want!r}"
@@ -501,7 +515,7 @@ def _gradcheck_cases(rng: Rng, trials: int):
         batch = (rng.uniforms(3 * C).reshape(3, C) - 0.5) * 10.0
         _ad.adadem_rows(batch, softmax_rows(batch), state)
         frozen = state.copy()
-        analytic = _ad.adadem_rows(z[None, :], softmax_rows(z[None, :]), state)[1][0]
+        analytic = _ad.adadem_rows(z[None, :], softmax_rows(z[None, :]), state)[0]
         p = softmax(z)
         k = int(np.argmax(p))
         _ad.mec_update(frozen, p[None, :], [k])
@@ -567,8 +581,7 @@ def _end_to_end_cases(rng: Rng):
         _ad.adadem_rows(warm, softmax_rows(warm), state)
         Z0 = _model.forward(model, X)
         P0 = softmax_rows(Z0)
-        _, dlogits = _ad.adadem_rows(Z0, P0, state.copy())
-        grad = _model.backward(model, X, dlogits)
+        grad = _model.backward(model, X, _ad.adadem_rows(Z0, P0, state.copy()))
         labels0 = np.argmax(P0, axis=1)
         replay = state.copy()
         _ad.mec_update(replay, P0, labels0)

@@ -314,8 +314,17 @@ def dem_rows(Z: np.ndarray, P: np.ndarray, cfg: DemConfig) -> np.ndarray:
     reads gradients only, so no loss values are built here; they are
     :func:`dem_row_values`.
     """
-    P_tau = softmax_rows(Z / cfg.tau)
-    S_tau = np.sum(P_tau * Z, axis=1, keepdims=True)
-    # The same bits as -(P_tau / tau) * (Z - S_tau + tau) + alpha * P:
-    # IEEE negation is exact and addition commutes.
-    return cfg.alpha * P - (P_tau / cfg.tau) * (Z - S_tau + cfg.tau)
+    P_tau = softmax_rows(np.divide(Z, cfg.tau))
+    W = P_tau * Z
+    S_tau = np.add.reduce(W, axis=1, keepdims=True)
+    # alpha * P - (P_tau / tau) * (Z - S_tau + tau), built in place one
+    # operation at a time in that order; the product commutes, so the
+    # bits are those of -(P_tau / tau) * (Z - S_tau + tau) + alpha * P
+    # (IEEE negation is exact and addition commutes).
+    np.subtract(Z, S_tau, out=W)
+    W += cfg.tau
+    P_tau /= cfg.tau
+    W *= P_tau
+    G = cfg.alpha * P
+    G -= W
+    return G

@@ -389,7 +389,7 @@ class AdaDemPlugin:
     def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
         if self.state is None:
             self.state = _adadem.mec_init(Z.shape[1], pi=self.pi)
-        return _adadem.adadem_rows(Z, P, self.state, self.variant)[1]
+        return _adadem.adadem_rows(Z, P, self.state, self.variant)
 
 
 class DivergenceError(FloatingPointError):

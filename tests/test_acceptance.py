@@ -280,7 +280,7 @@ def test_c08_delta_normalization_exactness():
         C = int(rng.integers(1, 2, 13)[0])
         z = (rng.uniforms(C) - 0.5) * 30.0
         state = mec_init(C)
-        _, grads = adadem_rows(z[None, :], softmax_rows(z[None, :]), state, variant)
+        grads = adadem_rows(z[None, :], softmax_rows(z[None, :]), state, variant)
         worst = max(worst, rel_err(grads[0] * delta(z), em_eval(z).grad))
     ok = d_uniform == 1.0 and worst <= 1e-12
     _report("C8", ok,

@@ -17,6 +17,7 @@ from demkit.adadem import (
     AdaDemVariant,
     MecState,
     adadem_eval,
+    adadem_row_values,
     adadem_rows,
     delta,
     mec_init,
@@ -306,7 +307,7 @@ class TestAdaDemRows:
         for _ in range(200):
             z = (rng.uniforms(6) - 0.5) * 20.0
             state = mec_init(6)
-            _, grads = adadem_rows(z[None, :], softmax_rows(z[None, :]), state, variant)
+            grads = adadem_rows(z[None, :], softmax_rows(z[None, :]), state, variant)
             d = max(delta(z), DELTA_FLOOR)
             assert rel_err(grads[0] * d, em_eval(z).grad) <= 1e-12
 
@@ -315,7 +316,8 @@ class TestAdaDemRows:
         # gradient sit at numerical zero.
         state = mec_init(10)
         Z = np.zeros((1, 10))
-        values, grads = adadem_rows(Z, softmax_rows(Z), state)
+        grads = adadem_rows(Z, softmax_rows(Z), state)
+        values = adadem_row_values(Z, softmax_rows(Z), state)
         assert abs(values[0]) < 1e-12
         np.testing.assert_allclose(grads[0], 0.0, atol=1e-12)
 
@@ -326,7 +328,8 @@ class TestAdaDemRows:
         d = max(delta(z[0]), DELTA_FLOOR)
 
         state = mec_init(3)
-        values, grads = adadem_rows(z, softmax_rows(z), state)
+        grads = adadem_rows(z, softmax_rows(z), state)
+        values = adadem_row_values(z, softmax_rows(z), state)
 
         # Hand-compute both orderings; the committed contract is
         # update-first, so the returned value must use the row that has
@@ -348,7 +351,7 @@ class TestAdaDemRows:
         adadem_rows(warm, softmax_rows(warm), state)
 
         frozen = state.copy()
-        _, grads = adadem_rows(z[None, :], softmax_rows(z[None, :]), state)
+        grads = adadem_rows(z[None, :], softmax_rows(z[None, :]), state)
 
         p = softmax(z)
         k = int(np.argmax(p))
@@ -379,16 +382,16 @@ class TestAdaDemRows:
         z = np.array([[3.0, 0.0, -3.0]])
         sa = mec_init(3)
         sb = mec_init(3)
-        _, g_mec = adadem_rows(z, softmax_rows(z), sa, AdaDemVariant(kind="mec_only"))
-        _, g_full = adadem_rows(z, softmax_rows(z), sb, AdaDemVariant(kind="full"))
+        g_mec = adadem_rows(z, softmax_rows(z), sa, AdaDemVariant(kind="mec_only"))
+        g_full = adadem_rows(z, softmax_rows(z), sb, AdaDemVariant(kind="full"))
         d = max(delta(z[0]), DELTA_FLOOR)
         np.testing.assert_allclose(g_mec[0], g_full[0] * d, rtol=1e-12)
 
     def test_mec_alpha_scales_calibrator(self):
         z = np.array([[1.0, -1.0, 0.5]])
         sa, sb = mec_init(3), mec_init(3)
-        _, g1 = adadem_rows(z, softmax_rows(z), sa, AdaDemVariant(mec_alpha=1.0))
-        _, g0 = adadem_rows(z, softmax_rows(z), sb, AdaDemVariant(mec_alpha=0.0))
+        g1 = adadem_rows(z, softmax_rows(z), sa, AdaDemVariant(mec_alpha=1.0))
+        g0 = adadem_rows(z, softmax_rows(z), sb, AdaDemVariant(mec_alpha=0.0))
         p = softmax(z[0])
         d = max(delta(z[0]), DELTA_FLOOR)
         c = sa.table[int(np.argmax(p))]
@@ -408,7 +411,8 @@ class TestAdaDemRows:
         for n in (64, 1, 13):
             Z = rng.uniform(-9.0, 9.0, (n, 7))
             P = softmax_rows(Z)
-            values, grads = adadem_rows(Z, P, ours, variant)
+            grads = adadem_rows(Z, P, ours, variant)
+            values = adadem_row_values(Z, P, ours, variant)
             ref_values, ref_grads = _adadem_rows_unshared(Z, ref, variant)
             assert np.array_equal(values, ref_values)
             assert np.array_equal(grads, ref_grads)
@@ -439,6 +443,33 @@ class TestAdaDemRows:
     def test_state_class_count_must_match(self):
         with pytest.raises(ValueError):
             adadem_rows(np.zeros((1, 4)), np.full((1, 4), 0.25), mec_init(3))
+
+    def test_row_values_read_the_state_without_updating(self):
+        # The values judge the batch against the calibrator as it stands,
+        # the table adadem_rows has just updated; the state is not touched.
+        Z = np.random.default_rng(5).uniform(-4.0, 4.0, (16, 5))
+        P = softmax_rows(Z)
+        state = mec_init(5)
+        adadem_rows(Z, P, state)
+        table = state.table.copy()
+        values = adadem_row_values(Z, P, state)
+        assert values.shape == (16,)
+        assert np.array_equal(state.table, table)
+        with pytest.raises(ValueError):
+            adadem_row_values(Z, P[:1], state)
+        with pytest.raises(ValueError):
+            adadem_row_values(Z, P, mec_init(4))
+
+    def test_eval_wrapper_pairs_row_values_with_row_grads(self):
+        Z = np.random.default_rng(6).uniform(-4.0, 4.0, (8, 4))
+        P = softmax_rows(Z)
+        state, ref = mec_init(4), mec_init(4)
+        evals = adadem_eval(Z, state)
+        grads = adadem_rows(Z, P, ref)
+        values = adadem_row_values(Z, P, ref)
+        assert [e.value for e in evals] == values.tolist()
+        assert np.array_equal(np.stack([e.grad for e in evals]), grads)
+        assert np.array_equal(state.table, ref.table)
 
     def test_eval_wrapper_returns_per_sample_evals(self):
         state = mec_init(3)
@@ -484,7 +515,8 @@ class TestAdaDemRows:
         state = mec_init(4)
         variant = AdaDemVariant(delta_source="full_entropy")
         Z = np.zeros((1, 4))
-        values, grads = adadem_rows(Z, softmax_rows(Z), state, variant)
+        grads = adadem_rows(Z, softmax_rows(Z), state, variant)
+        values = adadem_row_values(Z, softmax_rows(Z), state, variant)
         assert np.all(np.isfinite(grads))
         assert np.isfinite(values[0])
 
@@ -496,7 +528,7 @@ class TestAdaDemRows:
         for norm in ("L1", "L2", "Linf"):
             variant = AdaDemVariant(norm=norm)
             state = mec_init(6)
-            _, grads = adadem_rows(Z.copy(), softmax_rows(Z), state, variant)
+            grads = adadem_rows(Z.copy(), softmax_rows(Z), state, variant)
             state2 = mec_init(6)
             P = np.stack([softmax(z) for z in Z])
             labels = [int(np.argmax(p)) for p in P]

@@ -1,6 +1,7 @@
 """Tests for the synthetic shift benchmark, metrics, and protocols."""
 
 import dataclasses
+import functools
 import math
 import types
 
@@ -28,8 +29,10 @@ from demkit.bench import (
     run_protocol,
     sample_batch,
 )
+from demkit.em_losses import DemConfig
 from demkit.model import (
     AdaDemPlugin,
+    DemPlugin,
     DivergenceError,
     EmPlugin,
     SgdConfig,
@@ -315,6 +318,20 @@ class TestMetrics:
             assert np.array_equal(rep.per_class_f1, expected)
             assert rep.macro_f1 == float(np.mean(expected))
 
+    def test_fields_keep_the_bits_of_the_matrix_formulas(self):
+        # metrics reads P through per-row summaries and column sums; each
+        # field still has the bits of its formula over the whole matrix.
+        rng = np.random.default_rng(8)
+        for n, C in ((1, 2), (77, 3), (3000, 10)):
+            P = rng.dirichlet(np.full(C, 0.4), size=n)
+            y = rng.integers(0, C, n)
+            rep = metrics(P, y)
+            marginal = P.mean(axis=0)
+            entropy = -np.sum(np.where(marginal > 0, marginal * np.log(marginal), 0.0))
+            assert rep.avg_max_prob == float(np.mean(np.max(P, axis=1)))
+            assert rep.marginal_entropy == float(entropy)
+            assert rep.kl_output_vs_label == kl_divergence(marginal, np.bincount(y, minlength=C) / n)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             metrics(np.ones((2, 3)) / 3, [0])
@@ -453,16 +470,17 @@ class TestRunProtocol:
         assert res.overall.marginal_entropy == expected.overall.marginal_entropy
 
     def test_scores_once_on_first_access(self, monkeypatch):
-        # run_protocol scores nothing; reading overall makes one metrics
-        # call and per_shift one per shift, each kept after the first read.
+        # run_protocol scores nothing; reading overall builds one report
+        # and per_shift one per shift, each kept after the first read.
         model, data = self._setup()
         calls = []
 
-        def counting(probs, labels):
+        def counting(preds, row_max, col_sum, labels):
             calls.append(len(labels))
-            return metrics(probs, labels)
+            return report(preds, row_max, col_sum, labels)
 
-        monkeypatch.setattr(demkit.bench, "metrics", counting)
+        report = demkit.bench._report
+        monkeypatch.setattr(demkit.bench, "_report", counting)
         res = run_protocol(model, data, "continual", EmPlugin, SgdConfig(lr=0.01))
         assert calls == []
         res.overall.accuracy
@@ -474,16 +492,17 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("mode", ["single_domain", "continual"])
     def test_accuracy_builds_no_report(self, monkeypatch, mode):
-        # Sweeps read .accuracy alone: no metrics call, the bits of
+        # Sweeps read .accuracy alone: no report, the bits of
         # overall.accuracy, computed once.
         model, data = self._setup()
         calls = []
 
-        def counting(probs, labels):
+        def counting(preds, row_max, col_sum, labels):
             calls.append(len(labels))
-            return metrics(probs, labels)
+            return report(preds, row_max, col_sum, labels)
 
-        monkeypatch.setattr(demkit.bench, "metrics", counting)
+        report = demkit.bench._report
+        monkeypatch.setattr(demkit.bench, "_report", counting)
         res = run_protocol(model, data, mode, AdaDemPlugin, SgdConfig(lr=0.05, momentum=0.9))
         acc = res.accuracy
         assert calls == [] and type(acc) is float
@@ -492,26 +511,58 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("mode", ["single_domain", "continual"])
     def test_lazy_reports_equal_eager_metrics(self, mode):
-        model, data = self._setup()
+        # Every field of every report built from the kept summaries has
+        # the bits metrics() gives on the probability matrices themselves,
+        # for each loss, on uniform and long-tail (label_rho) streams.
+        mix, model = _quick_source()
+        shifts = (
+            ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0), ShiftSpec("rotate2d", 0.3)
+        )
         cfg = SgdConfig(lr=0.05, momentum=0.9)
-        res = run_protocol(model, data, mode, AdaDemPlugin, cfg)
+        factories = (AdaDemPlugin, EmPlugin, functools.partial(DemPlugin, DemConfig(0.8, 1.2)))
+        for label_rho in (1.0, 10.0):
+            priors = long_tail_priors(mix.C, label_rho)
+            spec = StreamSpec("single_domain", shifts, 10, 32, label_priors=priors)
+            data = make_stream(mix, spec, Rng(21))
+            for factory in factories:
+                res = run_protocol(model, data, mode, factory, cfg)
 
-        probs, labels = [], []
-        adapted = plugin = None
-        for batches in data:
-            if adapted is None or mode == "single_domain":
-                adapted, plugin = model.copy(), AdaDemPlugin()
-            P = adapt_stream(adapted, (X for X, _ in batches), plugin, cfg)
-            probs.append(np.concatenate(P))
-            labels.append(np.concatenate([y for _, y in batches]))
-        eager_per_shift = [metrics(P, y) for P, y in zip(probs, labels)]
-        eager_overall = metrics(np.concatenate(probs), np.concatenate(labels))
+                probs, labels = [], []
+                adapted = plugin = None
+                for batches in data:
+                    if adapted is None or mode == "single_domain":
+                        adapted, plugin = model.copy(), factory()
+                    P = adapt_stream(adapted, (X for X, _ in batches), plugin, cfg)
+                    probs.append(np.concatenate(P))
+                    labels.append(np.concatenate([y for _, y in batches]))
+                eager_per_shift = [metrics(P, y) for P, y in zip(probs, labels)]
+                eager_overall = metrics(np.concatenate(probs), np.concatenate(labels))
 
-        for got, want in zip(res.per_shift + [res.overall], eager_per_shift + [eager_overall]):
-            for field in dataclasses.fields(want):
-                a, b = getattr(got, field.name), getattr(want, field.name)
-                assert np.array_equal(a, b), field.name
-        assert len(res.per_shift) == len(data)
+                reports = zip(res.per_shift + [res.overall], eager_per_shift + [eager_overall])
+                for got, want in reports:
+                    for field in dataclasses.fields(want):
+                        a, b = getattr(got, field.name), getattr(want, field.name)
+                        assert np.array_equal(a, b), (label_rho, factory, field.name)
+                assert len(res.per_shift) == len(data)
+                assert res.accuracy == eager_overall.accuracy
+
+    @pytest.mark.parametrize("mode", ["single_domain", "continual"])
+    def test_keeps_no_probability_matrix(self, mode):
+        # A finished result holds 1-D arrays only: per row a prediction,
+        # a largest probability and a label; per shift and overall C sums.
+        model, data = self._setup()
+        res = run_protocol(model, data, mode, AdaDemPlugin, SgdConfig(lr=0.05, momentum=0.9))
+        res.per_shift, res.overall, res.accuracy
+        rows = [sum(len(y) for _, y in batches) for batches in data]
+        arrays = []
+        for value in vars(res).values():
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, np.ndarray):
+                    arrays.append(item)
+        assert arrays and all(A.ndim == 1 for A in arrays)
+        assert [len(p) for p in res.preds] == [len(m) for m in res.row_max] == rows
+        assert [s.shape for s in res.col_sums] == [(model.C,)] * len(data)
+        assert res.total.shape == (model.C,)
 
     def test_continual_resets_momentum_at_every_shift(self):
         # The model and the plugin (here AdaDEM's calibrator) carry over

@@ -165,6 +165,33 @@ class TestLoadConfig:
         with pytest.raises(UsageError, match="1e999 is not finite"):
             load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"optimizer": {"lr": 10**400}}, "optimizer/lr"),
+            ({"mixture": {"C": 5, "d": 2, "radius": 10**400}}, "mixture/radius"),
+            ({"lrs": [1e-3, -(10**400)]}, "lrs/1"),
+        ],
+        ids=["lr", "radius", "lrs"],
+    )
+    def test_integer_too_large_for_a_float_exit_64(self, tmp_path, capsys, overrides, where):
+        # JSON Schema's "number" admits the literal, but every number
+        # setting is used as a float: a config error, not a numeric failure.
+        cfg = small_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == (
+            f"demkit: config schema violation at {where}: "
+            "a 401-digit integer is too large for a float\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_settings_take_large_integers(self, tmp_path):
+        # Only number settings are bounded; a seed is used as an integer.
+        cfg = small_config(tmp_path, seed=10**30)
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        assert (tmp_path / "out" / "summary.json").exists()
+
 
 def _schema_nodes(node=SCHEMA, path=()):
     """Every ``(path, node)`` of ``SCHEMA``, the root included."""
