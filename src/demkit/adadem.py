@@ -2,9 +2,10 @@
 
 AdaDEM removes the two hyperparameters of the decoupled loss by
 
-* dividing each sample's gradient by ``delta``, the norm of that sample's
-  CADF reward vector, which keeps the update magnitude alive even where
-  the classical EM reward collapses (confident predictions), and
+* dividing each sample's gradient by ``delta``, the L1 norm of that
+  sample's CADF reward vector ``p * (z + 1 - p.z)``, which keeps the
+  update magnitude alive even where the classical EM reward collapses
+  (confident predictions), and
 * replacing the GMC penalty with the MEC (marginal entropy calibrator):
   a per-pseudo-class exponential moving average of past predictions that
   penalizes classes in proportion to how strongly they have recently
@@ -38,8 +39,6 @@ from .numkit import _softmax, as_matrix, as_vector, softmax_rows
 __all__ = [
     "MecState",
     "AdaDemVariant",
-    "NORM_KINDS",
-    "DELTA_SOURCES",
     "VARIANT_KINDS",
     "delta",
     "mec_init",
@@ -50,13 +49,13 @@ __all__ = [
     "DELTA_FLOOR",
 ]
 
-NORM_KINDS = ("L1", "L2", "Linf")
-DELTA_SOURCES = ("cadf", "full_entropy")
 VARIANT_KINDS = ("full", "norm_only", "mec_only")
 
-# Lower clamp applied before dividing by delta.  The full-entropy source
-# vanishes at exactly uniform logits; the clamp turns that into a finite
-# (if large) gradient instead of an Inf.
+# Lower clamp applied before dividing by delta.  In exact arithmetic the
+# CADF reward's entries sum to 1, so delta >= 1.  In floating point
+# ``z + 1 - s`` cancels to 0 once |z| reaches about 1e16
+# (``delta([1e17, 0.0]) == 0.0``); the clamp turns that into a finite, if
+# large, gradient instead of inf or NaN.
 DELTA_FLOOR = 1e-8
 
 
@@ -88,54 +87,36 @@ class AdaDemVariant:
 
     ``kind``: "full" (delta scaling and MEC), "norm_only" (delta scaling
     with the calibrator replaced by a constant copy of p) or "mec_only"
-    (MEC with delta fixed to 1).  ``mec_alpha`` scales the calibrator row;
-    ``delta_source`` picks the reward vector whose ``norm``-norm defines
-    delta ("cadf" is the default; "full_entropy" is the ablation that
-    uses the classical EM gradient instead).
+    (MEC with delta fixed to 1).  ``mec_alpha`` scales the calibrator row.
+    Delta is always :func:`delta`, the L1 norm of the CADF reward.
     """
 
     kind: str = "full"
     mec_alpha: float = 1.0
-    delta_source: str = "cadf"
-    norm: str = "L1"
 
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown variant kind {self.kind!r}")
-        if self.delta_source not in DELTA_SOURCES:
-            raise ValueError(f"unknown delta source {self.delta_source!r}")
-        if self.norm not in NORM_KINDS:
-            raise ValueError(f"unknown norm {self.norm!r}")
         if self.mec_alpha < 0:
             raise ValueError(f"mec_alpha must be non-negative, got {self.mec_alpha}")
 
 
-def _reward_vector(z: np.ndarray, source: str) -> np.ndarray:
+def delta(z) -> float:
+    """L1 norm of a sample's CADF reward ``p * (z + 1 - p.z)``, the AdaDEM
+    gradient scale; at least 1 up to rounding.
+
+    The norm is accumulated with ``math.fsum`` so that the uniform-logits
+    case comes out as exactly 1.0 whenever the rounding of 1/C permits
+    it.  The returned value is not clamped; callers dividing by it apply
+    ``DELTA_FLOOR``.  The batched deltas of ``adadem_rows`` take ``p.z``
+    as a row-wise reduction instead of ``np.dot``, so the two can round
+    differently in the last places; they agree to about 1e-14 under
+    ``rel_err``.
+    """
+    z = as_vector(z, min_len=2)
     p = _softmax(z)
     s = float(np.dot(p, z))
-    if source == "cadf":
-        return p * (z + 1.0 - s)
-    if source == "full_entropy":
-        return p * (z - s)
-    raise ValueError(f"unknown delta source {source!r}")
-
-
-def delta(z, kind: str = "L1", source: str = "cadf") -> float:
-    """Norm of a sample's reward vector, the AdaDEM gradient scale.
-
-    The L1 norm is accumulated with ``math.fsum`` so that the uniform-
-    logits case comes out as exactly 1.0 whenever the rounding of 1/C
-    permits it.  The returned value is not clamped; callers dividing by
-    it apply ``DELTA_FLOOR``.
-    """
-    if kind not in NORM_KINDS:
-        raise ValueError(f"unknown norm {kind!r}")
-    r = _reward_vector(as_vector(z, min_len=2), source)
-    if kind == "L1":
-        return math.fsum(abs(x) for x in r.tolist())
-    if kind == "L2":
-        return math.sqrt(math.fsum(x * x for x in r.tolist()))
-    return float(np.max(np.abs(r)))
+    return math.fsum(abs(x) for x in (p * (z + 1.0 - s)).tolist())
 
 
 def mec_init(C: int, pi: float = 0.1) -> MecState:
@@ -193,31 +174,6 @@ def _mec_update(state: MecState, P: np.ndarray, labels: np.ndarray) -> MecState:
     return state
 
 
-def _deltas_rows(
-    Z: np.ndarray, P: np.ndarray, S: np.ndarray, Rc: np.ndarray, variant: AdaDemVariant
-) -> np.ndarray:
-    """Per-row delta values: the scalar ``delta``'s formulas, not its bits.
-
-    ``S`` is the row-wise ``np.sum(P * Z)`` and ``Rc = P * (Z + 1 - S)``
-    the CADF reward rows, both built once by ``adadem_rows``; the
-    ``"full_entropy"`` source builds its own ``P * (Z - S)``.  ``delta``
-    takes ``np.dot(p, z)`` on a single-row softmax, so the two can round
-    differently in the last places; they agree to about 1e-14 under
-    ``rel_err``.
-    """
-    n = Z.shape[0]
-    if variant.kind == "mec_only":
-        return np.ones(n)
-    R = Rc if variant.delta_source == "cadf" else P * (Z - S)
-    if variant.norm == "L1":
-        return np.fromiter(map(math.fsum, np.abs(R).tolist()), dtype=np.float64, count=n)
-    if variant.norm == "L2":
-        return np.fromiter(
-            (math.sqrt(math.fsum(r)) for r in (R * R).tolist()), dtype=np.float64, count=n
-        )
-    return np.max(np.abs(R), axis=1)
-
-
 def _checked(Z, P: np.ndarray, state: MecState) -> np.ndarray:
     """``Z`` as a float64 matrix whose shape matches ``P`` and ``state``."""
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
@@ -235,7 +191,9 @@ def _loss_terms(Z, P, labels, state, variant):
     ``norm_only``), read from ``state`` as it stands.  ``S`` is the
     row-wise ``np.add.reduce(P * Z)``, the bits of ``np.sum``, and the
     reward rows ``Rc = P * (Z + 1 - S)`` are built in one buffer in that
-    operand order (the product commutes).
+    operand order (the product commutes).  Each delta is the ``math.fsum``
+    of its row of ``|Rc|``, the formula of the scalar ``delta`` but not
+    its bits; ``mec_only`` fixes every delta to 1.
     """
     if variant.kind == "norm_only":
         Cmat = P
@@ -245,8 +203,12 @@ def _loss_terms(Z, P, labels, state, variant):
     Rc = Z + 1.0
     Rc -= S
     Rc *= P
-    d = np.maximum(_deltas_rows(Z, P, S, Rc, variant), DELTA_FLOOR)[:, None]
-    return Cmat, Rc, d
+    n = Z.shape[0]
+    if variant.kind == "mec_only":
+        d = np.ones(n)
+    else:
+        d = np.fromiter(map(math.fsum, np.abs(Rc).tolist()), dtype=np.float64, count=n)
+    return Cmat, Rc, np.maximum(d, DELTA_FLOOR)[:, None]
 
 
 def adadem_rows(

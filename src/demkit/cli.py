@@ -204,10 +204,10 @@ SCHEMA = {
                 "tau": {"type": "number", "default": 1.0},
                 "alpha": {"type": "number", "minimum": 0, "default": 1.0},
                 "variant": {"enum": list(_ad.VARIANT_KINDS), "default": "full"},
-                "norm": {"enum": list(_ad.NORM_KINDS), "default": "L1"},
+                "norm": {"const": "L1"},
                 "pi": {"type": "number", "exclusiveMinimum": 0, "maximum": 1, "default": 0.1},
                 "mec_alpha": {"type": "number", "minimum": 0, "default": 1.0},
-                "delta_source": {"enum": list(_ad.DELTA_SOURCES), "default": "cadf"},
+                "delta_source": {"const": "cadf"},
                 "direction": {"const": "minimize"},
             },
         },
@@ -431,12 +431,7 @@ def plugin_factory_from(cfg: dict):
     if name == "dem":
         dem_cfg = _em.DemConfig(loss["tau"], loss["alpha"])
         return lambda: _model.DemPlugin(dem_cfg)
-    variant = _ad.AdaDemVariant(
-        kind=loss["variant"],
-        mec_alpha=loss["mec_alpha"],
-        delta_source=loss["delta_source"],
-        norm=loss["norm"],
-    )
+    variant = _ad.AdaDemVariant(kind=loss["variant"], mec_alpha=loss["mec_alpha"])
     return lambda: _model.AdaDemPlugin(variant, pi=loss["pi"])
 
 
@@ -540,7 +535,7 @@ def _end_to_end_cases(rng: Rng):
     dem_cfg = _em.DemConfig(1.3, 0.4)
     # Each plugin with the per-row loss values its gradients differentiate.
     plugins = {
-        "em": (_model.EmPlugin(), lambda Z: _em.em_rows(Z)[0]),
+        "em": (_model.EmPlugin(), _em.em_row_values),
         "dem": (_model.DemPlugin(dem_cfg), lambda Z: _em.dem_row_values(Z, dem_cfg)),
         "cross_entropy": (
             _model.CrossEntropyPlugin(targets),

@@ -72,6 +72,7 @@ __all__ = [
     "reward_curve",
     "REWARD_CURVE_HEADER",
     "em_rows",
+    "em_row_values",
     "dem_rows",
     "dem_row_values",
 ]
@@ -284,15 +285,28 @@ def reward_curve(C: int, cfg: DemConfig, m_grid) -> list[tuple[float, float, flo
     return rows
 
 
-def em_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched classical EM: per-row values and gradients for ``n x C`` logits."""
-    lse = logsumexp_rows(Z)
-    logp = Z - lse[:, None]
-    P = np.exp(logp)
-    values = -np.sum(P * logp, axis=1)
+def _em_probs(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``exp(Z - lse)`` and its log ``Z - lse``, row by row."""
+    logp = Z - logsumexp_rows(Z)[:, None]
+    return np.exp(logp), logp
+
+
+def em_rows(Z: np.ndarray) -> np.ndarray:
+    """Batched classical EM: the per-row gradients for ``n x C`` logits.
+
+    The adaptation loop reads gradients only, so no loss values are built
+    here; they are :func:`em_row_values`.
+    """
+    P, _ = _em_probs(Z)
     S = np.sum(P * Z, axis=1, keepdims=True)
-    grads = -P * (Z - S)
-    return values, grads
+    return -P * (Z - S)
+
+
+def em_row_values(Z: np.ndarray) -> np.ndarray:
+    """Batched classical EM: the per-row entropies whose gradients
+    :func:`em_rows` returns."""
+    P, logp = _em_probs(Z)
+    return -np.sum(P * logp, axis=1)
 
 
 def dem_row_values(Z: np.ndarray, cfg: DemConfig) -> np.ndarray:

@@ -360,7 +360,7 @@ class EmPlugin:
     def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
         # em_rows builds its probabilities as exp(Z - lse), whose bits
         # differ from softmax_rows(Z), so P is not used here.
-        return _em.em_rows(Z)[1]
+        return _em.em_rows(Z)
 
 
 class DemPlugin:

@@ -272,7 +272,7 @@ def test_c07_mec_geometric_decay_and_simplex_closure():
 
 
 def test_c08_delta_normalization_exactness():
-    d_uniform = delta(np.zeros(10), "L1", "cadf")
+    d_uniform = delta(np.zeros(10))
     rng = Rng(108)
     variant = AdaDemVariant(kind="norm_only")
     worst = 0.0

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from demkit import adadem
 from demkit.adadem import (
     DELTA_FLOOR,
-    DELTA_SOURCES,
-    NORM_KINDS,
     VARIANT_KINDS,
     AdaDemVariant,
     MecState,
@@ -22,7 +20,7 @@ from demkit.adadem import (
     delta,
     mec_init,
     mec_update,
-    _deltas_rows,
+    _loss_terms,
 )
 from demkit.em_losses import em_eval
 from demkit.numkit import Rng, rel_err, softmax, softmax_rows
@@ -38,26 +36,19 @@ def _mec_update_per_class(state, P, labels):
 
 
 def _adadem_rows_unshared(Z, state, variant):
-    """``adadem_rows`` with softmax, ``S`` and the reward rows recomputed
-    where each is used, as before they were computed once and shared."""
+    """``adadem_rows`` with softmax and the reward rows recomputed where
+    each is used, as before they were computed once and shared."""
     P = softmax_rows(Z)
     labels = np.argmax(P, axis=1)
     _mec_update_per_class(state, P, labels)
     Cmat = P if variant.kind == "norm_only" else variant.mec_alpha * state.table[labels]
-    n = Z.shape[0]
-    if variant.kind == "mec_only":
-        d = np.ones(n)
-    else:
-        S = np.sum(P * Z, axis=1, keepdims=True)
-        R = P * (Z + 1.0 - S) if variant.delta_source == "cadf" else P * (Z - S)
-        if variant.norm == "L1":
-            d = np.array([math.fsum(np.abs(R[i]).tolist()) for i in range(n)])
-        elif variant.norm == "L2":
-            d = np.array([math.sqrt(math.fsum((R[i] * R[i]).tolist())) for i in range(n)])
-        else:
-            d = np.max(np.abs(R), axis=1)
-    d = np.maximum(d, DELTA_FLOOR)[:, None]
     S = np.sum(P * Z, axis=1, keepdims=True)
+    if variant.kind == "mec_only":
+        d = np.ones(Z.shape[0])
+    else:
+        R = P * (Z + 1.0 - S)
+        d = np.array([math.fsum(np.abs(r).tolist()) for r in R])
+    d = np.maximum(d, DELTA_FLOOR)[:, None]
     values = -np.sum((P - Cmat) * Z, axis=1, keepdims=True) / d
     grads = -(P * (Z + 1.0 - S) - Cmat) / d
     return values[:, 0], grads
@@ -81,7 +72,7 @@ class TestDelta:
         for C in range(2, 101):
             if C in INEXACT_C:
                 continue
-            assert delta(np.zeros(C), "L1", "cadf") == 1.0
+            assert delta(np.zeros(C)) == 1.0
 
     def test_delta_uniform_impossible_class_counts(self):
         # For C in {49, 98} no summation algorithm can return 1.0: the
@@ -93,51 +84,28 @@ class TestDelta:
             per_entry = Fraction(1.0 / C)  # exact value of the stored double
             exact_sum = C * per_entry
             assert exact_sum < 1 - Fraction(1, 2**54)
-            got = delta(np.zeros(C), "L1", "cadf")
+            got = delta(np.zeros(C))
             assert got != 1.0
             assert abs(got - 1.0) < 1e-15
-
-    def test_l2_and_linf_match_numpy_norms(self):
-        z = np.array([0.5, -1.5, 2.0, 0.0])
-        r = np.abs(softmax(z) * (-(softmax(z) @ z) + z + 1.0))
-        assert delta(z, "L2") == pytest.approx(float(np.linalg.norm(r)), rel=1e-15)
-        assert delta(z, "Linf") == float(np.max(r))
-
-    def test_full_entropy_source_vanishes_at_uniform(self):
-        assert delta(np.zeros(6), "L1", "full_entropy") == 0.0
-
-    def test_full_entropy_source_positive_off_uniform(self):
-        assert delta([1.0, 2.0, 3.0], "L1", "full_entropy") > 1e-6
 
     @given(logit_vectors)
     @settings(max_examples=60)
     def test_cadf_source_stays_above_floor(self, z):
-        # The CADF reward never vanishes: its L1 norm stays macroscopic
-        # for logits in the working range.
-        assert delta(np.asarray(z), "L1", "cadf") >= 1e-6
+        # The CADF reward's entries sum to 1, so its L1 norm is at least 1
+        # up to rounding for logits in the working range.
+        assert delta(np.asarray(z)) >= 1 - 1e-12
 
     def test_row_deltas_match_scalar_delta(self):
         # The batched deltas sum in another order than the scalar helper,
         # so they agree to rounding, not bit for bit.
         rng = np.random.default_rng(7)
-        for norm in NORM_KINDS:
-            for source in DELTA_SOURCES:
-                variant = AdaDemVariant(norm=norm, delta_source=source)
-                for C in range(2, 12):
-                    Z = rng.uniform(-8.0, 8.0, (200, C))
-                    P = softmax_rows(Z)
-                    S = np.sum(P * Z, axis=1, keepdims=True)
-                    rows = _deltas_rows(Z, P, S, P * (Z + 1.0 - S), variant)
-                    for z, d in zip(Z, rows):
-                        assert rel_err(d, delta(z, norm, source)) <= 1e-14
-
-    def test_rejects_unknown_norm(self):
-        with pytest.raises(ValueError):
-            delta([1.0, 2.0], "L3")
-
-    def test_rejects_unknown_source(self):
-        with pytest.raises(ValueError):
-            delta([1.0, 2.0], "L1", "entropy")
+        for C in range(2, 12):
+            Z = rng.uniform(-8.0, 8.0, (200, C))
+            P = softmax_rows(Z)
+            labels = np.argmax(P, axis=1)
+            _, _, rows = _loss_terms(Z, P, labels, mec_init(C), AdaDemVariant())
+            for z, d in zip(Z, rows[:, 0]):
+                assert rel_err(d, delta(z)) <= 1e-14
 
 
 class TestMecState:
@@ -285,17 +253,19 @@ class TestMecState:
 class TestVariants:
     def test_defaults(self):
         v = AdaDemVariant()
-        assert (v.kind, v.mec_alpha, v.delta_source, v.norm) == ("full", 1.0, "cadf", "L1")
+        assert (v.kind, v.mec_alpha) == ("full", 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             AdaDemVariant(kind="extra")
         with pytest.raises(ValueError):
-            AdaDemVariant(norm="L0")
-        with pytest.raises(ValueError):
-            AdaDemVariant(delta_source="gmc")
-        with pytest.raises(ValueError):
             AdaDemVariant(mec_alpha=-0.5)
+
+    @pytest.mark.parametrize("option", [{"norm": "L1"}, {"delta_source": "cadf"}])
+    def test_delta_options_are_gone(self, option):
+        # Delta is the L1 norm of the CADF reward; there is nothing to pick.
+        with pytest.raises(TypeError):
+            AdaDemVariant(**option)
 
 
 class TestAdaDemRows:
@@ -397,15 +367,13 @@ class TestAdaDemRows:
         c = sa.table[int(np.argmax(p))]
         np.testing.assert_allclose(g1[0] - g0[0], c / d, rtol=1e-12)
 
-    @pytest.mark.parametrize("norm", NORM_KINDS)
-    @pytest.mark.parametrize("source", DELTA_SOURCES)
     @pytest.mark.parametrize("kind", VARIANT_KINDS)
-    def test_shared_reward_rows_keep_every_bit(self, kind, source, norm):
+    def test_shared_reward_rows_keep_every_bit(self, kind):
         # S and the CADF reward rows are built once and shared by delta
-        # and the gradient; the full-entropy delta must still use its own
-        # P * (Z - S).  Values, gradients and the table must equal the
-        # unshared formulas exactly, over several batches of one stream.
-        variant = AdaDemVariant(kind=kind, mec_alpha=0.7, delta_source=source, norm=norm)
+        # and the gradient.  Values, gradients and the table must equal
+        # the unshared formulas exactly, over several batches of one
+        # stream.
+        variant = AdaDemVariant(kind=kind, mec_alpha=0.7)
         rng = np.random.default_rng(23)
         ours, ref = mec_init(7, pi=0.2), mec_init(7, pi=0.2)
         for n in (64, 1, 13):
@@ -509,14 +477,18 @@ class TestAdaDemRows:
             adadem_eval(batch, state)
         np.testing.assert_array_equal(state.table, mec_init(3).table)
 
-    def test_full_entropy_delta_floor_keeps_gradients_finite(self):
-        # At uniform logits the full-entropy normalizer vanishes; the
-        # floor keeps the division finite.
-        state = mec_init(4)
-        variant = AdaDemVariant(delta_source="full_entropy")
-        Z = np.zeros((1, 4))
-        grads = adadem_rows(Z, softmax_rows(Z), state, variant)
-        values = adadem_row_values(Z, softmax_rows(Z), state, variant)
+    def test_delta_floor_keeps_gradients_finite_at_huge_logits(self):
+        # z + 1 - s cancels to 0 at |z| ~ 1e17, so the CADF delta reads 0
+        # there although it is at least 1 in exact arithmetic; the floor
+        # keeps the division finite.
+        Z = np.array([[1e17, 0.0]])
+        assert delta(Z[0]) == 0.0
+        state = mec_init(2)
+        grads = adadem_rows(Z, softmax_rows(Z), state)
+        values = adadem_row_values(Z, softmax_rows(Z), state)
+        # The reward row cancels to 0, so the gradient is the calibrator
+        # row over the floor: [5.5e7, 4.5e7].
+        assert np.array_equal(grads[0], state.table[0] / DELTA_FLOOR)
         assert np.all(np.isfinite(grads))
         assert np.isfinite(values[0])
 
@@ -525,20 +497,18 @@ class TestAdaDemRows:
         # rounding.
         rng = Rng(31)
         Z = (rng.uniforms(24).reshape(4, 6) - 0.5) * 18.0
-        for norm in ("L1", "L2", "Linf"):
-            variant = AdaDemVariant(norm=norm)
-            state = mec_init(6)
-            grads = adadem_rows(Z.copy(), softmax_rows(Z), state, variant)
-            state2 = mec_init(6)
-            P = np.stack([softmax(z) for z in Z])
-            labels = [int(np.argmax(p)) for p in P]
-            mec_update(state2, P, labels)
-            for i, z in enumerate(Z):
-                d = max(delta(z, norm), DELTA_FLOOR)
-                c = state2.table[labels[i]]
-                p = P[i]
-                s = float(np.dot(p, z))
-                expected = -(p * (z + 1.0 - s) - c) / d
-                # np.dot and the row-wise reduction inside adadem_rows
-                # may round the inner product differently by one ulp.
-                np.testing.assert_allclose(grads[i], expected, rtol=1e-12, atol=1e-15)
+        state = mec_init(6)
+        grads = adadem_rows(Z.copy(), softmax_rows(Z), state)
+        state2 = mec_init(6)
+        P = np.stack([softmax(z) for z in Z])
+        labels = [int(np.argmax(p)) for p in P]
+        mec_update(state2, P, labels)
+        for i, z in enumerate(Z):
+            d = max(delta(z), DELTA_FLOOR)
+            c = state2.table[labels[i]]
+            p = P[i]
+            s = float(np.dot(p, z))
+            expected = -(p * (z + 1.0 - s) - c) / d
+            # np.dot and the row-wise reduction inside adadem_rows
+            # may round the inner product differently by one ulp.
+            np.testing.assert_allclose(grads[i], expected, rtol=1e-12, atol=1e-15)

@@ -631,6 +631,30 @@ class TestRunCommand:
             metrics.append((tmp_path / "out" / "metrics.csv").read_bytes())
         assert metrics[1] == metrics[0]
 
+    @pytest.mark.parametrize(
+        "key, value", [("norm", "L2"), ("delta_source", "full_entropy")]
+    )
+    def test_other_adadem_deltas_rejected(self, tmp_path, capsys, key, value):
+        cfg = small_config(tmp_path, loss={"name": "adadem", key: value})
+        assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
+        assert f"schema violation at loss/{key}" in capsys.readouterr().err
+
+    def test_spelled_adadem_delta_still_runs(self, tmp_path):
+        # The loss section of the lr-sweep benchmark workload spells the
+        # one delta and the one direction; they change no byte.
+        spelled = {
+            "name": "adadem", "variant": "full", "norm": "L1", "pi": 0.1,
+            "mec_alpha": 1.0, "delta_source": "cadf", "direction": "minimize",
+        }
+        bare = {"name": "adadem", "variant": "full", "pi": 0.1, "mec_alpha": 1.0}
+        outputs = []
+        for loss in (bare, spelled):
+            cfg = small_config(tmp_path, loss=loss)
+            assert main(["lr-sweep", "--config", str(cfg)]) == EXIT_OK
+            out = tmp_path / "out"
+            outputs.append([(out / f).read_bytes() for f in ("lr_sweep.csv", "summary.json")])
+        assert outputs[1] == outputs[0]
+
 
 class TestGridSearchCommand:
     GRID = {

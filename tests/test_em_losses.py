@@ -27,6 +27,7 @@ from demkit.em_losses import (
     dem_rows,
     detached_em_eval,
     em_eval,
+    em_row_values,
     em_rows,
     gmc,
     gmc_reward,
@@ -311,7 +312,7 @@ class TestBatchedRows:
     def test_em_rows_match_scalar_loop(self):
         rng = np.random.default_rng(1)
         Z = rng.uniform(-10, 10, (40, 6))
-        values, grads = em_rows(Z)
+        values, grads = em_row_values(Z), em_rows(Z)
         for i in range(Z.shape[0]):
             single = em_eval(Z[i])
             assert abs(values[i] - single.value) < 1e-12
@@ -326,6 +327,28 @@ class TestBatchedRows:
             single = dem_eval(Z[i], cfg)
             assert abs(values[i] - single.value) < 1e-12
             assert rel_err(grads[i], single.grad) < 1e-12
+
+    def test_em_rows_and_values_keep_the_bits_of_the_joint_kernel(self):
+        # The joint (values, grads) kernel that em_rows and em_row_values
+        # were split from, operation for operation.  Bytes are compared,
+        # so a signed zero counts.
+        def joint(Z):
+            lse = logsumexp_rows(Z)
+            logp = Z - lse[:, None]
+            P = np.exp(logp)
+            values = -np.sum(P * logp, axis=1)
+            S = np.sum(P * Z, axis=1, keepdims=True)
+            grads = -P * (Z - S)
+            return values, grads
+
+        rng = np.random.default_rng(8)
+        for scale in (0.1, 1.0, 12.0, 30.0, 800.0):
+            for n, C in ((64, 10), (1, 2), (17, 5)):
+                Z = rng.uniform(-scale, scale, (n, C))
+                Z[:, rng.integers(C)] = 0.0
+                values, grads = joint(Z)
+                assert em_row_values(Z).tobytes() == values.tobytes()
+                assert em_rows(Z).tobytes() == grads.tobytes()
 
     @pytest.mark.parametrize("tau, alpha", [(1.0, 1.0), (1.4, 0.9), (0.3, 0.0), (2.0, 1.0)])
     def test_dem_rows_and_values_keep_the_bits_of_the_joint_kernel(self, tau, alpha):

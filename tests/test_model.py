@@ -7,7 +7,7 @@ import pytest
 
 from demkit import adadem, em_losses
 from demkit.adadem import AdaDemVariant, MecState, mec_init, mec_update
-from demkit.em_losses import DemConfig, dem_row_values, em_eval, em_rows
+from demkit.em_losses import DemConfig, dem_row_values, em_eval, em_row_values
 from demkit.model import (
     AdaDemPlugin,
     CrossEntropyPlugin,
@@ -274,7 +274,7 @@ class TestBackward:
             values = lambda Z: _ce_row_values(Z, targets)
         elif loss == "em":
             plugin = EmPlugin()
-            values = lambda Z: em_rows(Z)[0]
+            values = em_row_values
         else:
             plugin = DemPlugin(DemConfig(1.3, 0.4))
             values = lambda Z: dem_row_values(Z, DemConfig(1.3, 0.4))
@@ -793,7 +793,7 @@ class TestStepKernels:
 class TestPlugins:
     def test_em_plugin_matches_scalar_eval(self):
         Z = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-        values, grads = em_rows(Z)[0], _batch_eval(EmPlugin(), Z)
+        values, grads = em_row_values(Z), _batch_eval(EmPlugin(), Z)
         for i, z in enumerate(Z):
             out = em_eval(z)
             assert abs(values[i] - out.value) < 1e-12
