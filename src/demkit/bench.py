@@ -19,10 +19,10 @@ unlabeled batches.  Two protocols mirror test-time-adaptation practice:
 Metrics are computed online (each batch is predicted before the update
 that consumes it) and aggregated into :class:`MetricsReport`; the
 no-adapt baseline, the frozen source model's accuracy on the same
-batches, is :func:`no_adapt_accuracy`.  A protocol keeps per-row
-summaries of its predictions, not probability matrices, and its reports
-keep the bits :func:`metrics` gives on the matrices (see
-:class:`ProtocolResult`).
+batches, is :func:`no_adapt_accuracy`.  A protocol keeps confusion
+counts and one float per row of its predictions, not probability
+matrices, and its reports keep the bits :func:`metrics` gives on the
+matrices (see :class:`ProtocolResult`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import DivergenceError, adapt_stream, forward, SgdConfig
+from .model import DivergenceError, _validated_labels, adapt_stream, forward, SgdConfig
 from .numkit import as_matrix, as_vector, Rng
 
 __all__ = [
@@ -157,26 +157,27 @@ class MetricsReport:
 
 @dataclass
 class ProtocolResult:
-    """A protocol's online predictions as per-row summaries, scored on
-    first access.
+    """A protocol's online predictions as summaries, scored on first
+    access.
 
     Per shift, in stream order, it keeps what :func:`metrics` reads of
-    the shift's pre-update probabilities ``P``, and not ``P`` itself:
+    the shift's pre-update probabilities ``P`` and labels ``y``, and
+    not ``P`` itself:
 
-    * ``preds``: the argmax predictions;
-    * ``row_max``: each row's largest probability, ``P[i, preds[i]]``,
+    * ``confusion``: the ``C x C`` counts of (label, argmax prediction)
+      pairs, ``confusion[y_i, pred_i]``;
+    * ``row_max``: each row's largest probability, ``P[i, pred_i]``,
       which has the bits of ``np.max(P, axis=1)``;
     * ``col_sums``: ``np.add.reduce(P, axis=0)``, the column sums whose
-      mean is the shift's output marginal;
-    * ``labels``: the true labels.
+      mean is the shift's output marginal.
 
     ``total`` is the column sum over every shift's rows, carried from
     shift to shift as ``np.add.reduce`` over the previous total stacked
     on the shift's rows.  A reduction over axis 0 adds rows strictly in
     sequence (for two or more classes), so ``total`` has the bits of the
     concatenated matrix's column sum; the per-shift sums, added to one
-    another, would not.  So each kept row costs 16 bytes besides its
-    label, instead of one float per class.
+    another, would not.  So each kept row costs one float, besides
+    ``C * C`` counts and ``C`` sums per shift.
 
     ``per_shift`` (one :class:`MetricsReport` per shift) and ``overall``
     (one over every batch) are built from these summaries the first time
@@ -188,31 +189,23 @@ class ProtocolResult:
     data is :func:`no_adapt_accuracy`.
     """
 
-    preds: list
+    confusion: list
     row_max: list
     col_sums: list
     total: np.ndarray
-    labels: list
 
     @cached_property
     def accuracy(self) -> float:
-        return _accuracy(np.concatenate(self.preds), np.concatenate(self.labels))
+        counts = sum(self.confusion)
+        return float(np.trace(counts) / np.add.reduce(counts, axis=None))
 
     @cached_property
     def per_shift(self) -> list:
-        return [
-            _report(*shift)
-            for shift in zip(self.preds, self.row_max, self.col_sums, self.labels)
-        ]
+        return [_report(*shift) for shift in zip(self.confusion, self.row_max, self.col_sums)]
 
     @cached_property
     def overall(self) -> MetricsReport:
-        return _report(
-            np.concatenate(self.preds),
-            np.concatenate(self.row_max),
-            self.total,
-            np.concatenate(self.labels),
-        )
+        return _report(sum(self.confusion), np.concatenate(self.row_max), self.total)
 
 
 def circle_means(C: int, radius: float) -> np.ndarray:
@@ -342,43 +335,49 @@ def kl_divergence(p, q, smoothing: float = 1e-12) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
-def _accuracy(preds: np.ndarray, y: np.ndarray) -> float:
-    """The share of predicted classes that equal their labels."""
-    return float(np.mean(preds == y))
-
-
-def _summaries(P: np.ndarray):
-    """The argmax predictions and the row maxima of ``n x C`` probabilities.
+def _summaries(P: np.ndarray, y: np.ndarray):
+    """``(confusion, row_max)`` of ``n x C`` probabilities and their
+    validated labels: the ``C x C`` counts of (label, argmax prediction)
+    pairs and each row's largest probability.
 
     Gathering ``P`` at its argmax gives the bits of ``np.max(P, axis=1)``
-    for a fraction of its cost: one index per row, no second scan.
+    for a fraction of its cost: one index per row, no second scan.  The
+    counts come from one ``bincount`` of ``label * C + prediction``.
     """
-    preds = np.argmax(P, axis=1)
-    return preds, P[np.arange(P.shape[0]), preds]
+    C = P.shape[1]
+    codes = np.argmax(P, axis=1)
+    row_max = P[np.arange(P.shape[0]), codes]
+    codes += np.multiply(y, C, dtype=np.intp)
+    return np.bincount(codes, minlength=C * C).reshape(C, C), row_max
 
 
 def metrics(probs, labels) -> MetricsReport:
-    """Diagnostics for a block of probability rows and true labels."""
-    P = as_matrix(probs)
-    y = np.asarray(labels, dtype=np.int64)
-    if P.shape[0] != y.shape[0] or P.shape[0] == 0:
-        raise ValueError("probs and labels must be nonempty and aligned")
-    preds, row_max = _summaries(P)
-    return _report(preds, row_max, np.add.reduce(P, axis=0), y)
+    """Diagnostics for a block of probability rows and true labels.
 
-
-def _report(preds, row_max, col_sum, y) -> MetricsReport:
-    """The kernel of :func:`metrics`: a report from per-row summaries.
-
-    ``preds`` and ``row_max`` are the rows' argmax and largest
-    probability, ``col_sum`` is ``np.add.reduce(P, axis=0)`` and ``y``
-    the labels; ``col_sum / n`` is ``P.mean(axis=0)`` to the bit, and
-    ``np.mean(row_max)`` is ``np.mean(np.max(P, axis=1))``.
+    ``labels`` must hold one integer in ``[0, C)`` per row
+    (``ValueError`` otherwise).
     """
-    n, C = y.shape[0], col_sum.shape[0]
-    pred_counts = np.bincount(preds, minlength=C)
-    label_counts = np.bincount(y, minlength=C)
-    tp = np.bincount(y[preds == y], minlength=C)
+    P = as_matrix(probs)
+    if P.shape[0] == 0:
+        raise ValueError("probs and labels must be nonempty")
+    y = _validated_labels(labels, P.shape[0], P.shape[1])
+    return _report(*_summaries(P, y), np.add.reduce(P, axis=0))
+
+
+def _report(confusion, row_max, col_sum) -> MetricsReport:
+    """The kernel of :func:`metrics`: a report from summaries.
+
+    ``confusion`` holds the ``C x C`` (label, prediction) counts,
+    ``row_max`` each row's largest probability and ``col_sum`` is
+    ``np.add.reduce(P, axis=0)``; ``col_sum / n`` is ``P.mean(axis=0)``
+    to the bit, and ``np.mean(row_max)`` is ``np.mean(np.max(P, axis=1))``.
+    The accuracy, ``trace / n``, is an exact integer sum and one
+    correctly rounded divide, the bits of ``np.mean(preds == y)``.
+    """
+    n = row_max.shape[0]
+    pred_counts = np.add.reduce(confusion, axis=0)
+    label_counts = np.add.reduce(confusion, axis=1)
+    tp = np.diagonal(confusion)
     denom = 2.0 * tp + (pred_counts - tp) + (label_counts - tp)
     # denom = 0 implies tp = 0, so the clamp leaves those classes at 0.0
     per_class_f1 = 2.0 * tp / np.maximum(denom, 1.0)
@@ -390,7 +389,7 @@ def _report(preds, row_max, col_sum, y) -> MetricsReport:
     proportions = np.sort(pred_counts / n)[::-1]
 
     return MetricsReport(
-        accuracy=_accuracy(preds, y),
+        accuracy=float(np.trace(confusion) / n),
         macro_f1=float(np.mean(per_class_f1)),
         per_class_f1=per_class_f1,
         marginal_entropy=marginal_entropy,
@@ -405,17 +404,22 @@ def no_adapt_accuracy(source_model, shift_data) -> tuple[list, float]:
 
     ``shift_data`` is the output of :func:`make_stream`.  Returns
     ``(per_shift, overall)``: one accuracy per shift and one over every
-    batch, the baseline an adaptation protocol is compared against.
+    batch, the baseline an adaptation protocol is compared against.  A
+    shift with no rows raises ``ValueError`` naming it, and a stream
+    with no shifts raises ``ValueError``.
     """
-    correct = [
-        [np.argmax(forward(source_model, X), axis=1) == y for X, y in batches]
-        for batches in shift_data
-    ]
-    per_shift = [
-        sum(int(np.sum(c)) for c in shift) / sum(len(c) for c in shift) for shift in correct
-    ]
-    overall = float(np.mean(np.concatenate([c for shift in correct for c in shift])))
-    return per_shift, overall
+    per_shift, hits, rows = [], 0, 0
+    for s, batches in enumerate(shift_data):
+        correct = [np.argmax(forward(source_model, X), axis=1) == y for X, y in batches]
+        n = sum(len(c) for c in correct)
+        if n == 0:
+            raise ValueError(f"shift {s} has no rows to score")
+        h = sum(int(np.sum(c)) for c in correct)
+        per_shift.append(h / n)
+        hits, rows = hits + h, rows + n
+    if rows == 0:
+        raise ValueError("the stream has no shifts to score")
+    return per_shift, hits / rows
 
 
 def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdConfig) -> ProtocolResult:
@@ -429,31 +433,50 @@ def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdCo
     shift is one :func:`adapt_stream` call, which starts from zero
     velocity and sees the inputs only.  Metrics are online: every batch
     is scored, against its labels, on the probabilities predicted before
-    the update it triggers.  Each shift's probabilities are reduced to
-    the per-row summaries of :class:`ProtocolResult` as soon as its
-    :func:`adapt_stream` call returns, and then dropped; the result
-    scores the summaries when its metrics are first read.  A diverging
-    update raises :class:`DivergenceError` naming the shift and the
-    batch.
+    the update it triggers.
+
+    The protocol holds one ``(R + 1) x C`` matrix for shifts of ``R``
+    rows, reused from shift to shift (a shift of another length gets a
+    new one): :func:`adapt_stream` writes the shift's probabilities into
+    rows 1 to ``R``, and row 0 holds the running column sum of the
+    shifts before (zeros at first; ``0 + p`` is ``p`` for probabilities,
+    which are never ``-0``).  Once the call returns, the shift is reduced
+    to the summaries of :class:`ProtocolResult`, and its rows are
+    overwritten by the next shift's; the result scores the summaries
+    when its metrics are first read.
+
+    Each shift's labels must be integers in ``[0, C)``, one per input
+    row.  A shift with no rows raises ``ValueError`` naming it, and a
+    stream with no shifts raises ``ValueError``.  A diverging update
+    raises :class:`DivergenceError` naming the shift and the batch.
     """
     if mode not in ("single_domain", "continual"):
         raise ValueError(f"unknown mode {mode!r}")
-    preds, row_max, col_sums, labels = [], [], [], []
-    total = model = plugin = None
+    C = source_model.C
+    confusion, row_max, col_sums = [], [], []
+    buf, total = None, np.zeros(C)
+    model = plugin = None
     for s, batches in enumerate(shift_data):
+        R = sum(len(X) for X, _ in batches)
+        if R == 0:
+            raise ValueError(f"shift {s} has no rows to score")
+        y = _validated_labels(np.concatenate([y for _, y in batches]), R, C)
+        if buf is None or buf.shape[0] != R + 1:
+            buf = np.empty((R + 1, C))
+        buf[0] = total
+        P = buf[1:]
         if model is None or mode == "single_domain":
             model, plugin = source_model.copy(), plugin_factory()
         try:
-            P = np.concatenate(adapt_stream(model, (X for X, _ in batches), plugin, cfg))
+            adapt_stream(model, (X for X, _ in batches), plugin, cfg, P)
         except DivergenceError as exc:
             raise DivergenceError(exc.stage, exc.batch, s) from exc
-        shift_preds, shift_max = _summaries(P)
-        preds.append(shift_preds)
+        shift_confusion, shift_max = _summaries(P, y)
+        confusion.append(shift_confusion)
         row_max.append(shift_max)
         col_sums.append(np.add.reduce(P, axis=0))
-        if total is None:
-            total = col_sums[0]
-        else:  # continue row by row, as the concatenated matrix's sum does
-            total = np.add.reduce(np.concatenate([total[None], P]), axis=0)
-        labels.append(np.concatenate([y for _, y in batches]))
-    return ProtocolResult(preds, row_max, col_sums, total, labels)
+        # continue row by row, as the concatenated matrix's sum does
+        total = np.add.reduce(buf, axis=0)
+    if not confusion:
+        raise ValueError("the stream has no shifts to score")
+    return ProtocolResult(confusion, row_max, col_sums, total)

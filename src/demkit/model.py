@@ -14,9 +14,10 @@ velocity and updates are flat vectors laid out like ``theta``, so the
 head-only scope is the slice ``theta[head:]``.
 
 ``adapt_stream`` is the online protocol: for each unlabeled batch the
-model first predicts (the loop returns these pre-update probabilities
-for scoring), then the loss plugin turns the logits and those
-probabilities into per-sample gradients, and one SGD step is applied.
+model first predicts (the loop writes these pre-update probabilities
+into the caller's matrix for scoring), then the loss plugin turns the
+logits and those probabilities into per-sample gradients, and one SGD
+step is applied.
 Plugins wrap the loss family: cross-entropy (supervised plumbing for
 source training and oracle baselines), classical EM, decoupled EM, and
 AdaDEM, which carries its calibrator state through the whole stream.
@@ -38,8 +39,8 @@ into a scratch vector of its :class:`SgdState`.
 
 The plugin contract of ``adapt_stream``: the ``Z`` handed to
 ``batch_eval`` is a workspace buffer that the next step overwrites, so a
-plugin reads it and neither keeps it nor writes into it; ``P`` is a
-fresh array per batch, the one the loop returns, and is read only.
+plugin reads it and neither keeps it nor writes into it; ``P`` is the
+batch's rows of the caller's matrix, and is read only.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import adadem as _adadem
 from . import em_losses as _em
-from .numkit import _logsumexp, as_matrix, as_vector, logsumexp_rows, softmax_rows
+from .numkit import _logsumexp, _softmax_rows, as_matrix, as_vector, logsumexp_rows, softmax_rows
 
 __all__ = [
     "LinearSoftmax",
@@ -458,7 +459,7 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int 
     return model
 
 
-def adapt_stream(model, inputs, plugin, cfg: SgdConfig) -> list[np.ndarray]:
+def adapt_stream(model, inputs, plugin, cfg: SgdConfig, probs: np.ndarray) -> None:
     """Online adaptation: predict, update, repeat.
 
     ``inputs`` yields unlabeled input matrices, so the loop never sees a
@@ -467,14 +468,20 @@ def adapt_stream(model, inputs, plugin, cfg: SgdConfig) -> list[np.ndarray]:
     probabilities ``P = softmax_rows(Z)`` into the ``n x C`` matrix of
     per-sample loss gradients with respect to the logits (gradients
     only: nothing here reads a loss value), and one SGD step moves
-    ``model`` in place.  Returns the pre-update probabilities, one
-    matrix per batch, for the caller to score.
+    ``model`` in place.
 
-    The plugin contract: ``P`` is a fresh array per batch, the very one
-    returned, so a plugin reads it and never writes into it.  ``Z`` is
-    a buffer of the loop's :class:`_Workspace` that the next step
-    overwrites, so a plugin reads it during ``batch_eval`` and neither
-    keeps it nor writes into it.
+    ``probs`` is the caller's C-contiguous float64 ``R x C`` matrix,
+    ``R`` the stream's total row count: each batch's pre-update
+    probabilities are written into its next rows, so after the call
+    ``probs`` holds the whole stream's, in order, for the caller to
+    score.  A batch that would overrun ``probs``, or a stream that ends
+    short of ``R`` rows, raises ``ValueError``.
+
+    The plugin contract: ``P`` is the batch's rows of ``probs``, so a
+    plugin reads it and never writes into it.  ``Z`` is a buffer of
+    the loop's :class:`_Workspace` that the next step overwrites, so a
+    plugin reads it during ``batch_eval`` and neither keeps it nor
+    writes into it.
 
     Each call starts from a fresh :class:`SgdState`, so momentum never
     carries over from one call to the next: a continual protocol, which
@@ -486,17 +493,30 @@ def adapt_stream(model, inputs, plugin, cfg: SgdConfig) -> list[np.ndarray]:
     diverging step: numpy's overflow and invalid-value warnings are
     silenced for the loop, since a step that overflows fails one of them.
     """
-    state, ws, probs = SgdState(), _Workspace(model, 0), []
+    if not (
+        isinstance(probs, np.ndarray)
+        and probs.dtype == np.float64
+        and probs.ndim == 2
+        and probs.shape[1] == model.C
+        and probs.flags.c_contiguous
+    ):
+        raise ValueError(f"probs must be a C-contiguous float64 matrix of {model.C} columns")
+    R, start = probs.shape[0], 0
+    state, ws = SgdState(), _Workspace(model, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, X in enumerate(inputs):
             X = _validated_input(model, X)
+            stop = start + X.shape[0]
+            if stop > R:
+                raise ValueError(f"batch {i} overruns the {R} rows of probs")
             Z = _forward(model, X, ws)
             if not np.isfinite(Z).all():
                 raise DivergenceError("logits", i)
-            P = softmax_rows(Z)
-            probs.append(P)
+            P = _softmax_rows(Z, probs[start:stop])
             dlogits = plugin.batch_eval(Z, P)
             if not np.isfinite(dlogits).all():
                 raise DivergenceError("loss gradients", i)
             sgd_step(model, _backward(model, X, dlogits, ws), cfg, state)
-    return probs
+            start = stop
+    if start != R:
+        raise ValueError(f"the stream filled {start} of the {R} rows of probs")

@@ -113,10 +113,19 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def softmax_rows(Z: np.ndarray) -> np.ndarray:
     """Row-wise softmax for an ``n x C`` matrix (same path as softmax)."""
-    E = Z - np.maximum.reduce(Z, axis=1, keepdims=True)
-    np.exp(E, out=E)
-    E /= np.add.reduce(E, axis=1, keepdims=True)
-    return E
+    return _softmax_rows(Z, np.empty_like(Z))
+
+
+def _softmax_rows(Z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Kernel of :func:`softmax_rows`: writes the probabilities into
+    ``out``, a matrix shaped like ``Z`` (returned).  ``out`` may be a
+    row block of a larger matrix; with C-contiguous rows, as a fresh
+    array has, each row sum adds in the same order, so the bits do not
+    depend on where ``out`` lives."""
+    np.subtract(Z, np.maximum.reduce(Z, axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, axis=1, keepdims=True)
+    return out
 
 
 def tempered_softmax(z, tau: float) -> np.ndarray:

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -328,6 +329,7 @@ class TestMetrics:
             rep = metrics(P, y)
             marginal = P.mean(axis=0)
             entropy = -np.sum(np.where(marginal > 0, marginal * np.log(marginal), 0.0))
+            assert rep.accuracy == float(np.mean(np.argmax(P, axis=1) == y))
             assert rep.avg_max_prob == float(np.mean(np.max(P, axis=1)))
             assert rep.marginal_entropy == float(entropy)
             assert rep.kl_output_vs_label == kl_divergence(marginal, np.bincount(y, minlength=C) / n)
@@ -337,6 +339,24 @@ class TestMetrics:
             metrics(np.ones((2, 3)) / 3, [0])
         with pytest.raises(ValueError):
             metrics(np.zeros((0, 3)), [])
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.5, 1, 2], [0, 1, 3], [0, -1, 2], [[0, 1, 2]]],
+        ids=["float", "past-C", "negative", "2-d"],
+    )
+    def test_rejects_labels_that_are_not_classes(self, labels):
+        # A label must name a class; none is truncated or left to numpy to reject.
+        with pytest.raises(ValueError, match="labels must"):
+            metrics(np.full((3, 3), 1 / 3), labels)
+
+
+def _shift_probs(model, batches, plugin, cfg):
+    """One shift's pre-update probabilities: ``adapt_stream`` into a fresh
+    matrix of the shift's rows."""
+    probs = np.empty((sum(len(X) for X, _ in batches), model.C))
+    adapt_stream(model, (X for X, _ in batches), plugin, cfg, probs)
+    return probs
 
 
 def _quick_source(seed=0):
@@ -454,12 +474,12 @@ class TestRunProtocol:
 
         seen = []
 
-        def inputs_only(model, inputs, plugin, cfg):
+        def inputs_only(model, inputs, plugin, cfg, probs):
             assert isinstance(inputs, types.GeneratorType)
             matrices = list(inputs)
             assert all(isinstance(X, np.ndarray) and X.ndim == 2 for X in matrices)
             seen.append(len(matrices))
-            return adapt_stream(model, (X for X in matrices), plugin, cfg)
+            return adapt_stream(model, (X for X in matrices), plugin, cfg, probs)
 
         monkeypatch.setattr(demkit.bench, "forward", no_forward)
         monkeypatch.setattr(demkit.model, "forward", no_forward)
@@ -475,9 +495,9 @@ class TestRunProtocol:
         model, data = self._setup()
         calls = []
 
-        def counting(preds, row_max, col_sum, labels):
-            calls.append(len(labels))
-            return report(preds, row_max, col_sum, labels)
+        def counting(confusion, row_max, col_sum):
+            calls.append(len(row_max))
+            return report(confusion, row_max, col_sum)
 
         report = demkit.bench._report
         monkeypatch.setattr(demkit.bench, "_report", counting)
@@ -497,9 +517,9 @@ class TestRunProtocol:
         model, data = self._setup()
         calls = []
 
-        def counting(preds, row_max, col_sum, labels):
-            calls.append(len(labels))
-            return report(preds, row_max, col_sum, labels)
+        def counting(confusion, row_max, col_sum):
+            calls.append(len(row_max))
+            return report(confusion, row_max, col_sum)
 
         report = demkit.bench._report
         monkeypatch.setattr(demkit.bench, "_report", counting)
@@ -532,8 +552,7 @@ class TestRunProtocol:
                 for batches in data:
                     if adapted is None or mode == "single_domain":
                         adapted, plugin = model.copy(), factory()
-                    P = adapt_stream(adapted, (X for X, _ in batches), plugin, cfg)
-                    probs.append(np.concatenate(P))
+                    probs.append(_shift_probs(adapted, batches, plugin, cfg))
                     labels.append(np.concatenate([y for _, y in batches]))
                 eager_per_shift = [metrics(P, y) for P, y in zip(probs, labels)]
                 eager_overall = metrics(np.concatenate(probs), np.concatenate(labels))
@@ -548,21 +567,27 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("mode", ["single_domain", "continual"])
     def test_keeps_no_probability_matrix(self, mode):
-        # A finished result holds 1-D arrays only: per row a prediction,
-        # a largest probability and a label; per shift and overall C sums.
+        # A finished result holds one float per row, its largest
+        # probability, and no per-row prediction or label: per shift a
+        # C x C confusion count and C sums, overall C sums.
         model, data = self._setup()
         res = run_protocol(model, data, mode, AdaDemPlugin, SgdConfig(lr=0.05, momentum=0.9))
         res.per_shift, res.overall, res.accuracy
         rows = [sum(len(y) for _, y in batches) for batches in data]
+        C = model.C
         arrays = []
         for value in vars(res).values():
             for item in value if isinstance(value, list) else [value]:
                 if isinstance(item, np.ndarray):
                     arrays.append(item)
-        assert arrays and all(A.ndim == 1 for A in arrays)
-        assert [len(p) for p in res.preds] == [len(m) for m in res.row_max] == rows
-        assert [s.shape for s in res.col_sums] == [(model.C,)] * len(data)
-        assert res.total.shape == (model.C,)
+        assert sorted(A.shape for A in arrays if A.size > C) == sorted(
+            [(n,) for n in rows] + [(C, C)] * len(data)
+        )
+        assert [len(m) for m in res.row_max] == rows
+        assert [c.shape for c in res.confusion] == [(C, C)] * len(data)
+        assert [int(c.sum()) for c in res.confusion] == rows
+        assert [s.shape for s in res.col_sums] == [(C,)] * len(data)
+        assert res.total.shape == (C,)
 
     def test_continual_resets_momentum_at_every_shift(self):
         # The model and the plugin (here AdaDEM's calibrator) carry over
@@ -574,19 +599,17 @@ class TestRunProtocol:
         res = run_protocol(model, data, "continual", AdaDemPlugin, cfg)
 
         def accuracy(probs, batches):
-            return metrics(np.concatenate(probs),
-                           np.concatenate([y for _, y in batches])).accuracy
+            return metrics(probs, np.concatenate([y for _, y in batches])).accuracy
 
         adapted, plugin = model.copy(), AdaDemPlugin()
         per_call = []
         for batches in data:
-            probs = adapt_stream(adapted, (X for X, _ in batches), plugin, cfg)
+            probs = _shift_probs(adapted, batches, plugin, cfg)
             per_call.append(accuracy(probs, batches))
         assert [rep.accuracy for rep in res.per_shift] == per_call
 
-        probs = adapt_stream(model.copy(), (X for X, _ in data[0] + data[1]),
-                             AdaDemPlugin(), cfg)
-        one_call = [accuracy(probs[:10], data[0]), accuracy(probs[10:], data[1])]
+        probs = _shift_probs(model.copy(), data[0] + data[1], AdaDemPlugin(), cfg)
+        one_call = [accuracy(probs[:320], data[0]), accuracy(probs[320:], data[1])]
         assert one_call[0] == per_call[0]
         assert one_call[1] != per_call[1]
 
@@ -609,6 +632,52 @@ class TestRunProtocol:
                          lambda: NanOnSecondShift(next(shifts)), SgdConfig(lr=0.01))
         assert (info.value.shift, info.value.batch) == (1, 0)
         assert "shift 1, batch 0" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "bad", [lambda y: y + 0.5, lambda y: np.where(y == 0, 10, y)], ids=["float", "past-C"]
+    )
+    def test_rejects_labels_that_are_not_classes(self, bad):
+        # The second shift's labels are checked before its bincount.
+        model, data = self._setup()
+        data[1] = [(X, bad(y)) for X, y in data[1]]
+        with pytest.raises(ValueError, match="labels must"):
+            run_protocol(model, data, "continual", EmPlugin, SgdConfig(lr=0.01))
+
+    @pytest.mark.parametrize("empty", [[], [(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))]],
+                             ids=["no-batches", "no-rows"])
+    def test_a_shift_with_no_rows_is_named(self, empty):
+        model, data = self._setup()
+        data[1] = empty
+        with pytest.raises(ValueError, match="shift 1 has no rows"):
+            run_protocol(model, data, "single_domain", EmPlugin, SgdConfig(lr=0.01))
+        with pytest.raises(ValueError, match="shift 1 has no rows"):
+            no_adapt_accuracy(model, data)
+
+    def test_a_stream_with_no_shifts_is_a_value_error(self):
+        model, _ = self._setup()
+        with pytest.raises(ValueError, match="no shifts"):
+            run_protocol(model, [], "continual", EmPlugin, SgdConfig(lr=0.01))
+        with pytest.raises(ValueError, match="no shifts"):
+            no_adapt_accuracy(model, [])
+
+    def test_holds_one_probability_matrix(self):
+        # A shift of R rows and C classes costs one (R + 1) x C matrix,
+        # plus a few per-row integers and floats while it is summarised;
+        # holding the probabilities twice, as a per-batch list and its
+        # concatenation, exceeds the bound.
+        mix, model = _quick_source()
+        spec = StreamSpec("single_domain", (ShiftSpec("rotate2d", 0.5),), 200, 64)
+        data = make_stream(mix, spec, Rng(21))
+        R, C = 200 * 64, model.C
+        cfg = SgdConfig(lr=0.01, momentum=0.9)
+        run_protocol(model, data, "single_domain", AdaDemPlugin, cfg)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            run_protocol(model, data, "single_domain", AdaDemPlugin, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * R * C * 8 + 64 * 1024, peak
 
     def test_rejects_unknown_mode(self):
         model, data = self._setup()

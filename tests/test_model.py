@@ -217,6 +217,16 @@ def _inline_adapt(model, inputs, plugin, cfg):
     return probs
 
 
+def _adapt(model, inputs, plugin, cfg):
+    """``adapt_stream`` into a fresh matrix of the stream's rows; returns
+    the pre-update probabilities split into one block per batch."""
+    inputs = list(inputs)
+    sizes = [X.shape[0] for X in inputs]
+    probs = np.empty((sum(sizes), model.C))
+    adapt_stream(model, inputs, plugin, cfg, probs)
+    return np.split(probs, np.cumsum(sizes)[:-1])
+
+
 def _param_fd(model, X, values, h=1e-6):
     """Central-difference gradient of mean batch loss over every entry;
     ``values`` maps the logits to the per-row loss values."""
@@ -534,7 +544,7 @@ class TestAdaptStream:
         batches = self._stream(Rng(30))
         model = init_linear(3, 2, Rng(31), scale=0.5)
         ref = model.copy()
-        probs = adapt_stream(model, (X for X, _ in batches), EmPlugin(), SgdConfig(lr=0.01))
+        probs = _adapt(model, (X for X, _ in batches), EmPlugin(), SgdConfig(lr=0.01))
         assert len(probs) == len(batches)
         state = SgdState()
         for P, (X, _) in zip(probs, batches):
@@ -548,7 +558,7 @@ class TestAdaptStream:
         batches = self._stream(Rng(30))
         model = init_linear(3, 2, Rng(31), scale=0.5)
         frozen = model.copy()
-        probs = adapt_stream(model, [X for X, _ in batches], EmPlugin(), SgdConfig(lr=0.0))
+        probs = _adapt(model, [X for X, _ in batches], EmPlugin(), SgdConfig(lr=0.0))
         np.testing.assert_array_equal(model.theta, frozen.theta)
         for P, (X, _) in zip(probs, batches):
             np.testing.assert_array_equal(P, softmax_rows(forward(frozen, X)))
@@ -562,7 +572,7 @@ class TestAdaptStream:
         model = init_linear(3, 2)
         before = model.copy()
         plugin = CrossEntropyPlugin(batches[0][1])
-        probs = adapt_stream(model, [X for X, _ in batches], plugin, SgdConfig(lr=0.5))
+        probs = _adapt(model, [X for X, _ in batches], plugin, SgdConfig(lr=0.5))
         assert probs[0].max(axis=1).mean() == 1 / 3
         assert np.linalg.norm(model.theta - before.theta) > 0.0
         assert probs[1].max(axis=1).mean() != 1 / 3
@@ -574,7 +584,7 @@ class TestAdaptStream:
         model = LinearSoftmax(8.0 * means, np.zeros(3))
         before = model.copy()
         X = np.vstack([means, means])
-        probs = adapt_stream(model, [X], EmPlugin(), SgdConfig(lr=0.05))
+        probs = _adapt(model, [X], EmPlugin(), SgdConfig(lr=0.05))
         assert probs[0].max(axis=1).mean() > 0.999
         assert np.linalg.norm(model.theta - before.theta) < 1e-4
 
@@ -587,7 +597,7 @@ class TestAdaptStream:
         cfg = SgdConfig(lr=0.3, momentum=0.5, scope=scope)
         model = init_mlp(3, 2, 6, Rng(36))
         ref = model.copy()
-        adapt_stream(model, [X for X, _ in batches], EmPlugin(), cfg)
+        _adapt(model, [X for X, _ in batches], EmPlugin(), cfg)
 
         a = ref.head if scope == "head" else 0
         state = SgdState()
@@ -605,7 +615,7 @@ class TestAdaptStream:
         batches = self._stream(Rng(37), n_batches=3)
         model = init_mlp(3, 2, 6, Rng(38))
         before = model.copy()
-        adapt_stream(model, [X for X, _ in batches], EmPlugin(),
+        _adapt(model, [X for X, _ in batches], EmPlugin(),
                      SgdConfig(lr=0.3, momentum=0.5, scope="head"))
         np.testing.assert_array_equal(model.theta[: model.head], before.theta[: before.head])
         assert not np.array_equal(model.theta[model.head :], before.theta[before.head :])
@@ -615,8 +625,8 @@ class TestAdaptStream:
         cfg = SgdConfig(lr=0.2, momentum=0.9)
         model = init_linear(3, 2, Rng(41), scale=0.5)
         ref = model.copy()
-        adapt_stream(model, [X for X, _ in first], EmPlugin(), cfg)
-        adapt_stream(model, [X for X, _ in second], EmPlugin(), cfg)
+        _adapt(model, [X for X, _ in first], EmPlugin(), cfg)
+        _adapt(model, [X for X, _ in second], EmPlugin(), cfg)
         for batches in (first, second):
             state = SgdState()
             for X, _ in batches:
@@ -638,7 +648,7 @@ class TestAdaptStream:
         batches = self._stream(Rng(30), n_batches=3)
         model = init_linear(3, 2, Rng(31), scale=0.5)
         with pytest.raises(DivergenceError) as info:
-            adapt_stream(model, [X for X, _ in batches], NanAfterFirst(), SgdConfig(lr=0.1))
+            _adapt(model, [X for X, _ in batches], NanAfterFirst(), SgdConfig(lr=0.1))
         assert isinstance(info.value, FloatingPointError)
         assert (info.value.stage, info.value.batch) == ("loss gradients", 1)
         assert str(info.value) == (
@@ -649,21 +659,21 @@ class TestAdaptStream:
         model = LinearSoftmax(np.full((3, 2), 1e308), np.zeros(3))
         X = np.array([[10.0, 10.0]])
         with pytest.raises(DivergenceError) as info, np.errstate(over="ignore"):
-            adapt_stream(model, [X], EmPlugin(), SgdConfig(lr=0.1))
+            _adapt(model, [X], EmPlugin(), SgdConfig(lr=0.1))
         assert (info.value.stage, info.value.batch) == ("logits", 0)
 
     def test_non_finite_input_is_a_value_error(self):
         model = init_linear(3, 2)
         X = np.array([[np.nan, 0.0]])
         with pytest.raises(ValueError):
-            adapt_stream(model, [X], EmPlugin(), SgdConfig(lr=0.1))
+            _adapt(model, [X], EmPlugin(), SgdConfig(lr=0.1))
 
     def test_adadem_state_threads_across_batches(self):
         batches = self._stream(Rng(33), n_batches=4)
         plugin = AdaDemPlugin(AdaDemVariant(), pi=0.2)
         assert plugin.state is None
         model = init_linear(3, 2, Rng(34), scale=0.5)
-        probs = adapt_stream(model, [X for X, _ in batches], plugin, SgdConfig(lr=0.01))
+        probs = _adapt(model, [X for X, _ in batches], plugin, SgdConfig(lr=0.01))
         assert isinstance(plugin.state, MecState)
         assert plugin.state.C == 3
         assert plugin.state.pi == 0.2
@@ -679,10 +689,11 @@ class TestAdaptStream:
         ids=["dem", "adadem"],
     )
     def test_plugins_score_the_returned_probabilities(self, make_plugin, monkeypatch):
-        # adapt_stream computes P = softmax_rows(Z) once per batch: the
-        # plugin receives the very matrix that is returned, leaves it
-        # unwritten and never recomputes it.  dem_rows still takes the
-        # softmax of Z / tau, which is another matrix.
+        # adapt_stream computes P = softmax_rows(Z) once per batch, into
+        # the batch's rows of the caller's matrix: the plugin receives that
+        # row block, with the bits of softmax_rows(Z), leaves it unwritten
+        # and never recomputes it.  dem_rows still takes the softmax of
+        # Z / tau, which is another matrix.
         seen = []
 
         class Recording:
@@ -690,16 +701,19 @@ class TestAdaptStream:
                 self.inner = inner
 
             def batch_eval(self, Z, P):
-                seen.append((Z, P))
+                seen.append(P)
+                assert P.tobytes() == softmax_rows(Z).tobytes()
                 before = P.copy()
+                self.logits = Z
                 out = self.inner.batch_eval(Z, P)
                 assert np.array_equal(P, before)
                 return out
 
+        recording = Recording(make_plugin())
         tempered_only = em_losses.softmax_rows
 
         def no_softmax_of_the_logits(A):
-            if np.array_equal(A, seen[-1][0]):
+            if np.array_equal(A, recording.logits):
                 raise AssertionError("softmax_rows recomputed on the logits")
             return tempered_only(A)
 
@@ -710,11 +724,37 @@ class TestAdaptStream:
         monkeypatch.setattr(adadem, "softmax_rows", no_softmax)
         batches = self._stream(Rng(42), n_batches=4)
         model = init_mlp(3, 2, 6, Rng(43))
-        probs = adapt_stream(
-            model, [X for X, _ in batches], Recording(make_plugin()), SgdConfig(lr=0.05)
-        )
-        assert len(seen) == len(probs) == 4
-        assert all(P is returned for (_, P), returned in zip(seen, probs))
+        probs = np.empty((64, 3))
+        adapt_stream(model, [X for X, _ in batches], recording, SgdConfig(lr=0.05), probs)
+        assert len(seen) == 4
+        for i, P in enumerate(seen):
+            block = probs[16 * i : 16 * (i + 1)]
+            assert P.base is probs
+            assert (P.shape, P.ctypes.data) == (block.shape, block.ctypes.data)
+
+    @pytest.mark.parametrize("rows", [47, 49])
+    def test_probability_matrix_must_fit_the_stream(self, rows):
+        # Three batches of 16 rows fill exactly 48.
+        batches = self._stream(Rng(30))
+        model = init_linear(3, 2, Rng(31), scale=0.5)
+        message = "batch 2 overruns the 47" if rows < 48 else "filled 48 of the 49"
+        with pytest.raises(ValueError, match=message):
+            adapt_stream(model, [X for X, _ in batches], EmPlugin(), SgdConfig(lr=0.01),
+                         np.empty((rows, 3)))
+
+    @pytest.mark.parametrize(
+        "probs",
+        [np.empty((48, 4)), np.empty((48, 3), dtype=np.float32), np.empty((3, 48)).T,
+         np.empty(48 * 3), [[0.0] * 3] * 48],
+        ids=["columns", "dtype", "layout", "vector", "list"],
+    )
+    def test_rejects_a_malformed_probability_matrix(self, probs):
+        batches = self._stream(Rng(30))
+        model = init_linear(3, 2, Rng(31), scale=0.5)
+        before = model.theta.copy()
+        with pytest.raises(ValueError, match="C-contiguous float64 matrix of 3 columns"):
+            adapt_stream(model, [X for X, _ in batches], EmPlugin(), SgdConfig(lr=0.01), probs)
+        assert np.array_equal(model.theta, before)
 
 
 class TestStepKernels:
@@ -757,7 +797,7 @@ class TestStepKernels:
         inputs = self._inputs([64, 8, 100, 64, 1])
         cfg = SgdConfig(lr=0.1, momentum=0.9, scope=scope)
         model, ref = self._make(arch), self._make(arch)
-        probs = adapt_stream(model, inputs, AdaDemPlugin(), cfg)
+        probs = _adapt(model, inputs, AdaDemPlugin(), cfg)
         expected = _inline_adapt(ref, inputs, AdaDemPlugin(), cfg)
         assert model.theta.tobytes() == ref.theta.tobytes()
         assert [P.tobytes() for P in probs] == [P.tobytes() for P in expected]
@@ -766,7 +806,7 @@ class TestStepKernels:
     def test_growing_workspace_never_aliases_the_returned_probabilities(self, arch):
         # Batches of 64, 8, 100 and 64 rows make the workspace grow twice
         # and be sliced twice.  The logits handed to the plugin live in it;
-        # the returned probabilities must not.
+        # the caller's probability matrix must not.
         sizes = [64, 8, 100, 64]
         inputs = self._inputs(sizes, seed=12)
         seen = []
@@ -779,15 +819,13 @@ class TestStepKernels:
                 return self.inner.batch_eval(Z, P)
 
         cfg = SgdConfig(lr=0.1, momentum=0.5)
-        probs = adapt_stream(self._make(arch), inputs, Recording(), cfg)
-        assert [P.shape for P in probs] == [(n, 3) for n in sizes]
-        for i, P in enumerate(probs):
-            assert not any(np.shares_memory(P, Q) for Q in probs[i + 1 :])
-            assert not any(np.shares_memory(P, Z) for Z in seen)
+        probs = np.empty((sum(sizes), 3))
+        adapt_stream(self._make(arch), inputs, Recording(), cfg, probs)
+        assert not any(np.shares_memory(probs, Z) for Z in seen)
         # The logits buffer is reused: a batch that fits is a slice of it.
         assert np.shares_memory(seen[0], seen[1]) and np.shares_memory(seen[2], seen[3])
         expected = _inline_adapt(self._make(arch), inputs, DemPlugin(DemConfig(1.3, 0.4)), cfg)
-        assert [P.tobytes() for P in probs] == [P.tobytes() for P in expected]
+        assert probs.tobytes() == np.concatenate(expected).tobytes()
 
 
 class TestPlugins:

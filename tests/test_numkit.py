@@ -13,6 +13,7 @@ from demkit.numkit import (
     _logsumexp,
     _scaled,
     _softmax,
+    _softmax_rows,
     as_matrix,
     as_vector,
     finite_diff_grad,
@@ -232,6 +233,16 @@ class TestReductionKernels:
             m = Z.max(axis=1, keepdims=True)
             lse = (m + np.log(np.exp(Z - m).sum(axis=1, keepdims=True)))[:, 0]
             assert logsumexp_rows(Z).tobytes() == lse.tobytes()
+
+    def test_row_kernel_writes_into_a_row_block(self):
+        # adapt_stream hands the kernel each batch's rows of one matrix:
+        # the block gets the bits of softmax_rows and no other row moves.
+        for Z in _reduction_inputs():
+            buf = np.full((Z.shape[0] + 2, Z.shape[1]), 7.0)
+            block = buf[1:-1]
+            assert _softmax_rows(Z, block) is block
+            assert block.tobytes() == softmax_rows(Z).tobytes()
+            assert np.all(buf[0] == 7.0) and np.all(buf[-1] == 7.0)
 
     def test_inputs_are_read_not_written(self):
         Z = np.array([[0.5, -0.0, 2.0], [3.0, 3.0, 3.0]])
