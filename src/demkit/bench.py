@@ -8,8 +8,10 @@ easy-class bias under shift, and learning-rate fragility.
 
 A *shift* transforms the inputs (translation, rotation, added noise or
 scaling) with a severity level 1-5 that multiplies its base magnitude.
-A *stream* is an ordered list of shifts, each producing a number of
-unlabeled batches.  Two protocols mirror test-time-adaptation practice:
+A *stream* is an ordered list of shifts, each producing ``B`` batches of
+``n`` rows, handed over as inputs ``B x n x d`` and labels ``B x n``; the
+protocols validate a shift once and step through its batches.  Two
+protocols mirror test-time-adaptation practice:
 
 * ``single_domain``: a fresh copy of the source model adapts to each
   shift independently,
@@ -33,7 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import DivergenceError, _validated_labels, adapt_stream, forward, SgdConfig
+from .model import DivergenceError, SgdConfig, _Workspace, _forward, adapt_stream
+from .model import _validated_labels, _validated_shift
 from .numkit import as_matrix, as_vector, Rng
 
 __all__ = [
@@ -301,7 +304,10 @@ def apply_shift(X, spec: ShiftSpec, rng: Rng) -> np.ndarray:
 
 
 def make_stream(mix: MixtureSpec, spec: StreamSpec, rng: Rng):
-    """Materialize the stream: per shift, a list of ``(X, y)`` batches.
+    """Materialize the stream: per shift, inputs ``X`` (``B x n x d``
+    float64) and labels ``y`` (``B x n`` int64) of ``B`` batches of
+    ``n`` rows.  Batch ``i`` is drawn by :func:`sample_batch`, then
+    :func:`apply_shift`, and written into ``X[i]`` and ``y[i]``.
 
     Each shift's batches come from a generator derived from the shift's
     *content* (kind, magnitude, level, occurrence number), not its
@@ -311,6 +317,7 @@ def make_stream(mix: MixtureSpec, spec: StreamSpec, rng: Rng):
     priors = spec.label_priors
     if priors is None:
         priors = np.full(mix.C, 1.0 / mix.C)
+    B, n = spec.batches_per_shift, spec.batch_size
     seen: dict[str, int] = {}
     out = []
     for shift in spec.shifts:
@@ -318,11 +325,11 @@ def make_stream(mix: MixtureSpec, spec: StreamSpec, rng: Rng):
         occurrence = seen.get(base, 0)
         seen[base] = occurrence + 1
         srng = rng.derive(shift.key(occurrence))
-        batches = []
-        for _ in range(spec.batches_per_shift):
-            X, y = sample_batch(mix, priors, spec.batch_size, srng)
-            batches.append((apply_shift(X, shift, srng), y))
-        out.append(batches)
+        X, y = np.empty((B, n, mix.d)), np.empty((B, n), dtype=np.int64)
+        for i in range(B):
+            Xi, y[i] = sample_batch(mix, priors, n, srng)
+            X[i] = apply_shift(Xi, shift, srng)
+        out.append((X, y))
     return out
 
 
@@ -360,7 +367,7 @@ def metrics(probs, labels) -> MetricsReport:
     P = as_matrix(probs)
     if P.shape[0] == 0:
         raise ValueError("probs and labels must be nonempty")
-    y = _validated_labels(labels, P.shape[0], P.shape[1])
+    y = _validated_labels(labels, P.shape[:1], P.shape[1])
     return _report(*_summaries(P, y), np.add.reduce(P, axis=0))
 
 
@@ -405,18 +412,21 @@ def no_adapt_accuracy(source_model, shift_data) -> tuple[list, float]:
     ``shift_data`` is the output of :func:`make_stream`.  Returns
     ``(per_shift, overall)``: one accuracy per shift and one over every
     batch, the baseline an adaptation protocol is compared against.  A
-    shift with no rows raises ``ValueError`` naming it, and a stream
-    with no shifts raises ``ValueError``.
+    shift is validated once, then predicted batch by batch.  A shift
+    with no rows raises ``ValueError`` naming it, and a stream with no
+    shifts raises ``ValueError``.
     """
     per_shift, hits, rows = [], 0, 0
-    for s, batches in enumerate(shift_data):
-        correct = [np.argmax(forward(source_model, X), axis=1) == y for X, y in batches]
-        n = sum(len(c) for c in correct)
-        if n == 0:
+    for s, (X, y) in enumerate(shift_data):
+        X = _validated_shift(source_model, X)
+        if X.shape[0] * X.shape[1] == 0:
             raise ValueError(f"shift {s} has no rows to score")
-        h = sum(int(np.sum(c)) for c in correct)
-        per_shift.append(h / n)
-        hits, rows = hits + h, rows + n
+        y = _validated_labels(y, X.shape[:2], source_model.C)
+        ws = _Workspace(source_model, X.shape[1], backward=False)
+        preds = [np.argmax(_forward(source_model, Xi, ws), axis=1) for Xi in X]
+        h = int(np.count_nonzero(np.equal(preds, y)))
+        per_shift.append(h / y.size)
+        hits, rows = hits + h, rows + y.size
     if rows == 0:
         raise ValueError("the stream has no shifts to score")
     return per_shift, hits / rows
@@ -436,7 +446,7 @@ def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdCo
     the update it triggers.
 
     The protocol holds one ``(R + 1) x C`` matrix for shifts of ``R``
-    rows, reused from shift to shift (a shift of another length gets a
+    rows, reused from shift to shift (a shift of another size gets a
     new one): :func:`adapt_stream` writes the shift's probabilities into
     rows 1 to ``R``, and row 0 holds the running column sum of the
     shifts before (zeros at first; ``0 + p`` is ``p`` for probabilities,
@@ -445,9 +455,9 @@ def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdCo
     overwritten by the next shift's; the result scores the summaries
     when its metrics are first read.
 
-    Each shift's labels must be integers in ``[0, C)``, one per input
-    row.  A shift with no rows raises ``ValueError`` naming it, and a
-    stream with no shifts raises ``ValueError``.  A diverging update
+    Each shift's labels must be integers in ``[0, C)``, ``B x n`` like
+    its inputs.  A shift with no rows raises ``ValueError`` naming it,
+    and a stream with no shifts raises ``ValueError``.  A diverging update
     raises :class:`DivergenceError` naming the shift and the batch.
     """
     if mode not in ("single_domain", "continual"):
@@ -456,11 +466,11 @@ def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdCo
     confusion, row_max, col_sums = [], [], []
     buf, total = None, np.zeros(C)
     model = plugin = None
-    for s, batches in enumerate(shift_data):
-        R = sum(len(X) for X, _ in batches)
+    for s, (X, y) in enumerate(shift_data):
+        R = np.size(y)
         if R == 0:
             raise ValueError(f"shift {s} has no rows to score")
-        y = _validated_labels(np.concatenate([y for _, y in batches]), R, C)
+        y = _validated_labels(y, np.shape(X)[:2], C).reshape(R)
         if buf is None or buf.shape[0] != R + 1:
             buf = np.empty((R + 1, C))
         buf[0] = total
@@ -468,7 +478,7 @@ def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdCo
         if model is None or mode == "single_domain":
             model, plugin = source_model.copy(), plugin_factory()
         try:
-            adapt_stream(model, (X for X, _ in batches), plugin, cfg, P)
+            adapt_stream(model, X, plugin, cfg, P)
         except DivergenceError as exc:
             raise DivergenceError(exc.stage, exc.batch, s) from exc
         shift_confusion, shift_max = _summaries(P, y)

@@ -63,6 +63,7 @@ EXIT_NUMERIC = 3
 EXIT_USAGE = 64
 
 GRADCHECK_TOLERANCE = 1e-5
+REWARD_CURVE_MAX_POINTS = 100_000  # the largest reward-curve grid; the default has 601
 
 
 def fmt9(x: float) -> str:
@@ -193,7 +194,7 @@ SCHEMA = {
                 "momentum": {
                     "type": "number", "minimum": 0, "exclusiveMaximum": 1, "default": 0.9
                 },
-                "scope": {"enum": ["all", "head"], "default": "all"},
+                "scope": {"const": "all"},
             },
         },
         "loss": {
@@ -455,7 +456,11 @@ def cmd_reward_curve(args) -> int:
     if args.m_step <= 0 or args.m_max < args.m_min or args.c < 2:
         print("bad grid: need m-step > 0, m-max >= m-min, c >= 2", file=sys.stderr)
         return EXIT_USAGE
-    n = int(math.floor((args.m_max - args.m_min) / args.m_step + 1e-9))
+    steps = (args.m_max - args.m_min) / args.m_step + 1e-9
+    if not steps < REWARD_CURVE_MAX_POINTS:
+        print(f"bad grid: more than {REWARD_CURVE_MAX_POINTS} points", file=sys.stderr)
+        return EXIT_USAGE
+    n = int(math.floor(steps))
     m_grid = [args.m_min + i * args.m_step for i in range(n + 1)]
     rows = _em.reward_curve(args.c, cfg, m_grid)
     write_csv(
@@ -648,7 +653,7 @@ def cmd_run(args) -> int:
     remove_outputs(out, "metrics.csv")
     sspec, model, data = prepared_experiment(cfg)
     factory = plugin_factory_from(cfg)
-    sgd = _model.SgdConfig(**cfg["optimizer"])
+    sgd = _model.SgdConfig(lr=cfg["optimizer"]["lr"], momentum=cfg["optimizer"]["momentum"])
     result = _bench.run_protocol(model, data, sspec.mode, factory, sgd)
     base_per_shift, base_overall = _bench.no_adapt_accuracy(model, data)
 
@@ -696,15 +701,15 @@ def grid_search_result(cfg: dict, model, data) -> GridResult:
     shift's batches (at least one).
     """
     mode = cfg["stream"]["mode"]
-    sgd = _model.SgdConfig(**cfg["optimizer"])
+    sgd = _model.SgdConfig(lr=cfg["optimizer"]["lr"], momentum=cfg["optimizer"]["momentum"])
     grid = _search.GridSpec(**cfg["grid"])
-    k = max(1, round(len(data[0]) * grid.subset_fraction))
-    subset = [batches[:k] for batches in data]
+    k = max(1, round(len(data[0][0]) * grid.subset_fraction))
+    subset = [(X[:k], y[:k]) for X, y in data]
 
-    def score(batches, tau: float, alpha: float) -> float:
+    def score(shifts, tau: float, alpha: float) -> float:
         dem_cfg = _em.DemConfig(tau, alpha)
         factory = lambda: _model.DemPlugin(dem_cfg)
-        return _bench.run_protocol(model, batches, mode, factory, sgd).accuracy
+        return _bench.run_protocol(model, shifts, mode, factory, sgd).accuracy
 
     best, table = _search.grid_search(lambda t, a: score(subset, t, a), grid)
     best_full = score(data, best.tau, best.alpha)
@@ -774,7 +779,7 @@ def lr_sweep_result(cfg: dict, model, data) -> _search.LrSweepResult:
     """Sweep the config's ``lrs`` for its loss, mode and optimizer settings."""
     mode = cfg["stream"]["mode"]
     factory = plugin_factory_from(cfg)
-    sgd = _model.SgdConfig(**cfg["optimizer"])
+    sgd = _model.SgdConfig(lr=cfg["optimizer"]["lr"], momentum=cfg["optimizer"]["momentum"])
 
     def protocol(lr: float) -> float:
         run = _bench.run_protocol(model, data, mode, factory, replace(sgd, lr=lr))

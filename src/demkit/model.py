@@ -8,31 +8,30 @@ gradients with mean reduction over the batch, so the learning-rate scale
 is batch-size invariant.
 
 Each model stores its parameters in one float64 vector ``theta``; the
-weight matrices and biases are reshaped views of it, and ``model.head``
-is the offset where the final linear layer starts.  Gradients, SGD
-velocity and updates are flat vectors laid out like ``theta``, so the
-head-only scope is the slice ``theta[head:]``.
+weight matrices and biases are reshaped views of it.  Gradients, SGD
+velocity and updates are flat vectors laid out like ``theta``.
 
-``adapt_stream`` is the online protocol: for each unlabeled batch the
-model first predicts (the loop writes these pre-update probabilities
-into the caller's matrix for scoring), then the loss plugin turns the
-logits and those probabilities into per-sample gradients, and one SGD
-step is applied.
+``adapt_stream`` is the online protocol over one shift, a ``B x n x d``
+array of ``B`` unlabeled batches of ``n`` rows: for each batch the model
+first predicts (the loop writes these pre-update probabilities into the
+caller's matrix for scoring), then the loss plugin turns the logits and
+those probabilities into per-sample gradients, and one SGD step is
+applied.
 Plugins wrap the loss family: cross-entropy (supervised plumbing for
 source training and oracle baselines), classical EM, decoupled EM, and
 AdaDEM, which carries its calibrator state through the whole stream.
 
 Validation follows the convention of :mod:`demkit.numkit`: the public
-``forward`` and ``backward`` validate their input once (a finite float64
-matrix of the model's input width) and hand it to the private kernels
-``_forward`` and ``_backward``, which check nothing.  The kernels are
-the only forward and backward pass, and they write into a
-:class:`_Workspace` instead of allocating: it holds the logits, the MLP's
-hidden activations (which ``_backward`` reuses instead of recomputing
-the forward pass), the backward intermediates and one flat gradient
-laid out like ``theta``.  The step loops (``train_source``,
-``adapt_stream``) build one workspace per call, validate each batch once
-and run ``_forward`` and ``_backward`` once per step; the public
+functions validate their input once (finite float64 inputs of the
+model's input width; ``adapt_stream`` checks a whole shift at once) and
+hand it to the private kernels ``_forward`` and ``_backward``, which
+check nothing.  The kernels are the only forward and backward pass, and
+they write into a :class:`_Workspace` instead of allocating: it holds
+the logits, the MLP's hidden activations (which ``_backward`` reuses
+instead of recomputing the forward pass), the backward intermediates
+and one flat gradient laid out like ``theta``.  The step loops
+(``train_source``, ``adapt_stream``) build their workspaces once per
+call and run ``_forward`` and ``_backward`` once per step; the public
 ``forward`` and ``backward`` run them on a fresh workspace, so what they
 return belongs to the caller.  ``sgd_step`` likewise writes ``lr * v``
 into a scratch vector of its :class:`SgdState`.
@@ -94,11 +93,8 @@ def _pack(*arrays):
 class LinearSoftmax:
     """Logits = W x + b with W of shape C x d.
 
-    ``theta`` holds ``W`` then ``b``; both are views of it.  The whole
-    model is the head, so ``head = 0``.
+    ``theta`` holds ``W`` then ``b``; both are views of it.
     """
-
-    head = 0
 
     def __init__(self, W, b):
         self.theta, (self.W, self.b) = _pack(W, b)
@@ -115,12 +111,11 @@ class Mlp:
     """Logits = W2 relu(W1 x + b1) + b2.
 
     ``theta`` holds ``W1``, ``b1``, ``W2``, ``b2`` in that order, each a
-    view of it; the head (``W2``, ``b2``) is ``theta[head:]``.
+    view of it.
     """
 
     def __init__(self, W1, b1, W2, b2):
         self.theta, (self.W1, self.b1, self.W2, self.b2) = _pack(W1, b1, W2, b2)
-        self.head = self.W1.size + self.b1.size
 
     def copy(self) -> "Mlp":
         return Mlp(self.W1, self.b1, self.W2, self.b2)
@@ -166,55 +161,46 @@ def _validated_input(model, X) -> np.ndarray:
     return X
 
 
-class _Workspace:
-    """The buffers of one step loop, reused by every step.
+def _validated_shift(model, X) -> np.ndarray:
+    """``X`` as a ``B x n x d`` float64 array of finite inputs of the model's width."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 3:
+        raise ValueError(f"a shift's inputs must be B x n x d, got shape {X.shape}")
+    _validated_input(model, X.reshape(-1, X.shape[2]))
+    return X
 
-    Row buffers hold one batch: the logits ``Z`` (``n x C``) and, for the
-    MLP, the hidden pre- and post-activations ``H`` and ``A``
-    (``n x hidden``).  With ``backward`` (the default) they also include
-    the scaled logit gradients ``G`` and, for the MLP, the hidden
-    gradient ``dH`` and the rectifier mask ``M``; ``g`` is then one flat
-    parameter gradient laid out like ``theta``, and ``grads`` are its
-    views shaped like the model's arrays (``W``, ``b`` or ``W1``, ``b1``,
-    ``W2``, ``b2``).  :meth:`fit` slices the row buffers to a batch's
-    row count, first regrowing them if the batch is longer than any
-    before it.
+
+class _Workspace:
+    """The buffers of one step loop, reused by every step of ``n`` rows.
+
+    Row buffers hold one batch: the logits ``Z`` (``n x C``) and the
+    MLP's hidden pre- and post-activations ``H`` and ``A``
+    (``n x hidden``; zero columns wide for the linear model).  With
+    ``backward`` (the default) they also include the scaled logit
+    gradients ``G``, the hidden gradient ``dH`` and the rectifier mask
+    ``M``; ``g`` is then one flat parameter gradient laid out like
+    ``theta``, and ``grads`` are its views shaped like the model's arrays
+    (``W``, ``b`` or ``W1``, ``b1``, ``W2``, ``b2``).
     """
 
     def __init__(self, model, n: int, backward: bool = True):
         mlp = isinstance(model, Mlp)
         C, h = model.C, model.W1.shape[0] if mlp else 0
-        # (name, columns, dtype) of each row buffer.
-        self._specs = [("Z", C, float)] + ([("H", h, float), ("A", h, float)] if mlp else [])
+        self.Z, self.H, self.A = np.empty((n, C)), np.empty((n, h)), np.empty((n, h))
         if backward:
-            self._specs += [("G", C, float)] + ([("dH", h, float), ("M", h, bool)] if mlp else [])
+            self.G, self.dH, self.M = np.empty((n, C)), np.empty((n, h)), np.empty((n, h), bool)
             self.g = np.empty_like(model.theta)
             arrays = (model.W1, model.b1, model.W2, model.b2) if mlp else (model.W, model.b)
             self.grads = _views(self.g, arrays)
-        self.rows = self.n = -1
-        self.fit(n)
-
-    def fit(self, n: int) -> None:
-        """Slice the row buffers to ``n`` rows."""
-        if n == self.n:
-            return
-        if n > self.rows:
-            self._full = {name: np.empty((n, cols), dt) for name, cols, dt in self._specs}
-            self.rows = n
-            self.__dict__.update(self._full)
-        else:
-            self.__dict__.update((name, buf[:n]) for name, buf in self._full.items())
-        self.n = n
 
 
 def _forward(model, X: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Kernel of :func:`forward` for validated input.
+    """Kernel of :func:`forward` for validated input of ``ws``'s rows.
 
-    Fits ``ws`` to the rows of ``X`` and writes the logits into ``ws.Z``
-    (returned) and, for the MLP, the hidden activations into ``ws.H`` and
-    ``ws.A``, where :func:`_backward` reads them.
+    Writes the logits into ``ws.Z`` (returned) and, for the MLP, the
+    hidden activations into ``ws.H`` and ``ws.A``, where
+    :func:`_backward` reads them.
     """
-    ws.fit(X.shape[0])
     Z = ws.Z
     if isinstance(model, Mlp):
         H, A = ws.H, ws.A
@@ -296,22 +282,18 @@ def _ce_row_values(Z: np.ndarray, targets: np.ndarray) -> np.ndarray:
 class SgdConfig:
     """SGD with optional heavy-ball momentum.
 
-    ``scope = "head"`` restricts updates to the final linear layer (for
-    the MLP; the linear model is all head).  ``lr = 0`` is allowed and
-    leaves the model untouched, which gives the no-adapt baseline.
+    ``lr = 0`` is allowed and leaves the model untouched, which gives the
+    no-adapt baseline.
     """
 
     lr: float
     momentum: float = 0.0
-    scope: str = "all"
 
     def __post_init__(self):
         if self.lr < 0:
             raise ValueError(f"learning rate must be non-negative, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.scope not in ("all", "head"):
-            raise ValueError(f"unknown scope {self.scope!r}")
 
 
 @dataclass
@@ -326,11 +308,7 @@ class SgdState:
 
 
 def sgd_step(model, grad: np.ndarray, cfg: SgdConfig, state: SgdState) -> None:
-    """One in-place step: ``v <- momentum v + g``, ``theta <- theta - lr v``.
-
-    Under ``scope = "head"`` only ``theta[model.head:]`` moves; the
-    velocity of the frozen trunk still accumulates.
-    """
+    """One in-place step: ``v <- momentum v + g``, ``theta <- theta - lr v``."""
     if state.scaled is None:
         state.scaled = np.empty_like(model.theta)
         if state.velocity is None:
@@ -338,8 +316,7 @@ def sgd_step(model, grad: np.ndarray, cfg: SgdConfig, state: SgdState) -> None:
     v = state.velocity
     v *= cfg.momentum
     v += grad
-    a = model.head if cfg.scope == "head" else 0
-    model.theta[a:] -= np.multiply(v[a:], cfg.lr, out=state.scaled[a:])
+    model.theta -= np.multiply(v, cfg.lr, out=state.scaled)
 
 
 class CrossEntropyPlugin:
@@ -409,13 +386,13 @@ class DivergenceError(FloatingPointError):
         self.shift = shift
 
 
-def _validated_labels(y, n: int, C: int) -> np.ndarray:
-    """``y`` as a 1-D integer array of ``n`` labels in ``[0, C)``."""
+def _validated_labels(y, shape: tuple, C: int) -> np.ndarray:
+    """``y`` as an integer array of ``shape`` holding labels in ``[0, C)``."""
     y = np.asarray(y)
-    if y.ndim != 1 or y.dtype.kind not in "iu":
-        raise ValueError(f"labels must be 1-D integers, got {y.dtype} of shape {y.shape}")
-    if y.shape[0] != n:
-        raise ValueError(f"expected one label per input row ({n}), got {y.shape[0]}")
+    if y.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {y.dtype}")
+    if y.shape != shape:
+        raise ValueError(f"labels must be one per input row, shape {shape}, got {y.shape}")
     if y.min() < 0 or y.max() >= C:
         raise ValueError(f"labels must lie in [0, {C})")
     return y
@@ -436,8 +413,11 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int 
     (no loss values) and reuses the forward activations in the backward
     pass.  The gradient has the bits of subtracting 1 at each target in
     place: ``p - 1.0`` is that subtraction and ``p - 0.0`` is ``p``.
-    Every step writes into one :class:`_Workspace`, sized once per call.
-    ``batch_size < 1`` and ``epochs < 0`` raise ``ValueError``.
+    Steps write into a :class:`_Workspace` sized once per call, and a
+    short last batch into a second.  ``batch_size < 1`` and
+    ``epochs < 0`` raise ``ValueError``.  Non-finite parameters, checked
+    once per epoch with numpy's overflow and invalid-value warnings
+    silenced, raise ``FloatingPointError`` naming the epoch.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
@@ -447,35 +427,43 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int 
     n = X.shape[0]
     if n == 0:
         raise ValueError("empty training set")
-    T = np.eye(model.C)[_validated_labels(y, n, model.C)]
-    state, ws = SgdState(), _Workspace(model, min(batch_size, n))
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        Xo, To = X[order], T[order]
-        for start in range(0, n, batch_size):
-            Xb = Xo[start : start + batch_size]
-            G = softmax_rows(_forward(model, Xb, ws)) - To[start : start + batch_size]
-            sgd_step(model, _backward(model, Xb, G, ws), cfg, state)
+    T = np.eye(model.C)[_validated_labels(y, (n,), model.C)]
+    size = min(batch_size, n)
+    full = _Workspace(model, size)
+    last = _Workspace(model, n % size) if n % size else full
+    state = SgdState()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            Xo, To = X[order], T[order]
+            for start in range(0, n, size):
+                Xb = Xo[start : start + size]
+                ws = full if start + size <= n else last
+                G = softmax_rows(_forward(model, Xb, ws)) - To[start : start + size]
+                sgd_step(model, _backward(model, Xb, G, ws), cfg, state)
+            if not np.isfinite(model.theta).all():
+                raise FloatingPointError(f"source training diverged in epoch {epoch}")
     return model
 
 
-def adapt_stream(model, inputs, plugin, cfg: SgdConfig, probs: np.ndarray) -> None:
+def adapt_stream(model, X, plugin, cfg: SgdConfig, probs: np.ndarray) -> None:
     """Online adaptation: predict, update, repeat.
 
-    ``inputs`` yields unlabeled input matrices, so the loop never sees a
-    label.  For each batch the model first predicts, then
+    ``X`` is one shift's unlabeled inputs, a ``B x n x d`` array of ``B``
+    batches of ``n`` rows, so the loop never sees a label.  For each
+    batch ``X[i]`` the model first predicts, then
     ``plugin.batch_eval(Z, P)`` turns the logits ``Z`` and their
     probabilities ``P = softmax_rows(Z)`` into the ``n x C`` matrix of
     per-sample loss gradients with respect to the logits (gradients
     only: nothing here reads a loss value), and one SGD step moves
     ``model`` in place.
 
-    ``probs`` is the caller's C-contiguous float64 ``R x C`` matrix,
-    ``R`` the stream's total row count: each batch's pre-update
-    probabilities are written into its next rows, so after the call
-    ``probs`` holds the whole stream's, in order, for the caller to
-    score.  A batch that would overrun ``probs``, or a stream that ends
-    short of ``R`` rows, raises ``ValueError``.
+    ``probs`` is the caller's C-contiguous float64 ``(B * n) x C``
+    matrix: batch ``i``'s pre-update probabilities are written into its
+    rows ``i * n`` to ``(i + 1) * n``, so after the call ``probs`` holds
+    the whole shift's, in order, for the caller to score.  ``X`` and
+    ``probs`` are validated once, before the first step
+    (``ValueError``).
 
     The plugin contract: ``P`` is the batch's rows of ``probs``, so a
     plugin reads it and never writes into it.  ``Z`` is a buffer of
@@ -493,30 +481,24 @@ def adapt_stream(model, inputs, plugin, cfg: SgdConfig, probs: np.ndarray) -> No
     diverging step: numpy's overflow and invalid-value warnings are
     silenced for the loop, since a step that overflows fails one of them.
     """
+    X = _validated_shift(model, X)
+    B, n, C = X.shape[0], X.shape[1], model.C
     if not (
         isinstance(probs, np.ndarray)
         and probs.dtype == np.float64
-        and probs.ndim == 2
-        and probs.shape[1] == model.C
+        and probs.shape == (B * n, C)
         and probs.flags.c_contiguous
     ):
-        raise ValueError(f"probs must be a C-contiguous float64 matrix of {model.C} columns")
-    R, start = probs.shape[0], 0
-    state, ws = SgdState(), _Workspace(model, 0)
+        raise ValueError(f"probs must be a C-contiguous float64 matrix of {B * n} x {C}")
+    blocks = probs.reshape(B, n, C)
+    state, ws = SgdState(), _Workspace(model, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, X in enumerate(inputs):
-            X = _validated_input(model, X)
-            stop = start + X.shape[0]
-            if stop > R:
-                raise ValueError(f"batch {i} overruns the {R} rows of probs")
-            Z = _forward(model, X, ws)
+        for i, Xi in enumerate(X):
+            Z = _forward(model, Xi, ws)
             if not np.isfinite(Z).all():
                 raise DivergenceError("logits", i)
-            P = _softmax_rows(Z, probs[start:stop])
+            P = _softmax_rows(Z, blocks[i])
             dlogits = plugin.batch_eval(Z, P)
             if not np.isfinite(dlogits).all():
                 raise DivergenceError("loss gradients", i)
-            sgd_step(model, _backward(model, X, dlogits, ws), cfg, state)
-            start = stop
-    if start != R:
-        raise ValueError(f"the stream filled {start} of the {R} rows of probs")
+            sgd_step(model, _backward(model, Xi, dlogits, ws), cfg, state)

@@ -2,9 +2,10 @@
 
 Each test prints a single ``ACCEPTANCE Cnn [PASS|FAIL]`` line with the
 measured quantities, then asserts the guarantee at its stated tolerance.
-The experiment-level criteria (C9-C12) rebuild the three standard source
-models (seeds 0, 1, 2) through the same derivation chain the CLI uses,
-so what is asserted here is exactly what a CLI user reproduces.
+The experiment-level criteria (C9-C12) build three source models (seeds
+0, 1, 2) through the seed derivation chain the CLI uses, with their own
+fixed recipe (a 300-epoch, 32-unit MLP), so a CLI user whose source
+settings match that recipe reproduces what is asserted here.
 
 Two criteria are expected to fail and are asserted anyway rather than
 weakened; the printed detail carries the measured numbers:
@@ -73,7 +74,8 @@ def _report(cid: str, passed: bool, detail: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# Shared experiment assets (the CLI's standard source recipe and streams)
+# Shared experiment assets: source models trained for a fixed 300 epochs
+# along the CLI's seed derivation (not read from its defaults), and streams
 # --------------------------------------------------------------------------
 
 
@@ -376,7 +378,7 @@ def test_c11_grid_search_contract(sources):
         mix, model = sources[seed]
         data = _stream(mix, spec, seed)
         k = max(1, round(spec.batches_per_shift * grid.subset_fraction))
-        subset = [batches[:k] for batches in data]
+        subset = [(X[:k], y[:k]) for X, y in data]
 
         def protocol(tau, alpha):
             factory = lambda: DemPlugin(DemConfig(tau, alpha))

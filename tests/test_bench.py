@@ -4,7 +4,6 @@ import dataclasses
 import functools
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -226,23 +225,39 @@ class TestMakeStream:
     def test_shapes(self):
         spec = StreamSpec("single_domain", (ShiftSpec("translate", 1.0),), 4, 16)
         data = make_stream(self.MIX, spec, Rng(0))
-        assert len(data) == 1 and len(data[0]) == 4
-        X, y = data[0][0]
-        assert X.shape == (16, 2) and y.shape == (16,)
+        assert len(data) == 1
+        X, y = data[0]
+        assert X.shape == (4, 16, 2) and X.dtype == np.float64
+        assert y.shape == (4, 16) and y.dtype == np.int64
+
+    def test_arrays_hold_the_bits_of_per_batch_draws(self):
+        # Batch i of a shift is the i-th sample_batch draw, then its
+        # apply_shift, on the shift's own generator, written unchanged.
+        # Feature noise draws from that generator after sample_batch.
+        noise, rotation = ShiftSpec("feature_noise", 1.0, 3), ShiftSpec("rotate2d", 0.5)
+        priors = long_tail_priors(10, 10.0)
+        spec = StreamSpec("continual", (noise, rotation, noise), 5, 24, label_priors=priors)
+        data = make_stream(self.MIX, spec, Rng(7))
+        for (X, y), shift, occurrence in zip(data, spec.shifts, (0, 0, 1)):
+            srng = Rng(7).derive(shift.key(occurrence))
+            for i in range(5):
+                Xb, yb = sample_batch(self.MIX, priors, 24, srng)
+                assert X[i].tobytes() == apply_shift(Xb, shift, srng).tobytes()
+                assert y[i].tobytes() == yb.tobytes()
 
     def test_repeated_shift_gets_fresh_data(self):
         shift = ShiftSpec("rotate2d", 0.5)
         spec = StreamSpec("single_domain", (shift, shift), 2, 16)
         data = make_stream(self.MIX, spec, Rng(0))
-        assert not np.array_equal(data[0][0][0], data[1][0][0])
+        assert not np.array_equal(data[0][0], data[1][0])
 
     def test_reordering_shifts_permutes_data(self):
         a, b = ShiftSpec("translate", 1.0), ShiftSpec("rotate2d", 0.5)
         d_ab = make_stream(self.MIX, StreamSpec("single_domain", (a, b), 3, 16), Rng(0))
         d_ba = make_stream(self.MIX, StreamSpec("single_domain", (b, a), 3, 16), Rng(0))
-        for i in range(3):
-            np.testing.assert_array_equal(d_ab[0][i][0], d_ba[1][i][0])
-            np.testing.assert_array_equal(d_ab[1][i][0], d_ba[0][i][0])
+        for i in range(2):
+            np.testing.assert_array_equal(d_ab[0][i], d_ba[1][i])
+            np.testing.assert_array_equal(d_ab[1][i], d_ba[0][i])
 
     def test_label_priors_thread_through(self):
         prior = np.zeros(10)
@@ -250,7 +265,7 @@ class TestMakeStream:
         spec = StreamSpec("single_domain", (ShiftSpec("translate", 1.0),), 2, 32,
                           label_priors=prior)
         data = make_stream(self.MIX, spec, Rng(0))
-        assert all(np.all(y == 4) for _, y in data[0])
+        assert np.all(data[0][1] == 4)
 
 
 class TestKlDivergence:
@@ -351,11 +366,11 @@ class TestMetrics:
             metrics(np.full((3, 3), 1 / 3), labels)
 
 
-def _shift_probs(model, batches, plugin, cfg):
-    """One shift's pre-update probabilities: ``adapt_stream`` into a fresh
-    matrix of the shift's rows."""
-    probs = np.empty((sum(len(X) for X, _ in batches), model.C))
-    adapt_stream(model, (X for X, _ in batches), plugin, cfg, probs)
+def _shift_probs(model, X, plugin, cfg):
+    """One shift's pre-update probabilities: ``adapt_stream`` over its
+    inputs ``X`` into a fresh matrix of the shift's rows."""
+    probs = np.empty((X.shape[0] * X.shape[1], model.C))
+    adapt_stream(model, X, plugin, cfg, probs)
     return probs
 
 
@@ -454,38 +469,55 @@ class TestRunProtocol:
         model, data = self._setup()
         before = model.copy()
         base_per_shift, base_overall = no_adapt_accuracy(model, data)
-        hits = [[int(np.sum(np.argmax(forward(model, X), axis=1) == y)) for X, y in b]
-                for b in data]
-        sizes = [sum(len(y) for _, y in b) for b in data]
+        hits = [[int(np.sum(np.argmax(forward(model, Xb), axis=1) == yb)) for Xb, yb in zip(X, y)]
+                for X, y in data]
+        sizes = [y.size for _, y in data]
         assert base_per_shift == [sum(h) / n for h, n in zip(hits, sizes)]
         assert base_overall == sum(map(sum, hits)) / sum(sizes)
         assert np.array_equal(model.theta, before.theta)
 
+    def test_baseline_validates_each_shift_once(self, monkeypatch):
+        # no_adapt_accuracy checks a shift's inputs as one array, then runs
+        # the forward kernel batch by batch, not the validating forward.
+        model, data = self._setup()
+        expected = no_adapt_accuracy(model, data)
+        calls = []
+        validated = demkit.bench._validated_shift
+
+        def counting(model, X):
+            calls.append(X)
+            return validated(model, X)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("public forward called by no_adapt_accuracy")
+
+        monkeypatch.setattr(demkit.bench, "_validated_shift", counting)
+        monkeypatch.setattr(demkit.model, "forward", no_forward)
+        assert no_adapt_accuracy(model, data) == expected
+        assert len(calls) == len(data) and all(c is X for c, (X, _) in zip(calls, data))
+
     def test_makes_no_public_forward_pass(self, monkeypatch):
         # The frozen model's baseline is no_adapt_accuracy's alone: a
         # protocol runs no forward pass besides adapt_stream's fused one,
-        # and it hands adapt_stream a plain generator of input matrices.
+        # and it hands adapt_stream each shift's own input array.
         model, data = self._setup()
         cfg = SgdConfig(lr=0.01)
         expected = run_protocol(model, data, "continual", EmPlugin, cfg)
 
         def no_forward(*args, **kwargs):
-            raise AssertionError("public forward called by run_protocol")
+            raise AssertionError("a forward pass called by run_protocol")
 
         seen = []
 
-        def inputs_only(model, inputs, plugin, cfg, probs):
-            assert isinstance(inputs, types.GeneratorType)
-            matrices = list(inputs)
-            assert all(isinstance(X, np.ndarray) and X.ndim == 2 for X in matrices)
-            seen.append(len(matrices))
-            return adapt_stream(model, (X for X in matrices), plugin, cfg, probs)
+        def inputs_only(model, X, plugin, cfg, probs):
+            seen.append(X)
+            return adapt_stream(model, X, plugin, cfg, probs)
 
-        monkeypatch.setattr(demkit.bench, "forward", no_forward)
+        monkeypatch.setattr(demkit.bench, "_forward", no_forward)
         monkeypatch.setattr(demkit.model, "forward", no_forward)
         monkeypatch.setattr(demkit.bench, "adapt_stream", inputs_only)
         res = run_protocol(model, data, "continual", EmPlugin, cfg)
-        assert seen == [len(batches) for batches in data]
+        assert len(seen) == len(data) and all(a is X for a, (X, _) in zip(seen, data))
         assert [r.accuracy for r in res.per_shift] == [r.accuracy for r in expected.per_shift]
         assert res.overall.marginal_entropy == expected.overall.marginal_entropy
 
@@ -549,11 +581,11 @@ class TestRunProtocol:
 
                 probs, labels = [], []
                 adapted = plugin = None
-                for batches in data:
+                for X, y in data:
                     if adapted is None or mode == "single_domain":
                         adapted, plugin = model.copy(), factory()
-                    probs.append(_shift_probs(adapted, batches, plugin, cfg))
-                    labels.append(np.concatenate([y for _, y in batches]))
+                    probs.append(_shift_probs(adapted, X, plugin, cfg))
+                    labels.append(y.reshape(-1))
                 eager_per_shift = [metrics(P, y) for P, y in zip(probs, labels)]
                 eager_overall = metrics(np.concatenate(probs), np.concatenate(labels))
 
@@ -573,7 +605,7 @@ class TestRunProtocol:
         model, data = self._setup()
         res = run_protocol(model, data, mode, AdaDemPlugin, SgdConfig(lr=0.05, momentum=0.9))
         res.per_shift, res.overall, res.accuracy
-        rows = [sum(len(y) for _, y in batches) for batches in data]
+        rows = [y.size for _, y in data]
         C = model.C
         arrays = []
         for value in vars(res).values():
@@ -598,18 +630,19 @@ class TestRunProtocol:
         cfg = SgdConfig(lr=0.05, momentum=0.9)
         res = run_protocol(model, data, "continual", AdaDemPlugin, cfg)
 
-        def accuracy(probs, batches):
-            return metrics(probs, np.concatenate([y for _, y in batches])).accuracy
+        def accuracy(probs, y):
+            return metrics(probs, y.reshape(-1)).accuracy
 
         adapted, plugin = model.copy(), AdaDemPlugin()
         per_call = []
-        for batches in data:
-            probs = _shift_probs(adapted, batches, plugin, cfg)
-            per_call.append(accuracy(probs, batches))
+        for X, y in data:
+            probs = _shift_probs(adapted, X, plugin, cfg)
+            per_call.append(accuracy(probs, y))
         assert [rep.accuracy for rep in res.per_shift] == per_call
 
-        probs = _shift_probs(model.copy(), data[0] + data[1], AdaDemPlugin(), cfg)
-        one_call = [accuracy(probs[:320], data[0]), accuracy(probs[320:], data[1])]
+        both = np.concatenate([data[0][0], data[1][0]])
+        probs = _shift_probs(model.copy(), both, AdaDemPlugin(), cfg)
+        one_call = [accuracy(probs[:320], data[0][1]), accuracy(probs[320:], data[1][1])]
         assert one_call[0] == per_call[0]
         assert one_call[1] != per_call[1]
 
@@ -634,17 +667,23 @@ class TestRunProtocol:
         assert "shift 1, batch 0" in str(info.value)
 
     @pytest.mark.parametrize(
-        "bad", [lambda y: y + 0.5, lambda y: np.where(y == 0, 10, y)], ids=["float", "past-C"]
+        "bad",
+        [lambda y: y + 0.5, lambda y: np.where(y == 0, 10, y), lambda y: y[:, :-1]],
+        ids=["float", "past-C", "one-short-per-batch"],
     )
     def test_rejects_labels_that_are_not_classes(self, bad):
         # The second shift's labels are checked before its bincount.
         model, data = self._setup()
-        data[1] = [(X, bad(y)) for X, y in data[1]]
+        data[1] = (data[1][0], bad(data[1][1]))
         with pytest.raises(ValueError, match="labels must"):
             run_protocol(model, data, "continual", EmPlugin, SgdConfig(lr=0.01))
 
-    @pytest.mark.parametrize("empty", [[], [(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))]],
-                             ids=["no-batches", "no-rows"])
+    @pytest.mark.parametrize(
+        "empty",
+        [(np.zeros((0, 32, 2)), np.zeros((0, 32), dtype=np.int64)),
+         (np.zeros((10, 0, 2)), np.zeros((10, 0), dtype=np.int64))],
+        ids=["no-batches", "no-rows"],
+    )
     def test_a_shift_with_no_rows_is_named(self, empty):
         model, data = self._setup()
         data[1] = empty

@@ -376,6 +376,23 @@ class TestRewardCurveCommand:
         assert main(base + ["--m-min", "2", "--m-max", "1"]) == EXIT_USAGE
         assert main(base + ["--c", "1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("step", ["1e-320", "1e-9"])
+    def test_oversized_grid_exit_64(self, tmp_path, capsys, step):
+        # 1e-320 makes the point count overflow to infinity and 1e-9 asks
+        # for 3e10 points; both are refused before a point is computed.
+        out = tmp_path / "x.csv"
+        assert main(["reward-curve", "--m-step", step, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "bad grid: more than 100000 points\n"
+        assert not out.exists()
+
+    def test_grid_of_the_largest_point_count_is_written(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("demkit.cli.REWARD_CURVE_MAX_POINTS", 5)
+        out = tmp_path / "x.csv"
+        base = ["reward-curve", "--m-step", "1", "--out", str(out)]
+        assert main(base + ["--m-max", "4"]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + 5
+        assert main(base + ["--m-max", "5"]) == EXIT_USAGE
+
     @pytest.mark.parametrize("flag", ["--m-min", "--m-max", "--m-step", "--tau", "--alpha"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_flag_exit_64(self, tmp_path, capsys, flag, value):
@@ -571,6 +588,22 @@ class TestRunCommand:
         assert errs[1] == errs[0]
         assert errs[1].startswith("demkit: numeric failure: adaptation diverged at shift 0")
 
+    @pytest.mark.parametrize("command", ["run", "lr-sweep"])
+    def test_diverging_source_training_exits_3_naming_it(self, tmp_path, capsys, command):
+        # A source learning rate of 1e6 overflows the MLP in its first
+        # epoch.  The failure is reported as source training's, once, with
+        # none of numpy's warnings, even when every warning is shown.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"output_dir": str(tmp_path / "out"), "source": {"epochs": 3, "lr": 1e6}}
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(path)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "demkit: numeric failure: source training diverged in epoch 0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_schema_violation_exit_64(self, tmp_path, capsys):
         cfg = small_config(tmp_path, typo_section={"x": 1})
         assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
@@ -621,6 +654,25 @@ class TestRunCommand:
         cfg = small_config(tmp_path, stream=stream)
         assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
         assert "schema violation at stream:" in capsys.readouterr().err
+
+    def test_head_scope_rejected(self, tmp_path, capsys):
+        cfg = small_config(tmp_path, optimizer={"lr": 0.001, "momentum": 0.9, "scope": "head"})
+        assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "demkit: config schema violation at optimizer/scope: 'all' was expected\n"
+        )
+
+    def test_spelled_all_scope_still_runs(self, tmp_path):
+        # Every parameter moves; the shipped configs spell that scope, and
+        # it changes no byte.
+        outputs = []
+        for optimizer in ({"lr": 0.001, "momentum": 0.9},
+                          {"lr": 0.001, "momentum": 0.9, "scope": "all"}):
+            cfg = small_config(tmp_path, optimizer=optimizer)
+            assert main(["run", "--config", str(cfg)]) == EXIT_OK
+            out = tmp_path / "out"
+            outputs.append([(out / f).read_bytes() for f in ("metrics.csv", "summary.json")])
+        assert outputs[1] == outputs[0]
 
     def test_minimize_direction_still_runs(self, tmp_path):
         # The spelled-out direction is the only one, so it changes no byte.

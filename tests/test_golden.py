@@ -1,0 +1,138 @@
+"""Golden outputs: the SHA-256 of every file and standard output the CLI
+commands write, pinned to recorded digests.
+
+Each command runs in process in a fresh directory on a small variant of
+a shipped config (few source epochs, few batches, a coarse grid, three
+rates), so a change anywhere between config loading and CSV formatting
+that moves one output byte fails here, in tier-1, and names the command
+and file.  Paths in outputs are relative to that directory, so no digest
+depends on where the test runs.
+
+``GOLDEN`` was recorded at commit ed39114, the last commit whose streams
+were lists of per-batch ``(X, y)`` pairs, with Python 3.11 and numpy
+2.4 on x86-64 Linux, by printing ``_digests`` from this module's
+commands.  Floating-point results can differ with another numpy or BLAS
+build; on such a build, record the digests again at a commit known to be
+right and compare from there.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from demkit.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+SMALL = {
+    "source": {"epochs": 4, "n": 1000},
+    "stream": {"batches_per_shift": 5},
+    "grid": {"step": 0.5, "subset_fraction": 0.4},
+    "lrs": [0.001, 0.025, 0.1],
+}
+
+# (name, shipped config or None, argv without the config flag)
+COMMANDS = [
+    ("run/single_domain_em", "single_domain_em", ["run"]),
+    ("run/long_tail_noise", "long_tail_noise", ["run"]),
+    ("run/continual_adadem", "continual_adadem", ["run"]),
+    ("grid-search/single_domain_em", "single_domain_em", ["grid-search"]),
+    ("lr-sweep/continual_adadem", "continual_adadem", ["lr-sweep"]),
+    ("gradcheck", None, ["gradcheck", "--trials", "5"]),
+    ("reward-curve", None, ["reward-curve"]),
+]
+
+GOLDEN = {
+    "gradcheck/stdout": (
+        "629378113fa3705462fc8108adbb09769589a87d3db08af43485793420cef477"
+    ),
+    "grid-search/single_domain_em/stdout": (
+        "51f896a80ec9b1fa8d40586c2d57f61d94979f97de3ff340e84931c0b5f95a3b"
+    ),
+    "lr-sweep/continual_adadem/stdout": (
+        "445bfe36f1a6509797d1ffcb3716686345edc43fc5d9927fc6827454e1ce9e88"
+    ),
+    "out/grid-search/single_domain_em/grid.csv": (
+        "f6a0a0f86260a27d1b293c1463e6a0f033b1224f4ca0da423f168892ea23a70c"
+    ),
+    "out/grid-search/single_domain_em/summary.json": (
+        "0f4170cb5c1afa27c465440e7878a367b5cc0f4f73053f2a7989106f8b78a0a0"
+    ),
+    "out/lr-sweep/continual_adadem/lr_sweep.csv": (
+        "251dfb63b3f45e9c959d2f1f1f845643dee9128ee0d7ed850c6f475e93df319a"
+    ),
+    "out/lr-sweep/continual_adadem/summary.json": (
+        "74884769da8b2d4d3aef1d4819a21d124bdc2d8fb1dbbf29cfd2fc172c7de26e"
+    ),
+    "out/run/continual_adadem/metrics.csv": (
+        "dd80ad90d89989d936007a36073aed4c4f5b51a4eb09c507a837a7a6f37e13b0"
+    ),
+    "out/run/continual_adadem/summary.json": (
+        "5fce9807114c54d6e68746038faf585541e7f59b030b20da7ef963f10f98de46"
+    ),
+    "out/run/long_tail_noise/metrics.csv": (
+        "bded374aa755448396fc72b52f01fc534768b5acdbed0006388e5890c15b3bfb"
+    ),
+    "out/run/long_tail_noise/summary.json": (
+        "8124e5eb6bf2753b319e7adca497201336bf10dd3238620a03f99d6296e939e6"
+    ),
+    "out/run/single_domain_em/metrics.csv": (
+        "53dbf52db5ad7f4e54ff5fd663a6b24b282292f13fcadd9a3241cb18df43147f"
+    ),
+    "out/run/single_domain_em/summary.json": (
+        "506a3ddb6f879786f10eb67ab573dce9ffe3d455480a7094211a9c3468bda60e"
+    ),
+    "reward-curve/stdout": (
+        "ef986c1044b5273a4fcfd72d44f3d565dd8bfbdabcd716ac6bf90a2016fdea3c"
+    ),
+    "reward_curve.csv": (
+        "5e91157a2856392e0258e98a7ad352de3b5da7325c27cc363ab99d29927dafec"
+    ),
+    "run/continual_adadem/stdout": (
+        "e4e3dd783d91c89ec4f68507574ea76a7641dc08cb1facb7eac388831c0b43d4"
+    ),
+    "run/long_tail_noise/stdout": (
+        "1569c4233b58e9bd012faa8187f53bc3900c5fb9fd1c4d9566e7131a4c525050"
+    ),
+    "run/single_domain_em/stdout": (
+        "92af8320a6d43dfcce157d237241fe61751cf269985259c23bbb43b65343d32d"
+    ),
+}
+
+
+def _small_config(stem: str, name: str, directory: Path) -> str:
+    """The shipped config ``stem`` with ``SMALL`` merged over its sections,
+    writing to ``out/<name>``; returns the config's relative path."""
+    cfg = json.loads((CONFIGS / f"{stem}.json").read_text())
+    for key, value in SMALL.items():
+        if isinstance(value, dict):
+            cfg.setdefault(key, {}).update(value)
+        else:
+            cfg[key] = value
+    cfg["output_dir"] = f"out/{name}"
+    path = Path("cfg") / f"{name.replace('/', '-')}.json"
+    (directory / path).parent.mkdir(exist_ok=True)
+    (directory / path).write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _digests(directory: Path, capsys) -> dict:
+    """Run ``COMMANDS`` in ``directory``, the working directory, and return
+    the SHA-256 of each command's standard output and of every file the
+    commands wrote, keyed by command or by relative path."""
+    digests = {}
+    for name, stem, argv in COMMANDS:
+        if stem is not None:
+            argv = argv + ["--config", _small_config(stem, name, directory)]
+        assert main(argv) == 0, name
+        digests[f"{name}/stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    for path in sorted(directory.rglob("*")):
+        if path.is_file() and path.parts[len(directory.parts)] != "cfg":
+            key = path.relative_to(directory).as_posix()
+            digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def test_cli_outputs_match_the_recorded_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _digests(tmp_path, capsys) == GOLDEN

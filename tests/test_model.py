@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import demkit.model
 from demkit import adadem, em_losses
 from demkit.adadem import AdaDemVariant, MecState, mec_init, mec_update
 from demkit.em_losses import DemConfig, dem_row_values, em_eval, em_row_values
@@ -92,10 +93,10 @@ class TestInitAndForward:
         for a in (m.theta, m.W1, m.b1, m.W2, m.b2):
             for b in (c.theta, c.W1, c.b1, c.W2, c.b2):
                 assert not np.shares_memory(a, b)
-        assert c.head == m.head
         m.W1 += 1.0
         assert not np.array_equal(m.theta, c.theta)
-        np.testing.assert_array_equal(c.theta[c.head :], m.theta[m.head :])
+        np.testing.assert_array_equal(c.W2, m.W2)
+        np.testing.assert_array_equal(c.b2, m.b2)
 
     def test_linear_copy_is_deep(self):
         m = init_linear(3, 2, Rng(1), scale=1.0)
@@ -103,7 +104,6 @@ class TestInitAndForward:
         for a in (m.theta, m.W, m.b):
             for b in (c.theta, c.W, c.b):
                 assert not np.shares_memory(a, b)
-        assert c.head == 0
         np.testing.assert_array_equal(c.theta, m.theta)
         m.b += 1.0
         np.testing.assert_array_equal(c.b, m.b - 1.0)
@@ -122,12 +122,6 @@ class TestLayout:
         lin = init_linear(3, 2, Rng(2), scale=1.0)
         assert np.shares_memory(lin.W, lin.theta) and np.shares_memory(lin.b, lin.theta)
         np.testing.assert_array_equal(lin.theta, np.concatenate([lin.W.ravel(), lin.b]))
-
-    def test_head_is_the_tail_slice(self):
-        m = init_mlp(3, 2, 4, Rng(1))
-        assert m.head == m.W1.size + m.b1.size
-        np.testing.assert_array_equal(m.theta[m.head :], np.concatenate([m.W2.ravel(), m.b2]))
-        assert init_linear(3, 2).head == 0
 
     def test_constructor_copies_its_arrays(self):
         W1 = np.ones((4, 2))
@@ -189,7 +183,7 @@ def _inline_forward(model, X):
 
 def _inline_step(model, X, dlogits, cache, cfg, v):
     """Backward and one SGD step as plain expressions: the four gradient
-    blocks concatenated, ``v <- m v + g`` and ``theta[a:] -= lr * v[a:]``."""
+    blocks concatenated, ``v <- m v + g`` and ``theta -= lr * v``."""
     G = dlogits / X.shape[0]
     if cache is None:
         grad = np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)])
@@ -201,30 +195,29 @@ def _inline_step(model, X, dlogits, cache, cfg, v):
         )
     v *= cfg.momentum
     v += grad
-    a = model.head if cfg.scope == "head" else 0
-    model.theta[a:] -= cfg.lr * v[a:]
+    model.theta -= cfg.lr * v
 
 
-def _inline_adapt(model, inputs, plugin, cfg):
-    """``adapt_stream`` written out with the inline expressions; returns
-    the pre-update probabilities."""
+def _inline_adapt(model, X, plugin, cfg):
+    """``adapt_stream`` written out with the inline expressions, batch by
+    batch over a shift's own matrices; returns the pre-update
+    probabilities, one matrix per batch."""
     v, probs = np.zeros_like(model.theta), []
-    for X in inputs:
-        Z, cache = _inline_forward(model, X)
+    for Xb in X:
+        Z, cache = _inline_forward(model, Xb)
         P = softmax_rows(Z)
         probs.append(P)
-        _inline_step(model, X, plugin.batch_eval(Z, P), cache, cfg, v)
+        _inline_step(model, Xb, plugin.batch_eval(Z, P), cache, cfg, v)
     return probs
 
 
-def _adapt(model, inputs, plugin, cfg):
-    """``adapt_stream`` into a fresh matrix of the stream's rows; returns
-    the pre-update probabilities split into one block per batch."""
-    inputs = list(inputs)
-    sizes = [X.shape[0] for X in inputs]
-    probs = np.empty((sum(sizes), model.C))
-    adapt_stream(model, inputs, plugin, cfg, probs)
-    return np.split(probs, np.cumsum(sizes)[:-1])
+def _adapt(model, X, plugin, cfg):
+    """``adapt_stream`` over the ``B x n x d`` shift ``X`` into a fresh
+    matrix; returns its pre-update probabilities as ``B x n x C``."""
+    B, n = X.shape[:2]
+    probs = np.empty((B * n, model.C))
+    adapt_stream(model, X, plugin, cfg, probs)
+    return probs.reshape(B, n, model.C)
 
 
 def _param_fd(model, X, values, h=1e-6):
@@ -324,8 +317,6 @@ class TestSgd:
             SgdConfig(lr=-0.1)
         with pytest.raises(ValueError):
             SgdConfig(lr=0.1, momentum=1.0)
-        with pytest.raises(ValueError):
-            SgdConfig(lr=0.1, scope="tail")
         SgdConfig(lr=0.0)  # the no-adapt baseline is legal
 
     def test_two_momentum_steps_hand_case(self):
@@ -340,19 +331,6 @@ class TestSgd:
         # v = 0.9 * 0.5 + 0.5 = 0.95
         assert state.velocity[0] == 0.9 * 0.5 + 0.5
         assert model.W[0, 0] == (1.0 - 0.05) - 0.1 * (0.9 * 0.5 + 0.5)
-
-    def test_head_scope_freezes_trunk_but_tracks_velocity(self):
-        model = init_mlp(3, 2, 4, Rng(2))
-        frozen = model.copy()
-        cfg = SgdConfig(lr=0.1, momentum=0.5, scope="head")
-        state = SgdState()
-        sgd_step(model, np.ones_like(model.theta), cfg, state)
-        np.testing.assert_array_equal(model.W1, frozen.W1)
-        np.testing.assert_array_equal(model.b1, frozen.b1)
-        assert not np.array_equal(model.W2, frozen.W2)
-        assert not np.array_equal(model.b2, frozen.b2)
-        # trunk velocity still accumulates so a later scope change is sane
-        np.testing.assert_array_equal(state.velocity[: model.head], np.ones(model.head))
 
     def test_zero_lr_touches_nothing(self):
         model = init_linear(3, 2, Rng(4), scale=1.0)
@@ -375,24 +353,21 @@ class TestSgd:
         assert state.velocity is v and state.scaled is scaled
         np.testing.assert_array_equal(v, np.ones_like(model.theta))
 
-    @pytest.mark.parametrize("scope", ["all", "head"])
-    def test_flat_step_matches_per_array_reference(self, scope):
+    def test_flat_step_matches_per_array_reference(self):
         # Reference: separate W1, b1, W2, b2 arrays, each with its own
-        # velocity, updated name by name; the head is (W2, b2).
+        # velocity, updated name by name.
         model = init_mlp(3, 2, 4, Rng(3))
-        cfg = SgdConfig(lr=0.3, momentum=0.5, scope=scope)
+        cfg = SgdConfig(lr=0.3, momentum=0.5)
         params = [model.W1.copy(), model.b1.copy(), model.W2.copy(), model.b2.copy()]
         velocities = [np.zeros_like(p) for p in params]
-        moved = range(4) if scope == "all" else (2, 3)
         state, rng = SgdState(), Rng(4)
         for _ in range(5):
             grads = [rng.normals(p.size).reshape(p.shape) for p in params]
             sgd_step(model, np.concatenate([g.ravel() for g in grads]), cfg, state)
-            for i, (p, v, g) in enumerate(zip(params, velocities, grads)):
+            for p, v, g in zip(params, velocities, grads):
                 v *= cfg.momentum
                 v += g
-                if i in moved:
-                    p -= cfg.lr * v
+                p -= cfg.lr * v
             assert np.array_equal(model.theta, np.concatenate([p.ravel() for p in params]))
             assert np.array_equal(state.velocity, np.concatenate([v.ravel() for v in velocities]))
 
@@ -521,6 +496,17 @@ class TestTrainSource:
             train_source(model, X, y, 1, SgdConfig(lr=0.1), Rng(0))
         np.testing.assert_array_equal(model.theta, before.theta)
 
+    def test_divergence_names_source_training_and_the_epoch(self):
+        # lr = 1e100 overflows the MLP's parameters within the first epoch;
+        # the loop raises one FloatingPointError at the epoch's end, and no
+        # numpy warning (which pytest would turn into an error).
+        X, y = _blobs(Rng(8).derive("data"), 40, self.MEANS)
+        model = init_mlp(3, 2, 6, Rng(9))
+        with pytest.raises(FloatingPointError) as info:
+            train_source(model, X, y, 3, SgdConfig(lr=1e100, momentum=0.9), Rng(10), 16)
+        assert str(info.value) == "source training diverged in epoch 0"
+        assert not isinstance(info.value, DivergenceError)
+
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
             train_source(init_linear(3, 2), np.ones((4, 5)), np.zeros(4, dtype=int),
@@ -534,45 +520,44 @@ class TestTrainSource:
 
 class TestAdaptStream:
     def _stream(self, rng, n_batches=3, batch=16):
+        """A shift of ``n_batches`` batches of ``batch`` rows: ``(X, y)``
+        shaped ``B x n x 2`` and ``B x n``."""
         X, y = _blobs(rng, n_batches * batch // 3 + 3, TestTrainSource.MEANS)
-        order = rng.permutation(X.shape[0])
-        X, y = X[order], y[order]
-        return [(X[i * batch : (i + 1) * batch], y[i * batch : (i + 1) * batch])
-                for i in range(n_batches)]
+        order = rng.permutation(X.shape[0])[: n_batches * batch]
+        return X[order].reshape(n_batches, batch, 2), y[order].reshape(n_batches, batch)
 
     def test_returns_pre_update_probabilities_per_batch(self):
-        batches = self._stream(Rng(30))
+        X, _ = self._stream(Rng(30))
         model = init_linear(3, 2, Rng(31), scale=0.5)
         ref = model.copy()
-        probs = _adapt(model, (X for X, _ in batches), EmPlugin(), SgdConfig(lr=0.01))
-        assert len(probs) == len(batches)
+        probs = _adapt(model, X, EmPlugin(), SgdConfig(lr=0.01))
+        assert probs.shape == (3, 16, 3)
         state = SgdState()
-        for P, (X, _) in zip(probs, batches):
-            Z = forward(ref, X)
+        for P, Xb in zip(probs, X):
+            Z = forward(ref, Xb)
             np.testing.assert_array_equal(P, softmax_rows(Z))
             dlogits = _batch_eval(EmPlugin(), Z)
-            sgd_step(ref, backward(ref, X, dlogits), SgdConfig(lr=0.01), state)
+            sgd_step(ref, backward(ref, Xb, dlogits), SgdConfig(lr=0.01), state)
         assert np.array_equal(model.theta, ref.theta)
 
     def test_zero_lr_reproduces_frozen_model(self):
-        batches = self._stream(Rng(30))
+        X, _ = self._stream(Rng(30))
         model = init_linear(3, 2, Rng(31), scale=0.5)
         frozen = model.copy()
-        probs = _adapt(model, [X for X, _ in batches], EmPlugin(), SgdConfig(lr=0.0))
+        probs = _adapt(model, X, EmPlugin(), SgdConfig(lr=0.0))
         np.testing.assert_array_equal(model.theta, frozen.theta)
-        for P, (X, _) in zip(probs, batches):
-            np.testing.assert_array_equal(P, softmax_rows(forward(frozen, X)))
+        for P, Xb in zip(probs, X):
+            np.testing.assert_array_equal(P, softmax_rows(forward(frozen, Xb)))
 
     def test_metrics_come_from_pre_update_predictions(self):
         # A zero-initialized model predicts uniformly on the first batch;
         # the returned max probability must be exactly 1/C even though
         # the update that follows breaks the symmetry.  (EM would stay
         # stationary at uniform, so the probe uses a supervised loss.)
-        batches = self._stream(Rng(32), n_batches=2)
+        X, y = self._stream(Rng(32), n_batches=2)
         model = init_linear(3, 2)
         before = model.copy()
-        plugin = CrossEntropyPlugin(batches[0][1])
-        probs = _adapt(model, [X for X, _ in batches], plugin, SgdConfig(lr=0.5))
+        probs = _adapt(model, X, CrossEntropyPlugin(y[0]), SgdConfig(lr=0.5))
         assert probs[0].max(axis=1).mean() == 1 / 3
         assert np.linalg.norm(model.theta - before.theta) > 0.0
         assert probs[1].max(axis=1).mean() != 1 / 3
@@ -583,55 +568,45 @@ class TestAdaptStream:
         means = np.asarray(TestTrainSource.MEANS)
         model = LinearSoftmax(8.0 * means, np.zeros(3))
         before = model.copy()
-        X = np.vstack([means, means])
-        probs = _adapt(model, [X], EmPlugin(), SgdConfig(lr=0.05))
+        X = np.vstack([means, means])[None]
+        probs = _adapt(model, X, EmPlugin(), SgdConfig(lr=0.05))
         assert probs[0].max(axis=1).mean() > 0.999
         assert np.linalg.norm(model.theta - before.theta) < 1e-4
 
-    @pytest.mark.parametrize("scope", ["all", "head"])
-    def test_movement_is_the_update_norm(self, scope):
-        # Each step moves the parameters by lr * ||v[a:]||, over the slice
-        # the scope updates, and the fused loop must move the model
-        # exactly as the loop of public entry points does.
-        batches = self._stream(Rng(35), n_batches=4)
-        cfg = SgdConfig(lr=0.3, momentum=0.5, scope=scope)
+    def test_movement_is_the_update_norm(self):
+        # Each step moves the parameters by lr * ||v||, and the fused loop
+        # must move the model exactly as the loop of public entry points
+        # does.
+        X, _ = self._stream(Rng(35), n_batches=4)
+        cfg = SgdConfig(lr=0.3, momentum=0.5)
         model = init_mlp(3, 2, 6, Rng(36))
         ref = model.copy()
-        _adapt(model, [X for X, _ in batches], EmPlugin(), cfg)
+        _adapt(model, X, EmPlugin(), cfg)
 
-        a = ref.head if scope == "head" else 0
         state = SgdState()
-        for X, _ in batches:
+        for Xb in X:
             before = ref.copy()
-            dlogits = _batch_eval(EmPlugin(), forward(ref, X))
-            sgd_step(ref, backward(ref, X, dlogits), cfg, state)
+            dlogits = _batch_eval(EmPlugin(), forward(ref, Xb))
+            sgd_step(ref, backward(ref, Xb, dlogits), cfg, state)
             movement = np.linalg.norm(ref.theta - before.theta)
-            expected = cfg.lr * np.linalg.norm(state.velocity[a:])
+            expected = cfg.lr * np.linalg.norm(state.velocity)
             assert expected > 0.0
             assert abs(movement - expected) <= 1e-12 * expected
         assert np.array_equal(model.theta, ref.theta)
 
-    def test_head_scope_leaves_the_trunk_bit_identical(self):
-        batches = self._stream(Rng(37), n_batches=3)
-        model = init_mlp(3, 2, 6, Rng(38))
-        before = model.copy()
-        _adapt(model, [X for X, _ in batches], EmPlugin(),
-                     SgdConfig(lr=0.3, momentum=0.5, scope="head"))
-        np.testing.assert_array_equal(model.theta[: model.head], before.theta[: before.head])
-        assert not np.array_equal(model.theta[model.head :], before.theta[before.head :])
-
     def test_each_call_starts_with_fresh_momentum(self):
-        first, second = self._stream(Rng(39), n_batches=2), self._stream(Rng(40), n_batches=2)
+        first, _ = self._stream(Rng(39), n_batches=2)
+        second, _ = self._stream(Rng(40), n_batches=2)
         cfg = SgdConfig(lr=0.2, momentum=0.9)
         model = init_linear(3, 2, Rng(41), scale=0.5)
         ref = model.copy()
-        _adapt(model, [X for X, _ in first], EmPlugin(), cfg)
-        _adapt(model, [X for X, _ in second], EmPlugin(), cfg)
-        for batches in (first, second):
+        _adapt(model, first, EmPlugin(), cfg)
+        _adapt(model, second, EmPlugin(), cfg)
+        for X in (first, second):
             state = SgdState()
-            for X, _ in batches:
-                dlogits = _batch_eval(EmPlugin(), forward(ref, X))
-                sgd_step(ref, backward(ref, X, dlogits), cfg, state)
+            for Xb in X:
+                dlogits = _batch_eval(EmPlugin(), forward(ref, Xb))
+                sgd_step(ref, backward(ref, Xb, dlogits), cfg, state)
         assert np.array_equal(model.theta, ref.theta)
 
     def test_non_finite_gradients_name_the_batch(self):
@@ -645,10 +620,10 @@ class TestAdaptStream:
                     grads[0, 0] = np.nan
                 return grads
 
-        batches = self._stream(Rng(30), n_batches=3)
+        X, _ = self._stream(Rng(30), n_batches=3)
         model = init_linear(3, 2, Rng(31), scale=0.5)
         with pytest.raises(DivergenceError) as info:
-            _adapt(model, [X for X, _ in batches], NanAfterFirst(), SgdConfig(lr=0.1))
+            _adapt(model, X, NanAfterFirst(), SgdConfig(lr=0.1))
         assert isinstance(info.value, FloatingPointError)
         assert (info.value.stage, info.value.batch) == ("loss gradients", 1)
         assert str(info.value) == (
@@ -657,23 +632,61 @@ class TestAdaptStream:
 
     def test_overflowing_logits_name_the_batch(self):
         model = LinearSoftmax(np.full((3, 2), 1e308), np.zeros(3))
-        X = np.array([[10.0, 10.0]])
+        X = np.array([[[10.0, 10.0]]])
         with pytest.raises(DivergenceError) as info, np.errstate(over="ignore"):
-            _adapt(model, [X], EmPlugin(), SgdConfig(lr=0.1))
+            _adapt(model, X, EmPlugin(), SgdConfig(lr=0.1))
         assert (info.value.stage, info.value.batch) == ("logits", 0)
 
     def test_non_finite_input_is_a_value_error(self):
-        model = init_linear(3, 2)
-        X = np.array([[np.nan, 0.0]])
-        with pytest.raises(ValueError):
-            _adapt(model, [X], EmPlugin(), SgdConfig(lr=0.1))
+        # The whole shift is checked before the first step: a NaN in the
+        # last batch leaves the model untouched.
+        X, _ = self._stream(Rng(30))
+        X[2, 5, 1] = np.nan
+        model = init_linear(3, 2, Rng(31), scale=0.5)
+        before = model.theta.copy()
+        with pytest.raises(ValueError, match="finite"):
+            _adapt(model, X, EmPlugin(), SgdConfig(lr=0.1))
+        assert np.array_equal(model.theta, before)
+
+    def test_validates_the_shift_once(self, monkeypatch):
+        # One validation per call, of the whole shift, and none per step.
+        X, _ = self._stream(Rng(30), n_batches=4)
+        model = init_linear(3, 2, Rng(31), scale=0.5)
+        ref = model.copy()
+        expected = _adapt(ref, X, EmPlugin(), SgdConfig(lr=0.1))
+        shapes = []
+        validated = demkit.model._validated_input
+
+        def counting(model, X):
+            shapes.append(np.shape(X))
+            return validated(model, X)
+
+        monkeypatch.setattr(demkit.model, "_validated_input", counting)
+        assert _adapt(model, X, EmPlugin(), SgdConfig(lr=0.1)).tobytes() == expected.tobytes()
+        assert shapes == [(64, 2)]
+
+    @pytest.mark.parametrize(
+        "inputs, error",
+        [(lambda X: X[0], ValueError), (lambda X: (Xb for Xb in X), TypeError),
+         (lambda X: X[..., :1], ValueError)],
+        ids=["one-batch", "generator", "width"],
+    )
+    def test_takes_one_array_per_shift(self, inputs, error):
+        # A shift is one B x n x d array of the model's input width; a
+        # batch matrix or an iterator of batches is refused before any step.
+        X, _ = self._stream(Rng(30))
+        model = init_linear(3, 2, Rng(31), scale=0.5)
+        before = model.theta.copy()
+        with pytest.raises(error):
+            adapt_stream(model, inputs(X), EmPlugin(), SgdConfig(lr=0.1), np.empty((48, 3)))
+        assert np.array_equal(model.theta, before)
 
     def test_adadem_state_threads_across_batches(self):
-        batches = self._stream(Rng(33), n_batches=4)
+        X, _ = self._stream(Rng(33), n_batches=4)
         plugin = AdaDemPlugin(AdaDemVariant(), pi=0.2)
         assert plugin.state is None
         model = init_linear(3, 2, Rng(34), scale=0.5)
-        probs = _adapt(model, [X for X, _ in batches], plugin, SgdConfig(lr=0.01))
+        probs = _adapt(model, X, plugin, SgdConfig(lr=0.01))
         assert isinstance(plugin.state, MecState)
         assert plugin.state.C == 3
         assert plugin.state.pi == 0.2
@@ -722,10 +735,10 @@ class TestAdaptStream:
 
         monkeypatch.setattr(em_losses, "softmax_rows", no_softmax_of_the_logits)
         monkeypatch.setattr(adadem, "softmax_rows", no_softmax)
-        batches = self._stream(Rng(42), n_batches=4)
+        X, _ = self._stream(Rng(42), n_batches=4)
         model = init_mlp(3, 2, 6, Rng(43))
         probs = np.empty((64, 3))
-        adapt_stream(model, [X for X, _ in batches], recording, SgdConfig(lr=0.05), probs)
+        adapt_stream(model, X, recording, SgdConfig(lr=0.05), probs)
         assert len(seen) == 4
         for i, P in enumerate(seen):
             block = probs[16 * i : 16 * (i + 1)]
@@ -734,13 +747,14 @@ class TestAdaptStream:
 
     @pytest.mark.parametrize("rows", [47, 49])
     def test_probability_matrix_must_fit_the_stream(self, rows):
-        # Three batches of 16 rows fill exactly 48.
-        batches = self._stream(Rng(30))
+        # Three batches of 16 rows need exactly 48; any other row count
+        # is refused before the first step.
+        X, _ = self._stream(Rng(30))
         model = init_linear(3, 2, Rng(31), scale=0.5)
-        message = "batch 2 overruns the 47" if rows < 48 else "filled 48 of the 49"
-        with pytest.raises(ValueError, match=message):
-            adapt_stream(model, [X for X, _ in batches], EmPlugin(), SgdConfig(lr=0.01),
-                         np.empty((rows, 3)))
+        before = model.theta.copy()
+        with pytest.raises(ValueError, match="matrix of 48 x 3"):
+            adapt_stream(model, X, EmPlugin(), SgdConfig(lr=0.01), np.empty((rows, 3)))
+        assert np.array_equal(model.theta, before)
 
     @pytest.mark.parametrize(
         "probs",
@@ -749,11 +763,11 @@ class TestAdaptStream:
         ids=["columns", "dtype", "layout", "vector", "list"],
     )
     def test_rejects_a_malformed_probability_matrix(self, probs):
-        batches = self._stream(Rng(30))
+        X, _ = self._stream(Rng(30))
         model = init_linear(3, 2, Rng(31), scale=0.5)
         before = model.theta.copy()
-        with pytest.raises(ValueError, match="C-contiguous float64 matrix of 3 columns"):
-            adapt_stream(model, [X for X, _ in batches], EmPlugin(), SgdConfig(lr=0.01), probs)
+        with pytest.raises(ValueError, match="C-contiguous float64 matrix of 48 x 3"):
+            adapt_stream(model, X, EmPlugin(), SgdConfig(lr=0.01), probs)
         assert np.array_equal(model.theta, before)
 
 
@@ -768,17 +782,17 @@ class TestStepKernels:
         return init_mlp(3, 2, 6, Rng(9))
 
     @staticmethod
-    def _inputs(sizes, seed=11):
+    def _shifts(shapes, seed=11):
+        """One ``B x n x 2`` input array per ``(B, n)`` in ``shapes``."""
         rng = Rng(seed)
-        return [2.0 * rng.normals(2 * n).reshape(n, 2) for n in sizes]
+        return [2.0 * rng.normals(B * n * 2).reshape(B, n, 2) for B, n in shapes]
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
-    @pytest.mark.parametrize("scope", ["all", "head"])
-    def test_train_source_matches_inline_arithmetic(self, arch, scope):
+    def test_train_source_matches_inline_arithmetic(self, arch):
         # 120 rows in batches of 36 leave a short last batch of 12.  No
         # batch size is a power of two, so dividing by it rounds.
         X, y = _blobs(Rng(8).derive("data"), 40, TestTrainSource.MEANS)
-        cfg = SgdConfig(lr=0.2, momentum=0.9, scope=scope)
+        cfg = SgdConfig(lr=0.2, momentum=0.9)
         trained = train_source(self._make(arch), X, y, 3, cfg, Rng(10), batch_size=36)
 
         ref, rng = self._make(arch), Rng(10)
@@ -792,23 +806,26 @@ class TestStepKernels:
         assert trained.theta.tobytes() == ref.theta.tobytes()
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
-    @pytest.mark.parametrize("scope", ["all", "head"])
-    def test_adapt_stream_matches_inline_arithmetic(self, arch, scope):
-        inputs = self._inputs([64, 8, 100, 64, 1])
-        cfg = SgdConfig(lr=0.1, momentum=0.9, scope=scope)
+    def test_adapt_stream_matches_inline_arithmetic(self, arch):
+        # Three shifts through one model and one AdaDEM state, as a
+        # continual protocol runs them: batches of 64, 100 (not a power
+        # of two, so dividing by it rounds) and 1 row.
+        shifts = self._shifts([(2, 64), (3, 100), (4, 1)])
+        cfg = SgdConfig(lr=0.1, momentum=0.9)
         model, ref = self._make(arch), self._make(arch)
-        probs = _adapt(model, inputs, AdaDemPlugin(), cfg)
-        expected = _inline_adapt(ref, inputs, AdaDemPlugin(), cfg)
-        assert model.theta.tobytes() == ref.theta.tobytes()
-        assert [P.tobytes() for P in probs] == [P.tobytes() for P in expected]
+        plugin, ref_plugin = AdaDemPlugin(), AdaDemPlugin()
+        for X in shifts:
+            probs = _adapt(model, X, plugin, cfg)
+            expected = _inline_adapt(ref, X, ref_plugin, cfg)
+            assert model.theta.tobytes() == ref.theta.tobytes()
+            assert probs.tobytes() == np.stack(expected).tobytes()
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
-    def test_growing_workspace_never_aliases_the_returned_probabilities(self, arch):
-        # Batches of 64, 8, 100 and 64 rows make the workspace grow twice
-        # and be sliced twice.  The logits handed to the plugin live in it;
-        # the caller's probability matrix must not.
-        sizes = [64, 8, 100, 64]
-        inputs = self._inputs(sizes, seed=12)
+    def test_workspace_never_aliases_the_returned_probabilities(self, arch):
+        # The logits handed to the plugin live in the loop's one
+        # workspace, reused by every batch; the caller's probability
+        # matrix must not share its memory.
+        (X,) = self._shifts([(4, 64)], seed=12)
         seen = []
 
         class Recording:
@@ -819,12 +836,11 @@ class TestStepKernels:
                 return self.inner.batch_eval(Z, P)
 
         cfg = SgdConfig(lr=0.1, momentum=0.5)
-        probs = np.empty((sum(sizes), 3))
-        adapt_stream(self._make(arch), inputs, Recording(), cfg, probs)
+        probs = np.empty((4 * 64, 3))
+        adapt_stream(self._make(arch), X, Recording(), cfg, probs)
         assert not any(np.shares_memory(probs, Z) for Z in seen)
-        # The logits buffer is reused: a batch that fits is a slice of it.
-        assert np.shares_memory(seen[0], seen[1]) and np.shares_memory(seen[2], seen[3])
-        expected = _inline_adapt(self._make(arch), inputs, DemPlugin(DemConfig(1.3, 0.4)), cfg)
+        assert len(seen) == 4 and all(Z is seen[0] for Z in seen)
+        expected = _inline_adapt(self._make(arch), X, DemPlugin(DemConfig(1.3, 0.4)), cfg)
         assert probs.tobytes() == np.concatenate(expected).tobytes()
 
 
