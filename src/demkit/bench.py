@@ -1,16 +1,19 @@
 """Synthetic distribution-shift benchmark and diagnostic metrics.
 
-The test bed is a C-class isotropic Gaussian mixture in the plane (class
-means on a circle), small enough that a full adaptation experiment runs
-in seconds yet rich enough to show the qualitative failure modes of
-entropy minimization: reward collapse on confident predictions,
-easy-class bias under shift, and learning-rate fragility.
+The test bed is a C-class isotropic Gaussian mixture in the plane
+(:class:`MixtureSpec`: class means evenly spaced on a circle of a given
+radius, one shared sigma), small enough that a full adaptation
+experiment runs in seconds yet rich enough to show the qualitative
+failure modes of entropy minimization: reward collapse on confident
+predictions, easy-class bias under shift, and learning-rate fragility.
 
 A *shift* transforms the inputs (translation, rotation, added noise or
 scaling) with a severity level 1-5 that multiplies its base magnitude.
 A *stream* is an ordered list of shifts, each producing ``B`` batches of
 ``n`` rows, handed over as inputs ``B x n x d`` and labels ``B x n``; the
-protocols validate a shift once and step through its batches.  Two
+protocols validate a shift once and step through its batches.  Labels
+follow ``long_tail_priors(C, label_rho)`` (:class:`StreamSpec`): uniform
+at ``label_rho = 1``, a head-to-tail ratio of ``label_rho`` above it.  Two
 protocols mirror test-time-adaptation practice:
 
 * ``single_domain``: a fresh copy of the source model adapts to each
@@ -66,27 +69,23 @@ LEVEL_MULTIPLIERS = {1: 0.5, 2: 1.0, 3: 1.5, 4: 2.0, 5: 2.5}
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Isotropic Gaussian mixture: one mean per class, shared sigma."""
+    """Isotropic Gaussian mixture in the plane: ``C`` class means evenly
+    spaced on a circle of the given ``radius``, one shared ``sigma``."""
 
     C: int
-    d: int
-    means: np.ndarray
+    radius: float
     sigma: float
-    priors: np.ndarray
+    d = 2  # the plane; a constant, not a field
 
     def __post_init__(self):
-        means = as_matrix(self.means)
-        priors = as_vector(self.priors)
-        if means.shape != (self.C, self.d):
-            raise ValueError(f"means must be {self.C} x {self.d}, got {means.shape}")
-        if priors.shape[0] != self.C:
-            raise ValueError("priors length must match C")
-        if abs(float(np.sum(priors)) - 1.0) > 1e-9 or np.any(priors < 0):
-            raise ValueError("priors must form a probability simplex")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "priors", priors)
+        if self.C < 2:
+            raise ValueError(f"need at least two classes, got {self.C}")
+        if not (self.radius > 0 and self.sigma > 0):
+            raise ValueError(f"radius and sigma must be positive, got {self.radius}, {self.sigma}")
+
+    @cached_property
+    def means(self) -> np.ndarray:
+        return circle_means(self.C, self.radius)
 
 
 @dataclass(frozen=True)
@@ -119,13 +118,15 @@ class ShiftSpec:
 
 @dataclass(frozen=True)
 class StreamSpec:
-    """An ordered shift sequence and how many batches each contributes."""
+    """An ordered shift sequence, how many batches each contributes, and
+    the label distribution: ``long_tail_priors(C, label_rho)``, uniform
+    at the default ``label_rho = 1``."""
 
     mode: str
     shifts: tuple
     batches_per_shift: int
     batch_size: int = 64
-    label_priors: np.ndarray | None = None
+    label_rho: float = 1.0
 
     def __post_init__(self):
         if self.mode not in ("single_domain", "continual"):
@@ -137,12 +138,9 @@ class StreamSpec:
             raise ValueError("continual mode needs at least two shifts")
         if self.batches_per_shift < 1 or self.batch_size < 1:
             raise ValueError("batches_per_shift and batch_size must be positive")
+        if not self.label_rho >= 1:
+            raise ValueError(f"label_rho must be >= 1, got {self.label_rho}")
         object.__setattr__(self, "shifts", shifts)
-        if self.label_priors is not None:
-            priors = as_vector(self.label_priors)
-            if abs(float(np.sum(priors)) - 1.0) > 1e-9 or np.any(priors < 0):
-                raise ValueError("label_priors must form a probability simplex")
-            object.__setattr__(self, "label_priors", priors)
 
 
 @dataclass
@@ -219,10 +217,7 @@ def circle_means(C: int, radius: float) -> np.ndarray:
 
 def default_mixture() -> MixtureSpec:
     """The standard 10-class task: unit-sigma clusters on a radius-4 circle."""
-    C = 10
-    return MixtureSpec(
-        C=C, d=2, means=circle_means(C, 4.0), sigma=1.0, priors=np.full(C, 1.0 / C)
-    )
+    return MixtureSpec(C=10, radius=4.0, sigma=1.0)
 
 
 def default_single_domain() -> StreamSpec:
@@ -309,14 +304,14 @@ def make_stream(mix: MixtureSpec, spec: StreamSpec, rng: Rng):
     ``n`` rows.  Batch ``i`` is drawn by :func:`sample_batch`, then
     :func:`apply_shift`, and written into ``X[i]`` and ``y[i]``.
 
-    Each shift's batches come from a generator derived from the shift's
-    *content* (kind, magnitude, level, occurrence number), not its
-    position, so reordering shifts permutes the per-shift data without
-    changing it; repeated identical shifts still get fresh data.
+    Every batch draws its labels from ``long_tail_priors(mix.C,
+    spec.label_rho)``.  Each shift's batches come from a generator derived
+    from the shift's *content* (kind, magnitude, level, occurrence
+    number), not its position, so reordering shifts permutes the
+    per-shift data without changing it; repeated identical shifts still
+    get fresh data.
     """
-    priors = spec.label_priors
-    if priors is None:
-        priors = np.full(mix.C, 1.0 / mix.C)
+    priors = long_tail_priors(mix.C, spec.label_rho)
     B, n = spec.batches_per_shift, spec.batch_size
     seen: dict[str, int] = {}
     out = []

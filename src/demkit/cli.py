@@ -19,9 +19,13 @@ none behind that could pass for current.
 Configs are JSON objects validated against a strict schema (unknown keys
 and non-finite numbers are rejected); every key is optional and falls
 back to the default that ``SCHEMA`` carries for it as a ``"default"``
-annotation (``DEFAULT_CONFIG`` is read from those annotations).  The
-builders hand config sections to the library types, whose own defaults
-fill a shift's omitted magnitude and level.  The ``loss`` section admits the unsupervised family only
+annotation (``DEFAULT_CONFIG`` is read from those annotations).  Config
+sections go to the library types as they are: ``bench.MixtureSpec``
+takes ``mixture``'s ``C``, ``radius`` and ``sigma``, ``bench.StreamSpec``
+takes ``stream``'s settings and ``label_rho``, and ``bench.ShiftSpec``'s
+own defaults fill a shift's omitted magnitude and level.  The loss, the
+optimizer and the grid are built before source training, so a bad one
+fails at once.  The ``loss`` section admits the unsupervised family only
 (em, dem, adadem) - the adaptation loop never sees labels, which flow
 exclusively to metrics and, for grid search scoring, to the held subset.
 
@@ -44,7 +48,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -80,10 +83,11 @@ def jround(x: float) -> float:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temp file and rename, so rerun outputs swap atomically."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write via a temp file and rename, so rerun outputs swap atomically;
+    the file gets mode 0o666 less the umask, as a plain ``open`` gives."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -381,35 +385,10 @@ def load_config(path: str) -> dict:
 # --------------------------------------------------------------------------
 
 
-def build_mixture(cfg: dict) -> _bench.MixtureSpec:
-    m = cfg["mixture"]
-    C = m["C"]
-    return _bench.MixtureSpec(
-        C=C,
-        d=m["d"],
-        means=_bench.circle_means(C, m["radius"]),
-        sigma=m["sigma"],
-        priors=np.full(C, 1.0 / C),
-    )
-
-
-def build_stream_spec(cfg: dict, C: int) -> _bench.StreamSpec:
-    s = cfg["stream"]
-    shifts = tuple(_bench.ShiftSpec(**sh) for sh in s["shifts"])
-    rho = s["label_rho"]
-    priors = _bench.long_tail_priors(C, rho) if rho > 1.0 else None
-    return _bench.StreamSpec(
-        mode=s["mode"],
-        shifts=shifts,
-        batches_per_shift=s["batches_per_shift"],
-        batch_size=s["batch_size"],
-        label_priors=priors,
-    )
-
-
 def build_source_model(cfg: dict, mix: _bench.MixtureSpec, rng: Rng):
     s = cfg["source"]
-    X, y = _bench.sample_batch(mix, mix.priors, s["n"], rng.derive("source-data"))
+    uniform = np.full(mix.C, 1.0 / mix.C)
+    X, y = _bench.sample_batch(mix, uniform, s["n"], rng.derive("source-data"))
     if s["arch"] == "linear":
         model = _model.init_linear(mix.C, mix.d)
     else:
@@ -436,11 +415,20 @@ def plugin_factory_from(cfg: dict):
     return lambda: _model.AdaDemPlugin(variant, pi=loss["pi"])
 
 
+def sgd_config(cfg: dict) -> _model.SgdConfig:
+    """The adaptation optimizer of a config."""
+    return _model.SgdConfig(cfg["optimizer"]["lr"], cfg["optimizer"]["momentum"])
+
+
 def prepared_experiment(cfg: dict):
     """Stream spec, source model and stream data for a config, deterministically."""
     rng = Rng(cfg["seed"])
-    mix = build_mixture(cfg)
-    sspec = build_stream_spec(cfg, mix.C)
+    m, s = cfg["mixture"], cfg["stream"]
+    mix = _bench.MixtureSpec(m["C"], m["radius"], m["sigma"])
+    shifts = tuple(_bench.ShiftSpec(**sh) for sh in s["shifts"])
+    sspec = _bench.StreamSpec(
+        s["mode"], shifts, s["batches_per_shift"], s["batch_size"], s["label_rho"]
+    )
     model = build_source_model(cfg, mix, rng)
     data = _bench.make_stream(mix, sspec, rng.derive("stream"))
     return sspec, model, data
@@ -651,9 +639,8 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     out = cfg["output_dir"]
     remove_outputs(out, "metrics.csv")
+    factory, sgd = plugin_factory_from(cfg), sgd_config(cfg)
     sspec, model, data = prepared_experiment(cfg)
-    factory = plugin_factory_from(cfg)
-    sgd = _model.SgdConfig(lr=cfg["optimizer"]["lr"], momentum=cfg["optimizer"]["momentum"])
     result = _bench.run_protocol(model, data, sspec.mode, factory, sgd)
     base_per_shift, base_overall = _bench.no_adapt_accuracy(model, data)
 
@@ -700,8 +687,7 @@ def grid_search_result(cfg: dict, model, data) -> GridResult:
     stream.  The subset is the leading ``grid.subset_fraction`` of each
     shift's batches (at least one).
     """
-    mode = cfg["stream"]["mode"]
-    sgd = _model.SgdConfig(lr=cfg["optimizer"]["lr"], momentum=cfg["optimizer"]["momentum"])
+    mode, sgd = cfg["stream"]["mode"], sgd_config(cfg)
     grid = _search.GridSpec(**cfg["grid"])
     k = max(1, round(len(data[0][0]) * grid.subset_fraction))
     subset = [(X[:k], y[:k]) for X, y in data]
@@ -725,6 +711,7 @@ def cmd_grid_search(args) -> int:
     cfg = load_config(args.config)
     out = cfg["output_dir"]
     remove_outputs(out, "grid.csv")
+    _search.GridSpec(**cfg["grid"])  # refuse a bad grid before source training
     _, model, data = prepared_experiment(cfg)
     best, table, best_full, classical_subset, classical_full = grid_search_result(
         cfg, model, data
@@ -777,9 +764,7 @@ def cmd_grid_search(args) -> int:
 
 def lr_sweep_result(cfg: dict, model, data) -> _search.LrSweepResult:
     """Sweep the config's ``lrs`` for its loss, mode and optimizer settings."""
-    mode = cfg["stream"]["mode"]
-    factory = plugin_factory_from(cfg)
-    sgd = _model.SgdConfig(lr=cfg["optimizer"]["lr"], momentum=cfg["optimizer"]["momentum"])
+    mode, factory, sgd = cfg["stream"]["mode"], plugin_factory_from(cfg), sgd_config(cfg)
 
     def protocol(lr: float) -> float:
         run = _bench.run_protocol(model, data, mode, factory, replace(sgd, lr=lr))
@@ -792,6 +777,7 @@ def cmd_lr_sweep(args) -> int:
     cfg = load_config(args.config)
     out = cfg["output_dir"]
     remove_outputs(out, "lr_sweep.csv")
+    plugin_factory_from(cfg)  # refuse a bad loss before source training
     _, model, data = prepared_experiment(cfg)
     result = lr_sweep_result(cfg, model, data)
     if not math.isfinite(result.baseline):

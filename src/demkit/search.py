@@ -31,17 +31,20 @@ __all__ = [
     "TrialResult",
     "LrSweepResult",
     "DEFAULT_LR_GRID",
+    "GRID_MAX_POINTS",
     "grid_points",
     "grid_search",
     "lr_sweep",
 ]
 
 DEFAULT_LR_GRID = (1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1)
+GRID_MAX_POINTS = 100_000  # the largest (tau, alpha) grid; the default has 441
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular search grid and the labeled-subset fraction for scoring."""
+    """Rectangular search grid and the labeled-subset fraction for scoring:
+    at most ``GRID_MAX_POINTS`` points, at least one of them valid."""
 
     tau_min: float = 0.0
     tau_max: float = 2.0
@@ -51,7 +54,7 @@ class GridSpec:
     subset_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError(f"step must be positive, got {self.step}")
         if not 0.0 < self.subset_fraction <= 1.0:
             raise ValueError(
@@ -59,6 +62,15 @@ class GridSpec:
             )
         if self.tau_max < self.tau_min or self.alpha_max < self.alpha_min:
             raise ValueError("grid bounds are inverted")
+        n_tau = (self.tau_max - self.tau_min) / self.step
+        n_alpha = (self.alpha_max - self.alpha_min) / self.step
+        if not (
+            math.isfinite(n_tau * n_alpha)
+            and (round(n_tau) + 1) * (round(n_alpha) + 1) <= GRID_MAX_POINTS
+        ):
+            raise ValueError(f"the grid has more than {GRID_MAX_POINTS} points")
+        if not any(ok for _, _, ok in _points(self)):
+            raise ConfigError("the grid contains no valid (tau, alpha) points")
 
     def axis(self, lo: float, hi: float) -> np.ndarray:
         n = int(round((hi - lo) / self.step))
@@ -90,19 +102,20 @@ class LrSweepResult:
         return max(finite, key=lambda row: row[1], default=(math.nan, math.nan))
 
 
-def grid_points(grid: GridSpec):
+def grid_points(grid: GridSpec) -> list:
     """All (tau, alpha, valid) triples of the grid, in row-major order.
 
     tau = 0 rows are dropped outright (no temperature to evaluate);
     remaining validity is decided by ``validate_config`` alone.
     """
-    points = []
+    return list(_points(grid))
+
+
+def _points(grid: GridSpec):
     for tau in grid.axis(grid.tau_min, grid.tau_max):
-        if tau <= 0.0:
-            continue
-        for alpha in grid.axis(grid.alpha_min, grid.alpha_max):
-            points.append((float(tau), float(alpha), validate_config(tau, alpha)))
-    return points
+        if tau > 0.0:
+            for alpha in grid.axis(grid.alpha_min, grid.alpha_max):
+                yield float(tau), float(alpha), validate_config(tau, alpha)
 
 
 def grid_search(protocol, grid: GridSpec = GridSpec()):
@@ -115,8 +128,6 @@ def grid_search(protocol, grid: GridSpec = GridSpec()):
     """
     points = grid_points(grid)
     valid = [(t, a) for t, a, ok in points if ok]
-    if not valid:
-        raise ConfigError("the grid contains no valid (tau, alpha) points")
     scores = [float(protocol(t, a)) for t, a in valid]
     by_pair = dict(zip(valid, scores))
     table = [

@@ -82,7 +82,7 @@ def _report(cid: str, passed: bool, detail: str) -> None:
 def _build_source(seed: int):
     mix = default_mixture()
     rng = Rng(seed)
-    X, y = sample_batch(mix, mix.priors, 5000, rng.derive("source-data"))
+    X, y = sample_batch(mix, np.full(mix.C, 1.0 / mix.C), 5000, rng.derive("source-data"))
     model = init_mlp(mix.C, mix.d, 32, rng.derive("source-init"), 0.5)
     train_source(
         model, X, y, 300, SgdConfig(lr=0.05, momentum=0.9),

@@ -57,19 +57,25 @@ class TestGeometry:
 
     def test_default_mixture(self):
         mix = default_mixture()
-        assert (mix.C, mix.d, mix.sigma) == (10, 2, 1.0)
-        np.testing.assert_array_equal(mix.priors, np.full(10, 0.1))
+        assert (mix.C, mix.d, mix.radius, mix.sigma) == (10, 2, 4.0, 1.0)
         np.testing.assert_allclose(np.linalg.norm(mix.means, axis=1), 4.0, atol=1e-12)
 
+    @pytest.mark.parametrize("C, radius", [(2, 1.0), (3, 2.5), (10, 4.0), (37, 0.3)])
+    def test_mixture_means_are_circle_means(self, C, radius):
+        mix = MixtureSpec(C, radius, 1.0)
+        assert mix.means.tobytes() == circle_means(C, radius).tobytes()
+        assert mix.means.shape == (C, mix.d) and mix.d == 2
+        assert mix.means is mix.means  # derived once per mixture
+
     def test_mixture_validation(self):
-        means = circle_means(3, 1.0)
-        ok = np.full(3, 1 / 3)
-        with pytest.raises(ValueError):
-            MixtureSpec(C=3, d=2, means=means[:2], sigma=1.0, priors=ok)
-        with pytest.raises(ValueError):
-            MixtureSpec(C=3, d=2, means=means, sigma=1.0, priors=np.array([0.5, 0.5, 0.5]))
-        with pytest.raises(ValueError):
-            MixtureSpec(C=3, d=2, means=means, sigma=0.0, priors=ok)
+        MixtureSpec(C=2, radius=1e-300, sigma=1e-300)  # the smallest legal mixture
+        for C, radius, sigma in [
+            (1, 1.0, 1.0), (0, 1.0, 1.0),
+            (3, 0.0, 1.0), (3, -1.0, 1.0), (3, math.nan, 1.0),
+            (3, 1.0, 0.0), (3, 1.0, -1.0), (3, 1.0, math.nan),
+        ]:
+            with pytest.raises(ValueError):
+                MixtureSpec(C=C, radius=radius, sigma=sigma)
 
 
 class TestLongTailPriors:
@@ -101,8 +107,8 @@ class TestLongTailPriors:
 class TestSampleBatch:
     def test_deterministic(self):
         mix = default_mixture()
-        Xa, ya = sample_batch(mix, mix.priors, 32, Rng(5))
-        Xb, yb = sample_batch(mix, mix.priors, 32, Rng(5))
+        Xa, ya = sample_batch(mix, np.full(10, 0.1), 32, Rng(5))
+        Xb, yb = sample_batch(mix, np.full(10, 0.1), 32, Rng(5))
         np.testing.assert_array_equal(Xa, Xb)
         np.testing.assert_array_equal(ya, yb)
 
@@ -114,10 +120,9 @@ class TestSampleBatch:
         assert np.all(y == 7)
 
     def test_tiny_sigma_recovers_means(self):
-        means = circle_means(3, 2.0)
-        mix = MixtureSpec(C=3, d=2, means=means, sigma=1e-9, priors=np.full(3, 1 / 3))
-        X, y = sample_batch(mix, mix.priors, 100, Rng(2))
-        np.testing.assert_allclose(X, means[y], atol=1e-7)
+        mix = MixtureSpec(C=3, radius=2.0, sigma=1e-9)
+        X, y = sample_batch(mix, np.full(3, 1 / 3), 100, Rng(2))
+        np.testing.assert_allclose(X, circle_means(3, 2.0)[y], atol=1e-7)
 
     def test_label_frequencies_follow_priors(self):
         mix = default_mixture()
@@ -129,7 +134,7 @@ class TestSampleBatch:
     def test_rejects_empty(self):
         mix = default_mixture()
         with pytest.raises(ValueError):
-            sample_batch(mix, mix.priors, 0, Rng(0))
+            sample_batch(mix, np.full(10, 0.1), 0, Rng(0))
 
 
 class TestShifts:
@@ -202,8 +207,10 @@ class TestStreamSpec:
             StreamSpec("single_domain", (shift,), 0)
         with pytest.raises(ValueError):
             StreamSpec("single_domain", (shift,), 5, batch_size=0)
-        with pytest.raises(ValueError):
-            StreamSpec("single_domain", (shift,), 5, label_priors=np.array([0.5, 0.6]))
+        for rho in (0.5, 1.0 - 1e-12, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                StreamSpec("single_domain", (shift,), 5, label_rho=rho)
+        assert StreamSpec("single_domain", (shift,), 5).label_rho == 1.0
 
     def test_default_tasks(self):
         single = default_single_domain()
@@ -236,7 +243,7 @@ class TestMakeStream:
         # Feature noise draws from that generator after sample_batch.
         noise, rotation = ShiftSpec("feature_noise", 1.0, 3), ShiftSpec("rotate2d", 0.5)
         priors = long_tail_priors(10, 10.0)
-        spec = StreamSpec("continual", (noise, rotation, noise), 5, 24, label_priors=priors)
+        spec = StreamSpec("continual", (noise, rotation, noise), 5, 24, label_rho=10.0)
         data = make_stream(self.MIX, spec, Rng(7))
         for (X, y), shift, occurrence in zip(data, spec.shifts, (0, 0, 1)):
             srng = Rng(7).derive(shift.key(occurrence))
@@ -259,13 +266,28 @@ class TestMakeStream:
             np.testing.assert_array_equal(d_ab[0][i], d_ba[1][i])
             np.testing.assert_array_equal(d_ab[1][i], d_ba[0][i])
 
+    @pytest.mark.parametrize("C", [2, 5, 10, 37])
+    @pytest.mark.parametrize("rho", [1.0, 10.0])
+    def test_label_rho_draws_at_long_tail_priors(self, C, rho):
+        # rho = 1 draws at the uniform np.full(C, 1 / C), byte for byte;
+        # rho > 1 at long_tail_priors(C, rho).
+        mix = MixtureSpec(C, 4.0, 1.0)
+        priors = np.full(C, 1.0 / C) if rho == 1.0 else long_tail_priors(C, rho)
+        shift = ShiftSpec("feature_noise", 1.0, 3)
+        X, y = make_stream(mix, StreamSpec("single_domain", (shift,), 4, 16, rho), Rng(3))[0]
+        srng = Rng(3).derive(shift.key(0))
+        for i in range(4):
+            Xb, yb = sample_batch(mix, priors, 16, srng)
+            assert X[i].tobytes() == apply_shift(Xb, shift, srng).tobytes()
+            assert y[i].tobytes() == yb.tobytes()
+
     def test_label_priors_thread_through(self):
-        prior = np.zeros(10)
-        prior[4] = 1.0
+        # At label_rho = 1e300 every class after the first has a prior
+        # below 1e-33, so every label is class 0.
         spec = StreamSpec("single_domain", (ShiftSpec("translate", 1.0),), 2, 32,
-                          label_priors=prior)
+                          label_rho=1e300)
         data = make_stream(self.MIX, spec, Rng(0))
-        assert np.all(data[0][1] == 4)
+        assert np.all(data[0][1] == 0)
 
 
 class TestKlDivergence:
@@ -378,7 +400,7 @@ def _quick_source(seed=0):
     """A small linear source model for protocol-level tests."""
     mix = default_mixture()
     rng = Rng(seed)
-    X, y = sample_batch(mix, mix.priors, 2000, rng.derive("data"))
+    X, y = sample_batch(mix, np.full(10, 0.1), 2000, rng.derive("data"))
     model = init_linear(10, 2)
     train_source(model, X, y, 3, SgdConfig(lr=0.5), rng.derive("train"))
     return mix, model
@@ -573,8 +595,7 @@ class TestRunProtocol:
         cfg = SgdConfig(lr=0.05, momentum=0.9)
         factories = (AdaDemPlugin, EmPlugin, functools.partial(DemPlugin, DemConfig(0.8, 1.2)))
         for label_rho in (1.0, 10.0):
-            priors = long_tail_priors(mix.C, label_rho)
-            spec = StreamSpec("single_domain", shifts, 10, 32, label_priors=priors)
+            spec = StreamSpec("single_domain", shifts, 10, 32, label_rho=label_rho)
             data = make_stream(mix, spec, Rng(21))
             for factory in factories:
                 res = run_protocol(model, data, mode, factory, cfg)

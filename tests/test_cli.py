@@ -6,6 +6,7 @@ one subprocess test covers the real interpreter entry point.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -663,8 +664,8 @@ class TestRunCommand:
         )
 
     def test_spelled_all_scope_still_runs(self, tmp_path):
-        # Every parameter moves; the shipped configs spell that scope, and
-        # it changes no byte.
+        # Every parameter moves; the benchmark's configs spell that scope,
+        # and it changes no byte.
         outputs = []
         for optimizer in ({"lr": 0.001, "momentum": 0.9},
                           {"lr": 0.001, "momentum": 0.9, "scope": "all"}):
@@ -795,6 +796,63 @@ class TestLrSweepCommand:
         first = (tmp_path / "out" / "lr_sweep.csv").read_bytes()
         assert main(["lr-sweep", "--config", str(cfg)]) == EXIT_OK
         assert (tmp_path / "out" / "lr_sweep.csv").read_bytes() == first
+
+
+class TestSettingsFailFast:
+    """A bad loss or grid is refused before source training: with
+    ``prepared_experiment`` failing, the command still exits 2 or 64."""
+
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def fail(cfg):
+            raise AssertionError("source training started")
+
+        monkeypatch.setattr("demkit.cli.prepared_experiment", fail)
+
+    @pytest.mark.parametrize("command", ["run", "lr-sweep"])
+    def test_invalid_dem_config_exit_2(self, tmp_path, capsys, command):
+        cfg = small_config(tmp_path, loss={"name": "dem", "tau": 2.0, "alpha": 2.0})
+        assert main([command, "--config", str(cfg)]) == EXIT_BAD_HYPERPARAMS
+        assert "invalid hyperparameters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid, code, message",
+        [
+            ({"tau_min": 2.0, "tau_max": 1.0}, EXIT_USAGE, "grid bounds are inverted"),
+            ({"step": 5e-324}, EXIT_USAGE, "the grid has more than 100000 points"),
+            ({"step": 1e-4}, EXIT_USAGE, "the grid has more than 100000 points"),
+            (
+                {"tau_min": 3.0, "tau_max": 4.0, "alpha_min": 2.0, "alpha_max": 2.0},
+                EXIT_BAD_HYPERPARAMS,
+                "the grid contains no valid (tau, alpha) points",
+            ),
+        ],
+        ids=["inverted", "step-5e-324", "step-1e-4", "no-valid-point"],
+    )
+    def test_bad_grid(self, tmp_path, capsys, grid, code, message):
+        cfg = small_config(tmp_path, grid=grid)
+        assert main(["grid-search", "--config", str(cfg)]) == code
+        assert capsys.readouterr().err == f"demkit: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o027, 0o640), (0o077, 0o600)], ids=["022", "027", "077"]
+)
+def test_outputs_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    # As a plain open() would create them; the atomic rename leaves no
+    # temporary file behind.
+    cfg = small_config(tmp_path, grid=TestGridSearchCommand.GRID)
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        for command in ("run", "grid-search", "lr-sweep"):
+            assert main([command, "--config", str(cfg)]) == EXIT_OK
+        assert main(["reward-curve", "--m-max", "1", "--out", str(out / "curve.csv")]) == EXIT_OK
+    finally:
+        os.umask(old)
+    names = ["curve.csv", "grid.csv", "lr_sweep.csv", "metrics.csv", "summary.json"]
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert {oct(p.stat().st_mode & 0o777) for p in out.iterdir()} == {oct(mode)}
 
 
 class TestArgumentErrors:

@@ -29,6 +29,8 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSpec(step=0.0)
+        with pytest.raises(ValueError, match="step must be positive"):
+            GridSpec(step=math.nan)
         with pytest.raises(ValueError):
             GridSpec(subset_fraction=0.0)
         with pytest.raises(ValueError):
@@ -36,6 +38,18 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(tau_min=2.0, tau_max=1.0)
         GridSpec(subset_fraction=1.0)  # full-data scoring is legal
+
+    @pytest.mark.parametrize("step", [5e-324, 1e-300, 1e-4])
+    def test_oversized_grid_is_refused(self, step):
+        # 5e-324 makes the point count infinite; 1e-4 asks for 20,001 ** 2.
+        with pytest.raises(ValueError, match="more than 100000 points"):
+            GridSpec(step=step)
+
+    def test_grid_of_the_largest_point_count_is_legal(self, monkeypatch):
+        monkeypatch.setattr("demkit.search.GRID_MAX_POINTS", 21 * 21)
+        assert len(grid_points(GridSpec())) == 20 * 21  # 441 points; tau = 0 dropped
+        with pytest.raises(ValueError, match="more than 441 points"):
+            GridSpec(tau_max=2.1)
 
 
 class TestGridPoints:
@@ -88,11 +102,10 @@ class TestGridSearch:
                 assert row.accuracy == 0.0
 
     def test_all_invalid_grid_raises(self):
-        # tau in [3, 4] with alpha = 2 violates tau <= 2/alpha everywhere.
-        spec = GridSpec(tau_min=3.0, tau_max=4.0, alpha_min=2.0, alpha_max=2.0,
-                        step=0.5)
-        with pytest.raises(ConfigError):
-            grid_search(lambda t, a: 0.0, spec)
+        # tau in [3, 4] with alpha = 2 violates tau <= 2/alpha everywhere,
+        # so the grid is refused before any protocol could run.
+        with pytest.raises(ConfigError, match="no valid"):
+            GridSpec(tau_min=3.0, tau_max=4.0, alpha_min=2.0, alpha_max=2.0, step=0.5)
 
     def test_table_rows_are_trial_results_in_grid_order(self):
         _, table = grid_search(lambda t, a: t + a, GridSpec(step=1.0))
