@@ -68,6 +68,15 @@ EXIT_USAGE = 64
 GRADCHECK_TOLERANCE = 1e-5
 REWARD_CURVE_MAX_POINTS = 100_000  # the largest reward-curve grid; the default has 601
 
+# The largest sizes a config may ask for; ``load_config`` refuses a larger
+# one (exit 64) before anything is allocated.  The shipped configs use 10
+# classes, 32 hidden units, 5,000 source rows and 11,520 stream rows
+# (3 shifts x 60 batches x 64 rows); each bound leaves 30x-200x of headroom.
+MAX_CLASSES = 1_000
+MAX_HIDDEN = 1_024
+MAX_SOURCE_ROWS = 1_000_000
+MAX_STREAM_ROWS = 1_000_000
+
 
 def fmt9(x: float) -> str:
     """Canonical float rendering: 9 significant digits, no negative zero."""
@@ -377,7 +386,25 @@ def load_config(path: str) -> dict:
             cfg[key].update(value)
         else:
             cfg[key] = value
+    _check_sizes(cfg)
     return cfg
+
+
+def _check_sizes(cfg: dict) -> None:
+    s = cfg["stream"]
+    sizes = (
+        ("mixture/C", cfg["mixture"]["C"], MAX_CLASSES),
+        ("source/hidden", cfg["source"]["hidden"], MAX_HIDDEN),
+        ("source/n", cfg["source"]["n"], MAX_SOURCE_ROWS),
+        (
+            "stream rows (shifts x batches_per_shift x batch_size)",
+            len(s["shifts"]) * s["batches_per_shift"] * s["batch_size"],
+            MAX_STREAM_ROWS,
+        ),
+    )
+    for name, size, bound in sizes:
+        if size > bound:
+            raise UsageError(f"config too large: {name} is {size}, more than {bound}")
 
 
 # --------------------------------------------------------------------------

@@ -328,8 +328,10 @@ class CrossEntropyPlugin:
     def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
         if Z.shape[0] != self.targets.shape[0]:
             raise ValueError("batch size does not match the stored targets")
-        # The same expression as train_source's: softmax minus the one-hot.
-        return P - np.eye(Z.shape[1])[self.targets]
+        # train_source's rule: subtract 1 at each row's target, here on a copy.
+        G = P.copy()
+        G[np.arange(Z.shape[0]), self.targets] -= 1.0
+        return G
 
 
 class EmPlugin:
@@ -407,39 +409,45 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int 
     integer label in ``[0, C)`` per row of ``X`` (``ValueError``
     otherwise).
 
-    Each epoch gathers the shuffled inputs and one-hot targets once and
-    steps through contiguous slices of them.  A step runs the forward
-    pass once, takes only the cross-entropy gradient ``softmax(Z) - T``
-    (no loss values) and reuses the forward activations in the backward
-    pass.  The gradient has the bits of subtracting 1 at each target in
-    place: ``p - 1.0`` is that subtraction and ``p - 0.0`` is ``p``.
-    Steps write into a :class:`_Workspace` sized once per call, and a
-    short last batch into a second.  ``batch_size < 1`` and
-    ``epochs < 0`` raise ``ValueError``.  Non-finite parameters, checked
-    once per epoch with numpy's overflow and invalid-value warnings
-    silenced, raise ``FloatingPointError`` naming the epoch.
+    Each epoch refills in place one shuffled copy of ``X`` and one
+    vector of each row's target as a flat position in its batch's
+    logits, so no ``n x C`` array is held.  A step runs the forward pass
+    once, writes ``softmax(Z)`` into its workspace and subtracts 1 at
+    the targets there (no loss values), and the backward pass reuses
+    the forward activations.  Steps write into a :class:`_Workspace`
+    sized once per call, and a short last batch into a second.
+    ``batch_size < 1`` and ``epochs < 0`` raise ``ValueError``.
+    Non-finite parameters, checked once per epoch with numpy's overflow
+    and invalid-value warnings silenced, raise ``FloatingPointError``
+    naming the epoch.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
     X = _validated_input(model, X)
-    n = X.shape[0]
+    n, C = X.shape[0], model.C
     if n == 0:
         raise ValueError("empty training set")
-    T = np.eye(model.C)[_validated_labels(y, (n,), model.C)]
+    y = _validated_labels(y, (n,), C)
     size = min(batch_size, n)
     full = _Workspace(model, size)
     last = _Workspace(model, n % size) if n % size else full
     state = SgdState()
+    # Row i of an epoch's order sits at row i % size of its batch, whose
+    # logits start at flat position (i % size) * C of the batch's G.
+    slots = np.arange(n) % size * C
+    Xo, hot = np.empty(X.shape), np.empty(n, np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             order = rng.permutation(n)
-            Xo, To = X[order], T[order]
+            np.take(X, order, axis=0, out=Xo)
+            np.add(slots, y[order], out=hot)
             for start in range(0, n, size):
                 Xb = Xo[start : start + size]
                 ws = full if start + size <= n else last
-                G = softmax_rows(_forward(model, Xb, ws)) - To[start : start + size]
+                G = _softmax_rows(_forward(model, Xb, ws), ws.G)
+                G.reshape(-1)[hot[start : start + size]] -= 1.0
                 sgd_step(model, _backward(model, Xb, G, ws), cfg, state)
             if not np.isfinite(model.theta).all():
                 raise FloatingPointError(f"source training diverged in epoch {epoch}")

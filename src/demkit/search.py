@@ -62,18 +62,22 @@ class GridSpec:
             )
         if self.tau_max < self.tau_min or self.alpha_max < self.alpha_min:
             raise ValueError("grid bounds are inverted")
-        n_tau = (self.tau_max - self.tau_min) / self.step
-        n_alpha = (self.alpha_max - self.alpha_min) / self.step
-        if not (
-            math.isfinite(n_tau * n_alpha)
-            and (round(n_tau) + 1) * (round(n_alpha) + 1) <= GRID_MAX_POINTS
-        ):
+        n_tau = self._steps(self.tau_min, self.tau_max)
+        n_alpha = self._steps(self.alpha_min, self.alpha_max)
+        # An overflowed (inf) or undefined (NaN) count fails the comparison.
+        if not (n_tau + 1) * (n_alpha + 1) <= GRID_MAX_POINTS:
             raise ValueError(f"the grid has more than {GRID_MAX_POINTS} points")
         if not any(ok for _, _, ok in _points(self)):
             raise ConfigError("the grid contains no valid (tau, alpha) points")
 
+    # The whole steps that fit in [lo, hi]: a step that does not divide the
+    # range stops short of hi.  The 1e-9 slack keeps a step that does from
+    # losing its last point, as (0.3 - 0.0) / 0.1 is 2.9999999999999996.
+    def _steps(self, lo: float, hi: float) -> float:
+        return float(np.floor((hi - lo) / self.step + 1e-9))
+
     def axis(self, lo: float, hi: float) -> np.ndarray:
-        n = int(round((hi - lo) / self.step))
+        n = int(self._steps(lo, hi))
         return np.round(lo + self.step * np.arange(n + 1), 12)
 
 
@@ -112,10 +116,10 @@ def grid_points(grid: GridSpec) -> list:
 
 
 def _points(grid: GridSpec):
-    for tau in grid.axis(grid.tau_min, grid.tau_max):
+    for tau in map(float, grid.axis(grid.tau_min, grid.tau_max)):
         if tau > 0.0:
-            for alpha in grid.axis(grid.alpha_min, grid.alpha_max):
-                yield float(tau), float(alpha), validate_config(tau, alpha)
+            for alpha in map(float, grid.axis(grid.alpha_min, grid.alpha_max)):
+                yield tau, alpha, validate_config(tau, alpha)
 
 
 def grid_search(protocol, grid: GridSpec = GridSpec()):

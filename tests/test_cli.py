@@ -187,6 +187,20 @@ class TestLoadConfig:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_sizes_at_their_bounds_load(self, tmp_path):
+        # Only read, never run: 1,000 x 1,000 rows in one shift is 10**6 rows.
+        path = small_config(
+            tmp_path,
+            mixture={"C": 1000},
+            source={"hidden": 1024, "n": 10**6},
+            stream={"shifts": [{"kind": "translate"}], "batches_per_shift": 1000,
+                    "batch_size": 1000},
+        )
+        cfg = load_config(str(path))
+        assert (cfg["mixture"]["C"], cfg["source"]["hidden"], cfg["source"]["n"]) == (
+            1000, 1024, 10**6
+        )
+
     def test_integer_settings_take_large_integers(self, tmp_path):
         # Only number settings are bounded; a seed is used as an integer.
         cfg = small_config(tmp_path, seed=10**30)
@@ -799,7 +813,7 @@ class TestLrSweepCommand:
 
 
 class TestSettingsFailFast:
-    """A bad loss or grid is refused before source training: with
+    """A bad loss, grid or size is refused before source training: with
     ``prepared_experiment`` failing, the command still exits 2 or 64."""
 
     @pytest.fixture(autouse=True)
@@ -833,6 +847,38 @@ class TestSettingsFailFast:
         cfg = small_config(tmp_path, grid=grid)
         assert main(["grid-search", "--config", str(cfg)]) == code
         assert capsys.readouterr().err == f"demkit: {message}\n"
+
+    @pytest.mark.parametrize("command", ["run", "grid-search", "lr-sweep"])
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"mixture": {"C": 1001}}, "mixture/C is 1001, more than 1000"),
+            ({"source": {"hidden": 1025}}, "source/hidden is 1025, more than 1024"),
+            ({"source": {"n": 10**6 + 1}}, "source/n is 1000001, more than 1000000"),
+            (
+                {"stream": {"shifts": [{"kind": "translate"}] * 2, "batches_per_shift": 1,
+                            "batch_size": 500_001}},
+                "stream rows (shifts x batches_per_shift x batch_size) is 1000002,"
+                " more than 1000000",
+            ),
+        ],
+        ids=["classes", "hidden", "source-rows", "stream-rows"],
+    )
+    def test_oversized_config_exit_64(self, tmp_path, capsys, command, overrides, message):
+        cfg = small_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"demkit: config too large: {message}\n"
+
+    def test_shipped_config_with_a_huge_stream_exit_64(self, tmp_path, capsys):
+        # This config used to end in numpy's "Unable to allocate 931. TiB"
+        # and exit 1.
+        cfg = json.loads((CONFIGS / "single_domain_em.json").read_text())
+        cfg.update(output_dir=str(tmp_path / "out"), source={"epochs": 0})
+        cfg["stream"]["batches_per_shift"] = 10**12
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == EXIT_USAGE
+        assert "config too large: stream rows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for the classifiers, hand-rolled backprop, SGD, and the stream loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,6 +460,37 @@ class TestTrainSource:
                 Xb = X[idx]
                 sgd_step(ref, backward(ref, Xb, _ce_grad(forward(ref, Xb), y[idx])), cfg, state)
         assert np.array_equal(fused.theta, ref.theta)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_narrow_label_dtypes_keep_the_bits(self, arch, dtype):
+        # 105 rows in batches of 16 leave a short last batch of 9.
+        X, y = _blobs(Rng(8).derive("data"), 35, self.MEANS)
+        def trained(labels):
+            model = init_linear(3, 2, Rng(9), scale=0.5) if arch == "linear" else init_mlp(
+                3, 2, 6, Rng(9)
+            )
+            cfg = SgdConfig(lr=0.2, momentum=0.9)
+            return train_source(model, X, labels, 3, cfg, Rng(10), batch_size=16).theta
+
+        assert trained(y.astype(dtype)).tobytes() == trained(y).tobytes()
+
+    def test_working_set_does_not_grow_with_classes(self):
+        # A table of n x C floats would add 5,000 x 30 x 8 bytes = 1.2 MB
+        # per copy going from 10 to 40 classes; the batch buffers and the
+        # parameter-sized vectors add about 60 KB.
+        def traced_peak(C):
+            X = Rng(0).normals(5000 * 2).reshape(5000, 2)
+            y = np.arange(5000) % C
+            model = init_mlp(C, 2, 32, Rng(1))
+            tracemalloc.start()
+            try:
+                train_source(model, X, y, 1, SgdConfig(lr=0.05, momentum=0.9), Rng(2))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(40) - traced_peak(10) < 100 * 1024
 
     @pytest.mark.parametrize(
         "kwargs, name",

@@ -26,6 +26,31 @@ class TestGridSpec:
         assert 1.0 in axis  # the classical point is on the default grid
         np.testing.assert_allclose(np.diff(axis), 0.1, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "lo, hi, step, expected",
+        [
+            (0.0, 2.0, 0.5, [0.0, 0.5, 1.0, 1.5, 2.0]),
+            (0.0, 0.3, 0.1, [0.0, 0.1, 0.2, 0.3]),  # 0.3 / 0.1 is 2.9999999999999996
+            (0.2, 1.4, 0.3, [0.2, 0.5, 0.8, 1.1, 1.4]),
+            (0.0, 1.0, 0.6, [0.0, 0.6]),  # rounding the step count gave 1.2
+            (0.5, 2.0, 0.4, [0.5, 0.9, 1.3, 1.7]),
+            (0.0, 0.29, 0.1, [0.0, 0.1, 0.2]),
+            (1.0, 1.0, 0.3, [1.0]),
+        ],
+        ids=["divides", "divides-0.3", "divides-offset", "step-0.6", "step-0.4",
+             "just-short", "one-point"],
+    )
+    def test_axis_never_passes_its_upper_bound(self, lo, hi, step, expected):
+        assert GridSpec(step=step).axis(lo, hi).tolist() == expected
+
+    def test_point_count_bound_counts_the_listed_points(self, monkeypatch):
+        # step 0.6 on [0, 1] lists 2 x 2 points; a rounded count said 3 x 3.
+        monkeypatch.setattr("demkit.search.GRID_MAX_POINTS", 4)
+        GridSpec(tau_max=1.0, alpha_max=1.0, step=0.6)
+        monkeypatch.setattr("demkit.search.GRID_MAX_POINTS", 3)
+        with pytest.raises(ValueError, match="more than 3 points"):
+            GridSpec(tau_max=1.0, alpha_max=1.0, step=0.6)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSpec(step=0.0)
@@ -57,6 +82,15 @@ class TestGridPoints:
         points = grid_points(GridSpec())
         assert len(points) == 420  # 20 tau rows (tau = 0 dropped) x 21 alphas
         assert sum(1 for _, _, ok in points if ok) == 350
+
+    def test_points_past_the_bounds_are_not_listed(self):
+        points = grid_points(GridSpec(tau_max=1.0, alpha_max=1.0, step=0.6))
+        assert points == [(0.6, 0.0, True), (0.6, 0.6, True)]
+
+    @pytest.mark.parametrize("step", [0.1, 0.25, 0.6])
+    def test_points_are_python_floats_and_bools(self, step):
+        for point in grid_points(GridSpec(step=step)):
+            assert [type(x) for x in point] == [float, float, bool]
 
     def test_tau_zero_row_is_dropped(self):
         assert all(t > 0 for t, _, _ in grid_points(GridSpec()))
