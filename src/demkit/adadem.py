@@ -16,11 +16,10 @@ pseudo-label ``k = argmax p`` is
 
     L(z) = -(1/delta) * sum_i (p_i - c_i) z_i
 
-where ``c`` is row ``k`` of the calibrator table (scaled by
-``mec_alpha``), and both ``c`` and ``delta`` are treated as constants
-under differentiation.  Variants: ``norm_only`` replaces ``c`` by a
-constant copy of ``p`` (pure rescaling, exactly the classical EM gradient
-divided by ``delta``); ``mec_only`` fixes ``delta = 1``.
+where ``c`` is row ``k`` of the calibrator table, and both ``c`` and
+``delta`` are treated as constants under differentiation.  The one other
+variant, ``norm_only``, replaces ``c`` by a constant copy of ``p`` (pure
+rescaling, exactly the classical EM gradient divided by ``delta``).
 
 State updates happen before the loss is evaluated on a batch, so the
 calibrator always reflects the batch it is about to judge.
@@ -49,7 +48,7 @@ __all__ = [
     "DELTA_FLOOR",
 ]
 
-VARIANT_KINDS = ("full", "norm_only", "mec_only")
+VARIANT_KINDS = ("full", "norm_only")
 
 # Lower clamp applied before dividing by delta.  In exact arithmetic the
 # CADF reward's entries sum to 1, so delta >= 1.  In floating point
@@ -85,20 +84,16 @@ class MecState:
 class AdaDemVariant:
     """Which pieces of AdaDEM are active.
 
-    ``kind``: "full" (delta scaling and MEC), "norm_only" (delta scaling
-    with the calibrator replaced by a constant copy of p) or "mec_only"
-    (MEC with delta fixed to 1).  ``mec_alpha`` scales the calibrator row.
-    Delta is always :func:`delta`, the L1 norm of the CADF reward.
+    ``kind``: "full" (delta scaling and MEC) or "norm_only" (delta
+    scaling with the calibrator replaced by a constant copy of p).  Delta
+    is always :func:`delta`, the L1 norm of the CADF reward.
     """
 
     kind: str = "full"
-    mec_alpha: float = 1.0
 
     def __post_init__(self):
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown variant kind {self.kind!r}")
-        if self.mec_alpha < 0:
-            raise ValueError(f"mec_alpha must be non-negative, got {self.mec_alpha}")
 
 
 def delta(z) -> float:
@@ -193,21 +188,15 @@ def _loss_terms(Z, P, labels, state, variant):
     reward rows ``Rc = P * (Z + 1 - S)`` are built in one buffer in that
     operand order (the product commutes).  Each delta is the ``math.fsum``
     of its row of ``|Rc|``, the formula of the scalar ``delta`` but not
-    its bits; ``mec_only`` fixes every delta to 1.
+    its bits.
     """
-    if variant.kind == "norm_only":
-        Cmat = P
-    else:
-        Cmat = variant.mec_alpha * state.table[labels]
+    Cmat = P if variant.kind == "norm_only" else state.table[labels]
     S = np.add.reduce(P * Z, axis=1, keepdims=True)
     Rc = Z + 1.0
     Rc -= S
     Rc *= P
     n = Z.shape[0]
-    if variant.kind == "mec_only":
-        d = np.ones(n)
-    else:
-        d = np.fromiter(map(math.fsum, np.abs(Rc).tolist()), dtype=np.float64, count=n)
+    d = np.fromiter(map(math.fsum, np.abs(Rc).tolist()), dtype=np.float64, count=n)
     return Cmat, Rc, np.maximum(d, DELTA_FLOOR)[:, None]
 
 

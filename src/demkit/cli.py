@@ -42,7 +42,6 @@ integer settings such as ``seed`` take any JSON integer.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import copy
 import json
 import math
@@ -68,8 +67,8 @@ EXIT_USAGE = 64
 GRADCHECK_TOLERANCE = 1e-5
 REWARD_CURVE_MAX_POINTS = 100_000  # the largest reward-curve grid; the default has 601
 
-# The largest sizes a config may ask for; ``load_config`` refuses a larger
-# one (exit 64) before anything is allocated.  The shipped configs use 10
+# The largest sizes a config (or ``reward-curve --c``) may ask for; a larger
+# one exits 64 before anything is allocated.  The shipped configs use 10
 # classes, 32 hidden units, 5,000 source rows and 11,520 stream rows
 # (3 shifts x 60 batches x 64 rows); each bound leaves 30x-200x of headroom.
 MAX_CLASSES = 1_000
@@ -93,18 +92,20 @@ def jround(x: float) -> float:
 
 def write_text_atomic(path: str, text: str) -> None:
     """Write via a temp file and rename, so rerun outputs swap atomically;
-    the file gets mode 0o666 less the umask, as a plain ``open`` gives."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    the file gets mode 0o666 less the umask, as a plain ``open`` gives.
+    An unwritable path is a ``UsageError`` and leaves no temp file."""
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def write_csv(path: str, header: str, rows) -> None:
@@ -119,10 +120,16 @@ def write_json(path: str, obj) -> None:
 
 
 def remove_outputs(directory: str, table: str) -> None:
-    """Delete a command's previous ``table`` and ``summary.json``, if any."""
+    """Delete a command's previous ``table`` and ``summary.json``, if any;
+    a path that cannot be removed is a ``UsageError``."""
     for name in (table, "summary.json"):
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(directory, name))
+        path = os.path.join(directory, name)
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            raise UsageError(f"cannot remove {path}: {exc.strerror or exc}") from exc
 
 
 def vec9(v) -> str:
@@ -157,7 +164,7 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "arch": {"enum": ["linear", "mlp"], "default": "mlp"},
+                "arch": {"const": "mlp"},
                 "hidden": {"type": "integer", "minimum": 1, "default": 32},
                 "epochs": {"type": "integer", "minimum": 0, "default": 300},
                 "n": {"type": "integer", "minimum": 1, "default": 5000},
@@ -217,10 +224,10 @@ SCHEMA = {
                 "name": {"enum": ["em", "dem", "adadem"], "default": "em"},
                 "tau": {"type": "number", "default": 1.0},
                 "alpha": {"type": "number", "minimum": 0, "default": 1.0},
-                "variant": {"enum": list(_ad.VARIANT_KINDS), "default": "full"},
+                "variant": {"const": "full"},
                 "norm": {"const": "L1"},
                 "pi": {"type": "number", "exclusiveMinimum": 0, "maximum": 1, "default": 0.1},
-                "mec_alpha": {"type": "number", "minimum": 0, "default": 1.0},
+                "mec_alpha": {"const": 1.0},
                 "delta_source": {"const": "cadf"},
                 "direction": {"const": "minimize"},
             },
@@ -264,7 +271,10 @@ _JSON_TYPES = {
 
 
 def _same(x, constant) -> bool:
-    """JSON equality with a scalar of ``SCHEMA``: ``2.0`` and ``True`` are not ``2``."""
+    """JSON equality with a scalar of ``SCHEMA``: ``2.0`` and ``True`` are not
+    ``2``, but ``1`` is ``1.0``, as jsonschema has it."""
+    if isinstance(constant, float) and isinstance(x, int) and not isinstance(x, bool):
+        return x == constant
     return type(x) is type(constant) and x == constant
 
 
@@ -416,12 +426,7 @@ def build_source_model(cfg: dict, mix: _bench.MixtureSpec, rng: Rng):
     s = cfg["source"]
     uniform = np.full(mix.C, 1.0 / mix.C)
     X, y = _bench.sample_batch(mix, uniform, s["n"], rng.derive("source-data"))
-    if s["arch"] == "linear":
-        model = _model.init_linear(mix.C, mix.d)
-    else:
-        model = _model.init_mlp(
-            mix.C, mix.d, s["hidden"], rng.derive("source-init"), s["init_scale"]
-        )
+    model = _model.init_mlp(mix.C, mix.d, s["hidden"], rng.derive("source-init"), s["init_scale"])
     train_cfg = _model.SgdConfig(lr=s["lr"], momentum=s["momentum"])
     _model.train_source(
         model, X, y, s["epochs"], train_cfg, rng.derive("source-train"), s["batch_size"]
@@ -438,8 +443,7 @@ def plugin_factory_from(cfg: dict):
     if name == "dem":
         dem_cfg = _em.DemConfig(loss["tau"], loss["alpha"])
         return lambda: _model.DemPlugin(dem_cfg)
-    variant = _ad.AdaDemVariant(kind=loss["variant"], mec_alpha=loss["mec_alpha"])
-    return lambda: _model.AdaDemPlugin(variant, pi=loss["pi"])
+    return lambda: _model.AdaDemPlugin(pi=loss["pi"])
 
 
 def sgd_config(cfg: dict) -> _model.SgdConfig:
@@ -470,6 +474,9 @@ def cmd_reward_curve(args) -> int:
     cfg = _em.DemConfig(args.tau, args.alpha)
     if args.m_step <= 0 or args.m_max < args.m_min or args.c < 2:
         print("bad grid: need m-step > 0, m-max >= m-min, c >= 2", file=sys.stderr)
+        return EXIT_USAGE
+    if args.c > MAX_CLASSES:
+        print(f"bad grid: --c is {args.c}, more than {MAX_CLASSES}", file=sys.stderr)
         return EXIT_USAGE
     steps = (args.m_max - args.m_min) / args.m_step + 1e-9
     if not steps < REWARD_CURVE_MAX_POINTS:

@@ -1,8 +1,8 @@
 """Tiny differentiable classifiers and the online adaptation loop.
 
-Two architectures cover the experiments: a linear softmax head and a
-one-hidden-layer rectifier MLP.  Backpropagation is written out by hand:
-every loss in this package exposes exact per-sample gradients with
+Experiments run a one-hidden-layer rectifier MLP; a linear softmax head
+remains for ``gradcheck`` and the tests.  Backpropagation is written out
+by hand: every loss in this package exposes exact per-sample gradients with
 respect to the logits, and ``backward`` chains them into parameter
 gradients with mean reduction over the batch, so the learning-rate scale
 is batch-size invariant.

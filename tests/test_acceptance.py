@@ -446,8 +446,8 @@ def test_c13_cli_outputs_are_byte_identical(tmp_path):
         "seed": 0,
         "output_dir": str(tmp_path / "out"),
         "mixture": {"C": 5, "d": 2, "radius": 4.0, "sigma": 1.0},
-        "source": {"arch": "linear", "epochs": 2, "n": 200, "lr": 0.5,
-                   "momentum": 0.0, "batch_size": 32, "init_scale": 0.0},
+        "source": {"hidden": 8, "epochs": 2, "n": 200, "lr": 0.5,
+                   "momentum": 0.0, "batch_size": 32},
         "stream": {"mode": "single_domain",
                    "shifts": [{"kind": "rotate2d", "magnitude": 0.4}],
                    "batches_per_shift": 3, "batch_size": 16},

@@ -1,6 +1,7 @@
 """Tests for the adaptive variant: delta normalizer, calibrator, gradients."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -41,13 +42,10 @@ def _adadem_rows_unshared(Z, state, variant):
     P = softmax_rows(Z)
     labels = np.argmax(P, axis=1)
     _mec_update_per_class(state, P, labels)
-    Cmat = P if variant.kind == "norm_only" else variant.mec_alpha * state.table[labels]
+    Cmat = P if variant.kind == "norm_only" else state.table[labels]
     S = np.sum(P * Z, axis=1, keepdims=True)
-    if variant.kind == "mec_only":
-        d = np.ones(Z.shape[0])
-    else:
-        R = P * (Z + 1.0 - S)
-        d = np.array([math.fsum(np.abs(r).tolist()) for r in R])
+    R = P * (Z + 1.0 - S)
+    d = np.array([math.fsum(np.abs(r).tolist()) for r in R])
     d = np.maximum(d, DELTA_FLOOR)[:, None]
     values = -np.sum((P - Cmat) * Z, axis=1, keepdims=True) / d
     grads = -(P * (Z + 1.0 - S) - Cmat) / d
@@ -252,14 +250,16 @@ class TestMecState:
 
 class TestVariants:
     def test_defaults(self):
-        v = AdaDemVariant()
-        assert (v.kind, v.mec_alpha) == ("full", 1.0)
+        assert [f.name for f in fields(AdaDemVariant)] == ["kind"]
+        assert AdaDemVariant().kind == "full"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaDemVariant(kind="extra")
-        with pytest.raises(ValueError):
-            AdaDemVariant(mec_alpha=-0.5)
+        for kind in ("extra", "mec_only"):
+            with pytest.raises(ValueError):
+                AdaDemVariant(kind=kind)
+        # The calibrator enters at weight 1; there is no scale to set.
+        with pytest.raises(TypeError):
+            AdaDemVariant(mec_alpha=1.0)
 
     @pytest.mark.parametrize("option", [{"norm": "L1"}, {"delta_source": "cadf"}])
     def test_delta_options_are_gone(self, option):
@@ -348,32 +348,13 @@ class TestAdaDemRows:
         np.testing.assert_array_equal(state.table[1], np.full(3, 1 / 3))
         np.testing.assert_array_equal(state.table[2], np.full(3, 1 / 3))
 
-    def test_mec_only_uses_unit_delta(self):
-        z = np.array([[3.0, 0.0, -3.0]])
-        sa = mec_init(3)
-        sb = mec_init(3)
-        g_mec = adadem_rows(z, softmax_rows(z), sa, AdaDemVariant(kind="mec_only"))
-        g_full = adadem_rows(z, softmax_rows(z), sb, AdaDemVariant(kind="full"))
-        d = max(delta(z[0]), DELTA_FLOOR)
-        np.testing.assert_allclose(g_mec[0], g_full[0] * d, rtol=1e-12)
-
-    def test_mec_alpha_scales_calibrator(self):
-        z = np.array([[1.0, -1.0, 0.5]])
-        sa, sb = mec_init(3), mec_init(3)
-        g1 = adadem_rows(z, softmax_rows(z), sa, AdaDemVariant(mec_alpha=1.0))
-        g0 = adadem_rows(z, softmax_rows(z), sb, AdaDemVariant(mec_alpha=0.0))
-        p = softmax(z[0])
-        d = max(delta(z[0]), DELTA_FLOOR)
-        c = sa.table[int(np.argmax(p))]
-        np.testing.assert_allclose(g1[0] - g0[0], c / d, rtol=1e-12)
-
     @pytest.mark.parametrize("kind", VARIANT_KINDS)
     def test_shared_reward_rows_keep_every_bit(self, kind):
         # S and the CADF reward rows are built once and shared by delta
         # and the gradient.  Values, gradients and the table must equal
         # the unshared formulas exactly, over several batches of one
         # stream.
-        variant = AdaDemVariant(kind=kind, mec_alpha=0.7)
+        variant = AdaDemVariant(kind=kind)
         rng = np.random.default_rng(23)
         ours, ref = mec_init(7, pi=0.2), mec_init(7, pi=0.2)
         for n in (64, 1, 13):

@@ -4,12 +4,14 @@ Most cases invoke ``main(argv)`` in process (it returns the exit code);
 one subprocess test covers the real interpreter entry point.
 """
 
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from demkit.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_CLASSES,
     METRICS_HEADER,
     SCHEMA,
     UsageError,
@@ -63,13 +66,12 @@ def small_config(tmp_path, **overrides):
         "output_dir": str(tmp_path / "out"),
         "mixture": {"C": 5, "d": 2, "radius": 4.0, "sigma": 1.0},
         "source": {
-            "arch": "linear",
+            "hidden": 8,
             "epochs": 2,
             "n": 200,
             "lr": 0.5,
             "momentum": 0.0,
             "batch_size": 32,
-            "init_scale": 0.0,
         },
         "stream": {
             "mode": "single_domain",
@@ -107,6 +109,26 @@ class TestLoadConfig:
     def test_defaults_validate_against_the_schema(self):
         Draft202012Validator(SCHEMA).validate(DEFAULT_CONFIG)
         assert list(_schema_errors(SCHEMA, DEFAULT_CONFIG)) == []
+
+    def test_library_defaults_match_the_schema(self):
+        # The library types keep their own defaults; each equals the
+        # config default SCHEMA annotates for the same setting.
+        from demkit import adadem, bench, model, search
+
+        def default(func, name):
+            return inspect.signature(func).parameters[name].default
+
+        source, loss = DEFAULT_CONFIG["source"], DEFAULT_CONFIG["loss"]
+        assert asdict(search.GridSpec()) == DEFAULT_CONFIG["grid"]
+        mix = bench.default_mixture()
+        assert {**asdict(mix), "d": mix.d} == DEFAULT_CONFIG["mixture"]
+        stream = bench.default_single_domain()
+        shifts = [asdict(sh) for sh in stream.shifts]
+        assert {**asdict(stream), "shifts": shifts} == DEFAULT_CONFIG["stream"]
+        assert default(model.init_mlp, "scale") == source["init_scale"]
+        assert default(model.train_source, "batch_size") == source["batch_size"]
+        assert default(adadem.mec_init, "pi") == loss["pi"]
+        assert default(model.AdaDemPlugin, "pi") == loss["pi"]
 
     def test_default_shifts_are_distinct_dicts(self):
         # deepcopy keeps aliasing, so load_config's copies stay distinct too.
@@ -400,6 +422,28 @@ class TestRewardCurveCommand:
         assert capsys.readouterr().err == "bad grid: more than 100000 points\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("c", [MAX_CLASSES + 1, 10**15])
+    def test_too_many_classes_exit_64(self, tmp_path, capsys, monkeypatch, c):
+        # 10**15 classes used to end in numpy's "Unable to allocate 7.11 PiB"
+        # and exit 1; the count is refused before a curve point is computed.
+        def no_curve(*args):
+            raise AssertionError("reward curve computed")
+
+        monkeypatch.setattr("demkit.em_losses.reward_curve", no_curve)
+        out = tmp_path / "x.csv"
+        argv = ["reward-curve", "--c", str(c), "--m-max", "0", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"bad grid: --c is {c}, more than {MAX_CLASSES}\n"
+        assert not out.exists()
+
+    def test_output_path_that_is_a_directory_exit_64(self, tmp_path, capsys):
+        # The rename onto the directory fails; the temporary file goes too.
+        out = tmp_path / "curve"
+        out.mkdir()
+        assert main(["reward-curve", "--m-max", "1", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"demkit: cannot write {out}: Is a directory\n"
+        assert [p.name for p in tmp_path.rglob("*")] == ["curve"]
+
     def test_grid_of_the_largest_point_count_is_written(self, tmp_path, monkeypatch):
         monkeypatch.setattr("demkit.cli.REWARD_CURVE_MAX_POINTS", 5)
         out = tmp_path / "x.csv"
@@ -646,13 +690,16 @@ class TestRunCommand:
                 "stream/shifts/0/level",
                 "2.0 is not of type 'integer'",
             ),
+            ({"source": {"arch": "linear"}}, "source/arch", "'mlp' was expected"),
         ],
-        ids=["seed", "epochs", "C", "d", "level"],
+        ids=["seed", "epochs", "C", "d", "level", "arch"],
     )
     def test_integral_float_setting_exit_64(self, tmp_path, capsys, overrides, where, message):
         # JSON Schema's "integer" admits 300.0; demkit wants a JSON integer,
         # since a float seed, count or class number crashed, and a float
-        # level keyed different stream data than the integer.
+        # level keyed different stream data than the integer.  Constant
+        # settings take their one value: mixture.d is the integer 2, and
+        # source.arch is the MLP.
         cfg = small_config(tmp_path, **overrides)
         assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -699,28 +746,39 @@ class TestRunCommand:
         assert metrics[1] == metrics[0]
 
     @pytest.mark.parametrize(
-        "key, value", [("norm", "L2"), ("delta_source", "full_entropy")]
+        "key, value",
+        [
+            ("norm", "L2"),
+            ("delta_source", "full_entropy"),
+            ("variant", "norm_only"),
+            ("variant", "mec_only"),
+            ("mec_alpha", 0.5),
+        ],
     )
     def test_other_adadem_deltas_rejected(self, tmp_path, capsys, key, value):
+        # The config reaches one AdaDEM, the full variant: the L1 norm of
+        # the CADF reward as delta, and the calibrator at weight 1.
         cfg = small_config(tmp_path, loss={"name": "adadem", key: value})
         assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
         assert f"schema violation at loss/{key}" in capsys.readouterr().err
 
     def test_spelled_adadem_delta_still_runs(self, tmp_path):
         # The loss section of the lr-sweep benchmark workload spells the
-        # one delta and the one direction; they change no byte.
+        # one delta, variant, calibrator weight and direction; they change
+        # no byte, and the weight may be written as the JSON integer 1.
         spelled = {
             "name": "adadem", "variant": "full", "norm": "L1", "pi": 0.1,
             "mec_alpha": 1.0, "delta_source": "cadf", "direction": "minimize",
         }
-        bare = {"name": "adadem", "variant": "full", "pi": 0.1, "mec_alpha": 1.0}
+        bare = {"name": "adadem", "pi": 0.1}
         outputs = []
-        for loss in (bare, spelled):
+        for loss in (bare, spelled, {**bare, "mec_alpha": 1}):
             cfg = small_config(tmp_path, loss=loss)
             assert main(["lr-sweep", "--config", str(cfg)]) == EXIT_OK
             out = tmp_path / "out"
             outputs.append([(out / f).read_bytes() for f in ("lr_sweep.csv", "summary.json")])
         assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class TestGridSearchCommand:
@@ -868,6 +926,23 @@ class TestSettingsFailFast:
         cfg = small_config(tmp_path, **overrides)
         assert main([command, "--config", str(cfg)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"demkit: config too large: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, table", [("run", "metrics.csv"), ("grid-search", "grid.csv"),
+                           ("lr-sweep", "lr_sweep.csv")]
+    )
+    def test_output_dir_under_a_file_exit_64(self, tmp_path, capsys, command, table):
+        # Removing the previous outputs finds a file where a directory
+        # should be; nothing is written, and no temporary file is left.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"output_dir": str(blocker / "out")}))
+        assert main([command, "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"demkit: cannot remove {blocker / 'out' / table}: Not a directory\n"
+        )
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["blocker", "config.json"]
 
     def test_shipped_config_with_a_huge_stream_exit_64(self, tmp_path, capsys):
         # This config used to end in numpy's "Unable to allocate 931. TiB"
