@@ -8,7 +8,7 @@ family with exact gradients (:mod:`demkit.em_losses`,
 (:mod:`demkit.search`), and a CLI (:mod:`demkit.cli`).
 """
 
-from .adadem import AdaDemVariant, MecState, adadem_eval, delta, mec_init, mec_update
+from .adadem import AdaDemVariant, MecState, delta, mec_init, mec_update
 from .em_losses import (
     DemConfig,
     LossEval,
@@ -25,14 +25,13 @@ from .em_losses import (
     reward_curve,
     validate_config,
 )
-from .numkit import Rng, finite_diff_grad, logsumexp, softmax, tempered_softmax
+from .numkit import Rng, finite_diff_grad, logsumexp, softmax
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdaDemVariant",
     "MecState",
-    "adadem_eval",
     "delta",
     "mec_init",
     "mec_update",
@@ -54,6 +53,5 @@ __all__ = [
     "finite_diff_grad",
     "logsumexp",
     "softmax",
-    "tempered_softmax",
     "__version__",
 ]

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em_losses import LossEval
-from .numkit import _softmax, as_matrix, as_vector, softmax_rows
+from .numkit import _softmax, as_vector
 
 __all__ = [
     "MecState",
@@ -42,7 +41,6 @@ __all__ = [
     "delta",
     "mec_init",
     "mec_update",
-    "adadem_eval",
     "adadem_rows",
     "adadem_row_values",
     "DELTA_FLOOR",
@@ -246,23 +244,3 @@ def adadem_row_values(
     Cmat, _, d = _loss_terms(Z, P, np.argmax(P, axis=1), state, variant)
     return (-np.sum((P - Cmat) * Z, axis=1, keepdims=True) / d)[:, 0]
 
-
-def adadem_eval(
-    z_batch, state: MecState, variant: AdaDemVariant = AdaDemVariant()
-) -> list[LossEval]:
-    """Per-sample AdaDEM evaluations for a batch of logit vectors.
-
-    ``z_batch`` is an ``n x C`` matrix, or a list of ``n`` equal-length
-    vectors, which ``np.asarray`` turns into the same matrix; it must be
-    finite with at least two classes (``ValueError`` otherwise, with
-    ``state`` untouched).  Updates ``state`` (one EMA step for the
-    whole batch) before evaluating, and treats the calibrator rows and
-    delta as constants in the gradients.
-    """
-    Z = as_matrix(z_batch)
-    if Z.shape[1] < 2:
-        raise ValueError(f"logit rows need at least 2 entries, got {Z.shape[1]}")
-    P = softmax_rows(Z)
-    grads = adadem_rows(Z, P, state, variant)
-    values = adadem_row_values(Z, P, state, variant)
-    return [LossEval(float(v), g) for v, g in zip(values, grads)]

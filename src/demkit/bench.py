@@ -328,10 +328,10 @@ def make_stream(mix: MixtureSpec, spec: StreamSpec, rng: Rng):
     return out
 
 
-def kl_divergence(p, q, smoothing: float = 1e-12) -> float:
-    """KL(p || q) with both arguments smoothed and renormalized."""
-    p = as_vector(p) + smoothing
-    q = as_vector(q) + smoothing
+def kl_divergence(p, q) -> float:
+    """KL(p || q) with ``1e-12`` added to both arguments, then renormalized."""
+    p = as_vector(p) + 1e-12
+    q = as_vector(q) + 1e-12
     p = p / np.sum(p)
     q = q / np.sum(q)
     return float(np.sum(p * np.log(p / q)))
@@ -417,7 +417,7 @@ def no_adapt_accuracy(source_model, shift_data) -> tuple[list, float]:
         if X.shape[0] * X.shape[1] == 0:
             raise ValueError(f"shift {s} has no rows to score")
         y = _validated_labels(y, X.shape[:2], source_model.C)
-        ws = _Workspace(source_model, X.shape[1], backward=False)
+        ws = _Workspace(source_model, X.shape[1])
         preds = [np.argmax(_forward(source_model, Xi, ws), axis=1) for Xi in X]
         h = int(np.count_nonzero(np.equal(preds, y)))
         per_shift.append(h / y.size)

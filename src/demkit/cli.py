@@ -13,8 +13,9 @@ validity region), 3 numeric or assertion failure, 64 usage or schema
 error.  All floats are printed with 9 significant digits and files are
 written atomically, so re-running a command with the same config yields
 byte-identical outputs.  ``run``, ``grid-search`` and ``lr-sweep`` remove
-their own previous outputs before computing, so a failed command leaves
-none behind that could pass for current.
+their own previous outputs and create ``output_dir`` before computing, so
+a failed command leaves none behind that could pass for current, and an
+``output_dir`` that cannot be created exits 64 before any work.
 
 Configs are JSON objects validated against a strict schema (unknown keys
 and non-finite numbers are rejected); every key is optional and falls
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import math
 import os
@@ -120,8 +122,9 @@ def write_json(path: str, obj) -> None:
 
 
 def remove_outputs(directory: str, table: str) -> None:
-    """Delete a command's previous ``table`` and ``summary.json``, if any;
-    a path that cannot be removed is a ``UsageError``."""
+    """Delete a command's previous ``table`` and ``summary.json``, if any,
+    then create ``directory``; a path that cannot be removed or created is
+    a ``UsageError``, raised before the command does any work."""
     for name in (table, "summary.json"):
         path = os.path.join(directory, name)
         try:
@@ -130,6 +133,10 @@ def remove_outputs(directory: str, table: str) -> None:
             pass
         except OSError as exc:
             raise UsageError(f"cannot remove {path}: {exc.strerror or exc}") from exc
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create {directory}: {exc.strerror or exc}") from exc
 
 
 def vec9(v) -> str:
@@ -628,9 +635,9 @@ def cmd_gradcheck(args) -> int:
     # np.maximum keeps a NaN error, which fails the check below; the
     # builtin max(0.0, nan) would drop it.
     worst: dict[str, float] = {}
-    for name, analytic, oracle in _gradcheck_cases(rng, args.trials):
-        worst[name] = float(np.maximum(worst.get(name, 0.0), rel_err(analytic, oracle)))
-    for name, analytic, oracle in _end_to_end_cases(rng.derive("end-to-end")):
+    for name, analytic, oracle in itertools.chain(
+        _gradcheck_cases(rng, args.trials), _end_to_end_cases(rng.derive("end-to-end"))
+    ):
         worst[name] = float(np.maximum(worst.get(name, 0.0), rel_err(analytic, oracle)))
 
     failed = []

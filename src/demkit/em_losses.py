@@ -35,7 +35,7 @@ vector and never validate again.  Every scalar loss has one value kernel
 that computes the value alone, with no gradient:
 
 * ``_entropy(z)`` for ``em_eval`` and ``conditional_entropy``,
-* ``_cadf_tempered_value(z, tau)`` for ``cadf_tempered_eval``,
+* ``_cadf_tempered_value(z, tau)`` for ``cadf_tempered_eval`` and ``cadf`` (tau = 1),
 * ``_dem_value(z, cfg)`` for ``dem_eval``,
 * ``model._cross_entropy_value(z, target)`` for ``model.cross_entropy_eval``.
 
@@ -171,9 +171,8 @@ def conditional_entropy(z) -> float:
 
 
 def cadf(z) -> float:
-    """Cluster aggregation driving factor ``T(z) = -sum_i p_i z_i``."""
-    z = _logits(z)
-    return float(-np.dot(_softmax(z), z))
+    """Cluster aggregation driving factor ``T(z) = -sum_i p_i z_i``, ``T_tau`` at tau = 1."""
+    return float(_cadf_tempered_value(_logits(z), 1.0))
 
 
 def gmc(z) -> float:
@@ -182,11 +181,8 @@ def gmc(z) -> float:
 
 
 def cadf_reward(z) -> np.ndarray:
-    """Per-class reward of the CADF term, ``p_i (T + z_i + 1)``."""
-    z = _logits(z)
-    p = _softmax(z)
-    t = -np.dot(p, z)
-    return p * (t + z + 1.0)
+    """Per-class reward of the CADF term, ``p_i (T + z_i + 1)``, ``-grad T_tau`` at tau = 1."""
+    return -_cadf_tempered_grad(_logits(z), 1.0)
 
 
 def gmc_reward(z) -> np.ndarray:

@@ -173,25 +173,23 @@ def _validated_shift(model, X) -> np.ndarray:
 class _Workspace:
     """The buffers of one step loop, reused by every step of ``n`` rows.
 
-    Row buffers hold one batch: the logits ``Z`` (``n x C``) and the
-    MLP's hidden pre- and post-activations ``H`` and ``A``
-    (``n x hidden``; zero columns wide for the linear model).  With
-    ``backward`` (the default) they also include the scaled logit
-    gradients ``G``, the hidden gradient ``dH`` and the rectifier mask
-    ``M``; ``g`` is then one flat parameter gradient laid out like
-    ``theta``, and ``grads`` are its views shaped like the model's arrays
-    (``W``, ``b`` or ``W1``, ``b1``, ``W2``, ``b2``).
+    Row buffers hold one batch: the logits ``Z`` (``n x C``), the MLP's
+    hidden pre- and post-activations ``H`` and ``A`` (``n x hidden``;
+    zero columns wide for the linear model), the scaled logit gradients
+    ``G``, the hidden gradient ``dH`` and the rectifier mask ``M``.
+    ``g`` is one flat parameter gradient laid out like ``theta``, and
+    ``grads`` are its views shaped like the model's arrays (``W``, ``b``
+    or ``W1``, ``b1``, ``W2``, ``b2``).
     """
 
-    def __init__(self, model, n: int, backward: bool = True):
+    def __init__(self, model, n: int):
         mlp = isinstance(model, Mlp)
         C, h = model.C, model.W1.shape[0] if mlp else 0
         self.Z, self.H, self.A = np.empty((n, C)), np.empty((n, h)), np.empty((n, h))
-        if backward:
-            self.G, self.dH, self.M = np.empty((n, C)), np.empty((n, h)), np.empty((n, h), bool)
-            self.g = np.empty_like(model.theta)
-            arrays = (model.W1, model.b1, model.W2, model.b2) if mlp else (model.W, model.b)
-            self.grads = _views(self.g, arrays)
+        self.G, self.dH, self.M = np.empty((n, C)), np.empty((n, h)), np.empty((n, h), bool)
+        self.g = np.empty_like(model.theta)
+        arrays = (model.W1, model.b1, model.W2, model.b2) if mlp else (model.W, model.b)
+        self.grads = _views(self.g, arrays)
 
 
 def _forward(model, X: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -237,7 +235,7 @@ def _backward(model, X: np.ndarray, dlogits: np.ndarray, ws: _Workspace) -> np.n
 def forward(model, X) -> np.ndarray:
     """Batch logits, shape n x C."""
     X = _validated_input(model, X)
-    return _forward(model, X, _Workspace(model, X.shape[0], backward=False))
+    return _forward(model, X, _Workspace(model, X.shape[0]))
 
 
 def backward(model, X, dlogits) -> np.ndarray:

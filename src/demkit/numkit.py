@@ -33,7 +33,6 @@ __all__ = [
     "logsumexp_rows",
     "softmax",
     "softmax_rows",
-    "tempered_softmax",
     "finite_diff_grad",
     "rel_err",
     "Rng",
@@ -128,13 +127,6 @@ def _softmax_rows(Z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def tempered_softmax(z, tau: float) -> np.ndarray:
-    """``softmax(z / tau)`` for a temperature ``tau > 0``."""
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    return _softmax(_scaled(as_vector(z), tau))
-
-
 def _scaled(z: np.ndarray, tau: float) -> np.ndarray:
     """``z / tau`` for a validated vector, refusing a quotient that overflows.
 
@@ -212,8 +204,8 @@ class Rng:
     sized never changes the values; ``counter`` counts the outputs
     handed out, not the ones computed.
 
-    Instances are single-owner: share nothing, derive independent
-    generators for parallel work with :meth:`split` or :meth:`derive`.
+    Instances are single-owner: share nothing, and key independent
+    child generators by label with :meth:`derive`.
     """
 
     def __init__(self, seed: int):
@@ -281,17 +273,6 @@ class Rng:
             order = np.argsort(u, kind="stable")
         return order
 
-    def split(self, stream_id: int) -> "Rng":
-        """Independent child generator for a numbered parallel stream.
-
-        The child seed passes the parent seed and the stream id through
-        the finalizer, so child 0 never aliases the parent stream.
-        """
-        with np.errstate(over="ignore"):
-            salt = _mix64(np.asarray(_U64(stream_id & 0xFFFFFFFFFFFFFFFF) + _GOLDEN))
-            child = _mix64(np.asarray(self.seed ^ salt))
-        return Rng(int(child))
-
     def derive(self, label: str) -> "Rng":
         """Independent child generator keyed by a string label.
 
@@ -301,4 +282,7 @@ class Rng:
         h = 0xCBF29CE484222325
         for byte in label.encode("utf8"):
             h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        return self.split(h)
+        with np.errstate(over="ignore"):
+            salt = _mix64(np.asarray(_U64(h) + _GOLDEN))
+            child = _mix64(np.asarray(self.seed ^ salt))
+        return Rng(int(child))

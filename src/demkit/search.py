@@ -67,7 +67,7 @@ class GridSpec:
         # An overflowed (inf) or undefined (NaN) count fails the comparison.
         if not (n_tau + 1) * (n_alpha + 1) <= GRID_MAX_POINTS:
             raise ValueError(f"the grid has more than {GRID_MAX_POINTS} points")
-        if not any(ok for _, _, ok in _points(self)):
+        if not any(ok for _, _, ok in grid_points(self)):
             raise ConfigError("the grid contains no valid (tau, alpha) points")
 
     # The whole steps that fit in [lo, hi]: a step that does not divide the
@@ -112,14 +112,9 @@ def grid_points(grid: GridSpec) -> list:
     tau = 0 rows are dropped outright (no temperature to evaluate);
     remaining validity is decided by ``validate_config`` alone.
     """
-    return list(_points(grid))
-
-
-def _points(grid: GridSpec):
-    for tau in map(float, grid.axis(grid.tau_min, grid.tau_max)):
-        if tau > 0.0:
-            for alpha in map(float, grid.axis(grid.alpha_min, grid.alpha_max)):
-                yield tau, alpha, validate_config(tau, alpha)
+    taus = [tau for tau in map(float, grid.axis(grid.tau_min, grid.tau_max)) if tau > 0.0]
+    alphas = list(map(float, grid.axis(grid.alpha_min, grid.alpha_max)))
+    return [(tau, alpha, validate_config(tau, alpha)) for tau in taus for alpha in alphas]
 
 
 def grid_search(protocol, grid: GridSpec = GridSpec()):

@@ -15,7 +15,6 @@ from demkit.adadem import (
     VARIANT_KINDS,
     AdaDemVariant,
     MecState,
-    adadem_eval,
     adadem_row_values,
     adadem_rows,
     delta,
@@ -409,54 +408,16 @@ class TestAdaDemRows:
         with pytest.raises(ValueError):
             adadem_row_values(Z, P, mec_init(4))
 
-    def test_eval_wrapper_pairs_row_values_with_row_grads(self):
-        Z = np.random.default_rng(6).uniform(-4.0, 4.0, (8, 4))
+    def test_one_ema_step_for_the_whole_batch(self):
+        # The rows of both pseudo-labels moved once, toward their own
+        # sample, and the third kept its row.
+        Z = np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
         P = softmax_rows(Z)
-        state, ref = mec_init(4), mec_init(4)
-        evals = adadem_eval(Z, state)
-        grads = adadem_rows(Z, P, ref)
-        values = adadem_row_values(Z, P, ref)
-        assert [e.value for e in evals] == values.tolist()
-        assert np.array_equal(np.stack([e.grad for e in evals]), grads)
-        assert np.array_equal(state.table, ref.table)
-
-    def test_eval_wrapper_returns_per_sample_evals(self):
-        state = mec_init(3)
-        evals = adadem_eval([np.array([1.0, 0.0, -1.0]), np.array([0.0, 2.0, 0.0])], state)
-        assert len(evals) == 2
-        assert all(e.grad.shape == (3,) for e in evals)
-        # One EMA step for the whole batch: the rows of both pseudo-labels
-        # moved once, toward their own sample, and the third kept its row.
-        ref = mec_init(3)
-        P = softmax_rows(np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 0.0]]))
+        state, ref = mec_init(3), mec_init(3)
+        adadem_rows(Z, P, state)
         mec_update(ref, P, [0, 1])
         np.testing.assert_array_equal(state.table, ref.table)
-
-    def test_eval_wrapper_accepts_a_matrix(self):
-        Z = np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
-        by_rows = adadem_eval(list(Z), mec_init(3))
-        by_matrix = adadem_eval(Z, mec_init(3))
-        for a, b in zip(by_rows, by_matrix):
-            assert a.value == b.value
-            np.testing.assert_array_equal(a.grad, b.grad)
-
-    @pytest.mark.parametrize(
-        "batch",
-        [
-            np.array([[np.nan, 0.0, 1.0]]),
-            [np.array([np.nan, 0.0, 1.0])],
-            np.array([[np.inf, 0.0, 1.0], [0.0, 0.0, 0.0]]),
-            [np.array([0.0, 0.0, 0.0]), np.array([-np.inf, 0.0, 1.0])],
-            np.array([1.0, 0.0, -1.0]),  # a matrix batch must be 2-D
-            np.zeros((2, 1)),  # fewer than two classes
-            [np.zeros(1), np.zeros(1)],
-        ],
-    )
-    def test_eval_wrapper_rejects_bad_batches_without_touching_state(self, batch):
-        state = mec_init(3)
-        with pytest.raises(ValueError):
-            adadem_eval(batch, state)
-        np.testing.assert_array_equal(state.table, mec_init(3).table)
+        np.testing.assert_array_equal(state.table[2], np.full(3, 1 / 3))
 
     def test_delta_floor_keeps_gradients_finite_at_huge_logits(self):
         # z + 1 - s cancels to 0 at |z| ~ 1e17, so the CADF delta reads 0

@@ -305,6 +305,9 @@ def _instances(node):
     else:
         # The node's own values and numbers on and around its bounds.
         named = list(node.get("enum", [])) + ([node["const"]] if "const" in node else [])
+        # jsonschema takes 1 for a constant 1.0, so the integral value of
+        # each float constant is drawn as well.
+        named += [int(c) for c in named if isinstance(c, float) and c.is_integer()]
         near = [node[k] + d for k in _BOUNDS if k in node for d in (-1, -0.5, 0, 0.5)]
         shaped = st.sampled_from(named + near) | _SCALARS if named + near else _SCALARS
     return _weighted(shaped, 7, _JSON)
@@ -661,7 +664,7 @@ class TestRunCommand:
             assert main([command, "--config", str(path)]) == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err == "demkit: numeric failure: source training diverged in epoch 0\n"
-        assert not (tmp_path / "out").exists()
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_schema_violation_exit_64(self, tmp_path, capsys):
         cfg = small_config(tmp_path, typo_section={"x": 1})
@@ -943,6 +946,18 @@ class TestSettingsFailFast:
             f"demkit: cannot remove {blocker / 'out' / table}: Not a directory\n"
         )
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["blocker", "config.json"]
+
+    @pytest.mark.parametrize("command", ["run", "grid-search", "lr-sweep"])
+    def test_output_dir_that_cannot_be_created_exit_64(self, tmp_path, capsys, command):
+        # A dangling symlink has no previous outputs to remove, and no
+        # directory can be made in its place: refused before any work.
+        out = tmp_path / "out"
+        out.symlink_to(tmp_path / "missing")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"output_dir": str(out)}))
+        assert main([command, "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"demkit: cannot create {out}: File exists\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
 
     def test_shipped_config_with_a_huge_stream_exit_64(self, tmp_path, capsys):
         # This config used to end in numpy's "Unable to allocate 931. TiB"

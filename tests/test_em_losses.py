@@ -389,7 +389,6 @@ SCALAR_ENTRY_POINTS = {
     "dem_eval": (lambda z: dem_eval(z, DemConfig(0.7, 1.5)), True),
     "logsumexp": (numkit.logsumexp, False),
     "softmax": (numkit.softmax, False),
-    "tempered_softmax": (lambda z: numkit.tempered_softmax(z, 0.7), False),
 }
 
 
@@ -419,7 +418,6 @@ class TestEntryPointValidation:
         [
             lambda z: cadf_tempered_eval(z, 1e-10),
             lambda z: dem_eval(z, DemConfig(1e-10, 0.0)),
-            lambda z: numkit.tempered_softmax(z, 1e-10),
         ],
     )
     def test_rejects_logits_that_overflow_at_temperature(self, fn):
