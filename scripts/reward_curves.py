@@ -17,6 +17,7 @@ import csv
 import numpy as np
 
 from demkit.em_losses import DemConfig, reward_curve
+from demkit.search import grid_axis
 
 COLLAPSE_THRESHOLD = 1e-8
 
@@ -33,7 +34,7 @@ def main() -> None:
     ap.add_argument("--out", default=None, help="optional CSV path")
     args = ap.parse_args()
 
-    m_grid = np.round(np.arange(0.0, args.m_max + 1e-9, args.m_step), 12)
+    m_grid = grid_axis(0.0, args.m_max, args.m_step)
     curves = {}
     for tau in args.taus:
         cfg = DemConfig(tau=tau, alpha=args.alpha)

@@ -24,10 +24,10 @@ protocols mirror test-time-adaptation practice:
 Metrics are computed online (each batch is predicted before the update
 that consumes it) and aggregated into :class:`MetricsReport`; the
 no-adapt baseline, the frozen source model's accuracy on the same
-batches, is :func:`no_adapt_accuracy`.  A protocol keeps confusion
-counts and one float per row of its predictions, not probability
-matrices, and its reports keep the bits :func:`metrics` gives on the
-matrices (see :class:`ProtocolResult`).
+batches, is :func:`run_protocol` at ``lr = 0``.  A protocol keeps
+confusion counts and one float per row of its predictions, not
+probability matrices, and its reports keep the bits :func:`metrics`
+gives on the matrices (see :class:`ProtocolResult`).
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import DivergenceError, SgdConfig, _Workspace, _forward, adapt_stream
-from .model import _validated_labels, _validated_shift
+from .model import DivergenceError, SgdConfig, _validated_labels, adapt_stream
 from .numkit import as_matrix, as_vector, Rng
 
 __all__ = [
@@ -52,13 +51,14 @@ __all__ = [
     "SHIFT_KINDS",
     "circle_means",
     "default_mixture",
+    "default_single_domain",
+    "default_continual",
     "long_tail_priors",
     "sample_batch",
     "apply_shift",
     "make_stream",
     "metrics",
     "kl_divergence",
-    "no_adapt_accuracy",
     "run_protocol",
 ]
 
@@ -187,7 +187,7 @@ class ProtocolResult:
     with the bits of ``overall.accuracy``, is kept the same way and
     builds no report, so a sweep that scores protocols by accuracy alone
     pays for no report.  The frozen source model's baseline on the same
-    data is :func:`no_adapt_accuracy`.
+    data is the protocol's result at ``lr = 0``.
     """
 
     confusion: list
@@ -399,32 +399,6 @@ def _report(confusion, row_max, col_sum) -> MetricsReport:
         sorted_class_proportions=proportions,
         avg_max_prob=float(np.mean(row_max)),
     )
-
-
-def no_adapt_accuracy(source_model, shift_data) -> tuple[list, float]:
-    """Accuracies of the frozen source model on stream data.
-
-    ``shift_data`` is the output of :func:`make_stream`.  Returns
-    ``(per_shift, overall)``: one accuracy per shift and one over every
-    batch, the baseline an adaptation protocol is compared against.  A
-    shift is validated once, then predicted batch by batch.  A shift
-    with no rows raises ``ValueError`` naming it, and a stream with no
-    shifts raises ``ValueError``.
-    """
-    per_shift, hits, rows = [], 0, 0
-    for s, (X, y) in enumerate(shift_data):
-        X = _validated_shift(source_model, X)
-        if X.shape[0] * X.shape[1] == 0:
-            raise ValueError(f"shift {s} has no rows to score")
-        y = _validated_labels(y, X.shape[:2], source_model.C)
-        ws = _Workspace(source_model, X.shape[1])
-        preds = [np.argmax(_forward(source_model, Xi, ws), axis=1) for Xi in X]
-        h = int(np.count_nonzero(np.equal(preds, y)))
-        per_shift.append(h / y.size)
-        hits, rows = hits + h, rows + y.size
-    if rows == 0:
-        raise ValueError("the stream has no shifts to score")
-    return per_shift, hits / rows
 
 
 def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdConfig) -> ProtocolResult:

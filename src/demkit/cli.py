@@ -388,11 +388,13 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             user = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+        errors = sorted(_schema_errors(SCHEMA, user), key=lambda e: e[0])
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
-    errors = sorted(_schema_errors(SCHEMA, user), key=lambda e: e[0])
+    except RecursionError as exc:
+        raise UsageError("config is nested too deeply to read") from exc
     if errors:
         path, message = errors[0]
         where = "/".join(str(p) for p in path) or "<root>"
@@ -485,13 +487,10 @@ def cmd_reward_curve(args) -> int:
     if args.c > MAX_CLASSES:
         print(f"bad grid: --c is {args.c}, more than {MAX_CLASSES}", file=sys.stderr)
         return EXIT_USAGE
-    steps = (args.m_max - args.m_min) / args.m_step + 1e-9
-    if not steps < REWARD_CURVE_MAX_POINTS:
+    if not _search.axis_steps(args.m_min, args.m_max, args.m_step) < REWARD_CURVE_MAX_POINTS:
         print(f"bad grid: more than {REWARD_CURVE_MAX_POINTS} points", file=sys.stderr)
         return EXIT_USAGE
-    n = int(math.floor(steps))
-    m_grid = [args.m_min + i * args.m_step for i in range(n + 1)]
-    rows = _em.reward_curve(args.c, cfg, m_grid)
+    rows = _em.reward_curve(args.c, cfg, _search.grid_axis(args.m_min, args.m_max, args.m_step))
     write_csv(
         args.out,
         _em.REWARD_CURVE_HEADER,
@@ -683,29 +682,30 @@ def cmd_run(args) -> int:
     factory, sgd = plugin_factory_from(cfg), sgd_config(cfg)
     sspec, model, data = prepared_experiment(cfg)
     result = _bench.run_protocol(model, data, sspec.mode, factory, sgd)
-    base_per_shift, base_overall = _bench.no_adapt_accuracy(model, data)
+    # the baseline is lr-sweep's: the same protocol at lr = 0
+    base = _bench.run_protocol(model, data, sspec.mode, factory, replace(sgd, lr=0.0))
 
     rows = [
-        _metrics_row(f"shift{i}", sspec.shifts[i], rep, base_per_shift[i])
+        _metrics_row(f"shift{i}", sspec.shifts[i], rep, base.per_shift[i].accuracy)
         for i, rep in enumerate(result.per_shift)
     ]
-    rows.append(_metrics_row("overall", None, result.overall, base_overall))
+    rows.append(_metrics_row("overall", None, result.overall, base.accuracy))
     write_csv(os.path.join(out, "metrics.csv"), METRICS_HEADER, rows)
     summary = {
         "mode": sspec.mode,
         "loss": cfg["loss"]["name"],
         "seed": cfg["seed"],
         "accuracy": jround(result.overall.accuracy),
-        "baseline_accuracy": jround(base_overall),
+        "baseline_accuracy": jround(base.accuracy),
         "marginal_entropy": jround(result.overall.marginal_entropy),
         "kl_output_vs_label": jround(result.overall.kl_output_vs_label),
         "per_shift_accuracy": [jround(r.accuracy) for r in result.per_shift],
-        "per_shift_baseline": [jround(b) for b in base_per_shift],
+        "per_shift_baseline": [jround(b.accuracy) for b in base.per_shift],
     }
     write_json(os.path.join(out, "summary.json"), summary)
     print(
         f"run[{cfg['loss']['name']}/{sspec.mode}]: accuracy {fmt9(result.overall.accuracy)} "
-        f"vs baseline {fmt9(base_overall)}"
+        f"vs baseline {fmt9(base.accuracy)}"
     )
     return EXIT_OK
 

@@ -161,15 +161,6 @@ def _validated_input(model, X) -> np.ndarray:
     return X
 
 
-def _validated_shift(model, X) -> np.ndarray:
-    """``X`` as a ``B x n x d`` float64 array of finite inputs of the model's width."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 3:
-        raise ValueError(f"a shift's inputs must be B x n x d, got shape {X.shape}")
-    _validated_input(model, X.reshape(-1, X.shape[2]))
-    return X
-
-
 class _Workspace:
     """The buffers of one step loop, reused by every step of ``n`` rows.
 
@@ -296,21 +287,17 @@ class SgdConfig:
 
 @dataclass
 class SgdState:
-    """The velocity vector, shaped like ``theta``; created on first use.
+    """The velocity vector, shaped like ``theta``, and the step's scratch
+    vector ``scaled`` for ``lr * v``; both created on the first step."""
 
-    ``scaled`` is the step's scratch vector for ``lr * v``.
-    """
-
-    velocity: np.ndarray | None = None
+    velocity: np.ndarray | None = field(default=None, init=False)
     scaled: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 def sgd_step(model, grad: np.ndarray, cfg: SgdConfig, state: SgdState) -> None:
     """One in-place step: ``v <- momentum v + g``, ``theta <- theta - lr v``."""
-    if state.scaled is None:
-        state.scaled = np.empty_like(model.theta)
-        if state.velocity is None:
-            state.velocity = np.zeros_like(model.theta)
+    if state.velocity is None:
+        state.velocity, state.scaled = np.zeros_like(model.theta), np.empty_like(model.theta)
     v = state.velocity
     v *= cfg.momentum
     v += grad
@@ -355,19 +342,14 @@ class AdaDemPlugin:
     """AdaDEM; owns a MecState, created on the first batch and threaded
     across every batch it sees."""
 
-    def __init__(
-        self,
-        variant: _adadem.AdaDemVariant = _adadem.AdaDemVariant(),
-        pi: float = 0.1,
-    ):
-        self.variant = variant
+    def __init__(self, pi: float = 0.1):
         self.pi = pi
         self.state = None
 
     def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
         if self.state is None:
             self.state = _adadem.mec_init(Z.shape[1], pi=self.pi)
-        return _adadem.adadem_rows(Z, P, self.state, self.variant)
+        return _adadem.adadem_rows(Z, P, self.state)
 
 
 class DivergenceError(FloatingPointError):
@@ -487,7 +469,10 @@ def adapt_stream(model, X, plugin, cfg: SgdConfig, probs: np.ndarray) -> None:
     diverging step: numpy's overflow and invalid-value warnings are
     silenced for the loop, since a step that overflows fails one of them.
     """
-    X = _validated_shift(model, X)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 3:
+        raise ValueError(f"a shift's inputs must be B x n x d, got shape {X.shape}")
+    _validated_input(model, X.reshape(-1, X.shape[2]))
     B, n, C = X.shape[0], X.shape[1], model.C
     if not (
         isinstance(probs, np.ndarray)

@@ -32,6 +32,8 @@ __all__ = [
     "LrSweepResult",
     "DEFAULT_LR_GRID",
     "GRID_MAX_POINTS",
+    "axis_steps",
+    "grid_axis",
     "grid_points",
     "grid_search",
     "lr_sweep",
@@ -62,23 +64,13 @@ class GridSpec:
             )
         if self.tau_max < self.tau_min or self.alpha_max < self.alpha_min:
             raise ValueError("grid bounds are inverted")
-        n_tau = self._steps(self.tau_min, self.tau_max)
-        n_alpha = self._steps(self.alpha_min, self.alpha_max)
+        n_tau = axis_steps(self.tau_min, self.tau_max, self.step)
+        n_alpha = axis_steps(self.alpha_min, self.alpha_max, self.step)
         # An overflowed (inf) or undefined (NaN) count fails the comparison.
         if not (n_tau + 1) * (n_alpha + 1) <= GRID_MAX_POINTS:
             raise ValueError(f"the grid has more than {GRID_MAX_POINTS} points")
         if not any(ok for _, _, ok in grid_points(self)):
             raise ConfigError("the grid contains no valid (tau, alpha) points")
-
-    # The whole steps that fit in [lo, hi]: a step that does not divide the
-    # range stops short of hi.  The 1e-9 slack keeps a step that does from
-    # losing its last point, as (0.3 - 0.0) / 0.1 is 2.9999999999999996.
-    def _steps(self, lo: float, hi: float) -> float:
-        return float(np.floor((hi - lo) / self.step + 1e-9))
-
-    def axis(self, lo: float, hi: float) -> np.ndarray:
-        n = int(self._steps(lo, hi))
-        return np.round(lo + self.step * np.arange(n + 1), 12)
 
 
 @dataclass
@@ -106,14 +98,27 @@ class LrSweepResult:
         return max(finite, key=lambda row: row[1], default=(math.nan, math.nan))
 
 
+def axis_steps(lo: float, hi: float, step: float) -> float:
+    """The whole steps that fit in ``[lo, hi]``, ``inf`` or NaN if it has no
+    count.  The 1e-9 slack keeps a step that divides the range from losing
+    its last point, as ``(0.3 - 0.0) / 0.1`` is 2.9999999999999996."""
+    return float(np.floor((hi - lo) / step + 1e-9))
+
+
+def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
+    """``lo`` and the :func:`axis_steps` whole steps above it, rounded to
+    12 decimals so that a step such as 0.1 lands on round values."""
+    return np.round(lo + step * np.arange(int(axis_steps(lo, hi, step)) + 1), 12)
+
+
 def grid_points(grid: GridSpec) -> list:
     """All (tau, alpha, valid) triples of the grid, in row-major order.
 
     tau = 0 rows are dropped outright (no temperature to evaluate);
     remaining validity is decided by ``validate_config`` alone.
     """
-    taus = [tau for tau in map(float, grid.axis(grid.tau_min, grid.tau_max)) if tau > 0.0]
-    alphas = list(map(float, grid.axis(grid.alpha_min, grid.alpha_max)))
+    taus = [float(tau) for tau in grid_axis(grid.tau_min, grid.tau_max, grid.step) if tau > 0.0]
+    alphas = list(map(float, grid_axis(grid.alpha_min, grid.alpha_max, grid.step)))
     return [(tau, alpha, validate_config(tau, alpha)) for tau in taus for alpha in alphas]
 
 

@@ -101,7 +101,7 @@ def _stream(mix, spec, seed):
 
 
 def _ada_factory():
-    return AdaDemPlugin(AdaDemVariant())
+    return AdaDemPlugin()
 
 
 def _marginal_kl_vs_uniform(result, C: int) -> float:

@@ -25,7 +25,6 @@ from demkit.bench import (
     long_tail_priors,
     make_stream,
     metrics,
-    no_adapt_accuracy,
     run_protocol,
     sample_batch,
 )
@@ -415,7 +414,7 @@ class TestSeverityScaling:
                 "single_domain", (ShiftSpec("feature_noise", 1.0, level),), 20, 64
             )
             data = make_stream(mix, spec, Rng(11))
-            accs.append(no_adapt_accuracy(model, data)[1])
+            accs.append(run_protocol(model, data, spec.mode, EmPlugin, SgdConfig(lr=0.0)).accuracy)
         for lo, hi in zip(accs[1:], accs[:-1]):
             assert lo <= hi + 0.01  # nonincreasing up to sampling noise
         assert accs[0] - accs[4] >= 0.10
@@ -429,12 +428,30 @@ class TestRunProtocol:
         return model, data
 
     def test_zero_lr_matches_baseline(self):
+        # `run` scores its baseline with the config's own mode and plugin at
+        # lr = 0; every such pair gives the same scores to the bit.
         model, data = self._setup()
+        cfg = SgdConfig(lr=0.0, momentum=0.9)
+        ref = run_protocol(model, data, "single_domain", EmPlugin, cfg)
+        for mode in ("single_domain", "continual"):
+            for factory in (EmPlugin, AdaDemPlugin):
+                res = run_protocol(model, data, mode, factory, cfg)
+                assert [r.accuracy for r in res.per_shift] == [r.accuracy for r in ref.per_shift]
+                assert res.accuracy == ref.accuracy
+
+    def test_baselines_match_the_frozen_model(self):
+        # The no-adapt baseline is the protocol at lr = 0: it scores the
+        # frozen model's own predictions, shift by shift and overall, and
+        # leaves the model untouched.
+        model, data = self._setup()
+        before = model.copy()
         res = run_protocol(model, data, "single_domain", EmPlugin, SgdConfig(lr=0.0))
-        base_per_shift, base_overall = no_adapt_accuracy(model, data)
-        assert res.overall.accuracy == base_overall
-        for rep, base in zip(res.per_shift, base_per_shift):
-            assert rep.accuracy == base
+        hits = [[int(np.sum(np.argmax(forward(model, Xb), axis=1) == yb)) for Xb, yb in zip(X, y)]
+                for X, y in data]
+        sizes = [y.size for _, y in data]
+        assert [r.accuracy for r in res.per_shift] == [sum(h) / n for h, n in zip(hits, sizes)]
+        assert res.accuracy == res.overall.accuracy == sum(map(sum, hits)) / sum(sizes)
+        assert np.array_equal(model.theta, before.theta)
 
     def test_deterministic(self):
         model, data = self._setup()
@@ -487,41 +504,9 @@ class TestRunProtocol:
         run_protocol(model, data, "continual", factory, SgdConfig(lr=0.01))
         assert len(calls) == 1
 
-    def test_baselines_match_the_frozen_model(self):
-        model, data = self._setup()
-        before = model.copy()
-        base_per_shift, base_overall = no_adapt_accuracy(model, data)
-        hits = [[int(np.sum(np.argmax(forward(model, Xb), axis=1) == yb)) for Xb, yb in zip(X, y)]
-                for X, y in data]
-        sizes = [y.size for _, y in data]
-        assert base_per_shift == [sum(h) / n for h, n in zip(hits, sizes)]
-        assert base_overall == sum(map(sum, hits)) / sum(sizes)
-        assert np.array_equal(model.theta, before.theta)
-
-    def test_baseline_validates_each_shift_once(self, monkeypatch):
-        # no_adapt_accuracy checks a shift's inputs as one array, then runs
-        # the forward kernel batch by batch, not the validating forward.
-        model, data = self._setup()
-        expected = no_adapt_accuracy(model, data)
-        calls = []
-        validated = demkit.bench._validated_shift
-
-        def counting(model, X):
-            calls.append(X)
-            return validated(model, X)
-
-        def no_forward(*args, **kwargs):
-            raise AssertionError("public forward called by no_adapt_accuracy")
-
-        monkeypatch.setattr(demkit.bench, "_validated_shift", counting)
-        monkeypatch.setattr(demkit.model, "forward", no_forward)
-        assert no_adapt_accuracy(model, data) == expected
-        assert len(calls) == len(data) and all(c is X for c, (X, _) in zip(calls, data))
-
     def test_makes_no_public_forward_pass(self, monkeypatch):
-        # The frozen model's baseline is no_adapt_accuracy's alone: a
-        # protocol runs no forward pass besides adapt_stream's fused one,
-        # and it hands adapt_stream each shift's own input array.
+        # A protocol runs no forward pass besides adapt_stream's fused
+        # one, and it hands adapt_stream each shift's own input array.
         model, data = self._setup()
         cfg = SgdConfig(lr=0.01)
         expected = run_protocol(model, data, "continual", EmPlugin, cfg)
@@ -535,7 +520,6 @@ class TestRunProtocol:
             seen.append(X)
             return adapt_stream(model, X, plugin, cfg, probs)
 
-        monkeypatch.setattr(demkit.bench, "_forward", no_forward)
         monkeypatch.setattr(demkit.model, "forward", no_forward)
         monkeypatch.setattr(demkit.bench, "adapt_stream", inputs_only)
         res = run_protocol(model, data, "continual", EmPlugin, cfg)
@@ -710,15 +694,11 @@ class TestRunProtocol:
         data[1] = empty
         with pytest.raises(ValueError, match="shift 1 has no rows"):
             run_protocol(model, data, "single_domain", EmPlugin, SgdConfig(lr=0.01))
-        with pytest.raises(ValueError, match="shift 1 has no rows"):
-            no_adapt_accuracy(model, data)
 
     def test_a_stream_with_no_shifts_is_a_value_error(self):
         model, _ = self._setup()
         with pytest.raises(ValueError, match="no shifts"):
             run_protocol(model, [], "continual", EmPlugin, SgdConfig(lr=0.01))
-        with pytest.raises(ValueError, match="no shifts"):
-            no_adapt_accuracy(model, [])
 
     def test_holds_one_probability_matrix(self):
         # A shift of R rows and C classes costs one (R + 1) x C matrix,

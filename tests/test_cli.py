@@ -594,6 +594,21 @@ class TestRunCommand:
         assert len(summary["per_shift_accuracy"]) == 1
         assert len(summary["per_shift_baseline"]) == 1
 
+    @pytest.mark.parametrize(
+        "loss",
+        [{"name": "em"}, {"name": "dem", "tau": 1.5, "alpha": 1.0}, {"name": "adadem"}],
+        ids=["em", "dem", "adadem"],
+    )
+    def test_baseline_is_lr_sweeps(self, tmp_path, loss):
+        # run scores the frozen model by lr-sweep's protocol at lr = 0.
+        cfg = small_config(tmp_path, loss=loss)
+        baselines = []
+        for command in ("run", "lr-sweep"):
+            assert main([command, "--config", str(cfg)]) == EXIT_OK
+            summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+            baselines.append(summary["baseline_accuracy"])
+        assert baselines[0] == baselines[1]
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = small_config(tmp_path)
         assert main(["run", "--config", str(cfg)]) == EXIT_OK
@@ -958,6 +973,19 @@ class TestSettingsFailFast:
         assert main([command, "--config", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"demkit: cannot create {out}: File exists\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "out"]
+
+    @pytest.mark.parametrize("command", ["run", "grid-search", "lr-sweep"])
+    @pytest.mark.parametrize(
+        "text",
+        ['{"seed": ' + "[" * 5000 + "]" * 5000 + "}", "[" * 5000 + "]" * 5000],
+        ids=["nested-seed", "nested-root"],
+    )
+    def test_deeply_nested_config_exit_64(self, tmp_path, capsys, command, text):
+        # The JSON decoder raises RecursionError here; it is a usage error, not a traceback.
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main([command, "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "demkit: config is nested too deeply to read\n"
 
     def test_shipped_config_with_a_huge_stream_exit_64(self, tmp_path, capsys):
         # This config used to end in numpy's "Unable to allocate 931. TiB"

@@ -8,7 +8,7 @@ import pytest
 
 import demkit.model
 from demkit import adadem, em_losses
-from demkit.adadem import AdaDemVariant, MecState, mec_init, mec_update
+from demkit.adadem import MecState, mec_init, mec_update
 from demkit.em_losses import DemConfig, dem_row_values, em_eval, em_row_values
 from demkit.model import (
     AdaDemPlugin,
@@ -715,7 +715,7 @@ class TestAdaptStream:
 
     def test_adadem_state_threads_across_batches(self):
         X, _ = self._stream(Rng(33), n_batches=4)
-        plugin = AdaDemPlugin(AdaDemVariant(), pi=0.2)
+        plugin = AdaDemPlugin(pi=0.2)
         assert plugin.state is None
         model = init_linear(3, 2, Rng(34), scale=0.5)
         probs = _adapt(model, X, plugin, SgdConfig(lr=0.01))
@@ -730,7 +730,7 @@ class TestAdaptStream:
 
     @pytest.mark.parametrize(
         "make_plugin",
-        [lambda: DemPlugin(DemConfig(1.3, 0.4)), lambda: AdaDemPlugin(AdaDemVariant())],
+        [lambda: DemPlugin(DemConfig(1.3, 0.4)), AdaDemPlugin],
         ids=["dem", "adadem"],
     )
     def test_plugins_score_the_returned_probabilities(self, make_plugin, monkeypatch):

@@ -12,6 +12,7 @@ from demkit.search import (
     GridSpec,
     LrSweepResult,
     TrialResult,
+    grid_axis,
     grid_points,
     grid_search,
     lr_sweep,
@@ -20,7 +21,7 @@ from demkit.search import (
 
 class TestGridSpec:
     def test_axis_hits_round_values(self):
-        axis = GridSpec().axis(0.0, 2.0)
+        axis = grid_axis(0.0, 2.0, GridSpec().step)
         assert axis.shape == (21,)
         assert axis[0] == 0.0 and axis[-1] == 2.0
         assert 1.0 in axis  # the classical point is on the default grid
@@ -41,7 +42,7 @@ class TestGridSpec:
              "just-short", "one-point"],
     )
     def test_axis_never_passes_its_upper_bound(self, lo, hi, step, expected):
-        assert GridSpec(step=step).axis(lo, hi).tolist() == expected
+        assert grid_axis(lo, hi, step).tolist() == expected
 
     def test_point_count_bound_counts_the_listed_points(self, monkeypatch):
         # step 0.6 on [0, 1] lists 2 x 2 points; a rounded count said 3 x 3.
