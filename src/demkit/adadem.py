@@ -155,11 +155,14 @@ def _mec_update(state: MecState, P: np.ndarray, labels: np.ndarray) -> MecState:
     It updates the whole table at once and copies back only the rows of
     classes present in the batch; each copied row has the bits of the
     per-row update, and dividing an absent class's zero sums by 1 instead
-    of 0 keeps the discarded rows finite.
+    of 0 keeps the discarded rows finite.  The per-class sums are one
+    weighted ``bincount`` over the flat cells ``label * C + column``,
+    which adds each cell's rows from ``+0.0`` in batch order, as
+    ``np.add.at`` into a zero table does.
     """
     C = state.C
-    sums = np.zeros((C, C))
-    np.add.at(sums, labels, P)
+    cells = labels[:, None] * C + np.arange(C)
+    sums = np.bincount(cells.ravel(), weights=P.ravel(), minlength=C * C).reshape(C, C)
     counts = np.bincount(labels, minlength=C)
     means = sums / np.maximum(counts, 1)[:, None]
     new = (1.0 - state.pi) * state.table + state.pi * means

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import DivergenceError, SgdConfig, _validated_labels, adapt_stream
+from .model import DivergenceError, Mlp, ModelStack, SgdConfig, _validated_labels, adapt_stream
 from .numkit import as_matrix, as_vector, Rng
 
 __all__ = [
@@ -59,6 +59,9 @@ __all__ = [
     "make_stream",
     "metrics",
     "kl_divergence",
+    "STACK_BYTES",
+    "stack_size",
+    "run_protocols",
     "run_protocol",
 ]
 
@@ -401,61 +404,111 @@ def _report(confusion, row_max, col_sum) -> MetricsReport:
     )
 
 
-def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdConfig) -> ProtocolResult:
-    """Run one adaptation protocol over materialized stream data.
+STACK_BYTES = 768 << 10
+"""The budget for the per-protocol memory of one :func:`run_protocols`
+call; :func:`stack_size` divides it by one protocol's share."""
 
-    ``shift_data`` is the output of :func:`make_stream`;
-    ``plugin_factory`` builds a fresh loss plugin (single-domain mode
-    calls it once per shift, continual mode once for the whole stream,
-    so stateful losses persist across shifts exactly when the model
-    does).  Optimizer momentum does not persist in either mode: every
-    shift is one :func:`adapt_stream` call, which starts from zero
-    velocity and sees the inputs only.  Metrics are online: every batch
-    is scored, against its labels, on the probabilities predicted before
-    the update it triggers.
 
-    The protocol holds one ``(R + 1) x C`` matrix for shifts of ``R``
+def stack_size(source_model, shift_data) -> int:
+    """How many protocols of ``source_model`` over ``shift_data`` one
+    :func:`run_protocols` call stacks within ``STACK_BYTES``; at least one.
+
+    A stacked protocol holds its probabilities (``R + 1`` rows of ``C``
+    for the longest shift of ``R`` rows), its step buffers (two of
+    ``n x C`` and one of ``n x hidden`` floats, one ``n x hidden`` mask
+    for batches of ``n`` rows), four parameter-sized vectors (its
+    parameters, their gradient, the SGD velocity and its scratch) and
+    its result's row maxima, one float per row of the stream.
+    """
+    C, P = source_model.C, source_model.theta.size
+    h = source_model.W1.shape[0] if isinstance(source_model, Mlp) else 0
+    rows = [np.size(y) for _, y in shift_data]
+    n = max((np.shape(y)[-1] for _, y in shift_data), default=0)
+    floats = (max(rows, default=0) + 1) * C + n * (2 * C + h) + 4 * P + sum(rows)
+    return max(1, STACK_BYTES // (8 * floats + n * h))
+
+
+def run_protocols(source_model, shift_data, mode: str, plugin_factories, cfg: SgdConfig) -> list:
+    """Run one adaptation protocol per plugin factory, stacked, over
+    materialized stream data; returns one :class:`ProtocolResult` each.
+
+    ``shift_data`` is the output of :func:`make_stream`; each of the
+    ``K`` ``plugin_factories`` builds a fresh loss plugin (single-domain
+    mode calls it once per shift, continual mode once for the whole
+    stream, so stateful losses persist across shifts exactly when the
+    model does).  Protocol ``k`` adapts its own copy of ``source_model``,
+    row ``k`` of one :class:`ModelStack` (reset to the source at every
+    shift in single-domain mode), with factory ``k``'s plugins, and gives
+    the bits, and makes the plugin and SGD calls, that it gives alone.
+    Optimizer momentum does not persist in either mode: every shift is
+    one :func:`adapt_stream` call over the stack, which starts each
+    model from zero velocity and sees the inputs only.  Metrics are online:
+    every batch is scored, against its labels, on the probabilities
+    predicted before the update it triggers.
+
+    The call holds one ``K x (R + 1) x C`` array for shifts of ``R``
     rows, reused from shift to shift (a shift of another size gets a
-    new one): :func:`adapt_stream` writes the shift's probabilities into
-    rows 1 to ``R``, and row 0 holds the running column sum of the
-    shifts before (zeros at first; ``0 + p`` is ``p`` for probabilities,
-    which are never ``-0``).  Once the call returns, the shift is reduced
-    to the summaries of :class:`ProtocolResult`, and its rows are
-    overwritten by the next shift's; the result scores the summaries
-    when its metrics are first read.
+    new one): :func:`adapt_stream` writes protocol ``k``'s probabilities
+    into rows 1 to ``R`` of block ``k``, and row 0 holds the block's
+    running column sum of the shifts before (zeros at first; ``0 + p`` is
+    ``p`` for probabilities, which are never ``-0``).  Once the call
+    returns, each block is reduced to the summaries of
+    :class:`ProtocolResult`, and its rows are overwritten by the next
+    shift's; a result scores the summaries when its metrics are first
+    read.  :func:`stack_size` bounds ``K`` by these buffers' bytes.
 
     Each shift's labels must be integers in ``[0, C)``, ``B x n`` like
     its inputs.  A shift with no rows raises ``ValueError`` naming it,
-    and a stream with no shifts raises ``ValueError``.  A diverging update
-    raises :class:`DivergenceError` naming the shift and the batch.
+    and so does a stream with no shifts or an empty list of factories.
+    A protocol whose update diverges takes no further plugin or SGD
+    call; after the stream, the diverged protocol of lowest index
+    raises its :class:`DivergenceError`, naming its shift and batch.
     """
     if mode not in ("single_domain", "continual"):
         raise ValueError(f"unknown mode {mode!r}")
-    C = source_model.C
-    confusion, row_max, col_sums = [], [], []
-    buf, total = None, np.zeros(C)
-    model = plugin = None
+    factories = list(plugin_factories)
+    if not factories:
+        raise ValueError("need at least one plugin factory")
+    K, C = len(factories), source_model.C
+    confusion, row_max, col_sums = ([[] for _ in factories] for _ in range(3))
+    buf, totals, errors = None, [np.zeros(C)] * K, [None] * K
+    stack, plugins = ModelStack([source_model] * K), None
     for s, (X, y) in enumerate(shift_data):
         R = np.size(y)
         if R == 0:
             raise ValueError(f"shift {s} has no rows to score")
         y = _validated_labels(y, np.shape(X)[:2], C).reshape(R)
-        if buf is None or buf.shape[0] != R + 1:
-            buf = np.empty((R + 1, C))
-        buf[0] = total
-        P = buf[1:]
-        if model is None or mode == "single_domain":
-            model, plugin = source_model.copy(), plugin_factory()
-        try:
-            adapt_stream(model, X, plugin, cfg, P)
-        except DivergenceError as exc:
-            raise DivergenceError(exc.stage, exc.batch, s) from exc
-        shift_confusion, shift_max = _summaries(P, y)
-        confusion.append(shift_confusion)
-        row_max.append(shift_max)
-        col_sums.append(np.add.reduce(P, axis=0))
-        # continue row by row, as the concatenated matrix's sum does
-        total = np.add.reduce(buf, axis=0)
-    if not confusion:
+        if buf is None or buf.shape[1] != R + 1:
+            buf = np.empty((K, R + 1, C))
+        buf[:, 0] = totals
+        if plugins is None or mode == "single_domain":
+            stack.theta[...] = source_model.theta
+            plugins = [f() if e is None else None for f, e in zip(factories, errors)]
+        for k, exc in enumerate(adapt_stream(stack, X, plugins, cfg, buf[:, 1:])):
+            if exc is not None:
+                errors[k], plugins[k] = DivergenceError(exc.stage, exc.batch, s), None
+        for k in range(K):
+            if errors[k] is None:
+                P = buf[k, 1:]
+                shift_confusion, shift_max = _summaries(P, y)
+                confusion[k].append(shift_confusion)
+                row_max[k].append(shift_max)
+                col_sums[k].append(np.add.reduce(P, axis=0))
+                # continue row by row, as the concatenated matrix's sum does
+                totals[k] = np.add.reduce(buf[k], axis=0)
+        if all(e is not None for e in errors):
+            break
+    if buf is None:
         raise ValueError("the stream has no shifts to score")
-    return ProtocolResult(confusion, row_max, col_sums, total)
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return [ProtocolResult(*summaries) for summaries in zip(confusion, row_max, col_sums, totals)]
+
+
+def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdConfig) -> ProtocolResult:
+    """One adaptation protocol: :func:`run_protocols` with the one
+    factory ``plugin_factory``, the ``K = 1`` call of the stacked engine,
+    whose contract it keeps.  A diverging update raises
+    :class:`DivergenceError` naming the shift and the batch."""
+    return run_protocols(source_model, shift_data, mode, [plugin_factory], cfg)[0]

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import itertools
 import json
 import math
@@ -293,13 +294,22 @@ def _overflows_float(x: int) -> bool:
     return False
 
 
+def _shown(x) -> str:
+    """``repr(x)`` cut to at most 80 characters, ending in ``...`` when cut,
+    so that a message echoing a huge value stays one short line."""
+    text = repr(x)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def _schema_errors(node: dict, x, path: tuple = ()):
     """Yield a ``(path, message)`` pair for each way ``x`` violates ``node``.
 
     Covers the keywords ``SCHEMA`` uses, visited in the node's order with
     jsonschema 4.26's message texts, and refuses any other keyword.  A
-    ``"number"`` that is an integer too large for a float is an error
-    jsonschema does not report: every number setting is used as a float.
+    message echoes the offending value, or an unexpected property name,
+    as :func:`_shown` cuts it.  A ``"number"`` that is an integer too
+    large for a float is an error jsonschema does not report: every
+    number setting is used as a float.
     """
     number = _JSON_TYPES["number"](x)
     for key, want in node.items():
@@ -308,30 +318,30 @@ def _schema_errors(node: dict, x, path: tuple = ()):
                 pass
             case "type":
                 if not _JSON_TYPES[want](x):
-                    yield path, f"{x!r} is not of type {want!r}"
+                    yield path, f"{_shown(x)} is not of type {want!r}"
                 elif want == "number" and isinstance(x, int) and _overflows_float(x):
                     yield path, f"a {len(str(abs(x)))}-digit integer is too large for a float"
             case "enum":
                 if not any(_same(x, v) for v in want):
-                    yield path, f"{x!r} is not one of {want!r}"
+                    yield path, f"{_shown(x)} is not one of {want!r}"
             case "const":
                 if not _same(x, want):
                     yield path, f"{want!r} was expected"
             case "minimum":
                 if number and x < want:
-                    yield path, f"{x!r} is less than the minimum of {want!r}"
+                    yield path, f"{_shown(x)} is less than the minimum of {want!r}"
             case "maximum":
                 if number and x > want:
-                    yield path, f"{x!r} is greater than the maximum of {want!r}"
+                    yield path, f"{_shown(x)} is greater than the maximum of {want!r}"
             case "exclusiveMinimum":
                 if number and x <= want:
-                    yield path, f"{x!r} is less than or equal to the minimum of {want!r}"
+                    yield path, f"{_shown(x)} is less than or equal to the minimum of {want!r}"
             case "exclusiveMaximum":
                 if number and x >= want:
-                    yield path, f"{x!r} is greater than or equal to the maximum of {want!r}"
+                    yield path, f"{_shown(x)} is greater than or equal to the maximum of {want!r}"
             case "minLength" | "minItems":
                 if isinstance(x, str if key == "minLength" else list) and len(x) < want:
-                    yield path, f"{x!r} {'should be non-empty' if want == 1 else 'is too short'}"
+                    yield path, f"{_shown(x)} {'should be non-empty' if want == 1 else 'is too short'}"
             case "items":
                 if isinstance(x, list):
                     for i, item in enumerate(x):
@@ -349,7 +359,7 @@ def _schema_errors(node: dict, x, path: tuple = ()):
             case "additionalProperties" if want is False:
                 extras = isinstance(x, dict) and sorted(set(x) - set(node["properties"]))
                 if extras:
-                    listed = ", ".join(repr(k) for k in extras)
+                    listed = ", ".join(_shown(k) for k in extras)
                     verb = "was" if len(extras) == 1 else "were"
                     yield path, (
                         f"Additional properties are not allowed ({listed} {verb} unexpected)"
@@ -720,31 +730,47 @@ class GridResult(NamedTuple):
     classical_full: float | None
 
 
+def _dem_accuracies(model, shifts, mode: str, sgd: _model.SgdConfig, points) -> list:
+    """The protocol's accuracy at each ``(tau, alpha)`` of ``points``, in
+    order.  The points run stacked, in chunks of ``bench.stack_size``
+    protocols, so a diverging point raises as it would alone, before any
+    later point is scored."""
+    K = _bench.stack_size(model, shifts)
+    scores = []
+    for start in range(0, len(points), K):
+        factories = [
+            functools.partial(_model.DemPlugin, _em.DemConfig(tau, alpha))
+            for tau, alpha in points[start : start + K]
+        ]
+        runs = _bench.run_protocols(model, shifts, mode, factories, sgd)
+        scores += [run.accuracy for run in runs]
+    return scores
+
+
 def grid_search_result(cfg: dict, model, data) -> GridResult:
     """Grid-search DEM's (tau, alpha) on the labeled subset of ``data``.
 
     Every point runs the config's stream mode and optimizer; the winner
     and the classical point tau = alpha = 1 are then scored on the full
     stream.  The subset is the leading ``grid.subset_fraction`` of each
-    shift's batches (at least one).
+    shift's batches (at least one).  The valid points are scored first,
+    stacked in grid order by :func:`_dem_accuracies`, and
+    ``search.grid_search`` then reads their scores.
     """
     mode, sgd = cfg["stream"]["mode"], sgd_config(cfg)
     grid = _search.GridSpec(**cfg["grid"])
     k = max(1, round(len(data[0][0]) * grid.subset_fraction))
     subset = [(X[:k], y[:k]) for X, y in data]
+    valid = [(t, a) for t, a, ok in _search.grid_points(grid) if ok]
+    scores = dict(zip(valid, _dem_accuracies(model, subset, mode, sgd, valid)))
 
-    def score(shifts, tau: float, alpha: float) -> float:
-        dem_cfg = _em.DemConfig(tau, alpha)
-        factory = lambda: _model.DemPlugin(dem_cfg)
-        return _bench.run_protocol(model, shifts, mode, factory, sgd).accuracy
-
-    best, table = _search.grid_search(lambda t, a: score(subset, t, a), grid)
-    best_full = score(data, best.tau, best.alpha)
-    classical_subset = next(
-        (r.accuracy for r in table if r.tau == 1.0 and r.alpha == 1.0 and r.valid),
-        None,
-    )
-    classical_full = score(data, 1.0, 1.0) if classical_subset is not None else None
+    best, table = _search.grid_search(lambda t, a: scores[(t, a)], grid)
+    classical_subset = scores.get((1.0, 1.0))
+    finalists = [(best.tau, best.alpha)]
+    if classical_subset is not None:
+        finalists.append((1.0, 1.0))
+    best_full, *classical = _dem_accuracies(model, data, mode, sgd, finalists)
+    classical_full = classical[0] if classical else None
     return GridResult(best, table, best_full, classical_subset, classical_full)
 
 

@@ -12,11 +12,12 @@ weight matrices and biases are reshaped views of it.  Gradients, SGD
 velocity and updates are flat vectors laid out like ``theta``.
 
 ``adapt_stream`` is the online protocol over one shift, a ``B x n x d``
-array of ``B`` unlabeled batches of ``n`` rows: for each batch the model
-first predicts (the loop writes these pre-update probabilities into the
-caller's matrix for scoring), then the loss plugin turns the logits and
-those probabilities into per-sample gradients, and one SGD step is
-applied.
+array of ``B`` unlabeled batches of ``n`` rows, for a :class:`ModelStack`
+of ``K`` models at once: for each batch the models first predict (the
+loop writes these pre-update probabilities into the caller's array for
+scoring), then each model's loss plugin turns its logits and
+probabilities into per-sample gradients, and each model takes one SGD
+step.  One model is the stack of ``K = 1``.
 Plugins wrap the loss family: cross-entropy (supervised plumbing for
 source training and oracle baselines), classical EM, decoupled EM, and
 AdaDEM, which carries its calibrator state through the whole stream.
@@ -29,17 +30,20 @@ check nothing.  The kernels are the only forward and backward pass, and
 they write into a :class:`_Workspace` instead of allocating: it holds
 the logits, the MLP's hidden activations (which ``_backward`` reuses
 instead of recomputing the forward pass), the backward intermediates
-and one flat gradient laid out like ``theta``.  The step loops
-(``train_source``, ``adapt_stream``) build their workspaces once per
-call and run ``_forward`` and ``_backward`` once per step; the public
-``forward`` and ``backward`` run them on a fresh workspace, so what they
-return belongs to the caller.  ``sgd_step`` likewise writes ``lr * v``
-into a scratch vector of its :class:`SgdState`.
+and one flat gradient laid out like ``theta``.  A workspace over a
+stack's ``(K, P)`` parameters gives every buffer a leading axis of
+``K``, and the kernels then run each step once for all ``K`` models
+with the operations, and so the bits, of ``K`` one-model steps.  The
+step loops (``train_source``, ``adapt_stream``) build their workspaces
+once per call and run ``_forward`` and ``_backward`` once per step; the
+public ``forward`` and ``backward`` run them on a fresh workspace, so
+what they return belongs to the caller.  ``sgd_step`` likewise writes
+``lr * v`` into a scratch vector of its :class:`SgdState`.
 
 The plugin contract of ``adapt_stream``: the ``Z`` handed to
 ``batch_eval`` is a workspace buffer that the next step overwrites, so a
 plugin reads it and neither keeps it nor writes into it; ``P`` is the
-batch's rows of the caller's matrix, and is read only.
+batch's rows of the caller's array, and is read only.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from .numkit import _logsumexp, _softmax_rows, as_matrix, as_vector, logsumexp_r
 __all__ = [
     "LinearSoftmax",
     "Mlp",
+    "ModelStack",
     "init_linear",
     "init_mlp",
     "forward",
@@ -74,10 +79,12 @@ __all__ = [
 
 
 def _views(flat: np.ndarray, arrays) -> list:
-    """Views of ``flat``, end to end, shaped like each of ``arrays`` in order."""
-    views, start = [], 0
+    """Views of ``flat``'s last axis, end to end, shaped like each of
+    ``arrays`` in order after ``flat``'s leading axes: a ``(K, P)`` stack
+    of parameter vectors gives one ``(K,) + a.shape`` view per array."""
+    lead, views, start = flat.shape[:-1], [], 0
     for a in arrays:
-        views.append(flat[start : start + a.size].reshape(a.shape))
+        views.append(flat[..., start : start + a.size].reshape(lead + a.shape))
         start += a.size
     return views
 
@@ -95,6 +102,8 @@ class LinearSoftmax:
 
     ``theta`` holds ``W`` then ``b``; both are views of it.
     """
+
+    _names = ("W", "b")
 
     def __init__(self, W, b):
         self.theta, (self.W, self.b) = _pack(W, b)
@@ -114,6 +123,8 @@ class Mlp:
     view of it.
     """
 
+    _names = ("W1", "b1", "W2", "b2")
+
     def __init__(self, W1, b1, W2, b2):
         self.theta, (self.W1, self.b1, self.W2, self.b2) = _pack(W1, b1, W2, b2)
 
@@ -123,6 +134,54 @@ class Mlp:
     @property
     def C(self) -> int:
         return self.W2.shape[0]
+
+
+def _arrays(model) -> list:
+    """The model's weight matrices and biases, in ``theta``'s order."""
+    return [getattr(model, name) for name in model._names]
+
+
+def _viewing(model, theta: np.ndarray):
+    """A model like ``model`` whose parameters are the vector ``theta``
+    itself: its ``theta`` and arrays view it rather than copy it."""
+    clone = object.__new__(type(model))
+    clone.theta = theta
+    for name, view in zip(model._names, _views(theta, _arrays(model))):
+        setattr(clone, name, view)
+    return clone
+
+
+class ModelStack:
+    """``K`` models of one architecture whose parameters are the rows of
+    one C-contiguous ``(K, P)`` array ``theta``.
+
+    ``models[k]`` is a model whose ``theta`` is the row ``theta[k]`` and
+    whose weight matrices and biases view that row, so an SGD step on
+    ``models[k]`` moves row ``k`` and nothing else.  The rows start as
+    copies of ``models``, which must share one type and one shape
+    (``ValueError`` otherwise); ``ModelStack([model] * K)`` is ``K``
+    copies of one model.  The stack keeps the step buffers of
+    :func:`adapt_stream`, one :class:`_Workspace` per batch size.
+    """
+
+    def __init__(self, models):
+        models = list(models)
+        if not models:
+            raise ValueError("a stack needs at least one model")
+        first = models[0]
+        shapes = [a.shape for a in _arrays(first)]
+        for m in models:
+            if type(m) is not type(first) or [a.shape for a in _arrays(m)] != shapes:
+                raise ValueError("stacked models must share one architecture and shape")
+        self.theta = np.stack([m.theta for m in models])
+        self.models = [_viewing(first, row) for row in self.theta]
+        self._workspaces = {}
+
+    def _workspace(self, n: int) -> "_Workspace":
+        """The stack's workspace for batches of ``n`` rows, built on first use."""
+        if n not in self._workspaces:
+            self._workspaces[n] = _Workspace(self.models[0], n, self.theta)
+        return self._workspaces[n]
 
 
 def init_linear(C: int, d: int, rng=None, scale: float = 0.0) -> LinearSoftmax:
@@ -162,71 +221,91 @@ def _validated_input(model, X) -> np.ndarray:
 
 
 class _Workspace:
-    """The buffers of one step loop, reused by every step of ``n`` rows.
+    """The buffers of one step loop, reused by every step of ``n`` rows,
+    and the views of the parameters ``theta`` that its kernels read.
+
+    ``theta`` is ``model.theta``, or a ``(K, P)`` stack of vectors laid
+    out like it (:class:`ModelStack`), which gives every buffer below a
+    leading axis of ``K``, one slice per stacked model.
 
     Row buffers hold one batch: the logits ``Z`` (``n x C``), the MLP's
-    hidden pre- and post-activations ``H`` and ``A`` (``n x hidden``;
-    zero columns wide for the linear model), the scaled logit gradients
-    ``G``, the hidden gradient ``dH`` and the rectifier mask ``M``.
-    ``g`` is one flat parameter gradient laid out like ``theta``, and
-    ``grads`` are its views shaped like the model's arrays (``W``, ``b``
-    or ``W1``, ``b1``, ``W2``, ``b2``).
+    hidden activations ``A`` (``n x hidden``; zero columns wide for the
+    linear model), which the backward pass overwrites with the hidden
+    gradient once it has read them, the scaled logit gradients ``G`` and
+    the rectifier mask ``M``.  ``g`` is the parameter gradient laid out
+    like ``theta``, and ``grads`` are its views shaped like the model's
+    arrays (``W``, ``b`` or ``W1``, ``b1``, ``W2``, ``b2``).  The kernels
+    read each weight matrix transposed over its last two axes (``W1T``,
+    ``W2T``) and each bias as a row that broadcasts over the batch
+    (``b1``, ``b2``); the linear model is a head alone, ``W2`` and ``b2``
+    holding its ``W`` and ``b``.
     """
 
-    def __init__(self, model, n: int):
-        mlp = isinstance(model, Mlp)
-        C, h = model.C, model.W1.shape[0] if mlp else 0
-        self.Z, self.H, self.A = np.empty((n, C)), np.empty((n, h)), np.empty((n, h))
-        self.G, self.dH, self.M = np.empty((n, C)), np.empty((n, h)), np.empty((n, h), bool)
-        self.g = np.empty_like(model.theta)
-        arrays = (model.W1, model.b1, model.W2, model.b2) if mlp else (model.W, model.b)
+    def __init__(self, model, n: int, theta: np.ndarray | None = None):
+        theta = model.theta if theta is None else theta
+        lead, arrays = theta.shape[:-1], _arrays(model)
+        self.mlp = isinstance(model, Mlp)
+        C, h = model.C, model.W1.shape[0] if self.mlp else 0
+        params = _views(theta, arrays)
+        if self.mlp:
+            W1, b1, self.W2, b2 = params
+            self.W1T, self.b1 = np.swapaxes(W1, -1, -2), b1[..., None, :]
+        else:
+            self.W2, b2 = params
+        self.W2T, self.b2 = np.swapaxes(self.W2, -1, -2), b2[..., None, :]
+        self.Z, self.G = np.empty(lead + (n, C)), np.empty(lead + (n, C))
+        self.A, self.M = np.empty(lead + (n, h)), np.empty(lead + (n, h), bool)
+        self.GT, self.AT = np.swapaxes(self.G, -1, -2), np.swapaxes(self.A, -1, -2)
+        self.g = np.empty(theta.shape)
         self.grads = _views(self.g, arrays)
 
 
-def _forward(model, X: np.ndarray, ws: _Workspace) -> np.ndarray:
+def _forward(X: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Kernel of :func:`forward` for validated input of ``ws``'s rows.
 
     Writes the logits into ``ws.Z`` (returned) and, for the MLP, the
-    hidden activations into ``ws.H`` and ``ws.A``, where
+    hidden activations ``relu(X W1^T + b1)`` into ``ws.A``, where
     :func:`_backward` reads them.
     """
-    Z = ws.Z
-    if isinstance(model, Mlp):
-        H, A = ws.H, ws.A
-        np.matmul(X, model.W1.T, out=H)
-        H += model.b1
-        np.maximum(H, 0.0, out=A)
-        np.matmul(A, model.W2.T, out=Z)
-        Z += model.b2
-    else:
-        np.matmul(X, model.W.T, out=Z)
-        Z += model.b
+    if ws.mlp:
+        A = np.matmul(X, ws.W1T, out=ws.A)
+        A += ws.b1
+        X = np.maximum(A, 0.0, out=A)
+    Z = np.matmul(X, ws.W2T, out=ws.Z)
+    Z += ws.b2
     return Z
 
 
-def _backward(model, X: np.ndarray, dlogits: np.ndarray, ws: _Workspace) -> np.ndarray:
+def _backward(X: np.ndarray, dlogits: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Kernel of :func:`backward`: the flat gradient, written into ``ws.g``
-    (returned).  ``ws`` holds what ``_forward(model, X, ws)`` wrote."""
+    (returned).  ``ws`` holds what ``_forward(X, ws)`` wrote; ``dlogits``
+    may be ``ws.G`` itself.
+
+    The head's gradients read the activations first; the hidden gradient
+    then takes their buffer.  The rectifier mask is ``A > 0``, which is
+    ``H > 0`` for the pre-activations ``H``, NaN included.
+    """
     G = np.divide(dlogits, X.shape[0], out=ws.G)
-    if isinstance(model, Mlp):
+    if ws.mlp:
         gW1, gb1, gW2, gb2 = ws.grads
-        dH = np.matmul(G, model.W2, out=ws.dH)
-        dH *= np.greater(ws.H, 0.0, out=ws.M)
-        np.matmul(dH.T, X, out=gW1)
-        np.add.reduce(dH, axis=0, out=gb1)
-        np.matmul(G.T, ws.A, out=gW2)
-        np.add.reduce(G, axis=0, out=gb2)
+        np.matmul(ws.GT, ws.A, out=gW2)
+        np.add.reduce(G, axis=-2, out=gb2)
+        mask = np.greater(ws.A, 0.0, out=ws.M)
+        dH = np.matmul(G, ws.W2, out=ws.A)
+        dH *= mask
+        np.matmul(ws.AT, X, out=gW1)
+        np.add.reduce(dH, axis=-2, out=gb1)
     else:
         gW, gb = ws.grads
-        np.matmul(G.T, X, out=gW)
-        np.add.reduce(G, axis=0, out=gb)
+        np.matmul(ws.GT, X, out=gW)
+        np.add.reduce(G, axis=-2, out=gb)
     return ws.g
 
 
 def forward(model, X) -> np.ndarray:
     """Batch logits, shape n x C."""
     X = _validated_input(model, X)
-    return _forward(model, X, _Workspace(model, X.shape[0]))
+    return _forward(X, _Workspace(model, X.shape[0]))
 
 
 def backward(model, X, dlogits) -> np.ndarray:
@@ -243,8 +322,8 @@ def backward(model, X, dlogits) -> np.ndarray:
             f"dlogits must be {X.shape[0]} x {model.C} (batch x classes), got {dlogits.shape}"
         )
     ws = _Workspace(model, X.shape[0])
-    _forward(model, X, ws)
-    return _backward(model, X, dlogits, ws)
+    _forward(X, ws)
+    return _backward(X, dlogits, ws)
 
 
 def cross_entropy_eval(z, target: int) -> _em.LossEval:
@@ -426,70 +505,104 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int 
             for start in range(0, n, size):
                 Xb = Xo[start : start + size]
                 ws = full if start + size <= n else last
-                G = _softmax_rows(_forward(model, Xb, ws), ws.G)
+                G = _softmax_rows(_forward(Xb, ws), ws.G)
                 G.reshape(-1)[hot[start : start + size]] -= 1.0
-                sgd_step(model, _backward(model, Xb, G, ws), cfg, state)
+                sgd_step(model, _backward(Xb, G, ws), cfg, state)
             if not np.isfinite(model.theta).all():
                 raise FloatingPointError(f"source training diverged in epoch {epoch}")
     return model
 
 
-def adapt_stream(model, X, plugin, cfg: SgdConfig, probs: np.ndarray) -> None:
-    """Online adaptation: predict, update, repeat.
+def adapt_stream(stack: ModelStack, X, plugins, cfg: SgdConfig, probs: np.ndarray) -> list:
+    """Online adaptation of ``K`` stacked models: predict, update, repeat.
 
     ``X`` is one shift's unlabeled inputs, a ``B x n x d`` array of ``B``
     batches of ``n`` rows, so the loop never sees a label.  For each
-    batch ``X[i]`` the model first predicts, then
-    ``plugin.batch_eval(Z, P)`` turns the logits ``Z`` and their
-    probabilities ``P = softmax_rows(Z)`` into the ``n x C`` matrix of
-    per-sample loss gradients with respect to the logits (gradients
-    only: nothing here reads a loss value), and one SGD step moves
-    ``model`` in place.
+    batch ``X[i]`` the models of ``stack`` first predict, then for each
+    model ``k`` ``plugins[k].batch_eval(Z, P)`` turns its logits ``Z``
+    and their probabilities ``P = softmax_rows(Z)`` into the ``n x C``
+    matrix of per-sample loss gradients with respect to the logits
+    (gradients only: nothing here reads a loss value), and one
+    :func:`sgd_step` moves ``stack.models[k]`` in place.
 
-    ``probs`` is the caller's C-contiguous float64 ``(B * n) x C``
-    matrix: batch ``i``'s pre-update probabilities are written into its
-    rows ``i * n`` to ``(i + 1) * n``, so after the call ``probs`` holds
-    the whole shift's, in order, for the caller to score.  ``X`` and
-    ``probs`` are validated once, before the first step
-    (``ValueError``).
+    The K-model contract: the forward pass, the row softmax, the
+    finiteness checks and the backward pass run once per batch for the
+    whole stack, on buffers with a leading axis of ``K``, and give each
+    model the bits its own one-model run gives.  ``plugins[k].batch_eval``
+    and ``sgd_step`` run once per model and batch, in model order, each
+    model with a fresh :class:`SgdState` per call.  A model whose plugin
+    is ``None`` is carried along and takes neither.
 
-    The plugin contract: ``P`` is the batch's rows of ``probs``, so a
+    ``probs`` is the caller's float64 ``K x (B * n) x C`` array whose
+    ``K`` blocks have C-contiguous rows and do not overlap: batch ``i``'s
+    pre-update probabilities for model ``k`` are written into
+    ``probs[k]``'s rows ``i * n`` to ``(i + 1) * n``, so after the call
+    ``probs[k]`` holds model ``k``'s whole shift, in order, for the
+    caller to score.  ``X``, ``plugins`` and ``probs`` are validated
+    once, before the first step (``ValueError``).
+
+    The plugin contract: ``P`` is the batch's rows of ``probs[k]``, so a
     plugin reads it and never writes into it.  ``Z`` is a buffer of
-    the loop's :class:`_Workspace` that the next step overwrites, so a
+    the stack's :class:`_Workspace` that the next step overwrites, so a
     plugin reads it during ``batch_eval`` and neither keeps it nor
     writes into it.
 
-    Each call starts from a fresh :class:`SgdState`, so momentum never
-    carries over from one call to the next: a continual protocol, which
-    calls this once per shift, resets momentum at every shift while the
-    model and the plugin's state carry over.
+    Each call starts from fresh SGD states, so momentum never carries
+    over from one call to the next: a continual protocol, which calls
+    this once per shift, resets momentum at every shift while the models
+    and the plugins' states carry over.
 
-    Non-finite logits or loss gradients raise :class:`DivergenceError`
-    naming the batch.  Those two checks are the only report of a
-    diverging step: numpy's overflow and invalid-value warnings are
-    silenced for the loop, since a step that overflows fails one of them.
+    Returns one entry per model: ``None``, or the
+    :class:`DivergenceError` naming the stage and batch of the model's
+    first non-finite logits or loss gradients.  A diverged model takes
+    no further plugin or SGD call, and the loop ends early once every
+    model has diverged.  Those checks are the only report of a diverging
+    step: numpy's overflow and invalid-value warnings are silenced for
+    the loop, since a step that overflows fails one of them.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3:
         raise ValueError(f"a shift's inputs must be B x n x d, got shape {X.shape}")
+    model = stack.models[0]
     _validated_input(model, X.reshape(-1, X.shape[2]))
-    B, n, C = X.shape[0], X.shape[1], model.C
+    K, (B, n, _), C = len(stack.models), X.shape, model.C
+    plugins = list(plugins)
+    if len(plugins) != K:
+        raise ValueError(f"need one plugin per stacked model, {K}, got {len(plugins)}")
     if not (
         isinstance(probs, np.ndarray)
         and probs.dtype == np.float64
-        and probs.shape == (B * n, C)
-        and probs.flags.c_contiguous
+        and probs.shape == (K, B * n, C)
+        and probs.strides[1:] == (C * 8, 8)
+        and (K == 1 or probs.strides[0] >= B * n * C * 8)
     ):
-        raise ValueError(f"probs must be a C-contiguous float64 matrix of {B * n} x {C}")
-    blocks = probs.reshape(B, n, C)
-    state, ws = SgdState(), _Workspace(model, n)
+        raise ValueError(
+            f"probs must be a float64 array of {K} x {B * n} x {C} "
+            "with C-contiguous rows and disjoint blocks"
+        )
+    ws = stack._workspace(n)
+    G = ws.G  # the plugins' gradients, stacked for one backward pass
+    states, errors = [SgdState() for _ in range(K)], [None] * K
+    live = [k for k in range(K) if plugins[k] is not None]
     with np.errstate(over="ignore", invalid="ignore"):
         for i, Xi in enumerate(X):
-            Z = _forward(model, Xi, ws)
-            if not np.isfinite(Z).all():
-                raise DivergenceError("logits", i)
-            P = _softmax_rows(Z, blocks[i])
-            dlogits = plugin.batch_eval(Z, P)
-            if not np.isfinite(dlogits).all():
-                raise DivergenceError("loss gradients", i)
-            sgd_step(model, _backward(model, Xi, dlogits, ws), cfg, state)
+            if not live:
+                break
+            Z = _forward(Xi, ws)
+            P = _softmax_rows(Z, probs[:, i * n : (i + 1) * n])
+            finite = np.isfinite(Z).all(axis=(1, 2))
+            for k in live:
+                if finite[k]:
+                    G[k] = plugins[k].batch_eval(Z[k], P[k])
+                else:
+                    errors[k] = DivergenceError("logits", i)
+            finite = np.isfinite(G).all(axis=(1, 2))
+            for k in live:
+                if errors[k] is None and not finite[k]:
+                    errors[k] = DivergenceError("loss gradients", i)
+            live = [k for k in live if errors[k] is None]
+            if live:
+                g = _backward(Xi, G, ws)
+                for k in live:
+                    sgd_step(stack.models[k], g[k], cfg, states[k])
+    return errors

@@ -117,13 +117,14 @@ def softmax_rows(Z: np.ndarray) -> np.ndarray:
 
 def _softmax_rows(Z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Kernel of :func:`softmax_rows`: writes the probabilities into
-    ``out``, a matrix shaped like ``Z`` (returned).  ``out`` may be a
-    row block of a larger matrix; with C-contiguous rows, as a fresh
+    ``out``, an array shaped like ``Z`` (returned), over the last axis:
+    ``Z`` may also be a ``K x n x C`` stack of matrices.  ``out`` may be
+    a row block of a larger array; with C-contiguous rows, as a fresh
     array has, each row sum adds in the same order, so the bits do not
-    depend on where ``out`` lives."""
-    np.subtract(Z, np.maximum.reduce(Z, axis=1, keepdims=True), out=out)
+    depend on where ``out`` lives or on the stack around a matrix."""
+    np.subtract(Z, np.maximum.reduce(Z, axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
-    out /= np.add.reduce(out, axis=1, keepdims=True)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
 
 

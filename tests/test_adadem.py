@@ -240,6 +240,34 @@ class TestMecState:
                     absent = np.setdiff1d(np.arange(C), labels)
                     assert np.array_equal(ours.table[absent], table[absent])
 
+    def test_bincount_sums_match_the_add_at_formula(self):
+        # The kernel's weighted bincount over label * C + column against
+        # the np.add.at scatter into a zero table that it replaced, bit
+        # for bit: random batches, and batches whose pseudo-labels tie
+        # (rows with several equal maxima, and every row on one class).
+        def add_at_update(state, P, labels):
+            sums = np.zeros((state.C, state.C))
+            np.add.at(sums, labels, P)
+            counts = np.bincount(labels, minlength=state.C)
+            means = sums / np.maximum(counts, 1)[:, None]
+            new = (1.0 - state.pi) * state.table + state.pi * means
+            np.copyto(state.table, new, where=(counts > 0)[:, None])
+
+        rng = np.random.default_rng(23)
+        for trial in range(600):
+            C, n = int(rng.integers(2, 12)), int(rng.integers(0, 130))
+            P = softmax_rows(rng.uniform(-8.0, 8.0, (n, C)))
+            if trial % 3 == 1:
+                tied = rng.integers(0, 3, (n, C)).astype(np.float64)
+                P = tied / np.maximum(tied.sum(axis=1, keepdims=True), 1.0)
+            labels = np.argmax(P, axis=1) if trial % 3 != 2 else np.full(n, trial % C)
+            table = softmax_rows(rng.uniform(-3.0, 3.0, (C, C)))
+            pi = float(rng.uniform(0.01, 1.0))
+            ours, ref = MecState(table.copy(), pi), MecState(table.copy(), pi)
+            adadem._mec_update(ours, P, labels)
+            add_at_update(ref, P, labels)
+            assert ours.table.tobytes() == ref.table.tobytes(), (trial, C, n)
+
     def test_copy_is_independent(self):
         state = mec_init(3)
         clone = state.copy()

@@ -12,6 +12,7 @@ import demkit.bench
 import demkit.model
 from demkit.bench import (
     LEVEL_MULTIPLIERS,
+    STACK_BYTES,
     SHIFT_KINDS,
     MixtureSpec,
     ShiftSpec,
@@ -26,7 +27,9 @@ from demkit.bench import (
     make_stream,
     metrics,
     run_protocol,
+    run_protocols,
     sample_batch,
+    stack_size,
 )
 from demkit.em_losses import DemConfig
 from demkit.model import (
@@ -34,10 +37,12 @@ from demkit.model import (
     DemPlugin,
     DivergenceError,
     EmPlugin,
+    ModelStack,
     SgdConfig,
     adapt_stream,
     forward,
     init_linear,
+    init_mlp,
     train_source,
 )
 from demkit.numkit import Rng
@@ -388,11 +393,13 @@ class TestMetrics:
 
 
 def _shift_probs(model, X, plugin, cfg):
-    """One shift's pre-update probabilities: ``adapt_stream`` over its
-    inputs ``X`` into a fresh matrix of the shift's rows."""
-    probs = np.empty((X.shape[0] * X.shape[1], model.C))
-    adapt_stream(model, X, plugin, cfg, probs)
-    return probs
+    """One shift's pre-update probabilities: ``adapt_stream`` of the
+    one-model stack of ``model`` over its inputs ``X`` into a fresh
+    array of the shift's rows; ``model`` moves as the stack moved."""
+    stack, probs = ModelStack([model]), np.empty((1, X.shape[0] * X.shape[1], model.C))
+    assert adapt_stream(stack, X, [plugin], cfg, probs) == [None]
+    model.theta[:] = stack.theta[0]
+    return probs[0]
 
 
 def _quick_source(seed=0):
@@ -628,22 +635,28 @@ class TestRunProtocol:
 
     def test_continual_resets_momentum_at_every_shift(self):
         # The model and the plugin (here AdaDEM's calibrator) carry over
-        # between shifts; the optimizer's velocity does not.
+        # between shifts; the optimizer's velocity does not, alone or in a
+        # stack of protocols.
         mix, model = _quick_source()
         a, b = ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0)
         data = make_stream(mix, StreamSpec("continual", (a, b), 10, 32), Rng(21))
         cfg = SgdConfig(lr=0.05, momentum=0.9)
         res = run_protocol(model, data, "continual", AdaDemPlugin, cfg)
+        factories = [functools.partial(AdaDemPlugin, pi) for pi in (0.3, 0.1, 0.2)]
+        stacked = run_protocols(model, data, "continual", factories, cfg)
 
         def accuracy(probs, y):
             return metrics(probs, y.reshape(-1)).accuracy
 
-        adapted, plugin = model.copy(), AdaDemPlugin()
-        per_call = []
-        for X, y in data:
-            probs = _shift_probs(adapted, X, plugin, cfg)
-            per_call.append(accuracy(probs, y))
+        def per_call_accuracies(factory):
+            adapted, plugin = model.copy(), factory()
+            return [accuracy(_shift_probs(adapted, X, plugin, cfg), y) for X, y in data]
+
+        per_call = per_call_accuracies(AdaDemPlugin)
         assert [rep.accuracy for rep in res.per_shift] == per_call
+        for factory, run in zip(factories, stacked):
+            assert [rep.accuracy for rep in run.per_shift] == per_call_accuracies(factory)
+        assert [rep.accuracy for rep in stacked[1].per_shift] == per_call
 
         both = np.concatenate([data[0][0], data[1][0]])
         probs = _shift_probs(model.copy(), both, AdaDemPlugin(), cfg)
@@ -719,7 +732,134 @@ class TestRunProtocol:
             tracemalloc.stop()
         assert peak < 1.5 * R * C * 8 + 64 * 1024, peak
 
+    def test_lowest_diverged_protocol_raises_its_own_shift_and_batch(self):
+        # Protocol 2 diverges first in time (shift 0, batch 1) but protocol
+        # 1, which diverges later (shift 1, batch 3), comes first in order:
+        # its error is raised, as running the protocols one by one would.
+        # A diverged protocol's plugin is not called again.
+        model, data = self._setup()
+        calls = [0] * 4
+        fail_at = {1: 10 + 3, 2: 1}  # a protocol's call index that returns inf
+
+        class Failing:
+            def __init__(self, k):
+                self.k = k
+
+            def batch_eval(self, Z, P):
+                grads = EmPlugin().batch_eval(Z, P)
+                if fail_at.get(self.k) == calls[self.k]:
+                    grads[0, 0] = np.inf
+                calls[self.k] += 1
+                return grads
+
+        factories = [functools.partial(Failing, k) for k in range(4)]
+        with pytest.raises(DivergenceError) as info:
+            run_protocols(model, data, "single_domain", factories, SgdConfig(lr=0.01))
+        assert (info.value.stage, info.value.shift, info.value.batch) == ("loss gradients", 1, 3)
+        assert str(info.value) == (
+            "adaptation diverged at shift 1, batch 3: non-finite loss gradients"
+        )
+        assert calls == [20, 14, 2, 20]
+
+    def test_needs_a_plugin_factory(self):
+        model, data = self._setup()
+        with pytest.raises(ValueError, match="at least one plugin factory"):
+            run_protocols(model, data, "continual", [], SgdConfig(lr=0.01))
+
     def test_rejects_unknown_mode(self):
         model, data = self._setup()
         with pytest.raises(ValueError):
             run_protocol(model, data, "episodic", EmPlugin, SgdConfig(lr=0.0))
+
+
+class TestStackedProtocols:
+    """``run_protocols`` against one ``run_protocol`` per factory."""
+
+    @staticmethod
+    def _sources():
+        mix, linear = _quick_source()
+        rng = Rng(4)
+        X, y = sample_batch(mix, np.full(10, 0.1), 2000, rng.derive("data"))
+        mlp = init_mlp(10, 2, 12, rng.derive("init"))
+        train_source(mlp, X, y, 3, SgdConfig(lr=0.2, momentum=0.9), rng.derive("train"))
+        return mix, {"linear": linear, "mlp": mlp}
+
+    @staticmethod
+    def _recorded_thetas(monkeypatch):
+        """The stack's parameters after each ``adapt_stream`` call that
+        ``run_protocols`` makes, in order."""
+        thetas, adapt = [], demkit.bench.adapt_stream
+
+        def recording(stack, *args):
+            errors = adapt(stack, *args)
+            thetas.append(stack.theta.copy())
+            return errors
+
+        monkeypatch.setattr(demkit.bench, "adapt_stream", recording)
+        return thetas
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    @pytest.mark.parametrize("mode", ["single_domain", "continual"])
+    def test_each_protocol_keeps_the_bits_of_its_own_run(self, monkeypatch, mode, arch):
+        # Final parameters (per shift in single-domain mode), confusion
+        # counts, row maxima, column sums and totals, at K = 2 and for a
+        # stack of every factory, mixing losses and DEM points.
+        mix, sources = self._sources()
+        model = sources[arch]
+        shifts = (ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0))
+        data = make_stream(mix, StreamSpec(mode, shifts, 6, 24, label_rho=3.0), Rng(8))
+        cfg = SgdConfig(lr=0.05, momentum=0.9)
+        factories = [
+            functools.partial(DemPlugin, DemConfig(0.7, 1.3)),
+            AdaDemPlugin,
+            functools.partial(DemPlugin, DemConfig(1.0, 1.0)),
+            EmPlugin,
+            functools.partial(DemPlugin, DemConfig(1.5, 0.0)),
+        ]
+        thetas = self._recorded_thetas(monkeypatch)
+        alone = []
+        for factory in factories:
+            del thetas[:]
+            run = run_protocol(model, data, mode, factory, cfg)
+            alone.append((run, [theta[0].tobytes() for theta in thetas]))
+        for group in (factories[:2], factories):
+            del thetas[:]
+            runs = run_protocols(model, data, mode, group, cfg)
+            assert len(runs) == len(group) and len(thetas) == len(shifts)
+            for k, (run, (ref, shift_thetas)) in enumerate(zip(runs, alone)):
+                assert [theta[k].tobytes() for theta in thetas] == shift_thetas
+                for name in ("confusion", "row_max", "col_sums"):
+                    got, want = getattr(run, name), getattr(ref, name)
+                    assert [a.tobytes() for a in got] == [b.tobytes() for b in want], name
+                assert run.total.tobytes() == ref.total.tobytes()
+                assert run.accuracy == ref.accuracy
+
+    def test_stack_size_bounds_the_memory_stacking_adds(self, monkeypatch):
+        # On the grid-continual-dem subset's shapes (C = 10, 32 hidden
+        # units, 3 shifts of 12 batches of 64 rows) the budget stacks six
+        # protocols, and their traced peak exceeds one protocol's by less
+        # than the budget; a long lr-sweep protocol stays alone.
+        mix = default_mixture()
+        model = init_mlp(10, 2, 32, Rng(1))
+        ladder = tuple(ShiftSpec("rotate2d", r) for r in (0.45, 0.5, 0.55))
+        data = make_stream(mix, StreamSpec("continual", ladder, 12, 64), Rng(2))
+        K = stack_size(model, data)
+        assert K == 6
+        factories = [functools.partial(DemPlugin, DemConfig(1.0, 1.0))] * K
+        cfg = SgdConfig(lr=0.025, momentum=0.9)
+        run_protocols(model, data, "continual", factories, cfg)  # warm numpy's caches
+        peaks = []
+        for group in (factories[:1], factories):
+            tracemalloc.start()
+            try:
+                run_protocols(model, data, "continual", group, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 0 < peaks[1] - peaks[0] < STACK_BYTES, peaks
+
+        long = tuple(ShiftSpec("rotate2d", r) for r in (0.4, 0.45, 0.5, 0.55, 0.6))
+        spec = StreamSpec("continual", long, 120, 64, label_rho=10.0)
+        assert stack_size(model, make_stream(mix, spec, Rng(2))) == 1
+        monkeypatch.setattr(demkit.bench, "STACK_BYTES", 1)
+        assert stack_size(model, data) == 1

@@ -20,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
+import demkit.bench
+import demkit.model
 from demkit.cli import (
     DEFAULT_CONFIG,
     EXIT_BAD_HYPERPARAMS,
@@ -31,6 +33,7 @@ from demkit.cli import (
     SCHEMA,
     UsageError,
     _schema_errors,
+    _shown,
     fmt9,
     jround,
     load_config,
@@ -245,7 +248,14 @@ def _sorted_errors(errors):
 
 def _jsonschema_errors(config):
     errors = Draft202012Validator(SCHEMA).iter_errors(config)
-    return _sorted_errors((tuple(e.path), e.message) for e in errors)
+    return _sorted_errors((tuple(e.path), _cut(e.message, e.instance)) for e in errors)
+
+
+def _cut(message, instance):
+    """jsonschema's ``message`` with its leading echo of ``instance`` cut
+    as ``cli._shown`` cuts it."""
+    echo = repr(instance)
+    return _shown(instance) + message[len(echo) :] if message.startswith(echo) else message
 
 
 def _integral_float_paths(config, node=SCHEMA, path=()):
@@ -852,6 +862,122 @@ class TestGridSearchCommand:
         assert (tmp_path / "out" / "grid.csv").read_bytes() == first
 
 
+class TestStackedSweeps:
+    """``grid-search`` scores its points in stacked chunks; both sweeps make
+    one loss and one SGD call per point and step."""
+
+    STREAM = {
+        "mode": "continual",
+        "shifts": [{"kind": "rotate2d", "magnitude": 0.4}, {"kind": "translate", "magnitude": 1.0}],
+        "batches_per_shift": 4,
+        "batch_size": 16,
+    }
+    GRID = {  # 12 valid points
+        "tau_min": 0.5, "tau_max": 2.0, "alpha_min": 0.5, "alpha_max": 2.0,
+        "step": 0.5, "subset_fraction": 0.5,
+    }
+
+    @staticmethod
+    def _chunks(monkeypatch, K=None):
+        """The number of protocols of each ``run_protocols`` call, with
+        ``stack_size`` fixed at ``K`` unless ``K`` is None."""
+        sizes, run = [], demkit.bench.run_protocols
+
+        def recording(model, data, mode, factories, cfg):
+            sizes.append(len(factories))
+            return run(model, data, mode, factories, cfg)
+
+        monkeypatch.setattr(demkit.bench, "run_protocols", recording)
+        if K is not None:
+            monkeypatch.setattr(demkit.bench, "stack_size", lambda model, data: K)
+        return sizes
+
+    def _outputs(self, tmp_path, cfg):
+        assert main(["grid-search", "--config", str(cfg)]) == EXIT_OK
+        out = tmp_path / "out"
+        return [(out / name).read_bytes() for name in ("grid.csv", "summary.json")]
+
+    def test_chunks_give_the_bytes_of_one_point_at_a_time(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path, stream=self.STREAM, grid=self.GRID,
+                           loss={"name": "dem"}, optimizer={"lr": 0.05, "momentum": 0.9})
+        with monkeypatch.context() as patch:
+            sizes = self._chunks(patch, K=1)
+            alone = self._outputs(tmp_path, cfg)
+        assert sizes == [1] * 14  # 12 points, then the best and the classical point
+        for K, chunks in ((2, [2] * 7), (5, [5, 5, 2, 2]), (None, [12, 2])):
+            with monkeypatch.context() as patch:
+                sizes = self._chunks(patch, K)
+                assert self._outputs(tmp_path, cfg) == alone, K
+            assert sizes == chunks, K
+
+    def test_divergence_names_the_lowest_diverged_point(self, tmp_path, capsys, monkeypatch):
+        # The first point of the chunk adapts; the second and fourth
+        # diverge.  A stacked run names the point that runs alone names.
+        grid = {**self.GRID, "tau_max": 1.0, "alpha_min": 1.0, "alpha_max": 1.5}
+        cfg = small_config(tmp_path, stream=self.STREAM, grid=grid,
+                           loss={"name": "dem"}, optimizer={"lr": 1e64, "momentum": 0.9})
+        errors = []
+        for K, chunks in ((1, [1, 1]), (4, [4])):
+            with monkeypatch.context() as patch:
+                sizes = self._chunks(patch, K)
+                assert main(["grid-search", "--config", str(cfg)]) == EXIT_NUMERIC
+            assert sizes == chunks
+            errors.append(capsys.readouterr().err)
+        assert errors == [
+            "demkit: numeric failure: adaptation diverged at shift 1, batch 1: non-finite logits\n"
+        ] * 2
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Calls of ``dem_rows``, ``adadem_rows`` and of ``sgd_step`` made
+        inside ``adapt_stream``, counted through wrappers."""
+        counts = dict.fromkeys(("dem_rows", "adadem_rows", "sgd_step"), 0)
+        inside = []
+
+        def counting(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                if name != "sgd_step" or inside:
+                    counts[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        adapt = demkit.bench.adapt_stream
+
+        def adapting(*args, **kwargs):
+            inside.append(True)
+            try:
+                return adapt(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(demkit.bench, "adapt_stream", adapting)
+        counting(demkit.em_losses, "dem_rows")
+        counting(demkit.adadem, "adadem_rows")
+        counting(demkit.model, "sgd_step")
+        return counts
+
+    def test_grid_search_makes_one_call_per_point_step(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path, stream=self.STREAM, grid=self.GRID,
+                           loss={"name": "dem"}, optimizer={"lr": 0.05, "momentum": 0.9})
+        counts = self._counted(monkeypatch)
+        assert main(["grid-search", "--config", str(cfg)]) == EXIT_OK
+        # 12 points on 2 of each shift's 4 batches, then the best and the
+        # classical point on all 8.
+        steps = 12 * 2 * 2 + 2 * 2 * 4
+        assert counts == {"dem_rows": steps, "adadem_rows": 0, "sgd_step": steps}
+
+    def test_lr_sweep_makes_one_call_per_point_step(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path, stream=self.STREAM, loss={"name": "adadem"},
+                           lrs=[1e-3, 5e-3])
+        counts = self._counted(monkeypatch)
+        assert main(["lr-sweep", "--config", str(cfg)]) == EXIT_OK
+        steps = 3 * 2 * 4  # the two rates and the lr = 0 baseline, 8 steps each
+        assert counts == {"dem_rows": 0, "adadem_rows": steps, "sgd_step": steps}
+
+
 class TestLrSweepCommand:
     def test_writes_sweep(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
@@ -986,6 +1112,29 @@ class TestSettingsFailFast:
         path.write_text(text)
         assert main([command, "--config", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err == "demkit: config is nested too deeply to read\n"
+
+    def test_huge_offending_value_gives_a_short_message(self, tmp_path, capsys):
+        # A 3 MB seed array used to come back whole, on one 3,000,067-byte line.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": [0] * 10**6}))
+        assert main(["run", "--config", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == (
+            "demkit: config schema violation at seed: "
+            + "[" + "0, " * 25 + "0..." + " is not of type 'integer'\n"
+        )
+        assert not (tmp_path / "out").exists()
+        long_name = {"k" * 10**5: 1}
+        assert list(_schema_errors(SCHEMA, long_name)) == [
+            ((), "Additional properties are not allowed ('" + "k" * 76 + "... was unexpected)")
+        ]
+
+    def test_cut_messages_are_jsonschemas_cut(self):
+        # The oracle's cut, on values long enough to be cut.
+        for config in ({"seed": [0] * 10**4}, {"lrs": "x" * 300}, {"loss": {"name": "y" * 100}}):
+            ours = _sorted_errors(_schema_errors(SCHEMA, config))
+            assert ours == _jsonschema_errors(config)
+            assert all(len(m) < 160 for _, m in ours)
 
     def test_shipped_config_with_a_huge_stream_exit_64(self, tmp_path, capsys):
         # This config used to end in numpy's "Unable to allocate 931. TiB"

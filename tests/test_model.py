@@ -18,6 +18,7 @@ from demkit.model import (
     EmPlugin,
     LinearSoftmax,
     Mlp,
+    ModelStack,
     SgdConfig,
     SgdState,
     adapt_stream,
@@ -213,11 +214,16 @@ def _inline_adapt(model, X, plugin, cfg):
 
 
 def _adapt(model, X, plugin, cfg):
-    """``adapt_stream`` over the ``B x n x d`` shift ``X`` into a fresh
-    matrix; returns its pre-update probabilities as ``B x n x C``."""
+    """``adapt_stream`` of the one-model stack of ``model`` over the
+    ``B x n x d`` shift ``X`` into a fresh array: moves ``model`` as the
+    call moved its stack, raises the :class:`DivergenceError` the call
+    returns, and returns the pre-update probabilities as ``B x n x C``."""
     B, n = X.shape[:2]
-    probs = np.empty((B * n, model.C))
-    adapt_stream(model, X, plugin, cfg, probs)
+    stack, probs = ModelStack([model]), np.empty((1, B * n, model.C))
+    (error,) = adapt_stream(stack, X, [plugin], cfg, probs)
+    model.theta[:] = stack.theta[0]
+    if error is not None:
+        raise error
     return probs.reshape(B, n, model.C)
 
 
@@ -710,7 +716,10 @@ class TestAdaptStream:
         model = init_linear(3, 2, Rng(31), scale=0.5)
         before = model.theta.copy()
         with pytest.raises(error):
-            adapt_stream(model, inputs(X), EmPlugin(), SgdConfig(lr=0.1), np.empty((48, 3)))
+            adapt_stream(
+                ModelStack([model]), inputs(X), [EmPlugin()], SgdConfig(lr=0.1),
+                np.empty((1, 48, 3)),
+            )
         assert np.array_equal(model.theta, before)
 
     def test_adadem_state_threads_across_batches(self):
@@ -771,11 +780,11 @@ class TestAdaptStream:
         monkeypatch.setattr(adadem, "softmax_rows", no_softmax, raising=False)
         X, _ = self._stream(Rng(42), n_batches=4)
         model = init_mlp(3, 2, 6, Rng(43))
-        probs = np.empty((64, 3))
-        adapt_stream(model, X, recording, SgdConfig(lr=0.05), probs)
+        probs = np.empty((1, 64, 3))
+        adapt_stream(ModelStack([model]), X, [recording], SgdConfig(lr=0.05), probs)
         assert len(seen) == 4
         for i, P in enumerate(seen):
-            block = probs[16 * i : 16 * (i + 1)]
+            block = probs[0, 16 * i : 16 * (i + 1)]
             assert P.base is probs
             assert (P.shape, P.ctypes.data) == (block.shape, block.ctypes.data)
 
@@ -786,23 +795,79 @@ class TestAdaptStream:
         X, _ = self._stream(Rng(30))
         model = init_linear(3, 2, Rng(31), scale=0.5)
         before = model.theta.copy()
-        with pytest.raises(ValueError, match="matrix of 48 x 3"):
-            adapt_stream(model, X, EmPlugin(), SgdConfig(lr=0.01), np.empty((rows, 3)))
+        with pytest.raises(ValueError, match="array of 1 x 48 x 3"):
+            adapt_stream(
+                ModelStack([model]), X, [EmPlugin()], SgdConfig(lr=0.01), np.empty((1, rows, 3))
+            )
         assert np.array_equal(model.theta, before)
 
     @pytest.mark.parametrize(
-        "probs",
-        [np.empty((48, 4)), np.empty((48, 3), dtype=np.float32), np.empty((3, 48)).T,
-         np.empty(48 * 3), [[0.0] * 3] * 48],
-        ids=["columns", "dtype", "layout", "vector", "list"],
+        "K, probs",
+        [(1, np.empty((1, 48, 4))), (1, np.empty((1, 48, 3), dtype=np.float32)),
+         (1, np.empty((1, 3, 48)).transpose(0, 2, 1)), (1, np.empty(48 * 3)),
+         (1, np.empty((48, 3))), (1, [[[0.0] * 3] * 48]), (2, np.empty((1, 48, 3))),
+         (2, np.lib.stride_tricks.as_strided(np.empty((48, 3)), (2, 48, 3), (0, 24, 8)))],
+        ids=["columns", "dtype", "layout", "vector", "matrix", "list", "too-few-blocks",
+             "overlap"],
     )
-    def test_rejects_a_malformed_probability_matrix(self, probs):
+    def test_rejects_a_malformed_probability_matrix(self, K, probs):
         X, _ = self._stream(Rng(30))
-        model = init_linear(3, 2, Rng(31), scale=0.5)
-        before = model.theta.copy()
-        with pytest.raises(ValueError, match="C-contiguous float64 matrix of 48 x 3"):
-            adapt_stream(model, X, EmPlugin(), SgdConfig(lr=0.01), probs)
-        assert np.array_equal(model.theta, before)
+        stack = ModelStack([init_linear(3, 2, Rng(31), scale=0.5)] * K)
+        before = stack.theta.copy()
+        with pytest.raises(ValueError, match=f"float64 array of {K} x 48 x 3 with C-contig"):
+            adapt_stream(stack, X, [EmPlugin()] * K, SgdConfig(lr=0.01), probs)
+        assert np.array_equal(stack.theta, before)
+
+
+class TestModelStack:
+    def test_models_view_the_rows_of_one_array(self):
+        a, b = init_mlp(3, 2, 6, Rng(1)), init_mlp(3, 2, 6, Rng(2))
+        stack = ModelStack([a, b])
+        assert stack.theta.shape == (2, a.theta.size) and stack.theta.flags.c_contiguous
+        assert stack.theta.tobytes() == np.stack([a.theta, b.theta]).tobytes()
+        for model, row, source in zip(stack.models, stack.theta, (a, b)):
+            assert type(model) is Mlp
+            assert np.shares_memory(model.theta, row) and model.theta.shape == row.shape
+            for name in ("W1", "b1", "W2", "b2"):
+                view = getattr(model, name)
+                assert np.shares_memory(view, row)
+                assert np.array_equal(view, getattr(source, name))
+        # A step on one model moves its row and nothing else.
+        before = a.theta.copy()
+        sgd_step(stack.models[1], np.ones(a.theta.size), SgdConfig(lr=0.5), SgdState())
+        assert np.array_equal(stack.theta[0], before)
+        assert np.array_equal(stack.theta[1], b.theta - 0.5)
+        assert np.array_equal(a.theta, before)
+
+    @pytest.mark.parametrize(
+        "models",
+        [[], [init_mlp(3, 2, 6, Rng(1)), init_mlp(3, 2, 7, Rng(1))],
+         [init_linear(3, 2), init_mlp(3, 2, 6, Rng(1))]],
+        ids=["empty", "widths", "architectures"],
+    )
+    def test_rejects_models_that_do_not_stack(self, models):
+        with pytest.raises(ValueError):
+            ModelStack(models)
+
+    def test_a_model_without_a_plugin_is_carried_along(self):
+        # The second model takes no plugin and no SGD call, the others
+        # move as they do alone, and every model's probabilities are
+        # written.
+        X = 2.0 * Rng(3).normals(4 * 16 * 2).reshape(4, 16, 2)
+        source = init_mlp(3, 2, 6, Rng(4))
+        stack = ModelStack([source] * 3)
+        probs = np.empty((3, 64, 3))
+        cfg = SgdConfig(lr=0.1, momentum=0.9)
+        plugins = [EmPlugin(), None, AdaDemPlugin()]
+        assert adapt_stream(stack, X, plugins, cfg, probs) == [None] * 3
+        assert np.array_equal(stack.theta[1], source.theta)
+        for k in (0, 2):
+            alone = source.copy()
+            expected = _adapt(alone, X, [EmPlugin(), None, AdaDemPlugin()][k], cfg)
+            assert stack.theta[k].tobytes() == alone.theta.tobytes()
+            assert probs[k].tobytes() == expected.tobytes()
+        frozen = softmax_rows(forward(source, X.reshape(64, 2)))
+        assert probs[1].tobytes() == frozen.tobytes()
 
 
 class TestStepKernels:
@@ -870,10 +935,10 @@ class TestStepKernels:
                 return self.inner.batch_eval(Z, P)
 
         cfg = SgdConfig(lr=0.1, momentum=0.5)
-        probs = np.empty((4 * 64, 3))
-        adapt_stream(self._make(arch), X, Recording(), cfg, probs)
+        probs = np.empty((1, 4 * 64, 3))
+        adapt_stream(ModelStack([self._make(arch)]), X, [Recording()], cfg, probs)
         assert not any(np.shares_memory(probs, Z) for Z in seen)
-        assert len(seen) == 4 and all(Z is seen[0] for Z in seen)
+        assert len(seen) == 4 and all(Z.ctypes.data == seen[0].ctypes.data for Z in seen)
         expected = _inline_adapt(self._make(arch), X, DemPlugin(DemConfig(1.3, 0.4)), cfg)
         assert probs.tobytes() == np.concatenate(expected).tobytes()
 
