@@ -22,12 +22,13 @@ protocols mirror test-time-adaptation practice:
   whole shift sequence.
 
 Metrics are computed online (each batch is predicted before the update
-that consumes it) and aggregated into :class:`MetricsReport`; the
-no-adapt baseline, the frozen source model's accuracy on the same
-batches, is :func:`run_protocol` at ``lr = 0``.  A protocol keeps
-confusion counts and one float per row of its predictions, not
-probability matrices, and its reports keep the bits :func:`metrics`
-gives on the matrices (see :class:`ProtocolResult`).
+that consumes it, and scored as soon as it is predicted) and aggregated
+into :class:`MetricsReport`; the no-adapt baseline, the frozen source
+model's accuracy on the same batches, is the protocol at ``lr = 0``.  A
+protocol keeps confusion counts and column sums, and one float per row
+of its predictions only when its reports will be read, never a
+probability matrix; its reports keep the bits :func:`metrics` gives on
+the matrices (see :class:`ProtocolResult`).
 """
 
 from __future__ import annotations
@@ -171,22 +172,27 @@ class ProtocolResult:
     * ``confusion``: the ``C x C`` counts of (label, argmax prediction)
       pairs, ``confusion[y_i, pred_i]``;
     * ``row_max``: each row's largest probability, ``P[i, pred_i]``,
-      which has the bits of ``np.max(P, axis=1)``;
+      which has the bits of ``np.max(P, axis=1)``; ``None`` in place of
+      the whole list when the protocol ran without reports;
     * ``col_sums``: ``np.add.reduce(P, axis=0)``, the column sums whose
       mean is the shift's output marginal.
 
-    ``total`` is the column sum over every shift's rows, carried from
-    shift to shift as ``np.add.reduce`` over the previous total stacked
-    on the shift's rows.  A reduction over axis 0 adds rows strictly in
-    sequence (for two or more classes), so ``total`` has the bits of the
-    concatenated matrix's column sum; the per-shift sums, added to one
-    another, would not.  So each kept row costs one float, besides
-    ``C * C`` counts and ``C`` sums per shift.
+    The protocol builds them batch by batch.  Counts are integers, so
+    their sum is exact.  Each column sum is carried from batch to batch
+    as ``np.add.reduce`` over the running sum stacked on the batch's
+    rows, and ``total``, the column sum over every shift's rows, is
+    carried the same way across shifts.  A reduction over axis 0 adds
+    rows strictly in sequence (for two or more classes), so each sum has
+    the bits of one reduction over the concatenated rows; the per-shift
+    sums, added to one another, would not give ``total``'s.  So each
+    kept row costs one float, besides ``C * C`` counts and ``C`` sums per
+    shift.
 
     ``per_shift`` (one :class:`MetricsReport` per shift) and ``overall``
     (one over every batch) are built from these summaries the first time
     each is read and kept; each field has the bits :func:`metrics` gives
-    on the probabilities themselves.  ``accuracy``, the overall accuracy
+    on the probabilities themselves.  They need the row maxima
+    (``ValueError`` without them).  ``accuracy``, the overall accuracy
     with the bits of ``overall.accuracy``, is kept the same way and
     builds no report, so a sweep that scores protocols by accuracy alone
     pays for no report.  The frozen source model's baseline on the same
@@ -194,7 +200,7 @@ class ProtocolResult:
     """
 
     confusion: list
-    row_max: list
+    row_max: list | None
     col_sums: list
     total: np.ndarray
 
@@ -205,11 +211,17 @@ class ProtocolResult:
 
     @cached_property
     def per_shift(self) -> list:
-        return [_report(*shift) for shift in zip(self.confusion, self.row_max, self.col_sums)]
+        return [_report(*shift) for shift in zip(self.confusion, self._row_max, self.col_sums)]
 
     @cached_property
     def overall(self) -> MetricsReport:
-        return _report(sum(self.confusion), np.concatenate(self.row_max), self.total)
+        return _report(sum(self.confusion), np.concatenate(self._row_max), self.total)
+
+    @property
+    def _row_max(self) -> list:
+        if self.row_max is None:
+            raise ValueError("reports need row maxima: run the protocol with reports=True")
+        return self.row_max
 
 
 def circle_means(C: int, radius: float) -> np.ndarray:
@@ -340,20 +352,17 @@ def kl_divergence(p, q) -> float:
     return float(np.sum(p * np.log(p / q)))
 
 
-def _summaries(P: np.ndarray, y: np.ndarray):
-    """``(confusion, row_max)`` of ``n x C`` probabilities and their
-    validated labels: the ``C x C`` counts of (label, argmax prediction)
-    pairs and each row's largest probability.
-
-    Gathering ``P`` at its argmax gives the bits of ``np.max(P, axis=1)``
-    for a fraction of its cost: one index per row, no second scan.  The
-    counts come from one ``bincount`` of ``label * C + prediction``.
-    """
-    C = P.shape[1]
-    codes = np.argmax(P, axis=1)
-    row_max = P[np.arange(P.shape[0]), codes]
+def _confusion(codes: np.ndarray, y: np.ndarray, C: int) -> np.ndarray:
+    """The ``... x C x C`` counts of (label, prediction) pairs, per row of
+    the ``... x n`` argmax predictions ``codes``, whose ``n`` columns
+    share the validated labels ``y``: one ``bincount`` of ``label * C +
+    prediction``, offset by ``C * C`` per row of ``codes``.  Writes into
+    ``codes``."""
+    *lead, _ = codes.shape
+    blocks = math.prod(lead)
     codes += np.multiply(y, C, dtype=np.intp)
-    return np.bincount(codes, minlength=C * C).reshape(C, C), row_max
+    codes += np.arange(0, blocks * C * C, C * C).reshape(*lead, 1)
+    return np.bincount(codes.ravel(), minlength=blocks * C * C).reshape(*lead, C, C)
 
 
 def metrics(probs, labels) -> MetricsReport:
@@ -365,8 +374,13 @@ def metrics(probs, labels) -> MetricsReport:
     P = as_matrix(probs)
     if P.shape[0] == 0:
         raise ValueError("probs and labels must be nonempty")
-    y = _validated_labels(labels, P.shape[:1], P.shape[1])
-    return _report(*_summaries(P, y), np.add.reduce(P, axis=0))
+    n, C = P.shape
+    y = _validated_labels(labels, (n,), C)
+    # Gathering P at its argmax gives the bits of np.max(P, axis=1) for
+    # a fraction of its cost: one index per row, no second scan.
+    codes = np.argmax(P, axis=1)
+    row_max = P[np.arange(n), codes]
+    return _report(_confusion(codes, y, C), row_max, np.add.reduce(P, axis=0))
 
 
 def _report(confusion, row_max, col_sum) -> MetricsReport:
@@ -404,111 +418,172 @@ def _report(confusion, row_max, col_sum) -> MetricsReport:
     )
 
 
-STACK_BYTES = 768 << 10
+STACK_BYTES = 640 << 10
 """The budget for the per-protocol memory of one :func:`run_protocols`
-call; :func:`stack_size` divides it by one protocol's share."""
+call; :func:`stack_size` divides it by one protocol's share.  At 640 KiB
+eleven protocols of the shipped model (10 classes, 32 hidden units,
+64-row batches) stack on streams of up to five shifts, so ``lr-sweep``
+runs its baseline and ten rates as one stack."""
 
 
 def stack_size(source_model, shift_data) -> int:
     """How many protocols of ``source_model`` over ``shift_data`` one
     :func:`run_protocols` call stacks within ``STACK_BYTES``; at least one.
 
-    A stacked protocol holds its probabilities (``R + 1`` rows of ``C``
-    for the longest shift of ``R`` rows), its step buffers (two of
-    ``n x C`` and one of ``n x hidden`` floats, one ``n x hidden`` mask
-    for batches of ``n`` rows), four parameter-sized vectors (its
-    parameters, their gradient, the SGD velocity and its scratch) and
-    its result's row maxima, one float per row of the stream.
+    A stacked protocol holds one batch of ``n`` rows, never a shift:
+    its probabilities twice (``n x C`` as predicted, ``(n + 1) x C``
+    under a running column sum), its step buffers (two of ``n x C`` and
+    one of ``n x hidden`` floats, one ``n x hidden`` mask), and the
+    temporaries of checking and scoring a batch, counted as two ``n x C``
+    masks and ``n`` argmax predictions.  Besides, it holds four parameter-sized
+    vectors (its parameters, their gradient, the SGD velocity and its
+    scratch) and, per shift, its ``C x C`` confusion counts and ``C``
+    column sums, and its ``C`` running total.  Row maxima, one float per
+    row of the stream, are not counted: only a caller that reads reports
+    keeps them (``reports=True``), and it stacks its own few protocols.
+    numpy's internal buffers, 64 KiB at most each, are not counted
+    either.
     """
     C, P = source_model.C, source_model.theta.size
     h = source_model.W1.shape[0] if isinstance(source_model, Mlp) else 0
-    rows = [np.size(y) for _, y in shift_data]
     n = max((np.shape(y)[-1] for _, y in shift_data), default=0)
-    floats = (max(rows, default=0) + 1) * C + n * (2 * C + h) + 4 * P + sum(rows)
-    return max(1, STACK_BYTES // (8 * floats + n * h))
+    floats = (2 * n + 1) * C + n * (2 * C + h + 1) + 4 * P + len(shift_data) * (C * C + C) + C
+    return max(1, STACK_BYTES // (8 * floats + n * (h + 2 * C)))
 
 
-def run_protocols(source_model, shift_data, mode: str, plugin_factories, cfg: SgdConfig) -> list:
+class _Tally:
+    """The running summaries of ``K`` stacked protocols, scored batch by
+    batch as :func:`adapt_stream` predicts (see :class:`ProtocolResult`).
+
+    :meth:`shift` starts a shift of labels ``y`` (``B x n``) and returns
+    the ``K x n x C`` batch buffer and the scoring hook for that shift's
+    :func:`adapt_stream` call.  The hook adds each batch's argmax
+    predictions to the shift's counts, exactly, and, when asked to,
+    keeps each row's largest probability in one ``K x R`` array per
+    shift.  For the column sums it copies the batch into rows 1 to
+    ``n`` of an ``(n + 1) x K x C`` array, puts a running sum of each
+    protocol in row 0 and reduces over the rows: once with the shift's
+    sum (zeros at first; ``0 + p`` is ``p`` for probabilities, which are
+    never ``-0``), once with the total over every batch before.  Each
+    column still adds its rows in sequence, so each protocol's sums keep
+    the bits of its own one-protocol reduction.
+    """
+
+    def __init__(self, K: int, C: int, row_max: bool):
+        self.K, self.C, self.keep_row_max = K, C, row_max
+        self.confusion, self.row_max, self.col_sums = [], [], []
+        self.total = np.zeros((K, C))
+
+    def shift(self, y: np.ndarray):
+        (B, n), K, C = y.shape, self.K, self.C
+        probs, rows = np.empty((K, n, C)), np.empty((n + 1, K, C))
+        counts, col_sum = np.zeros((K, C, C), np.intp), np.zeros((K, C))
+        row_max = np.empty((K, B * n)) if self.keep_row_max else None
+        self.confusion.append(counts)
+        self.row_max.append(row_max)
+        self.col_sums.append(col_sum)
+        flat, batch = rows.reshape(n + 1, K * C), rows[1:].transpose(1, 0, 2)
+
+        def score(i: int, P: np.ndarray) -> None:
+            codes = np.argmax(P, axis=-1)
+            if row_max is not None:
+                # gathered at the argmax: the bits of np.max(P, axis=-1)
+                peaks = np.take_along_axis(P, codes[..., None], axis=-1)
+                row_max[:, i * n : (i + 1) * n] = peaks[..., 0]
+            np.add(counts, _confusion(codes, y[i], C), out=counts)
+            np.copyto(batch, P)
+            # continue row by row, as the concatenated matrix's sums do
+            for running in (col_sum, self.total):
+                rows[0] = running
+                np.add.reduce(flat, axis=0, out=running.reshape(K * C))
+
+        return probs, score
+
+    def result(self, k: int) -> "ProtocolResult":
+        """Protocol ``k``'s summaries, as views of the stacked arrays."""
+        row_max = [m[k] for m in self.row_max] if self.keep_row_max else None
+        return ProtocolResult(
+            [c[k] for c in self.confusion], row_max, [s[k] for s in self.col_sums], self.total[k]
+        )
+
+
+def run_protocols(
+    source_model, shift_data, mode: str, plugin_factories, cfgs, reports: bool = False
+) -> list:
     """Run one adaptation protocol per plugin factory, stacked, over
-    materialized stream data; returns one :class:`ProtocolResult` each.
+    materialized stream data; returns, per protocol, its
+    :class:`ProtocolResult` or the :class:`DivergenceError` that ended it.
 
     ``shift_data`` is the output of :func:`make_stream`; each of the
     ``K`` ``plugin_factories`` builds a fresh loss plugin (single-domain
     mode calls it once per shift, continual mode once for the whole
     stream, so stateful losses persist across shifts exactly when the
-    model does).  Protocol ``k`` adapts its own copy of ``source_model``,
-    row ``k`` of one :class:`ModelStack` (reset to the source at every
-    shift in single-domain mode), with factory ``k``'s plugins, and gives
-    the bits, and makes the plugin and SGD calls, that it gives alone.
-    Optimizer momentum does not persist in either mode: every shift is
-    one :func:`adapt_stream` call over the stack, which starts each
-    model from zero velocity and sees the inputs only.  Metrics are online:
-    every batch is scored, against its labels, on the probabilities
-    predicted before the update it triggers.
+    model does), and ``cfgs`` holds each protocol's :class:`SgdConfig`,
+    one per factory.  Protocol ``k`` adapts its own copy of
+    ``source_model``, row ``k`` of one :class:`ModelStack` (reset to the
+    source at every shift in single-domain mode), with factory ``k``'s
+    plugins and ``cfgs[k]``, and gives the bits, and makes the plugin and
+    SGD calls, that it gives alone.  Optimizer momentum does not persist
+    in either mode: every shift is one :func:`adapt_stream` call over the
+    stack, which starts each model from zero velocity and sees the
+    inputs only.  Metrics are online: every batch is scored, against its
+    labels, on the probabilities predicted before the update it
+    triggers.
 
-    The call holds one ``K x (R + 1) x C`` array for shifts of ``R``
-    rows, reused from shift to shift (a shift of another size gets a
-    new one): :func:`adapt_stream` writes protocol ``k``'s probabilities
-    into rows 1 to ``R`` of block ``k``, and row 0 holds the block's
-    running column sum of the shifts before (zeros at first; ``0 + p`` is
-    ``p`` for probabilities, which are never ``-0``).  Once the call
-    returns, each block is reduced to the summaries of
-    :class:`ProtocolResult`, and its rows are overwritten by the next
-    shift's; a result scores the summaries when its metrics are first
-    read.  :func:`stack_size` bounds ``K`` by these buffers' bytes.
+    Scoring is :func:`adapt_stream`'s per-batch hook, so the call holds
+    one batch of probabilities per protocol, never a shift's: each batch
+    is added to the protocol's confusion counts and running column sums
+    as soon as it is predicted, and the next batch overwrites it.  Row
+    maxima, one float per row of the stream, are kept only with
+    ``reports=True``, for callers that read ``per_shift`` or ``overall``;
+    ``accuracy`` needs the counts alone.  :func:`stack_size` bounds ``K``
+    by what the call holds per protocol.
 
     Each shift's labels must be integers in ``[0, C)``, ``B x n`` like
     its inputs.  A shift with no rows raises ``ValueError`` naming it,
-    and so does a stream with no shifts or an empty list of factories.
-    A protocol whose update diverges takes no further plugin or SGD
-    call; after the stream, the diverged protocol of lowest index
-    raises its :class:`DivergenceError`, naming its shift and batch.
+    and so do a stream with no shifts, an empty list of factories and a
+    ``cfgs`` of another length.  A protocol whose update diverges takes
+    no further plugin or SGD call, and its entry is its
+    :class:`DivergenceError`, naming its shift and batch; the other
+    protocols keep their bits.
     """
     if mode not in ("single_domain", "continual"):
         raise ValueError(f"unknown mode {mode!r}")
-    factories = list(plugin_factories)
+    factories, cfgs = list(plugin_factories), list(cfgs)
     if not factories:
         raise ValueError("need at least one plugin factory")
+    if len(cfgs) != len(factories):
+        raise ValueError(
+            f"need one SgdConfig per plugin factory, {len(factories)}, got {len(cfgs)}"
+        )
     K, C = len(factories), source_model.C
-    confusion, row_max, col_sums = ([[] for _ in factories] for _ in range(3))
-    buf, totals, errors = None, [np.zeros(C)] * K, [None] * K
+    tally, errors = _Tally(K, C, reports), [None] * K
     stack, plugins = ModelStack([source_model] * K), None
     for s, (X, y) in enumerate(shift_data):
-        R = np.size(y)
-        if R == 0:
+        if np.size(y) == 0:
             raise ValueError(f"shift {s} has no rows to score")
-        y = _validated_labels(y, np.shape(X)[:2], C).reshape(R)
-        if buf is None or buf.shape[1] != R + 1:
-            buf = np.empty((K, R + 1, C))
-        buf[:, 0] = totals
+        y = _validated_labels(y, np.shape(X)[:2], C)
         if plugins is None or mode == "single_domain":
             stack.theta[...] = source_model.theta
             plugins = [f() if e is None else None for f, e in zip(factories, errors)]
-        for k, exc in enumerate(adapt_stream(stack, X, plugins, cfg, buf[:, 1:])):
+        probs, score = tally.shift(y)
+        for k, exc in enumerate(adapt_stream(stack, X, plugins, cfgs, probs, score)):
             if exc is not None:
                 errors[k], plugins[k] = DivergenceError(exc.stage, exc.batch, s), None
-        for k in range(K):
-            if errors[k] is None:
-                P = buf[k, 1:]
-                shift_confusion, shift_max = _summaries(P, y)
-                confusion[k].append(shift_confusion)
-                row_max[k].append(shift_max)
-                col_sums[k].append(np.add.reduce(P, axis=0))
-                # continue row by row, as the concatenated matrix's sum does
-                totals[k] = np.add.reduce(buf[k], axis=0)
         if all(e is not None for e in errors):
             break
-    if buf is None:
+    if plugins is None:
         raise ValueError("the stream has no shifts to score")
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return [ProtocolResult(*summaries) for summaries in zip(confusion, row_max, col_sums, totals)]
+    return [tally.result(k) if exc is None else exc for k, exc in enumerate(errors)]
 
 
 def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdConfig) -> ProtocolResult:
-    """One adaptation protocol: :func:`run_protocols` with the one
-    factory ``plugin_factory``, the ``K = 1`` call of the stacked engine,
-    whose contract it keeps.  A diverging update raises
+    """One adaptation protocol with its reports: :func:`run_protocols`
+    with the one factory ``plugin_factory``, the optimizer ``cfg`` and
+    ``reports=True``, the ``K = 1`` call of the stacked engine, whose
+    contract it keeps.  A diverging update raises
     :class:`DivergenceError` naming the shift and the batch."""
-    return run_protocols(source_model, shift_data, mode, [plugin_factory], cfg)[0]
+    (run,) = run_protocols(source_model, shift_data, mode, [plugin_factory], [cfg], reports=True)
+    if isinstance(run, DivergenceError):
+        raise run
+    return run

@@ -691,9 +691,11 @@ def cmd_run(args) -> int:
     remove_outputs(out, "metrics.csv")
     factory, sgd = plugin_factory_from(cfg), sgd_config(cfg)
     sspec, model, data = prepared_experiment(cfg)
-    result = _bench.run_protocol(model, data, sspec.mode, factory, sgd)
-    # the baseline is lr-sweep's: the same protocol at lr = 0
-    base = _bench.run_protocol(model, data, sspec.mode, factory, replace(sgd, lr=0.0))
+    # the baseline is lr-sweep's: the same protocol at lr = 0, stacked with the run
+    runs = _bench.run_protocols(
+        model, data, sspec.mode, [factory] * 2, [sgd, replace(sgd, lr=0.0)], reports=True
+    )
+    result, base = map(_succeeded, runs)
 
     rows = [
         _metrics_row(f"shift{i}", sspec.shifts[i], rep, base.per_shift[i].accuracy)
@@ -730,21 +732,24 @@ class GridResult(NamedTuple):
     classical_full: float | None
 
 
-def _dem_accuracies(model, shifts, mode: str, sgd: _model.SgdConfig, points) -> list:
-    """The protocol's accuracy at each ``(tau, alpha)`` of ``points``, in
-    order.  The points run stacked, in chunks of ``bench.stack_size``
-    protocols, so a diverging point raises as it would alone, before any
-    later point is scored."""
+def _succeeded(run):
+    """``run``, an entry of ``bench.run_protocols``'s list, if it is a
+    result; the ``DivergenceError`` it holds otherwise, raised."""
+    if isinstance(run, _model.DivergenceError):
+        raise run
+    return run
+
+
+def _stacked_runs(model, shifts, mode: str, factories: list, sgds: list):
+    """Yield ``bench.run_protocols``'s entry for each protocol of
+    ``factories`` and ``sgds``, in order.  The protocols run stacked, in
+    chunks of ``bench.stack_size`` protocols, and a chunk runs only once
+    the caller reaches it, so a caller that raises on an entry runs no
+    later chunk."""
     K = _bench.stack_size(model, shifts)
-    scores = []
-    for start in range(0, len(points), K):
-        factories = [
-            functools.partial(_model.DemPlugin, _em.DemConfig(tau, alpha))
-            for tau, alpha in points[start : start + K]
-        ]
-        runs = _bench.run_protocols(model, shifts, mode, factories, sgd)
-        scores += [run.accuracy for run in runs]
-    return scores
+    for start in range(0, len(factories), K):
+        chunk = slice(start, start + K)
+        yield from _bench.run_protocols(model, shifts, mode, factories[chunk], sgds[chunk])
 
 
 def grid_search_result(cfg: dict, model, data) -> GridResult:
@@ -754,22 +759,31 @@ def grid_search_result(cfg: dict, model, data) -> GridResult:
     and the classical point tau = alpha = 1 are then scored on the full
     stream.  The subset is the leading ``grid.subset_fraction`` of each
     shift's batches (at least one).  The valid points are scored first,
-    stacked in grid order by :func:`_dem_accuracies`, and
-    ``search.grid_search`` then reads their scores.
+    stacked in grid order by :func:`_stacked_runs`, and
+    ``search.grid_search`` then reads their scores.  A diverging point
+    raises as it would alone, before any later chunk runs.
     """
     mode, sgd = cfg["stream"]["mode"], sgd_config(cfg)
     grid = _search.GridSpec(**cfg["grid"])
     k = max(1, round(len(data[0][0]) * grid.subset_fraction))
     subset = [(X[:k], y[:k]) for X, y in data]
+
+    def accuracies(shifts, points) -> list:
+        factories = [
+            functools.partial(_model.DemPlugin, _em.DemConfig(tau, alpha)) for tau, alpha in points
+        ]
+        runs = _stacked_runs(model, shifts, mode, factories, [sgd] * len(points))
+        return [_succeeded(run).accuracy for run in runs]
+
     valid = [(t, a) for t, a, ok in _search.grid_points(grid) if ok]
-    scores = dict(zip(valid, _dem_accuracies(model, subset, mode, sgd, valid)))
+    scores = dict(zip(valid, accuracies(subset, valid)))
 
     best, table = _search.grid_search(lambda t, a: scores[(t, a)], grid)
     classical_subset = scores.get((1.0, 1.0))
     finalists = [(best.tau, best.alpha)]
     if classical_subset is not None:
         finalists.append((1.0, 1.0))
-    best_full, *classical = _dem_accuracies(model, data, mode, sgd, finalists)
+    best_full, *classical = accuracies(data, finalists)
     classical_full = classical[0] if classical else None
     return GridResult(best, table, best_full, classical_subset, classical_full)
 
@@ -830,14 +844,18 @@ def cmd_grid_search(args) -> int:
 
 
 def lr_sweep_result(cfg: dict, model, data) -> _search.LrSweepResult:
-    """Sweep the config's ``lrs`` for its loss, mode and optimizer settings."""
+    """Sweep the config's ``lrs`` for its loss, mode and optimizer settings.
+
+    The lr = 0 baseline and every rate run first, stacked by
+    :func:`_stacked_runs`; ``search.lr_sweep`` then reads each rate's
+    accuracy, or the ``DivergenceError`` that ended its run, which it
+    scores NaN.
+    """
     mode, factory, sgd = cfg["stream"]["mode"], plugin_factory_from(cfg), sgd_config(cfg)
-
-    def protocol(lr: float) -> float:
-        run = _bench.run_protocol(model, data, mode, factory, replace(sgd, lr=lr))
-        return run.accuracy
-
-    return _search.lr_sweep(protocol, cfg["lrs"])
+    rates = list(dict.fromkeys([0.0, *cfg["lrs"]]))
+    sgds = [replace(sgd, lr=lr) for lr in rates]
+    runs = dict(zip(rates, _stacked_runs(model, data, mode, [factory] * len(rates), sgds)))
+    return _search.lr_sweep(lambda lr: _succeeded(runs[lr]).accuracy, cfg["lrs"])
 
 
 def cmd_lr_sweep(args) -> int:

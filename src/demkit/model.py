@@ -14,10 +14,11 @@ velocity and updates are flat vectors laid out like ``theta``.
 ``adapt_stream`` is the online protocol over one shift, a ``B x n x d``
 array of ``B`` unlabeled batches of ``n`` rows, for a :class:`ModelStack`
 of ``K`` models at once: for each batch the models first predict (the
-loop writes these pre-update probabilities into the caller's array for
-scoring), then each model's loss plugin turns its logits and
-probabilities into per-sample gradients, and each model takes one SGD
-step.  One model is the stack of ``K = 1``.
+loop writes these pre-update probabilities into the caller's batch
+buffer and calls the caller's scoring hook on them), then each model's
+loss plugin turns its logits and probabilities into per-sample
+gradients, and each model takes one SGD step with its own optimizer
+settings.  One model is the stack of ``K = 1``.
 Plugins wrap the loss family: cross-entropy (supervised plumbing for
 source training and oracle baselines), classical EM, decoupled EM, and
 AdaDEM, which carries its calibrator state through the whole stream.
@@ -43,7 +44,7 @@ what they return belongs to the caller.  ``sgd_step`` likewise writes
 The plugin contract of ``adapt_stream``: the ``Z`` handed to
 ``batch_eval`` is a workspace buffer that the next step overwrites, so a
 plugin reads it and neither keeps it nor writes into it; ``P`` is the
-batch's rows of the caller's array, and is read only.
+model's block of the caller's batch buffer, and is read only.
 """
 
 from __future__ import annotations
@@ -513,35 +514,38 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int 
     return model
 
 
-def adapt_stream(stack: ModelStack, X, plugins, cfg: SgdConfig, probs: np.ndarray) -> list:
-    """Online adaptation of ``K`` stacked models: predict, update, repeat.
+def adapt_stream(stack: ModelStack, X, plugins, cfgs, probs: np.ndarray, score) -> list:
+    """Online adaptation of ``K`` stacked models: predict, score, update,
+    repeat.
 
     ``X`` is one shift's unlabeled inputs, a ``B x n x d`` array of ``B``
     batches of ``n`` rows, so the loop never sees a label.  For each
-    batch ``X[i]`` the models of ``stack`` first predict, then for each
-    model ``k`` ``plugins[k].batch_eval(Z, P)`` turns its logits ``Z``
-    and their probabilities ``P = softmax_rows(Z)`` into the ``n x C``
+    batch ``X[i]`` the models of ``stack`` first predict: the loop writes
+    their probabilities ``softmax_rows(Z)`` into ``probs`` and calls
+    ``score(i, probs)``, which may read ``probs`` and must not write into
+    it.  Then for each model ``k`` ``plugins[k].batch_eval(Z, P)`` turns
+    its logits ``Z`` and probabilities ``P = probs[k]`` into the ``n x C``
     matrix of per-sample loss gradients with respect to the logits
     (gradients only: nothing here reads a loss value), and one
-    :func:`sgd_step` moves ``stack.models[k]`` in place.
+    :func:`sgd_step` with ``cfgs[k]`` moves ``stack.models[k]`` in place.
 
     The K-model contract: the forward pass, the row softmax, the
     finiteness checks and the backward pass run once per batch for the
     whole stack, on buffers with a leading axis of ``K``, and give each
     model the bits its own one-model run gives.  ``plugins[k].batch_eval``
     and ``sgd_step`` run once per model and batch, in model order, each
-    model with a fresh :class:`SgdState` per call.  A model whose plugin
-    is ``None`` is carried along and takes neither.
+    model with its own :class:`SgdConfig` and a fresh :class:`SgdState`
+    per call.  A model whose plugin is ``None`` is carried along and
+    takes neither.
 
-    ``probs`` is the caller's float64 ``K x (B * n) x C`` array whose
-    ``K`` blocks have C-contiguous rows and do not overlap: batch ``i``'s
-    pre-update probabilities for model ``k`` are written into
-    ``probs[k]``'s rows ``i * n`` to ``(i + 1) * n``, so after the call
-    ``probs[k]`` holds model ``k``'s whole shift, in order, for the
-    caller to score.  ``X``, ``plugins`` and ``probs`` are validated
-    once, before the first step (``ValueError``).
+    ``cfgs`` holds one :class:`SgdConfig` per model.  ``probs`` is the
+    caller's float64 ``K x n x C`` array whose ``K`` blocks have
+    C-contiguous rows and do not overlap; each batch overwrites it, so
+    the scoring hook keeps what it needs of one batch before the next.
+    ``X``, ``plugins``, ``cfgs`` and ``probs`` are validated once, before
+    the first step (``ValueError``).
 
-    The plugin contract: ``P`` is the batch's rows of ``probs[k]``, so a
+    The plugin contract: ``P`` is model ``k``'s block of ``probs``, so a
     plugin reads it and never writes into it.  ``Z`` is a buffer of
     the stack's :class:`_Workspace` that the next step overwrites, so a
     plugin reads it during ``batch_eval`` and neither keeps it nor
@@ -555,29 +559,32 @@ def adapt_stream(stack: ModelStack, X, plugins, cfg: SgdConfig, probs: np.ndarra
     Returns one entry per model: ``None``, or the
     :class:`DivergenceError` naming the stage and batch of the model's
     first non-finite logits or loss gradients.  A diverged model takes
-    no further plugin or SGD call, and the loop ends early once every
-    model has diverged.  Those checks are the only report of a diverging
-    step: numpy's overflow and invalid-value warnings are silenced for
-    the loop, since a step that overflows fails one of them.
+    no further plugin or SGD call, its later probabilities are
+    meaningless, and the loop ends early once every model has diverged.
+    Those checks are the only report of a diverging step: numpy's
+    overflow and invalid-value warnings are silenced for the loop,
+    scoring hook included, since a step that overflows fails one of them.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3:
         raise ValueError(f"a shift's inputs must be B x n x d, got shape {X.shape}")
     model = stack.models[0]
     _validated_input(model, X.reshape(-1, X.shape[2]))
-    K, (B, n, _), C = len(stack.models), X.shape, model.C
-    plugins = list(plugins)
+    K, n, C = len(stack.models), X.shape[1], model.C
+    plugins, cfgs = list(plugins), list(cfgs)
     if len(plugins) != K:
         raise ValueError(f"need one plugin per stacked model, {K}, got {len(plugins)}")
+    if len(cfgs) != K:
+        raise ValueError(f"need one SgdConfig per stacked model, {K}, got {len(cfgs)}")
     if not (
         isinstance(probs, np.ndarray)
         and probs.dtype == np.float64
-        and probs.shape == (K, B * n, C)
+        and probs.shape == (K, n, C)
         and probs.strides[1:] == (C * 8, 8)
-        and (K == 1 or probs.strides[0] >= B * n * C * 8)
+        and (K == 1 or probs.strides[0] >= n * C * 8)
     ):
         raise ValueError(
-            f"probs must be a float64 array of {K} x {B * n} x {C} "
+            f"probs must be a float64 array of {K} x {n} x {C} "
             "with C-contiguous rows and disjoint blocks"
         )
     ws = stack._workspace(n)
@@ -589,7 +596,8 @@ def adapt_stream(stack: ModelStack, X, plugins, cfg: SgdConfig, probs: np.ndarra
             if not live:
                 break
             Z = _forward(Xi, ws)
-            P = _softmax_rows(Z, probs[:, i * n : (i + 1) * n])
+            P = _softmax_rows(Z, probs)
+            score(i, P)
             finite = np.isfinite(Z).all(axis=(1, 2))
             for k in live:
                 if finite[k]:
@@ -604,5 +612,5 @@ def adapt_stream(stack: ModelStack, X, plugins, cfg: SgdConfig, probs: np.ndarra
             if live:
                 g = _backward(Xi, G, ws)
                 for k in live:
-                    sgd_step(stack.models[k], g[k], cfg, states[k])
+                    sgd_step(stack.models[k], g[k], cfgs[k], states[k])
     return errors

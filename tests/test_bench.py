@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import demkit.bench
+import demkit.cli
 import demkit.model
 from demkit.bench import (
     LEVEL_MULTIPLIERS,
@@ -45,7 +46,7 @@ from demkit.model import (
     init_mlp,
     train_source,
 )
-from demkit.numkit import Rng
+from demkit.numkit import Rng, softmax_rows
 
 
 class TestGeometry:
@@ -394,12 +395,27 @@ class TestMetrics:
 
 def _shift_probs(model, X, plugin, cfg):
     """One shift's pre-update probabilities: ``adapt_stream`` of the
-    one-model stack of ``model`` over its inputs ``X`` into a fresh
-    array of the shift's rows; ``model`` moves as the stack moved."""
-    stack, probs = ModelStack([model]), np.empty((1, X.shape[0] * X.shape[1], model.C))
-    assert adapt_stream(stack, X, [plugin], cfg, probs) == [None]
+    one-model stack of ``model`` over its inputs ``X``, each batch copied
+    by the scoring hook into a fresh array of the shift's rows; ``model``
+    moves as the stack moved."""
+    B, n = X.shape[:2]
+    stack, probs = ModelStack([model]), np.empty((B, n, model.C))
+
+    def score(i, P):
+        probs[i] = P[0]
+
+    assert adapt_stream(stack, X, [plugin], [cfg], np.empty((1, n, model.C)), score) == [None]
     model.theta[:] = stack.theta[0]
-    return probs[0]
+    return probs.reshape(B * n, model.C)
+
+
+def _assert_same_summaries(got, want, names=("confusion", "row_max", "col_sums")):
+    """Two :class:`ProtocolResult` keep the same bits in each of ``names``
+    and in ``total``."""
+    for name in names:
+        a, b = getattr(got, name), getattr(want, name)
+        assert [x.tobytes() for x in a] == [y.tobytes() for y in b], name
+    assert got.total.tobytes() == want.total.tobytes()
 
 
 def _quick_source(seed=0):
@@ -523,9 +539,9 @@ class TestRunProtocol:
 
         seen = []
 
-        def inputs_only(model, X, plugin, cfg, probs):
+        def inputs_only(model, X, *args):
             seen.append(X)
-            return adapt_stream(model, X, plugin, cfg, probs)
+            return adapt_stream(model, X, *args)
 
         monkeypatch.setattr(demkit.model, "forward", no_forward)
         monkeypatch.setattr(demkit.bench, "adapt_stream", inputs_only)
@@ -643,7 +659,7 @@ class TestRunProtocol:
         cfg = SgdConfig(lr=0.05, momentum=0.9)
         res = run_protocol(model, data, "continual", AdaDemPlugin, cfg)
         factories = [functools.partial(AdaDemPlugin, pi) for pi in (0.3, 0.1, 0.2)]
-        stacked = run_protocols(model, data, "continual", factories, cfg)
+        stacked = run_protocols(model, data, "continual", factories, [cfg] * 3, reports=True)
 
         def accuracy(probs, y):
             return metrics(probs, y.reshape(-1)).accuracy
@@ -713,30 +729,38 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="no shifts"):
             run_protocol(model, [], "continual", EmPlugin, SgdConfig(lr=0.01))
 
-    def test_holds_one_probability_matrix(self):
-        # A shift of R rows and C classes costs one (R + 1) x C matrix,
-        # plus a few per-row integers and floats while it is summarised;
-        # holding the probabilities twice, as a per-batch list and its
-        # concatenation, exceeds the bound.
+    def test_holds_one_batch_of_probabilities(self):
+        # A protocol scores each batch as it is predicted and holds no
+        # shift of probabilities: without reports its traced peak does not
+        # grow with the shift, and with them each added row costs one
+        # float, its row maximum.
         mix, model = _quick_source()
-        spec = StreamSpec("single_domain", (ShiftSpec("rotate2d", 0.5),), 200, 64)
-        data = make_stream(mix, spec, Rng(21))
-        R, C = 200 * 64, model.C
         cfg = SgdConfig(lr=0.01, momentum=0.9)
-        run_protocol(model, data, "single_domain", AdaDemPlugin, cfg)  # warm numpy's caches
-        tracemalloc.start()
-        try:
-            run_protocol(model, data, "single_domain", AdaDemPlugin, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * R * C * 8 + 64 * 1024, peak
+        peaks = {}
+        for B in (200, 400):
+            spec = StreamSpec("single_domain", (ShiftSpec("rotate2d", 0.5),), B, 64)
+            data = make_stream(mix, spec, Rng(21))
+            run_protocol(model, data, "single_domain", AdaDemPlugin, cfg)  # warm numpy's caches
+            for reports in (False, True):
+                tracemalloc.start()
+                try:
+                    run_protocols(model, data, "single_domain", [AdaDemPlugin], [cfg], reports)
+                    peaks[B, reports] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        R = 200 * 64  # the rows the longer shift adds
+        assert peaks[200, False] < 96 * 1024, peaks
+        assert abs(peaks[400, False] - peaks[200, False]) < 1024, peaks
+        assert peaks[200, True] < R * 8 + 96 * 1024, peaks
+        assert 0.9 * R * 8 < peaks[400, True] - peaks[200, True] < 1.1 * R * 8, peaks
 
     def test_lowest_diverged_protocol_raises_its_own_shift_and_batch(self):
-        # Protocol 2 diverges first in time (shift 0, batch 1) but protocol
-        # 1, which diverges later (shift 1, batch 3), comes first in order:
-        # its error is raised, as running the protocols one by one would.
-        # A diverged protocol's plugin is not called again.
+        # Protocol 2 diverges first in time (shift 0, batch 1) and protocol
+        # 1 later (shift 1, batch 3); each entry is its own error, and the
+        # others are the results they give alone.  Raising the entries in
+        # order, as grid-search and run do, raises protocol 1's, as running
+        # the protocols one by one would.  A diverged protocol's plugin is
+        # not called again.
         model, data = self._setup()
         calls = [0] * 4
         fail_at = {1: 10 + 3, 2: 1}  # a protocol's call index that returns inf
@@ -753,18 +777,44 @@ class TestRunProtocol:
                 return grads
 
         factories = [functools.partial(Failing, k) for k in range(4)]
+        cfg = SgdConfig(lr=0.01)
+        runs = run_protocols(model, data, "single_domain", factories, [cfg] * 4, reports=True)
+        assert calls == [20, 14, 2, 20]
+        assert [(e.stage, e.shift, e.batch) for e in runs[1:3]] == [
+            ("loss gradients", 1, 3), ("loss gradients", 0, 1)
+        ]
+        alone = run_protocol(model, data, "single_domain", EmPlugin, cfg)
+        for run in (runs[0], runs[3]):
+            _assert_same_summaries(run, alone)
         with pytest.raises(DivergenceError) as info:
-            run_protocols(model, data, "single_domain", factories, SgdConfig(lr=0.01))
-        assert (info.value.stage, info.value.shift, info.value.batch) == ("loss gradients", 1, 3)
+            [demkit.cli._succeeded(run) for run in runs]
+        assert info.value is runs[1]
         assert str(info.value) == (
             "adaptation diverged at shift 1, batch 3: non-finite loss gradients"
         )
-        assert calls == [20, 14, 2, 20]
 
     def test_needs_a_plugin_factory(self):
         model, data = self._setup()
         with pytest.raises(ValueError, match="at least one plugin factory"):
-            run_protocols(model, data, "continual", [], SgdConfig(lr=0.01))
+            run_protocols(model, data, "continual", [], [])
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_needs_one_sgd_config_per_factory(self, count):
+        model, data = self._setup()
+        with pytest.raises(ValueError, match=f"one SgdConfig per plugin factory, 2, got {count}"):
+            run_protocols(model, data, "continual", [EmPlugin] * 2, [SgdConfig(lr=0.01)] * count)
+
+    def test_reports_need_row_maxima(self):
+        # Without reports a result keeps counts and sums alone: accuracy
+        # reads, reports refuse.
+        model, data = self._setup()
+        cfg = SgdConfig(lr=0.01)
+        (run,) = run_protocols(model, data, "continual", [EmPlugin], [cfg])
+        assert run.row_max is None
+        assert run.accuracy == run_protocol(model, data, "continual", EmPlugin, cfg).accuracy
+        for name in ("per_shift", "overall"):
+            with pytest.raises(ValueError, match="reports=True"):
+                getattr(run, name)
 
     def test_rejects_unknown_mode(self):
         model, data = self._setup()
@@ -824,35 +874,34 @@ class TestStackedProtocols:
             alone.append((run, [theta[0].tobytes() for theta in thetas]))
         for group in (factories[:2], factories):
             del thetas[:]
-            runs = run_protocols(model, data, mode, group, cfg)
+            runs = run_protocols(model, data, mode, group, [cfg] * len(group), reports=True)
             assert len(runs) == len(group) and len(thetas) == len(shifts)
             for k, (run, (ref, shift_thetas)) in enumerate(zip(runs, alone)):
                 assert [theta[k].tobytes() for theta in thetas] == shift_thetas
-                for name in ("confusion", "row_max", "col_sums"):
-                    got, want = getattr(run, name), getattr(ref, name)
-                    assert [a.tobytes() for a in got] == [b.tobytes() for b in want], name
-                assert run.total.tobytes() == ref.total.tobytes()
+                _assert_same_summaries(run, ref)
                 assert run.accuracy == ref.accuracy
 
     def test_stack_size_bounds_the_memory_stacking_adds(self, monkeypatch):
         # On the grid-continual-dem subset's shapes (C = 10, 32 hidden
-        # units, 3 shifts of 12 batches of 64 rows) the budget stacks six
+        # units, 3 shifts of 12 batches of 64 rows) the budget stacks 11
         # protocols, and their traced peak exceeds one protocol's by less
-        # than the budget; a long lr-sweep protocol stays alone.
+        # than the budget.  A protocol holds no row of a shift, so the
+        # long lr-sweep stream (5 shifts of 120 batches) stacks 11 too,
+        # and its baseline and ten rates run as one stack.
         mix = default_mixture()
         model = init_mlp(10, 2, 32, Rng(1))
         ladder = tuple(ShiftSpec("rotate2d", r) for r in (0.45, 0.5, 0.55))
         data = make_stream(mix, StreamSpec("continual", ladder, 12, 64), Rng(2))
         K = stack_size(model, data)
-        assert K == 6
+        assert K == 11
         factories = [functools.partial(DemPlugin, DemConfig(1.0, 1.0))] * K
         cfg = SgdConfig(lr=0.025, momentum=0.9)
-        run_protocols(model, data, "continual", factories, cfg)  # warm numpy's caches
+        run_protocols(model, data, "continual", factories, [cfg] * K)  # warm numpy's caches
         peaks = []
         for group in (factories[:1], factories):
             tracemalloc.start()
             try:
-                run_protocols(model, data, "continual", group, cfg)
+                run_protocols(model, data, "continual", group, [cfg] * len(group))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -860,6 +909,78 @@ class TestStackedProtocols:
 
         long = tuple(ShiftSpec("rotate2d", r) for r in (0.4, 0.45, 0.5, 0.55, 0.6))
         spec = StreamSpec("continual", long, 120, 64, label_rho=10.0)
-        assert stack_size(model, make_stream(mix, spec, Rng(2))) == 1
+        assert stack_size(model, make_stream(mix, spec, Rng(2))) == 11
         monkeypatch.setattr(demkit.bench, "STACK_BYTES", 1)
         assert stack_size(model, data) == 1
+
+
+def _assert_reports_equal(got, want, context):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.array_equal(a, b) and np.asarray(a).tobytes() == np.asarray(b).tobytes(), (
+            context, field.name
+        )
+
+
+class TestPerBatchScoring:
+    """``run_protocols`` scores each batch as it is predicted; its
+    summaries keep the bits ``metrics`` gives on the whole matrices."""
+
+    def test_per_batch_summaries_give_the_bits_of_metrics(self):
+        # Random probabilities: C 2-39, 1-129 batches of 1-69 rows per
+        # shift, one to three shifts and stacked protocols, with and
+        # without row maxima.
+        rng = np.random.default_rng(12)
+        for case in range(40):
+            C, K, S = (int(rng.integers(lo, hi)) for lo, hi in ((2, 40), (1, 4), (1, 4)))
+            shapes = [(int(rng.integers(1, 130)), int(rng.integers(1, 70))) for _ in range(S)]
+            scale = float(rng.choice([0.1, 3.0, 30.0]))
+            data = [
+                (softmax_rows(scale * rng.standard_normal((B * K * n, C))).reshape(B, K, n, C),
+                 rng.integers(0, C, (B, n)))
+                for B, n in shapes
+            ]
+            tallies = [demkit.bench._Tally(K, C, keep) for keep in (True, False)]
+            for P, y in data:
+                for tally in tallies:
+                    probs, score = tally.shift(y)
+                    for i, batch in enumerate(P):
+                        probs[...] = batch
+                        score(i, probs)
+            for k in range(K):
+                run, lean = (tally.result(k) for tally in tallies)
+                shifts = [(P[:, k].reshape(-1, C), y.reshape(-1)) for P, y in data]
+                for got, (P, y) in zip(run.per_shift, shifts):
+                    _assert_reports_equal(got, metrics(P, y), (case, k))
+                whole = metrics(*(np.concatenate(a) for a in zip(*shifts)))
+                _assert_reports_equal(run.overall, whole, (case, k))
+                assert run.accuracy == lean.accuracy == whole.accuracy
+                assert lean.row_max is None
+                _assert_same_summaries(lean, run, ("confusion", "col_sums"))
+
+    @pytest.mark.parametrize("mode", ["single_domain", "continual"])
+    def test_stacked_protocols_on_random_streams(self, mode):
+        # Random stream shapes through a stack of two losses: every field
+        # of every report has the bits of metrics on the probabilities of
+        # the protocol's own one-model run.
+        rng = np.random.default_rng(13 if mode == "continual" else 14)
+        cfg = SgdConfig(lr=0.05, momentum=0.9)
+        factories = (AdaDemPlugin, EmPlugin)
+        for case in range(4):
+            C, B, n = int(rng.integers(2, 40)), int(rng.integers(1, 130)), int(rng.integers(1, 70))
+            mix = MixtureSpec(C, 4.0, 1.0)
+            shifts = (ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 1.0))
+            data = make_stream(mix, StreamSpec(mode, shifts, B, n), Rng(case))
+            model = init_linear(C, 2, Rng(case), scale=0.5)
+            runs = run_protocols(model, data, mode, factories, [cfg] * 2, reports=True)
+            for factory, run in zip(factories, runs):
+                probs, labels, adapted = [], [], None
+                for X, y in data:
+                    if adapted is None or mode == "single_domain":
+                        adapted, plugin = model.copy(), factory()
+                    probs.append(_shift_probs(adapted, X, plugin, cfg))
+                    labels.append(y.reshape(-1))
+                for got, P, y in zip(run.per_shift, probs, labels):
+                    _assert_reports_equal(got, metrics(P, y), (case, C, B, n))
+                whole = metrics(np.concatenate(probs), np.concatenate(labels))
+                _assert_reports_equal(run.overall, whole, (case, C, B, n))

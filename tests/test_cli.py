@@ -11,7 +11,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
 import demkit.bench
+import demkit.cli
 import demkit.model
 from demkit.cli import (
     DEFAULT_CONFIG,
@@ -37,7 +38,11 @@ from demkit.cli import (
     fmt9,
     jround,
     load_config,
+    lr_sweep_result,
     main,
+    plugin_factory_from,
+    prepared_experiment,
+    sgd_config,
     vec9,
 )
 
@@ -609,6 +614,36 @@ class TestRunCommand:
         [{"name": "em"}, {"name": "dem", "tau": 1.5, "alpha": 1.0}, {"name": "adadem"}],
         ids=["em", "dem", "adadem"],
     )
+    def test_stacks_its_baseline_with_its_run(self, tmp_path, monkeypatch, loss):
+        # One K = 2 run_protocols call, with reports, gives the summaries
+        # of two run_protocol calls: the run, then the lr = 0 baseline.
+        cfg_path = small_config(tmp_path, loss=loss, optimizer={"lr": 0.05, "momentum": 0.9})
+        calls, run = [], demkit.bench.run_protocols
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs, run(*args, **kwargs)))
+            return calls[-1][2]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(demkit.bench, "run_protocols", recording)
+            assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+        ((_, kwargs, runs),) = calls
+        assert kwargs == {"reports": True} and len(runs) == 2
+        cfg = load_config(str(cfg_path))
+        sspec, model, data = prepared_experiment(cfg)
+        factory, sgd = plugin_factory_from(cfg), sgd_config(cfg)
+        for got, lr in zip(runs, (sgd.lr, 0.0)):
+            want = demkit.bench.run_protocol(model, data, sspec.mode, factory, replace(sgd, lr=lr))
+            for name in ("confusion", "row_max", "col_sums"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert [x.tobytes() for x in a] == [y.tobytes() for y in b], (lr, name)
+            assert got.total.tobytes() == want.total.tobytes()
+
+    @pytest.mark.parametrize(
+        "loss",
+        [{"name": "em"}, {"name": "dem", "tau": 1.5, "alpha": 1.0}, {"name": "adadem"}],
+        ids=["em", "dem", "adadem"],
+    )
     def test_baseline_is_lr_sweeps(self, tmp_path, loss):
         # run scores the frozen model by lr-sweep's protocol at lr = 0.
         cfg = small_config(tmp_path, loss=loss)
@@ -863,8 +898,9 @@ class TestGridSearchCommand:
 
 
 class TestStackedSweeps:
-    """``grid-search`` scores its points in stacked chunks; both sweeps make
-    one loss and one SGD call per point and step."""
+    """``grid-search`` scores its points and ``lr-sweep`` its rates in
+    stacked chunks; both sweeps make one loss and one SGD call per point
+    and step."""
 
     STREAM = {
         "mode": "continual",
@@ -883,19 +919,19 @@ class TestStackedSweeps:
         ``stack_size`` fixed at ``K`` unless ``K`` is None."""
         sizes, run = [], demkit.bench.run_protocols
 
-        def recording(model, data, mode, factories, cfg):
+        def recording(model, data, mode, factories, *args, **kwargs):
             sizes.append(len(factories))
-            return run(model, data, mode, factories, cfg)
+            return run(model, data, mode, factories, *args, **kwargs)
 
         monkeypatch.setattr(demkit.bench, "run_protocols", recording)
         if K is not None:
             monkeypatch.setattr(demkit.bench, "stack_size", lambda model, data: K)
         return sizes
 
-    def _outputs(self, tmp_path, cfg):
-        assert main(["grid-search", "--config", str(cfg)]) == EXIT_OK
+    def _outputs(self, tmp_path, cfg, command="grid-search", table="grid.csv"):
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
         out = tmp_path / "out"
-        return [(out / name).read_bytes() for name in ("grid.csv", "summary.json")]
+        return [(out / name).read_bytes() for name in (table, "summary.json")]
 
     def test_chunks_give_the_bytes_of_one_point_at_a_time(self, tmp_path, monkeypatch):
         cfg = small_config(tmp_path, stream=self.STREAM, grid=self.GRID,
@@ -926,6 +962,68 @@ class TestStackedSweeps:
         assert errors == [
             "demkit: numeric failure: adaptation diverged at shift 1, batch 1: non-finite logits\n"
         ] * 2
+
+    def _lr_sweep_outputs(self, tmp_path, cfg, monkeypatch, K):
+        """``lr-sweep``'s outputs and chunk sizes with ``stack_size`` at ``K``."""
+        with monkeypatch.context() as patch, np.errstate(all="ignore"):
+            sizes = self._chunks(patch, K)
+            return self._outputs(tmp_path, cfg, "lr-sweep", "lr_sweep.csv"), sizes
+
+    def test_lr_sweep_chunks_give_the_bytes_of_one_rate_at_a_time(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path, stream=self.STREAM, loss={"name": "adadem"},
+                           lrs=[1e-3, 5e-3, 1e-2, 5e-2, 0.1])
+        alone, sizes = self._lr_sweep_outputs(tmp_path, cfg, monkeypatch, 1)
+        assert sizes == [1] * 6  # the lr = 0 baseline, then the five rates
+        for K, chunks in ((2, [2, 2, 2]), (5, [5, 1]), (None, [6])):
+            outputs, sizes = self._lr_sweep_outputs(tmp_path, cfg, monkeypatch, K)
+            assert outputs == alone, K
+            assert sizes == chunks, K
+
+    def test_a_diverging_rate_leaves_the_rest_of_its_stack_alone(self, tmp_path, monkeypatch):
+        # The second of three rates diverges mid-stack and scores NaN; the
+        # baseline and the other rates keep the bytes of their lone runs.
+        cfg = small_config(tmp_path, stream=self.STREAM, loss={"name": "adadem"},
+                           lrs=[1e-3, 1e308, 5e-3])
+        alone, _ = self._lr_sweep_outputs(tmp_path, cfg, monkeypatch, 1)
+        stacked, sizes = self._lr_sweep_outputs(tmp_path, cfg, monkeypatch, None)
+        assert sizes == [4] and stacked == alone
+        rows = stacked[0].decode().splitlines()
+        assert rows[2] == "1e+308,nan" and "nan" not in rows[1] + rows[3]
+        summary = json.loads(stacked[1])
+        assert not math.isnan(summary["baseline_accuracy"])
+
+    def test_a_diverging_baseline_in_a_stack_exits_3(self, tmp_path, monkeypatch, capsys):
+        # The lr = 0 baseline, the first protocol of the stack, diverges:
+        # it scores NaN, the rates keep their accuracies, and lr-sweep
+        # exits 3 as search.lr_sweep's NaN baseline rule has it.
+        cfg_path = small_config(tmp_path, stream=self.STREAM, lrs=[1e-3, 5e-3])
+        cfg = load_config(str(cfg_path))
+        _, model, data = prepared_experiment(cfg)
+        clean = lr_sweep_result(cfg, model, data)
+        made = []
+
+        class NanForTheFirst:
+            """EM, whose first plugin made (the baseline's) diverges."""
+
+            def __init__(self):
+                self.first = not made
+                made.append(self)
+
+            def batch_eval(self, Z, P):
+                grads = demkit.model.EmPlugin().batch_eval(Z, P)
+                if self.first:
+                    grads[0, 0] = np.nan
+                return grads
+
+        monkeypatch.setattr(demkit.cli, "plugin_factory_from", lambda cfg: NanForTheFirst)
+        sizes = self._chunks(monkeypatch)
+        broken = lr_sweep_result(cfg, model, data)
+        assert math.isnan(broken.baseline) and broken.rows == clean.rows
+        made.clear()
+        assert main(["lr-sweep", "--config", str(cfg_path)]) == EXIT_NUMERIC
+        assert sizes == [3, 3]
+        assert capsys.readouterr().err == "lr-sweep: numeric failure (non-finite baseline)\n"
+        assert not (tmp_path / "out" / "lr_sweep.csv").exists()
 
     @staticmethod
     def _counted(monkeypatch):

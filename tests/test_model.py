@@ -213,18 +213,32 @@ def _inline_adapt(model, X, plugin, cfg):
     return probs
 
 
+def _recorder(out, n):
+    """A scoring hook for ``adapt_stream`` that copies batch ``i``'s
+    ``K x n x C`` probabilities into rows ``i * n`` to ``(i + 1) * n`` of
+    the ``K`` blocks of ``out``."""
+
+    def score(i, P):
+        out[:, i * n : (i + 1) * n] = P
+
+    return score
+
+
 def _adapt(model, X, plugin, cfg):
     """``adapt_stream`` of the one-model stack of ``model`` over the
-    ``B x n x d`` shift ``X`` into a fresh array: moves ``model`` as the
-    call moved its stack, raises the :class:`DivergenceError` the call
-    returns, and returns the pre-update probabilities as ``B x n x C``."""
+    ``B x n x d`` shift ``X``: moves ``model`` as the call moved its
+    stack, raises the :class:`DivergenceError` the call returns, and
+    returns the pre-update probabilities its scoring hook saw, as
+    ``B x n x C``."""
     B, n = X.shape[:2]
-    stack, probs = ModelStack([model]), np.empty((1, B * n, model.C))
-    (error,) = adapt_stream(stack, X, [plugin], cfg, probs)
+    stack, seen = ModelStack([model]), np.empty((1, B * n, model.C))
+    (error,) = adapt_stream(
+        stack, X, [plugin], [cfg], np.empty((1, n, model.C)), _recorder(seen, n)
+    )
     model.theta[:] = stack.theta[0]
     if error is not None:
         raise error
-    return probs.reshape(B, n, model.C)
+    return seen.reshape(B, n, model.C)
 
 
 def _param_fd(model, X, values, h=1e-6):
@@ -717,8 +731,8 @@ class TestAdaptStream:
         before = model.theta.copy()
         with pytest.raises(error):
             adapt_stream(
-                ModelStack([model]), inputs(X), [EmPlugin()], SgdConfig(lr=0.1),
-                np.empty((1, 48, 3)),
+                ModelStack([model]), inputs(X), [EmPlugin()], [SgdConfig(lr=0.1)],
+                np.empty((1, 16, 3)), _recorder(np.empty((1, 48, 3)), 16),
             )
         assert np.array_equal(model.theta, before)
 
@@ -744,18 +758,21 @@ class TestAdaptStream:
     )
     def test_plugins_score_the_returned_probabilities(self, make_plugin, monkeypatch):
         # adapt_stream computes P = softmax_rows(Z) once per batch, into
-        # the batch's rows of the caller's matrix: the plugin receives that
-        # row block, with the bits of softmax_rows(Z), leaves it unwritten
-        # and never recomputes it.  dem_rows still takes the softmax of
-        # Z / tau, which is another matrix.
+        # the caller's batch buffer: the scoring hook sees that buffer and
+        # the plugin its model's block, with the bits of softmax_rows(Z);
+        # neither writes into it and nothing recomputes it.  dem_rows
+        # still takes the softmax of Z / tau, which is another matrix.
         seen = []
 
         class Recording:
             def __init__(self, inner):
                 self.inner = inner
 
+            probs = []
+
             def batch_eval(self, Z, P):
                 seen.append(P)
+                self.probs.append(P.copy())
                 assert P.tobytes() == softmax_rows(Z).tobytes()
                 before = P.copy()
                 self.logits = Z
@@ -780,24 +797,43 @@ class TestAdaptStream:
         monkeypatch.setattr(adadem, "softmax_rows", no_softmax, raising=False)
         X, _ = self._stream(Rng(42), n_batches=4)
         model = init_mlp(3, 2, 6, Rng(43))
-        probs = np.empty((1, 64, 3))
-        adapt_stream(ModelStack([model]), X, [recording], SgdConfig(lr=0.05), probs)
-        assert len(seen) == 4
-        for i, P in enumerate(seen):
-            block = probs[0, 16 * i : 16 * (i + 1)]
+        probs, scored = np.empty((1, 16, 3)), []
+
+        def score(i, P):
+            assert P is probs
+            scored.append((i, P.copy()))
+
+        adapt_stream(ModelStack([model]), X, [recording], [SgdConfig(lr=0.05)], probs, score)
+        assert len(seen) == 4 and [i for i, _ in scored] == [0, 1, 2, 3]
+        for P, (_, batch) in zip(seen, scored):
             assert P.base is probs
-            assert (P.shape, P.ctypes.data) == (block.shape, block.ctypes.data)
+            assert (P.shape, P.ctypes.data) == (probs[0].shape, probs[0].ctypes.data)
+        # The plugin read each batch's probabilities as the hook saw them.
+        assert [P.tobytes() for P in recording.probs] == [b[0].tobytes() for _, b in scored]
 
     @pytest.mark.parametrize("rows", [47, 49])
     def test_probability_matrix_must_fit_the_stream(self, rows):
-        # Three batches of 16 rows need exactly 48; any other row count
-        # is refused before the first step.
-        X, _ = self._stream(Rng(30))
+        # The buffer holds one batch: batches of 48 rows need exactly 48;
+        # any other row count is refused before the first step.
+        X, _ = self._stream(Rng(30), n_batches=2, batch=48)
         model = init_linear(3, 2, Rng(31), scale=0.5)
         before = model.theta.copy()
         with pytest.raises(ValueError, match="array of 1 x 48 x 3"):
             adapt_stream(
-                ModelStack([model]), X, [EmPlugin()], SgdConfig(lr=0.01), np.empty((1, rows, 3))
+                ModelStack([model]), X, [EmPlugin()], [SgdConfig(lr=0.01)],
+                np.empty((1, rows, 3)), _recorder(np.empty((1, 96, 3)), 48),
+            )
+        assert np.array_equal(model.theta, before)
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_takes_one_sgd_config_per_model(self, count):
+        X, _ = self._stream(Rng(30))
+        model = init_linear(3, 2, Rng(31), scale=0.5)
+        before = model.theta.copy()
+        with pytest.raises(ValueError, match=f"one SgdConfig per stacked model, 1, got {count}"):
+            adapt_stream(
+                ModelStack([model]), X, [EmPlugin()], [SgdConfig(lr=0.01)] * count,
+                np.empty((1, 16, 3)), _recorder(np.empty((1, 48, 3)), 16),
             )
         assert np.array_equal(model.theta, before)
 
@@ -811,11 +847,14 @@ class TestAdaptStream:
              "overlap"],
     )
     def test_rejects_a_malformed_probability_matrix(self, K, probs):
-        X, _ = self._stream(Rng(30))
+        X, _ = self._stream(Rng(30), n_batches=1, batch=48)
         stack = ModelStack([init_linear(3, 2, Rng(31), scale=0.5)] * K)
         before = stack.theta.copy()
         with pytest.raises(ValueError, match=f"float64 array of {K} x 48 x 3 with C-contig"):
-            adapt_stream(stack, X, [EmPlugin()] * K, SgdConfig(lr=0.01), probs)
+            adapt_stream(
+                stack, X, [EmPlugin()] * K, [SgdConfig(lr=0.01)] * K, probs,
+                _recorder(np.empty((K, 48, 3)), 48),
+            )
         assert np.array_equal(stack.theta, before)
 
 
@@ -859,7 +898,10 @@ class TestModelStack:
         probs = np.empty((3, 64, 3))
         cfg = SgdConfig(lr=0.1, momentum=0.9)
         plugins = [EmPlugin(), None, AdaDemPlugin()]
-        assert adapt_stream(stack, X, plugins, cfg, probs) == [None] * 3
+        errors = adapt_stream(
+            stack, X, plugins, [cfg] * 3, np.empty((3, 16, 3)), _recorder(probs, 16)
+        )
+        assert errors == [None] * 3
         assert np.array_equal(stack.theta[1], source.theta)
         for k in (0, 2):
             alone = source.copy()
@@ -868,6 +910,25 @@ class TestModelStack:
             assert probs[k].tobytes() == expected.tobytes()
         frozen = softmax_rows(forward(source, X.reshape(64, 2)))
         assert probs[1].tobytes() == frozen.tobytes()
+
+    def test_each_model_steps_with_its_own_optimizer(self):
+        # Models of one stack at different rates and momenta, lr = 0
+        # among them, each keep the bits of their own one-model run.
+        X = 2.0 * Rng(5).normals(4 * 16 * 2).reshape(4, 16, 2)
+        source = init_mlp(3, 2, 6, Rng(6))
+        cfgs = [SgdConfig(0.1, 0.9), SgdConfig(0.0, 0.9), SgdConfig(0.03), SgdConfig(0.1, 0.5)]
+        stack, probs = ModelStack([source] * 4), np.empty((4, 64, 3))
+        errors = adapt_stream(
+            stack, X, [AdaDemPlugin() for _ in cfgs], cfgs, np.empty((4, 16, 3)),
+            _recorder(probs, 16),
+        )
+        assert errors == [None] * 4
+        assert stack.theta[1].tobytes() == source.theta.tobytes()
+        for k, cfg in enumerate(cfgs):
+            alone = source.copy()
+            expected = _adapt(alone, X, AdaDemPlugin(), cfg)
+            assert stack.theta[k].tobytes() == alone.theta.tobytes()
+            assert probs[k].tobytes() == expected.reshape(64, 3).tobytes()
 
 
 class TestStepKernels:
@@ -935,9 +996,11 @@ class TestStepKernels:
                 return self.inner.batch_eval(Z, P)
 
         cfg = SgdConfig(lr=0.1, momentum=0.5)
-        probs = np.empty((1, 4 * 64, 3))
-        adapt_stream(ModelStack([self._make(arch)]), X, [Recording()], cfg, probs)
-        assert not any(np.shares_memory(probs, Z) for Z in seen)
+        probs, batch = np.empty((1, 4 * 64, 3)), np.empty((1, 64, 3))
+        adapt_stream(
+            ModelStack([self._make(arch)]), X, [Recording()], [cfg], batch, _recorder(probs, 64)
+        )
+        assert not any(np.shares_memory(batch, Z) for Z in seen)
         assert len(seen) == 4 and all(Z.ctypes.data == seen[0].ctypes.data for Z in seen)
         expected = _inline_adapt(self._make(arch), X, DemPlugin(DemConfig(1.3, 0.4)), cfg)
         assert probs.tobytes() == np.concatenate(expected).tobytes()
