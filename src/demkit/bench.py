@@ -10,7 +10,8 @@ predictions, easy-class bias under shift, and learning-rate fragility.
 A *shift* transforms the inputs (translation, rotation, added noise or
 scaling) with a severity level 1-5 that multiplies its base magnitude.
 A *stream* is an ordered list of shifts, each producing ``B`` batches of
-``n`` rows, handed over as inputs ``B x n x d`` and labels ``B x n``; the
+``n`` rows, drawn when a protocol reaches the shift and handed over as
+inputs ``B x n x d`` and labels ``B x n`` (:class:`Stream`); the
 protocols validate a shift once and step through its batches.  Labels
 follow ``long_tail_priors(C, label_rho)`` (:class:`StreamSpec`): uniform
 at ``label_rho = 1``, a head-to-tail ratio of ``label_rho`` above it.  Two
@@ -34,7 +35,7 @@ the matrices (see :class:`ProtocolResult`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -57,6 +58,7 @@ __all__ = [
     "long_tail_priors",
     "sample_batch",
     "apply_shift",
+    "Stream",
     "make_stream",
     "metrics",
     "kl_divergence",
@@ -313,11 +315,20 @@ def apply_shift(X, spec: ShiftSpec, rng: Rng) -> np.ndarray:
     raise ValueError(f"unknown shift kind {spec.kind!r}")
 
 
-def make_stream(mix: MixtureSpec, spec: StreamSpec, rng: Rng):
-    """Materialize the stream: per shift, inputs ``X`` (``B x n x d``
-    float64) and labels ``y`` (``B x n`` int64) of ``B`` batches of
-    ``n`` rows.  Batch ``i`` is drawn by :func:`sample_batch`, then
-    :func:`apply_shift`, and written into ``X[i]`` and ``y[i]``.
+@dataclass(frozen=True)
+class Stream:
+    """The data of the stream ``spec`` over ``mix``, drawn from ``rng``
+    shift by shift as it is read.
+
+    Iterating gives, per shift, inputs ``X`` (``B x n x d`` float64) and
+    labels ``y`` (``B x n`` int64) of ``B`` batches of ``n`` rows, drawn
+    when the loop reaches that shift.  Batch ``i`` is drawn by
+    :func:`sample_batch`, then :func:`apply_shift`, and written into
+    ``X[i]`` and ``y[i]``.  Every pass draws afresh and gives the same
+    bits, so a pass that lets go of a shift before it asks for the next
+    holds one shift; a caller that indexes the shifts or reads them many
+    times takes ``list(stream)``.  ``len(stream)`` is the number of
+    shifts.
 
     Every batch draws its labels from ``long_tail_priors(mix.C,
     spec.label_rho)``.  Each shift's batches come from a generator derived
@@ -326,21 +337,45 @@ def make_stream(mix: MixtureSpec, spec: StreamSpec, rng: Rng):
     per-shift data without changing it; repeated identical shifts still
     get fresh data.
     """
-    priors = long_tail_priors(mix.C, spec.label_rho)
-    B, n = spec.batches_per_shift, spec.batch_size
-    seen: dict[str, int] = {}
-    out = []
-    for shift in spec.shifts:
-        base = shift.key(0)
-        occurrence = seen.get(base, 0)
-        seen[base] = occurrence + 1
-        srng = rng.derive(shift.key(occurrence))
+
+    mix: MixtureSpec
+    spec: StreamSpec
+    rng: Rng
+
+    def __len__(self) -> int:
+        return len(self.spec.shifts)
+
+    def __iter__(self):
+        priors = long_tail_priors(self.mix.C, self.spec.label_rho)
+        seen: dict[str, int] = {}
+        for shift in self.spec.shifts:
+            base = shift.key(0)
+            occurrence = seen.get(base, 0)
+            seen[base] = occurrence + 1
+            # drawn in a call, so this frame keeps no shift between yields
+            yield self._draw(shift, priors, self.rng.derive(shift.key(occurrence)))
+
+    def _draw(self, shift: ShiftSpec, priors: np.ndarray, srng: Rng):
+        B, n, mix = self.spec.batches_per_shift, self.spec.batch_size, self.mix
         X, y = np.empty((B, n, mix.d)), np.empty((B, n), dtype=np.int64)
         for i in range(B):
             Xi, y[i] = sample_batch(mix, priors, n, srng)
             X[i] = apply_shift(Xi, shift, srng)
-        out.append((X, y))
-    return out
+        return X, y
+
+    def leading(self, k: int) -> "Stream":
+        """The stream of each shift's first ``k`` batches, ``1 <= k <= B``.
+        A shift draws its batches in order, so they have the bits of this
+        stream's, and nothing past them is drawn."""
+        if not 1 <= k <= self.spec.batches_per_shift:
+            raise ValueError(f"need 1 to {self.spec.batches_per_shift} leading batches, got {k}")
+        return replace(self, spec=replace(self.spec, batches_per_shift=k))
+
+
+def make_stream(mix: MixtureSpec, spec: StreamSpec, rng: Rng) -> Stream:
+    """The stream ``spec`` over ``mix``, drawn from ``rng`` as it is read
+    (see :class:`Stream`)."""
+    return Stream(mix, spec, rng)
 
 
 def kl_divergence(p, q) -> float:
@@ -426,9 +461,11 @@ eleven protocols of the shipped model (10 classes, 32 hidden units,
 runs its baseline and ten rates as one stack."""
 
 
-def stack_size(source_model, shift_data) -> int:
-    """How many protocols of ``source_model`` over ``shift_data`` one
-    :func:`run_protocols` call stacks within ``STACK_BYTES``; at least one.
+def stack_size(source_model, spec: StreamSpec) -> int:
+    """How many protocols of ``source_model`` over a stream of ``spec``
+    (or its leading batches) one :func:`run_protocols` call stacks within
+    ``STACK_BYTES``; at least one.  It reads the spec's batch rows and
+    shift count alone, and draws no data.
 
     A stacked protocol holds one batch of ``n`` rows, never a shift:
     its probabilities twice (``n x C`` as predicted, ``(n + 1) x C``
@@ -446,8 +483,8 @@ def stack_size(source_model, shift_data) -> int:
     """
     C, P = source_model.C, source_model.theta.size
     h = source_model.W1.shape[0] if isinstance(source_model, Mlp) else 0
-    n = max((np.shape(y)[-1] for _, y in shift_data), default=0)
-    floats = (2 * n + 1) * C + n * (2 * C + h + 1) + 4 * P + len(shift_data) * (C * C + C) + C
+    n, shifts = spec.batch_size, len(spec.shifts)
+    floats = (2 * n + 1) * C + n * (2 * C + h + 1) + 4 * P + shifts * (C * C + C) + C
     return max(1, STACK_BYTES // (8 * floats + n * (h + 2 * C)))
 
 
@@ -510,11 +547,14 @@ class _Tally:
 def run_protocols(
     source_model, shift_data, mode: str, plugin_factories, cfgs, reports: bool = False
 ) -> list:
-    """Run one adaptation protocol per plugin factory, stacked, over
-    materialized stream data; returns, per protocol, its
+    """Run one adaptation protocol per plugin factory, stacked, in one
+    pass over a stream; returns, per protocol, its
     :class:`ProtocolResult` or the :class:`DivergenceError` that ended it.
 
-    ``shift_data`` is the output of :func:`make_stream`; each of the
+    ``shift_data`` yields each shift's ``(X, y)``, as a :class:`Stream`
+    or a list of its shifts does, and is read once; the call lets go of a
+    shift before it reads the next, so over a :class:`Stream` it holds
+    one shift of the stream at a time.  Each of the
     ``K`` ``plugin_factories`` builds a fresh loss plugin (single-domain
     mode calls it once per shift, continual mode once for the whole
     stream, so stateful losses persist across shifts exactly when the
@@ -559,7 +599,10 @@ def run_protocols(
     K, C = len(factories), source_model.C
     tally, errors = _Tally(K, C, reports), [None] * K
     stack, plugins = ModelStack([source_model] * K), None
-    for s, (X, y) in enumerate(shift_data):
+    s = -1
+    # not enumerate: its reused result tuple would hold a shift while the next is drawn
+    for X, y in shift_data:
+        s += 1
         if np.size(y) == 0:
             raise ValueError(f"shift {s} has no rows to score")
         y = _validated_labels(y, np.shape(X)[:2], C)
@@ -570,6 +613,7 @@ def run_protocols(
         for k, exc in enumerate(adapt_stream(stack, X, plugins, cfgs, probs, score)):
             if exc is not None:
                 errors[k], plugins[k] = DivergenceError(exc.stage, exc.batch, s), None
+        del X, y, score  # score holds the labels; let the shift go before the next is drawn
         if all(e is not None for e in errors):
             break
     if plugins is None:

@@ -471,7 +471,10 @@ def sgd_config(cfg: dict) -> _model.SgdConfig:
 
 
 def prepared_experiment(cfg: dict):
-    """Stream spec, source model and stream data for a config, deterministically."""
+    """Stream spec, source model and stream for a config, deterministically.
+
+    The stream is a ``bench.Stream``: it draws no data here, and each
+    pass a protocol makes over it draws each shift when it reaches it."""
     rng = Rng(cfg["seed"])
     m, s = cfg["mixture"], cfg["stream"]
     mix = _bench.MixtureSpec(m["C"], m["radius"], m["sigma"])
@@ -740,39 +743,43 @@ def _succeeded(run):
     return run
 
 
-def _stacked_runs(model, shifts, mode: str, factories: list, sgds: list):
+def _stacked_runs(model, spec, shifts, factories: list, sgds: list):
     """Yield ``bench.run_protocols``'s entry for each protocol of
-    ``factories`` and ``sgds``, in order.  The protocols run stacked, in
-    chunks of ``bench.stack_size`` protocols, and a chunk runs only once
-    the caller reaches it, so a caller that raises on an entry runs no
-    later chunk."""
-    K = _bench.stack_size(model, shifts)
+    ``factories`` and ``sgds``, in order, over ``shifts``: the stream of
+    ``spec``, in its mode, or its leading batches.  The protocols run
+    stacked, in chunks of ``bench.stack_size`` protocols, each chunk one
+    pass over ``shifts``, and a chunk runs only once the caller reaches
+    it, so a caller that raises on an entry runs no later chunk."""
+    K = _bench.stack_size(model, spec)
     for start in range(0, len(factories), K):
         chunk = slice(start, start + K)
-        yield from _bench.run_protocols(model, shifts, mode, factories[chunk], sgds[chunk])
+        yield from _bench.run_protocols(model, shifts, spec.mode, factories[chunk], sgds[chunk])
 
 
 def grid_search_result(cfg: dict, model, data) -> GridResult:
-    """Grid-search DEM's (tau, alpha) on the labeled subset of ``data``.
+    """Grid-search DEM's (tau, alpha) on the labeled subset of ``data``,
+    a ``bench.Stream``.
 
-    Every point runs the config's stream mode and optimizer; the winner
-    and the classical point tau = alpha = 1 are then scored on the full
-    stream.  The subset is the leading ``grid.subset_fraction`` of each
-    shift's batches (at least one).  The valid points are scored first,
-    stacked in grid order by :func:`_stacked_runs`, and
+    Every point runs the stream's mode and the config's optimizer; the
+    winner and the classical point tau = alpha = 1 are then scored on the
+    full stream.  The subset is the leading ``grid.subset_fraction`` of
+    each shift's batches (at least one), drawn once and held for every
+    chunk of points; the finalists then make one pass over the full
+    stream, which holds one shift at a time.  The valid points are scored
+    first, stacked in grid order by :func:`_stacked_runs`, and
     ``search.grid_search`` then reads their scores.  A diverging point
     raises as it would alone, before any later chunk runs.
     """
-    mode, sgd = cfg["stream"]["mode"], sgd_config(cfg)
+    sgd = sgd_config(cfg)
     grid = _search.GridSpec(**cfg["grid"])
-    k = max(1, round(len(data[0][0]) * grid.subset_fraction))
-    subset = [(X[:k], y[:k]) for X, y in data]
+    k = max(1, round(data.spec.batches_per_shift * grid.subset_fraction))
+    subset = list(data.leading(k))
 
     def accuracies(shifts, points) -> list:
         factories = [
             functools.partial(_model.DemPlugin, _em.DemConfig(tau, alpha)) for tau, alpha in points
         ]
-        runs = _stacked_runs(model, shifts, mode, factories, [sgd] * len(points))
+        runs = _stacked_runs(model, data.spec, shifts, factories, [sgd] * len(points))
         return [_succeeded(run).accuracy for run in runs]
 
     valid = [(t, a) for t, a, ok in _search.grid_points(grid) if ok]
@@ -844,17 +851,19 @@ def cmd_grid_search(args) -> int:
 
 
 def lr_sweep_result(cfg: dict, model, data) -> _search.LrSweepResult:
-    """Sweep the config's ``lrs`` for its loss, mode and optimizer settings.
+    """Sweep the config's ``lrs`` for its loss and optimizer settings over
+    ``data``, a ``bench.Stream``, in its mode.
 
     The lr = 0 baseline and every rate run first, stacked by
-    :func:`_stacked_runs`; ``search.lr_sweep`` then reads each rate's
+    :func:`_stacked_runs`, one pass over the stream per chunk (one pass
+    on every shipped config); ``search.lr_sweep`` then reads each rate's
     accuracy, or the ``DivergenceError`` that ended its run, which it
     scores NaN.
     """
-    mode, factory, sgd = cfg["stream"]["mode"], plugin_factory_from(cfg), sgd_config(cfg)
+    factory, sgd = plugin_factory_from(cfg), sgd_config(cfg)
     rates = list(dict.fromkeys([0.0, *cfg["lrs"]]))
     sgds = [replace(sgd, lr=lr) for lr in rates]
-    runs = dict(zip(rates, _stacked_runs(model, data, mode, [factory] * len(rates), sgds)))
+    runs = dict(zip(rates, _stacked_runs(model, data.spec, data, [factory] * len(rates), sgds)))
     return _search.lr_sweep(lambda lr: _succeeded(runs[lr]).accuracy, cfg["lrs"])
 
 

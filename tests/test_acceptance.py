@@ -22,6 +22,7 @@ weakened; the printed detail carries the measured numbers:
   adaptation for both methods and their marginals coincide.
 """
 
+import functools
 import json
 import math
 import statistics
@@ -39,7 +40,9 @@ from demkit.bench import (
     default_single_domain,
     make_stream,
     run_protocol,
+    run_protocols,
     sample_batch,
+    stack_size,
 )
 from demkit.cli import _end_to_end_cases, _gradcheck_cases, main
 from demkit.em_losses import (
@@ -64,7 +67,7 @@ from demkit.model import (
     train_source,
 )
 from demkit.numkit import Rng, rel_err, softmax_rows
-from demkit.search import DEFAULT_LR_GRID, GridSpec, grid_search, lr_sweep
+from demkit.search import DEFAULT_LR_GRID, GridSpec, grid_points, grid_search, lr_sweep
 
 SEEDS = (0, 1, 2)
 
@@ -97,7 +100,8 @@ def sources():
 
 
 def _stream(mix, spec, seed):
-    return make_stream(mix, spec, Rng(seed).derive("stream"))
+    """The CLI's stream for ``seed``, drawn once: the criteria read it many times."""
+    return list(make_stream(mix, spec, Rng(seed).derive("stream")))
 
 
 def _ada_factory():
@@ -380,11 +384,19 @@ def test_c11_grid_search_contract(sources):
         k = max(1, round(spec.batches_per_shift * grid.subset_fraction))
         subset = [(X[:k], y[:k]) for X, y in data]
 
-        def protocol(tau, alpha):
-            factory = lambda: DemPlugin(DemConfig(tau, alpha))
-            return run_protocol(model, subset, spec.mode, factory, sgd).overall.accuracy
+        # The valid points run stacked, stack_size at a time, as
+        # grid-search runs them; grid_search then reads their scores.
+        valid = [(tau, alpha) for tau, alpha, ok in grid_points(grid) if ok]
+        K, runs = stack_size(model, spec), []
+        for start in range(0, len(valid), K):
+            factories = [
+                functools.partial(DemPlugin, DemConfig(tau, alpha))
+                for tau, alpha in valid[start : start + K]
+            ]
+            runs += run_protocols(model, subset, spec.mode, factories, [sgd] * len(factories))
+        scores = {point: run.accuracy for point, run in zip(valid, runs)}
 
-        best, table = grid_search(protocol, grid)
+        best, table = grid_search(lambda tau, alpha: scores[(tau, alpha)], grid)
         classical_subset = next(
             r.accuracy for r in table if r.tau == 1.0 and r.alpha == 1.0
         )

@@ -236,7 +236,7 @@ class TestMakeStream:
 
     def test_shapes(self):
         spec = StreamSpec("single_domain", (ShiftSpec("translate", 1.0),), 4, 16)
-        data = make_stream(self.MIX, spec, Rng(0))
+        data = list(make_stream(self.MIX, spec, Rng(0)))
         assert len(data) == 1
         X, y = data[0]
         assert X.shape == (4, 16, 2) and X.dtype == np.float64
@@ -260,13 +260,13 @@ class TestMakeStream:
     def test_repeated_shift_gets_fresh_data(self):
         shift = ShiftSpec("rotate2d", 0.5)
         spec = StreamSpec("single_domain", (shift, shift), 2, 16)
-        data = make_stream(self.MIX, spec, Rng(0))
+        data = list(make_stream(self.MIX, spec, Rng(0)))
         assert not np.array_equal(data[0][0], data[1][0])
 
     def test_reordering_shifts_permutes_data(self):
         a, b = ShiftSpec("translate", 1.0), ShiftSpec("rotate2d", 0.5)
-        d_ab = make_stream(self.MIX, StreamSpec("single_domain", (a, b), 3, 16), Rng(0))
-        d_ba = make_stream(self.MIX, StreamSpec("single_domain", (b, a), 3, 16), Rng(0))
+        d_ab = list(make_stream(self.MIX, StreamSpec("single_domain", (a, b), 3, 16), Rng(0)))
+        d_ba = list(make_stream(self.MIX, StreamSpec("single_domain", (b, a), 3, 16), Rng(0)))
         for i in range(2):
             np.testing.assert_array_equal(d_ab[0][i], d_ba[1][i])
             np.testing.assert_array_equal(d_ab[1][i], d_ba[0][i])
@@ -279,7 +279,8 @@ class TestMakeStream:
         mix = MixtureSpec(C, 4.0, 1.0)
         priors = np.full(C, 1.0 / C) if rho == 1.0 else long_tail_priors(C, rho)
         shift = ShiftSpec("feature_noise", 1.0, 3)
-        X, y = make_stream(mix, StreamSpec("single_domain", (shift,), 4, 16, rho), Rng(3))[0]
+        spec = StreamSpec("single_domain", (shift,), 4, 16, rho)
+        X, y = list(make_stream(mix, spec, Rng(3)))[0]
         srng = Rng(3).derive(shift.key(0))
         for i in range(4):
             Xb, yb = sample_batch(mix, priors, 16, srng)
@@ -291,8 +292,38 @@ class TestMakeStream:
         # below 1e-33, so every label is class 0.
         spec = StreamSpec("single_domain", (ShiftSpec("translate", 1.0),), 2, 32,
                           label_rho=1e300)
-        data = make_stream(self.MIX, spec, Rng(0))
+        data = list(make_stream(self.MIX, spec, Rng(0)))
         assert np.all(data[0][1] == 0)
+
+    def test_each_pass_draws_the_same_bits(self):
+        noise = ShiftSpec("feature_noise", 1.0, 3)
+        spec = StreamSpec("continual", (noise, ShiftSpec("rotate2d", 0.5), noise), 5, 24, 10.0)
+        stream = make_stream(self.MIX, spec, Rng(7))
+        assert len(stream) == 3 and stream.spec is spec
+        passes = [[(X.tobytes(), y.tobytes()) for X, y in stream] for _ in range(2)]
+        assert passes[0] == passes[1]
+
+    @pytest.mark.parametrize("mode", ["single_domain", "continual"])
+    def test_leading_batches_are_each_shifts_first(self, monkeypatch, mode):
+        # Repeated identical shifts each draw from their own generator, and
+        # a prefix draws nothing past its k batches of each shift.
+        noise, rotation = ShiftSpec("feature_noise", 1.0, 3), ShiftSpec("rotate2d", 0.5)
+        spec = StreamSpec(mode, (noise, rotation, noise, noise), 7, 16, label_rho=3.0)
+        stream = make_stream(self.MIX, spec, Rng(5))
+        full = list(stream)
+        draws, draw = [], demkit.bench.sample_batch
+        monkeypatch.setattr(demkit.bench, "sample_batch", lambda *a: draws.append(1) or draw(*a))
+        for k in (1, 3, 7):
+            lead = stream.leading(k)
+            assert lead.spec == dataclasses.replace(spec, batches_per_shift=k)
+            del draws[:]
+            got = list(lead)
+            assert len(draws) == 4 * k and len(got) == len(full)
+            for (X, y), (X_full, y_full) in zip(got, full):
+                assert X.tobytes() == X_full[:k].tobytes() and y.tobytes() == y_full[:k].tobytes()
+        for k in (0, 8):
+            with pytest.raises(ValueError, match="leading batches"):
+                stream.leading(k)
 
 
 class TestKlDivergence:
@@ -531,6 +562,7 @@ class TestRunProtocol:
         # A protocol runs no forward pass besides adapt_stream's fused
         # one, and it hands adapt_stream each shift's own input array.
         model, data = self._setup()
+        data = list(data)
         cfg = SgdConfig(lr=0.01)
         expected = run_protocol(model, data, "continual", EmPlugin, cfg)
 
@@ -655,7 +687,7 @@ class TestRunProtocol:
         # stack of protocols.
         mix, model = _quick_source()
         a, b = ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0)
-        data = make_stream(mix, StreamSpec("continual", (a, b), 10, 32), Rng(21))
+        data = list(make_stream(mix, StreamSpec("continual", (a, b), 10, 32), Rng(21)))
         cfg = SgdConfig(lr=0.05, momentum=0.9)
         res = run_protocol(model, data, "continual", AdaDemPlugin, cfg)
         factories = [functools.partial(AdaDemPlugin, pi) for pi in (0.3, 0.1, 0.2)]
@@ -708,6 +740,7 @@ class TestRunProtocol:
     def test_rejects_labels_that_are_not_classes(self, bad):
         # The second shift's labels are checked before its bincount.
         model, data = self._setup()
+        data = list(data)
         data[1] = (data[1][0], bad(data[1][1]))
         with pytest.raises(ValueError, match="labels must"):
             run_protocol(model, data, "continual", EmPlugin, SgdConfig(lr=0.01))
@@ -720,6 +753,7 @@ class TestRunProtocol:
     )
     def test_a_shift_with_no_rows_is_named(self, empty):
         model, data = self._setup()
+        data = list(data)
         data[1] = empty
         with pytest.raises(ValueError, match="shift 1 has no rows"):
             run_protocol(model, data, "single_domain", EmPlugin, SgdConfig(lr=0.01))
@@ -739,7 +773,7 @@ class TestRunProtocol:
         peaks = {}
         for B in (200, 400):
             spec = StreamSpec("single_domain", (ShiftSpec("rotate2d", 0.5),), B, 64)
-            data = make_stream(mix, spec, Rng(21))
+            data = list(make_stream(mix, spec, Rng(21)))  # drawn outside the traced call
             run_protocol(model, data, "single_domain", AdaDemPlugin, cfg)  # warm numpy's caches
             for reports in (False, True):
                 tracemalloc.start()
@@ -753,6 +787,29 @@ class TestRunProtocol:
         assert abs(peaks[400, False] - peaks[200, False]) < 1024, peaks
         assert peaks[200, True] < R * 8 + 96 * 1024, peaks
         assert 0.9 * R * 8 < peaks[400, True] - peaks[200, True] < 1.1 * R * 8, peaks
+
+    def test_holds_one_shift_of_the_stream(self):
+        # A pass draws each shift when it reaches it and lets it go before
+        # the next: its traced peak, the drawing included, does not grow
+        # with the number of equal shifts, and stays below two shifts'
+        # inputs and labels (one shift and the protocol's own memory).
+        mix, model = _quick_source()
+        cfg = SgdConfig(lr=0.01, momentum=0.9)
+        B, n = 120, 64
+        shift_bytes = B * n * (mix.d + 1) * 8
+        peaks = {}
+        for count in (2, 8):
+            spec = StreamSpec("continual", (ShiftSpec("rotate2d", 0.5),) * count, B, n)
+            run_protocols(model, make_stream(mix, spec, Rng(21)), spec.mode, [AdaDemPlugin], [cfg])
+            tracemalloc.start()
+            try:
+                stream = make_stream(mix, spec, Rng(21))
+                run_protocols(model, stream, spec.mode, [AdaDemPlugin], [cfg])
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[8] - peaks[2]) < 16 * 1024, peaks
+        assert peaks[2] < 2 * shift_bytes, peaks
 
     def test_lowest_diverged_protocol_raises_its_own_shift_and_batch(self):
         # Protocol 2 diverges first in time (shift 0, batch 1) and protocol
@@ -892,7 +949,7 @@ class TestStackedProtocols:
         model = init_mlp(10, 2, 32, Rng(1))
         ladder = tuple(ShiftSpec("rotate2d", r) for r in (0.45, 0.5, 0.55))
         data = make_stream(mix, StreamSpec("continual", ladder, 12, 64), Rng(2))
-        K = stack_size(model, data)
+        K = stack_size(model, data.spec)
         assert K == 11
         factories = [functools.partial(DemPlugin, DemConfig(1.0, 1.0))] * K
         cfg = SgdConfig(lr=0.025, momentum=0.9)
@@ -909,9 +966,9 @@ class TestStackedProtocols:
 
         long = tuple(ShiftSpec("rotate2d", r) for r in (0.4, 0.45, 0.5, 0.55, 0.6))
         spec = StreamSpec("continual", long, 120, 64, label_rho=10.0)
-        assert stack_size(model, make_stream(mix, spec, Rng(2))) == 11
+        assert stack_size(model, spec) == 11
         monkeypatch.setattr(demkit.bench, "STACK_BYTES", 1)
-        assert stack_size(model, data) == 1
+        assert stack_size(model, data.spec) == 1
 
 
 def _assert_reports_equal(got, want, context):
