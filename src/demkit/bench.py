@@ -468,14 +468,15 @@ def stack_size(source_model, spec: StreamSpec) -> int:
     shift count alone, and draws no data.
 
     A stacked protocol holds one batch of ``n`` rows, never a shift:
-    its probabilities twice (``n x C`` as predicted, ``(n + 1) x C``
-    under a running column sum), its step buffers (two of ``n x C`` and
-    one of ``n x hidden`` floats, one ``n x hidden`` mask), and the
+    its probabilities twice (``n x C`` as predicted, in the step
+    workspace that the stack allocates once, and ``(n + 1) x C`` under a
+    running column sum), its other step buffers (two of ``n x C`` and one
+    of ``n x hidden`` floats, one ``n x hidden`` mask), and the
     temporaries of checking and scoring a batch, counted as two ``n x C``
-    masks and ``n`` argmax predictions.  Besides, it holds four parameter-sized
-    vectors (its parameters, their gradient, the SGD velocity and its
-    scratch) and, per shift, its ``C x C`` confusion counts and ``C``
-    column sums, and its ``C`` running total.  Row maxima, one float per
+    masks and ``n`` argmax predictions.  Besides, it holds four
+    parameter-sized vectors (its parameters, their gradient, the SGD
+    velocity and its scratch) and, per shift, its ``C x C`` confusion
+    counts and ``C`` column sums, and its ``C`` running total.  Row maxima, one float per
     row of the stream, are not counted: only a caller that reads reports
     keeps them (``reports=True``), and it stacks its own few protocols.
     numpy's internal buffers, 64 KiB at most each, are not counted
@@ -493,17 +494,17 @@ class _Tally:
     batch as :func:`adapt_stream` predicts (see :class:`ProtocolResult`).
 
     :meth:`shift` starts a shift of labels ``y`` (``B x n``) and returns
-    the ``K x n x C`` batch buffer and the scoring hook for that shift's
-    :func:`adapt_stream` call.  The hook adds each batch's argmax
-    predictions to the shift's counts, exactly, and, when asked to,
-    keeps each row's largest probability in one ``K x R`` array per
-    shift.  For the column sums it copies the batch into rows 1 to
-    ``n`` of an ``(n + 1) x K x C`` array, puts a running sum of each
-    protocol in row 0 and reduces over the rows: once with the shift's
-    sum (zeros at first; ``0 + p`` is ``p`` for probabilities, which are
-    never ``-0``), once with the total over every batch before.  Each
-    column still adds its rows in sequence, so each protocol's sums keep
-    the bits of its own one-protocol reduction.
+    the scoring hook for that shift's :func:`adapt_stream` call, which
+    hands it each batch's ``K x n x C`` probabilities.  The hook adds
+    each batch's argmax predictions to the shift's counts, exactly, and,
+    when asked to, keeps each row's largest probability in one ``K x R``
+    array per shift.  For the column sums it copies the batch into rows
+    1 to ``n`` of an ``(n + 1) x K x C`` array, puts a running sum of
+    each protocol in row 0 and reduces over the rows: once with the
+    shift's sum (zeros at first; ``0 + p`` is ``p`` for probabilities,
+    which are never ``-0``), once with the total over every batch
+    before.  Each column still adds its rows in sequence, so each
+    protocol's sums keep the bits of its own one-protocol reduction.
     """
 
     def __init__(self, K: int, C: int, row_max: bool):
@@ -513,7 +514,7 @@ class _Tally:
 
     def shift(self, y: np.ndarray):
         (B, n), K, C = y.shape, self.K, self.C
-        probs, rows = np.empty((K, n, C)), np.empty((n + 1, K, C))
+        rows = np.empty((n + 1, K, C))
         counts, col_sum = np.zeros((K, C, C), np.intp), np.zeros((K, C))
         row_max = np.empty((K, B * n)) if self.keep_row_max else None
         self.confusion.append(counts)
@@ -534,7 +535,7 @@ class _Tally:
                 rows[0] = running
                 np.add.reduce(flat, axis=0, out=running.reshape(K * C))
 
-        return probs, score
+        return score
 
     def result(self, k: int) -> "ProtocolResult":
         """Protocol ``k``'s summaries, as views of the stacked arrays."""
@@ -571,13 +572,14 @@ def run_protocols(
     triggers.
 
     Scoring is :func:`adapt_stream`'s per-batch hook, so the call holds
-    one batch of probabilities per protocol, never a shift's: each batch
-    is added to the protocol's confusion counts and running column sums
-    as soon as it is predicted, and the next batch overwrites it.  Row
-    maxima, one float per row of the stream, are kept only with
-    ``reports=True``, for callers that read ``per_shift`` or ``overall``;
-    ``accuracy`` needs the counts alone.  :func:`stack_size` bounds ``K``
-    by what the call holds per protocol.
+    one batch of probabilities per protocol, never a shift's: each batch,
+    in the buffer that :func:`adapt_stream` owns, is added to the
+    protocol's confusion counts and running column sums as soon as it is
+    predicted, and the next batch overwrites it.  Row maxima, one float
+    per row of the stream, are kept only with ``reports=True``, for
+    callers that read ``per_shift`` or ``overall``; ``accuracy`` needs
+    the counts alone.  :func:`stack_size` bounds ``K`` by what the call
+    holds per protocol.
 
     Each shift's labels must be integers in ``[0, C)``, ``B x n`` like
     its inputs.  A shift with no rows raises ``ValueError`` naming it,
@@ -609,8 +611,8 @@ def run_protocols(
         if plugins is None or mode == "single_domain":
             stack.theta[...] = source_model.theta
             plugins = [f() if e is None else None for f, e in zip(factories, errors)]
-        probs, score = tally.shift(y)
-        for k, exc in enumerate(adapt_stream(stack, X, plugins, cfgs, probs, score)):
+        score = tally.shift(y)
+        for k, exc in enumerate(adapt_stream(stack, X, plugins, cfgs, score)):
             if exc is not None:
                 errors[k], plugins[k] = DivergenceError(exc.stage, exc.batch, s), None
         del X, y, score  # score holds the labels; let the shift go before the next is drawn

@@ -119,7 +119,8 @@ def write_csv(path: str, header: str, rows) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write ``obj`` as strict JSON: a NaN or infinity raises ``ValueError``."""
+    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def remove_outputs(directory: str, table: str) -> None:
@@ -767,7 +768,7 @@ def grid_search_result(cfg: dict, model, data) -> GridResult:
     chunk of points; the finalists then make one pass over the full
     stream, which holds one shift at a time.  The valid points are scored
     first, stacked in grid order by :func:`_stacked_runs`, and
-    ``search.grid_search`` then reads their scores.  A diverging point
+    ``search.grid_search`` then ranks their scores.  A diverging point
     raises as it would alone, before any later chunk runs.
     """
     sgd = sgd_config(cfg)
@@ -785,7 +786,7 @@ def grid_search_result(cfg: dict, model, data) -> GridResult:
     valid = [(t, a) for t, a, ok in _search.grid_points(grid) if ok]
     scores = dict(zip(valid, accuracies(subset, valid)))
 
-    best, table = _search.grid_search(lambda t, a: scores[(t, a)], grid)
+    best, table = _search.grid_search(scores, grid)
     classical_subset = scores.get((1.0, 1.0))
     finalists = [(best.tau, best.alpha)]
     if classical_subset is not None:
@@ -857,14 +858,14 @@ def lr_sweep_result(cfg: dict, model, data) -> _search.LrSweepResult:
     The lr = 0 baseline and every rate run first, stacked by
     :func:`_stacked_runs`, one pass over the stream per chunk (one pass
     on every shipped config); ``search.lr_sweep`` then reads each rate's
-    accuracy, or the ``DivergenceError`` that ended its run, which it
+    result, or the ``DivergenceError`` that ended its run, which it
     scores NaN.
     """
     factory, sgd = plugin_factory_from(cfg), sgd_config(cfg)
     rates = list(dict.fromkeys([0.0, *cfg["lrs"]]))
     sgds = [replace(sgd, lr=lr) for lr in rates]
     runs = dict(zip(rates, _stacked_runs(model, data.spec, data, [factory] * len(rates), sgds)))
-    return _search.lr_sweep(lambda lr: _succeeded(runs[lr]).accuracy, cfg["lrs"])
+    return _search.lr_sweep(runs, cfg["lrs"])
 
 
 def cmd_lr_sweep(args) -> int:
@@ -888,7 +889,8 @@ def cmd_lr_sweep(args) -> int:
         "baseline_accuracy": jround(result.baseline),
         "tolerance_count": result.tolerance_count,
         "lrs": [jround(lr) for lr, _ in result.rows],
-        "accuracies": [jround(acc) for _, acc in result.rows],
+        # a diverged rate's NaN is not JSON: it is written as null
+        "accuracies": [None if math.isnan(acc) else jround(acc) for _, acc in result.rows],
         "seed": cfg["seed"],
     }
     write_json(os.path.join(out, "summary.json"), summary)

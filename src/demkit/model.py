@@ -14,11 +14,10 @@ velocity and updates are flat vectors laid out like ``theta``.
 ``adapt_stream`` is the online protocol over one shift, a ``B x n x d``
 array of ``B`` unlabeled batches of ``n`` rows, for a :class:`ModelStack`
 of ``K`` models at once: for each batch the models first predict (the
-loop writes these pre-update probabilities into the caller's batch
-buffer and calls the caller's scoring hook on them), then each model's
-loss plugin turns its logits and probabilities into per-sample
-gradients, and each model takes one SGD step with its own optimizer
-settings.  One model is the stack of ``K = 1``.
+loop writes these pre-update probabilities into its workspace and calls
+the caller's scoring hook on them), then each model's loss plugin turns
+its logits and probabilities into per-sample gradients, and each model
+takes one SGD step with its own optimizer settings.  One model is the stack of ``K = 1``.
 Plugins wrap the loss family: cross-entropy (supervised plumbing for
 source training and oracle baselines), classical EM, decoupled EM, and
 AdaDEM, which carries its calibrator state through the whole stream.
@@ -44,7 +43,7 @@ what they return belongs to the caller.  ``sgd_step`` likewise writes
 The plugin contract of ``adapt_stream``: the ``Z`` handed to
 ``batch_eval`` is a workspace buffer that the next step overwrites, so a
 plugin reads it and neither keeps it nor writes into it; ``P`` is the
-model's block of the caller's batch buffer, and is read only.
+model's block of the workspace's probabilities, and is read only.
 """
 
 from __future__ import annotations
@@ -229,11 +228,12 @@ class _Workspace:
     out like it (:class:`ModelStack`), which gives every buffer below a
     leading axis of ``K``, one slice per stacked model.
 
-    Row buffers hold one batch: the logits ``Z`` (``n x C``), the MLP's
-    hidden activations ``A`` (``n x hidden``; zero columns wide for the
-    linear model), which the backward pass overwrites with the hidden
-    gradient once it has read them, the scaled logit gradients ``G`` and
-    the rectifier mask ``M``.  ``g`` is the parameter gradient laid out
+    Row buffers hold one batch: the logits ``Z`` (``n x C``), their
+    probabilities ``P`` (``n x C``; :func:`adapt_stream` writes them),
+    the MLP's hidden activations ``A`` (``n x hidden``; zero columns
+    wide for the linear model), which the backward pass overwrites with
+    the hidden gradient once it has read them, the scaled logit
+    gradients ``G`` and the rectifier mask ``M``.  ``g`` is the parameter gradient laid out
     like ``theta``, and ``grads`` are its views shaped like the model's
     arrays (``W``, ``b`` or ``W1``, ``b1``, ``W2``, ``b2``).  The kernels
     read each weight matrix transposed over its last two axes (``W1T``,
@@ -254,7 +254,7 @@ class _Workspace:
         else:
             self.W2, b2 = params
         self.W2T, self.b2 = np.swapaxes(self.W2, -1, -2), b2[..., None, :]
-        self.Z, self.G = np.empty(lead + (n, C)), np.empty(lead + (n, C))
+        self.Z, self.P, self.G = (np.empty(lead + (n, C)) for _ in range(3))
         self.A, self.M = np.empty(lead + (n, h)), np.empty(lead + (n, h), bool)
         self.GT, self.AT = np.swapaxes(self.G, -1, -2), np.swapaxes(self.A, -1, -2)
         self.g = np.empty(theta.shape)
@@ -514,20 +514,21 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int 
     return model
 
 
-def adapt_stream(stack: ModelStack, X, plugins, cfgs, probs: np.ndarray, score) -> list:
+def adapt_stream(stack: ModelStack, X, plugins, cfgs, score) -> list:
     """Online adaptation of ``K`` stacked models: predict, score, update,
     repeat.
 
     ``X`` is one shift's unlabeled inputs, a ``B x n x d`` array of ``B``
     batches of ``n`` rows, so the loop never sees a label.  For each
     batch ``X[i]`` the models of ``stack`` first predict: the loop writes
-    their probabilities ``softmax_rows(Z)`` into ``probs`` and calls
-    ``score(i, probs)``, which may read ``probs`` and must not write into
-    it.  Then for each model ``k`` ``plugins[k].batch_eval(Z, P)`` turns
-    its logits ``Z`` and probabilities ``P = probs[k]`` into the ``n x C``
-    matrix of per-sample loss gradients with respect to the logits
-    (gradients only: nothing here reads a loss value), and one
-    :func:`sgd_step` with ``cfgs[k]`` moves ``stack.models[k]`` in place.
+    their probabilities ``softmax_rows(Z)`` into ``P``, the C-contiguous
+    float64 ``K x n x C`` buffer of the stack's :class:`_Workspace`, and
+    calls ``score(i, P)``, which may read ``P`` and must not write into
+    it.  Then for each model ``k`` ``plugins[k].batch_eval(Z[k], P[k])``
+    turns its logits and probabilities into the ``n x C`` matrix of
+    per-sample loss gradients with respect to the logits (gradients
+    only: nothing here reads a loss value), and one :func:`sgd_step`
+    with ``cfgs[k]`` moves ``stack.models[k]`` in place.
 
     The K-model contract: the forward pass, the row softmax, the
     finiteness checks and the backward pass run once per batch for the
@@ -538,18 +539,16 @@ def adapt_stream(stack: ModelStack, X, plugins, cfgs, probs: np.ndarray, score) 
     per call.  A model whose plugin is ``None`` is carried along and
     takes neither.
 
-    ``cfgs`` holds one :class:`SgdConfig` per model.  ``probs`` is the
-    caller's float64 ``K x n x C`` array whose ``K`` blocks have
-    C-contiguous rows and do not overlap; each batch overwrites it, so
-    the scoring hook keeps what it needs of one batch before the next.
-    ``X``, ``plugins``, ``cfgs`` and ``probs`` are validated once, before
-    the first step (``ValueError``).
+    ``cfgs`` holds one :class:`SgdConfig` per model.  The hook gets the
+    same ``P`` for every batch, and each batch overwrites it, so the hook
+    keeps what it needs of one batch before the next.  ``X``,
+    ``plugins`` and ``cfgs`` are validated once, before the first step
+    (``ValueError``).
 
-    The plugin contract: ``P`` is model ``k``'s block of ``probs``, so a
-    plugin reads it and never writes into it.  ``Z`` is a buffer of
-    the stack's :class:`_Workspace` that the next step overwrites, so a
-    plugin reads it during ``batch_eval`` and neither keeps it nor
-    writes into it.
+    The plugin contract: ``P[k]`` and ``Z[k]`` are buffers of the stack's
+    :class:`_Workspace` that the next step overwrites, so a plugin reads
+    them during ``batch_eval`` and neither keeps them nor writes into
+    them.
 
     Each call starts from fresh SGD states, so momentum never carries
     over from one call to the next: a continual protocol, which calls
@@ -570,23 +569,12 @@ def adapt_stream(stack: ModelStack, X, plugins, cfgs, probs: np.ndarray, score) 
         raise ValueError(f"a shift's inputs must be B x n x d, got shape {X.shape}")
     model = stack.models[0]
     _validated_input(model, X.reshape(-1, X.shape[2]))
-    K, n, C = len(stack.models), X.shape[1], model.C
+    K, n = len(stack.models), X.shape[1]
     plugins, cfgs = list(plugins), list(cfgs)
     if len(plugins) != K:
         raise ValueError(f"need one plugin per stacked model, {K}, got {len(plugins)}")
     if len(cfgs) != K:
         raise ValueError(f"need one SgdConfig per stacked model, {K}, got {len(cfgs)}")
-    if not (
-        isinstance(probs, np.ndarray)
-        and probs.dtype == np.float64
-        and probs.shape == (K, n, C)
-        and probs.strides[1:] == (C * 8, 8)
-        and (K == 1 or probs.strides[0] >= n * C * 8)
-    ):
-        raise ValueError(
-            f"probs must be a float64 array of {K} x {n} x {C} "
-            "with C-contiguous rows and disjoint blocks"
-        )
     ws = stack._workspace(n)
     G = ws.G  # the plugins' gradients, stacked for one backward pass
     states, errors = [SgdState() for _ in range(K)], [None] * K
@@ -596,7 +584,7 @@ def adapt_stream(stack: ModelStack, X, plugins, cfgs, probs: np.ndarray, score) 
             if not live:
                 break
             Z = _forward(Xi, ws)
-            P = _softmax_rows(Z, probs)
+            P = _softmax_rows(Z, ws.P)
             score(i, P)
             finite = np.isfinite(Z).all(axis=(1, 2))
             for k in live:

@@ -8,11 +8,13 @@ step 0.1 on both axes and always contains the classical point
 (1.0, 1.0), so the best found score can never fall below classical EM's
 on the scoring data.
 
-``lr_sweep`` runs one protocol per learning rate and reports the
-tolerance count: how many rates end at or above the no-adapt baseline.
-It owns the divergence rule: a protocol that raises ``DivergenceError``
-scores NaN, which counts below the baseline and is never the sweep's
-``best``.  Both helpers run their protocols one after another in grid
+``lr_sweep`` reads one protocol's result per learning rate and reports
+the tolerance count: how many rates end at or above the no-adapt
+baseline.  It owns the divergence rule: a protocol that ended in a
+``DivergenceError`` scores NaN, which counts below the baseline and is
+never the sweep's ``best``.  Both helpers rank values their caller has
+already computed (the CLI runs the protocols stacked, through
+``bench.run_protocols``) and call nothing back; their tables follow grid
 order, so output is deterministic.
 """
 
@@ -122,22 +124,21 @@ def grid_points(grid: GridSpec) -> list:
     return [(tau, alpha, validate_config(tau, alpha)) for tau in taus for alpha in alphas]
 
 
-def grid_search(protocol, grid: GridSpec = GridSpec()):
-    """Score every valid grid point with ``protocol(tau, alpha)``.
+def grid_search(scores: dict, grid: GridSpec = GridSpec()):
+    """Rank the valid points of ``grid`` by ``scores``, a dict from each
+    valid ``(tau, alpha)`` to its accuracy.
 
     Returns ``(best, table)`` where the table lists every point
     (including invalid ones, unscored) in grid order.  Ties on accuracy
     prefer the point closest to classical EM: smallest ``|tau - 1|``,
-    then smallest ``|alpha - 1|``, then grid order.
+    then smallest ``|alpha - 1|``, then grid order.  A valid point
+    missing from ``scores`` raises ``ValueError`` naming it.
     """
     points = grid_points(grid)
-    valid = [(t, a) for t, a, ok in points if ok]
-    scores = [float(protocol(t, a)) for t, a in valid]
-    by_pair = dict(zip(valid, scores))
-    table = [
-        TrialResult(t, a, ok, by_pair.get((t, a)) if ok else None)
-        for t, a, ok in points
-    ]
+    for t, a, ok in points:
+        if ok and (t, a) not in scores:
+            raise ValueError(f"no score for the valid point (tau={t}, alpha={a})")
+    table = [TrialResult(t, a, ok, float(scores[(t, a)]) if ok else None) for t, a, ok in points]
     best = max(
         (r for r in table if r.valid),
         key=lambda r: (r.accuracy, -abs(r.tau - 1.0), -abs(r.alpha - 1.0)),
@@ -145,14 +146,16 @@ def grid_search(protocol, grid: GridSpec = GridSpec()):
     return best, table
 
 
-def lr_sweep(protocol, lrs=DEFAULT_LR_GRID) -> LrSweepResult:
-    """Run ``protocol(lr)`` per rate; count rates at or above the baseline.
+def lr_sweep(runs: dict, lrs=DEFAULT_LR_GRID) -> LrSweepResult:
+    """Count the rates of ``lrs`` whose run ends at or above the baseline.
 
-    The baseline is the protocol at lr = 0 (no parameter movement), so
-    the count answers: at how many of these rates does adapting not hurt?
-    A run that diverges at an aggressive rate is a legitimate sweep
-    outcome: a ``DivergenceError`` from ``protocol``, at a rate or at the
-    baseline, scores NaN.  Any other exception propagates.
+    ``runs`` maps lr = 0 and each rate to what ``bench.run_protocols``
+    gave for it: a result, whose ``accuracy`` is read, or the
+    ``DivergenceError`` that ended it.  The baseline is the run at
+    lr = 0 (no parameter movement), so the count answers: at how many of
+    these rates does adapting not hurt?  A run that diverges at an
+    aggressive rate is a legitimate sweep outcome: a ``DivergenceError``,
+    at a rate or at the baseline, scores NaN.
     """
     lrs = list(lrs)
     if not lrs:
@@ -161,10 +164,8 @@ def lr_sweep(protocol, lrs=DEFAULT_LR_GRID) -> LrSweepResult:
         raise ValueError("learning rates must be non-negative")
 
     def score(lr: float) -> float:
-        try:
-            return float(protocol(lr))
-        except DivergenceError:
-            return math.nan
+        run = runs[lr]
+        return math.nan if isinstance(run, DivergenceError) else float(run.accuracy)
 
     baseline = score(0.0)
     accs = [score(lr) for lr in lrs]

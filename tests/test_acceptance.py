@@ -347,22 +347,25 @@ def test_c09_easy_class_bias_kl_separation(sources):
 def test_c10_learning_rate_tolerance_count(sources):
     t0 = time.perf_counter()
     spec = default_single_domain()
+    rates = (0.0, *DEFAULT_LR_GRID)
+    sgds = [SgdConfig(lr=lr, momentum=0.9) for lr in rates]
     counts_em, counts_ada = [], []
     for seed in SEEDS:
         mix, model = sources[seed]
         data = _stream(mix, spec, seed)
+        K = stack_size(model, spec)
 
-        def protocol(lr, factory):
-            return run_protocol(
-                model, data, spec.mode, factory, SgdConfig(lr=lr, momentum=0.9)
-            ).overall.accuracy
+        def tolerance_count(factory):
+            # The baseline and the rates run stacked, stack_size at a
+            # time, as lr-sweep runs them; lr_sweep then reads the runs.
+            runs = []
+            for start in range(0, len(rates), K):
+                chunk = sgds[start : start + K]
+                runs += run_protocols(model, data, spec.mode, [factory] * len(chunk), chunk)
+            return lr_sweep(dict(zip(rates, runs))).tolerance_count
 
-        counts_em.append(
-            lr_sweep(lambda lr: protocol(lr, EmPlugin)).tolerance_count
-        )
-        counts_ada.append(
-            lr_sweep(lambda lr: protocol(lr, _ada_factory)).tolerance_count
-        )
+        counts_em.append(tolerance_count(EmPlugin))
+        counts_ada.append(tolerance_count(_ada_factory))
     elapsed = time.perf_counter() - t0
     ok = all(a > e for a, e in zip(counts_ada, counts_em))
     _report("C10", ok,
@@ -396,7 +399,7 @@ def test_c11_grid_search_contract(sources):
             runs += run_protocols(model, subset, spec.mode, factories, [sgd] * len(factories))
         scores = {point: run.accuracy for point, run in zip(valid, runs)}
 
-        best, table = grid_search(lambda tau, alpha: scores[(tau, alpha)], grid)
+        best, table = grid_search(scores, grid)
         classical_subset = next(
             r.accuracy for r in table if r.tau == 1.0 and r.alpha == 1.0
         )

@@ -435,7 +435,7 @@ def _shift_probs(model, X, plugin, cfg):
     def score(i, P):
         probs[i] = P[0]
 
-    assert adapt_stream(stack, X, [plugin], [cfg], np.empty((1, n, model.C)), score) == [None]
+    assert adapt_stream(stack, X, [plugin], [cfg], score) == [None]
     model.theta[:] = stack.theta[0]
     return probs.reshape(B * n, model.C)
 
@@ -1000,7 +1000,8 @@ class TestPerBatchScoring:
             tallies = [demkit.bench._Tally(K, C, keep) for keep in (True, False)]
             for P, y in data:
                 for tally in tallies:
-                    probs, score = tally.shift(y)
+                    # one buffer overwritten by every batch, as adapt_stream hands it
+                    score, probs = tally.shift(y), np.empty(P.shape[1:])
                     for i, batch in enumerate(P):
                         probs[...] = batch
                         score(i, probs)

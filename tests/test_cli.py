@@ -66,6 +66,12 @@ gradcheck mlp/em: max rel err 1.69064832e-11 [ok]
 """
 
 
+def _refuse_constant(name):
+    """A ``json.loads`` ``parse_constant`` that refuses ``NaN`` and the
+    infinities, which strict JSON does not have."""
+    raise ValueError(f"{name} is not JSON")
+
+
 def small_config(tmp_path, **overrides):
     """A config small enough that every command finishes in well under a
     second; sections in ``overrides`` replace the corresponding block."""
@@ -989,8 +995,10 @@ class TestStackedSweeps:
         assert sizes == [4] and stacked == alone
         rows = stacked[0].decode().splitlines()
         assert rows[2] == "1e+308,nan" and "nan" not in rows[1] + rows[3]
-        summary = json.loads(stacked[1])
+        summary = json.loads(stacked[1], parse_constant=_refuse_constant)
         assert not math.isnan(summary["baseline_accuracy"])
+        assert summary["accuracies"][1] is None
+        assert None not in summary["accuracies"][::2]
 
     def test_a_diverging_baseline_in_a_stack_exits_3(self, tmp_path, monkeypatch, capsys):
         # The lr = 0 baseline, the first protocol of the stack, diverges:
@@ -1099,8 +1107,10 @@ class TestLrSweepCommand:
             assert main(["lr-sweep", "--config", str(cfg)]) == EXIT_OK
         lines = (tmp_path / "out" / "lr_sweep.csv").read_text().splitlines()
         assert lines[2] == "1e+308,nan"
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        assert math.isnan(summary["accuracies"][1])
+        # strict JSON: the diverged rate's NaN is written as null
+        text = (tmp_path / "out" / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=_refuse_constant)
+        assert summary["accuracies"][1] is None
         stable = 1 if summary["accuracies"][0] >= summary["baseline_accuracy"] else 0
         assert summary["tolerance_count"] == stable
 

@@ -116,10 +116,18 @@ def _small_config(stem: str, name: str, directory: Path) -> str:
     return str(path)
 
 
+def _refuse_constant(name):
+    """A ``json.loads`` ``parse_constant`` that refuses ``NaN`` and the
+    infinities, which strict JSON does not have."""
+    raise ValueError(f"{name} is not JSON")
+
+
 def _digests(directory: Path, capsys) -> dict:
     """Run ``COMMANDS`` in ``directory``, the working directory, and return
     the SHA-256 of each command's standard output and of every file the
-    commands wrote, keyed by command or by relative path."""
+    commands wrote, keyed by command or by relative path.  Each
+    ``summary.json`` must parse as strict JSON, with no ``NaN`` or
+    infinity."""
     digests = {}
     for name, stem, argv in COMMANDS:
         if stem is not None:
@@ -129,6 +137,8 @@ def _digests(directory: Path, capsys) -> dict:
     for path in sorted(directory.rglob("*")):
         if path.is_file() and path.parts[len(directory.parts)] != "cfg":
             key = path.relative_to(directory).as_posix()
+            if path.name == "summary.json":
+                json.loads(path.read_text(), parse_constant=_refuse_constant)
             digests[key] = hashlib.sha256(path.read_bytes()).hexdigest()
     return digests
 

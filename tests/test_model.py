@@ -232,9 +232,7 @@ def _adapt(model, X, plugin, cfg):
     ``B x n x C``."""
     B, n = X.shape[:2]
     stack, seen = ModelStack([model]), np.empty((1, B * n, model.C))
-    (error,) = adapt_stream(
-        stack, X, [plugin], [cfg], np.empty((1, n, model.C)), _recorder(seen, n)
-    )
+    (error,) = adapt_stream(stack, X, [plugin], [cfg], _recorder(seen, n))
     model.theta[:] = stack.theta[0]
     if error is not None:
         raise error
@@ -732,7 +730,7 @@ class TestAdaptStream:
         with pytest.raises(error):
             adapt_stream(
                 ModelStack([model]), inputs(X), [EmPlugin()], [SgdConfig(lr=0.1)],
-                np.empty((1, 16, 3)), _recorder(np.empty((1, 48, 3)), 16),
+                _recorder(np.empty((1, 48, 3)), 16),
             )
         assert np.array_equal(model.theta, before)
 
@@ -758,10 +756,11 @@ class TestAdaptStream:
     )
     def test_plugins_score_the_returned_probabilities(self, make_plugin, monkeypatch):
         # adapt_stream computes P = softmax_rows(Z) once per batch, into
-        # the caller's batch buffer: the scoring hook sees that buffer and
-        # the plugin its model's block, with the bits of softmax_rows(Z);
-        # neither writes into it and nothing recomputes it.  dem_rows
-        # still takes the softmax of Z / tau, which is another matrix.
+        # its own K x n x C buffer: the scoring hook gets that buffer, the
+        # same C-contiguous float64 array for every batch, and the plugin
+        # its model's block, with the bits of softmax_rows(Z); neither
+        # writes into it and nothing recomputes it.  dem_rows still takes
+        # the softmax of Z / tau, which is another matrix.
         seen = []
 
         class Recording:
@@ -797,15 +796,19 @@ class TestAdaptStream:
         monkeypatch.setattr(adadem, "softmax_rows", no_softmax, raising=False)
         X, _ = self._stream(Rng(42), n_batches=4)
         model = init_mlp(3, 2, 6, Rng(43))
-        probs, scored = np.empty((1, 16, 3)), []
+        hooked, scored = [], []
 
         def score(i, P):
-            assert P is probs
+            hooked.append(P)
             scored.append((i, P.copy()))
 
-        adapt_stream(ModelStack([model]), X, [recording], [SgdConfig(lr=0.05)], probs, score)
+        adapt_stream(ModelStack([model]), X, [recording], [SgdConfig(lr=0.05)], score)
         assert len(seen) == 4 and [i for i, _ in scored] == [0, 1, 2, 3]
-        for P, (_, batch) in zip(seen, scored):
+        probs = hooked[0]
+        assert all(P is probs for P in hooked)
+        assert probs.dtype == np.float64 and probs.shape == (1, 16, 3)
+        assert probs.flags.c_contiguous
+        for P in seen:
             assert P.base is probs
             assert (P.shape, P.ctypes.data) == (probs[0].shape, probs[0].ctypes.data)
         # The plugin read each batch's probabilities as the hook saw them.
@@ -813,17 +816,28 @@ class TestAdaptStream:
 
     @pytest.mark.parametrize("rows", [47, 49])
     def test_probability_matrix_must_fit_the_stream(self, rows):
-        # The buffer holds one batch: batches of 48 rows need exactly 48;
-        # any other row count is refused before the first step.
-        X, _ = self._stream(Rng(30), n_batches=2, batch=48)
+        # The buffer holds one batch: a stack that ran batches of 48 rows
+        # hands the hook a 1 x rows x 3 buffer for batches of rows rows,
+        # with the bits of the stack's own one-shift run.
         model = init_linear(3, 2, Rng(31), scale=0.5)
-        before = model.theta.copy()
-        with pytest.raises(ValueError, match="array of 1 x 48 x 3"):
-            adapt_stream(
-                ModelStack([model]), X, [EmPlugin()], [SgdConfig(lr=0.01)],
-                np.empty((1, rows, 3)), _recorder(np.empty((1, 96, 3)), 48),
-            )
-        assert np.array_equal(model.theta, before)
+        stack, cfg = ModelStack([model]), SgdConfig(lr=0.01)
+        first, _ = self._stream(Rng(30), n_batches=2, batch=48)
+        X, _ = self._stream(Rng(32), n_batches=2, batch=rows)
+        adapt_stream(stack, first, [EmPlugin()], [cfg], lambda i, P: None)
+        alone = model.copy()
+        alone.theta[:] = stack.theta[0]
+        hooked, seen = [], np.empty((1, 2 * rows, 3))
+        record = _recorder(seen, rows)
+
+        def score(i, P):
+            hooked.append((P.shape, P.ctypes.data))
+            record(i, P)
+
+        assert adapt_stream(stack, X, [EmPlugin()], [cfg], score) == [None]
+        assert hooked == [((1, rows, 3), hooked[0][1])] * 2
+        expected = _adapt(alone, X, EmPlugin(), cfg)
+        assert seen.tobytes() == expected.tobytes()
+        assert stack.theta[0].tobytes() == alone.theta.tobytes()
 
     @pytest.mark.parametrize("count", [0, 2])
     def test_takes_one_sgd_config_per_model(self, count):
@@ -833,29 +847,9 @@ class TestAdaptStream:
         with pytest.raises(ValueError, match=f"one SgdConfig per stacked model, 1, got {count}"):
             adapt_stream(
                 ModelStack([model]), X, [EmPlugin()], [SgdConfig(lr=0.01)] * count,
-                np.empty((1, 16, 3)), _recorder(np.empty((1, 48, 3)), 16),
+                _recorder(np.empty((1, 48, 3)), 16),
             )
         assert np.array_equal(model.theta, before)
-
-    @pytest.mark.parametrize(
-        "K, probs",
-        [(1, np.empty((1, 48, 4))), (1, np.empty((1, 48, 3), dtype=np.float32)),
-         (1, np.empty((1, 3, 48)).transpose(0, 2, 1)), (1, np.empty(48 * 3)),
-         (1, np.empty((48, 3))), (1, [[[0.0] * 3] * 48]), (2, np.empty((1, 48, 3))),
-         (2, np.lib.stride_tricks.as_strided(np.empty((48, 3)), (2, 48, 3), (0, 24, 8)))],
-        ids=["columns", "dtype", "layout", "vector", "matrix", "list", "too-few-blocks",
-             "overlap"],
-    )
-    def test_rejects_a_malformed_probability_matrix(self, K, probs):
-        X, _ = self._stream(Rng(30), n_batches=1, batch=48)
-        stack = ModelStack([init_linear(3, 2, Rng(31), scale=0.5)] * K)
-        before = stack.theta.copy()
-        with pytest.raises(ValueError, match=f"float64 array of {K} x 48 x 3 with C-contig"):
-            adapt_stream(
-                stack, X, [EmPlugin()] * K, [SgdConfig(lr=0.01)] * K, probs,
-                _recorder(np.empty((K, 48, 3)), 48),
-            )
-        assert np.array_equal(stack.theta, before)
 
 
 class TestModelStack:
@@ -898,9 +892,7 @@ class TestModelStack:
         probs = np.empty((3, 64, 3))
         cfg = SgdConfig(lr=0.1, momentum=0.9)
         plugins = [EmPlugin(), None, AdaDemPlugin()]
-        errors = adapt_stream(
-            stack, X, plugins, [cfg] * 3, np.empty((3, 16, 3)), _recorder(probs, 16)
-        )
+        errors = adapt_stream(stack, X, plugins, [cfg] * 3, _recorder(probs, 16))
         assert errors == [None] * 3
         assert np.array_equal(stack.theta[1], source.theta)
         for k in (0, 2):
@@ -918,10 +910,7 @@ class TestModelStack:
         source = init_mlp(3, 2, 6, Rng(6))
         cfgs = [SgdConfig(0.1, 0.9), SgdConfig(0.0, 0.9), SgdConfig(0.03), SgdConfig(0.1, 0.5)]
         stack, probs = ModelStack([source] * 4), np.empty((4, 64, 3))
-        errors = adapt_stream(
-            stack, X, [AdaDemPlugin() for _ in cfgs], cfgs, np.empty((4, 16, 3)),
-            _recorder(probs, 16),
-        )
+        errors = adapt_stream(stack, X, [AdaDemPlugin() for _ in cfgs], cfgs, _recorder(probs, 16))
         assert errors == [None] * 4
         assert stack.theta[1].tobytes() == source.theta.tobytes()
         for k, cfg in enumerate(cfgs):
@@ -982,11 +971,13 @@ class TestStepKernels:
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
     def test_workspace_never_aliases_the_returned_probabilities(self, arch):
-        # The logits handed to the plugin live in the loop's one
-        # workspace, reused by every batch; the caller's probability
-        # matrix must not share its memory.
+        # The logits handed to the plugins and the loss gradients live in
+        # the loop's one workspace, reused by every batch; the K x n x C
+        # probabilities it hands the scoring hook are one C-contiguous
+        # float64 array, the same for every batch, that shares memory
+        # with neither.
         (X,) = self._shifts([(4, 64)], seed=12)
-        seen = []
+        seen, hooked = [], []
 
         class Recording:
             inner = DemPlugin(DemConfig(1.3, 0.4))
@@ -995,15 +986,25 @@ class TestStepKernels:
                 seen.append(Z)
                 return self.inner.batch_eval(Z, P)
 
+        stack, probs = ModelStack([self._make(arch)] * 2), np.empty((2, 4 * 64, 3))
+        record = _recorder(probs, 64)
+
+        def score(i, P):
+            hooked.append(P)
+            record(i, P)
+
         cfg = SgdConfig(lr=0.1, momentum=0.5)
-        probs, batch = np.empty((1, 4 * 64, 3)), np.empty((1, 64, 3))
-        adapt_stream(
-            ModelStack([self._make(arch)]), X, [Recording()], [cfg], batch, _recorder(probs, 64)
-        )
+        adapt_stream(stack, X, [Recording(), Recording()], [cfg] * 2, score)
+        batch, ws = hooked[0], stack._workspace(64)
+        assert len(hooked) == 4 and all(P is batch for P in hooked)
+        assert batch.dtype == np.float64 and batch.shape == (2, 64, 3)
+        assert batch.flags.c_contiguous
         assert not any(np.shares_memory(batch, Z) for Z in seen)
-        assert len(seen) == 4 and all(Z.ctypes.data == seen[0].ctypes.data for Z in seen)
+        assert not np.shares_memory(batch, ws.Z) and not np.shares_memory(batch, ws.G)
+        assert len(seen) == 8 and all(Z.base is ws.Z for Z in seen)
         expected = _inline_adapt(self._make(arch), X, DemPlugin(DemConfig(1.3, 0.4)), cfg)
-        assert probs.tobytes() == np.concatenate(expected).tobytes()
+        for block in probs:
+            assert block.tobytes() == np.concatenate(expected).tobytes()
 
 
 class TestPlugins:

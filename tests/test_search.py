@@ -1,6 +1,7 @@
 """Tests for the (tau, alpha) grid search and the lr sensitivity sweep."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,6 +105,22 @@ class TestGridPoints:
         assert (1.0, 1.0, True) in grid_points(GridSpec())
 
 
+def _scores(score, grid=GridSpec()):
+    """``{(tau, alpha): score(tau, alpha)}`` over the valid points of ``grid``."""
+    return {(t, a): score(t, a) for t, a, ok in grid_points(grid) if ok}
+
+
+def _runs(score, lrs=DEFAULT_LR_GRID):
+    """``{lr: run}`` for lr = 0 and each of ``lrs``, as ``bench.run_protocols``
+    gives them: a result of accuracy ``score(lr)``, or the
+    ``DivergenceError`` that ``score(lr)`` returns."""
+    outcomes = {lr: score(lr) for lr in (0.0, *lrs)}
+    return {
+        lr: out if isinstance(out, DivergenceError) else SimpleNamespace(accuracy=out)
+        for lr, out in outcomes.items()
+    }
+
+
 class TestGridSearch:
     def test_finds_quadratic_peak(self):
         # Score peaks at (0.7, 1.3); the search must return exactly that
@@ -111,39 +128,52 @@ class TestGridSearch:
         def protocol(tau, alpha):
             return 1.0 - (tau - 0.7) ** 2 - (alpha - 1.3) ** 2
 
-        best, table = grid_search(protocol)
+        best, table = grid_search(_scores(protocol))
         assert (best.tau, best.alpha) == (0.7, 1.3)
         assert best.valid
         assert best.accuracy == pytest.approx(1.0)
         assert len(table) == 420
 
     def test_constant_scores_tie_break_to_classical(self):
-        best, _ = grid_search(lambda tau, alpha: 0.5)
+        best, _ = grid_search(_scores(lambda tau, alpha: 0.5))
         assert (best.tau, best.alpha) == (1.0, 1.0)
 
     def test_invalid_points_are_never_scored(self):
+        # Scores for every point, invalid ones at 1.0: only the valid
+        # points' scores are read.
         calls = []
 
-        def protocol(tau, alpha):
-            calls.append((tau, alpha))
-            return 0.0
+        class Recording(dict):
+            def __getitem__(self, point):
+                calls.append(point)
+                return super().__getitem__(point)
 
-        _, table = grid_search(protocol, GridSpec(step=0.5))
-        assert all(validate_config(t, a) for t, a in calls)
+        grid = GridSpec(step=0.5)
+        scores = Recording({(t, a): 0.0 if ok else 1.0 for t, a, ok in grid_points(grid)})
+        _, table = grid_search(scores, grid)
+        assert calls and all(validate_config(t, a) for t, a in calls)
         for row in table:
             if not row.valid:
                 assert row.accuracy is None
             else:
                 assert row.accuracy == 0.0
 
+    def test_a_valid_point_without_a_score_raises(self):
+        grid = GridSpec(step=0.5)
+        scores = _scores(lambda tau, alpha: 0.5, grid)
+        del scores[(1.5, 0.5)]
+        with pytest.raises(ValueError, match=r"valid point \(tau=1.5, alpha=0.5\)"):
+            grid_search(scores, grid)
+
     def test_all_invalid_grid_raises(self):
         # tau in [3, 4] with alpha = 2 violates tau <= 2/alpha everywhere,
-        # so the grid is refused before any protocol could run.
+        # so the grid is refused before any point could be scored.
         with pytest.raises(ConfigError, match="no valid"):
             GridSpec(tau_min=3.0, tau_max=4.0, alpha_min=2.0, alpha_max=2.0, step=0.5)
 
     def test_table_rows_are_trial_results_in_grid_order(self):
-        _, table = grid_search(lambda t, a: t + a, GridSpec(step=1.0))
+        grid = GridSpec(step=1.0)
+        _, table = grid_search(_scores(lambda t, a: t + a, grid), grid)
         assert all(isinstance(r, TrialResult) for r in table)
         taus = [r.tau for r in table]
         assert taus == sorted(taus)
@@ -157,7 +187,7 @@ class TestLrSweep:
                 return 0.5
             return 0.8 if lr <= 1e-2 else 0.2
 
-        res = lr_sweep(protocol)
+        res = lr_sweep(_runs(protocol))
         assert isinstance(res, LrSweepResult)
         assert res.baseline == 0.5
         assert res.tolerance_count == 7  # rates up to 1e-2 inclusive
@@ -170,27 +200,27 @@ class TestLrSweep:
                 return 0.5
             return float("nan") if lr > 1e-2 else 0.6
 
-        res = lr_sweep(protocol)
+        res = lr_sweep(_runs(protocol))
         assert res.tolerance_count == 7
         assert any(math.isnan(acc) for _, acc in res.rows)
 
     def test_divergence_scores_nan_at_a_rate_and_at_the_baseline(self):
         def protocol(lr):
             if lr > 1e-2:
-                raise DivergenceError("logits", 1, 0)
+                return DivergenceError("logits", 1, 0)
             return 0.6
 
-        res = lr_sweep(protocol)
+        res = lr_sweep(_runs(protocol))
         diverged = [math.isnan(acc) for _, acc in res.rows]
         assert diverged == [lr > 1e-2 for lr in DEFAULT_LR_GRID]
         assert res.tolerance_count == 7
 
         def diverges_at_baseline(lr):
             if lr == 0.0:
-                raise DivergenceError("loss gradients", 0)
+                return DivergenceError("loss gradients", 0)
             return 0.6
 
-        res = lr_sweep(diverges_at_baseline, lrs=[1e-3])
+        res = lr_sweep(_runs(diverges_at_baseline, [1e-3]), lrs=[1e-3])
         assert math.isnan(res.baseline)
         assert res.rows == [(1e-3, 0.6)] and res.tolerance_count == 0
 
@@ -199,38 +229,33 @@ class TestLrSweep:
 
         def protocol(lr):
             if lr == 2.5e-2:
-                raise DivergenceError("logits", 1, 0)
+                return DivergenceError("logits", 1, 0)
             return scores[lr]
 
-        res = lr_sweep(protocol, lrs=[1e-3, 1e-2, 2.5e-2, 1e-1])
+        lrs = [1e-3, 1e-2, 2.5e-2, 1e-1]
+        res = lr_sweep(_runs(protocol, lrs), lrs=lrs)
         assert math.isnan(res.rows[2][1])
         assert res.best == (1e-2, 0.7)
 
     def test_best_is_nan_when_every_rate_diverges(self):
         def protocol(lr):
             if lr > 0.0:
-                raise DivergenceError("logits", 0, 0)
+                return DivergenceError("logits", 0, 0)
             return 0.5
 
-        lr, acc = lr_sweep(protocol, lrs=[1e-3, 1e-2]).best
+        lr, acc = lr_sweep(_runs(protocol, [1e-3, 1e-2]), lrs=[1e-3, 1e-2]).best
         assert math.isnan(lr) and math.isnan(acc)
 
-    def test_other_protocol_errors_propagate(self):
-        def protocol(lr):
-            raise ValueError("not a divergence")
-
-        with pytest.raises(ValueError, match="not a divergence"):
-            lr_sweep(protocol, lrs=[1e-3])
-
     def test_equal_to_baseline_is_tolerated(self):
-        res = lr_sweep(lambda lr: 0.5, lrs=[1e-3, 1e-2])
+        res = lr_sweep(_runs(lambda lr: 0.5, [1e-3, 1e-2]), lrs=[1e-3, 1e-2])
         assert res.tolerance_count == 2
 
     def test_validation(self):
+        runs = _runs(lambda lr: 0.5, [1e-3])
         with pytest.raises(ValueError):
-            lr_sweep(lambda lr: 0.5, lrs=[])
+            lr_sweep(runs, lrs=[])
         with pytest.raises(ValueError):
-            lr_sweep(lambda lr: 0.5, lrs=[1e-3, -1e-3])
+            lr_sweep(runs, lrs=[1e-3, -1e-3])
 
     def test_default_grid_is_pinned(self):
         assert DEFAULT_LR_GRID == (
