@@ -35,7 +35,7 @@ def main() -> None:
     for seed in range(args.seeds):
         cfg = load_config(str(CONFIG))
         cfg["seed"] = seed
-        _, model, data = prepared_experiment(cfg)
+        model, data = prepared_experiment(cfg)
         cfg["loss"]["name"] = "em"
         lr_em, acc_em = lr_sweep_result(cfg, model, data).best
         cfg["loss"]["name"] = "adadem"

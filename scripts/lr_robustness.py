@@ -36,7 +36,7 @@ def main() -> None:
     for seed in range(args.seeds):
         cfg = load_config(str(CONFIG))
         cfg["seed"] = seed
-        _, model, data = prepared_experiment(cfg)
+        model, data = prepared_experiment(cfg)
         for name in LOSSES:
             cfg["loss"]["name"] = name
             res = lr_sweep_result(cfg, model, data)

@@ -26,10 +26,10 @@ Metrics are computed online (each batch is predicted before the update
 that consumes it, and scored as soon as it is predicted) and aggregated
 into :class:`MetricsReport`; the no-adapt baseline, the frozen source
 model's accuracy on the same batches, is the protocol at ``lr = 0``.  A
-protocol keeps confusion counts and column sums, and one float per row
-of its predictions only when its reports will be read, never a
-probability matrix; its reports keep the bits :func:`metrics` gives on
-the matrices (see :class:`ProtocolResult`).
+protocol keeps, per shift, confusion counts and running sums of its
+probability columns and row maxima, never a row of its predictions; its
+reports keep the bits :func:`metrics` gives on the matrices (see
+:class:`ProtocolResult`).
 """
 
 from __future__ import annotations
@@ -173,28 +173,24 @@ class ProtocolResult:
 
     * ``confusion``: the ``C x C`` counts of (label, argmax prediction)
       pairs, ``confusion[y_i, pred_i]``;
-    * ``row_max``: each row's largest probability, ``P[i, pred_i]``,
-      which has the bits of ``np.max(P, axis=1)``; ``None`` in place of
-      the whole list when the protocol ran without reports;
-    * ``col_sums``: ``np.add.reduce(P, axis=0)``, the column sums whose
-      mean is the shift's output marginal.
+    * ``sums``: ``C + 1`` sums over the rows, the ``C`` columns of ``P``
+      and then each row's largest probability ``P[i, pred_i]``, which has
+      the bits of ``np.max(P, axis=1)``.
 
     The protocol builds them batch by batch.  Counts are integers, so
-    their sum is exact.  Each column sum is carried from batch to batch
-    as ``np.add.reduce`` over the running sum stacked on the batch's
-    rows, and ``total``, the column sum over every shift's rows, is
-    carried the same way across shifts.  A reduction over axis 0 adds
-    rows strictly in sequence (for two or more classes), so each sum has
-    the bits of one reduction over the concatenated rows; the per-shift
-    sums, added to one another, would not give ``total``'s.  So each
-    kept row costs one float, besides ``C * C`` counts and ``C`` sums per
-    shift.
+    their sum is exact.  The sums are carried from batch to batch as
+    ``np.add.reduce`` over the running sums stacked on the batch's rows,
+    and ``total``, the sums over every shift's rows, is carried the same
+    way across shifts.  A reduction over axis 0 adds rows strictly in
+    sequence, so each sum has the bits of one reduction over the
+    concatenated rows; the per-shift sums, added to one another, would
+    not give ``total``'s.  So a protocol keeps ``C * C`` counts and
+    ``C + 1`` sums per shift, and no float per row.
 
     ``per_shift`` (one :class:`MetricsReport` per shift) and ``overall``
     (one over every batch) are built from these summaries the first time
     each is read and kept; each field has the bits :func:`metrics` gives
-    on the probabilities themselves.  They need the row maxima
-    (``ValueError`` without them).  ``accuracy``, the overall accuracy
+    on the probabilities themselves.  ``accuracy``, the overall accuracy
     with the bits of ``overall.accuracy``, is kept the same way and
     builds no report, so a sweep that scores protocols by accuracy alone
     pays for no report.  The frozen source model's baseline on the same
@@ -202,8 +198,7 @@ class ProtocolResult:
     """
 
     confusion: list
-    row_max: list | None
-    col_sums: list
+    sums: list
     total: np.ndarray
 
     @cached_property
@@ -213,17 +208,11 @@ class ProtocolResult:
 
     @cached_property
     def per_shift(self) -> list:
-        return [_report(*shift) for shift in zip(self.confusion, self._row_max, self.col_sums)]
+        return [_report(*shift) for shift in zip(self.confusion, self.sums)]
 
     @cached_property
     def overall(self) -> MetricsReport:
-        return _report(sum(self.confusion), np.concatenate(self._row_max), self.total)
-
-    @property
-    def _row_max(self) -> list:
-        if self.row_max is None:
-            raise ValueError("reports need row maxima: run the protocol with reports=True")
-        return self.row_max
+        return _report(sum(self.confusion), self.total)
 
 
 def circle_means(C: int, radius: float) -> np.ndarray:
@@ -414,21 +403,22 @@ def metrics(probs, labels) -> MetricsReport:
     # Gathering P at its argmax gives the bits of np.max(P, axis=1) for
     # a fraction of its cost: one index per row, no second scan.
     codes = np.argmax(P, axis=1)
-    row_max = P[np.arange(n), codes]
-    return _report(_confusion(codes, y, C), row_max, np.add.reduce(P, axis=0))
+    sums = np.add.reduce(np.column_stack((P, P[np.arange(n), codes])), axis=0)
+    return _report(_confusion(codes, y, C), sums)
 
 
-def _report(confusion, row_max, col_sum) -> MetricsReport:
+def _report(confusion, sums) -> MetricsReport:
     """The kernel of :func:`metrics`: a report from summaries.
 
-    ``confusion`` holds the ``C x C`` (label, prediction) counts,
-    ``row_max`` each row's largest probability and ``col_sum`` is
-    ``np.add.reduce(P, axis=0)``; ``col_sum / n`` is ``P.mean(axis=0)``
-    to the bit, and ``np.mean(row_max)`` is ``np.mean(np.max(P, axis=1))``.
-    The accuracy, ``trace / n``, is an exact integer sum and one
-    correctly rounded divide, the bits of ``np.mean(preds == y)``.
+    ``confusion`` holds the ``C x C`` (label, prediction) counts and
+    ``sums`` is ``np.add.reduce`` over the rows of ``P`` with each row's
+    largest probability appended, an in-order sum per column: ``sums[:C]
+    / n`` is ``P.mean(axis=0)`` to the bit, and ``sums[C] / n`` the mean
+    row maximum.  The accuracy, ``trace / n``, is an exact integer sum
+    and one correctly rounded divide, the bits of ``np.mean(preds ==
+    y)``.
     """
-    n = row_max.shape[0]
+    n, C = np.add.reduce(confusion, axis=None), len(confusion)
     pred_counts = np.add.reduce(confusion, axis=0)
     label_counts = np.add.reduce(confusion, axis=1)
     tp = np.diagonal(confusion)
@@ -436,7 +426,7 @@ def _report(confusion, row_max, col_sum) -> MetricsReport:
     # denom = 0 implies tp = 0, so the clamp leaves those classes at 0.0
     per_class_f1 = 2.0 * tp / np.maximum(denom, 1.0)
 
-    marginal = col_sum / n
+    marginal = sums[:C] / n
     safe = np.maximum(marginal, 1e-300)
     marginal_entropy = float(-np.sum(np.where(marginal > 0, marginal * np.log(safe), 0.0)))
     label_marginal = label_counts / n
@@ -449,7 +439,7 @@ def _report(confusion, row_max, col_sum) -> MetricsReport:
         marginal_entropy=marginal_entropy,
         kl_output_vs_label=kl_divergence(marginal, label_marginal),
         sorted_class_proportions=proportions,
-        avg_max_prob=float(np.mean(row_max)),
+        avg_max_prob=float(sums[C] / n),
     )
 
 
@@ -469,23 +459,22 @@ def stack_size(source_model, spec: StreamSpec) -> int:
 
     A stacked protocol holds one batch of ``n`` rows, never a shift:
     its probabilities twice (``n x C`` as predicted, in the step
-    workspace that the stack allocates once, and ``(n + 1) x C`` under a
-    running column sum), its other step buffers (two of ``n x C`` and one
-    of ``n x hidden`` floats, one ``n x hidden`` mask), and the
-    temporaries of checking and scoring a batch, counted as two ``n x C``
-    masks and ``n`` argmax predictions.  Besides, it holds four
-    parameter-sized vectors (its parameters, their gradient, the SGD
-    velocity and its scratch) and, per shift, its ``C x C`` confusion
-    counts and ``C`` column sums, and its ``C`` running total.  Row maxima, one float per
-    row of the stream, are not counted: only a caller that reads reports
-    keeps them (``reports=True``), and it stacks its own few protocols.
-    numpy's internal buffers, 64 KiB at most each, are not counted
-    either.
+    workspace that the stack allocates once, and ``(n + 1) x (C + 1)``
+    with their row maxima under running sums), its other step buffers
+    (two of ``n x C`` and one of ``n x hidden`` floats, one ``n x
+    hidden`` mask), and the temporaries of checking and scoring a batch,
+    counted as two ``n x C`` masks and ``n`` argmax predictions.
+    Besides, it holds four parameter-sized vectors (its parameters, their
+    gradient, the SGD velocity and its scratch) and, per shift, its ``C x
+    C`` confusion counts and ``C + 1`` sums, and its ``C + 1`` running
+    total.  The scoring hook's two arrays of ``n`` flat indices and
+    numpy's internal buffers, 64 KiB at most each, are not counted.
     """
     C, P = source_model.C, source_model.theta.size
     h = source_model.W1.shape[0] if isinstance(source_model, Mlp) else 0
     n, shifts = spec.batch_size, len(spec.shifts)
-    floats = (2 * n + 1) * C + n * (2 * C + h + 1) + 4 * P + shifts * (C * C + C) + C
+    floats = n * C + (n + 1) * (C + 1) + n * (2 * C + h + 1) + 4 * P
+    floats += shifts * (C * C + C + 1) + C + 1
     return max(1, STACK_BYTES // (8 * floats + n * (h + 2 * C)))
 
 
@@ -496,58 +485,55 @@ class _Tally:
     :meth:`shift` starts a shift of labels ``y`` (``B x n``) and returns
     the scoring hook for that shift's :func:`adapt_stream` call, which
     hands it each batch's ``K x n x C`` probabilities.  The hook adds
-    each batch's argmax predictions to the shift's counts, exactly, and,
-    when asked to, keeps each row's largest probability in one ``K x R``
-    array per shift.  For the column sums it copies the batch into rows
-    1 to ``n`` of an ``(n + 1) x K x C`` array, puts a running sum of
-    each protocol in row 0 and reduces over the rows: once with the
-    shift's sum (zeros at first; ``0 + p`` is ``p`` for probabilities,
-    which are never ``-0``), once with the total over every batch
-    before.  Each column still adds its rows in sequence, so each
-    protocol's sums keep the bits of its own one-protocol reduction.
+    each batch's argmax predictions to the shift's counts, exactly.  It
+    writes the batch into rows 1 to ``n`` of an ``(n + 1) x K x (C + 1)``
+    array, each row's largest probability, gathered at its argmax, in the
+    last column; it puts a running sum of each protocol in row 0 and
+    reduces over the rows: once with the shift's sums (zeros at first;
+    ``0 + p`` is ``p`` for probabilities, which are never ``-0``), once
+    with the total over every batch before.  Each column still adds its
+    rows in sequence, so each protocol's sums keep the bits of its own
+    one-protocol reduction.
     """
 
-    def __init__(self, K: int, C: int, row_max: bool):
-        self.K, self.C, self.keep_row_max = K, C, row_max
-        self.confusion, self.row_max, self.col_sums = [], [], []
-        self.total = np.zeros((K, C))
+    def __init__(self, K: int, C: int):
+        self.K, self.C = K, C
+        self.confusion, self.sums = [], []
+        self.total = np.zeros((K, C + 1))
 
     def shift(self, y: np.ndarray):
-        (B, n), K, C = y.shape, self.K, self.C
-        rows = np.empty((n + 1, K, C))
-        counts, col_sum = np.zeros((K, C, C), np.intp), np.zeros((K, C))
-        row_max = np.empty((K, B * n)) if self.keep_row_max else None
+        (_, n), K, C = y.shape, self.K, self.C
+        rows = np.empty((n + 1, K, C + 1))
+        counts, sums = np.zeros((K, C, C), np.intp), np.zeros((K, C + 1))
         self.confusion.append(counts)
-        self.row_max.append(row_max)
-        self.col_sums.append(col_sum)
-        flat, batch = rows.reshape(n + 1, K * C), rows[1:].transpose(1, 0, 2)
+        self.sums.append(sums)
+        flat = rows.reshape(n + 1, K * (C + 1))
+        batch, peaks = rows[1:, :, :C].transpose(1, 0, 2), rows[1:, :, C].T
+        # each row's offset in the flattened K x n x C batch, and its argmax's
+        offsets = np.arange(0, K * n * C, C).reshape(K, n)
+        index = np.empty_like(offsets)
 
         def score(i: int, P: np.ndarray) -> None:
             codes = np.argmax(P, axis=-1)
-            if row_max is not None:
-                # gathered at the argmax: the bits of np.max(P, axis=-1)
-                peaks = np.take_along_axis(P, codes[..., None], axis=-1)
-                row_max[:, i * n : (i + 1) * n] = peaks[..., 0]
+            # gathered at the argmax: the bits of np.max(P, axis=-1)
+            np.take(P.reshape(-1), np.add(codes, offsets, out=index), out=peaks, mode="clip")
             np.add(counts, _confusion(codes, y[i], C), out=counts)
             np.copyto(batch, P)
             # continue row by row, as the concatenated matrix's sums do
-            for running in (col_sum, self.total):
+            for running in (sums, self.total):
                 rows[0] = running
-                np.add.reduce(flat, axis=0, out=running.reshape(K * C))
+                np.add.reduce(flat, axis=0, out=running.reshape(K * (C + 1)))
 
         return score
 
     def result(self, k: int) -> "ProtocolResult":
         """Protocol ``k``'s summaries, as views of the stacked arrays."""
-        row_max = [m[k] for m in self.row_max] if self.keep_row_max else None
         return ProtocolResult(
-            [c[k] for c in self.confusion], row_max, [s[k] for s in self.col_sums], self.total[k]
+            [c[k] for c in self.confusion], [s[k] for s in self.sums], self.total[k]
         )
 
 
-def run_protocols(
-    source_model, shift_data, mode: str, plugin_factories, cfgs, reports: bool = False
-) -> list:
+def run_protocols(source_model, shift_data, mode: str, plugin_factories, cfgs) -> list:
     """Run one adaptation protocol per plugin factory, stacked, in one
     pass over a stream; returns, per protocol, its
     :class:`ProtocolResult` or the :class:`DivergenceError` that ended it.
@@ -574,12 +560,11 @@ def run_protocols(
     Scoring is :func:`adapt_stream`'s per-batch hook, so the call holds
     one batch of probabilities per protocol, never a shift's: each batch,
     in the buffer that :func:`adapt_stream` owns, is added to the
-    protocol's confusion counts and running column sums as soon as it is
-    predicted, and the next batch overwrites it.  Row maxima, one float
-    per row of the stream, are kept only with ``reports=True``, for
-    callers that read ``per_shift`` or ``overall``; ``accuracy`` needs
-    the counts alone.  :func:`stack_size` bounds ``K`` by what the call
-    holds per protocol.
+    protocol's confusion counts and running sums of its columns and row
+    maxima as soon as it is predicted, and the next batch overwrites it;
+    every result gives ``per_shift``, ``overall`` and ``accuracy``.
+    :func:`stack_size` bounds ``K`` by what the call holds per
+    protocol.
 
     Each shift's labels must be integers in ``[0, C)``, ``B x n`` like
     its inputs.  A shift with no rows raises ``ValueError`` naming it,
@@ -599,7 +584,7 @@ def run_protocols(
             f"need one SgdConfig per plugin factory, {len(factories)}, got {len(cfgs)}"
         )
     K, C = len(factories), source_model.C
-    tally, errors = _Tally(K, C, reports), [None] * K
+    tally, errors = _Tally(K, C), [None] * K
     stack, plugins = ModelStack([source_model] * K), None
     s = -1
     # not enumerate: its reused result tuple would hold a shift while the next is drawn
@@ -624,12 +609,11 @@ def run_protocols(
 
 
 def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdConfig) -> ProtocolResult:
-    """One adaptation protocol with its reports: :func:`run_protocols`
-    with the one factory ``plugin_factory``, the optimizer ``cfg`` and
-    ``reports=True``, the ``K = 1`` call of the stacked engine, whose
-    contract it keeps.  A diverging update raises
-    :class:`DivergenceError` naming the shift and the batch."""
-    (run,) = run_protocols(source_model, shift_data, mode, [plugin_factory], [cfg], reports=True)
+    """One adaptation protocol: :func:`run_protocols` with the one factory
+    ``plugin_factory`` and the optimizer ``cfg``, the ``K = 1`` call of
+    the stacked engine, whose contract it keeps.  A diverging update
+    raises :class:`DivergenceError` naming the shift and the batch."""
+    (run,) = run_protocols(source_model, shift_data, mode, [plugin_factory], [cfg])
     if isinstance(run, DivergenceError):
         raise run
     return run

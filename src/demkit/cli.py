@@ -472,7 +472,7 @@ def sgd_config(cfg: dict) -> _model.SgdConfig:
 
 
 def prepared_experiment(cfg: dict):
-    """Stream spec, source model and stream for a config, deterministically.
+    """Source model and stream for a config, deterministically.
 
     The stream is a ``bench.Stream``: it draws no data here, and each
     pass a protocol makes over it draws each shift when it reaches it."""
@@ -485,7 +485,7 @@ def prepared_experiment(cfg: dict):
     )
     model = build_source_model(cfg, mix, rng)
     data = _bench.make_stream(mix, sspec, rng.derive("stream"))
-    return sspec, model, data
+    return model, data
 
 
 # --------------------------------------------------------------------------
@@ -694,21 +694,19 @@ def cmd_run(args) -> int:
     out = cfg["output_dir"]
     remove_outputs(out, "metrics.csv")
     factory, sgd = plugin_factory_from(cfg), sgd_config(cfg)
-    sspec, model, data = prepared_experiment(cfg)
+    model, data = prepared_experiment(cfg)
     # the baseline is lr-sweep's: the same protocol at lr = 0, stacked with the run
-    runs = _bench.run_protocols(
-        model, data, sspec.mode, [factory] * 2, [sgd, replace(sgd, lr=0.0)], reports=True
-    )
+    runs = _stacked_runs(model, data.spec, data, [factory] * 2, [sgd, replace(sgd, lr=0.0)])
     result, base = map(_succeeded, runs)
 
     rows = [
-        _metrics_row(f"shift{i}", sspec.shifts[i], rep, base.per_shift[i].accuracy)
+        _metrics_row(f"shift{i}", data.spec.shifts[i], rep, base.per_shift[i].accuracy)
         for i, rep in enumerate(result.per_shift)
     ]
     rows.append(_metrics_row("overall", None, result.overall, base.accuracy))
     write_csv(os.path.join(out, "metrics.csv"), METRICS_HEADER, rows)
     summary = {
-        "mode": sspec.mode,
+        "mode": data.spec.mode,
         "loss": cfg["loss"]["name"],
         "seed": cfg["seed"],
         "accuracy": jround(result.overall.accuracy),
@@ -720,7 +718,7 @@ def cmd_run(args) -> int:
     }
     write_json(os.path.join(out, "summary.json"), summary)
     print(
-        f"run[{cfg['loss']['name']}/{sspec.mode}]: accuracy {fmt9(result.overall.accuracy)} "
+        f"run[{cfg['loss']['name']}/{data.spec.mode}]: accuracy {fmt9(result.overall.accuracy)} "
         f"vs baseline {fmt9(base.accuracy)}"
     )
     return EXIT_OK
@@ -750,7 +748,9 @@ def _stacked_runs(model, spec, shifts, factories: list, sgds: list):
     ``spec``, in its mode, or its leading batches.  The protocols run
     stacked, in chunks of ``bench.stack_size`` protocols, each chunk one
     pass over ``shifts``, and a chunk runs only once the caller reaches
-    it, so a caller that raises on an entry runs no later chunk."""
+    it, so a caller that raises on an entry runs no later chunk.  ``run``
+    (its adaptation, then its lr = 0 baseline), ``grid-search`` and
+    ``lr-sweep`` all stack their protocols through it."""
     K = _bench.stack_size(model, spec)
     for start in range(0, len(factories), K):
         chunk = slice(start, start + K)
@@ -801,7 +801,7 @@ def cmd_grid_search(args) -> int:
     out = cfg["output_dir"]
     remove_outputs(out, "grid.csv")
     _search.GridSpec(**cfg["grid"])  # refuse a bad grid before source training
-    _, model, data = prepared_experiment(cfg)
+    model, data = prepared_experiment(cfg)
     best, table, best_full, classical_subset, classical_full = grid_search_result(
         cfg, model, data
     )
@@ -873,7 +873,7 @@ def cmd_lr_sweep(args) -> int:
     out = cfg["output_dir"]
     remove_outputs(out, "lr_sweep.csv")
     plugin_factory_from(cfg)  # refuse a bad loss before source training
-    _, model, data = prepared_experiment(cfg)
+    model, data = prepared_experiment(cfg)
     result = lr_sweep_result(cfg, model, data)
     if not math.isfinite(result.baseline):
         print("lr-sweep: numeric failure (non-finite baseline)", file=sys.stderr)

@@ -61,6 +61,7 @@ from demkit.em_losses import (
 from demkit.model import (
     AdaDemPlugin,
     DemPlugin,
+    DivergenceError,
     EmPlugin,
     SgdConfig,
     init_mlp,
@@ -302,10 +303,14 @@ def test_c08_delta_normalization_exactness():
 
 
 def _best_lr_run(model, data, mode, factory, lrs=DEFAULT_LR_GRID):
-    """The (lr, accuracy, result) of the accuracy-best rate on the grid."""
+    """The (lr, accuracy, result) of the accuracy-best rate on the grid,
+    the first of the highest.  The rates run as one stack; a diverged
+    rate raises its ``DivergenceError``, the first in rate order."""
+    sgds = [SgdConfig(lr=lr, momentum=0.9) for lr in lrs]
     best = None
-    for lr in lrs:
-        res = run_protocol(model, data, mode, factory, SgdConfig(lr=lr, momentum=0.9))
+    for lr, res in zip(lrs, run_protocols(model, data, mode, [factory] * len(lrs), sgds)):
+        if isinstance(res, DivergenceError):
+            raise res
         acc = res.overall.accuracy
         if best is None or acc > best[1]:
             best = (lr, acc, res)

@@ -393,8 +393,10 @@ class TestMetrics:
             assert rep.macro_f1 == float(np.mean(expected))
 
     def test_fields_keep_the_bits_of_the_matrix_formulas(self):
-        # metrics reads P through per-row summaries and column sums; each
-        # field still has the bits of its formula over the whole matrix.
+        # metrics reads P through its column sums and the sum of its row
+        # maxima; each field still has the bits of its formula over the
+        # whole matrix.  The mean row maximum is an in-order sum over n,
+        # the order every column sum follows, not np.mean's pairwise one.
         rng = np.random.default_rng(8)
         for n, C in ((1, 2), (77, 3), (3000, 10)):
             P = rng.dirichlet(np.full(C, 0.4), size=n)
@@ -403,7 +405,7 @@ class TestMetrics:
             marginal = P.mean(axis=0)
             entropy = -np.sum(np.where(marginal > 0, marginal * np.log(marginal), 0.0))
             assert rep.accuracy == float(np.mean(np.argmax(P, axis=1) == y))
-            assert rep.avg_max_prob == float(np.mean(np.max(P, axis=1)))
+            assert rep.avg_max_prob == float(np.cumsum(np.max(P, axis=1))[-1] / n)
             assert rep.marginal_entropy == float(entropy)
             assert rep.kl_output_vs_label == kl_divergence(marginal, np.bincount(y, minlength=C) / n)
 
@@ -440,10 +442,10 @@ def _shift_probs(model, X, plugin, cfg):
     return probs.reshape(B * n, model.C)
 
 
-def _assert_same_summaries(got, want, names=("confusion", "row_max", "col_sums")):
-    """Two :class:`ProtocolResult` keep the same bits in each of ``names``
-    and in ``total``."""
-    for name in names:
+def _assert_same_summaries(got, want):
+    """Two :class:`ProtocolResult` keep the same bits in their counts and
+    sums, per shift and in ``total``."""
+    for name in ("confusion", "sums"):
         a, b = getattr(got, name), getattr(want, name)
         assert [x.tobytes() for x in a] == [y.tobytes() for y in b], name
     assert got.total.tobytes() == want.total.tobytes()
@@ -588,9 +590,9 @@ class TestRunProtocol:
         model, data = self._setup()
         calls = []
 
-        def counting(confusion, row_max, col_sum):
-            calls.append(len(row_max))
-            return report(confusion, row_max, col_sum)
+        def counting(confusion, sums):
+            calls.append(len(sums))
+            return report(confusion, sums)
 
         report = demkit.bench._report
         monkeypatch.setattr(demkit.bench, "_report", counting)
@@ -610,9 +612,9 @@ class TestRunProtocol:
         model, data = self._setup()
         calls = []
 
-        def counting(confusion, row_max, col_sum):
-            calls.append(len(row_max))
-            return report(confusion, row_max, col_sum)
+        def counting(confusion, sums):
+            calls.append(len(sums))
+            return report(confusion, sums)
 
         report = demkit.bench._report
         monkeypatch.setattr(demkit.bench, "_report", counting)
@@ -659,9 +661,9 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("mode", ["single_domain", "continual"])
     def test_keeps_no_probability_matrix(self, mode):
-        # A finished result holds one float per row, its largest
-        # probability, and no per-row prediction or label: per shift a
-        # C x C confusion count and C sums, overall C sums.
+        # A finished result, its reports read, holds no array with a
+        # per-row axis: per shift a C x C confusion count and C + 1 sums,
+        # overall C + 1 sums.
         model, data = self._setup()
         res = run_protocol(model, data, mode, AdaDemPlugin, SgdConfig(lr=0.05, momentum=0.9))
         res.per_shift, res.overall, res.accuracy
@@ -672,14 +674,11 @@ class TestRunProtocol:
             for item in value if isinstance(value, list) else [value]:
                 if isinstance(item, np.ndarray):
                     arrays.append(item)
-        assert sorted(A.shape for A in arrays if A.size > C) == sorted(
-            [(n,) for n in rows] + [(C, C)] * len(data)
-        )
-        assert [len(m) for m in res.row_max] == rows
+        assert sorted(A.shape for A in arrays if A.size > C + 1) == [(C, C)] * len(data)
         assert [c.shape for c in res.confusion] == [(C, C)] * len(data)
         assert [int(c.sum()) for c in res.confusion] == rows
-        assert [s.shape for s in res.col_sums] == [(C,)] * len(data)
-        assert res.total.shape == (C,)
+        assert [s.shape for s in res.sums] == [(C + 1,)] * len(data)
+        assert res.total.shape == (C + 1,)
 
     def test_continual_resets_momentum_at_every_shift(self):
         # The model and the plugin (here AdaDEM's calibrator) carry over
@@ -691,7 +690,7 @@ class TestRunProtocol:
         cfg = SgdConfig(lr=0.05, momentum=0.9)
         res = run_protocol(model, data, "continual", AdaDemPlugin, cfg)
         factories = [functools.partial(AdaDemPlugin, pi) for pi in (0.3, 0.1, 0.2)]
-        stacked = run_protocols(model, data, "continual", factories, [cfg] * 3, reports=True)
+        stacked = run_protocols(model, data, "continual", factories, [cfg] * 3)
 
         def accuracy(probs, y):
             return metrics(probs, y.reshape(-1)).accuracy
@@ -765,9 +764,8 @@ class TestRunProtocol:
 
     def test_holds_one_batch_of_probabilities(self):
         # A protocol scores each batch as it is predicted and holds no
-        # shift of probabilities: without reports its traced peak does not
-        # grow with the shift, and with them each added row costs one
-        # float, its row maximum.
+        # shift of probabilities, nor a float per row: its traced peak,
+        # reports and all, does not grow with the shift.
         mix, model = _quick_source()
         cfg = SgdConfig(lr=0.01, momentum=0.9)
         peaks = {}
@@ -775,18 +773,15 @@ class TestRunProtocol:
             spec = StreamSpec("single_domain", (ShiftSpec("rotate2d", 0.5),), B, 64)
             data = list(make_stream(mix, spec, Rng(21)))  # drawn outside the traced call
             run_protocol(model, data, "single_domain", AdaDemPlugin, cfg)  # warm numpy's caches
-            for reports in (False, True):
-                tracemalloc.start()
-                try:
-                    run_protocols(model, data, "single_domain", [AdaDemPlugin], [cfg], reports)
-                    peaks[B, reports] = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-        R = 200 * 64  # the rows the longer shift adds
-        assert peaks[200, False] < 96 * 1024, peaks
-        assert abs(peaks[400, False] - peaks[200, False]) < 1024, peaks
-        assert peaks[200, True] < R * 8 + 96 * 1024, peaks
-        assert 0.9 * R * 8 < peaks[400, True] - peaks[200, True] < 1.1 * R * 8, peaks
+            tracemalloc.start()
+            try:
+                (run,) = run_protocols(model, data, "single_domain", [AdaDemPlugin], [cfg])
+                run.per_shift, run.overall
+                peaks[B] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200] < 96 * 1024, peaks
+        assert abs(peaks[400] - peaks[200]) < 1024, peaks
 
     def test_holds_one_shift_of_the_stream(self):
         # A pass draws each shift when it reaches it and lets it go before
@@ -835,7 +830,7 @@ class TestRunProtocol:
 
         factories = [functools.partial(Failing, k) for k in range(4)]
         cfg = SgdConfig(lr=0.01)
-        runs = run_protocols(model, data, "single_domain", factories, [cfg] * 4, reports=True)
+        runs = run_protocols(model, data, "single_domain", factories, [cfg] * 4)
         assert calls == [20, 14, 2, 20]
         assert [(e.stage, e.shift, e.batch) for e in runs[1:3]] == [
             ("loss gradients", 1, 3), ("loss gradients", 0, 1)
@@ -860,18 +855,6 @@ class TestRunProtocol:
         model, data = self._setup()
         with pytest.raises(ValueError, match=f"one SgdConfig per plugin factory, 2, got {count}"):
             run_protocols(model, data, "continual", [EmPlugin] * 2, [SgdConfig(lr=0.01)] * count)
-
-    def test_reports_need_row_maxima(self):
-        # Without reports a result keeps counts and sums alone: accuracy
-        # reads, reports refuse.
-        model, data = self._setup()
-        cfg = SgdConfig(lr=0.01)
-        (run,) = run_protocols(model, data, "continual", [EmPlugin], [cfg])
-        assert run.row_max is None
-        assert run.accuracy == run_protocol(model, data, "continual", EmPlugin, cfg).accuracy
-        for name in ("per_shift", "overall"):
-            with pytest.raises(ValueError, match="reports=True"):
-                getattr(run, name)
 
     def test_rejects_unknown_mode(self):
         model, data = self._setup()
@@ -909,8 +892,8 @@ class TestStackedProtocols:
     @pytest.mark.parametrize("mode", ["single_domain", "continual"])
     def test_each_protocol_keeps_the_bits_of_its_own_run(self, monkeypatch, mode, arch):
         # Final parameters (per shift in single-domain mode), confusion
-        # counts, row maxima, column sums and totals, at K = 2 and for a
-        # stack of every factory, mixing losses and DEM points.
+        # counts, sums and totals, at K = 2 and for a stack of every
+        # factory, mixing losses and DEM points.
         mix, sources = self._sources()
         model = sources[arch]
         shifts = (ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0))
@@ -931,7 +914,7 @@ class TestStackedProtocols:
             alone.append((run, [theta[0].tobytes() for theta in thetas]))
         for group in (factories[:2], factories):
             del thetas[:]
-            runs = run_protocols(model, data, mode, group, [cfg] * len(group), reports=True)
+            runs = run_protocols(model, data, mode, group, [cfg] * len(group))
             assert len(runs) == len(group) and len(thetas) == len(shifts)
             for k, (run, (ref, shift_thetas)) in enumerate(zip(runs, alone)):
                 assert [theta[k].tobytes() for theta in thetas] == shift_thetas
@@ -985,8 +968,7 @@ class TestPerBatchScoring:
 
     def test_per_batch_summaries_give_the_bits_of_metrics(self):
         # Random probabilities: C 2-39, 1-129 batches of 1-69 rows per
-        # shift, one to three shifts and stacked protocols, with and
-        # without row maxima.
+        # shift, one to three shifts and stacked protocols.
         rng = np.random.default_rng(12)
         for case in range(40):
             C, K, S = (int(rng.integers(lo, hi)) for lo, hi in ((2, 40), (1, 4), (1, 4)))
@@ -997,24 +979,21 @@ class TestPerBatchScoring:
                  rng.integers(0, C, (B, n)))
                 for B, n in shapes
             ]
-            tallies = [demkit.bench._Tally(K, C, keep) for keep in (True, False)]
+            tally = demkit.bench._Tally(K, C)
             for P, y in data:
-                for tally in tallies:
-                    # one buffer overwritten by every batch, as adapt_stream hands it
-                    score, probs = tally.shift(y), np.empty(P.shape[1:])
-                    for i, batch in enumerate(P):
-                        probs[...] = batch
-                        score(i, probs)
+                # one buffer overwritten by every batch, as adapt_stream hands it
+                score, probs = tally.shift(y), np.empty(P.shape[1:])
+                for i, batch in enumerate(P):
+                    probs[...] = batch
+                    score(i, probs)
             for k in range(K):
-                run, lean = (tally.result(k) for tally in tallies)
+                run = tally.result(k)
                 shifts = [(P[:, k].reshape(-1, C), y.reshape(-1)) for P, y in data]
                 for got, (P, y) in zip(run.per_shift, shifts):
                     _assert_reports_equal(got, metrics(P, y), (case, k))
                 whole = metrics(*(np.concatenate(a) for a in zip(*shifts)))
                 _assert_reports_equal(run.overall, whole, (case, k))
-                assert run.accuracy == lean.accuracy == whole.accuracy
-                assert lean.row_max is None
-                _assert_same_summaries(lean, run, ("confusion", "col_sums"))
+                assert run.accuracy == whole.accuracy
 
     @pytest.mark.parametrize("mode", ["single_domain", "continual"])
     def test_stacked_protocols_on_random_streams(self, mode):
@@ -1030,7 +1009,7 @@ class TestPerBatchScoring:
             shifts = (ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 1.0))
             data = make_stream(mix, StreamSpec(mode, shifts, B, n), Rng(case))
             model = init_linear(C, 2, Rng(case), scale=0.5)
-            runs = run_protocols(model, data, mode, factories, [cfg] * 2, reports=True)
+            runs = run_protocols(model, data, mode, factories, [cfg] * 2)
             for factory, run in zip(factories, runs):
                 probs, labels, adapted = [], [], None
                 for X, y in data:

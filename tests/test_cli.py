@@ -621,29 +621,57 @@ class TestRunCommand:
         ids=["em", "dem", "adadem"],
     )
     def test_stacks_its_baseline_with_its_run(self, tmp_path, monkeypatch, loss):
-        # One K = 2 run_protocols call, with reports, gives the summaries
-        # of two run_protocol calls: the run, then the lr = 0 baseline.
+        # One K = 2 run_protocols call gives the summaries of two
+        # run_protocol calls: the run, then the lr = 0 baseline.
         cfg_path = small_config(tmp_path, loss=loss, optimizer={"lr": 0.05, "momentum": 0.9})
         calls, run = [], demkit.bench.run_protocols
 
-        def recording(*args, **kwargs):
-            calls.append((args, kwargs, run(*args, **kwargs)))
-            return calls[-1][2]
+        def recording(*args):
+            calls.append(run(*args))
+            return calls[-1]
 
         with monkeypatch.context() as patch:
             patch.setattr(demkit.bench, "run_protocols", recording)
             assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
-        ((_, kwargs, runs),) = calls
-        assert kwargs == {"reports": True} and len(runs) == 2
+        (runs,) = calls
+        assert len(runs) == 2
         cfg = load_config(str(cfg_path))
-        sspec, model, data = prepared_experiment(cfg)
+        model, data = prepared_experiment(cfg)
         factory, sgd = plugin_factory_from(cfg), sgd_config(cfg)
         for got, lr in zip(runs, (sgd.lr, 0.0)):
-            want = demkit.bench.run_protocol(model, data, sspec.mode, factory, replace(sgd, lr=lr))
-            for name in ("confusion", "row_max", "col_sums"):
+            want = demkit.bench.run_protocol(
+                model, data, data.spec.mode, factory, replace(sgd, lr=lr)
+            )
+            for name in ("confusion", "sums"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert [x.tobytes() for x in a] == [y.tobytes() for y in b], (lr, name)
             assert got.total.tobytes() == want.total.tobytes()
+
+    def test_a_stack_of_one_runs_the_baseline_alone(self, tmp_path, monkeypatch):
+        # At stack_size 1, run scores its adaptation and its baseline in
+        # two one-protocol calls, and writes the bytes of the stacked run.
+        cfg = small_config(
+            tmp_path, loss={"name": "adadem"}, optimizer={"lr": 0.05, "momentum": 0.9}
+        )
+        out = tmp_path / "out"
+        outputs = []
+        for K in (None, 1):
+            with monkeypatch.context() as patch:
+                sizes = TestStackedSweeps._chunks(patch, K)
+                assert main(["run", "--config", str(cfg)]) == EXIT_OK
+            assert sizes == ([2] if K is None else [1, 1])
+            outputs.append([(out / name).read_bytes() for name in ("metrics.csv", "summary.json")])
+        assert outputs[0] == outputs[1]
+
+    def test_a_diverging_run_ends_before_its_baseline(self, tmp_path, monkeypatch, capsys):
+        # At stack_size 1 a diverging run ends the command before the
+        # baseline's protocol is called.
+        cfg = small_config(tmp_path, optimizer={"lr": 1e308, "momentum": 0.9})
+        with monkeypatch.context() as patch:
+            sizes = TestStackedSweeps._chunks(patch, 1)
+            assert main(["run", "--config", str(cfg)]) == EXIT_NUMERIC
+        assert sizes == [1]
+        assert "numeric failure: adaptation diverged at shift 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "loss",
@@ -1006,7 +1034,7 @@ class TestStackedSweeps:
         # exits 3 as search.lr_sweep's NaN baseline rule has it.
         cfg_path = small_config(tmp_path, stream=self.STREAM, lrs=[1e-3, 5e-3])
         cfg = load_config(str(cfg_path))
-        _, model, data = prepared_experiment(cfg)
+        model, data = prepared_experiment(cfg)
         clean = lr_sweep_result(cfg, model, data)
         made = []
 

@@ -59,7 +59,7 @@ def test_each_seed_runs_the_shipped_config_with_only_the_seed_replaced(
 
     def recording(cfg):
         seen.append(copy.deepcopy(cfg))
-        return "spec", "model", "data"
+        return "model", "data"
 
     point = TrialResult(1.0, 1.0, True, 0.5)
     monkeypatch.setattr(script, "prepared_experiment", recording)
