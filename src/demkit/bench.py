@@ -100,7 +100,7 @@ class ShiftSpec:
 
     The effective magnitude is ``magnitude * LEVEL_MULTIPLIERS[level]``,
     so with the default base of 1.0 the level acts as the severity knob
-    (level 2 is the base magnitude itself).
+    (level 2 is the base magnitude itself); it must be finite.
     """
 
     kind: str
@@ -112,6 +112,11 @@ class ShiftSpec:
             raise ValueError(f"unknown shift kind {self.kind!r}")
         if self.level not in LEVEL_MULTIPLIERS:
             raise ValueError(f"level must be 1-5, got {self.level}")
+        if not math.isfinite(self.effective_magnitude):
+            raise ValueError(
+                f"{self.kind} at magnitude {self.magnitude:g}, level {self.level}: "
+                "the effective magnitude is not finite"
+            )
 
     @property
     def effective_magnitude(self) -> float:

@@ -9,15 +9,18 @@ is batch-size invariant.
 
 Each model stores its parameters in one float64 vector ``theta``; the
 weight matrices and biases are reshaped views of it.  Gradients, SGD
-velocity and updates are flat vectors laid out like ``theta``.
+velocity and updates are flat vectors laid out like ``theta``, and
+``sgd_step`` moves such a vector in place: a model's own ``theta``, or
+one row of a :class:`ModelStack`'s ``(K, P)`` array.
 
 ``adapt_stream`` is the online protocol over one shift, a ``B x n x d``
 array of ``B`` unlabeled batches of ``n`` rows, for a :class:`ModelStack`
 of ``K`` models at once: for each batch the models first predict (the
 loop writes these pre-update probabilities into its workspace and calls
 the caller's scoring hook on them), then each model's loss plugin turns
-its logits and probabilities into per-sample gradients, and each model
-takes one SGD step with its own optimizer settings.  One model is the stack of ``K = 1``.
+its logits and probabilities into per-sample gradients, and each model's
+row of the stack takes one SGD step with the model's own optimizer
+settings.  One model is the stack of ``K = 1``.
 Plugins wrap the loss family: cross-entropy (supervised plumbing for
 source training and oracle baselines), classical EM, decoupled EM, and
 AdaDEM, which carries its calibrator state through the whole stream.
@@ -141,46 +144,36 @@ def _arrays(model) -> list:
     return [getattr(model, name) for name in model._names]
 
 
-def _viewing(model, theta: np.ndarray):
-    """A model like ``model`` whose parameters are the vector ``theta``
-    itself: its ``theta`` and arrays view it rather than copy it."""
-    clone = object.__new__(type(model))
-    clone.theta = theta
-    for name, view in zip(model._names, _views(theta, _arrays(model))):
-        setattr(clone, name, view)
-    return clone
-
-
 class ModelStack:
     """``K`` models of one architecture whose parameters are the rows of
     one C-contiguous ``(K, P)`` array ``theta``.
 
-    ``models[k]`` is a model whose ``theta`` is the row ``theta[k]`` and
-    whose weight matrices and biases view that row, so an SGD step on
-    ``models[k]`` moves row ``k`` and nothing else.  The rows start as
-    copies of ``models``, which must share one type and one shape
-    (``ValueError`` otherwise); ``ModelStack([model] * K)`` is ``K``
-    copies of one model.  The stack keeps the step buffers of
-    :func:`adapt_stream`, one :class:`_Workspace` per batch size.
+    The rows start as copies of ``models``, which must share one type and
+    one shape (``ValueError`` otherwise); ``ModelStack([model] * K)`` is
+    ``K`` copies of one model.  ``arch`` is the first of ``models``: its
+    type and shapes are every row's, and its parameters are not read
+    again.  Row ``theta[k]`` is model ``k``'s parameter vector, so an
+    :func:`sgd_step` on it moves model ``k`` and nothing else.  The stack
+    keeps the step buffers of :func:`adapt_stream`, one
+    :class:`_Workspace` per batch size.
     """
 
     def __init__(self, models):
         models = list(models)
         if not models:
             raise ValueError("a stack needs at least one model")
-        first = models[0]
+        self.arch = first = models[0]
         shapes = [a.shape for a in _arrays(first)]
         for m in models:
             if type(m) is not type(first) or [a.shape for a in _arrays(m)] != shapes:
                 raise ValueError("stacked models must share one architecture and shape")
         self.theta = np.stack([m.theta for m in models])
-        self.models = [_viewing(first, row) for row in self.theta]
         self._workspaces = {}
 
     def _workspace(self, n: int) -> "_Workspace":
         """The stack's workspace for batches of ``n`` rows, built on first use."""
         if n not in self._workspaces:
-            self._workspaces[n] = _Workspace(self.models[0], n, self.theta)
+            self._workspaces[n] = _Workspace(self.arch, n, self.theta)
         return self._workspaces[n]
 
 
@@ -374,14 +367,16 @@ class SgdState:
     scaled: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
-def sgd_step(model, grad: np.ndarray, cfg: SgdConfig, state: SgdState) -> None:
-    """One in-place step: ``v <- momentum v + g``, ``theta <- theta - lr v``."""
+def sgd_step(theta: np.ndarray, grad: np.ndarray, cfg: SgdConfig, state: SgdState) -> None:
+    """One in-place step on the float64 parameter vector ``theta``, a
+    model's ``theta`` or one row of a stack's: ``v <- momentum v + g``,
+    ``theta <- theta - lr v``."""
     if state.velocity is None:
-        state.velocity, state.scaled = np.zeros_like(model.theta), np.empty_like(model.theta)
+        state.velocity, state.scaled = np.zeros_like(theta), np.empty_like(theta)
     v = state.velocity
     v *= cfg.momentum
     v += grad
-    model.theta -= np.multiply(v, cfg.lr, out=state.scaled)
+    theta -= np.multiply(v, cfg.lr, out=state.scaled)
 
 
 class CrossEntropyPlugin:
@@ -508,7 +503,7 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int 
                 ws = full if start + size <= n else last
                 G = _softmax_rows(_forward(Xb, ws), ws.G)
                 G.reshape(-1)[hot[start : start + size]] -= 1.0
-                sgd_step(model, _backward(Xb, G, ws), cfg, state)
+                sgd_step(model.theta, _backward(Xb, G, ws), cfg, state)
             if not np.isfinite(model.theta).all():
                 raise FloatingPointError(f"source training diverged in epoch {epoch}")
     return model
@@ -528,7 +523,7 @@ def adapt_stream(stack: ModelStack, X, plugins, cfgs, score) -> list:
     turns its logits and probabilities into the ``n x C`` matrix of
     per-sample loss gradients with respect to the logits (gradients
     only: nothing here reads a loss value), and one :func:`sgd_step`
-    with ``cfgs[k]`` moves ``stack.models[k]`` in place.
+    with ``cfgs[k]`` moves the row ``stack.theta[k]`` in place.
 
     The K-model contract: the forward pass, the row softmax, the
     finiteness checks and the backward pass run once per batch for the
@@ -567,9 +562,8 @@ def adapt_stream(stack: ModelStack, X, plugins, cfgs, score) -> list:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3:
         raise ValueError(f"a shift's inputs must be B x n x d, got shape {X.shape}")
-    model = stack.models[0]
-    _validated_input(model, X.reshape(-1, X.shape[2]))
-    K, n = len(stack.models), X.shape[1]
+    _validated_input(stack.arch, X.reshape(-1, X.shape[2]))
+    K, n = len(stack.theta), X.shape[1]
     plugins, cfgs = list(plugins), list(cfgs)
     if len(plugins) != K:
         raise ValueError(f"need one plugin per stacked model, {K}, got {len(plugins)}")
@@ -577,7 +571,7 @@ def adapt_stream(stack: ModelStack, X, plugins, cfgs, score) -> list:
         raise ValueError(f"need one SgdConfig per stacked model, {K}, got {len(cfgs)}")
     ws = stack._workspace(n)
     G = ws.G  # the plugins' gradients, stacked for one backward pass
-    states, errors = [SgdState() for _ in range(K)], [None] * K
+    rows, states, errors = list(stack.theta), [SgdState() for _ in range(K)], [None] * K
     live = [k for k in range(K) if plugins[k] is not None]
     with np.errstate(over="ignore", invalid="ignore"):
         for i, Xi in enumerate(X):
@@ -600,5 +594,5 @@ def adapt_stream(stack: ModelStack, X, plugins, cfgs, score) -> list:
             if live:
                 g = _backward(Xi, G, ws)
                 for k in live:
-                    sgd_step(stack.models[k], g[k], cfgs[k], states[k])
+                    sgd_step(rows[k], g[k], cfgs[k], states[k])
     return errors

@@ -22,7 +22,6 @@ weakened; the printed detail carries the measured numbers:
   adaptation for both methods and their marginals coincide.
 """
 
-import functools
 import json
 import math
 import statistics
@@ -42,9 +41,8 @@ from demkit.bench import (
     run_protocol,
     run_protocols,
     sample_batch,
-    stack_size,
 )
-from demkit.cli import _end_to_end_cases, _gradcheck_cases, main
+from demkit.cli import _end_to_end_cases, _gradcheck_cases, grid_search_result, lr_sweep_result, main
 from demkit.em_losses import (
     DemConfig,
     boundary_second_derivative,
@@ -60,7 +58,6 @@ from demkit.em_losses import (
 )
 from demkit.model import (
     AdaDemPlugin,
-    DemPlugin,
     DivergenceError,
     EmPlugin,
     SgdConfig,
@@ -68,7 +65,7 @@ from demkit.model import (
     train_source,
 )
 from demkit.numkit import Rng, rel_err, softmax_rows
-from demkit.search import DEFAULT_LR_GRID, GridSpec, grid_points, grid_search, lr_sweep
+from demkit.search import DEFAULT_LR_GRID
 
 SEEDS = (0, 1, 2)
 
@@ -350,27 +347,22 @@ def test_c09_easy_class_bias_kl_separation(sources):
 
 
 def test_c10_learning_rate_tolerance_count(sources):
+    # lr-sweep's own recipe on each seed's stream: the baseline and the
+    # rates run stacked, and lr_sweep counts the tolerated rates.
     t0 = time.perf_counter()
     spec = default_single_domain()
-    rates = (0.0, *DEFAULT_LR_GRID)
-    sgds = [SgdConfig(lr=lr, momentum=0.9) for lr in rates]
     counts_em, counts_ada = [], []
     for seed in SEEDS:
         mix, model = sources[seed]
-        data = _stream(mix, spec, seed)
-        K = stack_size(model, spec)
 
-        def tolerance_count(factory):
-            # The baseline and the rates run stacked, stack_size at a
-            # time, as lr-sweep runs them; lr_sweep then reads the runs.
-            runs = []
-            for start in range(0, len(rates), K):
-                chunk = sgds[start : start + K]
-                runs += run_protocols(model, data, spec.mode, [factory] * len(chunk), chunk)
-            return lr_sweep(dict(zip(rates, runs))).tolerance_count
+        def tolerance_count(loss):
+            cfg = {"loss": loss, "optimizer": {"lr": 0.0, "momentum": 0.9},
+                   "lrs": list(DEFAULT_LR_GRID)}
+            data = make_stream(mix, spec, Rng(seed).derive("stream"))
+            return lr_sweep_result(cfg, model, data).tolerance_count
 
-        counts_em.append(tolerance_count(EmPlugin))
-        counts_ada.append(tolerance_count(_ada_factory))
+        counts_em.append(tolerance_count({"name": "em"}))
+        counts_ada.append(tolerance_count({"name": "adadem", "pi": 0.1}))
     elapsed = time.perf_counter() - t0
     ok = all(a > e for a, e in zip(counts_ada, counts_em))
     _report("C10", ok,
@@ -381,40 +373,25 @@ def test_c10_learning_rate_tolerance_count(sources):
 
 
 def test_c11_grid_search_contract(sources):
+    # grid-search's own recipe on each seed's stream: the valid points
+    # scored on the labeled subset, then the winner and the classical
+    # point on the full stream.
     t0 = time.perf_counter()
     spec = default_continual()
-    grid = GridSpec()
-    sgd = SgdConfig(lr=1e-3, momentum=0.9)
+    cfg = {
+        "optimizer": {"lr": 1e-3, "momentum": 0.9},
+        "grid": {"tau_min": 0.0, "tau_max": 2.0, "alpha_min": 0.0, "alpha_max": 2.0,
+                 "step": 0.1, "subset_fraction": 0.2},
+    }
     margins, bests = [], []
     for seed in SEEDS:
         mix, model = sources[seed]
-        data = _stream(mix, spec, seed)
-        k = max(1, round(spec.batches_per_shift * grid.subset_fraction))
-        subset = [(X[:k], y[:k]) for X, y in data]
-
-        # The valid points run stacked, stack_size at a time, as
-        # grid-search runs them; grid_search then reads their scores.
-        valid = [(tau, alpha) for tau, alpha, ok in grid_points(grid) if ok]
-        K, runs = stack_size(model, spec), []
-        for start in range(0, len(valid), K):
-            factories = [
-                functools.partial(DemPlugin, DemConfig(tau, alpha))
-                for tau, alpha in valid[start : start + K]
-            ]
-            runs += run_protocols(model, subset, spec.mode, factories, [sgd] * len(factories))
-        scores = {point: run.accuracy for point, run in zip(valid, runs)}
-
-        best, table = grid_search(scores, grid)
-        classical_subset = next(
-            r.accuracy for r in table if r.tau == 1.0 and r.alpha == 1.0
+        data = make_stream(mix, spec, Rng(seed).derive("stream"))
+        best, _, best_full, classical_subset, classical_full = grid_search_result(
+            cfg, model, data
         )
         assert best.accuracy >= classical_subset  # by construction
-
-        def full(tau, alpha):
-            factory = lambda: DemPlugin(DemConfig(tau, alpha))
-            return run_protocol(model, data, spec.mode, factory, sgd).overall.accuracy
-
-        margins.append(full(best.tau, best.alpha) - full(1.0, 1.0))
+        margins.append(best_full - classical_full)
         bests.append((best.tau, best.alpha))
     med = statistics.median(margins)
     elapsed = time.perf_counter() - t0

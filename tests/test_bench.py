@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,14 @@ class TestShifts:
             ShiftSpec("shear")
         with pytest.raises(ValueError):
             ShiftSpec("translate", 1.0, 6)
+        # A finite magnitude that its level's multiplier overflows is refused
+        # with a message naming the shift, not left to the shift's arithmetic.
+        for kind in SHIFT_KINDS:
+            for magnitude, level, shown in [(1e308, 5, "1e+308"), (-1e308, 4, "-1e+308")]:
+                message = f"{kind} at magnitude {shown}, level {level}: "
+                with pytest.raises(ValueError, match=re.escape(message) + "the effective"):
+                    ShiftSpec(kind, magnitude, level)
+            assert ShiftSpec(kind, 1e308, 2).effective_magnitude == 1e308
 
     def test_keys_distinguish_content_and_occurrence(self):
         a = ShiftSpec("rotate2d", 0.5, 2)

@@ -1150,6 +1150,26 @@ class TestLrSweepCommand:
         assert (tmp_path / "out" / "lr_sweep.csv").read_bytes() == first
 
 
+@pytest.mark.parametrize("command", ["run", "grid-search", "lr-sweep"])
+def test_overflowing_shift_exit_64_before_source_training(tmp_path, capsys, monkeypatch, command):
+    # The ShiftSpec check runs inside prepared_experiment, so only the
+    # training it would start next is patched to fail.
+    def fail(*args):
+        raise AssertionError("source training started")
+
+    monkeypatch.setattr("demkit.cli.build_source_model", fail)
+    cfg = small_config(tmp_path, stream={
+        "mode": "single_domain",
+        "shifts": [{"kind": "rotate2d", "magnitude": 1e308, "level": 5}],
+        "batches_per_shift": 3,
+        "batch_size": 16,
+    })
+    assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "demkit: rotate2d at magnitude 1e+308, level 5: the effective magnitude is not finite\n"
+    )
+
+
 class TestSettingsFailFast:
     """A bad loss, grid or size is refused before source training: with
     ``prepared_experiment`` failing, the command still exits 2 or 64."""

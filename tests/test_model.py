@@ -343,10 +343,10 @@ class TestSgd:
         cfg = SgdConfig(lr=0.1, momentum=0.9)
         state = SgdState()
         g = np.array([0.5, 0.0])  # theta = (W[0, 0], b[0])
-        sgd_step(model, g, cfg, state)
+        sgd_step(model.theta, g, cfg, state)
         # v = 0.5, p = 1 - 0.1 * 0.5
         assert model.W[0, 0] == 1.0 - 0.1 * 0.5
-        sgd_step(model, g, cfg, state)
+        sgd_step(model.theta, g, cfg, state)
         # v = 0.9 * 0.5 + 0.5 = 0.95
         assert state.velocity[0] == 0.9 * 0.5 + 0.5
         assert model.W[0, 0] == (1.0 - 0.05) - 0.1 * (0.9 * 0.5 + 0.5)
@@ -355,7 +355,7 @@ class TestSgd:
         model = init_linear(3, 2, Rng(4), scale=1.0)
         frozen = model.copy()
         state = SgdState()
-        sgd_step(model, np.ones(9), SgdConfig(lr=0.0, momentum=0.9), state)
+        sgd_step(model.theta, np.ones(9), SgdConfig(lr=0.0, momentum=0.9), state)
         np.testing.assert_array_equal(model.theta, frozen.theta)
         np.testing.assert_array_equal(state.velocity, np.ones(9))
 
@@ -363,12 +363,12 @@ class TestSgd:
         model = init_mlp(3, 2, 4, Rng(5))
         state = SgdState()
         assert state.velocity is None
-        sgd_step(model, np.zeros_like(model.theta), SgdConfig(lr=0.1, momentum=0.5), state)
+        sgd_step(model.theta, np.zeros_like(model.theta), SgdConfig(lr=0.1, momentum=0.5), state)
         v = state.velocity
         assert v.dtype == np.float64 and v.shape == model.theta.shape
         np.testing.assert_array_equal(v, np.zeros_like(model.theta))
         scaled = state.scaled
-        sgd_step(model, np.ones_like(model.theta), SgdConfig(lr=0.1, momentum=0.5), state)
+        sgd_step(model.theta, np.ones_like(model.theta), SgdConfig(lr=0.1, momentum=0.5), state)
         assert state.velocity is v and state.scaled is scaled
         np.testing.assert_array_equal(v, np.ones_like(model.theta))
 
@@ -382,7 +382,7 @@ class TestSgd:
         state, rng = SgdState(), Rng(4)
         for _ in range(5):
             grads = [rng.normals(p.size).reshape(p.shape) for p in params]
-            sgd_step(model, np.concatenate([g.ravel() for g in grads]), cfg, state)
+            sgd_step(model.theta, np.concatenate([g.ravel() for g in grads]), cfg, state)
             for p, v, g in zip(params, velocities, grads):
                 v *= cfg.momentum
                 v += g
@@ -451,7 +451,7 @@ class TestTrainSource:
                 idx = order[start : start + 16]
                 Z = forward(ref, X[idx])
                 dlogits = _batch_eval(CrossEntropyPlugin(y[idx]), Z)
-                sgd_step(ref, backward(ref, X[idx], dlogits), cfg, state)
+                sgd_step(ref.theta, backward(ref, X[idx], dlogits), cfg, state)
         assert np.array_equal(fused.theta, ref.theta)
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
@@ -476,7 +476,8 @@ class TestTrainSource:
             for start in range(0, X.shape[0], batch_size):
                 idx = order[start : start + batch_size]
                 Xb = X[idx]
-                sgd_step(ref, backward(ref, Xb, _ce_grad(forward(ref, Xb), y[idx])), cfg, state)
+                dlogits = _ce_grad(forward(ref, Xb), y[idx])
+                sgd_step(ref.theta, backward(ref, Xb, dlogits), cfg, state)
         assert np.array_equal(fused.theta, ref.theta)
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
@@ -587,7 +588,7 @@ class TestAdaptStream:
             Z = forward(ref, Xb)
             np.testing.assert_array_equal(P, softmax_rows(Z))
             dlogits = _batch_eval(EmPlugin(), Z)
-            sgd_step(ref, backward(ref, Xb, dlogits), SgdConfig(lr=0.01), state)
+            sgd_step(ref.theta, backward(ref, Xb, dlogits), SgdConfig(lr=0.01), state)
         assert np.array_equal(model.theta, ref.theta)
 
     def test_zero_lr_reproduces_frozen_model(self):
@@ -637,7 +638,7 @@ class TestAdaptStream:
         for Xb in X:
             before = ref.copy()
             dlogits = _batch_eval(EmPlugin(), forward(ref, Xb))
-            sgd_step(ref, backward(ref, Xb, dlogits), cfg, state)
+            sgd_step(ref.theta, backward(ref, Xb, dlogits), cfg, state)
             movement = np.linalg.norm(ref.theta - before.theta)
             expected = cfg.lr * np.linalg.norm(state.velocity)
             assert expected > 0.0
@@ -656,7 +657,7 @@ class TestAdaptStream:
             state = SgdState()
             for Xb in X:
                 dlogits = _batch_eval(EmPlugin(), forward(ref, Xb))
-                sgd_step(ref, backward(ref, Xb, dlogits), cfg, state)
+                sgd_step(ref.theta, backward(ref, Xb, dlogits), cfg, state)
         assert np.array_equal(model.theta, ref.theta)
 
     def test_non_finite_gradients_name_the_batch(self):
@@ -853,24 +854,22 @@ class TestAdaptStream:
 
 
 class TestModelStack:
-    def test_models_view_the_rows_of_one_array(self):
+    def test_models_are_the_rows_of_one_array(self):
         a, b = init_mlp(3, 2, 6, Rng(1)), init_mlp(3, 2, 6, Rng(2))
-        stack = ModelStack([a, b])
-        assert stack.theta.shape == (2, a.theta.size) and stack.theta.flags.c_contiguous
-        assert stack.theta.tobytes() == np.stack([a.theta, b.theta]).tobytes()
-        for model, row, source in zip(stack.models, stack.theta, (a, b)):
-            assert type(model) is Mlp
-            assert np.shares_memory(model.theta, row) and model.theta.shape == row.shape
-            for name in ("W1", "b1", "W2", "b2"):
-                view = getattr(model, name)
-                assert np.shares_memory(view, row)
-                assert np.array_equal(view, getattr(source, name))
-        # A step on one model moves its row and nothing else.
-        before = a.theta.copy()
-        sgd_step(stack.models[1], np.ones(a.theta.size), SgdConfig(lr=0.5), SgdState())
-        assert np.array_equal(stack.theta[0], before)
-        assert np.array_equal(stack.theta[1], b.theta - 0.5)
-        assert np.array_equal(a.theta, before)
+        sources = a.theta.tobytes(), b.theta.tobytes()
+        stack = ModelStack([a, b, a])
+        assert stack.theta.shape == (3, a.theta.size) and stack.theta.flags.c_contiguous
+        assert stack.theta.tobytes() == np.stack([a.theta, b.theta, a.theta]).tobytes()
+        assert not np.shares_memory(stack.theta, a.theta)
+        assert not np.shares_memory(stack.theta, b.theta)
+        assert stack.arch is a
+        # A step on row 1 moves that row's bytes, and no other row's and
+        # neither stacked source model's.
+        rows = [row.tobytes() for row in stack.theta]
+        sgd_step(stack.theta[1], np.ones(a.theta.size), SgdConfig(lr=0.5), SgdState())
+        assert stack.theta[1].tobytes() == (b.theta - 0.5).tobytes() != rows[1]
+        assert [stack.theta[0].tobytes(), stack.theta[2].tobytes()] == [rows[0], rows[2]]
+        assert (a.theta.tobytes(), b.theta.tobytes()) == sources
 
     @pytest.mark.parametrize(
         "models",
