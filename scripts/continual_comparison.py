@@ -4,14 +4,15 @@ The continual task of ``configs/continual_adadem.json`` chains three
 rotations of growing angle with no reset between them, so early mistakes
 compound.  Per seed this script builds that config's source model and
 stream once and runs the CLI's recipes on them.  For EM and AdaDEM it
-runs ``lr-sweep``'s recipe (the config's loss with only its name
-swapped) and reports the best rate and accuracy; a rate whose run
-diverges scores NaN and is never the best, and when every rate diverges
-the best rate and accuracy are NaN.  For DEM it runs ``grid-search``'s
-recipe, which tunes (tau, alpha) on a leading subset of each shift's
-batches at the config's optimizer and scores the winner (DEM*) on the
-full stream next to the classical point tau = alpha = 1; DEM* is then
-``grid-search``'s ``full_accuracy`` for the same config and seed.
+runs ``lr-sweep``'s recipe, ``search.lr_sweep`` (the config's loss with
+only its name swapped), and reports the best rate and accuracy; a rate
+whose run diverges scores NaN and is never the best, and when every
+rate diverges the best rate and accuracy are NaN.  For DEM it runs
+``grid-search``'s recipe, ``search.grid_search``, which tunes
+(tau, alpha) on a leading subset of each shift's batches at the config's
+optimizer and scores the winner (DEM*) on the full stream next to the
+classical point tau = alpha = 1; DEM* is then ``grid-search``'s
+``full_accuracy`` for the same config and seed.
 
 Run:
     python3 scripts/continual_comparison.py --seeds 3
@@ -21,7 +22,8 @@ import argparse
 import statistics
 from pathlib import Path
 
-from demkit.cli import grid_search_result, load_config, lr_sweep_result, prepared_experiment
+from demkit.cli import load_config, plugin_factory_from, prepared_experiment, sgd_config
+from demkit.search import GridSpec, grid_search, lr_sweep
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "continual_adadem.json"
 
@@ -36,11 +38,12 @@ def main() -> None:
         cfg = load_config(str(CONFIG))
         cfg["seed"] = seed
         model, data = prepared_experiment(cfg)
+        sgd = sgd_config(cfg)
         cfg["loss"]["name"] = "em"
-        lr_em, acc_em = lr_sweep_result(cfg, model, data).best
+        lr_em, acc_em = lr_sweep(model, data, plugin_factory_from(cfg), sgd, cfg["lrs"]).best
         cfg["loss"]["name"] = "adadem"
-        lr_ada, acc_ada = lr_sweep_result(cfg, model, data).best
-        dem = grid_search_result(cfg, model, data)
+        lr_ada, acc_ada = lr_sweep(model, data, plugin_factory_from(cfg), sgd, cfg["lrs"]).best
+        dem = grid_search(model, data, GridSpec(**cfg["grid"]), sgd)
 
         em_accs.append(acc_em)
         ada_accs.append(acc_ada)

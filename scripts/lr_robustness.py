@@ -4,10 +4,10 @@ Sweeps the learning-rate grid of ``configs/single_domain_em.json`` (three
 repeats of a 0.5 rad rotation) for both losses and counts, per seed, how
 many rates keep online accuracy at or above the no-adapt baseline.  A
 wider tolerated band means less tuning risk.  Per seed the script builds
-the config's source model and stream once and runs the CLI's ``lr-sweep``
-recipe on them for each loss, swapping only the config's loss name, so
-each count is ``lr-sweep``'s ``tolerance_count`` for that config and
-seed, and a rate whose run diverges scores NaN.
+the config's source model and stream once and runs ``lr-sweep``'s
+recipe, ``search.lr_sweep``, on them for each loss, swapping only the
+config's loss name, so each count is ``lr-sweep``'s ``tolerance_count``
+for that config and seed, and a rate whose run diverges scores NaN.
 
 Run:
     python3 scripts/lr_robustness.py --seeds 3 --out lr_robustness.csv
@@ -18,7 +18,8 @@ import csv
 import statistics
 from pathlib import Path
 
-from demkit.cli import load_config, lr_sweep_result, prepared_experiment
+from demkit.cli import load_config, plugin_factory_from, prepared_experiment, sgd_config
+from demkit.search import lr_sweep
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "single_domain_em.json"
 LOSSES = ("em", "adadem")
@@ -39,7 +40,7 @@ def main() -> None:
         model, data = prepared_experiment(cfg)
         for name in LOSSES:
             cfg["loss"]["name"] = name
-            res = lr_sweep_result(cfg, model, data)
+            res = lr_sweep(model, data, plugin_factory_from(cfg), sgd_config(cfg), cfg["lrs"])
             counts[name].append(res.tolerance_count)
             print(
                 f"{seed:>4} {name:>7} {res.baseline:>9.4f} "

@@ -4,8 +4,10 @@ The package splits into a numeric kernel (:mod:`demkit.numkit`), the loss
 family with exact gradients (:mod:`demkit.em_losses`,
 :mod:`demkit.adadem`), tiny manually-differentiated classifiers
 (:mod:`demkit.model`), a synthetic distribution-shift benchmark
-(:mod:`demkit.bench`), hyperparameter search helpers
-(:mod:`demkit.search`), and a CLI (:mod:`demkit.cli`).
+(:mod:`demkit.bench`), the (tau, alpha) grid search and the
+learning-rate sweep, which run their protocols and rank them
+(:mod:`demkit.search`), and a CLI that turns configs into those
+experiments and their output files (:mod:`demkit.cli`).
 """
 
 from .adadem import AdaDemVariant, MecState, delta, mec_init, mec_update

@@ -30,6 +30,13 @@ protocol keeps, per shift, confusion counts and running sums of its
 probability columns and row maxima, never a row of its predictions; its
 reports keep the bits :func:`metrics` gives on the matrices (see
 :class:`ProtocolResult`).
+
+:func:`run_protocols` runs ``K`` protocols stacked in one pass, and
+:func:`stack_size` bounds ``K`` by a memory budget.  :func:`run_chunked`
+runs any number of protocols in chunks of that size, one chunk at a time
+as its caller reads the entries, and :func:`succeeded` raises an entry
+that is a :class:`DivergenceError`; every command and both sweeps of
+``search`` run their protocols through them.
 """
 
 from __future__ import annotations
@@ -52,9 +59,6 @@ __all__ = [
     "LEVEL_MULTIPLIERS",
     "SHIFT_KINDS",
     "circle_means",
-    "default_mixture",
-    "default_single_domain",
-    "default_continual",
     "long_tail_priors",
     "sample_batch",
     "apply_shift",
@@ -65,6 +69,8 @@ __all__ = [
     "STACK_BYTES",
     "stack_size",
     "run_protocols",
+    "run_chunked",
+    "succeeded",
     "run_protocol",
 ]
 
@@ -224,44 +230,6 @@ def circle_means(C: int, radius: float) -> np.ndarray:
     """C class means evenly spaced on a circle of the given radius."""
     angles = 2.0 * math.pi * np.arange(C) / C
     return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-
-def default_mixture() -> MixtureSpec:
-    """The standard 10-class task: unit-sigma clusters on a radius-4 circle."""
-    return MixtureSpec(C=10, radius=4.0, sigma=1.0)
-
-
-def default_single_domain() -> StreamSpec:
-    """The standard single-domain benchmark: three independent streams
-    rotated half a radian past the source geometry.
-
-    A 0.5 rad rotation carries every cluster past the midpoint between
-    neighbouring class means (pi/10 rad for ten classes), so a frozen
-    source model sees a plurality-flipped labelling.  Methods that lock
-    onto the initial confident-but-wrong assignment stay below the
-    no-adapt baseline; methods that keep the output marginal spread can
-    recover.  Three replicates of the same severity keep the per-seed
-    variance of stream-level metrics manageable.
-    """
-    shift = ShiftSpec("rotate2d", 0.5, 2)
-    return StreamSpec("single_domain", (shift, shift, shift), 60, 64)
-
-
-def default_continual() -> StreamSpec:
-    """The standard continual benchmark: a rotation severity ladder.
-
-    One model is threaded through rotations of 0.45, 0.50 and 0.55 rad.
-    Consecutive segments are nearly identical, so an adapter that locks
-    onto a wrong labelling early is never shaken loose by the
-    environment, while the drift still makes the task genuinely
-    non-stationary.
-    """
-    shifts = (
-        ShiftSpec("rotate2d", 0.45, 2),
-        ShiftSpec("rotate2d", 0.50, 2),
-        ShiftSpec("rotate2d", 0.55, 2),
-    )
-    return StreamSpec("continual", shifts, 60, 64)
 
 
 def long_tail_priors(C: int, rho: float) -> np.ndarray:
@@ -613,12 +581,34 @@ def run_protocols(source_model, shift_data, mode: str, plugin_factories, cfgs) -
     return [tally.result(k) if exc is None else exc for k, exc in enumerate(errors)]
 
 
+def run_chunked(source_model, spec: StreamSpec, shift_data, plugin_factories: list, cfgs: list):
+    """Yield :func:`run_protocols`'s entry for each protocol of
+    ``plugin_factories`` and ``cfgs``, in order, over ``shift_data``: the
+    stream of ``spec``, in its mode, or its leading batches.  The
+    protocols run in chunks of :func:`stack_size` protocols, each chunk
+    one :func:`run_protocols` call and one pass over ``shift_data``, and
+    a chunk runs only once the caller reaches it, so a caller that raises
+    on an entry (:func:`succeeded`) runs no later chunk."""
+    K = stack_size(source_model, spec)
+    for start in range(0, len(plugin_factories), K):
+        chunk = slice(start, start + K)
+        yield from run_protocols(
+            source_model, shift_data, spec.mode, plugin_factories[chunk], cfgs[chunk]
+        )
+
+
+def succeeded(run) -> ProtocolResult:
+    """``run``, an entry of :func:`run_protocols`, if it is a result; the
+    :class:`DivergenceError` it holds otherwise, raised."""
+    if isinstance(run, DivergenceError):
+        raise run
+    return run
+
+
 def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdConfig) -> ProtocolResult:
     """One adaptation protocol: :func:`run_protocols` with the one factory
     ``plugin_factory`` and the optimizer ``cfg``, the ``K = 1`` call of
     the stacked engine, whose contract it keeps.  A diverging update
     raises :class:`DivergenceError` naming the shift and the batch."""
     (run,) = run_protocols(source_model, shift_data, mode, [plugin_factory], [cfg])
-    if isinstance(run, DivergenceError):
-        raise run
-    return run
+    return succeeded(run)

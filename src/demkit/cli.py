@@ -8,6 +8,14 @@ Subcommands:
 * ``grid-search``   - exhaustive (tau, alpha) search from a JSON config,
 * ``lr-sweep``      - learning-rate sensitivity sweep from a JSON config.
 
+The CLI keeps configs and files: it loads and validates a config, builds
+its library objects (``prepared_experiment``, ``plugin_factory_from``,
+``sgd_config``, ``search.GridSpec``), and writes tables, summaries and
+standard output.  The experiments are the library's: ``run`` stacks its
+adaptation and its lr = 0 baseline through ``bench.run_chunked``, and
+``grid-search`` and ``lr-sweep`` call ``search.grid_search`` and
+``search.lr_sweep``, which run their protocols and rank them.
+
 Exit codes: 0 success, 2 invalid hyperparameters (the (tau, alpha)
 validity region), 3 numeric or assertion failure, 64 usage or schema
 error.  All floats are printed with 9 significant digits and files are
@@ -44,14 +52,12 @@ from __future__ import annotations
 
 import argparse
 import copy
-import functools
 import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -262,7 +268,7 @@ SCHEMA = {
             "type": "array",
             "minItems": 1,
             "items": {"type": "number", "minimum": 0},
-            "default": list(_search.DEFAULT_LR_GRID),
+            "default": [1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1],
         },
     },
 }
@@ -696,8 +702,8 @@ def cmd_run(args) -> int:
     factory, sgd = plugin_factory_from(cfg), sgd_config(cfg)
     model, data = prepared_experiment(cfg)
     # the baseline is lr-sweep's: the same protocol at lr = 0, stacked with the run
-    runs = _stacked_runs(model, data.spec, data, [factory] * 2, [sgd, replace(sgd, lr=0.0)])
-    result, base = map(_succeeded, runs)
+    runs = _bench.run_chunked(model, data.spec, data, [factory] * 2, [sgd, replace(sgd, lr=0.0)])
+    result, base = map(_bench.succeeded, runs)
 
     rows = [
         _metrics_row(f"shift{i}", data.spec.shifts[i], rep, base.per_shift[i].accuracy)
@@ -724,86 +730,15 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-class GridResult(NamedTuple):
-    """DEM* by grid search: the subset-scored table and the full-stream scores."""
-
-    best: _search.TrialResult
-    table: list
-    best_full: float
-    classical_subset: float | None  # both None when (1, 1) is not a valid point
-    classical_full: float | None
-
-
-def _succeeded(run):
-    """``run``, an entry of ``bench.run_protocols``'s list, if it is a
-    result; the ``DivergenceError`` it holds otherwise, raised."""
-    if isinstance(run, _model.DivergenceError):
-        raise run
-    return run
-
-
-def _stacked_runs(model, spec, shifts, factories: list, sgds: list):
-    """Yield ``bench.run_protocols``'s entry for each protocol of
-    ``factories`` and ``sgds``, in order, over ``shifts``: the stream of
-    ``spec``, in its mode, or its leading batches.  The protocols run
-    stacked, in chunks of ``bench.stack_size`` protocols, each chunk one
-    pass over ``shifts``, and a chunk runs only once the caller reaches
-    it, so a caller that raises on an entry runs no later chunk.  ``run``
-    (its adaptation, then its lr = 0 baseline), ``grid-search`` and
-    ``lr-sweep`` all stack their protocols through it."""
-    K = _bench.stack_size(model, spec)
-    for start in range(0, len(factories), K):
-        chunk = slice(start, start + K)
-        yield from _bench.run_protocols(model, shifts, spec.mode, factories[chunk], sgds[chunk])
-
-
-def grid_search_result(cfg: dict, model, data) -> GridResult:
-    """Grid-search DEM's (tau, alpha) on the labeled subset of ``data``,
-    a ``bench.Stream``.
-
-    Every point runs the stream's mode and the config's optimizer; the
-    winner and the classical point tau = alpha = 1 are then scored on the
-    full stream.  The subset is the leading ``grid.subset_fraction`` of
-    each shift's batches (at least one), drawn once and held for every
-    chunk of points; the finalists then make one pass over the full
-    stream, which holds one shift at a time.  The valid points are scored
-    first, stacked in grid order by :func:`_stacked_runs`, and
-    ``search.grid_search`` then ranks their scores.  A diverging point
-    raises as it would alone, before any later chunk runs.
-    """
-    sgd = sgd_config(cfg)
-    grid = _search.GridSpec(**cfg["grid"])
-    k = max(1, round(data.spec.batches_per_shift * grid.subset_fraction))
-    subset = list(data.leading(k))
-
-    def accuracies(shifts, points) -> list:
-        factories = [
-            functools.partial(_model.DemPlugin, _em.DemConfig(tau, alpha)) for tau, alpha in points
-        ]
-        runs = _stacked_runs(model, data.spec, shifts, factories, [sgd] * len(points))
-        return [_succeeded(run).accuracy for run in runs]
-
-    valid = [(t, a) for t, a, ok in _search.grid_points(grid) if ok]
-    scores = dict(zip(valid, accuracies(subset, valid)))
-
-    best, table = _search.grid_search(scores, grid)
-    classical_subset = scores.get((1.0, 1.0))
-    finalists = [(best.tau, best.alpha)]
-    if classical_subset is not None:
-        finalists.append((1.0, 1.0))
-    best_full, *classical = accuracies(data, finalists)
-    classical_full = classical[0] if classical else None
-    return GridResult(best, table, best_full, classical_subset, classical_full)
-
-
 def cmd_grid_search(args) -> int:
     cfg = load_config(args.config)
     out = cfg["output_dir"]
     remove_outputs(out, "grid.csv")
-    _search.GridSpec(**cfg["grid"])  # refuse a bad grid before source training
+    # built before source training, so that a bad grid fails at once
+    grid, sgd = _search.GridSpec(**cfg["grid"]), sgd_config(cfg)
     model, data = prepared_experiment(cfg)
-    best, table, best_full, classical_subset, classical_full = grid_search_result(
-        cfg, model, data
+    best, table, best_full, classical_subset, classical_full = _search.grid_search(
+        model, data, grid, sgd
     )
 
     write_csv(
@@ -851,30 +786,14 @@ def cmd_grid_search(args) -> int:
     return EXIT_OK
 
 
-def lr_sweep_result(cfg: dict, model, data) -> _search.LrSweepResult:
-    """Sweep the config's ``lrs`` for its loss and optimizer settings over
-    ``data``, a ``bench.Stream``, in its mode.
-
-    The lr = 0 baseline and every rate run first, stacked by
-    :func:`_stacked_runs`, one pass over the stream per chunk (one pass
-    on every shipped config); ``search.lr_sweep`` then reads each rate's
-    result, or the ``DivergenceError`` that ended its run, which it
-    scores NaN.
-    """
-    factory, sgd = plugin_factory_from(cfg), sgd_config(cfg)
-    rates = list(dict.fromkeys([0.0, *cfg["lrs"]]))
-    sgds = [replace(sgd, lr=lr) for lr in rates]
-    runs = dict(zip(rates, _stacked_runs(model, data.spec, data, [factory] * len(rates), sgds)))
-    return _search.lr_sweep(runs, cfg["lrs"])
-
-
 def cmd_lr_sweep(args) -> int:
     cfg = load_config(args.config)
     out = cfg["output_dir"]
     remove_outputs(out, "lr_sweep.csv")
-    plugin_factory_from(cfg)  # refuse a bad loss before source training
+    # built before source training, so that a bad loss fails at once
+    factory, sgd = plugin_factory_from(cfg), sgd_config(cfg)
     model, data = prepared_experiment(cfg)
-    result = lr_sweep_result(cfg, model, data)
+    result = _search.lr_sweep(model, data, factory, sgd, cfg["lrs"])
     if not math.isfinite(result.baseline):
         print("lr-sweep: numeric failure (non-finite baseline)", file=sys.stderr)
         return EXIT_NUMERIC

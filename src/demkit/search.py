@@ -1,38 +1,42 @@
 """Hyperparameter search: the (tau, alpha) grid and the lr sensitivity sweep.
 
-``grid_search`` exhaustively scores every valid point of a rectangular
-(tau, alpha) grid.  Validity gating is exactly ``validate_config``: the
+Each sweep runs its protocols and ranks them.  ``grid_search`` scores
+DEM at every valid point of a rectangular (tau, alpha) grid on a labeled
+subset of the stream, then its winner and the classical point (1.0, 1.0)
+on the full stream.  Validity gating is exactly ``validate_config``: the
 tau = 0 row is excluded, alpha = 0 is admitted with any positive tau, and
-alpha > 0 requires tau <= 2/alpha.  The default grid spans 0.0-2.0 at
-step 0.1 on both axes and always contains the classical point
-(1.0, 1.0), so the best found score can never fall below classical EM's
-on the scoring data.
+alpha > 0 requires tau <= 2/alpha.  The default grid (``cli.SCHEMA``'s
+``grid`` defaults) spans 0.0-2.0 at step 0.1 on both axes and always
+contains the classical point, so the best found score can never fall
+below classical EM's on the scoring data.
 
-``lr_sweep`` reads one protocol's result per learning rate and reports
-the tolerance count: how many rates end at or above the no-adapt
-baseline.  It owns the divergence rule: a protocol that ended in a
-``DivergenceError`` scores NaN, which counts below the baseline and is
-never the sweep's ``best``.  Both helpers rank values their caller has
-already computed (the CLI runs the protocols stacked, through
-``bench.run_protocols``) and call nothing back; their tables follow grid
-order, so output is deterministic.
+``lr_sweep`` runs one protocol per learning rate and the no-adapt
+baseline at lr = 0, and reports the tolerance count: how many rates end
+at or above the baseline.  It owns the divergence rule: a protocol that
+ended in a ``DivergenceError`` scores NaN, which counts below the
+baseline and is never the sweep's ``best``.  Both sweeps stack their
+protocols in grid or rate order through ``bench.run_chunked``, and their
+tables follow the same order, so output is deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .em_losses import ConfigError, validate_config
-from .model import DivergenceError
+from .bench import run_chunked, succeeded
+from .em_losses import ConfigError, DemConfig, validate_config
+from .model import DemPlugin, DivergenceError, SgdConfig
 
 __all__ = [
     "GridSpec",
     "TrialResult",
+    "GridResult",
     "LrSweepResult",
-    "DEFAULT_LR_GRID",
     "GRID_MAX_POINTS",
     "axis_steps",
     "grid_axis",
@@ -41,7 +45,6 @@ __all__ = [
     "lr_sweep",
 ]
 
-DEFAULT_LR_GRID = (1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1)
 GRID_MAX_POINTS = 100_000  # the largest (tau, alpha) grid; the default has 441
 
 
@@ -50,12 +53,12 @@ class GridSpec:
     """Rectangular search grid and the labeled-subset fraction for scoring:
     at most ``GRID_MAX_POINTS`` points, at least one of them valid."""
 
-    tau_min: float = 0.0
-    tau_max: float = 2.0
-    alpha_min: float = 0.0
-    alpha_max: float = 2.0
-    step: float = 0.1
-    subset_fraction: float = 0.2
+    tau_min: float
+    tau_max: float
+    alpha_min: float
+    alpha_max: float
+    step: float
+    subset_fraction: float
 
     def __post_init__(self):
         if not self.step > 0:
@@ -83,6 +86,16 @@ class TrialResult:
     alpha: float
     valid: bool
     accuracy: float | None
+
+
+class GridResult(NamedTuple):
+    """DEM* by grid search: the subset-scored table and the full-stream scores."""
+
+    best: TrialResult
+    table: list
+    best_full: float
+    classical_subset: float | None  # both None when (1, 1) is not a valid point
+    classical_full: float | None
 
 
 @dataclass
@@ -124,51 +137,72 @@ def grid_points(grid: GridSpec) -> list:
     return [(tau, alpha, validate_config(tau, alpha)) for tau in taus for alpha in alphas]
 
 
-def grid_search(scores: dict, grid: GridSpec = GridSpec()):
-    """Rank the valid points of ``grid`` by ``scores``, a dict from each
-    valid ``(tau, alpha)`` to its accuracy.
+def grid_search(model, data, grid: GridSpec, sgd: SgdConfig) -> GridResult:
+    """Grid-search DEM's (tau, alpha) for ``model`` on the labeled subset
+    of ``data``, a ``bench.Stream``.
 
-    Returns ``(best, table)`` where the table lists every point
-    (including invalid ones, unscored) in grid order.  Ties on accuracy
+    Every valid point of ``grid`` adapts in the stream's mode with the
+    optimizer ``sgd``.  The subset is the leading ``grid.subset_fraction``
+    of each shift's batches (at least one), drawn once and held for every
+    chunk of points.  The table lists every point (invalid ones unscored)
+    in grid order.  The best point has the highest subset accuracy; ties
     prefer the point closest to classical EM: smallest ``|tau - 1|``,
-    then smallest ``|alpha - 1|``, then grid order.  A valid point
-    missing from ``scores`` raises ``ValueError`` naming it.
+    then smallest ``|alpha - 1|``, then grid order.  The winner and the
+    classical point tau = alpha = 1, when it is valid, are then scored in
+    one pass over the full stream, which holds one shift at a time.  The
+    points run stacked in grid order by ``bench.run_chunked``; a diverging
+    point raises its ``DivergenceError`` before any later chunk runs.
     """
+    k = max(1, round(data.spec.batches_per_shift * grid.subset_fraction))
+    subset = list(data.leading(k))
+
+    def accuracies(shifts, points) -> list:
+        factories = [functools.partial(DemPlugin, DemConfig(tau, alpha)) for tau, alpha in points]
+        runs = run_chunked(model, data.spec, shifts, factories, [sgd] * len(points))
+        return [succeeded(run).accuracy for run in runs]
+
     points = grid_points(grid)
-    for t, a, ok in points:
-        if ok and (t, a) not in scores:
-            raise ValueError(f"no score for the valid point (tau={t}, alpha={a})")
-    table = [TrialResult(t, a, ok, float(scores[(t, a)]) if ok else None) for t, a, ok in points]
+    scores = iter(accuracies(subset, [(t, a) for t, a, ok in points if ok]))
+    table = [TrialResult(t, a, ok, next(scores) if ok else None) for t, a, ok in points]
     best = max(
         (r for r in table if r.valid),
         key=lambda r: (r.accuracy, -abs(r.tau - 1.0), -abs(r.alpha - 1.0)),
     )
-    return best, table
+    classical = next((r for r in table if r.valid and (r.tau, r.alpha) == (1.0, 1.0)), None)
+    if classical is None:
+        (best_full,) = accuracies(data, [(best.tau, best.alpha)])
+        return GridResult(best, table, best_full, None, None)
+    best_full, classical_full = accuracies(data, [(best.tau, best.alpha), (1.0, 1.0)])
+    return GridResult(best, table, best_full, classical.accuracy, classical_full)
 
 
-def lr_sweep(runs: dict, lrs=DEFAULT_LR_GRID) -> LrSweepResult:
-    """Count the rates of ``lrs`` whose run ends at or above the baseline.
+def lr_sweep(model, data, factory, sgd: SgdConfig, lrs) -> LrSweepResult:
+    """Sweep ``lrs`` for ``model`` over ``data``, a ``bench.Stream``, in
+    its mode, with the loss plugins of ``factory`` and the optimizer
+    ``sgd`` at each rate, and count the rates whose run ends at or above
+    the baseline.
 
-    ``runs`` maps lr = 0 and each rate to what ``bench.run_protocols``
-    gave for it: a result, whose ``accuracy`` is read, or the
-    ``DivergenceError`` that ended it.  The baseline is the run at
-    lr = 0 (no parameter movement), so the count answers: at how many of
-    these rates does adapting not hurt?  A run that diverges at an
-    aggressive rate is a legitimate sweep outcome: a ``DivergenceError``,
-    at a rate or at the baseline, scores NaN.
+    The baseline is the run at lr = 0 (no parameter movement), so the
+    count answers: at how many of these rates does adapting not hurt?
+    The baseline and each distinct rate run once, stacked by
+    ``bench.run_chunked``, one pass over the stream per chunk (one pass
+    on every shipped config).  A run that diverges at an aggressive rate
+    is a legitimate sweep outcome: its ``DivergenceError``, at a rate or
+    at the baseline, scores NaN.
     """
     lrs = list(lrs)
     if not lrs:
         raise ValueError("need at least one learning rate")
     if any(lr < 0 for lr in lrs):
         raise ValueError("learning rates must be non-negative")
-
-    def score(lr: float) -> float:
-        run = runs[lr]
-        return math.nan if isinstance(run, DivergenceError) else float(run.accuracy)
-
-    baseline = score(0.0)
-    accs = [score(lr) for lr in lrs]
-    rows = list(zip(lrs, accs))
+    rates = list(dict.fromkeys([0.0, *lrs]))
+    sgds = [replace(sgd, lr=lr) for lr in rates]
+    runs = run_chunked(model, data.spec, data, [factory] * len(rates), sgds)
+    scores = {
+        lr: math.nan if isinstance(run, DivergenceError) else float(run.accuracy)
+        for lr, run in zip(rates, runs)
+    }
+    baseline = scores[0.0]
+    rows = [(lr, scores[lr]) for lr in lrs]
     count = sum(1 for _, acc in rows if acc >= baseline)
     return LrSweepResult(rows=rows, baseline=baseline, tolerance_count=count)

@@ -32,17 +32,15 @@ import pytest
 
 from demkit.adadem import AdaDemVariant, adadem_rows, delta, mec_init, mec_update
 from demkit.bench import (
+    MixtureSpec,
     ShiftSpec,
     StreamSpec,
-    default_continual,
-    default_mixture,
-    default_single_domain,
     make_stream,
     run_protocol,
     run_protocols,
     sample_batch,
 )
-from demkit.cli import _end_to_end_cases, _gradcheck_cases, grid_search_result, lr_sweep_result, main
+from demkit.cli import DEFAULT_CONFIG, _end_to_end_cases, _gradcheck_cases, main
 from demkit.em_losses import (
     DemConfig,
     boundary_second_derivative,
@@ -65,9 +63,10 @@ from demkit.model import (
     train_source,
 )
 from demkit.numkit import Rng, rel_err, softmax_rows
-from demkit.search import DEFAULT_LR_GRID
+from demkit.search import GridSpec, grid_search, lr_sweep
 
 SEEDS = (0, 1, 2)
+LRS = DEFAULT_CONFIG["lrs"]
 
 
 def _report(cid: str, passed: bool, detail: str) -> None:
@@ -80,8 +79,19 @@ def _report(cid: str, passed: bool, detail: str) -> None:
 # --------------------------------------------------------------------------
 
 
+# The standard 10-class task (unit-sigma clusters on a radius-4 circle)
+# and its two rotation streams: three independent 0.5 rad rotations, and
+# the continual ladder of 0.45, 0.50 and 0.55 rad, the stream of
+# configs/continual_adadem.json.
+MIXTURE = MixtureSpec(C=10, radius=4.0, sigma=1.0)
+SINGLE_DOMAIN = StreamSpec("single_domain", (ShiftSpec("rotate2d", 0.5, 2),) * 3, 60, 64)
+CONTINUAL = StreamSpec(
+    "continual", tuple(ShiftSpec("rotate2d", m, 2) for m in (0.45, 0.50, 0.55)), 60, 64
+)
+
+
 def _build_source(seed: int):
-    mix = default_mixture()
+    mix = MIXTURE
     rng = Rng(seed)
     X, y = sample_batch(mix, np.full(mix.C, 1.0 / mix.C), 5000, rng.derive("source-data"))
     model = init_mlp(mix.C, mix.d, 32, rng.derive("source-init"), 0.5)
@@ -299,7 +309,7 @@ def test_c08_delta_normalization_exactness():
 # --------------------------------------------------------------------------
 
 
-def _best_lr_run(model, data, mode, factory, lrs=DEFAULT_LR_GRID):
+def _best_lr_run(model, data, mode, factory, lrs=LRS):
     """The (lr, accuracy, result) of the accuracy-best rate on the grid,
     the first of the highest.  The rates run as one stack; a diverged
     rate raises its ``DivergenceError``, the first in rate order."""
@@ -350,23 +360,22 @@ def test_c10_learning_rate_tolerance_count(sources):
     # lr-sweep's own recipe on each seed's stream: the baseline and the
     # rates run stacked, and lr_sweep counts the tolerated rates.
     t0 = time.perf_counter()
-    spec = default_single_domain()
+    spec = SINGLE_DOMAIN
     counts_em, counts_ada = [], []
     for seed in SEEDS:
         mix, model = sources[seed]
 
-        def tolerance_count(loss):
-            cfg = {"loss": loss, "optimizer": {"lr": 0.0, "momentum": 0.9},
-                   "lrs": list(DEFAULT_LR_GRID)}
+        def tolerance_count(factory):
             data = make_stream(mix, spec, Rng(seed).derive("stream"))
-            return lr_sweep_result(cfg, model, data).tolerance_count
+            sgd = SgdConfig(lr=0.0, momentum=0.9)
+            return lr_sweep(model, data, factory, sgd, LRS).tolerance_count
 
-        counts_em.append(tolerance_count({"name": "em"}))
-        counts_ada.append(tolerance_count({"name": "adadem", "pi": 0.1}))
+        counts_em.append(tolerance_count(EmPlugin))
+        counts_ada.append(tolerance_count(_ada_factory))
     elapsed = time.perf_counter() - t0
     ok = all(a > e for a, e in zip(counts_ada, counts_em))
     _report("C10", ok,
-            f"lrs at-or-above baseline out of {len(DEFAULT_LR_GRID)}: "
+            f"lrs at-or-above baseline out of {len(LRS)}: "
             f"AdaDEM {counts_ada} vs EM {counts_em} per seed "
             f"(strictly larger required); {elapsed:.1f}s")
     assert ok, f"AdaDEM counts {counts_ada} not strictly above EM counts {counts_em}"
@@ -377,18 +386,15 @@ def test_c11_grid_search_contract(sources):
     # scored on the labeled subset, then the winner and the classical
     # point on the full stream.
     t0 = time.perf_counter()
-    spec = default_continual()
-    cfg = {
-        "optimizer": {"lr": 1e-3, "momentum": 0.9},
-        "grid": {"tau_min": 0.0, "tau_max": 2.0, "alpha_min": 0.0, "alpha_max": 2.0,
-                 "step": 0.1, "subset_fraction": 0.2},
-    }
+    spec = CONTINUAL
+    grid = GridSpec(tau_min=0.0, tau_max=2.0, alpha_min=0.0, alpha_max=2.0, step=0.1,
+                    subset_fraction=0.2)
     margins, bests = [], []
     for seed in SEEDS:
         mix, model = sources[seed]
         data = make_stream(mix, spec, Rng(seed).derive("stream"))
-        best, _, best_full, classical_subset, classical_full = grid_search_result(
-            cfg, model, data
+        best, _, best_full, classical_subset, classical_full = grid_search(
+            model, data, grid, SgdConfig(lr=1e-3, momentum=0.9)
         )
         assert best.accuracy >= classical_subset  # by construction
         margins.append(best_full - classical_full)
@@ -406,7 +412,7 @@ def test_c11_grid_search_contract(sources):
 
 def test_c12_adadem_vs_em_continual(sources):
     t0 = time.perf_counter()
-    spec = default_continual()
+    spec = CONTINUAL
     em_best, ada_best, ada_at_em_lr = [], [], []
     for seed in SEEDS:
         mix, model = sources[seed]

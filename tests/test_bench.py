@@ -5,12 +5,12 @@ import functools
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import demkit.bench
-import demkit.cli
 import demkit.model
 from demkit.bench import (
     LEVEL_MULTIPLIERS,
@@ -21,9 +21,6 @@ from demkit.bench import (
     StreamSpec,
     apply_shift,
     circle_means,
-    default_continual,
-    default_mixture,
-    default_single_domain,
     kl_divergence,
     long_tail_priors,
     make_stream,
@@ -33,6 +30,7 @@ from demkit.bench import (
     sample_batch,
     stack_size,
 )
+from demkit.cli import DEFAULT_CONFIG, load_config
 from demkit.em_losses import DemConfig
 from demkit.model import (
     AdaDemPlugin,
@@ -49,6 +47,21 @@ from demkit.model import (
 )
 from demkit.numkit import Rng, softmax_rows
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _stream_spec(section: dict) -> StreamSpec:
+    """The ``StreamSpec`` of a config's ``stream`` section."""
+    shifts = tuple(ShiftSpec(**sh) for sh in section["shifts"])
+    return StreamSpec(
+        section["mode"], shifts, section["batches_per_shift"], section["batch_size"],
+        section["label_rho"],
+    )
+
+
+# The default config's 10-class task: unit-sigma clusters on a radius-4 circle.
+MIX = MixtureSpec(*(DEFAULT_CONFIG["mixture"][k] for k in ("C", "radius", "sigma")))
+
 
 class TestGeometry:
     def test_circle_means_square(self):
@@ -62,9 +75,8 @@ class TestGeometry:
         np.testing.assert_allclose(np.linalg.norm(m, axis=1), 4.0, atol=1e-12)
 
     def test_default_mixture(self):
-        mix = default_mixture()
-        assert (mix.C, mix.d, mix.radius, mix.sigma) == (10, 2, 4.0, 1.0)
-        np.testing.assert_allclose(np.linalg.norm(mix.means, axis=1), 4.0, atol=1e-12)
+        assert (MIX.C, MIX.d, MIX.radius, MIX.sigma) == (10, 2, 4.0, 1.0)
+        np.testing.assert_allclose(np.linalg.norm(MIX.means, axis=1), 4.0, atol=1e-12)
 
     @pytest.mark.parametrize("C, radius", [(2, 1.0), (3, 2.5), (10, 4.0), (37, 0.3)])
     def test_mixture_means_are_circle_means(self, C, radius):
@@ -112,17 +124,15 @@ class TestLongTailPriors:
 
 class TestSampleBatch:
     def test_deterministic(self):
-        mix = default_mixture()
-        Xa, ya = sample_batch(mix, np.full(10, 0.1), 32, Rng(5))
-        Xb, yb = sample_batch(mix, np.full(10, 0.1), 32, Rng(5))
+        Xa, ya = sample_batch(MIX, np.full(10, 0.1), 32, Rng(5))
+        Xb, yb = sample_batch(MIX, np.full(10, 0.1), 32, Rng(5))
         np.testing.assert_array_equal(Xa, Xb)
         np.testing.assert_array_equal(ya, yb)
 
     def test_one_hot_prior_fixes_labels(self):
-        mix = default_mixture()
         prior = np.zeros(10)
         prior[7] = 1.0
-        _, y = sample_batch(mix, prior, 50, Rng(1))
+        _, y = sample_batch(MIX, prior, 50, Rng(1))
         assert np.all(y == 7)
 
     def test_tiny_sigma_recovers_means(self):
@@ -131,16 +141,14 @@ class TestSampleBatch:
         np.testing.assert_allclose(X, circle_means(3, 2.0)[y], atol=1e-7)
 
     def test_label_frequencies_follow_priors(self):
-        mix = default_mixture()
         priors = long_tail_priors(10, 10.0)
-        _, y = sample_batch(mix, priors, 100_000, Rng(3))
+        _, y = sample_batch(MIX, priors, 100_000, Rng(3))
         freq = np.bincount(y, minlength=10) / y.shape[0]
         np.testing.assert_allclose(freq, priors, atol=0.01)
 
     def test_rejects_empty(self):
-        mix = default_mixture()
         with pytest.raises(ValueError):
-            sample_batch(mix, np.full(10, 0.1), 0, Rng(0))
+            sample_batch(MIX, np.full(10, 0.1), 0, Rng(0))
 
 
 class TestShifts:
@@ -227,13 +235,14 @@ class TestStreamSpec:
         assert StreamSpec("single_domain", (shift,), 5).label_rho == 1.0
 
     def test_default_tasks(self):
-        single = default_single_domain()
+        # The default config's stream and the continual config's.
+        single = _stream_spec(DEFAULT_CONFIG["stream"])
         assert single.mode == "single_domain"
         assert len(single.shifts) == 3
         assert all(s.kind == "rotate2d" and s.magnitude == 0.5 for s in single.shifts)
         assert (single.batches_per_shift, single.batch_size) == (60, 64)
 
-        cont = default_continual()
+        cont = _stream_spec(load_config(str(CONFIGS / "continual_adadem.json"))["stream"])
         assert cont.mode == "continual"
         assert [s.magnitude for s in cont.shifts] == [0.45, 0.50, 0.55]
         assert all(s.kind == "rotate2d" for s in cont.shifts)
@@ -241,11 +250,9 @@ class TestStreamSpec:
 
 
 class TestMakeStream:
-    MIX = default_mixture()
-
     def test_shapes(self):
         spec = StreamSpec("single_domain", (ShiftSpec("translate", 1.0),), 4, 16)
-        data = list(make_stream(self.MIX, spec, Rng(0)))
+        data = list(make_stream(MIX, spec, Rng(0)))
         assert len(data) == 1
         X, y = data[0]
         assert X.shape == (4, 16, 2) and X.dtype == np.float64
@@ -258,24 +265,24 @@ class TestMakeStream:
         noise, rotation = ShiftSpec("feature_noise", 1.0, 3), ShiftSpec("rotate2d", 0.5)
         priors = long_tail_priors(10, 10.0)
         spec = StreamSpec("continual", (noise, rotation, noise), 5, 24, label_rho=10.0)
-        data = make_stream(self.MIX, spec, Rng(7))
+        data = make_stream(MIX, spec, Rng(7))
         for (X, y), shift, occurrence in zip(data, spec.shifts, (0, 0, 1)):
             srng = Rng(7).derive(shift.key(occurrence))
             for i in range(5):
-                Xb, yb = sample_batch(self.MIX, priors, 24, srng)
+                Xb, yb = sample_batch(MIX, priors, 24, srng)
                 assert X[i].tobytes() == apply_shift(Xb, shift, srng).tobytes()
                 assert y[i].tobytes() == yb.tobytes()
 
     def test_repeated_shift_gets_fresh_data(self):
         shift = ShiftSpec("rotate2d", 0.5)
         spec = StreamSpec("single_domain", (shift, shift), 2, 16)
-        data = list(make_stream(self.MIX, spec, Rng(0)))
+        data = list(make_stream(MIX, spec, Rng(0)))
         assert not np.array_equal(data[0][0], data[1][0])
 
     def test_reordering_shifts_permutes_data(self):
         a, b = ShiftSpec("translate", 1.0), ShiftSpec("rotate2d", 0.5)
-        d_ab = list(make_stream(self.MIX, StreamSpec("single_domain", (a, b), 3, 16), Rng(0)))
-        d_ba = list(make_stream(self.MIX, StreamSpec("single_domain", (b, a), 3, 16), Rng(0)))
+        d_ab = list(make_stream(MIX, StreamSpec("single_domain", (a, b), 3, 16), Rng(0)))
+        d_ba = list(make_stream(MIX, StreamSpec("single_domain", (b, a), 3, 16), Rng(0)))
         for i in range(2):
             np.testing.assert_array_equal(d_ab[0][i], d_ba[1][i])
             np.testing.assert_array_equal(d_ab[1][i], d_ba[0][i])
@@ -301,13 +308,13 @@ class TestMakeStream:
         # below 1e-33, so every label is class 0.
         spec = StreamSpec("single_domain", (ShiftSpec("translate", 1.0),), 2, 32,
                           label_rho=1e300)
-        data = list(make_stream(self.MIX, spec, Rng(0)))
+        data = list(make_stream(MIX, spec, Rng(0)))
         assert np.all(data[0][1] == 0)
 
     def test_each_pass_draws_the_same_bits(self):
         noise = ShiftSpec("feature_noise", 1.0, 3)
         spec = StreamSpec("continual", (noise, ShiftSpec("rotate2d", 0.5), noise), 5, 24, 10.0)
-        stream = make_stream(self.MIX, spec, Rng(7))
+        stream = make_stream(MIX, spec, Rng(7))
         assert len(stream) == 3 and stream.spec is spec
         passes = [[(X.tobytes(), y.tobytes()) for X, y in stream] for _ in range(2)]
         assert passes[0] == passes[1]
@@ -318,7 +325,7 @@ class TestMakeStream:
         # a prefix draws nothing past its k batches of each shift.
         noise, rotation = ShiftSpec("feature_noise", 1.0, 3), ShiftSpec("rotate2d", 0.5)
         spec = StreamSpec(mode, (noise, rotation, noise, noise), 7, 16, label_rho=3.0)
-        stream = make_stream(self.MIX, spec, Rng(5))
+        stream = make_stream(MIX, spec, Rng(5))
         full = list(stream)
         draws, draw = [], demkit.bench.sample_batch
         monkeypatch.setattr(demkit.bench, "sample_batch", lambda *a: draws.append(1) or draw(*a))
@@ -462,12 +469,11 @@ def _assert_same_summaries(got, want):
 
 def _quick_source(seed=0):
     """A small linear source model for protocol-level tests."""
-    mix = default_mixture()
     rng = Rng(seed)
-    X, y = sample_batch(mix, np.full(10, 0.1), 2000, rng.derive("data"))
+    X, y = sample_batch(MIX, np.full(10, 0.1), 2000, rng.derive("data"))
     model = init_linear(10, 2)
     train_source(model, X, y, 3, SgdConfig(lr=0.5), rng.derive("train"))
-    return mix, model
+    return MIX, model
 
 
 class TestSeverityScaling:
@@ -848,7 +854,7 @@ class TestRunProtocol:
         for run in (runs[0], runs[3]):
             _assert_same_summaries(run, alone)
         with pytest.raises(DivergenceError) as info:
-            [demkit.cli._succeeded(run) for run in runs]
+            [demkit.bench.succeeded(run) for run in runs]
         assert info.value is runs[1]
         assert str(info.value) == (
             "adaptation diverged at shift 1, batch 3: non-finite loss gradients"
@@ -937,10 +943,9 @@ class TestStackedProtocols:
         # than the budget.  A protocol holds no row of a shift, so the
         # long lr-sweep stream (5 shifts of 120 batches) stacks 11 too,
         # and its baseline and ten rates run as one stack.
-        mix = default_mixture()
         model = init_mlp(10, 2, 32, Rng(1))
         ladder = tuple(ShiftSpec("rotate2d", r) for r in (0.45, 0.5, 0.55))
-        data = make_stream(mix, StreamSpec("continual", ladder, 12, 64), Rng(2))
+        data = make_stream(MIX, StreamSpec("continual", ladder, 12, 64), Rng(2))
         K = stack_size(model, data.spec)
         assert K == 11
         factories = [functools.partial(DemPlugin, DemConfig(1.0, 1.0))] * K

@@ -11,7 +11,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +38,13 @@ from demkit.cli import (
     fmt9,
     jround,
     load_config,
-    lr_sweep_result,
     main,
     plugin_factory_from,
     prepared_experiment,
     sgd_config,
     vec9,
 )
+from demkit.search import lr_sweep
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -127,18 +127,12 @@ class TestLoadConfig:
     def test_library_defaults_match_the_schema(self):
         # The library types keep their own defaults; each equals the
         # config default SCHEMA annotates for the same setting.
-        from demkit import adadem, bench, model, search
+        from demkit import adadem, model
 
         def default(func, name):
             return inspect.signature(func).parameters[name].default
 
         source, loss = DEFAULT_CONFIG["source"], DEFAULT_CONFIG["loss"]
-        assert asdict(search.GridSpec()) == DEFAULT_CONFIG["grid"]
-        mix = bench.default_mixture()
-        assert {**asdict(mix), "d": mix.d} == DEFAULT_CONFIG["mixture"]
-        stream = bench.default_single_domain()
-        shifts = [asdict(sh) for sh in stream.shifts]
-        assert {**asdict(stream), "shifts": shifts} == DEFAULT_CONFIG["stream"]
         assert default(model.init_mlp, "scale") == source["init_scale"]
         assert default(model.train_source, "batch_size") == source["batch_size"]
         assert default(adadem.mec_init, "pi") == loss["pi"]
@@ -1035,7 +1029,8 @@ class TestStackedSweeps:
         cfg_path = small_config(tmp_path, stream=self.STREAM, lrs=[1e-3, 5e-3])
         cfg = load_config(str(cfg_path))
         model, data = prepared_experiment(cfg)
-        clean = lr_sweep_result(cfg, model, data)
+        sgd = sgd_config(cfg)
+        clean = lr_sweep(model, data, plugin_factory_from(cfg), sgd, cfg["lrs"])
         made = []
 
         class NanForTheFirst:
@@ -1053,7 +1048,7 @@ class TestStackedSweeps:
 
         monkeypatch.setattr(demkit.cli, "plugin_factory_from", lambda cfg: NanForTheFirst)
         sizes = self._chunks(monkeypatch)
-        broken = lr_sweep_result(cfg, model, data)
+        broken = lr_sweep(model, data, NanForTheFirst, sgd, cfg["lrs"])
         assert math.isnan(broken.baseline) and broken.rows == clean.rows
         made.clear()
         assert main(["lr-sweep", "--config", str(cfg_path)]) == EXIT_NUMERIC

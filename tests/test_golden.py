@@ -11,18 +11,25 @@ depends on where the test runs.
 ``GOLDEN`` was recorded at commit ed39114, the last commit whose streams
 were lists of per-batch ``(X, y)`` pairs, with Python 3.11 and numpy
 2.4 on x86-64 Linux, by printing ``_digests`` from this module's
-commands.  Floating-point results can differ with another numpy or BLAS
-build; on such a build, record the digests again at a commit known to be
-right and compare from there.
+commands.  ``SCRIPT_GOLDEN`` holds the standard output of the two
+experiment scripts, each run for two seeds with its ``CONFIG`` pointed at
+the same small variant of the shipped config it reads; it was recorded
+at commit 5ba4b20, before the sweeps moved from ``cli`` to ``search``.
+Floating-point results can differ with another numpy or BLAS build; on
+such a build, record the digests again at a commit known to be right and
+compare from there.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 from demkit.cli import main
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 SMALL = {
     "source": {"epochs": 4, "n": 1000},
@@ -100,6 +107,22 @@ GOLDEN = {
 }
 
 
+# (script under scripts/, the shipped config its CONFIG names)
+SCRIPTS = [
+    ("lr_robustness", "single_domain_em"),
+    ("continual_comparison", "continual_adadem"),
+]
+
+SCRIPT_GOLDEN = {
+    "lr_robustness/stdout": (
+        "f8ef4e4727f357efe3477c9d690d4ea1725619b8db33d27499271bd666acb4ac"
+    ),
+    "continual_comparison/stdout": (
+        "f3ed83a91b88c15ecfbe58ee75debdbfc4252c3da4d9b5c7342499097845b47f"
+    ),
+}
+
+
 def _small_config(stem: str, name: str, directory: Path) -> str:
     """The shipped config ``stem`` with ``SMALL`` merged over its sections,
     writing to ``out/<name>``; returns the config's relative path."""
@@ -146,3 +169,17 @@ def _digests(directory: Path, capsys) -> dict:
 def test_cli_outputs_match_the_recorded_digests(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert _digests(tmp_path, capsys) == GOLDEN
+
+
+def test_script_outputs_match_the_recorded_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for name, stem in SCRIPTS:
+        spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "CONFIG", _small_config(stem, f"scripts/{name}", tmp_path))
+        monkeypatch.setattr(sys, "argv", [f"{name}.py", "--seeds", "2"])
+        script.main()
+        digests[f"{name}/stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == SCRIPT_GOLDEN

@@ -2,8 +2,8 @@
 
 The experiment scripts are seed loops over the CLI's recipes: each seed
 loads the shipped config, replaces its seed, builds the experiment with
-``cli.prepared_experiment`` and runs ``cli.lr_sweep_result`` or
-``cli.grid_search_result`` on it.  Pointing a script's ``CONFIG`` at a
+``cli.prepared_experiment`` and runs ``search.lr_sweep`` or
+``search.grid_search`` on it with the config's settings.  Pointing a script's ``CONFIG`` at a
 small config checks that its numbers are the CLI's for the same config
 and seed.
 """
@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demkit.cli import GridResult, grid_search_result, jround, load_config, main
-from demkit.search import LrSweepResult, TrialResult
+from demkit.cli import jround, load_config, main
+from demkit.search import GridResult, LrSweepResult, TrialResult, grid_search
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -63,13 +63,11 @@ def test_each_seed_runs_the_shipped_config_with_only_the_seed_replaced(
 
     point = TrialResult(1.0, 1.0, True, 0.5)
     monkeypatch.setattr(script, "prepared_experiment", recording)
-    monkeypatch.setattr(
-        script, "lr_sweep_result", lambda cfg, model, data: LrSweepResult([(1e-3, 0.5)], 0.4, 1)
-    )
+    monkeypatch.setattr(script, "lr_sweep", lambda *args: LrSweepResult([(1e-3, 0.5)], 0.4, 1))
     monkeypatch.setattr(
         script,
-        "grid_search_result",
-        lambda cfg, model, data: GridResult(point, [point], 0.5, 0.5, 0.5),
+        "grid_search",
+        lambda *args: GridResult(point, [point], 0.5, 0.5, 0.5),
         raising=False,
     )
     monkeypatch.setattr(sys, "argv", [name, "--seeds", "2"])
@@ -113,12 +111,12 @@ def test_continual_comparison_dem_star_is_grid_search_full_accuracy(
     config = small_config(tmp_path, "continual")
     results = []
 
-    def recording(cfg, model, data):
-        results.append(grid_search_result(cfg, model, data))
+    def recording(*args):
+        results.append(grid_search(*args))
         return results[-1]
 
     monkeypatch.setattr(script, "CONFIG", config)
-    monkeypatch.setattr(script, "grid_search_result", recording)
+    monkeypatch.setattr(script, "grid_search", recording)
     monkeypatch.setattr(sys, "argv", ["continual_comparison.py", "--seeds", "1"])
     script.main()
     out = capsys.readouterr().out
