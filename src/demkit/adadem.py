@@ -68,7 +68,7 @@ class MecState:
     """
 
     table: np.ndarray
-    pi: float = 0.1
+    pi: float
 
     @property
     def C(self) -> int:
@@ -112,7 +112,7 @@ def delta(z) -> float:
     return math.fsum(abs(x) for x in (p * (z + 1.0 - s)).tolist())
 
 
-def mec_init(C: int, pi: float = 0.1) -> MecState:
+def mec_init(C: int, pi: float) -> MecState:
     """Fresh calibrator: a C x C table with every entry 1/C."""
     if C < 2:
         raise ValueError(f"need at least two classes, got {C}")

@@ -8,7 +8,8 @@ failure modes of entropy minimization: reward collapse on confident
 predictions, easy-class bias under shift, and learning-rate fragility.
 
 A *shift* transforms the inputs (translation, rotation, added noise or
-scaling) with a severity level 1-5 that multiplies its base magnitude.
+scaling) with a severity level, a key of ``LEVEL_MULTIPLIERS``, whose
+multiplier scales its base magnitude.
 A *stream* is an ordered list of shifts, each producing ``B`` batches of
 ``n`` rows, drawn when a protocol reaches the shift and handed over as
 inputs ``B x n x d`` and labels ``B x n`` (:class:`Stream`); the
@@ -28,8 +29,8 @@ into :class:`MetricsReport`; the no-adapt baseline, the frozen source
 model's accuracy on the same batches, is the protocol at ``lr = 0``.  A
 protocol keeps, per shift, confusion counts and running sums of its
 probability columns and row maxima, never a row of its predictions; its
-reports keep the bits :func:`metrics` gives on the matrices (see
-:class:`ProtocolResult`).
+reports keep the bits that the tests' oracle ``metrics`` gives on the
+matrices themselves (see :class:`ProtocolResult`).
 
 :func:`run_protocols` runs ``K`` protocols stacked in one pass, and
 :func:`stack_size` bounds ``K`` by a memory budget.  :func:`run_chunked`
@@ -57,6 +58,7 @@ __all__ = [
     "MetricsReport",
     "ProtocolResult",
     "LEVEL_MULTIPLIERS",
+    "MODES",
     "SHIFT_KINDS",
     "circle_means",
     "long_tail_priors",
@@ -64,7 +66,6 @@ __all__ = [
     "apply_shift",
     "Stream",
     "make_stream",
-    "metrics",
     "kl_divergence",
     "STACK_BYTES",
     "stack_size",
@@ -75,6 +76,8 @@ __all__ = [
 ]
 
 SHIFT_KINDS = ("translate", "rotate2d", "feature_noise", "feature_scale")
+
+MODES = ("single_domain", "continual")
 
 LEVEL_MULTIPLIERS = {1: 0.5, 2: 1.0, 3: 1.5, 4: 2.0, 5: 2.5}
 
@@ -117,7 +120,8 @@ class ShiftSpec:
         if self.kind not in SHIFT_KINDS:
             raise ValueError(f"unknown shift kind {self.kind!r}")
         if self.level not in LEVEL_MULTIPLIERS:
-            raise ValueError(f"level must be 1-5, got {self.level}")
+            levels = f"{min(LEVEL_MULTIPLIERS)}-{max(LEVEL_MULTIPLIERS)}"
+            raise ValueError(f"level must be {levels}, got {self.level}")
         if not math.isfinite(self.effective_magnitude):
             raise ValueError(
                 f"{self.kind} at magnitude {self.magnitude:g}, level {self.level}: "
@@ -135,18 +139,18 @@ class ShiftSpec:
 
 @dataclass(frozen=True)
 class StreamSpec:
-    """An ordered shift sequence, how many batches each contributes, and
-    the label distribution: ``long_tail_priors(C, label_rho)``, uniform
-    at the default ``label_rho = 1``."""
+    """An ordered shift sequence, how many batches of ``batch_size`` rows
+    each contributes, and the label distribution:
+    ``long_tail_priors(C, label_rho)``, uniform at ``label_rho = 1``."""
 
     mode: str
     shifts: tuple
     batches_per_shift: int
-    batch_size: int = 64
-    label_rho: float = 1.0
+    batch_size: int
+    label_rho: float
 
     def __post_init__(self):
-        if self.mode not in ("single_domain", "continual"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         shifts = tuple(self.shifts)
         if not shifts:
@@ -178,9 +182,9 @@ class ProtocolResult:
     """A protocol's online predictions as summaries, scored on first
     access.
 
-    Per shift, in stream order, it keeps what :func:`metrics` reads of
-    the shift's pre-update probabilities ``P`` and labels ``y``, and
-    not ``P`` itself:
+    Per shift, in stream order, it keeps what a report reads of the
+    shift's pre-update probabilities ``P`` and labels ``y``, and not
+    ``P`` itself:
 
     * ``confusion``: the ``C x C`` counts of (label, argmax prediction)
       pairs, ``confusion[y_i, pred_i]``;
@@ -200,12 +204,13 @@ class ProtocolResult:
 
     ``per_shift`` (one :class:`MetricsReport` per shift) and ``overall``
     (one over every batch) are built from these summaries the first time
-    each is read and kept; each field has the bits :func:`metrics` gives
-    on the probabilities themselves.  ``accuracy``, the overall accuracy
-    with the bits of ``overall.accuracy``, is kept the same way and
-    builds no report, so a sweep that scores protocols by accuracy alone
-    pays for no report.  The frozen source model's baseline on the same
-    data is the protocol's result at ``lr = 0``.
+    each is read and kept; each field has the bits that the tests'
+    oracle ``metrics`` gives on the probabilities themselves.
+    ``accuracy``, the overall accuracy with the bits of
+    ``overall.accuracy``, is kept the same way and builds no report, so a
+    sweep that scores protocols by accuracy alone pays for no report.
+    The frozen source model's baseline on the same data is the protocol's
+    result at ``lr = 0``.
     """
 
     confusion: list
@@ -362,26 +367,8 @@ def _confusion(codes: np.ndarray, y: np.ndarray, C: int) -> np.ndarray:
     return np.bincount(codes.ravel(), minlength=blocks * C * C).reshape(*lead, C, C)
 
 
-def metrics(probs, labels) -> MetricsReport:
-    """Diagnostics for a block of probability rows and true labels.
-
-    ``labels`` must hold one integer in ``[0, C)`` per row
-    (``ValueError`` otherwise).
-    """
-    P = as_matrix(probs)
-    if P.shape[0] == 0:
-        raise ValueError("probs and labels must be nonempty")
-    n, C = P.shape
-    y = _validated_labels(labels, (n,), C)
-    # Gathering P at its argmax gives the bits of np.max(P, axis=1) for
-    # a fraction of its cost: one index per row, no second scan.
-    codes = np.argmax(P, axis=1)
-    sums = np.add.reduce(np.column_stack((P, P[np.arange(n), codes])), axis=0)
-    return _report(_confusion(codes, y, C), sums)
-
-
 def _report(confusion, sums) -> MetricsReport:
-    """The kernel of :func:`metrics`: a report from summaries.
+    """A report from summaries, with the bits of scoring ``P`` itself.
 
     ``confusion`` holds the ``C x C`` (label, prediction) counts and
     ``sums`` is ``np.add.reduce`` over the rows of ``P`` with each row's
@@ -547,7 +534,7 @@ def run_protocols(source_model, shift_data, mode: str, plugin_factories, cfgs) -
     :class:`DivergenceError`, naming its shift and batch; the other
     protocols keep their bits.
     """
-    if mode not in ("single_domain", "continual"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     factories, cfgs = list(plugin_factories), list(cfgs)
     if not factories:

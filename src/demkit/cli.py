@@ -45,7 +45,8 @@ numpy is the only runtime dependency.  One rule is stricter than the
 draft: an integer setting takes a JSON integer only, and ``300.0`` is a
 schema violation (exit 64).  A number setting refuses an integer literal
 too large for a float, such as ``1`` followed by 400 zeros (exit 64);
-integer settings such as ``seed`` take any JSON integer.
+integer settings such as ``seed`` take any JSON integer up to Python's
+limit on integer literals (4,300 digits by default; a longer one exits 64).
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from . import bench as _bench
 from . import em_losses as _em
 from . import model as _model
 from . import search as _search
-from .numkit import Rng, _softmax, finite_diff_grad, rel_err, softmax, softmax_rows
+from .numkit import NORMAL_BOUND, Rng, _softmax, finite_diff_grad, rel_err, softmax, softmax_rows
 
 EXIT_OK = 0
 EXIT_BAD_HYPERPARAMS = 2
@@ -195,7 +196,7 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "mode": {"enum": ["single_domain", "continual"], "default": "single_domain"},
+                "mode": {"enum": list(_bench.MODES), "default": "single_domain"},
                 "shifts": {
                     "type": "array",
                     "minItems": 1,
@@ -206,7 +207,11 @@ SCHEMA = {
                         "properties": {
                             "kind": {"enum": list(_bench.SHIFT_KINDS)},
                             "magnitude": {"type": "number"},
-                            "level": {"type": "integer", "minimum": 1, "maximum": 5},
+                            "level": {
+                                "type": "integer",
+                                "minimum": min(_bench.LEVEL_MULTIPLIERS),
+                                "maximum": max(_bench.LEVEL_MULTIPLIERS),
+                            },
                         },
                     },
                     # Three separate dicts: ``[d] * 3`` would alias one.
@@ -410,6 +415,11 @@ def load_config(path: str) -> dict:
         raise UsageError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # int() refuses a literal longer than Python's limit
+        limit = sys.get_int_max_str_digits()
+        raise UsageError(
+            f"config holds an integer literal longer than the {limit}-digit limit"
+        ) from exc
     except RecursionError as exc:
         raise UsageError("config is nested too deeply to read") from exc
     if errors:
@@ -477,15 +487,37 @@ def sgd_config(cfg: dict) -> _model.SgdConfig:
     return _model.SgdConfig(cfg["optimizer"]["lr"], cfg["optimizer"]["momentum"])
 
 
+def _check_input_bounds(mix: _bench.MixtureSpec, shifts) -> None:
+    """Refuse a mixture or shift whose inputs can overflow, even where the
+    draws would stay finite.  A source coordinate is at most ``radius +
+    NORMAL_BOUND * sigma``; ``feature_scale`` multiplies it by ``|1 + m|``
+    and ``feature_noise`` adds ``NORMAL_BOUND * |m|``, for ``m`` the
+    shift's effective magnitude."""
+    source = mix.radius + NORMAL_BOUND * mix.sigma
+    bounds = {f"mixture at radius {mix.radius:g}, sigma {mix.sigma:g}": source}
+    for sh in shifts:
+        m = sh.effective_magnitude
+        name = f"{sh.kind} at magnitude {sh.magnitude:g}, level {sh.level}"
+        if sh.kind == "feature_scale":
+            bounds[name] = source * abs(1.0 + m)
+        elif sh.kind == "feature_noise":
+            bounds[name] = source + NORMAL_BOUND * abs(m)
+    for name, bound in bounds.items():
+        if not math.isfinite(bound):
+            raise UsageError(f"{name}: the inputs can overflow")
+
+
 def prepared_experiment(cfg: dict):
     """Source model and stream for a config, deterministically.
 
     The stream is a ``bench.Stream``: it draws no data here, and each
-    pass a protocol makes over it draws each shift when it reaches it."""
+    pass a protocol makes over it draws each shift when it reaches it.
+    Inputs that can overflow raise ``UsageError`` before any training."""
     rng = Rng(cfg["seed"])
     m, s = cfg["mixture"], cfg["stream"]
     mix = _bench.MixtureSpec(m["C"], m["radius"], m["sigma"])
     shifts = tuple(_bench.ShiftSpec(**sh) for sh in s["shifts"])
+    _check_input_bounds(mix, shifts)
     sspec = _bench.StreamSpec(
         s["mode"], shifts, s["batches_per_shift"], s["batch_size"], s["label_rho"]
     )
@@ -559,7 +591,7 @@ def _gradcheck_cases(rng: Rng, trials: int):
             finite_diff_grad(lambda v: _model._cross_entropy_value(v, target), z),
         )
 
-        state = _ad.mec_init(C)
+        state = _ad.mec_init(C, DEFAULT_CONFIG["loss"]["pi"])
         batch = (rng.uniforms(3 * C).reshape(3, C) - 0.5) * 10.0
         _ad.adadem_rows(batch, softmax_rows(batch), state)
         frozen = state.copy()
@@ -624,7 +656,7 @@ def _end_to_end_cases(rng: Rng):
         # constants under differentiation, so the oracle perturbs the
         # parameters of an objective that keeps them frozen at the values
         # the analytic gradient used.
-        state = _ad.mec_init(C)
+        state = _ad.mec_init(C, DEFAULT_CONFIG["loss"]["pi"])
         warm = (rng.uniforms(4 * C).reshape(4, C) - 0.5) * 6.0
         _ad.adadem_rows(warm, softmax_rows(warm), state)
         Z0 = _model.forward(model, X)

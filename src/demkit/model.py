@@ -186,7 +186,7 @@ def init_linear(C: int, d: int, rng=None, scale: float = 0.0) -> LinearSoftmax:
     return LinearSoftmax(W, np.zeros(C))
 
 
-def init_mlp(C: int, d: int, hidden: int, rng, scale: float = 0.5) -> Mlp:
+def init_mlp(C: int, d: int, hidden: int, rng, scale: float) -> Mlp:
     """MLP with normal-initialized weights and zero biases.
 
     The output layer is scaled down by sqrt(hidden) so initial logits
@@ -417,7 +417,7 @@ class AdaDemPlugin:
     """AdaDEM; owns a MecState, created on the first batch and threaded
     across every batch it sees."""
 
-    def __init__(self, pi: float = 0.1):
+    def __init__(self, pi: float):
         self.pi = pi
         self.state = None
 
@@ -455,7 +455,7 @@ def _validated_labels(y, shape: tuple, C: int) -> np.ndarray:
     return y
 
 
-def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int = 64):
+def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int):
     """Mini-batch supervised training on labeled data; returns the model.
 
     Shuffles with the supplied generator each epoch, so a fixed seed

@@ -35,6 +35,7 @@ __all__ = [
     "softmax_rows",
     "finite_diff_grad",
     "rel_err",
+    "NORMAL_BOUND",
     "Rng",
 ]
 
@@ -179,6 +180,9 @@ _MIX2 = _U64(0x94D049BB133111EB)
 _S11, _S27, _S30, _S31 = _U64(11), _U64(27), _U64(30), _U64(31)
 _ULP53 = 2.0 ** -53
 
+# No draw of Rng.normals exceeds sqrt(-2 ln 2^-53), about 8.5716, in size.
+NORMAL_BOUND = math.sqrt(-2.0 * math.log(_ULP53))
+
 # Raw outputs generated ahead per refill: small draws are then a slice.
 _BLOCK = 256
 
@@ -231,7 +235,8 @@ class Rng:
         return self._block[off:off + n].copy()
 
     def normals(self, n: int) -> np.ndarray:
-        """``n`` standard normal draws via Box-Muller."""
+        """``n`` standard normal draws via Box-Muller, none larger than
+        ``NORMAL_BOUND`` in absolute value."""
         pairs = (n + 1) // 2
         # u1 = (k + 1) 2^-53 lives in (0, 1], so the log below is always
         # finite; adding 2^-53 to k 2^-53 is exact.

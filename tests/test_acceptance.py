@@ -84,9 +84,9 @@ def _report(cid: str, passed: bool, detail: str) -> None:
 # the continual ladder of 0.45, 0.50 and 0.55 rad, the stream of
 # configs/continual_adadem.json.
 MIXTURE = MixtureSpec(C=10, radius=4.0, sigma=1.0)
-SINGLE_DOMAIN = StreamSpec("single_domain", (ShiftSpec("rotate2d", 0.5, 2),) * 3, 60, 64)
+SINGLE_DOMAIN = StreamSpec("single_domain", (ShiftSpec("rotate2d", 0.5, 2),) * 3, 60, 64, 1.0)
 CONTINUAL = StreamSpec(
-    "continual", tuple(ShiftSpec("rotate2d", m, 2) for m in (0.45, 0.50, 0.55)), 60, 64
+    "continual", tuple(ShiftSpec("rotate2d", m, 2) for m in (0.45, 0.50, 0.55)), 60, 64, 1.0
 )
 
 
@@ -113,7 +113,7 @@ def _stream(mix, spec, seed):
 
 
 def _ada_factory():
-    return AdaDemPlugin()
+    return AdaDemPlugin(0.1)
 
 
 def _marginal_kl_vs_uniform(result, C: int) -> float:
@@ -257,7 +257,7 @@ def test_c06_reward_collapse_and_temperature_reshaping():
 
 
 def test_c07_mec_geometric_decay_and_simplex_closure():
-    state = mec_init(5)
+    state = mec_init(5, 0.1)
     q = np.array([0.4, 0.3, 0.15, 0.1, 0.05])
     gap0 = float(np.max(np.abs(state.table[2] - q)))
     worst = 0.0
@@ -267,7 +267,7 @@ def test_c07_mec_geometric_decay_and_simplex_closure():
         worst = max(worst, abs(gap - (0.9 ** t) * gap0))
 
     rng = Rng(107)
-    sim = mec_init(5)
+    sim = mec_init(5, 0.1)
     for _ in range(10_000):
         p = np.asarray(
             np.exp((rng.uniforms(5) - 0.5) * 20.0)
@@ -293,7 +293,7 @@ def test_c08_delta_normalization_exactness():
     for _ in range(1000):
         C = int(rng.integers(1, 2, 13)[0])
         z = (rng.uniforms(C) - 0.5) * 30.0
-        state = mec_init(C)
+        state = mec_init(C, 0.1)
         grads = adadem_rows(z[None, :], softmax_rows(z[None, :]), state, variant)
         worst = max(worst, rel_err(grads[0] * delta(z), em_eval(z).grad))
     ok = d_uniform == 1.0 and worst <= 1e-12
@@ -327,7 +327,7 @@ def _best_lr_run(model, data, mode, factory, lrs=LRS):
 def test_c09_easy_class_bias_kl_separation(sources):
     t0 = time.perf_counter()
     spec = StreamSpec(
-        "single_domain", (ShiftSpec("feature_noise", 1.0, 4),), 100, 64
+        "single_domain", (ShiftSpec("feature_noise", 1.0, 4),), 100, 64, 1.0
     )
     kl_em, kl_ada, picked = [], [], []
     for seed in SEEDS:

@@ -22,9 +22,12 @@ from demkit.adadem import (
     mec_update,
     _loss_terms,
 )
+from demkit.cli import DEFAULT_CONFIG
 from demkit.em_losses import em_eval
 from demkit.numkit import Rng, rel_err, softmax, softmax_rows
 
+# The default config's MEC momentum, for the calls that take it.
+PI = DEFAULT_CONFIG["loss"]["pi"]
 
 
 def _mec_update_per_class(state, P, labels):
@@ -100,20 +103,20 @@ class TestDelta:
             Z = rng.uniform(-8.0, 8.0, (200, C))
             P = softmax_rows(Z)
             labels = np.argmax(P, axis=1)
-            _, _, rows = _loss_terms(Z, P, labels, mec_init(C), AdaDemVariant())
+            _, _, rows = _loss_terms(Z, P, labels, mec_init(C, PI), AdaDemVariant())
             for z, d in zip(Z, rows[:, 0]):
                 assert rel_err(d, delta(z)) <= 1e-14
 
 
 class TestMecState:
     def test_init_is_uniform(self):
-        state = mec_init(4)
+        state = mec_init(4, PI)
         np.testing.assert_array_equal(state.table, np.full((4, 4), 0.25))
-        assert state.pi == 0.1
+        assert state.pi == PI
 
     def test_init_validation(self):
         with pytest.raises(ValueError):
-            mec_init(1)
+            mec_init(1, PI)
         with pytest.raises(ValueError):
             mec_init(3, pi=0.0)
         with pytest.raises(ValueError):
@@ -121,7 +124,7 @@ class TestMecState:
 
     def test_one_update_reference(self):
         # Row 0 pulled from uniform toward [0.7, 0.2, 0.1] with pi = 0.1.
-        state = mec_init(3)
+        state = mec_init(3, PI)
         mec_update(state, np.array([[0.7, 0.2, 0.1]]), [0])
         np.testing.assert_allclose(state.table[0], [0.37, 0.32, 0.31], atol=1e-15)
         np.testing.assert_allclose(state.table[1], 1 / 3, atol=1e-15)
@@ -132,7 +135,7 @@ class TestMecState:
         np.testing.assert_array_equal(state.table[1:], np.full((2, 3), 1 / 3))
 
     def test_absent_classes_keep_rows(self):
-        state = mec_init(3)
+        state = mec_init(3, PI)
         before = state.table.copy()
         mec_update(state, np.array([[0.5, 0.3, 0.2]]), [1])
         np.testing.assert_array_equal(state.table[0], before[0])
@@ -148,7 +151,7 @@ class TestMecState:
     def test_order_within_batch_is_irrelevant(self):
         probs = np.array([[0.6, 0.4], [0.8, 0.2], [0.1, 0.9]])
         labels = np.array([0, 0, 1])
-        a, b = mec_init(2), mec_init(2)
+        a, b = mec_init(2, PI), mec_init(2, PI)
         perm = [2, 0, 1]
         mec_update(a, probs, labels)
         mec_update(b, probs[perm], labels[perm])
@@ -157,7 +160,7 @@ class TestMecState:
     def test_order_across_batches_matters(self):
         p1 = np.array([[0.9, 0.1]])
         p2 = np.array([[0.2, 0.8]])
-        a, b = mec_init(2), mec_init(2)
+        a, b = mec_init(2, PI), mec_init(2, PI)
         mec_update(mec_update(a, p1, [0]), p2, [0])
         mec_update(mec_update(b, p2, [0]), p1, [0])
         assert not np.array_equal(a.table, b.table)
@@ -165,7 +168,7 @@ class TestMecState:
     def test_geometric_decay_toward_constant_target(self):
         # With a constant batch mean q the gap to q shrinks by exactly
         # (1 - pi) per step.
-        state = mec_init(3)
+        state = mec_init(3, PI)
         q = np.array([0.5, 0.3, 0.2])
         gap0 = float(np.max(np.abs(state.table[1] - q)))
         for t in range(1, 51):
@@ -175,7 +178,7 @@ class TestMecState:
 
     def test_rows_stay_on_simplex_under_random_updates(self):
         rng = Rng(99)
-        state = mec_init(5)
+        state = mec_init(5, PI)
         for _ in range(10_000):
             logits = (rng.uniforms(5) - 0.5) * 30.0
             p = softmax(logits)
@@ -185,7 +188,7 @@ class TestMecState:
         assert np.all(state.table >= 0.0)
 
     def test_validation_errors(self):
-        state = mec_init(3)
+        state = mec_init(3, PI)
         with pytest.raises(ValueError):
             mec_update(state, np.zeros((2, 3)), [0])  # batch size mismatch
         with pytest.raises(ValueError):
@@ -200,7 +203,7 @@ class TestMecState:
             raise AssertionError("_mec_update reached with invalid input")
 
         monkeypatch.setattr(adadem, "_mec_update", no_kernel)
-        state = mec_init(3)
+        state = mec_init(3, PI)
         before = state.table.copy()
         for probs, labels in [
             (np.zeros((2, 3)), [0]),
@@ -269,7 +272,7 @@ class TestMecState:
             assert ours.table.tobytes() == ref.table.tobytes(), (trial, C, n)
 
     def test_copy_is_independent(self):
-        state = mec_init(3)
+        state = mec_init(3, PI)
         clone = state.copy()
         mec_update(state, np.array([[0.7, 0.2, 0.1]]), [0])
         np.testing.assert_array_equal(clone.table, np.full((3, 3), 1 / 3))
@@ -303,7 +306,7 @@ class TestAdaDemRows:
         variant = AdaDemVariant(kind="norm_only")
         for _ in range(200):
             z = (rng.uniforms(6) - 0.5) * 20.0
-            state = mec_init(6)
+            state = mec_init(6, PI)
             grads = adadem_rows(z[None, :], softmax_rows(z[None, :]), state, variant)
             d = max(delta(z), DELTA_FLOOR)
             assert rel_err(grads[0] * d, em_eval(z).grad) <= 1e-12
@@ -311,7 +314,7 @@ class TestAdaDemRows:
     def test_fresh_state_uniform_logits_near_fixed_point(self):
         # p equals the calibrator row up to EMA rounding, so value and
         # gradient sit at numerical zero.
-        state = mec_init(10)
+        state = mec_init(10, PI)
         Z = np.zeros((1, 10))
         grads = adadem_rows(Z, softmax_rows(Z), state)
         values = adadem_row_values(Z, softmax_rows(Z), state)
@@ -324,7 +327,7 @@ class TestAdaDemRows:
         k = int(np.argmax(p))
         d = max(delta(z[0]), DELTA_FLOOR)
 
-        state = mec_init(3)
+        state = mec_init(3, PI)
         grads = adadem_rows(z, softmax_rows(z), state)
         values = adadem_row_values(z, softmax_rows(z), state)
 
@@ -343,7 +346,7 @@ class TestAdaDemRows:
         # Finite differences of the frozen-constant objective.
         rng = Rng(21)
         z = (rng.uniforms(5) - 0.5) * 8.0
-        state = mec_init(5)
+        state = mec_init(5, PI)
         warm = (rng.uniforms(15).reshape(3, 5) - 0.5) * 8.0
         adadem_rows(warm, softmax_rows(warm), state)
 
@@ -366,7 +369,7 @@ class TestAdaDemRows:
     def test_tied_pseudo_labels_go_to_lowest_index(self):
         # Classes 0 and 1 tie exactly; the calibrator row of class 0
         # absorbs the sample and row 1 stays uniform.
-        state = mec_init(3)
+        state = mec_init(3, PI)
         z = np.log(np.array([[0.4, 0.4, 0.2]]))
         adadem_rows(z, softmax_rows(z), state)
         p = softmax(z[0])
@@ -398,7 +401,7 @@ class TestAdaDemRows:
     def test_never_calls_the_validating_update(self, monkeypatch):
         # adadem_rows builds P and its argmax labels itself, so it runs
         # the unchecked kernel; the table still matches the public update.
-        ref = mec_init(4)
+        ref = mec_init(4, PI)
         Z = np.random.default_rng(3).uniform(-5.0, 5.0, (32, 4))
         P = softmax_rows(Z)
         mec_update(ref, P, np.argmax(P, axis=1))
@@ -407,25 +410,25 @@ class TestAdaDemRows:
             raise AssertionError("adadem_rows called the public mec_update")
 
         monkeypatch.setattr(adadem, "mec_update", no_public_update)
-        state = mec_init(4)
+        state = mec_init(4, PI)
         adadem_rows(Z, P, state)
         assert np.array_equal(state.table, ref.table)
 
     def test_probabilities_must_match_the_logits(self):
         Z = np.zeros((2, 3))
         with pytest.raises(ValueError):
-            adadem_rows(Z, softmax_rows(Z[:1]), mec_init(3))
+            adadem_rows(Z, softmax_rows(Z[:1]), mec_init(3, PI))
 
     def test_state_class_count_must_match(self):
         with pytest.raises(ValueError):
-            adadem_rows(np.zeros((1, 4)), np.full((1, 4), 0.25), mec_init(3))
+            adadem_rows(np.zeros((1, 4)), np.full((1, 4), 0.25), mec_init(3, PI))
 
     def test_row_values_read_the_state_without_updating(self):
         # The values judge the batch against the calibrator as it stands,
         # the table adadem_rows has just updated; the state is not touched.
         Z = np.random.default_rng(5).uniform(-4.0, 4.0, (16, 5))
         P = softmax_rows(Z)
-        state = mec_init(5)
+        state = mec_init(5, PI)
         adadem_rows(Z, P, state)
         table = state.table.copy()
         values = adadem_row_values(Z, P, state)
@@ -434,14 +437,14 @@ class TestAdaDemRows:
         with pytest.raises(ValueError):
             adadem_row_values(Z, P[:1], state)
         with pytest.raises(ValueError):
-            adadem_row_values(Z, P, mec_init(4))
+            adadem_row_values(Z, P, mec_init(4, PI))
 
     def test_one_ema_step_for_the_whole_batch(self):
         # The rows of both pseudo-labels moved once, toward their own
         # sample, and the third kept its row.
         Z = np.array([[1.0, 0.0, -1.0], [0.0, 2.0, 0.0]])
         P = softmax_rows(Z)
-        state, ref = mec_init(3), mec_init(3)
+        state, ref = mec_init(3, PI), mec_init(3, PI)
         adadem_rows(Z, P, state)
         mec_update(ref, P, [0, 1])
         np.testing.assert_array_equal(state.table, ref.table)
@@ -453,7 +456,7 @@ class TestAdaDemRows:
         # keeps the division finite.
         Z = np.array([[1e17, 0.0]])
         assert delta(Z[0]) == 0.0
-        state = mec_init(2)
+        state = mec_init(2, PI)
         grads = adadem_rows(Z, softmax_rows(Z), state)
         values = adadem_row_values(Z, softmax_rows(Z), state)
         # The reward row cancels to 0, so the gradient is the calibrator
@@ -467,9 +470,9 @@ class TestAdaDemRows:
         # rounding.
         rng = Rng(31)
         Z = (rng.uniforms(24).reshape(4, 6) - 0.5) * 18.0
-        state = mec_init(6)
+        state = mec_init(6, PI)
         grads = adadem_rows(Z.copy(), softmax_rows(Z), state)
-        state2 = mec_init(6)
+        state2 = mec_init(6, PI)
         P = np.stack([softmax(z) for z in Z])
         labels = [int(np.argmax(p)) for p in P]
         mec_update(state2, P, labels)

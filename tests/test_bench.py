@@ -24,11 +24,12 @@ from demkit.bench import (
     kl_divergence,
     long_tail_priors,
     make_stream,
-    metrics,
     run_protocol,
     run_protocols,
     sample_batch,
     stack_size,
+    _confusion,
+    _report,
 )
 from demkit.cli import DEFAULT_CONFIG, load_config
 from demkit.em_losses import DemConfig
@@ -44,8 +45,9 @@ from demkit.model import (
     init_linear,
     init_mlp,
     train_source,
+    _validated_labels,
 )
-from demkit.numkit import Rng, softmax_rows
+from demkit.numkit import Rng, as_matrix, softmax_rows
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -61,6 +63,13 @@ def _stream_spec(section: dict) -> StreamSpec:
 
 # The default config's 10-class task: unit-sigma clusters on a radius-4 circle.
 MIX = MixtureSpec(*(DEFAULT_CONFIG["mixture"][k] for k in ("C", "radius", "sigma")))
+# The default config's settings, for the calls that take them.
+INIT_SCALE = DEFAULT_CONFIG["source"]["init_scale"]
+SOURCE_BATCH = DEFAULT_CONFIG["source"]["batch_size"]
+STREAM_BATCH = DEFAULT_CONFIG["stream"]["batch_size"]
+LABEL_RHO = DEFAULT_CONFIG["stream"]["label_rho"]
+PI = DEFAULT_CONFIG["loss"]["pi"]
+ADADEM = functools.partial(AdaDemPlugin, PI)
 
 
 class TestGeometry:
@@ -220,19 +229,18 @@ class TestStreamSpec:
     def test_validation(self):
         shift = ShiftSpec("translate", 1.0)
         with pytest.raises(ValueError):
-            StreamSpec("episodic", (shift,), 5)
+            StreamSpec("episodic", (shift,), 5, STREAM_BATCH, LABEL_RHO)
         with pytest.raises(ValueError):
-            StreamSpec("single_domain", (), 5)
+            StreamSpec("single_domain", (), 5, STREAM_BATCH, LABEL_RHO)
         with pytest.raises(ValueError):
-            StreamSpec("continual", (shift,), 5)  # needs two or more
+            StreamSpec("continual", (shift,), 5, STREAM_BATCH, LABEL_RHO)  # needs two or more
         with pytest.raises(ValueError):
-            StreamSpec("single_domain", (shift,), 0)
+            StreamSpec("single_domain", (shift,), 0, STREAM_BATCH, LABEL_RHO)
         with pytest.raises(ValueError):
-            StreamSpec("single_domain", (shift,), 5, batch_size=0)
+            StreamSpec("single_domain", (shift,), 5, 0, LABEL_RHO)
         for rho in (0.5, 1.0 - 1e-12, -1.0, math.nan):
             with pytest.raises(ValueError):
-                StreamSpec("single_domain", (shift,), 5, label_rho=rho)
-        assert StreamSpec("single_domain", (shift,), 5).label_rho == 1.0
+                StreamSpec("single_domain", (shift,), 5, STREAM_BATCH, rho)
 
     def test_default_tasks(self):
         # The default config's stream and the continual config's.
@@ -251,7 +259,7 @@ class TestStreamSpec:
 
 class TestMakeStream:
     def test_shapes(self):
-        spec = StreamSpec("single_domain", (ShiftSpec("translate", 1.0),), 4, 16)
+        spec = StreamSpec("single_domain", (ShiftSpec("translate", 1.0),), 4, 16, LABEL_RHO)
         data = list(make_stream(MIX, spec, Rng(0)))
         assert len(data) == 1
         X, y = data[0]
@@ -275,14 +283,14 @@ class TestMakeStream:
 
     def test_repeated_shift_gets_fresh_data(self):
         shift = ShiftSpec("rotate2d", 0.5)
-        spec = StreamSpec("single_domain", (shift, shift), 2, 16)
+        spec = StreamSpec("single_domain", (shift, shift), 2, 16, LABEL_RHO)
         data = list(make_stream(MIX, spec, Rng(0)))
         assert not np.array_equal(data[0][0], data[1][0])
 
     def test_reordering_shifts_permutes_data(self):
         a, b = ShiftSpec("translate", 1.0), ShiftSpec("rotate2d", 0.5)
-        d_ab = list(make_stream(MIX, StreamSpec("single_domain", (a, b), 3, 16), Rng(0)))
-        d_ba = list(make_stream(MIX, StreamSpec("single_domain", (b, a), 3, 16), Rng(0)))
+        ab, ba = (StreamSpec("single_domain", pair, 3, 16, LABEL_RHO) for pair in ((a, b), (b, a)))
+        d_ab, d_ba = list(make_stream(MIX, ab, Rng(0))), list(make_stream(MIX, ba, Rng(0)))
         for i in range(2):
             np.testing.assert_array_equal(d_ab[0][i], d_ba[1][i])
             np.testing.assert_array_equal(d_ab[1][i], d_ba[0][i])
@@ -354,6 +362,25 @@ class TestKlDivergence:
     def test_nonnegative_and_smooths_zeros(self):
         v = kl_divergence([1.0, 0.0], [0.5, 0.5])
         assert np.isfinite(v) and v > 0.0
+
+
+def metrics(probs, labels):
+    """The oracle that the protocols' reports are checked against: the
+    :class:`MetricsReport` of a block of probability rows ``probs`` and
+    true ``labels``, scored on the rows themselves.
+
+    ``labels`` must hold one integer in ``[0, C)`` per row
+    (``ValueError`` otherwise).
+    """
+    P = as_matrix(probs)
+    if P.shape[0] == 0:
+        raise ValueError("probs and labels must be nonempty")
+    n, C = P.shape
+    y = _validated_labels(labels, (n,), C)
+    # Gathering P at its argmax gives the bits of np.max(P, axis=1).
+    codes = np.argmax(P, axis=1)
+    sums = np.add.reduce(np.column_stack((P, P[np.arange(n), codes])), axis=0)
+    return _report(_confusion(codes, y, C), sums)
 
 
 class TestMetrics:
@@ -472,7 +499,7 @@ def _quick_source(seed=0):
     rng = Rng(seed)
     X, y = sample_batch(MIX, np.full(10, 0.1), 2000, rng.derive("data"))
     model = init_linear(10, 2)
-    train_source(model, X, y, 3, SgdConfig(lr=0.5), rng.derive("train"))
+    train_source(model, X, y, 3, SgdConfig(lr=0.5), rng.derive("train"), SOURCE_BATCH)
     return MIX, model
 
 
@@ -482,7 +509,7 @@ class TestSeverityScaling:
         accs = []
         for level in range(1, 6):
             spec = StreamSpec(
-                "single_domain", (ShiftSpec("feature_noise", 1.0, level),), 20, 64
+                "single_domain", (ShiftSpec("feature_noise", 1.0, level),), 20, 64, LABEL_RHO
             )
             data = make_stream(mix, spec, Rng(11))
             accs.append(run_protocol(model, data, spec.mode, EmPlugin, SgdConfig(lr=0.0)).accuracy)
@@ -495,7 +522,7 @@ class TestRunProtocol:
     def _setup(self):
         mix, model = _quick_source()
         a, b = ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0)
-        data = make_stream(mix, StreamSpec("single_domain", (a, b), 10, 32), Rng(21))
+        data = make_stream(mix, StreamSpec("single_domain", (a, b), 10, 32, LABEL_RHO), Rng(21))
         return model, data
 
     def test_zero_lr_matches_baseline(self):
@@ -505,7 +532,7 @@ class TestRunProtocol:
         cfg = SgdConfig(lr=0.0, momentum=0.9)
         ref = run_protocol(model, data, "single_domain", EmPlugin, cfg)
         for mode in ("single_domain", "continual"):
-            for factory in (EmPlugin, AdaDemPlugin):
+            for factory in (EmPlugin, ADADEM):
                 res = run_protocol(model, data, mode, factory, cfg)
                 assert [r.accuracy for r in res.per_shift] == [r.accuracy for r in ref.per_shift]
                 assert res.accuracy == ref.accuracy
@@ -542,8 +569,8 @@ class TestRunProtocol:
         mix, model = _quick_source()
         a, b = ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0)
         cfg = SgdConfig(lr=0.01, momentum=0.9)
-        d_ab = make_stream(mix, StreamSpec("single_domain", (a, b), 10, 32), Rng(21))
-        d_ba = make_stream(mix, StreamSpec("single_domain", (b, a), 10, 32), Rng(21))
+        d_ab = make_stream(mix, StreamSpec("single_domain", (a, b), 10, 32, LABEL_RHO), Rng(21))
+        d_ba = make_stream(mix, StreamSpec("single_domain", (b, a), 10, 32, LABEL_RHO), Rng(21))
         r_ab = run_protocol(model, d_ab, "single_domain", EmPlugin, cfg)
         r_ba = run_protocol(model, d_ba, "single_domain", EmPlugin, cfg)
         assert r_ab.per_shift[0].accuracy == r_ba.per_shift[1].accuracy
@@ -553,8 +580,8 @@ class TestRunProtocol:
         mix, model = _quick_source()
         a, b = ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0)
         cfg = SgdConfig(lr=0.05, momentum=0.9)
-        d_ab = make_stream(mix, StreamSpec("continual", (a, b), 10, 32), Rng(21))
-        d_ba = make_stream(mix, StreamSpec("continual", (b, a), 10, 32), Rng(21))
+        d_ab = make_stream(mix, StreamSpec("continual", (a, b), 10, 32, LABEL_RHO), Rng(21))
+        d_ba = make_stream(mix, StreamSpec("continual", (b, a), 10, 32, LABEL_RHO), Rng(21))
         r_ab = run_protocol(model, d_ab, "continual", EmPlugin, cfg)
         r_ba = run_protocol(model, d_ba, "continual", EmPlugin, cfg)
         acc_ab = [rep.accuracy for rep in r_ab.per_shift]
@@ -633,7 +660,7 @@ class TestRunProtocol:
 
         report = demkit.bench._report
         monkeypatch.setattr(demkit.bench, "_report", counting)
-        res = run_protocol(model, data, mode, AdaDemPlugin, SgdConfig(lr=0.05, momentum=0.9))
+        res = run_protocol(model, data, mode, ADADEM, SgdConfig(lr=0.05, momentum=0.9))
         acc = res.accuracy
         assert calls == [] and type(acc) is float
         assert res.accuracy is acc
@@ -649,7 +676,7 @@ class TestRunProtocol:
             ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0), ShiftSpec("rotate2d", 0.3)
         )
         cfg = SgdConfig(lr=0.05, momentum=0.9)
-        factories = (AdaDemPlugin, EmPlugin, functools.partial(DemPlugin, DemConfig(0.8, 1.2)))
+        factories = (ADADEM, EmPlugin, functools.partial(DemPlugin, DemConfig(0.8, 1.2)))
         for label_rho in (1.0, 10.0):
             spec = StreamSpec("single_domain", shifts, 10, 32, label_rho=label_rho)
             data = make_stream(mix, spec, Rng(21))
@@ -680,7 +707,7 @@ class TestRunProtocol:
         # per-row axis: per shift a C x C confusion count and C + 1 sums,
         # overall C + 1 sums.
         model, data = self._setup()
-        res = run_protocol(model, data, mode, AdaDemPlugin, SgdConfig(lr=0.05, momentum=0.9))
+        res = run_protocol(model, data, mode, ADADEM, SgdConfig(lr=0.05, momentum=0.9))
         res.per_shift, res.overall, res.accuracy
         rows = [y.size for _, y in data]
         C = model.C
@@ -701,9 +728,9 @@ class TestRunProtocol:
         # stack of protocols.
         mix, model = _quick_source()
         a, b = ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0)
-        data = list(make_stream(mix, StreamSpec("continual", (a, b), 10, 32), Rng(21)))
+        data = list(make_stream(mix, StreamSpec("continual", (a, b), 10, 32, LABEL_RHO), Rng(21)))
         cfg = SgdConfig(lr=0.05, momentum=0.9)
-        res = run_protocol(model, data, "continual", AdaDemPlugin, cfg)
+        res = run_protocol(model, data, "continual", ADADEM, cfg)
         factories = [functools.partial(AdaDemPlugin, pi) for pi in (0.3, 0.1, 0.2)]
         stacked = run_protocols(model, data, "continual", factories, [cfg] * 3)
 
@@ -714,14 +741,14 @@ class TestRunProtocol:
             adapted, plugin = model.copy(), factory()
             return [accuracy(_shift_probs(adapted, X, plugin, cfg), y) for X, y in data]
 
-        per_call = per_call_accuracies(AdaDemPlugin)
+        per_call = per_call_accuracies(ADADEM)
         assert [rep.accuracy for rep in res.per_shift] == per_call
         for factory, run in zip(factories, stacked):
             assert [rep.accuracy for rep in run.per_shift] == per_call_accuracies(factory)
         assert [rep.accuracy for rep in stacked[1].per_shift] == per_call
 
         both = np.concatenate([data[0][0], data[1][0]])
-        probs = _shift_probs(model.copy(), both, AdaDemPlugin(), cfg)
+        probs = _shift_probs(model.copy(), both, AdaDemPlugin(PI), cfg)
         one_call = [accuracy(probs[:320], data[0][1]), accuracy(probs[320:], data[1][1])]
         assert one_call[0] == per_call[0]
         assert one_call[1] != per_call[1]
@@ -785,12 +812,12 @@ class TestRunProtocol:
         cfg = SgdConfig(lr=0.01, momentum=0.9)
         peaks = {}
         for B in (200, 400):
-            spec = StreamSpec("single_domain", (ShiftSpec("rotate2d", 0.5),), B, 64)
+            spec = StreamSpec("single_domain", (ShiftSpec("rotate2d", 0.5),), B, 64, LABEL_RHO)
             data = list(make_stream(mix, spec, Rng(21)))  # drawn outside the traced call
-            run_protocol(model, data, "single_domain", AdaDemPlugin, cfg)  # warm numpy's caches
+            run_protocol(model, data, "single_domain", ADADEM, cfg)  # warm numpy's caches
             tracemalloc.start()
             try:
-                (run,) = run_protocols(model, data, "single_domain", [AdaDemPlugin], [cfg])
+                (run,) = run_protocols(model, data, "single_domain", [ADADEM], [cfg])
                 run.per_shift, run.overall
                 peaks[B] = tracemalloc.get_traced_memory()[1]
             finally:
@@ -809,12 +836,12 @@ class TestRunProtocol:
         shift_bytes = B * n * (mix.d + 1) * 8
         peaks = {}
         for count in (2, 8):
-            spec = StreamSpec("continual", (ShiftSpec("rotate2d", 0.5),) * count, B, n)
-            run_protocols(model, make_stream(mix, spec, Rng(21)), spec.mode, [AdaDemPlugin], [cfg])
+            spec = StreamSpec("continual", (ShiftSpec("rotate2d", 0.5),) * count, B, n, LABEL_RHO)
+            run_protocols(model, make_stream(mix, spec, Rng(21)), spec.mode, [ADADEM], [cfg])
             tracemalloc.start()
             try:
                 stream = make_stream(mix, spec, Rng(21))
-                run_protocols(model, stream, spec.mode, [AdaDemPlugin], [cfg])
+                run_protocols(model, stream, spec.mode, [ADADEM], [cfg])
                 peaks[count] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -885,8 +912,9 @@ class TestStackedProtocols:
         mix, linear = _quick_source()
         rng = Rng(4)
         X, y = sample_batch(mix, np.full(10, 0.1), 2000, rng.derive("data"))
-        mlp = init_mlp(10, 2, 12, rng.derive("init"))
-        train_source(mlp, X, y, 3, SgdConfig(lr=0.2, momentum=0.9), rng.derive("train"))
+        mlp = init_mlp(10, 2, 12, rng.derive("init"), INIT_SCALE)
+        cfg = SgdConfig(lr=0.2, momentum=0.9)
+        train_source(mlp, X, y, 3, cfg, rng.derive("train"), SOURCE_BATCH)
         return mix, {"linear": linear, "mlp": mlp}
 
     @staticmethod
@@ -916,7 +944,7 @@ class TestStackedProtocols:
         cfg = SgdConfig(lr=0.05, momentum=0.9)
         factories = [
             functools.partial(DemPlugin, DemConfig(0.7, 1.3)),
-            AdaDemPlugin,
+            ADADEM,
             functools.partial(DemPlugin, DemConfig(1.0, 1.0)),
             EmPlugin,
             functools.partial(DemPlugin, DemConfig(1.5, 0.0)),
@@ -943,9 +971,9 @@ class TestStackedProtocols:
         # than the budget.  A protocol holds no row of a shift, so the
         # long lr-sweep stream (5 shifts of 120 batches) stacks 11 too,
         # and its baseline and ten rates run as one stack.
-        model = init_mlp(10, 2, 32, Rng(1))
+        model = init_mlp(10, 2, 32, Rng(1), INIT_SCALE)
         ladder = tuple(ShiftSpec("rotate2d", r) for r in (0.45, 0.5, 0.55))
-        data = make_stream(MIX, StreamSpec("continual", ladder, 12, 64), Rng(2))
+        data = make_stream(MIX, StreamSpec("continual", ladder, 12, 64, LABEL_RHO), Rng(2))
         K = stack_size(model, data.spec)
         assert K == 11
         factories = [functools.partial(DemPlugin, DemConfig(1.0, 1.0))] * K
@@ -1016,12 +1044,12 @@ class TestPerBatchScoring:
         # the protocol's own one-model run.
         rng = np.random.default_rng(13 if mode == "continual" else 14)
         cfg = SgdConfig(lr=0.05, momentum=0.9)
-        factories = (AdaDemPlugin, EmPlugin)
+        factories = (ADADEM, EmPlugin)
         for case in range(4):
             C, B, n = int(rng.integers(2, 40)), int(rng.integers(1, 130)), int(rng.integers(1, 70))
             mix = MixtureSpec(C, 4.0, 1.0)
             shifts = (ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 1.0))
-            data = make_stream(mix, StreamSpec(mode, shifts, B, n), Rng(case))
+            data = make_stream(mix, StreamSpec(mode, shifts, B, n, LABEL_RHO), Rng(case))
             model = init_linear(C, 2, Rng(case), scale=0.5)
             runs = run_protocols(model, data, mode, factories, [cfg] * 2)
             for factory, run in zip(factories, runs):

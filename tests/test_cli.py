@@ -4,6 +4,7 @@ Most cases invoke ``main(argv)`` in process (it returns the exit code);
 one subprocess test covers the real interpreter entry point.
 """
 
+import dataclasses
 import inspect
 import json
 import math
@@ -124,19 +125,52 @@ class TestLoadConfig:
         Draft202012Validator(SCHEMA).validate(DEFAULT_CONFIG)
         assert list(_schema_errors(SCHEMA, DEFAULT_CONFIG)) == []
 
-    def test_library_defaults_match_the_schema(self):
-        # The library types keep their own defaults; each equals the
-        # config default SCHEMA annotates for the same setting.
+    def test_library_settings_have_no_defaults(self):
+        # A config setting has one default, SCHEMA's: the library takes
+        # each of these from its caller.
         from demkit import adadem, model
 
-        def default(func, name):
-            return inspect.signature(func).parameters[name].default
+        for func, name in [
+            (model.init_mlp, "scale"),
+            (model.train_source, "batch_size"),
+            (adadem.mec_init, "pi"),
+            (model.AdaDemPlugin, "pi"),
+        ]:
+            param = inspect.signature(func).parameters[name]
+            assert param.default is inspect.Parameter.empty, (func.__name__, name)
+        for cls, name in [
+            (adadem.MecState, "pi"),
+            (demkit.bench.StreamSpec, "batch_size"),
+            (demkit.bench.StreamSpec, "label_rho"),
+        ]:
+            (field,) = [f for f in dataclasses.fields(cls) if f.name == name]
+            assert field.default is dataclasses.MISSING, (cls.__name__, name)
+            assert field.default_factory is dataclasses.MISSING, (cls.__name__, name)
 
-        source, loss = DEFAULT_CONFIG["source"], DEFAULT_CONFIG["loss"]
-        assert default(model.init_mlp, "scale") == source["init_scale"]
-        assert default(model.train_source, "batch_size") == source["batch_size"]
-        assert default(adadem.mec_init, "pi") == loss["pi"]
-        assert default(model.AdaDemPlugin, "pi") == loss["pi"]
+    def test_modes_and_levels_are_read_from_bench(self):
+        # SCHEMA spells neither the stream modes nor the level range, and
+        # the messages that name them keep their text.
+        stream = SCHEMA["properties"]["stream"]["properties"]
+        level = stream["shifts"]["items"]["properties"]["level"]
+        assert stream["mode"]["enum"] == list(demkit.bench.MODES)
+        levels = demkit.bench.LEVEL_MULTIPLIERS
+        assert (level["minimum"], level["maximum"]) == (min(levels), max(levels))
+        errors = [
+            message
+            for config in (
+                {"stream": {"mode": "episodic"}},
+                {"stream": {"shifts": [{"kind": "translate", "level": 0}]}},
+                {"stream": {"shifts": [{"kind": "translate", "level": 6}]}},
+            )
+            for _, message in _schema_errors(SCHEMA, config)
+        ]
+        assert errors == [
+            "'episodic' is not one of ['single_domain', 'continual']",
+            "0 is less than the minimum of 1",
+            "6 is greater than the maximum of 5",
+        ]
+        with pytest.raises(ValueError, match=r"^level must be 1-5, got 6$"):
+            demkit.bench.ShiftSpec("translate", 1.0, 6)
 
     def test_default_shifts_are_distinct_dicts(self):
         # deepcopy keeps aliasing, so load_config's copies stay distinct too.
@@ -236,6 +270,17 @@ class TestLoadConfig:
         cfg = small_config(tmp_path, seed=10**30)
         assert main(["run", "--config", str(cfg)]) == EXIT_OK
         assert (tmp_path / "out" / "summary.json").exists()
+
+    def test_integer_longer_than_the_digit_limit_exit_64(self, tmp_path, capsys):
+        # Python reads no integer literal longer than its digit limit
+        # (4,300 by default); the message says that the config holds one.
+        path = tmp_path / "c.json"
+        path.write_text('{"seed": 1' + "0" * 5000 + "}")
+        assert main(["run", "--config", str(path)]) == EXIT_USAGE
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == (
+            f"demkit: config holds an integer literal longer than the {limit}-digit limit\n"
+        )
 
 
 def _schema_nodes(node=SCHEMA, path=()):
@@ -1163,6 +1208,61 @@ def test_overflowing_shift_exit_64_before_source_training(tmp_path, capsys, monk
     assert capsys.readouterr().err == (
         "demkit: rotate2d at magnitude 1e+308, level 5: the effective magnitude is not finite\n"
     )
+
+
+def _one_shift(shift: dict) -> dict:
+    """``small_config``'s stream section with ``shift`` as its one shift."""
+    return {"mode": "single_domain", "shifts": [shift], "batches_per_shift": 3, "batch_size": 16}
+
+
+@pytest.mark.parametrize("command", ["run", "grid-search", "lr-sweep"])
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"stream": _one_shift({"kind": "feature_scale", "magnitude": 1e308, "level": 2})},
+            "feature_scale at magnitude 1e+308, level 2: the inputs can overflow",
+        ),
+        (
+            {"stream": _one_shift({"kind": "feature_scale", "magnitude": -1e308, "level": 2})},
+            "feature_scale at magnitude -1e+308, level 2: the inputs can overflow",
+        ),
+        (
+            {"stream": _one_shift({"kind": "feature_noise", "magnitude": 1e308, "level": 2})},
+            "feature_noise at magnitude 1e+308, level 2: the inputs can overflow",
+        ),
+        (
+            {"mixture": {"C": 5, "radius": 4.0, "sigma": 1e308}},
+            "mixture at radius 4, sigma 1e+308: the inputs can overflow",
+        ),
+    ],
+    ids=["scale", "negative-scale", "noise", "sigma"],
+)
+def test_inputs_that_can_overflow_exit_64_before_source_training(
+    tmp_path, capsys, monkeypatch, command, overrides, message
+):
+    # A source coordinate is at most radius + NORMAL_BOUND * sigma, and
+    # each shift's bound follows from it; none of these is finite.
+    def fail(*args):
+        raise AssertionError("source training started")
+
+    monkeypatch.setattr("demkit.cli.build_source_model", fail)
+    cfg = small_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"demkit: {message}\n"
+
+
+def test_inputs_with_a_finite_bound_are_drawn_finite(tmp_path, monkeypatch):
+    # Huge settings whose bound is finite pass the check, and their
+    # inputs are finite.
+    monkeypatch.setattr("demkit.cli.build_source_model", lambda cfg, mix, rng: None)
+    for overrides in (
+        {"stream": _one_shift({"kind": "feature_scale", "magnitude": 1e306, "level": 5})},
+        {"stream": _one_shift({"kind": "feature_noise", "magnitude": 1e306, "level": 5})},
+        {"mixture": {"C": 5, "radius": 4.0, "sigma": 1e307}},
+    ):
+        _, data = prepared_experiment(load_config(str(small_config(tmp_path, **overrides))))
+        assert all(np.isfinite(X).all() for X, _ in data)
 
 
 class TestSettingsFailFast:

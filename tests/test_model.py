@@ -9,6 +9,7 @@ import pytest
 import demkit.model
 from demkit import adadem, em_losses
 from demkit.adadem import MecState, mec_init, mec_update
+from demkit.cli import DEFAULT_CONFIG
 from demkit.em_losses import DemConfig, dem_row_values, em_eval, em_row_values
 from demkit.model import (
     AdaDemPlugin,
@@ -33,6 +34,11 @@ from demkit.model import (
 )
 from demkit.numkit import Rng, rel_err, softmax_rows
 
+# The default config's settings, for the calls that take them.
+INIT_SCALE = DEFAULT_CONFIG["source"]["init_scale"]
+SOURCE_BATCH = DEFAULT_CONFIG["source"]["batch_size"]
+PI = DEFAULT_CONFIG["loss"]["pi"]
+
 
 class TestInitAndForward:
     def test_zero_init_linear_predicts_uniform(self):
@@ -48,7 +54,7 @@ class TestInitAndForward:
         np.testing.assert_array_equal(m.b, np.zeros(3))
 
     def test_mlp_init_replays_generator(self):
-        m = init_mlp(3, 2, 8, Rng(11))
+        m = init_mlp(3, 2, 8, Rng(11), INIT_SCALE)
         r = Rng(11)
         W1 = 0.5 * r.normals(16).reshape(8, 2)
         W2 = 0.5 * r.normals(24).reshape(3, 8) / np.sqrt(8)
@@ -60,7 +66,7 @@ class TestInitAndForward:
 
     def test_mlp_rejects_zero_width(self):
         with pytest.raises(ValueError):
-            init_mlp(3, 2, 0, Rng(0))
+            init_mlp(3, 2, 0, Rng(0), INIT_SCALE)
 
     def test_linear_forward_hand_case(self):
         model = LinearSoftmax(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
@@ -83,14 +89,14 @@ class TestInitAndForward:
         with pytest.raises(ValueError):
             forward(init_linear(3, 2), np.ones((1, 5)))
         with pytest.raises(ValueError):
-            forward(init_mlp(3, 2, 4, Rng(0)), np.ones((1, 5)))
+            forward(init_mlp(3, 2, 4, Rng(0), INIT_SCALE), np.ones((1, 5)))
 
     def test_forward_rejects_unknown_model(self):
         with pytest.raises(TypeError):
             forward(object(), np.ones((1, 2)))
 
     def test_copy_is_deep(self):
-        m = init_mlp(3, 2, 4, Rng(1))
+        m = init_mlp(3, 2, 4, Rng(1), INIT_SCALE)
         c = m.copy()
         for a in (m.theta, m.W1, m.b1, m.W2, m.b2):
             for b in (c.theta, c.W1, c.b1, c.W2, c.b2):
@@ -113,7 +119,7 @@ class TestInitAndForward:
 
 class TestLayout:
     def test_views_share_theta(self):
-        m = init_mlp(3, 2, 4, Rng(1))
+        m = init_mlp(3, 2, 4, Rng(1), INIT_SCALE)
         views = [m.W1, m.b1, m.W2, m.b2]
         assert m.theta.dtype == np.float64
         assert m.theta.shape == (sum(v.size for v in views),)
@@ -277,7 +283,7 @@ class TestBackward:
     def test_rejects_a_column_count_that_would_broadcast(self, arch):
         # One gradient column per row would broadcast into the n x C
         # buffer; it must be refused, not spread over the classes.
-        model = init_linear(3, 2) if arch == "linear" else init_mlp(3, 2, 4, Rng(2))
+        model = init_linear(3, 2) if arch == "linear" else init_mlp(3, 2, 4, Rng(2), INIT_SCALE)
         with pytest.raises(ValueError, match="2 x 3"):
             backward(model, np.ones((2, 2)), np.ones((2, 1)))
 
@@ -289,7 +295,7 @@ class TestBackward:
         if arch == "linear":
             model = init_linear(3, 2, rng, scale=0.5)
         else:
-            model = init_mlp(3, 2, 4, rng)
+            model = init_mlp(3, 2, 4, rng, INIT_SCALE)
         if loss == "ce":
             targets = rng.integers(5, 0, 3)
             plugin = CrossEntropyPlugin(targets)
@@ -311,7 +317,7 @@ class TestBackward:
         # theta's layout: W1, b1, W2, b2, each row-major.
         rng = Rng(24)
         X = rng.normals(10).reshape(5, 2)
-        model = init_mlp(3, 2, 4, rng)
+        model = init_mlp(3, 2, 4, rng, INIT_SCALE)
         dl = _batch_eval(EmPlugin(), forward(model, X))
         G = dl / 5
         H = X @ model.W1.T + model.b1
@@ -360,7 +366,7 @@ class TestSgd:
         np.testing.assert_array_equal(state.velocity, np.ones(9))
 
     def test_velocity_is_one_vector_updated_in_place(self):
-        model = init_mlp(3, 2, 4, Rng(5))
+        model = init_mlp(3, 2, 4, Rng(5), INIT_SCALE)
         state = SgdState()
         assert state.velocity is None
         sgd_step(model.theta, np.zeros_like(model.theta), SgdConfig(lr=0.1, momentum=0.5), state)
@@ -375,7 +381,7 @@ class TestSgd:
     def test_flat_step_matches_per_array_reference(self):
         # Reference: separate W1, b1, W2, b2 arrays, each with its own
         # velocity, updated name by name.
-        model = init_mlp(3, 2, 4, Rng(3))
+        model = init_mlp(3, 2, 4, Rng(3), INIT_SCALE)
         cfg = SgdConfig(lr=0.3, momentum=0.5)
         params = [model.W1.copy(), model.b1.copy(), model.W2.copy(), model.b2.copy()]
         velocities = [np.zeros_like(p) for p in params]
@@ -409,7 +415,7 @@ class TestTrainSource:
         rng = Rng(8)
         X, y = _blobs(rng.derive("data"), 200, self.MEANS)
         model = init_linear(3, 2)
-        train_source(model, X, y, 5, SgdConfig(lr=0.5), rng.derive("train"))
+        train_source(model, X, y, 5, SgdConfig(lr=0.5), rng.derive("train"), SOURCE_BATCH)
         preds = np.argmax(forward(model, X), axis=1)
         assert np.mean(preds == y) > 0.95
 
@@ -418,8 +424,8 @@ class TestTrainSource:
         X, y = _blobs(rng.derive("data"), 50, self.MEANS)
         runs = []
         for _ in range(2):
-            model = init_mlp(3, 2, 4, Rng(9))
-            train_source(model, X, y, 3, SgdConfig(lr=0.1, momentum=0.9), Rng(10))
+            model = init_mlp(3, 2, 4, Rng(9), INIT_SCALE)
+            train_source(model, X, y, 3, SgdConfig(lr=0.1, momentum=0.9), Rng(10), SOURCE_BATCH)
             runs.append(model)
         assert np.array_equal(runs[0].theta, runs[1].theta)
 
@@ -427,7 +433,7 @@ class TestTrainSource:
         model = init_linear(3, 2, Rng(1), scale=1.0)
         frozen = model.copy()
         train_source(model, np.ones((4, 2)), np.zeros(4, dtype=int), 0,
-                     SgdConfig(lr=1.0), Rng(0))
+                     SgdConfig(lr=1.0), Rng(0), SOURCE_BATCH)
         np.testing.assert_array_equal(model.theta, frozen.theta)
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
@@ -439,7 +445,7 @@ class TestTrainSource:
         def make():
             if arch == "linear":
                 return init_linear(3, 2, Rng(9), scale=0.5)
-            return init_mlp(3, 2, 6, Rng(9))
+            return init_mlp(3, 2, 6, Rng(9), INIT_SCALE)
 
         cfg = SgdConfig(lr=0.2, momentum=0.9)
         fused = train_source(make(), X, y, 3, cfg, Rng(10), batch_size=16)
@@ -465,7 +471,7 @@ class TestTrainSource:
         def make():
             if arch == "linear":
                 return init_linear(3, 2, Rng(9), scale=0.5)
-            return init_mlp(3, 2, 6, Rng(9))
+            return init_mlp(3, 2, 6, Rng(9), INIT_SCALE)
 
         cfg = SgdConfig(lr=0.2, momentum=0.9)
         fused = train_source(make(), X, y, 3, cfg, Rng(10), batch_size=batch_size)
@@ -487,7 +493,7 @@ class TestTrainSource:
         X, y = _blobs(Rng(8).derive("data"), 35, self.MEANS)
         def trained(labels):
             model = init_linear(3, 2, Rng(9), scale=0.5) if arch == "linear" else init_mlp(
-                3, 2, 6, Rng(9)
+                3, 2, 6, Rng(9), INIT_SCALE
             )
             cfg = SgdConfig(lr=0.2, momentum=0.9)
             return train_source(model, X, labels, 3, cfg, Rng(10), batch_size=16).theta
@@ -501,10 +507,11 @@ class TestTrainSource:
         def traced_peak(C):
             X = Rng(0).normals(5000 * 2).reshape(5000, 2)
             y = np.arange(5000) % C
-            model = init_mlp(C, 2, 32, Rng(1))
+            model = init_mlp(C, 2, 32, Rng(1), INIT_SCALE)
+            cfg = SgdConfig(lr=0.05, momentum=0.9)
             tracemalloc.start()
             try:
-                train_source(model, X, y, 1, SgdConfig(lr=0.05, momentum=0.9), Rng(2))
+                train_source(model, X, y, 1, cfg, Rng(2), SOURCE_BATCH)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -544,7 +551,7 @@ class TestTrainSource:
         before = model.copy()
         X = Rng(2).normals(20).reshape(10, 2)
         with pytest.raises(ValueError):
-            train_source(model, X, y, 1, SgdConfig(lr=0.1), Rng(0))
+            train_source(model, X, y, 1, SgdConfig(lr=0.1), Rng(0), SOURCE_BATCH)
         np.testing.assert_array_equal(model.theta, before.theta)
 
     def test_divergence_names_source_training_and_the_epoch(self):
@@ -552,7 +559,7 @@ class TestTrainSource:
         # the loop raises one FloatingPointError at the epoch's end, and no
         # numpy warning (which pytest would turn into an error).
         X, y = _blobs(Rng(8).derive("data"), 40, self.MEANS)
-        model = init_mlp(3, 2, 6, Rng(9))
+        model = init_mlp(3, 2, 6, Rng(9), INIT_SCALE)
         with pytest.raises(FloatingPointError) as info:
             train_source(model, X, y, 3, SgdConfig(lr=1e100, momentum=0.9), Rng(10), 16)
         assert str(info.value) == "source training diverged in epoch 0"
@@ -561,12 +568,12 @@ class TestTrainSource:
     def test_rejects_width_mismatch(self):
         with pytest.raises(ValueError):
             train_source(init_linear(3, 2), np.ones((4, 5)), np.zeros(4, dtype=int),
-                         1, SgdConfig(lr=0.1), Rng(0))
+                         1, SgdConfig(lr=0.1), Rng(0), SOURCE_BATCH)
 
     def test_rejects_empty_set(self):
         with pytest.raises(ValueError):
             train_source(init_linear(3, 2), np.zeros((0, 2)), np.zeros(0, dtype=int),
-                         1, SgdConfig(lr=0.1), Rng(0))
+                         1, SgdConfig(lr=0.1), Rng(0), SOURCE_BATCH)
 
 
 class TestAdaptStream:
@@ -630,7 +637,7 @@ class TestAdaptStream:
         # does.
         X, _ = self._stream(Rng(35), n_batches=4)
         cfg = SgdConfig(lr=0.3, momentum=0.5)
-        model = init_mlp(3, 2, 6, Rng(36))
+        model = init_mlp(3, 2, 6, Rng(36), INIT_SCALE)
         ref = model.copy()
         _adapt(model, X, EmPlugin(), cfg)
 
@@ -752,7 +759,7 @@ class TestAdaptStream:
 
     @pytest.mark.parametrize(
         "make_plugin",
-        [lambda: DemPlugin(DemConfig(1.3, 0.4)), AdaDemPlugin],
+        [lambda: DemPlugin(DemConfig(1.3, 0.4)), lambda: AdaDemPlugin(PI)],
         ids=["dem", "adadem"],
     )
     def test_plugins_score_the_returned_probabilities(self, make_plugin, monkeypatch):
@@ -796,7 +803,7 @@ class TestAdaptStream:
         # later re-import.
         monkeypatch.setattr(adadem, "softmax_rows", no_softmax, raising=False)
         X, _ = self._stream(Rng(42), n_batches=4)
-        model = init_mlp(3, 2, 6, Rng(43))
+        model = init_mlp(3, 2, 6, Rng(43), INIT_SCALE)
         hooked, scored = [], []
 
         def score(i, P):
@@ -855,7 +862,7 @@ class TestAdaptStream:
 
 class TestModelStack:
     def test_models_are_the_rows_of_one_array(self):
-        a, b = init_mlp(3, 2, 6, Rng(1)), init_mlp(3, 2, 6, Rng(2))
+        a, b = init_mlp(3, 2, 6, Rng(1), INIT_SCALE), init_mlp(3, 2, 6, Rng(2), INIT_SCALE)
         sources = a.theta.tobytes(), b.theta.tobytes()
         stack = ModelStack([a, b, a])
         assert stack.theta.shape == (3, a.theta.size) and stack.theta.flags.c_contiguous
@@ -873,8 +880,8 @@ class TestModelStack:
 
     @pytest.mark.parametrize(
         "models",
-        [[], [init_mlp(3, 2, 6, Rng(1)), init_mlp(3, 2, 7, Rng(1))],
-         [init_linear(3, 2), init_mlp(3, 2, 6, Rng(1))]],
+        [[], [init_mlp(3, 2, 6, Rng(1), INIT_SCALE), init_mlp(3, 2, 7, Rng(1), INIT_SCALE)],
+         [init_linear(3, 2), init_mlp(3, 2, 6, Rng(1), INIT_SCALE)]],
         ids=["empty", "widths", "architectures"],
     )
     def test_rejects_models_that_do_not_stack(self, models):
@@ -886,17 +893,17 @@ class TestModelStack:
         # move as they do alone, and every model's probabilities are
         # written.
         X = 2.0 * Rng(3).normals(4 * 16 * 2).reshape(4, 16, 2)
-        source = init_mlp(3, 2, 6, Rng(4))
+        source = init_mlp(3, 2, 6, Rng(4), INIT_SCALE)
         stack = ModelStack([source] * 3)
         probs = np.empty((3, 64, 3))
         cfg = SgdConfig(lr=0.1, momentum=0.9)
-        plugins = [EmPlugin(), None, AdaDemPlugin()]
+        plugins = [EmPlugin(), None, AdaDemPlugin(PI)]
         errors = adapt_stream(stack, X, plugins, [cfg] * 3, _recorder(probs, 16))
         assert errors == [None] * 3
         assert np.array_equal(stack.theta[1], source.theta)
         for k in (0, 2):
             alone = source.copy()
-            expected = _adapt(alone, X, [EmPlugin(), None, AdaDemPlugin()][k], cfg)
+            expected = _adapt(alone, X, [EmPlugin(), None, AdaDemPlugin(PI)][k], cfg)
             assert stack.theta[k].tobytes() == alone.theta.tobytes()
             assert probs[k].tobytes() == expected.tobytes()
         frozen = softmax_rows(forward(source, X.reshape(64, 2)))
@@ -906,15 +913,16 @@ class TestModelStack:
         # Models of one stack at different rates and momenta, lr = 0
         # among them, each keep the bits of their own one-model run.
         X = 2.0 * Rng(5).normals(4 * 16 * 2).reshape(4, 16, 2)
-        source = init_mlp(3, 2, 6, Rng(6))
+        source = init_mlp(3, 2, 6, Rng(6), INIT_SCALE)
         cfgs = [SgdConfig(0.1, 0.9), SgdConfig(0.0, 0.9), SgdConfig(0.03), SgdConfig(0.1, 0.5)]
         stack, probs = ModelStack([source] * 4), np.empty((4, 64, 3))
-        errors = adapt_stream(stack, X, [AdaDemPlugin() for _ in cfgs], cfgs, _recorder(probs, 16))
+        plugins = [AdaDemPlugin(PI) for _ in cfgs]
+        errors = adapt_stream(stack, X, plugins, cfgs, _recorder(probs, 16))
         assert errors == [None] * 4
         assert stack.theta[1].tobytes() == source.theta.tobytes()
         for k, cfg in enumerate(cfgs):
             alone = source.copy()
-            expected = _adapt(alone, X, AdaDemPlugin(), cfg)
+            expected = _adapt(alone, X, AdaDemPlugin(PI), cfg)
             assert stack.theta[k].tobytes() == alone.theta.tobytes()
             assert probs[k].tobytes() == expected.reshape(64, 3).tobytes()
 
@@ -927,7 +935,7 @@ class TestStepKernels:
     def _make(arch):
         if arch == "linear":
             return init_linear(3, 2, Rng(9), scale=0.5)
-        return init_mlp(3, 2, 6, Rng(9))
+        return init_mlp(3, 2, 6, Rng(9), INIT_SCALE)
 
     @staticmethod
     def _shifts(shapes, seed=11):
@@ -961,7 +969,7 @@ class TestStepKernels:
         shifts = self._shifts([(2, 64), (3, 100), (4, 1)])
         cfg = SgdConfig(lr=0.1, momentum=0.9)
         model, ref = self._make(arch), self._make(arch)
-        plugin, ref_plugin = AdaDemPlugin(), AdaDemPlugin()
+        plugin, ref_plugin = AdaDemPlugin(PI), AdaDemPlugin(PI)
         for X in shifts:
             probs = _adapt(model, X, plugin, cfg)
             expected = _inline_adapt(ref, X, ref_plugin, cfg)

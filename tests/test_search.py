@@ -118,7 +118,10 @@ class TestGridPoints:
 # A three-class stream of two shifts of four 8-row batches: the grid
 # tests' subset is its leading batch of each shift.
 MIX = MixtureSpec(C=3, radius=4.0, sigma=1.0)
-SPEC = StreamSpec("continual", (ShiftSpec("rotate2d", 0.4), ShiftSpec("translate", 1.0)), 4, 8)
+SPEC = StreamSpec(
+    "continual", (ShiftSpec("rotate2d", 0.4), ShiftSpec("translate", 1.0)), 4, 8,
+    DEFAULT_CONFIG["stream"]["label_rho"],
+)
 
 
 def _data():
