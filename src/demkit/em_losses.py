@@ -125,7 +125,7 @@ def _logits(z) -> np.ndarray:
 
 def _entropy(z: np.ndarray) -> float:
     logp = z - _logsumexp(z)
-    return float(-(np.exp(logp) * logp).sum())
+    return -float(np.add.reduce(np.exp(logp) * logp))
 
 
 def _em_grad(z: np.ndarray) -> np.ndarray:

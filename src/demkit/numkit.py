@@ -133,11 +133,13 @@ def _scaled(z: np.ndarray, tau: float) -> np.ndarray:
     """``z / tau`` for a validated vector, refusing a quotient that overflows.
 
     An entry of ``z / tau`` overflows exactly when ``max|z| / tau`` does,
-    so that one Python-float division is checked before the array is
-    divided, and the overflow is reported by the ``ValueError`` alone,
-    not also by a numpy warning.
+    so for ``tau < 1`` that one Python-float division is checked before
+    the array is divided, and the overflow is reported by the
+    ``ValueError`` alone, not also by a numpy warning.  At ``tau >= 1``
+    no test is needed: the correctly rounded quotient of a finite entry
+    by ``tau >= 1`` is at most the entry in size, so it cannot overflow.
     """
-    if math.isinf(float(np.maximum.reduce(np.abs(z))) / float(tau)):
+    if tau < 1.0 and math.isinf(float(np.maximum.reduce(np.abs(z))) / float(tau)):
         raise ValueError(f"logits / temperature overflow at tau={tau}")
     return z / tau
 
@@ -149,16 +151,23 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], z, h: float = 1e-5) -> np
     ``FloatingPointError`` so broken integrands fail loudly instead of
     silently contaminating a gradient check.  The step ``h`` must be
     positive and finite (``ValueError`` otherwise).
+
+    Each evaluation hands ``f`` a fresh array, ``z + h e_i`` and then
+    ``z - h e_i``, so ``f`` may keep its argument.  Both are ``z`` plus or
+    minus a step vector that is zero off coordinate ``i``, so a ``-0.0``
+    of ``z`` elsewhere reaches ``f`` as ``+0.0`` in the first array and
+    as ``-0.0`` in the second.
     """
     if not (h > 0 and math.isfinite(h)):
         raise ValueError(f"step must be positive and finite, got {h}")
     z = as_vector(z)
     grad = np.empty_like(z)
+    step = np.zeros_like(z)
     for i in range(z.shape[0]):
-        step = np.zeros_like(z)
         step[i] = h
         hi = float(f(z + step))
         lo = float(f(z - step))
+        step[i] = 0.0
         if not (math.isfinite(hi) and math.isfinite(lo)):
             raise FloatingPointError(f"non-finite objective at coordinate {i}")
         grad[i] = (hi - lo) / (2.0 * h)
@@ -166,11 +175,18 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], z, h: float = 1e-5) -> np
 
 
 def rel_err(a, b) -> float:
-    """Relative error ``|a - b| / max(1, |a|, |b|)``, elementwise max."""
+    """Relative error ``|a - b| / max(1, |a|, |b|)``, elementwise max.
+
+    ``a`` and ``b`` must have the same shape (``ValueError`` naming both
+    otherwise): they are not broadcast, so a gradient of the wrong shape
+    is refused instead of compared entry by entry with a stretched one.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"rel_err needs operands of one shape, got {a.shape} and {b.shape}")
     denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return float(np.max(np.abs(a - b) / denom))
+    return float(np.maximum.reduce(np.abs(a - b) / denom, axis=None))
 
 
 _U64 = np.uint64

@@ -56,6 +56,19 @@ class TestConditionalEntropy:
         z = np.array([50.0, 0.0, 0.0])
         assert 0.0 <= conditional_entropy(z) < 1e-12
 
+    @pytest.mark.parametrize(
+        "z",
+        [[1000.0, 0.0], [0.0, 1000.0], [1000.0, 0.0, 0.0], [-800.0, 800.0, 0.0], [50.0, 0.0, 0.0]],
+    )
+    def test_saturated_logits_keep_the_bits_and_sign_of_the_entropy(self, z):
+        # The sum is negated, not each term, so [1000, 0], whose terms
+        # 0.0 and -0.0 sum to +0.0, keeps the entropy -0.0.
+        z = np.asarray(z)
+        logp = z - numkit.logsumexp(z)
+        expected = np.float64(float(-(np.exp(logp) * logp).sum())).tobytes()
+        assert np.float64(conditional_entropy(z)).tobytes() == expected
+        assert np.float64(em_eval(z).value).tobytes() == expected
+
     @given(logit_vectors)
     def test_bounds(self, z):
         h = conditional_entropy(np.asarray(z))

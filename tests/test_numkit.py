@@ -139,9 +139,18 @@ class TestScaled:
             with pytest.raises(ValueError, match="overflow"):
                 _scaled(z, tau)
 
-    def test_largest_finite_quotient_is_kept(self):
-        z = np.array([self.TOP, -self.TOP, 0.0])
-        assert _scaled(z, 1.0).tobytes() == z.tobytes()
+    @pytest.mark.parametrize(
+        "tau", [1.0, np.nextafter(1.0, 2.0), 2.5, math.inf], ids=["1.0", "1.0+ulp", "2.5", "inf"]
+    )
+    def test_largest_finite_quotient_is_kept(self, tau):
+        # At tau >= 1 no quotient can overflow, so none is refused, and
+        # subnormal logits next to the largest ones keep their bits too.
+        tiny = np.nextafter(0.0, 1.0)
+        z = np.array([self.TOP, -self.TOP, tiny, -tiny, 0.0])
+        expected = z / tau
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _scaled(z, tau).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_overflow_is_refused_without_a_warning(self, sign):
@@ -169,6 +178,31 @@ class TestFiniteDiff:
 
         with pytest.raises(FloatingPointError):
             finite_diff_grad(f, np.zeros(2))
+
+    def test_each_evaluation_gets_a_fresh_perturbed_array(self):
+        # f keeps every argument; after the call each must still hold the
+        # bits of z + h e_i, then z - h e_i, in coordinate order.
+        z = np.array([-0.0, 1.5, -0.0, -2.0])
+        h = 1e-5
+        kept = []
+
+        def f(v):
+            kept.append(v)
+            return float(np.add.reduce(v))
+
+        finite_diff_grad(f, z, h=h)
+        expected = []
+        for i in range(z.size):
+            step = np.zeros_like(z)
+            step[i] = h
+            expected += [z + step, z - step]
+        assert [v.tobytes() for v in kept] == [e.tobytes() for e in expected]
+        assert z.tobytes() == np.array([-0.0, 1.5, -0.0, -2.0]).tobytes()
+        for j, v in enumerate(kept):
+            assert not np.shares_memory(v, z)
+            assert not any(np.shares_memory(v, w) for w in kept[:j])
+        # z + step turns the other coordinates' -0.0 into +0.0; z - step keeps it.
+        assert not np.signbit(kept[2][0]) and np.signbit(kept[3][0])
 
     @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1e-5])
     def test_rejects_a_step_that_is_not_positive_and_finite(self, h):
@@ -249,6 +283,22 @@ class TestRelErr:
         a = np.array([1.0, 0.0])
         b = np.array([1.0, 0.5])
         assert rel_err(a, b) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "a, b, shapes",
+        [
+            ([1.0, 2.0, 3.0], [1.0], r"\(3,\) and \(1,\)"),
+            ([1.0], [1.0, 2.0, 3.0], r"\(1,\) and \(3,\)"),
+            ([[1.0, 2.0]], [1.0, 2.0], r"\(1, 2\) and \(2,\)"),
+            (1.0, [1.0, 2.0], r"\(\) and \(2,\)"),
+        ],
+        ids=["longer-first", "longer-second", "row-and-vector", "scalar-and-vector"],
+    )
+    def test_operands_of_different_shapes_are_refused(self, a, b, shapes):
+        # Broadcasting would compare a wrong-shaped gradient entry by entry
+        # with a stretched one: rel_err([1, 2, 3], [1]) read 0.667.
+        with pytest.raises(ValueError, match=shapes):
+            rel_err(a, b)
 
 
 class TestRng:

@@ -57,3 +57,25 @@ def test_traced_name_is_a_public_function_of_its_module(name):
     obj = getattr(importlib.import_module(f"demkit.{module}"), attr, None)
     assert callable(obj), f"demkit.{name} is not a callable"
     assert obj.__module__ == f"demkit.{module}"
+
+
+def test_gradcheck_makes_the_benchmark_count_of_oracle_calls_per_trial(monkeypatch):
+    """The traced run expects ``numkit.finite_diff_grad.calls`` per
+    ``GRADCHECK_TRIALS``; three trials must make three times that share."""
+    from demkit import cli
+
+    workloads = _load("workloads")
+    expected = workloads.gradcheck_scalar(0).expected["numkit.finite_diff_grad.calls"]
+    per_trial, rest = divmod(expected, workloads.GRADCHECK_TRIALS)
+    assert rest == 0
+
+    calls = []
+    real = cli.finite_diff_grad
+
+    def counted(f, z, *args, **kwargs):
+        calls.append(None)
+        return real(f, z, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "finite_diff_grad", counted)
+    assert cli.main(["gradcheck", "--trials", "3", "--seed", "0"]) == cli.EXIT_OK
+    assert len(calls) == 3 * per_trial
