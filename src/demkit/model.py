@@ -37,11 +37,15 @@ and one flat gradient laid out like ``theta``.  A workspace over a
 stack's ``(K, P)`` parameters gives every buffer a leading axis of
 ``K``, and the kernels then run each step once for all ``K`` models
 with the operations, and so the bits, of ``K`` one-model steps.  The
-step loops (``train_source``, ``adapt_stream``) build their workspaces
-once per call and run ``_forward`` and ``_backward`` once per step; the
-public ``forward`` and ``backward`` run them on a fresh workspace, so
-what they return belongs to the caller.  ``sgd_step`` likewise writes
-``lr * v`` into a scratch vector of its :class:`SgdState`.
+kernels multiply with the workspace's ``product``, ``np.matmul``, which
+broadcasts over ``K``; only ``train_source`` sets ``np.dot`` on its own
+workspaces, which reaches the same BLAS call with less dispatch and, on
+the tested BLAS, the same bits.  The step loops (``train_source``,
+``adapt_stream``) build their workspaces once per call and run
+``_forward`` and ``_backward`` once per step; the public ``forward``
+and ``backward`` run them on a fresh workspace, so what they return
+belongs to the caller.  ``sgd_step`` likewise writes ``lr * v`` into a
+scratch vector of its :class:`SgdState`.
 
 The plugin contract of ``adapt_stream``: the ``Z`` handed to
 ``batch_eval`` is a workspace buffer that the next step overwrites, so a
@@ -233,6 +237,12 @@ class _Workspace:
     ``W2T``) and each bias as a row that broadcasts over the batch
     (``b1``, ``b2``); the linear model is a head alone, ``W2`` and ``b2``
     holding its ``W`` and ``b``.
+
+    ``product`` is the kernels' matrix product, ``np.matmul``, which
+    broadcasts over ``K``; it writes into an ``out`` that is always one
+    of the C-contiguous float64 buffers above.  :func:`train_source`
+    sets ``np.dot`` on its one-model workspaces of more than one row
+    (see there).
     """
 
     def __init__(self, model, n: int, theta: np.ndarray | None = None):
@@ -252,6 +262,7 @@ class _Workspace:
         self.GT, self.AT = np.swapaxes(self.G, -1, -2), np.swapaxes(self.A, -1, -2)
         self.g = np.empty(theta.shape)
         self.grads = _views(self.g, arrays)
+        self.product = np.matmul
 
 
 def _forward(X: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -259,13 +270,14 @@ def _forward(X: np.ndarray, ws: _Workspace) -> np.ndarray:
 
     Writes the logits into ``ws.Z`` (returned) and, for the MLP, the
     hidden activations ``relu(X W1^T + b1)`` into ``ws.A``, where
-    :func:`_backward` reads them.
+    :func:`_backward` reads them.  Its products are ``ws.product``.
     """
+    product = ws.product
     if ws.mlp:
-        A = np.matmul(X, ws.W1T, out=ws.A)
+        A = product(X, ws.W1T, out=ws.A)
         A += ws.b1
         X = np.maximum(A, 0.0, out=A)
-    Z = np.matmul(X, ws.W2T, out=ws.Z)
+    Z = product(X, ws.W2T, out=ws.Z)
     Z += ws.b2
     return Z
 
@@ -277,21 +289,23 @@ def _backward(X: np.ndarray, dlogits: np.ndarray, ws: _Workspace) -> np.ndarray:
 
     The head's gradients read the activations first; the hidden gradient
     then takes their buffer.  The rectifier mask is ``A > 0``, which is
-    ``H > 0`` for the pre-activations ``H``, NaN included.
+    ``H > 0`` for the pre-activations ``H``, NaN included.  The products
+    are ``ws.product``, as in :func:`_forward`.
     """
+    product = ws.product
     G = np.divide(dlogits, X.shape[0], out=ws.G)
     if ws.mlp:
         gW1, gb1, gW2, gb2 = ws.grads
-        np.matmul(ws.GT, ws.A, out=gW2)
+        product(ws.GT, ws.A, out=gW2)
         np.add.reduce(G, axis=-2, out=gb2)
         mask = np.greater(ws.A, 0.0, out=ws.M)
-        dH = np.matmul(G, ws.W2, out=ws.A)
+        dH = product(G, ws.W2, out=ws.A)
         dH *= mask
-        np.matmul(ws.AT, X, out=gW1)
+        product(ws.AT, X, out=gW1)
         np.add.reduce(dH, axis=-2, out=gb1)
     else:
         gW, gb = ws.grads
-        np.matmul(ws.GT, X, out=gW)
+        product(ws.GT, X, out=gW)
         np.add.reduce(G, axis=-2, out=gb)
     return ws.g
 
@@ -470,8 +484,19 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int)
     once, writes ``softmax(Z)`` into its workspace and subtracts 1 at
     the targets there (no loss values), and the backward pass reuses
     the forward activations.  Steps write into a :class:`_Workspace`
-    sized once per call, and a short last batch into a second.
-    ``batch_size < 1`` and ``epochs < 0`` raise ``ValueError``.
+    sized once per call, and a short last batch into a second.  Each
+    of more than one row multiplies with ``np.dot``, which reaches the
+    BLAS call with less dispatch than ``np.matmul`` on these small
+    matrices; on the C-contiguous rows fed here the two were observed
+    to give the same bits on the tested BLAS, which ``TestStepKernels``
+    in ``tests/test_model.py`` checks against a one-model stack.  A
+    one-row batch keeps ``np.matmul``: ``np.dot`` multiplies 1 x 1
+    operands as scalars, so an exact zero product keeps a sign that
+    ``np.matmul``'s sum from ``+0.0`` drops.  The views each
+    step reads (its rows of the shuffled copy, its slice of target
+    positions, its workspace and that workspace's logit gradient as one
+    flat vector) are built once per call, and each epoch refills what
+    they view.  ``batch_size < 1`` and ``epochs < 0`` raise ``ValueError``.
     Non-finite parameters, checked once per epoch with numpy's overflow
     and invalid-value warnings silenced, raise ``FloatingPointError``
     naming the epoch.
@@ -488,21 +513,27 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int)
     size = min(batch_size, n)
     full = _Workspace(model, size)
     last = _Workspace(model, n % size) if n % size else full
+    for ws in (full, last):
+        if ws.G.shape[0] > 1:
+            ws.product = np.dot
     state = SgdState()
     # Row i of an epoch's order sits at row i % size of its batch, whose
     # logits start at flat position (i % size) * C of the batch's G.
     slots = np.arange(n) % size * C
     Xo, hot = np.empty(X.shape), np.empty(n, np.intp)
+    # Each step's rows of Xo and hot, its workspace and its flat G.
+    batches = []
+    for start in range(0, n, size):
+        rows, ws = slice(start, start + size), full if start + size <= n else last
+        batches.append((Xo[rows], hot[rows], ws, ws.G.reshape(-1)))
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             order = rng.permutation(n)
             np.take(X, order, axis=0, out=Xo)
             np.add(slots, y[order], out=hot)
-            for start in range(0, n, size):
-                Xb = Xo[start : start + size]
-                ws = full if start + size <= n else last
+            for Xb, targets, ws, flat in batches:
                 G = _softmax_rows(_forward(Xb, ws), ws.G)
-                G.reshape(-1)[hot[start : start + size]] -= 1.0
+                flat[targets] -= 1.0
                 sgd_step(model.theta, _backward(Xb, G, ws), cfg, state)
             if not np.isfinite(model.theta).all():
                 raise FloatingPointError(f"source training diverged in epoch {epoch}")

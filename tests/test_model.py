@@ -189,20 +189,22 @@ def _inline_forward(model, X):
     return X @ model.W.T + model.b, None
 
 
-def _inline_step(model, X, dlogits, cache, cfg, v):
-    """Backward and one SGD step as plain expressions: the four gradient
-    blocks concatenated, ``v <- m v + g`` and ``theta -= lr * v``."""
+def _inline_grad(model, X, dlogits, cache):
+    """The backward pass as plain expressions: the gradient blocks of
+    ``theta``, concatenated."""
     G = dlogits / X.shape[0]
     if cache is None:
-        grad = np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)])
-    else:
-        H, A = cache
-        dH = (G @ model.W2) * (H > 0.0)
-        grad = np.concatenate(
-            [(dH.T @ X).ravel(), dH.sum(axis=0), (G.T @ A).ravel(), G.sum(axis=0)]
-        )
+        return np.concatenate([(G.T @ X).ravel(), G.sum(axis=0)])
+    H, A = cache
+    dH = (G @ model.W2) * (H > 0.0)
+    return np.concatenate([(dH.T @ X).ravel(), dH.sum(axis=0), (G.T @ A).ravel(), G.sum(axis=0)])
+
+
+def _inline_step(model, X, dlogits, cache, cfg, v):
+    """Backward and one SGD step as plain expressions: :func:`_inline_grad`,
+    ``v <- m v + g`` and ``theta -= lr * v``."""
     v *= cfg.momentum
-    v += grad
+    v += _inline_grad(model, X, dlogits, cache)
     model.theta -= cfg.lr * v
 
 
@@ -461,12 +463,12 @@ class TestTrainSource:
         assert np.array_equal(fused.theta, ref.theta)
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
-    @pytest.mark.parametrize("batch_size", [16, 64])
+    @pytest.mark.parametrize("batch_size", [16, 64, 299])
     def test_matches_the_index_gather_loop(self, arch, batch_size):
         # One gather per epoch and the one-hot subtraction must keep the
         # bits of gathering each batch by index and subtracting 1 at the
         # targets in place (_ce_grad).  300 rows leave a short last batch
-        # at both sizes.
+        # at every size: 12, 44 and 1 row.
         X, y = _blobs(Rng(8).derive("data"), 100, self.MEANS)
         def make():
             if arch == "linear":
@@ -929,7 +931,7 @@ class TestModelStack:
 
 class TestStepKernels:
     """The buffered kernels against :func:`_inline_forward` and
-    :func:`_inline_step`, bit for bit."""
+    :func:`_inline_step`, and one model's against a stack's, bit for bit."""
 
     @staticmethod
     def _make(arch):
@@ -960,6 +962,88 @@ class TestStepKernels:
                 Z, cache = _inline_forward(ref, X[idx])
                 _inline_step(ref, X[idx], softmax_rows(Z) - T[idx], cache, cfg, v)
         assert trained.theta.tobytes() == ref.theta.tobytes()
+
+    @staticmethod
+    def _source_steps(monkeypatch, model, X, y, batch_size):
+        """Each ``(X, ws)`` that one epoch of :func:`train_source` hands
+        ``_forward``, ``X`` copied as it was fed."""
+        steps, kernel = [], demkit.model._forward
+
+        def recorded(Xb, ws):
+            steps.append((Xb.copy(), ws))
+            assert Xb.dtype == np.float64 and Xb.flags.c_contiguous
+            return kernel(Xb, ws)
+
+        monkeypatch.setattr(demkit.model, "_forward", recorded)
+        train_source(model, X, y, 1, SgdConfig(lr=0.1, momentum=0.9), Rng(3), batch_size)
+        monkeypatch.undo()
+        return steps
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("C", [2, 10])
+    @pytest.mark.parametrize("hidden", [None, 1, 2, 32], ids=["linear", "h1", "h2", "h32"])
+    def test_source_steps_give_the_bits_of_a_one_model_stack(self, monkeypatch, hidden, C, d):
+        # train_source multiplies with np.dot on its workspaces of more
+        # than one row and with np.matmul on a one-row one, as a stack
+        # does.  On each workspace it builds and the rows it feeds them,
+        # the logits and the flat gradient must be the bits of row 0 of a
+        # one-model stack's, and both those of the inline `@` arithmetic;
+        # the equality is observed on the tested BLAS, not guaranteed.
+        # Batches of 64, 3 and 1 rows: 64 is the shipped batch size, and
+        # 65 and 7 rows leave a one-row last batch.
+        if hidden is None:
+            model = init_linear(C, d)
+        else:
+            model = init_mlp(C, d, hidden, Rng(9), INIT_SCALE)
+        model.theta[:] = Rng(4).normals(model.theta.size)
+        for rows, batch_size in ((65, 64), (7, 3)):
+            X = 2.0 * Rng(rows).normals(rows * d).reshape(rows, d)
+            X[::3, 0] = 0.0
+            y = np.arange(rows) % C
+            steps = self._source_steps(monkeypatch, model, X, y, batch_size)
+            assert [len(Xb) for Xb, _ in steps] == [batch_size] * (rows // batch_size) + [1]
+            for Xb, ws in {id(ws): (Xb, ws) for Xb, ws in steps}.values():
+                n = Xb.shape[0]
+                case = f"{n} rows of {rows}"
+                assert ws.product is (np.dot if n > 1 else np.matmul), case
+                outs, product = [], ws.product
+
+                def recorded(a, b, out):
+                    outs.append(out)
+                    return product(a, b, out=out)
+
+                ws.product = recorded
+                dlogits = Rng(n + 1).normals(n * C).reshape(n, C)
+                Z = demkit.model._forward(Xb, ws).copy()
+                g = demkit.model._backward(Xb, dlogits, ws).copy()
+                assert len(outs) == (2 if hidden is None else 5), case
+                for out in outs:
+                    assert out.dtype == np.float64 and out.flags.c_contiguous, case
+
+                stacked = ModelStack([model])._workspace(n)
+                assert stacked.product is np.matmul
+                Zs = demkit.model._forward(Xb, stacked)
+                gs = demkit.model._backward(Xb, dlogits, stacked)
+                assert Z.tobytes() == Zs[0].tobytes(), case
+                assert g.tobytes() == gs[0].tobytes(), case
+                Zi, cache = _inline_forward(model, Xb)
+                assert Z.tobytes() == Zi.tobytes(), case
+                assert g.tobytes() == _inline_grad(model, Xb, dlogits, cache).tobytes(), case
+
+    def test_a_one_row_source_step_keeps_matmul(self, monkeypatch):
+        # np.dot multiplies two 1 x 1 operands as scalars: the dead unit's
+        # input gradient, +0.0 times the input -1.0, would be -0.0, where
+        # np.matmul, as a stack multiplies, sums it from +0.0.
+        model = Mlp(W1=[[1.0]], b1=[-5.0], W2=[[1.0], [-1.0]], b2=[0.0, 0.0])
+        X, dlogits = np.array([[-1.0]]), np.array([[0.5, -0.5]])
+        [(_, ws)] = self._source_steps(monkeypatch, model, X, [1], 1)
+        stacked = ModelStack([model])._workspace(1)
+        assert ws.product is np.matmul
+        demkit.model._forward(X, ws)
+        demkit.model._forward(X, stacked)
+        g = demkit.model._backward(X, dlogits, ws)
+        assert g.tobytes() == demkit.model._backward(X, dlogits, stacked)[0].tobytes()
+        assert math.copysign(1.0, g[0]) == 1.0
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
     def test_adapt_stream_matches_inline_arithmetic(self, arch):
