@@ -12,8 +12,9 @@ scaling) with a severity level, a key of ``LEVEL_MULTIPLIERS``, whose
 multiplier scales its base magnitude.
 A *stream* is an ordered list of shifts, each producing ``B`` batches of
 ``n`` rows, drawn when a protocol reaches the shift and handed over as
-inputs ``B x n x d`` and labels ``B x n`` (:class:`Stream`); the
-protocols validate a shift once and step through its batches.  Labels
+inputs ``B x n x d`` and labels ``B x n`` (:class:`Stream`, which refuses
+inputs that can overflow); the protocols validate a shift once and step
+through its batches.  Labels
 follow ``long_tail_priors(C, label_rho)`` (:class:`StreamSpec`): uniform
 at ``label_rho = 1``, a head-to-tail ratio of ``label_rho`` above it.  Two
 protocols mirror test-time-adaptation practice:
@@ -48,8 +49,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import DivergenceError, Mlp, ModelStack, SgdConfig, _validated_labels, adapt_stream
-from .numkit import as_matrix, as_vector, Rng
+from .model import DivergenceError, ModelStack, SgdConfig, adapt_stream, step_bytes
+from .numkit import NORMAL_BOUND, Rng, as_matrix, as_vector, validated_labels
 
 __all__ = [
     "MixtureSpec",
@@ -65,7 +66,6 @@ __all__ = [
     "sample_batch",
     "apply_shift",
     "Stream",
-    "make_stream",
     "kl_divergence",
     "STACK_BYTES",
     "stack_size",
@@ -95,8 +95,8 @@ class MixtureSpec:
     def __post_init__(self):
         if self.C < 2:
             raise ValueError(f"need at least two classes, got {self.C}")
-        if not (self.radius > 0 and self.sigma > 0):
-            raise ValueError(f"radius and sigma must be positive, got {self.radius}, {self.sigma}")
+        if not (0 < self.radius < math.inf and 0 < self.sigma < math.inf):
+            raise ValueError(f"need finite radius and sigma > 0, got {self.radius}, {self.sigma}")
 
     @cached_property
     def means(self) -> np.ndarray:
@@ -303,11 +303,31 @@ class Stream:
     number), not its position, so reordering shifts permutes the
     per-shift data without changing it; repeated identical shifts still
     get fresh data.
+
+    Building a stream refuses (``ValueError``) a mixture or shift whose
+    inputs can overflow, even where the draws would stay finite: a source
+    coordinate is at most ``radius + NORMAL_BOUND * sigma``, which
+    ``feature_scale`` multiplies by ``|1 + m|`` and ``feature_noise``
+    grows by ``NORMAL_BOUND * |m|``, ``m`` the effective magnitude.
     """
 
     mix: MixtureSpec
     spec: StreamSpec
     rng: Rng
+
+    def __post_init__(self):
+        source = self.mix.radius + NORMAL_BOUND * self.mix.sigma
+        bounds = {f"mixture at radius {self.mix.radius:g}, sigma {self.mix.sigma:g}": source}
+        for sh in self.spec.shifts:
+            m = sh.effective_magnitude
+            name = f"{sh.kind} at magnitude {sh.magnitude:g}, level {sh.level}"
+            if sh.kind == "feature_scale":
+                bounds[name] = source * abs(1.0 + m)
+            elif sh.kind == "feature_noise":
+                bounds[name] = source + NORMAL_BOUND * abs(m)
+        for name, bound in bounds.items():
+            if not math.isfinite(bound):
+                raise ValueError(f"{name}: the inputs can overflow")
 
     def __len__(self) -> int:
         return len(self.spec.shifts)
@@ -337,12 +357,6 @@ class Stream:
         if not 1 <= k <= self.spec.batches_per_shift:
             raise ValueError(f"need 1 to {self.spec.batches_per_shift} leading batches, got {k}")
         return replace(self, spec=replace(self.spec, batches_per_shift=k))
-
-
-def make_stream(mix: MixtureSpec, spec: StreamSpec, rng: Rng) -> Stream:
-    """The stream ``spec`` over ``mix``, drawn from ``rng`` as it is read
-    (see :class:`Stream`)."""
-    return Stream(mix, spec, rng)
 
 
 def kl_divergence(p, q) -> float:
@@ -417,25 +431,17 @@ def stack_size(source_model, spec: StreamSpec) -> int:
     ``STACK_BYTES``; at least one.  It reads the spec's batch rows and
     shift count alone, and draws no data.
 
-    A stacked protocol holds one batch of ``n`` rows, never a shift:
-    its probabilities twice (``n x C`` as predicted, in the step
-    workspace that the stack allocates once, and ``(n + 1) x (C + 1)``
-    with their row maxima under running sums), its other step buffers
-    (two of ``n x C`` and one of ``n x hidden`` floats, one ``n x
-    hidden`` mask), and the temporaries of checking and scoring a batch,
-    counted as two ``n x C`` masks and ``n`` argmax predictions.
-    Besides, it holds four parameter-sized vectors (its parameters, their
-    gradient, the SGD velocity and its scratch) and, per shift, its ``C x
-    C`` confusion counts and ``C + 1`` sums, and its ``C + 1`` running
-    total.  The scoring hook's two arrays of ``n`` flat indices and
-    numpy's internal buffers, 64 KiB at most each, are not counted.
+    A stacked protocol holds one batch of ``n`` rows, never a shift: its
+    step's ``model.step_bytes(source_model, n)`` and its scoring's
+    ``(n + 1) x (C + 1)`` probabilities and row maxima under running sums,
+    ``n`` argmax predictions, ``C + 1`` running total and, per shift,
+    ``C x C`` counts and ``C + 1`` sums.  Not counted: the scoring hook's
+    two arrays of ``n`` flat indices and numpy's iterator buffers, 64 KiB
+    at most each.
     """
-    C, P = source_model.C, source_model.theta.size
-    h = source_model.W1.shape[0] if isinstance(source_model, Mlp) else 0
-    n, shifts = spec.batch_size, len(spec.shifts)
-    floats = n * C + (n + 1) * (C + 1) + n * (2 * C + h + 1) + 4 * P
-    floats += shifts * (C * C + C + 1) + C + 1
-    return max(1, STACK_BYTES // (8 * floats + n * (h + 2 * C)))
+    C, n, shifts = source_model.C, spec.batch_size, len(spec.shifts)
+    scoring = (n + 1) * (C + 1) + n + shifts * (C * C + C + 1) + C + 1
+    return max(1, STACK_BYTES // (step_bytes(source_model, n) + 8 * scoring))
 
 
 class _Tally:
@@ -552,7 +558,7 @@ def run_protocols(source_model, shift_data, mode: str, plugin_factories, cfgs) -
         s += 1
         if np.size(y) == 0:
             raise ValueError(f"shift {s} has no rows to score")
-        y = _validated_labels(y, np.shape(X)[:2], C)
+        y = validated_labels(y, np.shape(X)[:2], C)
         if plugins is None or mode == "single_domain":
             stack.theta[...] = source_model.theta
             plugins = [f() if e is None else None for f, e in zip(factories, errors)]

@@ -33,10 +33,11 @@ sections go to the library types as they are: ``bench.MixtureSpec``
 takes ``mixture``'s ``C``, ``radius`` and ``sigma``, ``bench.StreamSpec``
 takes ``stream``'s settings and ``label_rho``, and ``bench.ShiftSpec``'s
 own defaults fill a shift's omitted magnitude and level.  The loss, the
-optimizer and the grid are built before source training, so a bad one
-fails at once.  The ``loss`` section admits the unsupervised family only
-(em, dem, adadem) - the adaptation loop never sees labels, which flow
-exclusively to metrics and, for grid search scoring, to the held subset.
+optimizer, the grid and the ``bench.Stream`` (which refuses inputs that
+can overflow) are built before source training, so a bad one fails at
+once.  The ``loss`` section admits the unsupervised family only (em, dem,
+adadem) - the adaptation loop never sees labels, which flow exclusively
+to metrics and, for grid search scoring, to the held subset.
 
 ``SCHEMA`` is JSON Schema (draft 2020-12), so any JSON Schema tool can
 check a config.  The CLI checks it with ``_schema_errors``, a walker over
@@ -67,7 +68,7 @@ from . import bench as _bench
 from . import em_losses as _em
 from . import model as _model
 from . import search as _search
-from .numkit import NORMAL_BOUND, Rng, _softmax, finite_diff_grad, rel_err, softmax, softmax_rows
+from .numkit import Rng, _softmax, finite_diff_grad, rel_err, softmax, softmax_rows
 
 EXIT_OK = 0
 EXIT_BAD_HYPERPARAMS = 2
@@ -487,43 +488,21 @@ def sgd_config(cfg: dict) -> _model.SgdConfig:
     return _model.SgdConfig(cfg["optimizer"]["lr"], cfg["optimizer"]["momentum"])
 
 
-def _check_input_bounds(mix: _bench.MixtureSpec, shifts) -> None:
-    """Refuse a mixture or shift whose inputs can overflow, even where the
-    draws would stay finite.  A source coordinate is at most ``radius +
-    NORMAL_BOUND * sigma``; ``feature_scale`` multiplies it by ``|1 + m|``
-    and ``feature_noise`` adds ``NORMAL_BOUND * |m|``, for ``m`` the
-    shift's effective magnitude."""
-    source = mix.radius + NORMAL_BOUND * mix.sigma
-    bounds = {f"mixture at radius {mix.radius:g}, sigma {mix.sigma:g}": source}
-    for sh in shifts:
-        m = sh.effective_magnitude
-        name = f"{sh.kind} at magnitude {sh.magnitude:g}, level {sh.level}"
-        if sh.kind == "feature_scale":
-            bounds[name] = source * abs(1.0 + m)
-        elif sh.kind == "feature_noise":
-            bounds[name] = source + NORMAL_BOUND * abs(m)
-    for name, bound in bounds.items():
-        if not math.isfinite(bound):
-            raise UsageError(f"{name}: the inputs can overflow")
-
-
 def prepared_experiment(cfg: dict):
     """Source model and stream for a config, deterministically.
 
-    The stream is a ``bench.Stream``: it draws no data here, and each
-    pass a protocol makes over it draws each shift when it reaches it.
-    Inputs that can overflow raise ``UsageError`` before any training."""
+    The ``bench.Stream`` is built first, so inputs that can overflow raise
+    ``ValueError`` before any training; it draws no data here, and each
+    pass a protocol makes over it draws each shift when it reaches it."""
     rng = Rng(cfg["seed"])
     m, s = cfg["mixture"], cfg["stream"]
     mix = _bench.MixtureSpec(m["C"], m["radius"], m["sigma"])
     shifts = tuple(_bench.ShiftSpec(**sh) for sh in s["shifts"])
-    _check_input_bounds(mix, shifts)
     sspec = _bench.StreamSpec(
         s["mode"], shifts, s["batches_per_shift"], s["batch_size"], s["label_rho"]
     )
-    model = build_source_model(cfg, mix, rng)
-    data = _bench.make_stream(mix, sspec, rng.derive("stream"))
-    return model, data
+    data = _bench.Stream(mix, sspec, rng.derive("stream"))
+    return build_source_model(cfg, mix, rng), data
 
 
 # --------------------------------------------------------------------------

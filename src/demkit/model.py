@@ -32,20 +32,20 @@ hand it to the private kernels ``_forward`` and ``_backward``, which
 check nothing.  The kernels are the only forward and backward pass, and
 they write into a :class:`_Workspace` instead of allocating: it holds
 the logits, the MLP's hidden activations (which ``_backward`` reuses
-instead of recomputing the forward pass), the backward intermediates
-and one flat gradient laid out like ``theta``.  A workspace over a
-stack's ``(K, P)`` parameters gives every buffer a leading axis of
-``K``, and the kernels then run each step once for all ``K`` models
-with the operations, and so the bits, of ``K`` one-model steps.  The
-kernels multiply with the workspace's ``product``, ``np.matmul``, which
+instead of recomputing the forward pass), the backward intermediates and
+one flat gradient laid out like ``theta``.  A workspace over a stack's
+``(K, P)`` parameters gives every buffer a leading axis of ``K``, and
+the kernels then run each step once for all ``K`` models with the
+operations, and so the bits, of ``K`` one-model steps.  The kernels
+multiply with the workspace's ``product``, ``np.matmul``, which
 broadcasts over ``K``; only ``train_source`` sets ``np.dot`` on its own
 workspaces, which reaches the same BLAS call with less dispatch and, on
 the tested BLAS, the same bits.  The step loops (``train_source``,
 ``adapt_stream``) build their workspaces once per call and run
-``_forward`` and ``_backward`` once per step; the public ``forward``
-and ``backward`` run them on a fresh workspace, so what they return
-belongs to the caller.  ``sgd_step`` likewise writes ``lr * v`` into a
-scratch vector of its :class:`SgdState`.
+``_forward`` and ``_backward`` once per step; the public ``forward`` and
+``backward`` run them on a fresh workspace, so what they return belongs
+to the caller.  ``sgd_step`` likewise writes ``lr * v`` into a scratch
+vector of its :class:`SgdState`.  ``step_bytes`` counts these per model.
 
 The plugin contract of ``adapt_stream``: the ``Z`` handed to
 ``batch_eval`` is a workspace buffer that the next step overwrites, so a
@@ -61,7 +61,9 @@ import numpy as np
 
 from . import adadem as _adadem
 from . import em_losses as _em
-from .numkit import _logsumexp, _softmax_rows, as_matrix, as_vector, logsumexp_rows, softmax_rows
+from .numkit import (
+    _logsumexp, _softmax_rows, as_matrix, as_vector, logsumexp_rows, softmax_rows, validated_labels
+)
 
 __all__ = [
     "LinearSoftmax",
@@ -69,6 +71,7 @@ __all__ = [
     "ModelStack",
     "init_linear",
     "init_mlp",
+    "step_bytes",
     "forward",
     "backward",
     "cross_entropy_eval",
@@ -206,13 +209,9 @@ def init_mlp(C: int, d: int, hidden: int, rng, scale: float) -> Mlp:
 def _validated_input(model, X) -> np.ndarray:
     """``X`` as a finite float64 matrix of the model's input width."""
     X = as_matrix(X)
-    if isinstance(model, LinearSoftmax):
-        width = model.W.shape[1]
-    elif isinstance(model, Mlp):
-        width = model.W1.shape[1]
-    else:
+    if not isinstance(model, (LinearSoftmax, Mlp)):
         raise TypeError(f"unknown model type {type(model).__name__}")
-    if X.shape[1] != width:
+    if X.shape[1] != _arrays(model)[0].shape[1]:  # W's or W1's columns
         raise ValueError("input dimension does not match the model")
     return X
 
@@ -249,7 +248,7 @@ class _Workspace:
         theta = model.theta if theta is None else theta
         lead, arrays = theta.shape[:-1], _arrays(model)
         self.mlp = isinstance(model, Mlp)
-        C, h = model.C, model.W1.shape[0] if self.mlp else 0
+        C, h = model.C, _hidden(model)
         params = _views(theta, arrays)
         if self.mlp:
             W1, b1, self.W2, b2 = params
@@ -263,6 +262,20 @@ class _Workspace:
         self.g = np.empty(theta.shape)
         self.grads = _views(self.g, arrays)
         self.product = np.matmul
+
+
+def _hidden(model) -> int:
+    """The MLP's hidden width; 0 for the linear model."""
+    return model.W1.shape[0] if isinstance(model, Mlp) else 0
+
+
+def step_bytes(model, n: int) -> int:
+    """The bytes one model of a :class:`ModelStack` like ``model`` holds
+    in an :func:`adapt_stream` step over ``n`` rows, from its shapes: its
+    slice of each :class:`_Workspace` buffer, its parameter row, its
+    :class:`SgdState`'s two vectors and the step's two ``n x C`` masks."""
+    C, h, P = model.C, _hidden(model), model.theta.size
+    return 8 * (3 * n * C + n * h + 4 * P) + n * h + 2 * n * C
 
 
 def _forward(X: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -358,16 +371,16 @@ def _ce_row_values(Z: np.ndarray, targets: np.ndarray) -> np.ndarray:
 class SgdConfig:
     """SGD with optional heavy-ball momentum.
 
-    ``lr = 0`` is allowed and leaves the model untouched, which gives the
-    no-adapt baseline.
+    ``lr`` must be finite and non-negative; ``lr = 0`` leaves the model
+    untouched, which gives the no-adapt baseline.
     """
 
     lr: float
     momentum: float = 0.0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError(f"learning rate must be non-negative, got {self.lr}")
+        if not 0.0 <= self.lr < np.inf:
+            raise ValueError(f"learning rate must be finite and non-negative, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
@@ -457,18 +470,6 @@ class DivergenceError(FloatingPointError):
         self.shift = shift
 
 
-def _validated_labels(y, shape: tuple, C: int) -> np.ndarray:
-    """``y`` as an integer array of ``shape`` holding labels in ``[0, C)``."""
-    y = np.asarray(y)
-    if y.dtype.kind not in "iu":
-        raise ValueError(f"labels must be integers, got {y.dtype}")
-    if y.shape != shape:
-        raise ValueError(f"labels must be one per input row, shape {shape}, got {y.shape}")
-    if y.min() < 0 or y.max() >= C:
-        raise ValueError(f"labels must lie in [0, {C})")
-    return y
-
-
 def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int):
     """Mini-batch supervised training on labeled data; returns the model.
 
@@ -509,7 +510,7 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int)
     n, C = X.shape[0], model.C
     if n == 0:
         raise ValueError("empty training set")
-    y = _validated_labels(y, (n,), C)
+    y = validated_labels(y, (n,), C)
     size = min(batch_size, n)
     full = _Workspace(model, size)
     last = _Workspace(model, n % size) if n % size else full

@@ -29,6 +29,7 @@ import numpy as np
 __all__ = [
     "as_vector",
     "as_matrix",
+    "validated_labels",
     "logsumexp",
     "logsumexp_rows",
     "softmax",
@@ -64,6 +65,18 @@ def as_matrix(data) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def validated_labels(y, shape: tuple, C: int) -> np.ndarray:
+    """``y`` as an integer array of ``shape`` holding labels in ``[0, C)``."""
+    y = np.asarray(y)
+    if y.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {y.dtype}")
+    if y.shape != shape:
+        raise ValueError(f"labels must be one per input row, shape {shape}, got {y.shape}")
+    if y.min() < 0 or y.max() >= C:
+        raise ValueError(f"labels must lie in [0, {C})")
+    return y
 
 
 def logsumexp(z) -> float:

@@ -34,8 +34,8 @@ from demkit.adadem import AdaDemVariant, adadem_rows, delta, mec_init, mec_updat
 from demkit.bench import (
     MixtureSpec,
     ShiftSpec,
+    Stream,
     StreamSpec,
-    make_stream,
     run_protocol,
     run_protocols,
     sample_batch,
@@ -109,7 +109,7 @@ def sources():
 
 def _stream(mix, spec, seed):
     """The CLI's stream for ``seed``, drawn once: the criteria read it many times."""
-    return list(make_stream(mix, spec, Rng(seed).derive("stream")))
+    return list(Stream(mix, spec, Rng(seed).derive("stream")))
 
 
 def _ada_factory():
@@ -366,7 +366,7 @@ def test_c10_learning_rate_tolerance_count(sources):
         mix, model = sources[seed]
 
         def tolerance_count(factory):
-            data = make_stream(mix, spec, Rng(seed).derive("stream"))
+            data = Stream(mix, spec, Rng(seed).derive("stream"))
             sgd = SgdConfig(lr=0.0, momentum=0.9)
             return lr_sweep(model, data, factory, sgd, LRS).tolerance_count
 
@@ -392,7 +392,7 @@ def test_c11_grid_search_contract(sources):
     margins, bests = [], []
     for seed in SEEDS:
         mix, model = sources[seed]
-        data = make_stream(mix, spec, Rng(seed).derive("stream"))
+        data = Stream(mix, spec, Rng(seed).derive("stream"))
         best, _, best_full, classical_subset, classical_full = grid_search(
             model, data, grid, SgdConfig(lr=1e-3, momentum=0.9)
         )

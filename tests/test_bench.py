@@ -2,8 +2,11 @@
 
 import dataclasses
 import functools
+import importlib.util
+import itertools
 import math
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -18,12 +21,12 @@ from demkit.bench import (
     SHIFT_KINDS,
     MixtureSpec,
     ShiftSpec,
+    Stream,
     StreamSpec,
     apply_shift,
     circle_means,
     kl_divergence,
     long_tail_priors,
-    make_stream,
     run_protocol,
     run_protocols,
     sample_batch,
@@ -38,6 +41,7 @@ from demkit.model import (
     DemPlugin,
     DivergenceError,
     EmPlugin,
+    Mlp,
     ModelStack,
     SgdConfig,
     adapt_stream,
@@ -45,11 +49,11 @@ from demkit.model import (
     init_linear,
     init_mlp,
     train_source,
-    _validated_labels,
 )
-from demkit.numkit import Rng, as_matrix, softmax_rows
+from demkit.numkit import Rng, as_matrix, softmax_rows, validated_labels
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _stream_spec(section: dict) -> StreamSpec:
@@ -100,6 +104,7 @@ class TestGeometry:
             (1, 1.0, 1.0), (0, 1.0, 1.0),
             (3, 0.0, 1.0), (3, -1.0, 1.0), (3, math.nan, 1.0),
             (3, 1.0, 0.0), (3, 1.0, -1.0), (3, 1.0, math.nan),
+            (3, math.inf, 1.0), (3, 1.0, math.inf),
         ]:
             with pytest.raises(ValueError):
                 MixtureSpec(C=C, radius=radius, sigma=sigma)
@@ -258,9 +263,11 @@ class TestStreamSpec:
 
 
 class TestMakeStream:
+    """Making a :class:`Stream`: what it draws, and what it refuses."""
+
     def test_shapes(self):
         spec = StreamSpec("single_domain", (ShiftSpec("translate", 1.0),), 4, 16, LABEL_RHO)
-        data = list(make_stream(MIX, spec, Rng(0)))
+        data = list(Stream(MIX, spec, Rng(0)))
         assert len(data) == 1
         X, y = data[0]
         assert X.shape == (4, 16, 2) and X.dtype == np.float64
@@ -273,7 +280,7 @@ class TestMakeStream:
         noise, rotation = ShiftSpec("feature_noise", 1.0, 3), ShiftSpec("rotate2d", 0.5)
         priors = long_tail_priors(10, 10.0)
         spec = StreamSpec("continual", (noise, rotation, noise), 5, 24, label_rho=10.0)
-        data = make_stream(MIX, spec, Rng(7))
+        data = Stream(MIX, spec, Rng(7))
         for (X, y), shift, occurrence in zip(data, spec.shifts, (0, 0, 1)):
             srng = Rng(7).derive(shift.key(occurrence))
             for i in range(5):
@@ -284,13 +291,13 @@ class TestMakeStream:
     def test_repeated_shift_gets_fresh_data(self):
         shift = ShiftSpec("rotate2d", 0.5)
         spec = StreamSpec("single_domain", (shift, shift), 2, 16, LABEL_RHO)
-        data = list(make_stream(MIX, spec, Rng(0)))
+        data = list(Stream(MIX, spec, Rng(0)))
         assert not np.array_equal(data[0][0], data[1][0])
 
     def test_reordering_shifts_permutes_data(self):
         a, b = ShiftSpec("translate", 1.0), ShiftSpec("rotate2d", 0.5)
         ab, ba = (StreamSpec("single_domain", pair, 3, 16, LABEL_RHO) for pair in ((a, b), (b, a)))
-        d_ab, d_ba = list(make_stream(MIX, ab, Rng(0))), list(make_stream(MIX, ba, Rng(0)))
+        d_ab, d_ba = list(Stream(MIX, ab, Rng(0))), list(Stream(MIX, ba, Rng(0)))
         for i in range(2):
             np.testing.assert_array_equal(d_ab[0][i], d_ba[1][i])
             np.testing.assert_array_equal(d_ab[1][i], d_ba[0][i])
@@ -304,7 +311,7 @@ class TestMakeStream:
         priors = np.full(C, 1.0 / C) if rho == 1.0 else long_tail_priors(C, rho)
         shift = ShiftSpec("feature_noise", 1.0, 3)
         spec = StreamSpec("single_domain", (shift,), 4, 16, rho)
-        X, y = list(make_stream(mix, spec, Rng(3)))[0]
+        X, y = list(Stream(mix, spec, Rng(3)))[0]
         srng = Rng(3).derive(shift.key(0))
         for i in range(4):
             Xb, yb = sample_batch(mix, priors, 16, srng)
@@ -316,13 +323,13 @@ class TestMakeStream:
         # below 1e-33, so every label is class 0.
         spec = StreamSpec("single_domain", (ShiftSpec("translate", 1.0),), 2, 32,
                           label_rho=1e300)
-        data = list(make_stream(MIX, spec, Rng(0)))
+        data = list(Stream(MIX, spec, Rng(0)))
         assert np.all(data[0][1] == 0)
 
     def test_each_pass_draws_the_same_bits(self):
         noise = ShiftSpec("feature_noise", 1.0, 3)
         spec = StreamSpec("continual", (noise, ShiftSpec("rotate2d", 0.5), noise), 5, 24, 10.0)
-        stream = make_stream(MIX, spec, Rng(7))
+        stream = Stream(MIX, spec, Rng(7))
         assert len(stream) == 3 and stream.spec is spec
         passes = [[(X.tobytes(), y.tobytes()) for X, y in stream] for _ in range(2)]
         assert passes[0] == passes[1]
@@ -333,7 +340,7 @@ class TestMakeStream:
         # a prefix draws nothing past its k batches of each shift.
         noise, rotation = ShiftSpec("feature_noise", 1.0, 3), ShiftSpec("rotate2d", 0.5)
         spec = StreamSpec(mode, (noise, rotation, noise, noise), 7, 16, label_rho=3.0)
-        stream = make_stream(MIX, spec, Rng(5))
+        stream = Stream(MIX, spec, Rng(5))
         full = list(stream)
         draws, draw = [], demkit.bench.sample_batch
         monkeypatch.setattr(demkit.bench, "sample_batch", lambda *a: draws.append(1) or draw(*a))
@@ -349,6 +356,50 @@ class TestMakeStream:
             with pytest.raises(ValueError, match="leading batches"):
                 stream.leading(k)
 
+
+    # The overflow cases of the CLI's test of the same checks, as library
+    # objects: each is refused with the CLI's message.
+    ONE_SHIFT = ShiftSpec("rotate2d", 0.4)
+    OVERFLOWS = {
+        "scale": (MIX, ShiftSpec("feature_scale", 1e308, 2),
+                  "feature_scale at magnitude 1e+308, level 2: the inputs can overflow"),
+        "negative-scale": (MIX, ShiftSpec("feature_scale", -1e308, 2),
+                           "feature_scale at magnitude -1e+308, level 2: the inputs can overflow"),
+        "noise": (MIX, ShiftSpec("feature_noise", 1e308, 2),
+                  "feature_noise at magnitude 1e+308, level 2: the inputs can overflow"),
+        "sigma": (MixtureSpec(5, 4.0, 1e308), ONE_SHIFT,
+                  "mixture at radius 4, sigma 1e+308: the inputs can overflow"),
+    }
+
+    @pytest.mark.parametrize("case", list(OVERFLOWS))
+    def test_inputs_that_can_overflow_are_refused(self, case):
+        mix, shift, message = self.OVERFLOWS[case]
+        spec = StreamSpec("single_domain", (shift,), 3, 16, LABEL_RHO)
+        with pytest.raises(ValueError) as built:
+            Stream(mix, spec, Rng(0))
+        assert str(built.value) == message
+        # leading(k) builds a new Stream, so a stream that skipped the
+        # check, made without __init__, does not hand it to its prefix.
+        unchecked = object.__new__(Stream)
+        for name, value in (("mix", mix), ("spec", spec), ("rng", Rng(0))):
+            object.__setattr__(unchecked, name, value)
+        with pytest.raises(ValueError) as led:
+            unchecked.leading(1)
+        assert str(led.value) == message
+
+    @pytest.mark.parametrize(
+        "mix, shift",
+        [
+            (MIX, ShiftSpec("feature_scale", 1e306, 5)),
+            (MIX, ShiftSpec("feature_noise", 1e306, 5)),
+            (MixtureSpec(5, 4.0, 1e307), ONE_SHIFT),
+        ],
+        ids=["scale", "noise", "sigma"],
+    )
+    def test_inputs_with_a_finite_bound_are_drawn_finite(self, mix, shift):
+        spec = StreamSpec("single_domain", (shift,), 3, 16, LABEL_RHO)
+        for stream in (Stream(mix, spec, Rng(0)), Stream(mix, spec, Rng(0)).leading(2)):
+            assert all(np.isfinite(X).all() for X, _ in stream)
 
 class TestKlDivergence:
     def test_hand_value(self):
@@ -376,7 +427,7 @@ def metrics(probs, labels):
     if P.shape[0] == 0:
         raise ValueError("probs and labels must be nonempty")
     n, C = P.shape
-    y = _validated_labels(labels, (n,), C)
+    y = validated_labels(labels, (n,), C)
     # Gathering P at its argmax gives the bits of np.max(P, axis=1).
     codes = np.argmax(P, axis=1)
     sums = np.add.reduce(np.column_stack((P, P[np.arange(n), codes])), axis=0)
@@ -511,7 +562,7 @@ class TestSeverityScaling:
             spec = StreamSpec(
                 "single_domain", (ShiftSpec("feature_noise", 1.0, level),), 20, 64, LABEL_RHO
             )
-            data = make_stream(mix, spec, Rng(11))
+            data = Stream(mix, spec, Rng(11))
             accs.append(run_protocol(model, data, spec.mode, EmPlugin, SgdConfig(lr=0.0)).accuracy)
         for lo, hi in zip(accs[1:], accs[:-1]):
             assert lo <= hi + 0.01  # nonincreasing up to sampling noise
@@ -522,7 +573,7 @@ class TestRunProtocol:
     def _setup(self):
         mix, model = _quick_source()
         a, b = ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0)
-        data = make_stream(mix, StreamSpec("single_domain", (a, b), 10, 32, LABEL_RHO), Rng(21))
+        data = Stream(mix, StreamSpec("single_domain", (a, b), 10, 32, LABEL_RHO), Rng(21))
         return model, data
 
     def test_zero_lr_matches_baseline(self):
@@ -569,8 +620,8 @@ class TestRunProtocol:
         mix, model = _quick_source()
         a, b = ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0)
         cfg = SgdConfig(lr=0.01, momentum=0.9)
-        d_ab = make_stream(mix, StreamSpec("single_domain", (a, b), 10, 32, LABEL_RHO), Rng(21))
-        d_ba = make_stream(mix, StreamSpec("single_domain", (b, a), 10, 32, LABEL_RHO), Rng(21))
+        d_ab = Stream(mix, StreamSpec("single_domain", (a, b), 10, 32, LABEL_RHO), Rng(21))
+        d_ba = Stream(mix, StreamSpec("single_domain", (b, a), 10, 32, LABEL_RHO), Rng(21))
         r_ab = run_protocol(model, d_ab, "single_domain", EmPlugin, cfg)
         r_ba = run_protocol(model, d_ba, "single_domain", EmPlugin, cfg)
         assert r_ab.per_shift[0].accuracy == r_ba.per_shift[1].accuracy
@@ -580,8 +631,8 @@ class TestRunProtocol:
         mix, model = _quick_source()
         a, b = ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0)
         cfg = SgdConfig(lr=0.05, momentum=0.9)
-        d_ab = make_stream(mix, StreamSpec("continual", (a, b), 10, 32, LABEL_RHO), Rng(21))
-        d_ba = make_stream(mix, StreamSpec("continual", (b, a), 10, 32, LABEL_RHO), Rng(21))
+        d_ab = Stream(mix, StreamSpec("continual", (a, b), 10, 32, LABEL_RHO), Rng(21))
+        d_ba = Stream(mix, StreamSpec("continual", (b, a), 10, 32, LABEL_RHO), Rng(21))
         r_ab = run_protocol(model, d_ab, "continual", EmPlugin, cfg)
         r_ba = run_protocol(model, d_ba, "continual", EmPlugin, cfg)
         acc_ab = [rep.accuracy for rep in r_ab.per_shift]
@@ -679,7 +730,7 @@ class TestRunProtocol:
         factories = (ADADEM, EmPlugin, functools.partial(DemPlugin, DemConfig(0.8, 1.2)))
         for label_rho in (1.0, 10.0):
             spec = StreamSpec("single_domain", shifts, 10, 32, label_rho=label_rho)
-            data = make_stream(mix, spec, Rng(21))
+            data = Stream(mix, spec, Rng(21))
             for factory in factories:
                 res = run_protocol(model, data, mode, factory, cfg)
 
@@ -728,7 +779,7 @@ class TestRunProtocol:
         # stack of protocols.
         mix, model = _quick_source()
         a, b = ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0)
-        data = list(make_stream(mix, StreamSpec("continual", (a, b), 10, 32, LABEL_RHO), Rng(21)))
+        data = list(Stream(mix, StreamSpec("continual", (a, b), 10, 32, LABEL_RHO), Rng(21)))
         cfg = SgdConfig(lr=0.05, momentum=0.9)
         res = run_protocol(model, data, "continual", ADADEM, cfg)
         factories = [functools.partial(AdaDemPlugin, pi) for pi in (0.3, 0.1, 0.2)]
@@ -813,7 +864,7 @@ class TestRunProtocol:
         peaks = {}
         for B in (200, 400):
             spec = StreamSpec("single_domain", (ShiftSpec("rotate2d", 0.5),), B, 64, LABEL_RHO)
-            data = list(make_stream(mix, spec, Rng(21)))  # drawn outside the traced call
+            data = list(Stream(mix, spec, Rng(21)))  # drawn outside the traced call
             run_protocol(model, data, "single_domain", ADADEM, cfg)  # warm numpy's caches
             tracemalloc.start()
             try:
@@ -837,10 +888,10 @@ class TestRunProtocol:
         peaks = {}
         for count in (2, 8):
             spec = StreamSpec("continual", (ShiftSpec("rotate2d", 0.5),) * count, B, n, LABEL_RHO)
-            run_protocols(model, make_stream(mix, spec, Rng(21)), spec.mode, [ADADEM], [cfg])
+            run_protocols(model, Stream(mix, spec, Rng(21)), spec.mode, [ADADEM], [cfg])
             tracemalloc.start()
             try:
-                stream = make_stream(mix, spec, Rng(21))
+                stream = Stream(mix, spec, Rng(21))
                 run_protocols(model, stream, spec.mode, [ADADEM], [cfg])
                 peaks[count] = tracemalloc.get_traced_memory()[1]
             finally:
@@ -940,7 +991,7 @@ class TestStackedProtocols:
         mix, sources = self._sources()
         model = sources[arch]
         shifts = (ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 2.0))
-        data = make_stream(mix, StreamSpec(mode, shifts, 6, 24, label_rho=3.0), Rng(8))
+        data = Stream(mix, StreamSpec(mode, shifts, 6, 24, label_rho=3.0), Rng(8))
         cfg = SgdConfig(lr=0.05, momentum=0.9)
         factories = [
             functools.partial(DemPlugin, DemConfig(0.7, 1.3)),
@@ -973,7 +1024,7 @@ class TestStackedProtocols:
         # and its baseline and ten rates run as one stack.
         model = init_mlp(10, 2, 32, Rng(1), INIT_SCALE)
         ladder = tuple(ShiftSpec("rotate2d", r) for r in (0.45, 0.5, 0.55))
-        data = make_stream(MIX, StreamSpec("continual", ladder, 12, 64, LABEL_RHO), Rng(2))
+        data = Stream(MIX, StreamSpec("continual", ladder, 12, 64, LABEL_RHO), Rng(2))
         K = stack_size(model, data.spec)
         assert K == 11
         factories = [functools.partial(DemPlugin, DemConfig(1.0, 1.0))] * K
@@ -994,6 +1045,44 @@ class TestStackedProtocols:
         assert stack_size(model, spec) == 11
         monkeypatch.setattr(demkit.bench, "STACK_BYTES", 1)
         assert stack_size(model, data.spec) == 1
+
+    def test_stack_size_keeps_its_per_protocol_formula(self):
+        # The formula stack_size held before model.step_bytes counted the
+        # step's share, inlined; both give every spec the same size.
+        def formula(model, spec):
+            C, P = model.C, model.theta.size
+            h = model.W1.shape[0] if isinstance(model, Mlp) else 0
+            n, shifts = spec.batch_size, len(spec.shifts)
+            floats = n * C + (n + 1) * (C + 1) + n * (2 * C + h + 1) + 4 * P
+            floats += shifts * (C * C + C + 1) + C + 1
+            return max(1, STACK_BYTES // (8 * floats + n * (h + 2 * C)))
+
+        sizes = set()
+        for C, hidden in itertools.product((2, 10, 37, 1000), (None, 1, 32, 1024)):
+            if hidden is None:
+                model = init_linear(C, 2)
+            else:
+                model = init_mlp(C, 2, hidden, Rng(C), INIT_SCALE)
+            for n, shifts in itertools.product((1, 16, 64, 500), (1, 3, 9)):
+                spec = StreamSpec("single_domain", (ShiftSpec("translate"),) * shifts, 2, n, 1.0)
+                assert stack_size(model, spec) == formula(model, spec), (C, hidden, n, shifts)
+                sizes.add(stack_size(model, spec))
+        assert len(sizes) > 10 and 1 in sizes  # the grid reaches the floor and spreads
+
+    @pytest.mark.parametrize("workload", ["grid-continual-dem", "lrsweep-adadem-long"])
+    def test_the_protocol_workloads_stack_eleven(self, workload):
+        # The benchmark's protocol workloads: grid runs its points eleven
+        # to a call, and lr-sweep its baseline and ten rates as one stack.
+        path = PERFBENCH / "workloads.py"
+        module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(module_spec)
+        sys.modules[module_spec.name] = workloads  # dataclasses look their module up
+        module_spec.loader.exec_module(workloads)
+        cfg = workloads.WORKLOADS[workload](0).config
+        C = cfg.get("mixture", DEFAULT_CONFIG["mixture"])["C"]
+        model = init_mlp(C, 2, cfg["source"]["hidden"], Rng(0), INIT_SCALE)
+        spec = _stream_spec({**DEFAULT_CONFIG["stream"], **cfg["stream"]})
+        assert stack_size(model, spec) == 11
 
 
 def _assert_reports_equal(got, want, context):
@@ -1049,7 +1138,7 @@ class TestPerBatchScoring:
             C, B, n = int(rng.integers(2, 40)), int(rng.integers(1, 130)), int(rng.integers(1, 70))
             mix = MixtureSpec(C, 4.0, 1.0)
             shifts = (ShiftSpec("rotate2d", 0.5), ShiftSpec("translate", 1.0))
-            data = make_stream(mix, StreamSpec(mode, shifts, B, n, LABEL_RHO), Rng(case))
+            data = Stream(mix, StreamSpec(mode, shifts, B, n, LABEL_RHO), Rng(case))
             model = init_linear(C, 2, Rng(case), scale=0.5)
             runs = run_protocols(model, data, mode, factories, [cfg] * 2)
             for factory, run in zip(factories, runs):

@@ -30,6 +30,7 @@ from demkit.model import (
     init_mlp,
     _ce_row_values,
     sgd_step,
+    step_bytes,
     train_source,
 )
 from demkit.numkit import Rng, rel_err, softmax_rows
@@ -340,8 +341,9 @@ class TestBackward:
 
 class TestSgd:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SgdConfig(lr=-0.1)
+        for lr in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SgdConfig(lr=lr)
         with pytest.raises(ValueError):
             SgdConfig(lr=0.1, momentum=1.0)
         SgdConfig(lr=0.0)  # the no-adapt baseline is legal
@@ -927,6 +929,24 @@ class TestModelStack:
             expected = _adapt(alone, X, AdaDemPlugin(PI), cfg)
             assert stack.theta[k].tobytes() == alone.theta.tobytes()
             assert probs[k].tobytes() == expected.reshape(64, 3).tobytes()
+
+
+@pytest.mark.parametrize("hidden", [None, 1, 32])
+@pytest.mark.parametrize("C, n", [(2, 1), (10, 64), (37, 5)])
+def test_step_bytes_counts_what_one_models_step_holds(hidden, C, n):
+    # What a one-model stack's step allocates: the buffers its workspace
+    # owns (the arrays that view no other), an SgdState's two vectors
+    # after a step, and adapt_stream's two n x C finiteness masks; and
+    # the parameter row the step moves.
+    model = init_linear(C, 2) if hidden is None else init_mlp(C, 2, hidden, Rng(C), INIT_SCALE)
+    stack = ModelStack([model])
+    ws = stack._workspace(n)
+    owned = [a for a in vars(ws).values() if isinstance(a, np.ndarray) and a.base is None]
+    state = SgdState()
+    sgd_step(stack.theta[0], np.zeros(model.theta.size), SgdConfig(0.1), state)
+    held = sum(a.nbytes for a in owned) + stack.theta[0].nbytes
+    held += state.velocity.nbytes + state.scaled.nbytes + 2 * n * C
+    assert step_bytes(model, n) == held
 
 
 class TestStepKernels:

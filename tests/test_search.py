@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from demkit.bench import MixtureSpec, ShiftSpec, StreamSpec, make_stream, run_protocol
+from demkit.bench import MixtureSpec, ShiftSpec, Stream, StreamSpec, run_protocol
 from demkit.cli import DEFAULT_CONFIG
 from demkit.em_losses import ConfigError, validate_config
 from demkit.model import DivergenceError, EmPlugin, SgdConfig, init_mlp
@@ -125,7 +125,7 @@ SPEC = StreamSpec(
 
 
 def _data():
-    return make_stream(MIX, SPEC, Rng(0).derive("stream"))
+    return Stream(MIX, SPEC, Rng(0).derive("stream"))
 
 
 def _fake_runner(monkeypatch, outcome):
