@@ -11,8 +11,9 @@ rate diverges the best rate and accuracy are NaN.  For DEM it runs
 ``grid-search``'s recipe, ``search.grid_search``, which tunes
 (tau, alpha) on a leading subset of each shift's batches at the config's
 optimizer and scores the winner (DEM*) on the full stream next to the
-classical point tau = alpha = 1; DEM* is then ``grid-search``'s
-``full_accuracy`` for the same config and seed.
+classical point tau = alpha = 1 (``n/a`` when the grid lacks that
+point); DEM* is then ``grid-search``'s ``full_accuracy`` for the same
+config and seed.
 
 Run:
     python3 scripts/continual_comparison.py --seeds 3
@@ -48,11 +49,13 @@ def main() -> None:
         em_accs.append(acc_em)
         ada_accs.append(acc_ada)
         dem_accs.append(dem.best_full)
+        # (1, 1) is not a point of every grid; grid-search then reports no classical score
+        classical = "n/a" if dem.classical_full is None else f"{dem.classical_full:.4f}"
         print(
             f"seed {seed}: em {acc_em:.4f} (lr {lr_em:g}), "
             f"adadem {acc_ada:.4f} (lr {lr_ada:g}), "
             f"dem* {dem.best_full:.4f} (tau {dem.best.tau:g}, alpha {dem.best.alpha:g}, "
-            f"lr {cfg['optimizer']['lr']:g}), classical {dem.classical_full:.4f}"
+            f"lr {cfg['optimizer']['lr']:g}), classical {classical}"
         )
 
     print(

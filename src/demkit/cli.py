@@ -18,12 +18,15 @@ adaptation and its lr = 0 baseline through ``bench.run_chunked``, and
 
 Exit codes: 0 success, 2 invalid hyperparameters (the (tau, alpha)
 validity region), 3 numeric or assertion failure, 64 usage or schema
-error.  All floats are printed with 9 significant digits and files are
-written atomically, so re-running a command with the same config yields
-byte-identical outputs.  ``run``, ``grid-search`` and ``lr-sweep`` remove
-their own previous outputs and create ``output_dir`` before computing, so
-a failed command leaves none behind that could pass for current, and an
-``output_dir`` that cannot be created exits 64 before any work.
+error.  A command returns nothing or raises, and ``main`` alone reports a
+failure: one line on standard error, ``demkit: <message>``, or
+``demkit: numeric failure: <message>`` for exit 3.  All floats are printed
+with 9 significant digits and files are written atomically, so re-running
+a command with the same config yields byte-identical outputs.  ``run``,
+``grid-search`` and ``lr-sweep`` remove their own previous outputs and
+create ``output_dir`` before computing, so a failed command leaves none
+behind that could pass for current, and an ``output_dir`` that cannot be
+created exits 64 before any work.
 
 Configs are JSON objects validated against a strict schema (unknown keys
 and non-finite numbers are rejected); every key is optional and falls
@@ -510,25 +513,25 @@ def prepared_experiment(cfg: dict):
 # --------------------------------------------------------------------------
 
 
-def cmd_reward_curve(args) -> int:
+# The header rows of the CSV tables the commands write.
+REWARD_CURVE_HEADER = "m,p_max,reward"
+METRICS_HEADER = (
+    "shift,kind,level,accuracy,macro_f1,marginal_entropy,kl_output_vs_label,"
+    "avg_max_prob,baseline_accuracy,per_class_f1,sorted_class_proportions"
+)
+
+
+def cmd_reward_curve(args) -> None:
     cfg = _em.DemConfig(args.tau, args.alpha)
     if args.m_step <= 0 or args.m_max < args.m_min or args.c < 2:
-        print("bad grid: need m-step > 0, m-max >= m-min, c >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("bad grid: need m-step > 0, m-max >= m-min, c >= 2")
     if args.c > MAX_CLASSES:
-        print(f"bad grid: --c is {args.c}, more than {MAX_CLASSES}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"bad grid: --c is {args.c}, more than {MAX_CLASSES}")
     if not _search.axis_steps(args.m_min, args.m_max, args.m_step) < REWARD_CURVE_MAX_POINTS:
-        print(f"bad grid: more than {REWARD_CURVE_MAX_POINTS} points", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"bad grid: more than {REWARD_CURVE_MAX_POINTS} points")
     rows = _em.reward_curve(args.c, cfg, _search.grid_axis(args.m_min, args.m_max, args.m_step))
-    write_csv(
-        args.out,
-        _em.REWARD_CURVE_HEADER,
-        ([fmt9(m), fmt9(p), fmt9(r)] for m, p, r in rows),
-    )
+    write_csv(args.out, REWARD_CURVE_HEADER, ([fmt9(m), fmt9(p), fmt9(r)] for m, p, r in rows))
     print(f"reward-curve: wrote {len(rows)} points to {args.out}")
-    return EXIT_OK
 
 
 def _gradcheck_cases(rng: Rng, trials: int):
@@ -657,10 +660,9 @@ def _end_to_end_cases(rng: Rng):
         yield f"{mname}/adadem", grad, param_fd(model, frozen_objective)
 
 
-def cmd_gradcheck(args) -> int:
+def cmd_gradcheck(args) -> None:
     if args.trials < 1:
-        print("gradcheck: --trials must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("gradcheck: --trials must be at least 1")
     rng = Rng(args.seed)
     # np.maximum keeps a NaN error, which fails the check below; the
     # builtin max(0.0, nan) would drop it.
@@ -677,9 +679,7 @@ def cmd_gradcheck(args) -> int:
         if status == "FAIL":
             failed.append(name)
     if failed:
-        print(f"gradcheck failed for: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+        raise ArithmeticError(f"gradcheck failed for: {', '.join(failed)}")
 
 
 def _metrics_row(label: str, shift, report, baseline: float) -> list[str]:
@@ -700,13 +700,7 @@ def _metrics_row(label: str, shift, report, baseline: float) -> list[str]:
     ]
 
 
-METRICS_HEADER = (
-    "shift,kind,level,accuracy,macro_f1,marginal_entropy,kl_output_vs_label,"
-    "avg_max_prob,baseline_accuracy,per_class_f1,sorted_class_proportions"
-)
-
-
-def cmd_run(args) -> int:
+def cmd_run(args) -> None:
     cfg = load_config(args.config)
     out = cfg["output_dir"]
     remove_outputs(out, "metrics.csv")
@@ -738,10 +732,9 @@ def cmd_run(args) -> int:
         f"run[{cfg['loss']['name']}/{data.spec.mode}]: accuracy {fmt9(result.overall.accuracy)} "
         f"vs baseline {fmt9(base.accuracy)}"
     )
-    return EXIT_OK
 
 
-def cmd_grid_search(args) -> int:
+def cmd_grid_search(args) -> None:
     cfg = load_config(args.config)
     out = cfg["output_dir"]
     remove_outputs(out, "grid.csv")
@@ -794,10 +787,9 @@ def cmd_grid_search(args) -> int:
         f"grid-search: best (tau={fmt9(best.tau)}, alpha={fmt9(best.alpha)}) "
         f"subset {fmt9(best.accuracy)} full {fmt9(best_full)}{classical_note}"
     )
-    return EXIT_OK
 
 
-def cmd_lr_sweep(args) -> int:
+def cmd_lr_sweep(args) -> None:
     cfg = load_config(args.config)
     out = cfg["output_dir"]
     remove_outputs(out, "lr_sweep.csv")
@@ -806,8 +798,7 @@ def cmd_lr_sweep(args) -> int:
     model, data = prepared_experiment(cfg)
     result = _search.lr_sweep(model, data, factory, sgd, cfg["lrs"])
     if not math.isfinite(result.baseline):
-        print("lr-sweep: numeric failure (non-finite baseline)", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise FloatingPointError("lr-sweep: non-finite baseline")
 
     write_csv(
         os.path.join(out, "lr_sweep.csv"),
@@ -828,7 +819,6 @@ def cmd_lr_sweep(args) -> int:
         f"lr-sweep[{cfg['loss']['name']}]: tolerance count {result.tolerance_count}"
         f"/{len(result.rows)} (baseline {fmt9(result.baseline)})"
     )
-    return EXIT_OK
 
 
 # --------------------------------------------------------------------------
@@ -886,22 +876,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  A command returns
+    normally or raises; ``main`` alone turns what it raises into one
+    ``demkit: ...`` line on standard error and the code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except UsageError as exc:
         print(f"demkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _em.ConfigError as exc:
         print(f"demkit: {exc}", file=sys.stderr)
         return EXIT_BAD_HYPERPARAMS
-    except (FloatingPointError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # FloatingPointError and DivergenceError too
         print(f"demkit: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"demkit: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

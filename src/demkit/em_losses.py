@@ -70,7 +70,6 @@ __all__ = [
     "validate_config",
     "boundary_second_derivative",
     "reward_curve",
-    "REWARD_CURVE_HEADER",
     "em_rows",
     "em_row_values",
     "dem_rows",
@@ -78,8 +77,6 @@ __all__ = [
 ]
 
 VALIDITY_SLACK = 1e-12
-
-REWARD_CURVE_HEADER = "m,p_max,reward"
 
 
 @dataclass

@@ -4,6 +4,7 @@ Most cases invoke ``main(argv)`` in process (it returns the exit code);
 one subprocess test covers the real interpreter entry point.
 """
 
+import ast
 import dataclasses
 import inspect
 import json
@@ -24,6 +25,7 @@ from jsonschema import Draft202012Validator
 import demkit.bench
 import demkit.cli
 import demkit.model
+import demkit.search
 from demkit.cli import (
     DEFAULT_CONFIG,
     EXIT_BAD_HYPERPARAMS,
@@ -45,7 +47,7 @@ from demkit.cli import (
     sgd_config,
     vec9,
 )
-from demkit.search import lr_sweep
+from demkit.search import LrSweepResult, lr_sweep
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -482,7 +484,7 @@ class TestRewardCurveCommand:
         # for 3e10 points; both are refused before a point is computed.
         out = tmp_path / "x.csv"
         assert main(["reward-curve", "--m-step", step, "--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr().err == "bad grid: more than 100000 points\n"
+        assert capsys.readouterr().err == "demkit: bad grid: more than 100000 points\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("c", [MAX_CLASSES + 1, 10**15])
@@ -496,7 +498,9 @@ class TestRewardCurveCommand:
         out = tmp_path / "x.csv"
         argv = ["reward-curve", "--c", str(c), "--m-max", "0", "--out", str(out)]
         assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr().err == f"bad grid: --c is {c}, more than {MAX_CLASSES}\n"
+        assert capsys.readouterr().err == (
+            f"demkit: bad grid: --c is {c}, more than {MAX_CLASSES}\n"
+        )
         assert not out.exists()
 
     def test_output_path_that_is_a_directory_exit_64(self, tmp_path, capsys):
@@ -628,7 +632,7 @@ class TestGradcheckCommand:
         assert [line for line in captured.out.splitlines() if "FAIL" in line] == [
             line for line in captured.out.splitlines() if line.startswith("gradcheck dem:")
         ]
-        assert "gradcheck failed for: dem\n" == captured.err
+        assert captured.err == "demkit: numeric failure: gradcheck failed for: dem\n"
 
     def test_zero_trials_is_usage_error(self):
         assert main(["gradcheck", "--trials", "0"]) == EXIT_USAGE
@@ -1098,7 +1102,9 @@ class TestStackedSweeps:
         made.clear()
         assert main(["lr-sweep", "--config", str(cfg_path)]) == EXIT_NUMERIC
         assert sizes == [3, 3]
-        assert capsys.readouterr().err == "lr-sweep: numeric failure (non-finite baseline)\n"
+        assert capsys.readouterr().err == (
+            "demkit: numeric failure: lr-sweep: non-finite baseline\n"
+        )
         assert not (tmp_path / "out" / "lr_sweep.csv").exists()
 
     @staticmethod
@@ -1417,6 +1423,101 @@ def test_outputs_take_their_mode_from_the_umask(tmp_path, umask, mode):
     names = ["curve.csv", "grid.csv", "lr_sweep.csv", "metrics.csv", "summary.json"]
     assert sorted(p.name for p in out.iterdir()) == names
     assert {oct(p.stat().st_mode & 0o777) for p in out.iterdir()} == {oct(mode)}
+
+
+def _failing_gradcheck(monkeypatch):
+    cases = demkit.cli._gradcheck_cases
+
+    def corrupted(rng, trials):
+        for name, analytic, oracle in cases(rng, trials):
+            yield name, analytic + 1e-3 if name == "em" else analytic, oracle
+
+    monkeypatch.setattr(demkit.cli, "_gradcheck_cases", corrupted)
+
+
+def _non_finite_baseline(monkeypatch):
+    result = LrSweepResult([(1e-3, 0.5)], math.nan, 0)
+    monkeypatch.setattr(demkit.search, "lr_sweep", lambda *args: result)
+
+
+class TestOneWayOut:
+    """A command returns normally or raises; ``main`` alone reports each
+    failure, as one ``demkit: `` line on standard error, and picks its
+    exit code."""
+
+    # (argv, config overrides or None for a command without one, patch, code)
+    FAILURES = {
+        "m-step-0": (["reward-curve", "--m-step", "0"], None, None, EXIT_USAGE),
+        "m-max-below-m-min": (
+            ["reward-curve", "--m-min", "2", "--m-max", "1"], None, None, EXIT_USAGE
+        ),
+        "one-class": (["reward-curve", "--c", "1"], None, None, EXIT_USAGE),
+        "too-many-classes": (
+            ["reward-curve", "--c", str(MAX_CLASSES + 1)], None, None, EXIT_USAGE
+        ),
+        "too-many-points": (["reward-curve", "--m-step", "1e-9"], None, None, EXIT_USAGE),
+        "invalid-hyperparameters": (
+            ["reward-curve", "--tau", "1.5", "--alpha", "2"], None, None, EXIT_BAD_HYPERPARAMS
+        ),
+        "zero-trials": (["gradcheck", "--trials", "0"], None, None, EXIT_USAGE),
+        "gradcheck-fail": (["gradcheck", "--trials", "1"], None, _failing_gradcheck, EXIT_NUMERIC),
+        "non-finite-baseline": (["lr-sweep"], {}, _non_finite_baseline, EXIT_NUMERIC),
+        "run-divergence": (
+            ["run"], {"optimizer": {"lr": 1e308, "momentum": 0.9}}, None, EXIT_NUMERIC
+        ),
+        "schema-error": (["run"], {"typo_section": {"x": 1}}, None, EXIT_USAGE),
+    }
+
+    @pytest.mark.parametrize("case", list(FAILURES))
+    def test_a_failure_is_one_line_from_main(self, tmp_path, monkeypatch, capsys, case):
+        argv, overrides, patch, code = self.FAILURES[case]
+        monkeypatch.chdir(tmp_path)  # where reward-curve would write its default file
+        if overrides is not None:
+            argv = argv + ["--config", str(small_config(tmp_path, **overrides))]
+        if patch is not None:
+            patch(monkeypatch)
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        prefix = "demkit: numeric failure: " if code == EXIT_NUMERIC else "demkit: "
+        assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), err
+
+    def test_only_main_and_the_parser_write_to_stderr(self):
+        tree = ast.parse(Path(demkit.cli.__file__).read_text())
+        writers, returning = set(), []
+        for name, fn in _definitions(tree):
+            if any(
+                isinstance(n, ast.Attribute) and n.attr == "stderr"
+                and isinstance(n.value, ast.Name) and n.value.id == "sys"
+                for n in ast.walk(fn)
+            ):
+                writers.add(name)
+            if name.startswith("cmd_") and any(r.value is not None for r in _own_returns(fn)):
+                returning.append(name)
+        assert writers == {"main", "_Parser.error"}
+        assert returning == []
+
+
+def _definitions(tree):
+    """``(name, def)`` for each top-level function and each method of a
+    top-level class, named ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _own_returns(fn):
+    """The ``return`` statements of ``fn``, not of functions nested in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Return):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
 
 
 class TestArgumentErrors:

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demkit.cli import REWARD_CURVE_HEADER
 from demkit.em_losses import (
-    REWARD_CURVE_HEADER,
     ConfigError,
     DemConfig,
     boundary_second_derivative,

@@ -15,17 +15,37 @@ commands.  ``SCRIPT_GOLDEN`` holds the standard output of the two
 experiment scripts, each run for two seeds with its ``CONFIG`` pointed at
 the same small variant of the shipped config it reads; it was recorded
 at commit 5ba4b20, before the sweeps moved from ``cli`` to ``search``.
-Floating-point results can differ with another numpy or BLAS build; on
-such a build, record the digests again at a commit known to be right and
-compare from there.
+``BITS`` pins bits rather than prints.  For the ``run``, ``grid-search``
+and ``lr-sweep`` commands of ``COMMANDS`` it holds the SHA-256 of the raw
+bytes of the source model's ``theta`` after ``train_source``, and, for
+each ``bench.run_protocols`` call, of the final ``theta`` of the
+``ModelStack`` it built followed by every result's ``confusion``,
+``sums`` and ``total``.  A change that moves the last bit of one
+probability can leave every 9-digit print unchanged; it fails here.
+``BITS`` was recorded at commit 2853129 by printing ``_bits`` from this
+module's commands.
+
+Floating-point results can differ with another numpy or BLAS build: the
+OpenBLAS kernel and numpy's SIMD loops are picked for the CPU at run
+time.  ``MACHINE`` names the build and CPU that every table here passes
+on, and a mismatch says what this process runs on next to it.  On
+another machine, record the digests again at a commit known to be right
+and compare from there.
 """
 
+import ctypes
+import glob
 import hashlib
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import demkit.bench
+import demkit.cli
 from demkit.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,6 +126,49 @@ GOLDEN = {
     ),
 }
 
+# ``name/source`` and ``name/run_protocols/<i>``, in call order, per command
+BITS = {
+    "grid-search/single_domain_em/run_protocols/0": (
+        "79feab2bc4fb59e213ea4083bf058c9abd1e7c2572052e074aad4ba0b41bd1be"
+    ),
+    "grid-search/single_domain_em/run_protocols/1": (
+        "8cb88043e23c836c9e95eb7a2f096c43e57ebfc508917d801d4ba8d1feaf0e82"
+    ),
+    "grid-search/single_domain_em/run_protocols/2": (
+        "ae9e8c452ad49510f49bb08ea8ee3dc10e9cda5f52d268f049b34534203fe90d"
+    ),
+    "grid-search/single_domain_em/source": (
+        "dfc8dd5f4656fe7c540b0c0ca64ca38ca7886c89d30ef2d9508b9f35bccc60c0"
+    ),
+    "lr-sweep/continual_adadem/run_protocols/0": (
+        "4c3966f6848141606f600ddf65bd7fe0ee0df1d38a30e90a4878c18b57ad7ea0"
+    ),
+    "lr-sweep/continual_adadem/source": (
+        "dfc8dd5f4656fe7c540b0c0ca64ca38ca7886c89d30ef2d9508b9f35bccc60c0"
+    ),
+    "run/continual_adadem/run_protocols/0": (
+        "781995f3b01b1d5ee665315bb829afb3c800e408b8199c2658405a00dde3e826"
+    ),
+    "run/continual_adadem/source": (
+        "dfc8dd5f4656fe7c540b0c0ca64ca38ca7886c89d30ef2d9508b9f35bccc60c0"
+    ),
+    "run/long_tail_noise/run_protocols/0": (
+        "b1a8c9d8e13b398fe4cdf182021c1e59effdfa7f61d7e7cb8ca3ac8cf86fdbcd"
+    ),
+    "run/long_tail_noise/source": (
+        "dfc8dd5f4656fe7c540b0c0ca64ca38ca7886c89d30ef2d9508b9f35bccc60c0"
+    ),
+    "run/single_domain_em/run_protocols/0": (
+        "578d71bd24f89e9afb9773e8fd9c8ab9a8ea1a75ff365501123b5e1685fe29bd"
+    ),
+    "run/single_domain_em/source": (
+        "dfc8dd5f4656fe7c540b0c0ca64ca38ca7886c89d30ef2d9508b9f35bccc60c0"
+    ),
+}
+
+# numpy's version, OpenBLAS's core name and numpy's highest enabled SIMD target
+MACHINE = ("2.4.6", "SkylakeX", "AVX512_SPR")
+
 
 # (script under scripts/, the shipped config its CONFIG names)
 SCRIPTS = [
@@ -166,9 +229,97 @@ def _digests(directory: Path, capsys) -> dict:
     return digests
 
 
+def _openblas_core() -> str:
+    """The core name of numpy's bundled OpenBLAS, as the library picked it."""
+    libs = os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_*.so")
+    try:
+        (path,) = glob.glob(libs)
+        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+    except (ValueError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def _simd_level() -> str:
+    """numpy's highest SIMD dispatch target that this CPU enables."""
+    try:
+        return np.__config__.CONFIG["SIMD Extensions"]["found"][-1]
+    except (AttributeError, KeyError, IndexError, TypeError):
+        return "unknown"
+
+
+def _machine_note() -> str:
+    running = (np.__version__, _openblas_core(), _simd_level())
+    return "recorded on numpy {} / {} / {}, running on numpy {} / {} / {}".format(
+        *MACHINE, *running
+    )
+
+
+def _sha256(arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+def _bits(directory: Path, capsys, monkeypatch) -> dict:
+    """Run the config commands of ``COMMANDS`` in ``directory`` and return
+    the SHA-256 of the raw bits they compute (see the module docstring),
+    keyed ``name/source`` and ``name/run_protocols/<i>``."""
+    bits, stacks = {}, []
+    build, run, stack = (
+        demkit.cli.build_source_model, demkit.bench.run_protocols, demkit.bench.ModelStack
+    )
+
+    def source(*args):
+        model = build(*args)
+        bits[f"{name}/source"] = _sha256([model.theta])
+        return model
+
+    def built(models):
+        stacks.append(stack(models))
+        return stacks[-1]
+
+    def protocols(*args):
+        runs = run(*args)
+        arrays = [stacks.pop().theta]
+        for r in runs:
+            arrays += [*r.confusion, *r.sums, r.total]
+        calls = sum(key.startswith(f"{name}/run_protocols/") for key in bits)
+        bits[f"{name}/run_protocols/{calls}"] = _sha256(arrays)
+        return runs
+
+    monkeypatch.setattr(demkit.cli, "build_source_model", source)
+    monkeypatch.setattr(demkit.bench, "ModelStack", built)
+    monkeypatch.setattr(demkit.bench, "run_protocols", protocols)
+    for name, stem, argv in COMMANDS:
+        if stem is not None:
+            assert main(argv + ["--config", _small_config(stem, name, directory)]) == 0, name
+    capsys.readouterr()
+    return bits
+
+
 def test_cli_outputs_match_the_recorded_digests(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert _digests(tmp_path, capsys) == GOLDEN
+    assert _digests(tmp_path, capsys) == GOLDEN, _machine_note()
+
+
+def test_computed_bits_match_the_recorded_table(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _bits(tmp_path, capsys, monkeypatch) == BITS, _machine_note()
+
+
+def test_a_mismatch_names_both_machines():
+    note = _machine_note()
+    assert note.startswith("recorded on numpy 2.4.6 / SkylakeX / AVX512_SPR, running on numpy ")
+    assert note.count(" / ") == 4
+
+
+def test_an_unreadable_machine_value_reads_unknown(monkeypatch):
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    monkeypatch.setattr(np.__config__, "CONFIG", {})
+    assert _machine_note().endswith(f", running on numpy {np.__version__} / unknown / unknown")
 
 
 def test_script_outputs_match_the_recorded_digests(tmp_path, monkeypatch, capsys):
@@ -182,4 +333,4 @@ def test_script_outputs_match_the_recorded_digests(tmp_path, monkeypatch, capsys
         monkeypatch.setattr(sys, "argv", [f"{name}.py", "--seeds", "2"])
         script.main()
         digests[f"{name}/stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digests == SCRIPT_GOLDEN
+    assert digests == SCRIPT_GOLDEN, _machine_note()

@@ -135,6 +135,22 @@ def test_continual_comparison_dem_star_is_grid_search_full_accuracy(
     assert f"lr 0.025), classical {res.classical_full:.4f}" in out
 
 
+def test_continual_comparison_reports_no_classical_point_off_the_grid(
+    tmp_path, monkeypatch, capsys
+):
+    # (1, 1) is not on this grid, so grid_search scores no classical point.
+    grid = {"tau_min": 0.5, "tau_max": 1.5, "alpha_min": 0.5, "alpha_max": 1.5,
+            "step": 1.0, "subset_fraction": 0.4}
+    script = load_script("continual_comparison")
+    monkeypatch.setattr(script, "CONFIG", small_config(tmp_path, "continual", grid=grid))
+    monkeypatch.setattr(sys, "argv", ["continual_comparison.py", "--seeds", "1"])
+    script.main()
+    seed_line, medians = capsys.readouterr().out.splitlines()
+    assert seed_line.startswith("seed 0: em ")
+    assert seed_line.endswith("lr 0.025), classical n/a")
+    assert medians.startswith("medians: em ")
+
+
 def run_lr_robustness(tmp_path, monkeypatch, capsys, config):
     """The script's stdout rows and CSV rows, one seed, on ``config``."""
     script = load_script("lr_robustness")
