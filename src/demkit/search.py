@@ -121,9 +121,22 @@ def axis_steps(lo: float, hi: float, step: float) -> float:
 
 
 def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
-    """``lo`` and the :func:`axis_steps` whole steps above it, rounded to
-    12 decimals so that a step such as 0.1 lands on round values."""
-    return np.round(lo + step * np.arange(int(axis_steps(lo, hi, step)) + 1), 12)
+    """``lo`` and the :func:`axis_steps` whole steps above it; every point
+    of a finite axis is finite.
+
+    A point below ``2**52`` in size is rounded to 12 decimals, so that a
+    step such as 0.1 lands on round values.  A larger point is a whole
+    number already, which that rounding cannot move but whose ``x * 1e12``
+    overflows above about 1.8e296; it is kept as it is, except that it
+    never passes ``hi``, as ``lo + step * i`` can round past it at the
+    top of the float range.
+    """
+    with np.errstate(over="ignore"):
+        points = lo + step * np.arange(int(axis_steps(lo, hi, step)) + 1)
+    small = np.abs(points) < 2.0 ** 52
+    points[small] = np.round(points[small], 12)
+    np.minimum(points, hi, out=points, where=~small)
+    return points
 
 
 def grid_points(grid: GridSpec) -> list:

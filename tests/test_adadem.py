@@ -1,5 +1,6 @@
 """Tests for the adaptive variant: delta normalizer, calibrator, gradients."""
 
+import functools
 import math
 from dataclasses import fields
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demkit import adadem
+from demkit import adadem, numkit
 from demkit.adadem import (
     DELTA_FLOOR,
     VARIANT_KINDS,
@@ -214,6 +215,42 @@ class TestMecState:
             with pytest.raises(ValueError):
                 mec_update(state, probs, labels)
         assert np.array_equal(state.table, before)
+
+    @pytest.mark.parametrize(
+        "probs, labels",
+        [
+            ([[0.2, 0.3, 0.5]], [1.7]),  # was taken as class 1
+            ([[0.2, 0.3, 0.5]], [True]),  # was taken as class 1
+            ([[0.2, 0.3, 0.5]], np.array([1.0])),
+            ([[math.nan, 0.3, 0.5]], [1]),  # wrote NaN into the table
+            ([[math.inf, 0.3, 0.5]], [1]),
+            ([[0.2, 0.3, 0.5]], [[1]]),  # one label per row, not a column
+        ],
+        ids=["float-label", "bool-label", "float-array", "nan-prob", "inf-prob", "label-column"],
+    )
+    def test_non_integer_labels_and_non_finite_probabilities_are_refused(
+        self, monkeypatch, probs, labels
+    ):
+        def no_kernel(*args):
+            raise AssertionError("_mec_update reached with invalid input")
+
+        state = mec_init(3, PI)
+        before = state.table.copy()
+        monkeypatch.setattr(adadem, "_mec_update", no_kernel)
+        with pytest.raises(ValueError):
+            mec_update(state, probs, labels)
+        assert np.array_equal(state.table, before)
+
+    def test_empty_and_unsigned_batches_are_accepted(self):
+        state = mec_init(3, PI)
+        before = state.table.copy()
+        mec_update(state, np.empty((0, 3)), np.empty(0, dtype=np.int64))
+        assert np.array_equal(state.table, before)
+        ref = mec_init(3, PI)
+        P = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
+        mec_update(state, P, np.array([2, 0], dtype=np.uint8))
+        mec_update(ref, P, [2, 0])
+        assert np.array_equal(state.table, ref.table)
 
     def test_scatter_matches_the_per_class_loop_bit_for_bit(self):
         # np.add.at adds each class's rows strictly in batch order, as
@@ -464,6 +501,36 @@ class TestAdaDemRows:
         assert np.array_equal(grads[0], state.table[0] / DELTA_FLOOR)
         assert np.all(np.isfinite(grads))
         assert np.isfinite(values[0])
+
+    @pytest.mark.parametrize("n", (1, numkit._CERTIFY_ROWS - 1, numkit._CERTIFY_ROWS, 64))
+    def test_deltas_are_fsums_bits_on_either_route(self, monkeypatch, n):
+        # Batched deltas are math.fsum's bits, whether the batch is summed
+        # in longdouble with a certificate or by fsum row by row.
+        rng = np.random.default_rng(n)
+        batches = []
+        for C in range(2, 41):
+            Z = rng.standard_normal((n, C)) * rng.choice([0.5, 4.0, 40.0])
+            P = softmax_rows(Z)
+            labels = np.argmax(P, axis=1)
+            _, Rc, d = _loss_terms(Z, P, labels, mec_init(C, PI), AdaDemVariant())
+            expected = np.maximum([math.fsum(np.abs(row).tolist()) for row in Rc], DELTA_FLOOR)
+            assert d[:, 0].tobytes() == expected.tobytes()
+            batches.append((Z, P, adadem_rows(Z, P, mec_init(C, PI))))
+        monkeypatch.setattr(
+            numkit, "_extended", functools.partial(numkit._extended, np.float64)
+        )
+        for Z, P, grads in batches:
+            assert adadem_rows(Z, P, mec_init(Z.shape[1], PI)).tobytes() == grads.tobytes()
+
+    @pytest.mark.parametrize("n", (1, numkit._CERTIFY_ROWS - 1, numkit._CERTIFY_ROWS, 64))
+    def test_an_overflowing_delta_raises_fsums_overflow_error(self, n):
+        # With P all ones (not a softmax), each reward row is 1e308, -1e308,
+        # 1, ...: its L1 norm overflows, and math.fsum raises for it.
+        for C in range(2, 41):
+            Z = np.zeros((n, C))
+            Z[:, :2] = 1e308, -1e308
+            with pytest.raises(OverflowError):
+                adadem_rows(Z, np.ones_like(Z), mec_init(C, PI))
 
     def test_batched_rows_match_sequential_delta(self):
         # The vectorized per-row deltas agree with the scalar helper to

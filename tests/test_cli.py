@@ -511,6 +511,18 @@ class TestRewardCurveCommand:
         assert capsys.readouterr().err == f"demkit: cannot write {out}: Is a directory\n"
         assert [p.name for p in tmp_path.rglob("*")] == ["curve"]
 
+    def test_margins_near_the_top_of_the_float_range_stay_finite(self, tmp_path, capsys):
+        # Rounding each margin to 12 decimals overflowed from about 1.8e296:
+        # 9,999 of these 10,001 rows read inf,nan,nan beside a numpy warning.
+        out = tmp_path / "x.csv"
+        argv = ["reward-curve", "--c", "3", "--m-max", "1e300", "--m-step", "1e296"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 10_001
+        assert rows[1] == ["1e+296", "1", "0"] and rows[-1] == ["1e+300", "1", "0"]
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
+
     def test_grid_of_the_largest_point_count_is_written(self, tmp_path, monkeypatch):
         monkeypatch.setattr("demkit.cli.REWARD_CURVE_MAX_POINTS", 5)
         out = tmp_path / "x.csv"

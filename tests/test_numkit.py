@@ -1,16 +1,23 @@
 """Tests for the numeric kernel: stable reductions and the counter RNG."""
 
+import functools
 import math
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demkit import numkit
 from demkit.numkit import (
     Rng,
+    _extended,
     _logsumexp,
+    _row_fsums,
     _scaled,
     _softmax,
     _softmax_rows,
@@ -299,6 +306,177 @@ class TestRelErr:
         # with a stretched one: rel_err([1, 2, 3], [1]) read 0.667.
         with pytest.raises(ValueError, match=shapes):
             rel_err(a, b)
+
+
+X87 = np.finfo(np.longdouble).nmant == 63
+ROW_COUNTS = (1, numkit._CERTIFY_ROWS - 1, numkit._CERTIFY_ROWS, 64)
+TIE_ROWS = (
+    (1.0, 2.0**-53),  # a midpoint: rounds down to the even 1.0
+    (1.0 + 2.0**-52, 2.0**-53),  # a midpoint: rounds up to the even neighbour
+    (1.0, 2.0**-54, 2.0**-54),  # a midpoint split over two terms
+    (1.0, 2.0**-53, 2.0**-120),  # just above a midpoint
+    (2.0**-53, 1.0, 2.0**-106),  # just above a midpoint, largest term second
+    (1.0, 2.0**-53 - 2.0**-106, 2.0**-107),  # just below a midpoint
+)
+
+
+def _fsum_rows(A):
+    """The reference: ``math.fsum`` row by row."""
+    return np.array([math.fsum(row) for row in A.tolist()])
+
+
+def _assert_fsum_bits(A):
+    assert _row_fsums(A).tobytes() == _fsum_rows(A).tobytes()
+
+
+def _count_fsum_calls(monkeypatch) -> list:
+    """A list that gains an entry per ``math.fsum`` call from now on."""
+    calls, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda row: calls.append(1) or fsum(row))
+    return calls
+
+
+def _rows(kind, n, C, rng):
+    """``n x C`` nonnegative terms of one adversarial kind."""
+    A = np.zeros((n, C))
+    if kind == "ties":
+        for i in range(n):
+            terms = TIE_ROWS[i % len(TIE_ROWS)][:C]
+            A[i, rng.permutation(C)[: len(terms)]] = terms
+            A[i] *= 2.0 ** int(rng.integers(-900, 900))  # scaling keeps a tie
+    elif kind == "powers-of-two":
+        A[:] = 2.0 ** rng.integers(-1074, 1000, size=(n, C)).astype(float)
+    elif kind == "subnormal":
+        A[:] = rng.integers(0, 2**12, size=(n, C)) * 5e-324
+        A[::3] = 5e-324
+    elif kind == "single-term":
+        A[np.arange(n), rng.integers(0, C, size=n)] = rng.choice(
+            [5e-324, 1e-310, 1.0, 0.1, 3.0, 1e308], size=n
+        )
+        A[::4] = 0.0
+    elif kind == "inf":
+        A[:] = rng.random((n, C))
+        A[::2, rng.integers(0, C)] = np.inf
+    else:
+        A[:] = np.abs(rng.standard_normal((n, C))) * 10.0 ** rng.integers(-300, 300, size=(n, 1))
+    return A
+
+
+class TestRowFsums:
+    """``_row_fsums`` gives ``math.fsum``'s bits on every row, whichever
+    route its batch takes."""
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    @pytest.mark.parametrize(
+        "kind", ["ties", "powers-of-two", "subnormal", "single-term", "inf", "random"]
+    )
+    def test_adversarial_rows_keep_fsums_bits(self, kind, n):
+        rng = np.random.default_rng(sum(map(ord, kind)) + n)
+        for C in range(2, 41):
+            _assert_fsum_bits(_rows(kind, n, C, rng))
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_all_zero_rows_sum_to_plus_zero(self, n):
+        for C in range(2, 41):
+            A = np.zeros((n, C))
+            _assert_fsum_bits(A)
+            assert not np.signbit(_row_fsums(A)).any()
+
+    def test_random_batches_keep_fsums_bits(self):
+        rng = np.random.default_rng(7)
+        for i in range(400):
+            C, n = 2 + i % 39, 16 + i % 80
+            P = softmax_rows(rng.standard_normal((n, C)) * rng.choice([0.1, 3.0, 30.0]))
+            _assert_fsum_bits(P * rng.random((n, C)) * rng.choice([1e-300, 1e-5, 1.0, 1e8]))
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_an_overflowing_row_raises_fsums_overflow_error(self, n):
+        for C in range(2, 41):
+            A = np.full((n, C), 1e-3)
+            A[-1] = 1e308
+            with pytest.raises(OverflowError):
+                _fsum_rows(A)
+            with pytest.raises(OverflowError):
+                _row_fsums(A)
+
+    def test_sums_at_the_top_of_the_double_range_keep_fsums_bits(self):
+        top = np.finfo(np.float64).max
+        for C in (2, 3, 10, 40):
+            A = np.full((64, C), top / C / 4)
+            A[:, 0] *= np.linspace(0.5, 3.9, 64)
+            _assert_fsum_bits(A[:48])  # every sum below the largest double
+            A[:, 0] *= 2.0  # some sums now round to the largest double or past it
+            for row in A:
+                try:
+                    expected = _fsum_rows(row[None, :])
+                except OverflowError:
+                    with pytest.raises(OverflowError):
+                        _row_fsums(np.repeat(row[None, :], 30, axis=0))
+                else:
+                    got = _row_fsums(np.repeat(row[None, :], 30, axis=0))
+                    assert got.tobytes() == np.repeat(expected, 30).tobytes()
+
+    @pytest.mark.skipif(not X87, reason="the certified route needs x87 extended precision")
+    def test_a_long_batch_calls_fsum_only_for_uncertified_rows(self, monkeypatch):
+        calls = _count_fsum_calls(monkeypatch)
+        rng = np.random.default_rng(3)
+        A = softmax_rows(rng.standard_normal((64, 10)) * 3.0) * rng.random((64, 10))
+        _row_fsums(A)
+        assert len(calls) <= 2
+        calls.clear()
+        _row_fsums(np.array([TIE_ROWS[0]] * 30))
+        assert len(calls) == 30  # a midpoint is never certified
+        calls.clear()
+        _row_fsums(A[: numkit._CERTIFY_ROWS - 1])
+        assert len(calls) == numkit._CERTIFY_ROWS - 1  # a short batch goes to fsum whole
+
+    def test_double_precision_sends_every_row_to_fsum(self, monkeypatch):
+        # The precision check reports the double format: every row goes to
+        # math.fsum, and the bits do not change.
+        rng = np.random.default_rng(4)
+        kinds = ("ties", "subnormal", "random")
+        batches = [_rows(kind, 64, C, rng) for kind in kinds for C in (2, 10, 40)]
+        expected = [_row_fsums(A).tobytes() for A in batches]
+        monkeypatch.setattr(numkit, "_extended", functools.partial(_extended, np.float64))
+        calls = _count_fsum_calls(monkeypatch)
+        assert [_row_fsums(A).tobytes() for A in batches] == expected
+        assert len(calls) == 64 * len(batches)
+
+    def test_precision_check_reads_the_running_numpy(self):
+        assert _extended(np.float64) is None
+        if not X87:
+            assert _extended() is None
+            return
+        u, top = _extended()
+        assert u == np.finfo(np.longdouble).eps / 2 == 2.0**-64
+        below = np.longdouble(np.nextafter(2.0**1023, 0.0))
+        assert top == (below + np.longdouble(2.0**1023)) / 2  # a rounding midpoint
+
+    def test_import_and_gradcheck_leave_the_precision_unread(self):
+        # Nothing runs at import, and gradcheck's batches of 1-6 rows stay
+        # below the certified route's row count.
+        code = (
+            "import contextlib, io, demkit.cli as cli, demkit.numkit as nk\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['gradcheck', '--trials', '3'])\n"
+            "print(code, nk._extended.cache_info().currsize)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 0\n"
+
+    def test_certificate_brackets_the_exact_sum(self):
+        # The docstring's two inequalities, in exact arithmetic: lo's factor
+        # is at most 1 and hi's at least 1, up to 2**30 terms; and 1 - k and
+        # 1 + k are exact in a 64-bit significand.
+        u = Fraction(1, 2**64)
+        for C in [*range(1, 200), 1000, 2**20, 2**30 - 1, 2**30]:
+            g = (C - 1) * u / (1 - (C - 1) * u)
+            j = 2 * (C // 2 + 1)
+            assert j in (C + 1, C + 2) and j % 2 == 0
+            k = j * u
+            assert (1 + g) * (1 + u) * (1 - k) <= 1 <= (1 - g) * (1 - u) * (1 + k)
+            assert ((1 + k) / (2 * u)).denominator == 1 and ((1 - k) / u).denominator == 1
 
 
 class TestRng:

@@ -16,6 +16,7 @@ from demkit.search import (
     GridSpec,
     LrSweepResult,
     TrialResult,
+    axis_steps,
     grid_axis,
     grid_points,
     grid_search,
@@ -54,6 +55,36 @@ class TestGridSpec:
     )
     def test_axis_never_passes_its_upper_bound(self, lo, hi, step, expected):
         assert grid_axis(lo, hi, step).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "lo, hi, step",
+        [
+            (0.0, 1e300, 1e296),  # np.round(x, 12) overflowed from about 1.8e296
+            (0.0, 1.7976931348623157e308, 5.992310449541053e307),
+            (-8.988465674311579e307, 8.988465674311579e307, 5.992310449541053e307),
+            (-1e300, -1e299, 1e298),
+            (1e20, 1e21, 1e19),
+        ],
+        ids=["1e300", "to-the-largest-double", "across-zero", "negative", "1e20"],
+    )
+    def test_every_point_of_a_finite_axis_is_finite(self, lo, hi, step):
+        axis = grid_axis(lo, hi, step)
+        assert np.isfinite(axis).all()
+        assert axis[0] == lo and axis[-1] <= hi
+        assert (np.diff(axis) > 0).all()
+
+    def test_axes_below_2_to_the_52_keep_their_bits(self):
+        # The rounding of the points below 2**52 is the one grid_axis
+        # always made: np.round(lo + step * i, 12).
+        rng = np.random.default_rng(9)
+        for _ in range(3000):
+            scale = 10.0 ** rng.integers(-6, 15)
+            lo = float(rng.uniform(-1.0, 1.0) * scale)
+            step = float(rng.uniform(0.01, 1.0) * scale)
+            hi = lo + step * float(rng.integers(0, 60)) + float(rng.uniform(0.0, step))
+            points = lo + step * np.arange(int(axis_steps(lo, hi, step)) + 1)
+            if np.abs(points).max() < 2.0**52:
+                assert grid_axis(lo, hi, step).tobytes() == np.round(points, 12).tobytes()
 
     def test_point_count_bound_counts_the_listed_points(self, monkeypatch):
         # step 0.6 on [0, 1] lists 2 x 2 points; a rounded count said 3 x 3.
