@@ -175,14 +175,14 @@ def _mec_update(state: MecState, P: np.ndarray, labels: np.ndarray) -> MecState:
     return state
 
 
-def _checked(Z, P: np.ndarray, state: MecState) -> np.ndarray:
-    """``Z`` as a float64 matrix whose shape matches ``P`` and ``state``."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+def _checked(Z, P, state: MecState) -> tuple:
+    """``(Z, P)`` as float64 matrices of one shape, matching ``state``."""
+    Z, P = (np.atleast_2d(np.asarray(A, dtype=np.float64)) for A in (Z, P))
     if Z.shape[1] != state.C:
         raise ValueError(f"expected {state.C} classes, got {Z.shape[1]}")
     if P.shape != Z.shape:
         raise ValueError(f"probabilities of shape {P.shape} for logits of shape {Z.shape}")
-    return Z
+    return Z, P
 
 
 def _loss_terms(Z, P, labels, state, variant):
@@ -225,7 +225,7 @@ def adadem_rows(
     calibrator absorbs this batch first, then the loss is evaluated
     against the updated rows.
     """
-    Z = _checked(Z, P, state)
+    Z, P = _checked(Z, P, state)
     labels = np.argmax(P, axis=1)
     _mec_update(state, P, labels)
     Cmat, grads, d = _loss_terms(Z, P, labels, state, variant)
@@ -249,7 +249,7 @@ def adadem_row_values(
     has absorbed the batch, so the values use the same calibrator rows
     as the gradients.  ``P`` must be ``softmax_rows(Z)``.
     """
-    Z = _checked(Z, P, state)
+    Z, P = _checked(Z, P, state)
     Cmat, _, d = _loss_terms(Z, P, np.argmax(P, axis=1), state, variant)
     return (-np.sum((P - Cmat) * Z, axis=1, keepdims=True) / d)[:, 0]
 

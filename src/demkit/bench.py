@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import DivergenceError, ModelStack, SgdConfig, adapt_stream, step_bytes
-from .numkit import NORMAL_BOUND, Rng, as_matrix, as_vector, validated_labels
+from .numkit import NORMAL_BOUND, Rng, _integer, as_matrix, as_vector, validated_labels
 
 __all__ = [
     "MixtureSpec",
@@ -93,7 +93,7 @@ class MixtureSpec:
     d = 2  # the plane; a constant, not a field
 
     def __post_init__(self):
-        if self.C < 2:
+        if _integer(self.C, "C") < 2:
             raise ValueError(f"need at least two classes, got {self.C}")
         if not (0 < self.radius < math.inf and 0 < self.sigma < math.inf):
             raise ValueError(f"need finite radius and sigma > 0, got {self.radius}, {self.sigma}")
@@ -109,7 +109,9 @@ class ShiftSpec:
 
     The effective magnitude is ``magnitude * LEVEL_MULTIPLIERS[level]``,
     so with the default base of 1.0 the level acts as the severity knob
-    (level 2 is the base magnitude itself); it must be finite.
+    (level 2 is the base magnitude itself); it must be finite.  A level
+    that is not an integer (a bool, a float) raises ``ValueError``, so
+    equal specs have one content key.
     """
 
     kind: str
@@ -119,7 +121,7 @@ class ShiftSpec:
     def __post_init__(self):
         if self.kind not in SHIFT_KINDS:
             raise ValueError(f"unknown shift kind {self.kind!r}")
-        if self.level not in LEVEL_MULTIPLIERS:
+        if _integer(self.level, "level") not in LEVEL_MULTIPLIERS:
             levels = f"{min(LEVEL_MULTIPLIERS)}-{max(LEVEL_MULTIPLIERS)}"
             raise ValueError(f"level must be {levels}, got {self.level}")
         if not math.isfinite(self.effective_magnitude):
@@ -157,7 +159,7 @@ class StreamSpec:
             raise ValueError("stream needs at least one shift")
         if self.mode == "continual" and len(shifts) < 2:
             raise ValueError("continual mode needs at least two shifts")
-        if self.batches_per_shift < 1 or self.batch_size < 1:
+        if min(_integer(getattr(self, k), k) for k in ("batches_per_shift", "batch_size")) < 1:
             raise ValueError("batches_per_shift and batch_size must be positive")
         if not self.label_rho >= 1:
             raise ValueError(f"label_rho must be >= 1, got {self.label_rho}")

@@ -569,7 +569,7 @@ def _gradcheck_cases(rng: Rng, trials: int):
         target = int(rng.integers(1, 0, C)[0])
         yield (
             "cross_entropy",
-            _model.cross_entropy_eval(z, target).grad,
+            _ce_grads(z[None, :], [target])[0],
             finite_diff_grad(lambda v: _model._cross_entropy_value(v, target), z),
         )
 
@@ -590,6 +590,13 @@ def _gradcheck_cases(rng: Rng, trials: int):
         yield "adadem", analytic, finite_diff_grad(frozen_value, z)
 
 
+def _ce_grads(Z: np.ndarray, targets) -> np.ndarray:
+    """Source training's cross-entropy logit gradients of ``Z``'s rows."""
+    G = np.empty(Z.shape)
+    hot = np.arange(Z.shape[0]) * Z.shape[1] + targets
+    return _model._ce_rows(Z, hot, G, G.reshape(-1))
+
+
 def _end_to_end_cases(rng: Rng):
     """Parameter-space gradient checks through both architectures."""
     C, d, h, n = 4, 3, 5, 6
@@ -600,12 +607,14 @@ def _end_to_end_cases(rng: Rng):
         "mlp": _model.init_mlp(C, d, h, rng, scale=0.7),
     }
     dem_cfg = _em.DemConfig(1.3, 0.4)
-    # Each plugin with the per-row loss values its gradients differentiate.
-    plugins = {
-        "em": (_model.EmPlugin(), _em.em_row_values),
-        "dem": (_model.DemPlugin(dem_cfg), lambda Z: _em.dem_row_values(Z, dem_cfg)),
+    # Each loss's logit gradients, as a plugin's batch_eval gives them (the
+    # cross-entropy's kernel builds its own softmax), with the per-row loss
+    # values they differentiate.
+    losses = {
+        "em": (_model.EmPlugin().batch_eval, _em.em_row_values),
+        "dem": (_model.DemPlugin(dem_cfg).batch_eval, lambda Z: _em.dem_row_values(Z, dem_cfg)),
         "cross_entropy": (
-            _model.CrossEntropyPlugin(targets),
+            lambda Z, P: _ce_grads(Z, targets),
             lambda Z: _model._ce_row_values(Z, targets),
         ),
     }
@@ -625,9 +634,9 @@ def _end_to_end_cases(rng: Rng):
         return oracle
 
     for mname, model in models.items():
-        for lname, (plugin, values) in plugins.items():
+        for lname, (batch_eval, values) in losses.items():
             Z = _model.forward(model, X)
-            grad = _model.backward(model, X, plugin.batch_eval(Z, softmax_rows(Z)))
+            grad = _model.backward(model, X, batch_eval(Z, softmax_rows(Z)))
 
             def objective(m=model, values=values):
                 return float(np.mean(values(_model.forward(m, X))))

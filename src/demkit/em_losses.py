@@ -37,7 +37,7 @@ that computes the value alone, with no gradient:
 * ``_entropy(z)`` for ``em_eval`` and ``conditional_entropy``,
 * ``_cadf_tempered_value(z, tau)`` for ``cadf_tempered_eval`` and ``cadf`` (tau = 1),
 * ``_dem_value(z, cfg)`` for ``dem_eval``,
-* ``model._cross_entropy_value(z, target)`` for ``model.cross_entropy_eval``.
+* ``model._cross_entropy_value(z, target)`` for source training's ``model._ce_rows``.
 
 The public ``*_eval(...).value`` is that kernel's result, and the
 gradient check (``demkit gradcheck``) differentiates the same kernel by

@@ -21,9 +21,9 @@ the caller's scoring hook on them), then each model's loss plugin turns
 its logits and probabilities into per-sample gradients, and each model's
 row of the stack takes one SGD step with the model's own optimizer
 settings.  One model is the stack of ``K = 1``.
-Plugins wrap the loss family: cross-entropy (supervised plumbing for
-source training and oracle baselines), classical EM, decoupled EM, and
-AdaDEM, which carries its calibrator state through the whole stream.
+Plugins wrap the losses a config's ``loss.name`` names: classical EM,
+decoupled EM, and AdaDEM, which carries its calibrator state through the
+whole stream.  Source training's cross-entropy is the kernel ``_ce_rows``.
 
 Validation follows the convention of :mod:`demkit.numkit`: the public
 functions validate their input once (finite float64 inputs of the
@@ -61,9 +61,7 @@ import numpy as np
 
 from . import adadem as _adadem
 from . import em_losses as _em
-from .numkit import (
-    _logsumexp, _softmax_rows, as_matrix, as_vector, logsumexp_rows, softmax_rows, validated_labels
-)
+from .numkit import _integer, _logsumexp, _softmax_rows, as_matrix, logsumexp_rows, validated_labels
 
 __all__ = [
     "LinearSoftmax",
@@ -74,13 +72,11 @@ __all__ = [
     "step_bytes",
     "forward",
     "backward",
-    "cross_entropy_eval",
     "SgdConfig",
     "SgdState",
     "sgd_step",
     "train_source",
     "adapt_stream",
-    "CrossEntropyPlugin",
     "EmPlugin",
     "DemPlugin",
     "AdaDemPlugin",
@@ -199,7 +195,7 @@ def init_mlp(C: int, d: int, hidden: int, rng, scale: float) -> Mlp:
     The output layer is scaled down by sqrt(hidden) so initial logits
     stay O(1) regardless of width.
     """
-    if hidden < 1:
+    if _integer(hidden, "hidden width") < 1:
         raise ValueError(f"hidden width must be positive, got {hidden}")
     W1 = scale * rng.normals(hidden * d).reshape(hidden, d)
     W2 = scale * rng.normals(C * hidden).reshape(C, hidden) / np.sqrt(hidden)
@@ -347,18 +343,18 @@ def backward(model, X, dlogits) -> np.ndarray:
     return _backward(X, dlogits, ws)
 
 
-def cross_entropy_eval(z, target: int) -> _em.LossEval:
-    """Supervised cross-entropy: ``logsumexp(z) - z_target``."""
-    z = as_vector(z, min_len=2)
-    if not 0 <= target < z.shape[0]:
-        raise ValueError(f"target {target} out of range for {z.shape[0]} classes")
-    grad = softmax_rows(z[None, :])[0]
-    grad[target] -= 1.0
-    return _em.LossEval(_cross_entropy_value(z, target), grad)
+def _ce_rows(Z: np.ndarray, hot: np.ndarray, G: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The one cross-entropy logit gradient, run by every :func:`train_source`
+    step and checked by ``gradcheck``: ``softmax(Z)`` less 1 at each row's
+    target, written into ``G`` (returned), whose flat view is ``flat``, with
+    ``hot`` holding each row's target as a flat position ``i * C + target``."""
+    _softmax_rows(Z, G)
+    flat[hot] -= 1.0
+    return G
 
 
 def _cross_entropy_value(z: np.ndarray, target: int) -> float:
-    """Value kernel of :func:`cross_entropy_eval` for a validated vector."""
+    """Cross-entropy ``logsumexp(z) - z[target]`` of a validated vector."""
     return _logsumexp(z) - float(z[target])
 
 
@@ -404,21 +400,6 @@ def sgd_step(theta: np.ndarray, grad: np.ndarray, cfg: SgdConfig, state: SgdStat
     v *= cfg.momentum
     v += grad
     theta -= np.multiply(v, cfg.lr, out=state.scaled)
-
-
-class CrossEntropyPlugin:
-    """Supervised loss on fixed targets; plumbing for oracles and tests."""
-
-    def __init__(self, targets):
-        self.targets = np.asarray(targets, dtype=np.int64)
-
-    def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:
-        if Z.shape[0] != self.targets.shape[0]:
-            raise ValueError("batch size does not match the stored targets")
-        # train_source's rule: subtract 1 at each row's target, here on a copy.
-        G = P.copy()
-        G[np.arange(Z.shape[0]), self.targets] -= 1.0
-        return G
 
 
 class EmPlugin:
@@ -482,8 +463,8 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int)
     Each epoch refills in place one shuffled copy of ``X`` and one
     vector of each row's target as a flat position in its batch's
     logits, so no ``n x C`` array is held.  A step runs the forward pass
-    once, writes ``softmax(Z)`` into its workspace and subtracts 1 at
-    the targets there (no loss values), and the backward pass reuses
+    once, writes its logit gradients into its workspace with
+    :func:`_ce_rows` (no loss values), and the backward pass reuses
     the forward activations.  Steps write into a :class:`_Workspace`
     sized once per call, and a short last batch into a second.  Each
     of more than one row multiplies with ``np.dot``, which reaches the
@@ -497,14 +478,14 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int)
     step reads (its rows of the shuffled copy, its slice of target
     positions, its workspace and that workspace's logit gradient as one
     flat vector) are built once per call, and each epoch refills what
-    they view.  ``batch_size < 1`` and ``epochs < 0`` raise ``ValueError``.
-    Non-finite parameters, checked once per epoch with numpy's overflow
-    and invalid-value warnings silenced, raise ``FloatingPointError``
-    naming the epoch.
+    they view.  ``batch_size < 1``, ``epochs < 0`` and non-integers raise
+    ``ValueError``.  Non-finite parameters, checked once per epoch with
+    numpy's overflow and invalid-value warnings silenced, raise
+    ``FloatingPointError`` naming the epoch.
     """
-    if batch_size < 1:
+    if _integer(batch_size, "batch_size") < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    if epochs < 0:
+    if _integer(epochs, "epochs") < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
     X = _validated_input(model, X)
     n, C = X.shape[0], model.C
@@ -533,8 +514,7 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int)
             np.take(X, order, axis=0, out=Xo)
             np.add(slots, y[order], out=hot)
             for Xb, targets, ws, flat in batches:
-                G = _softmax_rows(_forward(Xb, ws), ws.G)
-                flat[targets] -= 1.0
+                G = _ce_rows(_forward(Xb, ws), targets, ws.G, flat)
                 sgd_step(model.theta, _backward(Xb, G, ws), cfg, state)
             if not np.isfinite(model.theta).all():
                 raise FloatingPointError(f"source training diverged in epoch {epoch}")

@@ -89,6 +89,13 @@ def validated_labels(y, shape: tuple, C: int) -> np.ndarray:
     return y
 
 
+def _integer(value, name: str):
+    """``value`` if it is a Python or numpy integer, not a bool; else ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def logsumexp(z) -> float:
     """Stable ``log(sum(exp(z)))`` via the max-shift trick.
 

@@ -451,6 +451,20 @@ class TestAdaDemRows:
         adadem_rows(Z, P, state)
         assert np.array_equal(state.table, ref.table)
 
+    def test_list_inputs_give_the_bits_of_arrays(self):
+        # _checked converts P as it converts Z, so lists reach the kernel
+        # as float64 matrices.
+        Z = np.random.default_rng(4).uniform(-5.0, 5.0, (6, 4))
+        P = softmax_rows(Z)
+        warm = mec_init(4, PI)
+        adadem_rows(Z[::-1].copy(), softmax_rows(Z[::-1].copy()), warm)
+        ours, ref = warm.copy(), warm.copy()
+        grads = adadem_rows(Z.tolist(), P.tolist(), ours)
+        assert grads.tobytes() == adadem_rows(Z, P, ref).tobytes()
+        assert ours.table.tobytes() == ref.table.tobytes()
+        values = adadem_row_values(Z.tolist(), P.tolist(), ours)
+        assert values.tobytes() == adadem_row_values(Z, P, ref).tobytes()
+
     def test_probabilities_must_match_the_logits(self):
         Z = np.zeros((2, 3))
         with pytest.raises(ValueError):

@@ -105,9 +105,13 @@ class TestGeometry:
             (3, 0.0, 1.0), (3, -1.0, 1.0), (3, math.nan, 1.0),
             (3, 1.0, 0.0), (3, 1.0, -1.0), (3, 1.0, math.nan),
             (3, math.inf, 1.0), (3, 1.0, math.inf),
+            (3.0, 1.0, 1.0), (True, 1.0, 1.0), (np.float64(3.0), 1.0, 1.0),
         ]:
             with pytest.raises(ValueError):
                 MixtureSpec(C=C, radius=radius, sigma=sigma)
+        with pytest.raises(ValueError, match="C must be an integer, got 3.0"):
+            MixtureSpec(C=3.0, radius=1.0, sigma=1.0)
+        assert MixtureSpec(C=np.int64(3), radius=1.0, sigma=1.0) == MixtureSpec(3, 1.0, 1.0)
 
 
 class TestLongTailPriors:
@@ -180,6 +184,12 @@ class TestShifts:
             ShiftSpec("shear")
         with pytest.raises(ValueError):
             ShiftSpec("translate", 1.0, 6)
+        # ShiftSpec("rotate2d", 0.5, 2.0) would equal the spec at level 2
+        # yet key its data "2.0", drawing other inputs; True would be
+        # level 1 under the key "True".
+        for level in (2.0, True, np.float64(2.0)):
+            with pytest.raises(ValueError, match="level must be an integer"):
+                ShiftSpec("rotate2d", 0.5, level)
         # A finite magnitude that its level's multiplier overflows is refused
         # with a message naming the shift, not left to the shift's arithmetic.
         for kind in SHIFT_KINDS:
@@ -188,6 +198,12 @@ class TestShifts:
                 with pytest.raises(ValueError, match=re.escape(message) + "the effective"):
                     ShiftSpec(kind, magnitude, level)
             assert ShiftSpec(kind, 1e308, 2).effective_magnitude == 1e308
+
+    def test_equal_specs_share_one_key(self):
+        a = ShiftSpec("rotate2d", 0.5, 2)
+        for level in (np.int64(2), np.int32(2), np.uint8(2)):
+            b = ShiftSpec("rotate2d", 0.5, level)
+            assert a == b and a.key(1) == b.key(1) == "rotate2d|0.5|2|1"
 
     def test_keys_distinguish_content_and_occurrence(self):
         a = ShiftSpec("rotate2d", 0.5, 2)
@@ -246,6 +262,13 @@ class TestStreamSpec:
         for rho in (0.5, 1.0 - 1e-12, -1.0, math.nan):
             with pytest.raises(ValueError):
                 StreamSpec("single_domain", (shift,), 5, STREAM_BATCH, rho)
+        for bad in (5.0, True, np.float64(5.0)):
+            with pytest.raises(ValueError, match="batches_per_shift must be an integer"):
+                StreamSpec("single_domain", (shift,), bad, STREAM_BATCH, LABEL_RHO)
+            with pytest.raises(ValueError, match="batch_size must be an integer"):
+                StreamSpec("single_domain", (shift,), 5, bad, LABEL_RHO)
+        spec = StreamSpec("single_domain", (shift,), np.int64(5), np.int32(16), LABEL_RHO)
+        assert spec == StreamSpec("single_domain", (shift,), 5, 16, LABEL_RHO)
 
     def test_default_tasks(self):
         # The default config's stream and the continual config's.

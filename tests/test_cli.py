@@ -582,6 +582,21 @@ class TestGradcheckCommand:
         assert "FAIL" in captured.out
         assert "gradcheck failed" in captured.err
 
+    def test_guards_source_trainings_gradient(self, monkeypatch, capsys):
+        # A kernel that forgets to subtract the targets trains every source
+        # model wrong; gradcheck must fail exactly its three lines.
+        from demkit import model
+        from demkit.numkit import _softmax_rows
+
+        monkeypatch.setattr(model, "_ce_rows", lambda Z, hot, G, flat: _softmax_rows(Z, G))
+        assert main(["gradcheck", "--trials", "1"]) == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        failed = [line.split()[1][:-1] for line in captured.out.splitlines() if "FAIL" in line]
+        assert failed == ["cross_entropy", "linear/cross_entropy", "mlp/cross_entropy"]
+        assert "gradcheck failed for: cross_entropy, linear/cross_entropy, mlp/cross_entropy" in (
+            captured.err
+        )
+
     @pytest.mark.parametrize("where", ["every", "first", "last"])
     def test_nan_error_fails_with_exit_3(self, monkeypatch, capsys, where):
         # Python's max(0.0, nan) is 0.0, so a fold through the builtin

@@ -9,11 +9,10 @@ import pytest
 import demkit.model
 from demkit import adadem, em_losses
 from demkit.adadem import MecState, mec_init, mec_update
-from demkit.cli import DEFAULT_CONFIG
+from demkit.cli import DEFAULT_CONFIG, _ce_grads
 from demkit.em_losses import DemConfig, dem_row_values, em_eval, em_row_values
 from demkit.model import (
     AdaDemPlugin,
-    CrossEntropyPlugin,
     DemPlugin,
     DivergenceError,
     EmPlugin,
@@ -24,16 +23,17 @@ from demkit.model import (
     SgdState,
     adapt_stream,
     backward,
-    cross_entropy_eval,
     forward,
     init_linear,
     init_mlp,
     _ce_row_values,
+    _ce_rows,
+    _cross_entropy_value,
     sgd_step,
     step_bytes,
     train_source,
 )
-from demkit.numkit import Rng, rel_err, softmax_rows
+from demkit.numkit import Rng, finite_diff_grad, rel_err, softmax_rows
 
 # The default config's settings, for the calls that take them.
 INIT_SCALE = DEFAULT_CONFIG["source"]["init_scale"]
@@ -68,6 +68,17 @@ class TestInitAndForward:
     def test_mlp_rejects_zero_width(self):
         with pytest.raises(ValueError):
             init_mlp(3, 2, 0, Rng(0), INIT_SCALE)
+
+    @pytest.mark.parametrize(
+        "hidden", [4.0, True, np.float64(4.0)], ids=["float", "bool", "numpy-float"]
+    )
+    def test_mlp_rejects_a_width_that_is_not_an_integer(self, hidden):
+        with pytest.raises(ValueError, match="hidden width must be an integer"):
+            init_mlp(3, 2, hidden, Rng(0), INIT_SCALE)
+
+    def test_mlp_accepts_a_numpy_integer_width(self):
+        m = init_mlp(3, 2, np.int64(4), Rng(0), INIT_SCALE)
+        assert m.theta.tobytes() == init_mlp(3, 2, 4, Rng(0), INIT_SCALE).theta.tobytes()
 
     def test_linear_forward_hand_case(self):
         model = LinearSoftmax(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
@@ -139,38 +150,84 @@ class TestLayout:
         assert m.W1[0, 0] == 1.0
 
 
-class TestCrossEntropy:
-    def test_uniform_logits_reference(self):
-        out = cross_entropy_eval(np.zeros(10), 3)
-        assert out.value == math.log(10)
-        expected = np.full(10, 0.1)
-        expected[3] -= 1.0
-        np.testing.assert_array_equal(out.grad, expected)
-
-    def test_gradient_matches_finite_differences(self):
-        from demkit.numkit import finite_diff_grad
-
-        rng = Rng(13)
-        for _ in range(50):
-            z = (rng.uniforms(5) - 0.5) * 16.0
-            t = rng.integers(1, 0, 5)[0]
-            out = cross_entropy_eval(z, t)
-            fd = finite_diff_grad(lambda v: cross_entropy_eval(v, t).value, z)
-            assert rel_err(out.grad, fd) < 1e-6
-
-    def test_rejects_bad_target(self):
-        with pytest.raises(ValueError):
-            cross_entropy_eval(np.zeros(3), 3)
-        with pytest.raises(ValueError):
-            cross_entropy_eval(np.zeros(3), -1)
-
-
 def _ce_grad(Z, targets):
     """Reference cross-entropy gradients: ``softmax(Z)`` with 1 subtracted
     at each row's target in place."""
     grads = softmax_rows(Z)
     grads[np.arange(Z.shape[0]), targets] -= 1.0
     return grads
+
+
+class _Supervised:
+    """A test-local supervised plugin on fixed targets, built on
+    ``_ce_grad``: a loss that moves a model whose predictions are uniform."""
+
+    def __init__(self, targets):
+        self.targets = targets
+
+    def batch_eval(self, Z, P):
+        return _ce_grad(Z, self.targets)
+
+
+class TestCrossEntropy:
+    def test_uniform_logits_reference(self):
+        assert _cross_entropy_value(np.zeros(10), 3) == math.log(10)
+        expected = np.full(10, 0.1)
+        expected[3] -= 1.0
+        np.testing.assert_array_equal(_ce_grads(np.zeros((1, 10)), [3])[0], expected)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = Rng(13)
+        for _ in range(50):
+            z = (rng.uniforms(5) - 0.5) * 16.0
+            t = rng.integers(1, 0, 5)[0]
+            fd = finite_diff_grad(lambda v: _cross_entropy_value(v, t), z)
+            assert rel_err(_ce_grads(z[None, :], [t])[0], fd) < 1e-6
+
+    def test_kernel_matches_the_in_place_reference(self):
+        # Flat positions i * C + target pick the same entries as the
+        # (row, target) pairs of _ce_grad, and G is written, not replaced.
+        Z = (Rng(5).uniforms(7 * 4).reshape(7, 4) - 0.5) * 12.0
+        targets = np.array([0, 3, 1, 1, 2, 0, 3])
+        G = np.empty(Z.shape)
+        assert _ce_rows(Z, np.arange(7) * 4 + targets, G, G.reshape(-1)) is G
+        assert np.array_equal(G, _ce_grad(Z, targets))
+
+    def test_rejects_bad_target(self, monkeypatch):
+        # Targets reach the kernel only through train_source, which
+        # refuses one outside [0, C) before any step runs.
+        def no_step(*args):
+            raise AssertionError("a step ran on a bad target")
+
+        monkeypatch.setattr(demkit.model, "_ce_rows", no_step)
+        for bad in (3, -1):
+            with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+                train_source(init_linear(3, 2), np.zeros((2, 2)), [0, bad], 1,
+                             SgdConfig(lr=0.1), Rng(0), 2)
+
+    def test_one_kernel_serves_training_and_gradcheck(self, monkeypatch):
+        # Source training makes one kernel call per step, ceil(n /
+        # batch_size) per epoch; gradcheck one per trial and one per
+        # architecture.  Either path growing its own copy of the
+        # gradient drops its calls from the count.
+        from demkit.cli import main
+
+        calls = []
+        kernel = demkit.model._ce_rows
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return kernel(*args)
+
+        monkeypatch.setattr(demkit.model, "_ce_rows", counted)
+        X, y = _blobs(Rng(8).derive("data"), 35, TestTrainSource.MEANS)  # 105 rows
+        train_source(init_linear(3, 2), X, y, 4, SgdConfig(lr=0.1), Rng(0), 16)
+        assert len(calls) == math.ceil(105 / 16) * 4
+        assert calls.count((9, 3)) == 4  # the short last batch
+        calls.clear()
+        assert main(["gradcheck", "--trials", "3"]) == 0
+        assert len(calls) == 3 + 2
+        assert calls[3:] == [(6, 4), (6, 4)]
 
 
 def _batch_eval(plugin, Z):
@@ -301,16 +358,15 @@ class TestBackward:
             model = init_mlp(3, 2, 4, rng, INIT_SCALE)
         if loss == "ce":
             targets = rng.integers(5, 0, 3)
-            plugin = CrossEntropyPlugin(targets)
+            grads = lambda Z: _ce_grads(Z, targets)  # source training's kernel
             values = lambda Z: _ce_row_values(Z, targets)
         elif loss == "em":
-            plugin = EmPlugin()
+            grads = lambda Z: _batch_eval(EmPlugin(), Z)
             values = em_row_values
         else:
-            plugin = DemPlugin(DemConfig(1.3, 0.4))
+            grads = lambda Z: _batch_eval(DemPlugin(DemConfig(1.3, 0.4)), Z)
             values = lambda Z: dem_row_values(Z, DemConfig(1.3, 0.4))
-        Z = forward(model, X)
-        dl = _batch_eval(plugin, Z)
+        dl = grads(forward(model, X))
         analytic = backward(model, X, dl)
         assert analytic.shape == model.theta.shape
         numeric = _param_fd(model, X, values)
@@ -460,7 +516,7 @@ class TestTrainSource:
             for start in range(0, X.shape[0], 16):
                 idx = order[start : start + 16]
                 Z = forward(ref, X[idx])
-                dlogits = _batch_eval(CrossEntropyPlugin(y[idx]), Z)
+                dlogits = _ce_grad(Z, y[idx])
                 sgd_step(ref.theta, backward(ref, X[idx], dlogits), cfg, state)
         assert np.array_equal(fused.theta, ref.theta)
 
@@ -525,8 +581,12 @@ class TestTrainSource:
     @pytest.mark.parametrize(
         "kwargs, name",
         [({"batch_size": 0}, "batch_size"), ({"batch_size": -1}, "batch_size"),
-         ({"epochs": -3}, "epochs")],
-        ids=["batch-size-0", "batch-size-minus-1", "epochs-minus-3"],
+         ({"epochs": -3}, "epochs"), ({"batch_size": 4.0}, "batch_size must be an integer"),
+         ({"batch_size": True}, "batch_size must be an integer"),
+         ({"epochs": 2.0}, "epochs must be an integer"),
+         ({"epochs": True}, "epochs must be an integer")],
+        ids=["batch-size-0", "batch-size-minus-1", "epochs-minus-3", "batch-size-float",
+             "batch-size-bool", "epochs-float", "epochs-bool"],
     )
     def test_rejects_bad_loop_sizes(self, kwargs, name):
         model = init_linear(3, 2, Rng(1), scale=0.5)
@@ -537,6 +597,15 @@ class TestTrainSource:
             train_source(model, X, y, args["epochs"], SgdConfig(lr=0.1), Rng(0),
                          batch_size=args["batch_size"])
         np.testing.assert_array_equal(model.theta, before.theta)
+
+    def test_numpy_integer_loop_sizes_keep_the_bits(self):
+        X, y = _blobs(Rng(2), 5, self.MEANS)
+        def trained(epochs, batch_size):
+            model = init_linear(3, 2, Rng(1), scale=0.5)
+            return train_source(model, X, y, epochs, SgdConfig(lr=0.1), Rng(0), batch_size)
+
+        expected = trained(2, 4).theta
+        assert trained(np.int64(2), np.int32(4)).theta.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "y",
@@ -619,7 +688,7 @@ class TestAdaptStream:
         X, y = self._stream(Rng(32), n_batches=2)
         model = init_linear(3, 2)
         before = model.copy()
-        probs = _adapt(model, X, CrossEntropyPlugin(y[0]), SgdConfig(lr=0.5))
+        probs = _adapt(model, X, _Supervised(y[0]), SgdConfig(lr=0.5))
         assert probs[0].max(axis=1).mean() == 1 / 3
         assert np.linalg.norm(model.theta - before.theta) > 0.0
         assert probs[1].max(axis=1).mean() != 1 / 3
@@ -1126,21 +1195,3 @@ class TestPlugins:
             out = em_eval(z)
             assert abs(values[i] - out.value) < 1e-12
             np.testing.assert_allclose(grads[i], out.grad, atol=1e-12)
-
-    def test_cross_entropy_plugin_matches_the_in_place_reference(self, monkeypatch):
-        Z = (Rng(5).uniforms(7 * 4).reshape(7, 4) - 0.5) * 12.0
-        targets = np.array([0, 3, 1, 1, 2, 0, 3])
-        P = softmax_rows(Z)
-
-        def no_softmax(_):
-            raise AssertionError("the plugin must use the P it is given")
-
-        monkeypatch.setattr("demkit.model.softmax_rows", no_softmax)
-        grads = CrossEntropyPlugin(targets).batch_eval(Z, P)
-        monkeypatch.undo()
-        assert np.array_equal(grads, _ce_grad(Z, targets))
-
-    def test_cross_entropy_plugin_checks_batch_size(self):
-        plugin = CrossEntropyPlugin([0, 1])
-        with pytest.raises(ValueError):
-            _batch_eval(plugin, np.zeros((3, 4)))
