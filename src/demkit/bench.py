@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import DivergenceError, ModelStack, SgdConfig, adapt_stream, step_bytes
+from .model import DivergenceError, SgdConfig, adapt_stream, step_bytes
 from .numkit import NORMAL_BOUND, Rng, _integer, as_matrix, as_vector, validated_labels
 
 __all__ = [
@@ -256,7 +256,7 @@ def long_tail_priors(C: int, rho: float) -> np.ndarray:
 def sample_batch(mix: MixtureSpec, priors, n: int, rng: Rng):
     """Draw ``n`` labeled points: label from ``priors``, feature from the
     label's Gaussian."""
-    if n < 1:
+    if _integer(n, "n") < 1:
         raise ValueError(f"need a positive sample count, got {n}")
     priors = as_vector(priors)
     y = rng.categorical(priors, n)
@@ -515,15 +515,15 @@ def run_protocols(source_model, shift_data, mode: str, plugin_factories, cfgs) -
     stream, so stateful losses persist across shifts exactly when the
     model does), and ``cfgs`` holds each protocol's :class:`SgdConfig`,
     one per factory.  Protocol ``k`` adapts its own copy of
-    ``source_model``, row ``k`` of one :class:`ModelStack` (reset to the
-    source at every shift in single-domain mode), with factory ``k``'s
-    plugins and ``cfgs[k]``, and gives the bits, and makes the plugin and
-    SGD calls, that it gives alone.  Optimizer momentum does not persist
-    in either mode: every shift is one :func:`adapt_stream` call over the
-    stack, which starts each model from zero velocity and sees the
-    inputs only.  Metrics are online: every batch is scored, against its
-    labels, on the probabilities predicted before the update it
-    triggers.
+    ``source_model``, row ``k`` of one ``(K, P)`` parameter array (reset
+    to the source at every shift in single-domain mode), with factory
+    ``k``'s plugins and ``cfgs[k]``, and gives the bits, and makes the
+    plugin and SGD calls, that it gives alone.  Optimizer momentum does
+    not persist in either mode: every shift is one :func:`adapt_stream`
+    call over that array, which starts each model from zero velocity and
+    sees the inputs only.  Metrics are online: every batch is scored,
+    against its labels, on the probabilities predicted before the update
+    it triggers.
 
     Scoring is :func:`adapt_stream`'s per-batch hook, so the call holds
     one batch of probabilities per protocol, never a shift's: each batch,
@@ -553,7 +553,7 @@ def run_protocols(source_model, shift_data, mode: str, plugin_factories, cfgs) -
         )
     K, C = len(factories), source_model.C
     tally, errors = _Tally(K, C), [None] * K
-    stack, plugins = ModelStack([source_model] * K), None
+    theta, plugins = np.stack([source_model.theta] * K), None
     s = -1
     # not enumerate: its reused result tuple would hold a shift while the next is drawn
     for X, y in shift_data:
@@ -562,10 +562,10 @@ def run_protocols(source_model, shift_data, mode: str, plugin_factories, cfgs) -
             raise ValueError(f"shift {s} has no rows to score")
         y = validated_labels(y, np.shape(X)[:2], C)
         if plugins is None or mode == "single_domain":
-            stack.theta[...] = source_model.theta
+            theta[...] = source_model.theta
             plugins = [f() if e is None else None for f, e in zip(factories, errors)]
         score = tally.shift(y)
-        for k, exc in enumerate(adapt_stream(stack, X, plugins, cfgs, score)):
+        for k, exc in enumerate(adapt_stream(source_model, theta, X, plugins, cfgs, score)):
             if exc is not None:
                 errors[k], plugins[k] = DivergenceError(exc.stage, exc.batch, s), None
         del X, y, score  # score holds the labels; let the shift go before the next is drawn

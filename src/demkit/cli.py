@@ -71,7 +71,7 @@ from . import bench as _bench
 from . import em_losses as _em
 from . import model as _model
 from . import search as _search
-from .numkit import Rng, _softmax, finite_diff_grad, rel_err, softmax, softmax_rows
+from .numkit import Rng, _softmax, _softmax_rows, finite_diff_grad, rel_err, softmax
 
 EXIT_OK = 0
 EXIT_BAD_HYPERPARAMS = 2
@@ -575,9 +575,9 @@ def _gradcheck_cases(rng: Rng, trials: int):
 
         state = _ad.mec_init(C, DEFAULT_CONFIG["loss"]["pi"])
         batch = (rng.uniforms(3 * C).reshape(3, C) - 0.5) * 10.0
-        _ad.adadem_rows(batch, softmax_rows(batch), state)
+        _ad.adadem_rows(batch, _softmax_rows(batch), state)
         frozen = state.copy()
-        analytic = _ad.adadem_rows(z[None, :], softmax_rows(z[None, :]), state)[0]
+        analytic = _ad.adadem_rows(z[None, :], _softmax_rows(z[None, :]), state)[0]
         p = softmax(z)
         k = int(np.argmax(p))
         _ad.mec_update(frozen, p[None, :], [k])
@@ -636,7 +636,7 @@ def _end_to_end_cases(rng: Rng):
     for mname, model in models.items():
         for lname, (batch_eval, values) in losses.items():
             Z = _model.forward(model, X)
-            grad = _model.backward(model, X, batch_eval(Z, softmax_rows(Z)))
+            grad = _model.backward(model, X, batch_eval(Z, _softmax_rows(Z)))
 
             def objective(m=model, values=values):
                 return float(np.mean(values(_model.forward(m, X))))
@@ -649,9 +649,9 @@ def _end_to_end_cases(rng: Rng):
         # the analytic gradient used.
         state = _ad.mec_init(C, DEFAULT_CONFIG["loss"]["pi"])
         warm = (rng.uniforms(4 * C).reshape(4, C) - 0.5) * 6.0
-        _ad.adadem_rows(warm, softmax_rows(warm), state)
+        _ad.adadem_rows(warm, _softmax_rows(warm), state)
         Z0 = _model.forward(model, X)
-        P0 = softmax_rows(Z0)
+        P0 = _softmax_rows(Z0)
         grad = _model.backward(model, X, _ad.adadem_rows(Z0, P0, state.copy()))
         labels0 = np.argmax(P0, axis=1)
         replay = state.copy()
@@ -663,7 +663,7 @@ def _end_to_end_cases(rng: Rng):
 
         def frozen_objective(m=model, c_rows=c_rows, d_vals=d_vals):
             Zt = _model.forward(m, X)
-            Pt = softmax_rows(Zt)
+            Pt = _softmax_rows(Zt)
             return float(np.mean(-np.sum((Pt - c_rows) * Zt, axis=1, keepdims=True) / d_vals))
 
         yield f"{mname}/adadem", grad, param_fd(model, frozen_objective)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import _logsumexp, _scaled, _softmax, as_vector, logsumexp_rows, softmax_rows
+from .numkit import _logsumexp, _logsumexp_rows, _scaled, _softmax, _softmax_rows, as_vector
 
 __all__ = [
     "LossEval",
@@ -280,7 +280,7 @@ def reward_curve(C: int, cfg: DemConfig, m_grid) -> list[tuple[float, float, flo
 
 def _em_probs(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``exp(Z - lse)`` and its log ``Z - lse``, row by row."""
-    logp = Z - logsumexp_rows(Z)[:, None]
+    logp = Z - _logsumexp_rows(Z)[:, None]
     return np.exp(logp), logp
 
 
@@ -308,9 +308,10 @@ def dem_row_values(Z: np.ndarray, cfg: DemConfig) -> np.ndarray:
     These are the values whose gradients :func:`dem_rows` returns; the
     adaptation loop never reads them, gradient checks and tests do.
     """
-    P_tau = softmax_rows(Z / cfg.tau)
+    T = Z / cfg.tau
+    P_tau = _softmax_rows(T, T)
     S_tau = np.sum(P_tau * Z, axis=1, keepdims=True)
-    return -S_tau[:, 0] + cfg.alpha * logsumexp_rows(Z)
+    return -S_tau[:, 0] + cfg.alpha * _logsumexp_rows(Z)
 
 
 def dem_rows(Z: np.ndarray, P: np.ndarray, cfg: DemConfig) -> np.ndarray:
@@ -321,7 +322,8 @@ def dem_rows(Z: np.ndarray, P: np.ndarray, cfg: DemConfig) -> np.ndarray:
     reads gradients only, so no loss values are built here; they are
     :func:`dem_row_values`.
     """
-    P_tau = softmax_rows(np.divide(Z, cfg.tau))
+    T = np.divide(Z, cfg.tau)
+    P_tau = _softmax_rows(T, T)  # in place: the quotient is dem_rows' own
     W = P_tau * Z
     S_tau = np.add.reduce(W, axis=1, keepdims=True)
     # alpha * P - (P_tau / tau) * (Z - S_tau + tau), built in place one

@@ -11,46 +11,31 @@ Each model stores its parameters in one float64 vector ``theta``; the
 weight matrices and biases are reshaped views of it.  Gradients, SGD
 velocity and updates are flat vectors laid out like ``theta``, and
 ``sgd_step`` moves such a vector in place: a model's own ``theta``, or
-one row of a :class:`ModelStack`'s ``(K, P)`` array.
-
-``adapt_stream`` is the online protocol over one shift, a ``B x n x d``
-array of ``B`` unlabeled batches of ``n`` rows, for a :class:`ModelStack`
-of ``K`` models at once: for each batch the models first predict (the
-loop writes these pre-update probabilities into its workspace and calls
-the caller's scoring hook on them), then each model's loss plugin turns
-its logits and probabilities into per-sample gradients, and each model's
-row of the stack takes one SGD step with the model's own optimizer
-settings.  One model is the stack of ``K = 1``.
-Plugins wrap the losses a config's ``loss.name`` names: classical EM,
-decoupled EM, and AdaDEM, which carries its calibrator state through the
-whole stream.  Source training's cross-entropy is the kernel ``_ce_rows``.
+row ``k`` of a ``(K, P)`` array that stacks ``K`` models of one
+architecture.  ``adapt_stream`` adapts such a stack over one shift of
+unlabeled batches: per batch the models predict, the caller's hook
+scores the predictions, each model's loss plugin turns its logits into
+per-sample gradients, and each row takes one SGD step with its model's
+own settings.  One model is the stack of ``K = 1``.  Plugins wrap the
+losses a config's ``loss.name`` names: classical EM, decoupled EM, and
+AdaDEM, which carries its calibrator state through the whole stream.
+Source training's cross-entropy is the kernel ``_ce_rows``.
 
 Validation follows the convention of :mod:`demkit.numkit`: the public
 functions validate their input once (finite float64 inputs of the
 model's input width; ``adapt_stream`` checks a whole shift at once) and
 hand it to the private kernels ``_forward`` and ``_backward``, which
 check nothing.  The kernels are the only forward and backward pass, and
-they write into a :class:`_Workspace` instead of allocating: it holds
-the logits, the MLP's hidden activations (which ``_backward`` reuses
-instead of recomputing the forward pass), the backward intermediates and
-one flat gradient laid out like ``theta``.  A workspace over a stack's
-``(K, P)`` parameters gives every buffer a leading axis of ``K``, and
-the kernels then run each step once for all ``K`` models with the
-operations, and so the bits, of ``K`` one-model steps.  The kernels
-multiply with the workspace's ``product``, ``np.matmul``, which
-broadcasts over ``K``; only ``train_source`` sets ``np.dot`` on its own
-workspaces, which reaches the same BLAS call with less dispatch and, on
-the tested BLAS, the same bits.  The step loops (``train_source``,
-``adapt_stream``) build their workspaces once per call and run
-``_forward`` and ``_backward`` once per step; the public ``forward`` and
-``backward`` run them on a fresh workspace, so what they return belongs
-to the caller.  ``sgd_step`` likewise writes ``lr * v`` into a scratch
-vector of its :class:`SgdState`.  ``step_bytes`` counts these per model.
-
-The plugin contract of ``adapt_stream``: the ``Z`` handed to
-``batch_eval`` is a workspace buffer that the next step overwrites, so a
-plugin reads it and neither keeps it nor writes into it; ``P`` is the
-model's block of the workspace's probabilities, and is read only.
+they write into a :class:`_Workspace` instead of allocating.  A
+workspace over a ``(K, P)`` stack gives every buffer a leading axis of
+``K``, and the kernels then run each step once for all ``K`` models
+with the operations, and so the bits, of ``K`` one-model steps.  The
+step loops (``train_source``, ``adapt_stream``) build their workspaces
+once per call and run ``_forward`` and ``_backward`` once per step; the
+public ``forward`` and ``backward`` run them on a fresh workspace, so
+what they return belongs to the caller.  ``sgd_step`` likewise writes
+``lr * v`` into a scratch vector of its :class:`SgdState`.
+``step_bytes`` counts these per model.
 """
 
 from __future__ import annotations
@@ -61,12 +46,11 @@ import numpy as np
 
 from . import adadem as _adadem
 from . import em_losses as _em
-from .numkit import _integer, _logsumexp, _softmax_rows, as_matrix, logsumexp_rows, validated_labels
+from .numkit import _integer, _logsumexp, _logsumexp_rows, _softmax_rows, as_matrix, validated_labels
 
 __all__ = [
     "LinearSoftmax",
     "Mlp",
-    "ModelStack",
     "init_linear",
     "init_mlp",
     "step_bytes",
@@ -147,41 +131,15 @@ def _arrays(model) -> list:
     return [getattr(model, name) for name in model._names]
 
 
-class ModelStack:
-    """``K`` models of one architecture whose parameters are the rows of
-    one C-contiguous ``(K, P)`` array ``theta``.
-
-    The rows start as copies of ``models``, which must share one type and
-    one shape (``ValueError`` otherwise); ``ModelStack([model] * K)`` is
-    ``K`` copies of one model.  ``arch`` is the first of ``models``: its
-    type and shapes are every row's, and its parameters are not read
-    again.  Row ``theta[k]`` is model ``k``'s parameter vector, so an
-    :func:`sgd_step` on it moves model ``k`` and nothing else.  The stack
-    keeps the step buffers of :func:`adapt_stream`, one
-    :class:`_Workspace` per batch size.
-    """
-
-    def __init__(self, models):
-        models = list(models)
-        if not models:
-            raise ValueError("a stack needs at least one model")
-        self.arch = first = models[0]
-        shapes = [a.shape for a in _arrays(first)]
-        for m in models:
-            if type(m) is not type(first) or [a.shape for a in _arrays(m)] != shapes:
-                raise ValueError("stacked models must share one architecture and shape")
-        self.theta = np.stack([m.theta for m in models])
-        self._workspaces = {}
-
-    def _workspace(self, n: int) -> "_Workspace":
-        """The stack's workspace for batches of ``n`` rows, built on first use."""
-        if n not in self._workspaces:
-            self._workspaces[n] = _Workspace(self.arch, n, self.theta)
-        return self._workspaces[n]
+def _check_sizes(C: int, d: int) -> None:
+    """``ValueError`` unless ``C >= 2`` classes and ``d >= 1`` inputs, both integers."""
+    if _integer(C, "C") < 2 or _integer(d, "d") < 1:
+        raise ValueError(f"need at least two classes and one input, got C={C}, d={d}")
 
 
 def init_linear(C: int, d: int, rng=None, scale: float = 0.0) -> LinearSoftmax:
     """Linear model; zero-initialized by default (uniform predictions)."""
+    _check_sizes(C, d)
     if rng is not None and scale > 0.0:
         W = scale * rng.normals(C * d).reshape(C, d)
     else:
@@ -195,6 +153,7 @@ def init_mlp(C: int, d: int, hidden: int, rng, scale: float) -> Mlp:
     The output layer is scaled down by sqrt(hidden) so initial logits
     stay O(1) regardless of width.
     """
+    _check_sizes(C, d)
     if _integer(hidden, "hidden width") < 1:
         raise ValueError(f"hidden width must be positive, got {hidden}")
     W1 = scale * rng.normals(hidden * d).reshape(hidden, d)
@@ -216,9 +175,9 @@ class _Workspace:
     """The buffers of one step loop, reused by every step of ``n`` rows,
     and the views of the parameters ``theta`` that its kernels read.
 
-    ``theta`` is ``model.theta``, or a ``(K, P)`` stack of vectors laid
-    out like it (:class:`ModelStack`), which gives every buffer below a
-    leading axis of ``K``, one slice per stacked model.
+    ``theta`` is ``model.theta``, or a C-contiguous ``(K, P)`` stack of
+    vectors laid out like it, which gives every buffer below a leading
+    axis of ``K``, one slice per stacked model.
 
     Row buffers hold one batch: the logits ``Z`` (``n x C``), their
     probabilities ``P`` (``n x C``; :func:`adapt_stream` writes them),
@@ -266,9 +225,9 @@ def _hidden(model) -> int:
 
 
 def step_bytes(model, n: int) -> int:
-    """The bytes one model of a :class:`ModelStack` like ``model`` holds
-    in an :func:`adapt_stream` step over ``n`` rows, from its shapes: its
-    slice of each :class:`_Workspace` buffer, its parameter row, its
+    """The bytes one model like ``model`` of a stack holds in an
+    :func:`adapt_stream` step over ``n`` rows, from its shapes: its slice
+    of each :class:`_Workspace` buffer, its row of the ``(K, P)`` array, its
     :class:`SgdState`'s two vectors and the step's two ``n x C`` masks."""
     C, h, P = model.C, _hidden(model), model.theta.size
     return 8 * (3 * n * C + n * h + 4 * P) + n * h + 2 * n * C
@@ -360,7 +319,7 @@ def _cross_entropy_value(z: np.ndarray, target: int) -> float:
 
 def _ce_row_values(Z: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-row cross-entropy values: ``logsumexp(Z) - Z[target]``."""
-    return logsumexp_rows(Z) - Z[np.arange(Z.shape[0]), targets]
+    return _logsumexp_rows(Z) - Z[np.arange(Z.shape[0]), targets]
 
 
 @dataclass(frozen=True)
@@ -521,21 +480,24 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int)
     return model
 
 
-def adapt_stream(stack: ModelStack, X, plugins, cfgs, score) -> list:
+def adapt_stream(model, theta: np.ndarray, X, plugins, cfgs, score) -> list:
     """Online adaptation of ``K`` stacked models: predict, score, update,
     repeat.
 
-    ``X`` is one shift's unlabeled inputs, a ``B x n x d`` array of ``B``
-    batches of ``n`` rows, so the loop never sees a label.  For each
-    batch ``X[i]`` the models of ``stack`` first predict: the loop writes
-    their probabilities ``softmax_rows(Z)`` into ``P``, the C-contiguous
-    float64 ``K x n x C`` buffer of the stack's :class:`_Workspace`, and
-    calls ``score(i, P)``, which may read ``P`` and must not write into
-    it.  Then for each model ``k`` ``plugins[k].batch_eval(Z[k], P[k])``
-    turns its logits and probabilities into the ``n x C`` matrix of
-    per-sample loss gradients with respect to the logits (gradients
-    only: nothing here reads a loss value), and one :func:`sgd_step`
-    with ``cfgs[k]`` moves the row ``stack.theta[k]`` in place.
+    ``model`` gives the architecture (its parameters are not read), and
+    row ``k`` of ``theta``, a C-contiguous float64 ``(K, P)`` array laid
+    out like ``model.theta``, is model ``k``'s parameters, which the call
+    steps in place.  ``X`` is one shift's unlabeled inputs, a ``B x n x
+    d`` array of ``B`` batches of ``n`` rows, so the loop never sees a
+    label.  For each batch ``X[i]`` the models first predict: the loop
+    writes their probabilities ``softmax_rows(Z)`` into ``P``, the
+    C-contiguous float64 ``K x n x C`` buffer of the :class:`_Workspace`
+    it builds for the call, and calls ``score(i, P)``, which may read
+    ``P`` and must not write into it.  Then for each model ``k``
+    ``plugins[k].batch_eval(Z[k], P[k])`` turns its logits and
+    probabilities into the ``n x C`` matrix of per-sample loss gradients
+    with respect to the logits (gradients only: nothing here reads a loss
+    value), and one :func:`sgd_step` with ``cfgs[k]`` moves ``theta[k]``.
 
     The K-model contract: the forward pass, the row softmax, the
     finiteness checks and the backward pass run once per batch for the
@@ -546,16 +508,16 @@ def adapt_stream(stack: ModelStack, X, plugins, cfgs, score) -> list:
     per call.  A model whose plugin is ``None`` is carried along and
     takes neither.
 
-    ``cfgs`` holds one :class:`SgdConfig` per model.  The hook gets the
-    same ``P`` for every batch, and each batch overwrites it, so the hook
-    keeps what it needs of one batch before the next.  ``X``,
-    ``plugins`` and ``cfgs`` are validated once, before the first step
-    (``ValueError``).
+    The hook gets the same ``P`` for every batch, and each batch
+    overwrites it, so the hook keeps what it needs of one batch before
+    the next.  ``X``, ``theta``, ``plugins`` and ``cfgs`` are validated
+    once, before the first step (``ValueError``); a strided ``theta`` is
+    refused, since its rows' views, and the steps on them, could be
+    copies.
 
-    The plugin contract: ``P[k]`` and ``Z[k]`` are buffers of the stack's
-    :class:`_Workspace` that the next step overwrites, so a plugin reads
-    them during ``batch_eval`` and neither keeps them nor writes into
-    them.
+    The plugin contract: ``P[k]`` and ``Z[k]`` are workspace buffers that
+    the next step overwrites, so a plugin reads them during
+    ``batch_eval`` and neither keeps nor writes into them.
 
     Each call starts from fresh SGD states, so momentum never carries
     over from one call to the next: a continual protocol, which calls
@@ -574,16 +536,20 @@ def adapt_stream(stack: ModelStack, X, plugins, cfgs, score) -> list:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3:
         raise ValueError(f"a shift's inputs must be B x n x d, got shape {X.shape}")
-    _validated_input(stack.arch, X.reshape(-1, X.shape[2]))
-    K, n = len(stack.theta), X.shape[1]
+    _validated_input(model, X.reshape(-1, X.shape[2]))
+    width = model.theta.size
+    if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64 and theta.ndim == 2
+            and theta.shape[1] == width and theta.flags.c_contiguous and theta.flags.writeable):
+        raise ValueError(f"theta must be a writeable C-contiguous float64 (K, {width}) array")
+    K, n = len(theta), X.shape[1]
     plugins, cfgs = list(plugins), list(cfgs)
     if len(plugins) != K:
         raise ValueError(f"need one plugin per stacked model, {K}, got {len(plugins)}")
     if len(cfgs) != K:
         raise ValueError(f"need one SgdConfig per stacked model, {K}, got {len(cfgs)}")
-    ws = stack._workspace(n)
+    ws = _Workspace(model, n, theta)
     G = ws.G  # the plugins' gradients, stacked for one backward pass
-    rows, states, errors = list(stack.theta), [SgdState() for _ in range(K)], [None] * K
+    rows, states, errors = list(theta), [SgdState() for _ in range(K)], [None] * K
     live = [k for k in range(K) if plugins[k] is not None]
     with np.errstate(over="ignore", invalid="ignore"):
         for i, Xi in enumerate(X):

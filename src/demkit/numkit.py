@@ -113,8 +113,13 @@ def _logsumexp(z: np.ndarray) -> float:
     return m + math.log(float(np.add.reduce(e)))
 
 
-def logsumexp_rows(Z: np.ndarray) -> np.ndarray:
-    """Row-wise stable log-sum-exp for an ``n x C`` matrix."""
+def logsumexp_rows(Z) -> np.ndarray:
+    """Row-wise stable log-sum-exp for a finite ``n x C`` matrix."""
+    return _logsumexp_rows(as_matrix(Z))
+
+
+def _logsumexp_rows(Z: np.ndarray) -> np.ndarray:
+    """Kernel of :func:`logsumexp_rows` for a validated float64 matrix."""
     m = np.maximum.reduce(Z, axis=1, keepdims=True)
     E = Z - m
     np.exp(E, out=E)
@@ -141,19 +146,19 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def softmax_rows(Z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax for an ``n x C`` matrix (same path as softmax)."""
-    return _softmax_rows(Z, np.empty_like(Z))
+def softmax_rows(Z) -> np.ndarray:
+    """Row-wise softmax for a finite ``n x C`` matrix (same path as softmax)."""
+    return _softmax_rows(as_matrix(Z))
 
 
-def _softmax_rows(Z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Kernel of :func:`softmax_rows`: writes the probabilities into
-    ``out``, an array shaped like ``Z`` (returned), over the last axis:
-    ``Z`` may also be a ``K x n x C`` stack of matrices.  ``out`` may be
-    a row block of a larger array; with C-contiguous rows, as a fresh
-    array has, each row sum adds in the same order, so the bits do not
-    depend on where ``out`` lives or on the stack around a matrix."""
-    np.subtract(Z, np.maximum.reduce(Z, axis=-1, keepdims=True), out=out)
+def _softmax_rows(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Kernel of :func:`softmax_rows`: writes the probabilities over the
+    last axis of ``Z``, a matrix or a ``K x n x C`` stack, into ``out``
+    (returned; a fresh array if None), which may be ``Z`` itself or a row
+    block of a larger array.  With C-contiguous rows, as a fresh array
+    has, each row sum adds in the same order, so the bits do not depend
+    on where ``out`` lives or on the stack around a matrix."""
+    out = np.subtract(Z, np.maximum.reduce(Z, axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
@@ -339,14 +344,14 @@ class Rng:
     """
 
     def __init__(self, seed: int):
-        self.seed = _U64(seed & 0xFFFFFFFFFFFFFFFF)
+        self.seed = _U64(int(_integer(seed, "seed")) & 0xFFFFFFFFFFFFFFFF)
         self.counter = 0
         self._block = np.empty(0)  # uniforms for outputs _start+1 .. _start+len
         self._start = 0
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` doubles uniform on [0, 1), 53-bit resolution."""
-        if n < 0:
+        if _integer(n, "n") < 0:
             raise ValueError("block size must be non-negative")
         off = self.counter - self._start
         if off < 0 or off + n > self._block.shape[0]:
@@ -362,6 +367,8 @@ class Rng:
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normal draws via Box-Muller, none larger than
         ``NORMAL_BOUND`` in absolute value."""
+        if _integer(n, "n") < 0:
+            raise ValueError("block size must be non-negative")
         pairs = (n + 1) // 2
         # u1 = (k + 1) 2^-53 lives in (0, 1], so the log below is always
         # finite; adding 2^-53 to k 2^-53 is exact.

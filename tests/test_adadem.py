@@ -115,6 +115,16 @@ class TestMecState:
         np.testing.assert_array_equal(state.table, np.full((4, 4), 0.25))
         assert state.pi == PI
 
+    @pytest.mark.parametrize(
+        "C, message",
+        [(3.0, "C must be an integer, got 3.0"), (True, "C must be an integer, got True"),
+         (np.float64(2.0), "C must be an integer"), (1, "need at least two classes, got 1")],
+        ids=["float", "bool", "numpy-float", "one-class"],
+    )
+    def test_init_checks_the_class_count(self, C, message):
+        with pytest.raises(ValueError, match=message):
+            mec_init(C, PI)
+
     def test_init_validation(self):
         with pytest.raises(ValueError):
             mec_init(1, PI)

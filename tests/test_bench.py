@@ -42,7 +42,6 @@ from demkit.model import (
     DivergenceError,
     EmPlugin,
     Mlp,
-    ModelStack,
     SgdConfig,
     adapt_stream,
     forward,
@@ -167,6 +166,16 @@ class TestSampleBatch:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sample_batch(MIX, np.full(10, 0.1), 0, Rng(0))
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [(3.0, "n must be an integer, got 3.0"), (True, "n must be an integer, got True"),
+         (np.float64(3.0), "n must be an integer"), (-2, "need a positive sample count, got -2")],
+        ids=["float", "bool", "numpy-float", "negative"],
+    )
+    def test_takes_an_integer_sample_count(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            sample_batch(MIX, np.full(10, 0.1), n, Rng(0))
 
 
 class TestShifts:
@@ -549,13 +558,13 @@ def _shift_probs(model, X, plugin, cfg):
     by the scoring hook into a fresh array of the shift's rows; ``model``
     moves as the stack moved."""
     B, n = X.shape[:2]
-    stack, probs = ModelStack([model]), np.empty((B, n, model.C))
+    theta, probs = np.stack([model.theta]), np.empty((B, n, model.C))
 
     def score(i, P):
         probs[i] = P[0]
 
-    assert adapt_stream(stack, X, [plugin], [cfg], score) == [None]
-    model.theta[:] = stack.theta[0]
+    assert adapt_stream(model, theta, X, [plugin], [cfg], score) == [None]
+    model.theta[:] = theta[0]
     return probs.reshape(B * n, model.C)
 
 
@@ -689,9 +698,9 @@ class TestRunProtocol:
 
         seen = []
 
-        def inputs_only(model, X, *args):
+        def inputs_only(arch, theta, X, *args):
             seen.append(X)
-            return adapt_stream(model, X, *args)
+            return adapt_stream(arch, theta, X, *args)
 
         monkeypatch.setattr(demkit.model, "forward", no_forward)
         monkeypatch.setattr(demkit.bench, "adapt_stream", inputs_only)
@@ -997,9 +1006,9 @@ class TestStackedProtocols:
         ``run_protocols`` makes, in order."""
         thetas, adapt = [], demkit.bench.adapt_stream
 
-        def recording(stack, *args):
-            errors = adapt(stack, *args)
-            thetas.append(stack.theta.copy())
+        def recording(model, theta, *args):
+            errors = adapt(model, theta, *args)
+            thetas.append(theta.copy())
             return errors
 
         monkeypatch.setattr(demkit.bench, "adapt_stream", recording)

@@ -18,9 +18,9 @@ at commit 5ba4b20, before the sweeps moved from ``cli`` to ``search``.
 ``BITS`` pins bits rather than prints.  For the ``run``, ``grid-search``
 and ``lr-sweep`` commands of ``COMMANDS`` it holds the SHA-256 of the raw
 bytes of the source model's ``theta`` after ``train_source``, and, for
-each ``bench.run_protocols`` call, of the final ``theta`` of the
-``ModelStack`` it built followed by every result's ``confusion``,
-``sums`` and ``total``.  A change that moves the last bit of one
+each ``bench.run_protocols`` call, of the ``(K, P)`` parameter array it
+hands ``adapt_stream``, as the call leaves it, followed by every result's
+``confusion``, ``sums`` and ``total``.  A change that moves the last bit of one
 probability can leave every 9-digit print unchanged; it fails here.
 ``BITS`` was recorded at commit 2853129 by printing ``_bits`` from this
 module's commands.
@@ -267,9 +267,9 @@ def _bits(directory: Path, capsys, monkeypatch) -> dict:
     """Run the config commands of ``COMMANDS`` in ``directory`` and return
     the SHA-256 of the raw bits they compute (see the module docstring),
     keyed ``name/source`` and ``name/run_protocols/<i>``."""
-    bits, stacks = {}, []
-    build, run, stack = (
-        demkit.cli.build_source_model, demkit.bench.run_protocols, demkit.bench.ModelStack
+    bits, handed = {}, []
+    build, run, adapt = (
+        demkit.cli.build_source_model, demkit.bench.run_protocols, demkit.bench.adapt_stream
     )
 
     def source(*args):
@@ -277,13 +277,17 @@ def _bits(directory: Path, capsys, monkeypatch) -> dict:
         bits[f"{name}/source"] = _sha256([model.theta])
         return model
 
-    def built(models):
-        stacks.append(stack(models))
-        return stacks[-1]
+    def adapting(model, theta, *args):
+        handed.append(theta)
+        return adapt(model, theta, *args)
 
     def protocols(*args):
+        handed.clear()
         runs = run(*args)
-        arrays = [stacks.pop().theta]
+        # Every shift of one call steps the same array; hashing another
+        # would hash parameters that no protocol ran.
+        arrays = list({id(theta): theta for theta in handed}.values())
+        assert len(arrays) == 1, f"{name}: run_protocols stepped {len(arrays)} arrays"
         for r in runs:
             arrays += [*r.confusion, *r.sums, r.total]
         calls = sum(key.startswith(f"{name}/run_protocols/") for key in bits)
@@ -291,7 +295,7 @@ def _bits(directory: Path, capsys, monkeypatch) -> dict:
         return runs
 
     monkeypatch.setattr(demkit.cli, "build_source_model", source)
-    monkeypatch.setattr(demkit.bench, "ModelStack", built)
+    monkeypatch.setattr(demkit.bench, "adapt_stream", adapting)
     monkeypatch.setattr(demkit.bench, "run_protocols", protocols)
     for name, stem, argv in COMMANDS:
         if stem is not None:

@@ -18,7 +18,6 @@ from demkit.model import (
     EmPlugin,
     LinearSoftmax,
     Mlp,
-    ModelStack,
     SgdConfig,
     SgdState,
     adapt_stream,
@@ -79,6 +78,23 @@ class TestInitAndForward:
     def test_mlp_accepts_a_numpy_integer_width(self):
         m = init_mlp(3, 2, np.int64(4), Rng(0), INIT_SCALE)
         assert m.theta.tobytes() == init_mlp(3, 2, 4, Rng(0), INIT_SCALE).theta.tobytes()
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [(lambda: init_mlp(3.0, 2, 4, Rng(0), INIT_SCALE), "C must be an integer, got 3.0"),
+         (lambda: init_mlp(3, 2.0, 4, Rng(0), INIT_SCALE), "d must be an integer, got 2.0"),
+         (lambda: init_mlp(1, 2, 4, Rng(0), INIT_SCALE), "two classes and one input, got C=1, d=2"),
+         (lambda: init_mlp(3, 0, 4, Rng(0), INIT_SCALE), "two classes and one input, got C=3, d=0"),
+         (lambda: init_linear(True, 2), "C must be an integer, got True"),
+         (lambda: init_linear(3, np.float64(2.0)), "d must be an integer"),
+         (lambda: init_linear(1, 2), "two classes and one input, got C=1, d=2"),
+         (lambda: init_linear(3, 0), "two classes and one input, got C=3, d=0")],
+        ids=["mlp-float-C", "mlp-float-d", "mlp-one-class", "mlp-no-inputs",
+             "linear-bool-C", "linear-float-d", "linear-one-class", "linear-no-inputs"],
+    )
+    def test_init_checks_classes_and_input_width(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_linear_forward_hand_case(self):
         model = LinearSoftmax(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
@@ -297,9 +313,9 @@ def _adapt(model, X, plugin, cfg):
     returns the pre-update probabilities its scoring hook saw, as
     ``B x n x C``."""
     B, n = X.shape[:2]
-    stack, seen = ModelStack([model]), np.empty((1, B * n, model.C))
-    (error,) = adapt_stream(stack, X, [plugin], [cfg], _recorder(seen, n))
-    model.theta[:] = stack.theta[0]
+    theta, seen = np.stack([model.theta]), np.empty((1, B * n, model.C))
+    (error,) = adapt_stream(model, theta, X, [plugin], [cfg], _recorder(seen, n))
+    model.theta[:] = theta[0]
     if error is not None:
         raise error
     return seen.reshape(B, n, model.C)
@@ -810,7 +826,7 @@ class TestAdaptStream:
         before = model.theta.copy()
         with pytest.raises(error):
             adapt_stream(
-                ModelStack([model]), inputs(X), [EmPlugin()], [SgdConfig(lr=0.1)],
+                model, np.stack([model.theta]), inputs(X), [EmPlugin()], [SgdConfig(lr=0.1)],
                 _recorder(np.empty((1, 48, 3)), 16),
             )
         assert np.array_equal(model.theta, before)
@@ -861,17 +877,17 @@ class TestAdaptStream:
                 return out
 
         recording = Recording(make_plugin())
-        tempered_only = em_losses.softmax_rows
+        tempered_only = em_losses._softmax_rows
 
-        def no_softmax_of_the_logits(A):
+        def no_softmax_of_the_logits(A, out=None):
             if np.array_equal(A, recording.logits):
                 raise AssertionError("softmax_rows recomputed on the logits")
-            return tempered_only(A)
+            return tempered_only(A, out)
 
         def no_softmax(A):
             raise AssertionError("adadem recomputed softmax_rows")
 
-        monkeypatch.setattr(em_losses, "softmax_rows", no_softmax_of_the_logits)
+        monkeypatch.setattr(em_losses, "_softmax_rows", no_softmax_of_the_logits)
         # adadem does not import softmax_rows; the guard still catches a
         # later re-import.
         monkeypatch.setattr(adadem, "softmax_rows", no_softmax, raising=False)
@@ -883,7 +899,7 @@ class TestAdaptStream:
             hooked.append(P)
             scored.append((i, P.copy()))
 
-        adapt_stream(ModelStack([model]), X, [recording], [SgdConfig(lr=0.05)], score)
+        adapt_stream(model, np.stack([model.theta]), X, [recording], [SgdConfig(lr=0.05)], score)
         assert len(seen) == 4 and [i for i, _ in scored] == [0, 1, 2, 3]
         probs = hooked[0]
         assert all(P is probs for P in hooked)
@@ -901,12 +917,12 @@ class TestAdaptStream:
         # hands the hook a 1 x rows x 3 buffer for batches of rows rows,
         # with the bits of the stack's own one-shift run.
         model = init_linear(3, 2, Rng(31), scale=0.5)
-        stack, cfg = ModelStack([model]), SgdConfig(lr=0.01)
+        theta, cfg = np.stack([model.theta]), SgdConfig(lr=0.01)
         first, _ = self._stream(Rng(30), n_batches=2, batch=48)
         X, _ = self._stream(Rng(32), n_batches=2, batch=rows)
-        adapt_stream(stack, first, [EmPlugin()], [cfg], lambda i, P: None)
+        adapt_stream(model, theta, first, [EmPlugin()], [cfg], lambda i, P: None)
         alone = model.copy()
-        alone.theta[:] = stack.theta[0]
+        alone.theta[:] = theta[0]
         hooked, seen = [], np.empty((1, 2 * rows, 3))
         record = _recorder(seen, rows)
 
@@ -914,11 +930,11 @@ class TestAdaptStream:
             hooked.append((P.shape, P.ctypes.data))
             record(i, P)
 
-        assert adapt_stream(stack, X, [EmPlugin()], [cfg], score) == [None]
+        assert adapt_stream(model, theta, X, [EmPlugin()], [cfg], score) == [None]
         assert hooked == [((1, rows, 3), hooked[0][1])] * 2
         expected = _adapt(alone, X, EmPlugin(), cfg)
         assert seen.tobytes() == expected.tobytes()
-        assert stack.theta[0].tobytes() == alone.theta.tobytes()
+        assert theta[0].tobytes() == alone.theta.tobytes()
 
     @pytest.mark.parametrize("count", [0, 2])
     def test_takes_one_sgd_config_per_model(self, count):
@@ -927,39 +943,68 @@ class TestAdaptStream:
         before = model.theta.copy()
         with pytest.raises(ValueError, match=f"one SgdConfig per stacked model, 1, got {count}"):
             adapt_stream(
-                ModelStack([model]), X, [EmPlugin()], [SgdConfig(lr=0.01)] * count,
+                model, np.stack([model.theta]), X, [EmPlugin()], [SgdConfig(lr=0.01)] * count,
                 _recorder(np.empty((1, 48, 3)), 16),
             )
         assert np.array_equal(model.theta, before)
 
 
-class TestModelStack:
-    def test_models_are_the_rows_of_one_array(self):
-        a, b = init_mlp(3, 2, 6, Rng(1), INIT_SCALE), init_mlp(3, 2, 6, Rng(2), INIT_SCALE)
+class TestStackedRows:
+    """``adapt_stream`` over the rows of a caller's ``(K, P)`` array."""
+
+    @staticmethod
+    def _pair():
+        return init_mlp(3, 2, 6, Rng(1), INIT_SCALE), init_mlp(3, 2, 6, Rng(2), INIT_SCALE)
+
+    def test_each_row_keeps_the_bits_of_its_own_model(self):
+        # The caller's array is the one that moves: each row ends with
+        # the bits of its model's one-model run, and neither stacked
+        # source model moves.
+        a, b = self._pair()
         sources = a.theta.tobytes(), b.theta.tobytes()
-        stack = ModelStack([a, b, a])
-        assert stack.theta.shape == (3, a.theta.size) and stack.theta.flags.c_contiguous
-        assert stack.theta.tobytes() == np.stack([a.theta, b.theta, a.theta]).tobytes()
-        assert not np.shares_memory(stack.theta, a.theta)
-        assert not np.shares_memory(stack.theta, b.theta)
-        assert stack.arch is a
-        # A step on row 1 moves that row's bytes, and no other row's and
-        # neither stacked source model's.
-        rows = [row.tobytes() for row in stack.theta]
-        sgd_step(stack.theta[1], np.ones(a.theta.size), SgdConfig(lr=0.5), SgdState())
-        assert stack.theta[1].tobytes() == (b.theta - 0.5).tobytes() != rows[1]
-        assert [stack.theta[0].tobytes(), stack.theta[2].tobytes()] == [rows[0], rows[2]]
+        X = 2.0 * Rng(7).normals(3 * 16 * 2).reshape(3, 16, 2)
+        theta, probs = np.stack([a.theta, b.theta, a.theta]), np.empty((3, 48, 3))
+        cfgs = [SgdConfig(0.1, 0.9), SgdConfig(0.2), SgdConfig(0.05, 0.5)]
+
+        def plugins():
+            return [EmPlugin(), DemPlugin(DemConfig(1.3, 0.4)), AdaDemPlugin(PI)]
+
+        assert adapt_stream(a, theta, X, plugins(), cfgs, _recorder(probs, 16)) == [None] * 3
+        for k, (model, plugin) in enumerate(zip([a, b, a], plugins())):
+            alone = model.copy()
+            expected = _adapt(alone, X, plugin, cfgs[k])
+            assert theta[k].tobytes() == alone.theta.tobytes() != model.theta.tobytes()
+            assert probs[k].tobytes() == expected.reshape(48, 3).tobytes()
         assert (a.theta.tobytes(), b.theta.tobytes()) == sources
 
     @pytest.mark.parametrize(
-        "models",
-        [[], [init_mlp(3, 2, 6, Rng(1), INIT_SCALE), init_mlp(3, 2, 7, Rng(1), INIT_SCALE)],
-         [init_linear(3, 2), init_mlp(3, 2, 6, Rng(1), INIT_SCALE)]],
-        ids=["empty", "widths", "architectures"],
+        "make",
+        [lambda t: t[0], lambda t: t[:, :-1], lambda t: np.hstack([t, t[:, :1]]),
+         lambda t: t.astype(np.float32), lambda t: np.asfortranarray(t),
+         lambda t: np.repeat(t, 2, axis=1)[:, ::2], lambda t: list(t),
+         lambda t: np.lib.stride_tricks.as_strided(t, writeable=False)],
+        ids=["vector", "narrow", "wide", "float32", "fortran", "column-stepped", "list",
+             "read-only"],
     )
-    def test_rejects_models_that_do_not_stack(self, models):
-        with pytest.raises(ValueError):
-            ModelStack(models)
+    def test_refuses_a_theta_that_is_not_a_stack(self, make):
+        # Checked before any step: no plugin runs, the hook sees nothing,
+        # and the error names the shape a stack of this model needs.
+        a, b = self._pair()
+        theta = make(np.stack([a.theta, b.theta]))
+        before = np.array(theta).tobytes()
+
+        class Untouched:
+            def batch_eval(self, Z, P):
+                raise AssertionError("a step ran")
+
+        def score(i, P):
+            raise AssertionError("a batch was scored")
+
+        X = np.ones((2, 4, 2))
+        match = rf"C-contiguous float64 \(K, {a.theta.size}\) array"
+        with pytest.raises(ValueError, match=match):
+            adapt_stream(a, theta, X, [Untouched()] * 2, [SgdConfig(0.1)] * 2, score)
+        assert np.array(theta).tobytes() == before
 
     def test_a_model_without_a_plugin_is_carried_along(self):
         # The second model takes no plugin and no SGD call, the others
@@ -967,17 +1012,17 @@ class TestModelStack:
         # written.
         X = 2.0 * Rng(3).normals(4 * 16 * 2).reshape(4, 16, 2)
         source = init_mlp(3, 2, 6, Rng(4), INIT_SCALE)
-        stack = ModelStack([source] * 3)
+        theta = np.stack([source.theta] * 3)
         probs = np.empty((3, 64, 3))
         cfg = SgdConfig(lr=0.1, momentum=0.9)
         plugins = [EmPlugin(), None, AdaDemPlugin(PI)]
-        errors = adapt_stream(stack, X, plugins, [cfg] * 3, _recorder(probs, 16))
+        errors = adapt_stream(source, theta, X, plugins, [cfg] * 3, _recorder(probs, 16))
         assert errors == [None] * 3
-        assert np.array_equal(stack.theta[1], source.theta)
+        assert np.array_equal(theta[1], source.theta)
         for k in (0, 2):
             alone = source.copy()
             expected = _adapt(alone, X, [EmPlugin(), None, AdaDemPlugin(PI)][k], cfg)
-            assert stack.theta[k].tobytes() == alone.theta.tobytes()
+            assert theta[k].tobytes() == alone.theta.tobytes()
             assert probs[k].tobytes() == expected.tobytes()
         frozen = softmax_rows(forward(source, X.reshape(64, 2)))
         assert probs[1].tobytes() == frozen.tobytes()
@@ -988,15 +1033,15 @@ class TestModelStack:
         X = 2.0 * Rng(5).normals(4 * 16 * 2).reshape(4, 16, 2)
         source = init_mlp(3, 2, 6, Rng(6), INIT_SCALE)
         cfgs = [SgdConfig(0.1, 0.9), SgdConfig(0.0, 0.9), SgdConfig(0.03), SgdConfig(0.1, 0.5)]
-        stack, probs = ModelStack([source] * 4), np.empty((4, 64, 3))
+        theta, probs = np.stack([source.theta] * 4), np.empty((4, 64, 3))
         plugins = [AdaDemPlugin(PI) for _ in cfgs]
-        errors = adapt_stream(stack, X, plugins, cfgs, _recorder(probs, 16))
+        errors = adapt_stream(source, theta, X, plugins, cfgs, _recorder(probs, 16))
         assert errors == [None] * 4
-        assert stack.theta[1].tobytes() == source.theta.tobytes()
+        assert theta[1].tobytes() == source.theta.tobytes()
         for k, cfg in enumerate(cfgs):
             alone = source.copy()
             expected = _adapt(alone, X, AdaDemPlugin(PI), cfg)
-            assert stack.theta[k].tobytes() == alone.theta.tobytes()
+            assert theta[k].tobytes() == alone.theta.tobytes()
             assert probs[k].tobytes() == expected.reshape(64, 3).tobytes()
 
 
@@ -1008,12 +1053,12 @@ def test_step_bytes_counts_what_one_models_step_holds(hidden, C, n):
     # after a step, and adapt_stream's two n x C finiteness masks; and
     # the parameter row the step moves.
     model = init_linear(C, 2) if hidden is None else init_mlp(C, 2, hidden, Rng(C), INIT_SCALE)
-    stack = ModelStack([model])
-    ws = stack._workspace(n)
+    theta = np.stack([model.theta])
+    ws = demkit.model._Workspace(model, n, theta)
     owned = [a for a in vars(ws).values() if isinstance(a, np.ndarray) and a.base is None]
     state = SgdState()
-    sgd_step(stack.theta[0], np.zeros(model.theta.size), SgdConfig(0.1), state)
-    held = sum(a.nbytes for a in owned) + stack.theta[0].nbytes
+    sgd_step(theta[0], np.zeros(model.theta.size), SgdConfig(0.1), state)
+    held = sum(a.nbytes for a in owned) + theta[0].nbytes
     held += state.velocity.nbytes + state.scaled.nbytes + 2 * n * C
     assert step_bytes(model, n) == held
 
@@ -1109,7 +1154,7 @@ class TestStepKernels:
                 for out in outs:
                     assert out.dtype == np.float64 and out.flags.c_contiguous, case
 
-                stacked = ModelStack([model])._workspace(n)
+                stacked = demkit.model._Workspace(model, n, model.theta[None].copy())
                 assert stacked.product is np.matmul
                 Zs = demkit.model._forward(Xb, stacked)
                 gs = demkit.model._backward(Xb, dlogits, stacked)
@@ -1126,7 +1171,7 @@ class TestStepKernels:
         model = Mlp(W1=[[1.0]], b1=[-5.0], W2=[[1.0], [-1.0]], b2=[0.0, 0.0])
         X, dlogits = np.array([[-1.0]]), np.array([[0.5, -0.5]])
         [(_, ws)] = self._source_steps(monkeypatch, model, X, [1], 1)
-        stacked = ModelStack([model])._workspace(1)
+        stacked = demkit.model._Workspace(model, 1, model.theta[None].copy())
         assert ws.product is np.matmul
         demkit.model._forward(X, ws)
         demkit.model._forward(X, stacked)
@@ -1150,7 +1195,7 @@ class TestStepKernels:
             assert probs.tobytes() == np.stack(expected).tobytes()
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
-    def test_workspace_never_aliases_the_returned_probabilities(self, arch):
+    def test_workspace_never_aliases_the_returned_probabilities(self, arch, monkeypatch):
         # The logits handed to the plugins and the loss gradients live in
         # the loop's one workspace, reused by every batch; the K x n x C
         # probabilities it hands the scoring hook are one C-contiguous
@@ -1166,16 +1211,24 @@ class TestStepKernels:
                 seen.append(Z)
                 return self.inner.batch_eval(Z, P)
 
-        stack, probs = ModelStack([self._make(arch)] * 2), np.empty((2, 4 * 64, 3))
+        model = self._make(arch)
+        theta, probs = np.stack([model.theta] * 2), np.empty((2, 4 * 64, 3))
         record = _recorder(probs, 64)
+        built, workspace = [], demkit.model._Workspace
+
+        def building(*args):
+            built.append(workspace(*args))
+            return built[-1]
+
+        monkeypatch.setattr(demkit.model, "_Workspace", building)
 
         def score(i, P):
             hooked.append(P)
             record(i, P)
 
         cfg = SgdConfig(lr=0.1, momentum=0.5)
-        adapt_stream(stack, X, [Recording(), Recording()], [cfg] * 2, score)
-        batch, ws = hooked[0], stack._workspace(64)
+        adapt_stream(model, theta, X, [Recording(), Recording()], [cfg] * 2, score)
+        (ws,), batch = built, hooked[0]
         assert len(hooked) == 4 and all(P is batch for P in hooked)
         assert batch.dtype == np.float64 and batch.shape == (2, 64, 3)
         assert batch.flags.c_contiguous

@@ -17,6 +17,7 @@ from demkit.numkit import (
     Rng,
     _extended,
     _logsumexp,
+    _logsumexp_rows,
     _row_fsums,
     _scaled,
     _softmax,
@@ -61,6 +62,22 @@ class TestValidators:
             as_matrix(np.zeros(3))
         with pytest.raises(ValueError):
             as_matrix([[1.0, float("nan")]])
+
+    @pytest.mark.parametrize("function", [softmax_rows, logsumexp_rows])
+    @pytest.mark.parametrize(
+        "Z, message",
+        [(np.zeros(3), "expected a 2-D matrix"), (np.zeros((2, 2, 2)), "expected a 2-D matrix"),
+         ([[1.0, float("nan")]], "finite"), ([[float("-inf"), 0.0]], "finite")],
+        ids=["vector", "stack", "nan", "inf"],
+    )
+    def test_row_functions_validate_their_input(self, function, Z, message):
+        with pytest.raises(ValueError, match=message):
+            function(Z)
+
+    @pytest.mark.parametrize("function", [softmax_rows, logsumexp_rows])
+    def test_row_functions_take_an_integer_matrix_as_float64(self, function):
+        Z = np.array([[1, 2, 3], [0, 0, -4]])
+        assert function(Z).tobytes() == function(Z.astype(np.float64)).tobytes()
 
 
 class TestLogsumexp:
@@ -258,9 +275,14 @@ class TestReductionKernels:
             e = np.exp(Z - Z.max(axis=1, keepdims=True))
             expected = e / e.sum(axis=1, keepdims=True)
             assert softmax_rows(Z).tobytes() == expected.tobytes()
+            assert _softmax_rows(Z).tobytes() == expected.tobytes()
+            in_place = Z.copy()
+            assert _softmax_rows(in_place, in_place) is in_place
+            assert in_place.tobytes() == expected.tobytes()
             m = Z.max(axis=1, keepdims=True)
             lse = (m + np.log(np.exp(Z - m).sum(axis=1, keepdims=True)))[:, 0]
             assert logsumexp_rows(Z).tobytes() == lse.tobytes()
+            assert _logsumexp_rows(Z).tobytes() == lse.tobytes()
 
     def test_row_kernel_writes_into_a_row_block(self):
         # adapt_stream hands the kernel each batch's rows of one matrix:
@@ -530,6 +552,27 @@ class TestRng:
     def test_integers_rejects_empty_range(self):
         with pytest.raises(ValueError):
             Rng(0).integers(1, 3, 3)
+
+    @pytest.mark.parametrize(
+        "draw, message",
+        [(lambda: Rng(1.5), "seed must be an integer, got 1.5"),
+         (lambda: Rng(True), "seed must be an integer, got True"),
+         (lambda: Rng(0).uniforms(2.5), "n must be an integer, got 2.5"),
+         (lambda: Rng(0).normals(2.0), "n must be an integer, got 2.0"),
+         (lambda: Rng(0).normals(-1), "block size must be non-negative"),
+         (lambda: Rng(0).integers(np.float64(2.0), 0, 3), "n must be an integer"),
+         (lambda: Rng(0).categorical([0.5, 0.5], 1.0), "n must be an integer, got 1.0"),
+         (lambda: Rng(0).permutation(3.0), "n must be an integer, got 3.0")],
+        ids=["float-seed", "bool-seed", "uniforms", "normals", "negative-normals",
+             "integers", "categorical", "permutation"],
+    )
+    def test_seed_and_draw_counts_must_be_integers(self, draw, message):
+        with pytest.raises(ValueError, match=message):
+            draw()
+
+    def test_a_numpy_integer_seed_is_its_int(self):
+        assert Rng(np.int64(7)).uniforms(5).tobytes() == Rng(7).uniforms(5).tobytes()
+        assert Rng(np.uint64(2**64 - 1)).uniforms(5).tobytes() == Rng(-1).uniforms(5).tobytes()
 
     def test_categorical_frequencies(self):
         p = np.array([0.5, 0.3, 0.2])
