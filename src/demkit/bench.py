@@ -234,7 +234,10 @@ class ProtocolResult:
 
 
 def circle_means(C: int, radius: float) -> np.ndarray:
-    """C class means evenly spaced on a circle of the given radius."""
+    """C class means evenly spaced on a circle of the given radius; ``C``
+    must be an integer of at least 2 (``ValueError`` otherwise)."""
+    if _integer(C, "C") < 2:
+        raise ValueError(f"need at least two classes, got {C}")
     angles = 2.0 * math.pi * np.arange(C) / C
     return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
@@ -243,11 +246,12 @@ def long_tail_priors(C: int, rho: float) -> np.ndarray:
     """Exponential long-tail priors with ``prior_0 / prior_{C-1} = rho``.
 
     ``prior_k`` is proportional to ``rho ** (-k / (C - 1))``, so the
-    ratio of consecutive priors is constant.
+    ratio of consecutive priors is constant.  ``C`` must be an integer of
+    at least 2 and ``rho`` at least 1 (``ValueError`` otherwise).
     """
     if rho < 1:
         raise ValueError(f"rho must be >= 1, got {rho}")
-    if C < 2:
+    if _integer(C, "C") < 2:
         raise ValueError(f"need at least two classes, got {C}")
     raw = rho ** (-np.arange(C) / (C - 1))
     return raw / np.sum(raw)

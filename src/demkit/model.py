@@ -184,13 +184,21 @@ class _Workspace:
     the MLP's hidden activations ``A`` (``n x hidden``; zero columns
     wide for the linear model), which the backward pass overwrites with
     the hidden gradient once it has read them, the scaled logit
-    gradients ``G`` and the rectifier mask ``M``.  ``g`` is the parameter gradient laid out
-    like ``theta``, and ``grads`` are its views shaped like the model's
-    arrays (``W``, ``b`` or ``W1``, ``b1``, ``W2``, ``b2``).  The kernels
-    read each weight matrix transposed over its last two axes (``W1T``,
-    ``W2T``) and each bias as a row that broadcasts over the batch
-    (``b1``, ``b2``); the linear model is a head alone, ``W2`` and ``b2``
-    holding its ``W`` and ``b``.
+    gradients ``G`` and the rectifier mask ``M``.  On a stack the
+    backward pass also overwrites ``P``: ``P_rows`` is its memory as an
+    ``n x K x C`` array, into which the pass copies ``G_rows``, ``G``
+    with its row axis first, to sum the output-bias gradient over the
+    rows in order, ``n`` passes of ``K x C``.  So ``P`` holds a batch's
+    probabilities from the softmax that writes them until that batch's
+    backward pass, and nobody reads it from then until the next softmax.
+    A one-model workspace (``train_source``, the public ``backward``)
+    sums ``G`` itself, leaves ``P`` alone and has neither view.  ``g`` is
+    the parameter gradient laid out like ``theta``, and ``grads`` are its
+    views shaped like the model's arrays (``W``, ``b`` or ``W1``, ``b1``,
+    ``W2``, ``b2``).  The kernels read each weight matrix transposed over
+    its last two axes (``W1T``, ``W2T``) and each bias as a row that
+    broadcasts over the batch (``b1``, ``b2``); the linear model is a
+    head alone, ``W2`` and ``b2`` holding its ``W`` and ``b``.
 
     ``product`` is the kernels' matrix product, ``np.matmul``, which
     broadcasts over ``K``; it writes into an ``out`` that is always one
@@ -214,6 +222,8 @@ class _Workspace:
         self.Z, self.P, self.G = (np.empty(lead + (n, C)) for _ in range(3))
         self.A, self.M = np.empty(lead + (n, h)), np.empty(lead + (n, h), bool)
         self.GT, self.AT = np.swapaxes(self.G, -1, -2), np.swapaxes(self.A, -1, -2)
+        self.G_rows = np.moveaxis(self.G, -2, 0) if lead else None
+        self.P_rows = self.P.reshape(self.G_rows.shape) if lead else None
         self.g = np.empty(theta.shape)
         self.grads = _views(self.g, arrays)
         self.product = np.matmul
@@ -256,7 +266,10 @@ def _backward(X: np.ndarray, dlogits: np.ndarray, ws: _Workspace) -> np.ndarray:
     may be ``ws.G`` itself.
 
     The head's gradients read the activations first; the hidden gradient
-    then takes their buffer.  The rectifier mask is ``A > 0``, which is
+    then takes their buffer.  A stack's output-bias gradient is summed
+    over a row-major copy of ``G`` in ``ws.P`` (see :class:`_Workspace`),
+    each model's rows still added in sequence, so each model gets the
+    bits of its one-model pass.  The rectifier mask is ``A > 0``, which is
     ``H > 0`` for the pre-activations ``H``, NaN included.  The products
     are ``ws.product``, as in :func:`_forward`.
     """
@@ -265,16 +278,20 @@ def _backward(X: np.ndarray, dlogits: np.ndarray, ws: _Workspace) -> np.ndarray:
     if ws.mlp:
         gW1, gb1, gW2, gb2 = ws.grads
         product(ws.GT, ws.A, out=gW2)
+    else:
+        gW2, gb2 = ws.grads
+        product(ws.GT, X, out=gW2)
+    if ws.G_rows is None:
         np.add.reduce(G, axis=-2, out=gb2)
+    else:
+        np.copyto(ws.P_rows, ws.G_rows)
+        np.add.reduce(ws.P_rows, axis=0, out=gb2)
+    if ws.mlp:
         mask = np.greater(ws.A, 0.0, out=ws.M)
         dH = product(G, ws.W2, out=ws.A)
         dH *= mask
         product(ws.AT, X, out=gW1)
         np.add.reduce(dH, axis=-2, out=gb1)
-    else:
-        gW, gb = ws.grads
-        product(ws.GT, X, out=gW)
-        np.add.reduce(G, axis=-2, out=gb)
     return ws.g
 
 
@@ -508,16 +525,23 @@ def adapt_stream(model, theta: np.ndarray, X, plugins, cfgs, score) -> list:
     per call.  A model whose plugin is ``None`` is carried along and
     takes neither.
 
-    The hook gets the same ``P`` for every batch, and each batch
-    overwrites it, so the hook keeps what it needs of one batch before
-    the next.  ``X``, ``theta``, ``plugins`` and ``cfgs`` are validated
-    once, before the first step (``ValueError``); a strided ``theta`` is
+    The hook gets the same ``P`` for every batch, and the batch's own
+    backward pass overwrites it, so the hook copies what it needs of a
+    batch before it returns.  ``X``, ``theta``, ``plugins`` and ``cfgs``
+    are validated once, before the first step (``ValueError``); a strided ``theta`` is
     refused, since its rows' views, and the steps on them, could be
     copies.
 
     The plugin contract: ``P[k]`` and ``Z[k]`` are workspace buffers that
-    the next step overwrites, so a plugin reads them during
-    ``batch_eval`` and neither keeps nor writes into them.
+    the batch's backward pass (``P``) or the next batch (``Z``)
+    overwrites, so a plugin reads them during ``batch_eval`` and neither
+    keeps nor writes into them.
+
+    Each live model's views of the workspace and of ``theta``, its bound
+    ``batch_eval``, its :class:`SgdConfig` and its :class:`SgdState` are
+    built once per call; the per-batch loops walk that list, with the
+    finiteness flags as Python lists, and drop a model from it once it
+    diverges.
 
     Each call starts from fresh SGD states, so momentum never carries
     over from one call to the next: a continual protocol, which calls
@@ -548,29 +572,33 @@ def adapt_stream(model, theta: np.ndarray, X, plugins, cfgs, score) -> list:
     if len(cfgs) != K:
         raise ValueError(f"need one SgdConfig per stacked model, {K}, got {len(cfgs)}")
     ws = _Workspace(model, n, theta)
-    G = ws.G  # the plugins' gradients, stacked for one backward pass
-    rows, states, errors = list(theta), [SgdState() for _ in range(K)], [None] * K
-    live = [k for k in range(K) if plugins[k] is not None]
+    # Per live model, built once: its index, its views of the step's
+    # buffers and of theta, its loss, its SgdConfig and its SgdState.
+    live = [
+        (k, ws.Z[k], ws.P[k], ws.G[k], plugins[k].batch_eval,
+         theta[k], ws.g[k], cfgs[k], SgdState())
+        for k in range(K) if plugins[k] is not None
+    ]
+    errors = [None] * K
     with np.errstate(over="ignore", invalid="ignore"):
         for i, Xi in enumerate(X):
             if not live:
                 break
             Z = _forward(Xi, ws)
-            P = _softmax_rows(Z, ws.P)
-            score(i, P)
-            finite = np.isfinite(Z).all(axis=(1, 2))
-            for k in live:
+            score(i, _softmax_rows(Z, ws.P))
+            finite = np.isfinite(Z).all(axis=(1, 2)).tolist()
+            for k, Zk, Pk, Gk, batch_eval, *_ in live:
                 if finite[k]:
-                    G[k] = plugins[k].batch_eval(Z[k], P[k])
+                    Gk[...] = batch_eval(Zk, Pk)
                 else:
                     errors[k] = DivergenceError("logits", i)
-            finite = np.isfinite(G).all(axis=(1, 2))
-            for k in live:
+            finite = np.isfinite(ws.G).all(axis=(1, 2)).tolist()
+            for k, *_ in live:
                 if errors[k] is None and not finite[k]:
                     errors[k] = DivergenceError("loss gradients", i)
-            live = [k for k in live if errors[k] is None]
+            live = [m for m in live if errors[m[0]] is None]
             if live:
-                g = _backward(Xi, G, ws)
-                for k in live:
-                    sgd_step(rows[k], g[k], cfgs[k], states[k])
+                _backward(Xi, ws.G, ws)
+                for *_, row, g, cfg, state in live:
+                    sgd_step(row, g, cfg, state)
     return errors

@@ -119,8 +119,12 @@ def logsumexp_rows(Z) -> np.ndarray:
 
 
 def _logsumexp_rows(Z: np.ndarray) -> np.ndarray:
-    """Kernel of :func:`logsumexp_rows` for a validated float64 matrix."""
-    m = np.maximum.reduce(Z, axis=1, keepdims=True)
+    """Kernel of :func:`logsumexp_rows` for a validated float64 matrix.
+
+    Its maxima are :func:`_row_max`'s: a ``+0.0`` or ``-0.0`` maximum
+    gives ``m + log(s)`` one bit pattern, since ``log(s)`` is ``+0.0`` or
+    nonzero for ``s >= 1``."""
+    m = _row_max(Z)
     E = Z - m
     np.exp(E, out=E)
     return (m + np.log(np.add.reduce(E, axis=1, keepdims=True)))[:, 0]
@@ -151,14 +155,45 @@ def softmax_rows(Z) -> np.ndarray:
     return _softmax_rows(as_matrix(Z))
 
 
+def _row_max(Z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Each row's maximum over the last axis of ``Z``, kept as an axis of
+    length 1: ``np.maximum.reduce`` over axis 0 of a C-contiguous copy of
+    ``Z`` with the class axis first, held in ``scratch`` (a C-contiguous
+    array of ``Z``'s size that does not overlap it) or a fresh array.
+
+    numpy then makes ``C - 1`` passes over all the rows at once instead of
+    one short reduction per row.  A maximum is exact in any order, so the
+    result is the row-wise reduction's, except that a zero maximum may
+    carry the other sign; NaN propagates in either order."""
+    # A matrix skips the reshapes, a fifth of its call's time.
+    T = Z.T if Z.ndim == 2 else Z.reshape(-1, Z.shape[-1]).T
+    if scratch is None:
+        T = T.copy()
+    else:
+        scratch = scratch.reshape(T.shape)
+        np.copyto(scratch, T)
+        T = scratch
+    m = np.maximum.reduce(T, axis=0)
+    return m[:, None] if Z.ndim == 2 else m.reshape(Z.shape[:-1] + (1,))
+
+
 def _softmax_rows(Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Kernel of :func:`softmax_rows`: writes the probabilities over the
     last axis of ``Z``, a matrix or a ``K x n x C`` stack, into ``out``
     (returned; a fresh array if None), which may be ``Z`` itself or a row
     block of a larger array.  With C-contiguous rows, as a fresh array
     has, each row sum adds in the same order, so the bits do not depend
-    on where ``out`` lives or on the stack around a matrix."""
-    out = np.subtract(Z, np.maximum.reduce(Z, axis=-1, keepdims=True), out=out)
+    on where ``out`` lives or on the stack around a matrix.
+
+    The row maxima are :func:`_row_max`'s.  A stack with an ``out`` of its
+    own, C-contiguous and apart from ``Z`` (``adapt_stream``'s ``P``),
+    holds their class-major copy in ``out``, which the subtraction then
+    overwrites; a matrix, or an in-place call, takes a fresh copy.  Where
+    the maximum is a zero of either sign, ``exp(z - m)`` is 1 at the
+    zeros and ``exp(z)`` elsewhere, so the bits are the row-wise
+    expression's."""
+    scratch = out if Z.ndim == 3 and out is not None and out is not Z else None
+    out = np.subtract(Z, _row_max(Z, scratch), out=out)
     np.exp(out, out=out)
     out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
@@ -316,6 +351,11 @@ NORMAL_BOUND = math.sqrt(-2.0 * math.log(_ULP53))
 # Raw outputs generated ahead per refill: small draws are then a slice.
 _BLOCK = 256
 
+# How far from 1 Rng.categorical lets a probability vector's sum lie: far
+# above the rounding of a normalized vector of a million classes (about
+# 1e6 * 2**-53, 1.1e-10), far below any mistake in the probabilities.
+_SIMPLEX_TOL = 1e-9
+
 
 def _mix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer on an array of uint64."""
@@ -380,16 +420,29 @@ class Rng:
         return out[:n]
 
     def integers(self, n: int, lo: int, hi: int) -> np.ndarray:
-        """``n`` integers uniform on [lo, hi)."""
-        if hi <= lo:
+        """``n`` integers uniform on [lo, hi); ``lo`` and ``hi`` must be
+        integers (``ValueError`` otherwise)."""
+        if _integer(lo, "lo") >= _integer(hi, "hi"):
             raise ValueError("empty integer range")
         span = hi - lo
         return lo + np.minimum((self.uniforms(n) * span).astype(np.int64), span - 1)
 
     def categorical(self, p, n: int) -> np.ndarray:
-        """``n`` class indices drawn from the simplex vector ``p``."""
+        """``n`` class indices drawn from the simplex vector ``p``.
+
+        ``p`` must have no negative entry and sum to 1 within
+        ``_SIMPLEX_TOL`` (``ValueError`` otherwise, before any draw).  The
+        last entry of its cumulative sum is then set to exactly 1, so the
+        sum's rounding never leaves a uniform past the last class.
+        """
         p = as_vector(p)
         cdf = np.cumsum(p)
+        low, total = float(np.minimum.reduce(p)), float(cdf[-1])
+        if low < 0 or not abs(total - 1.0) <= _SIMPLEX_TOL:
+            raise ValueError(
+                f"class probabilities must be non-negative and sum to 1 within {_SIMPLEX_TOL},"
+                f" got smallest {low!r}, sum {total!r}"
+            )
         cdf[-1] = 1.0
         return np.minimum(
             np.searchsorted(cdf, self.uniforms(n), side="right"), p.shape[0] - 1

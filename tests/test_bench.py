@@ -82,6 +82,13 @@ class TestGeometry:
             m, [[2, 0], [0, 2], [-2, 0], [0, -2]], atol=1e-14
         )
 
+    @pytest.mark.parametrize("C", [2.5, 4.0, False, 1, 0])
+    def test_circle_means_takes_an_integer_class_count_of_at_least_two(self, C):
+        # circle_means(2.5, 1.0) used to return 3 means, not evenly spaced.
+        with pytest.raises(ValueError, match="C must be an integer|at least two classes"):
+            circle_means(C, 1.0)
+        assert circle_means(np.int64(5), 1.0).tobytes() == circle_means(5, 1.0).tobytes()
+
     def test_circle_means_radius(self):
         m = circle_means(10, 4.0)
         np.testing.assert_allclose(np.linalg.norm(m, axis=1), 4.0, atol=1e-12)
@@ -137,6 +144,13 @@ class TestLongTailPriors:
             long_tail_priors(10, 0.5)
         with pytest.raises(ValueError):
             long_tail_priors(1, 2.0)
+
+    @pytest.mark.parametrize("C", [3.5, 3.0, True, np.float64(3.0)])
+    def test_class_count_must_be_an_integer(self, C):
+        # long_tail_priors(3.5, 2.0) used to return 4 priors.
+        with pytest.raises(ValueError, match=re.escape(f"C must be an integer, got {C!r}")):
+            long_tail_priors(C, 2.0)
+        assert long_tail_priors(np.int64(3), 2.0).tobytes() == long_tail_priors(3, 2.0).tobytes()
 
 
 class TestSampleBatch:

@@ -23,7 +23,12 @@ hands ``adapt_stream``, as the call leaves it, followed by every result's
 ``confusion``, ``sums`` and ``total``.  A change that moves the last bit of one
 probability can leave every 9-digit print unchanged; it fails here.
 ``BITS`` was recorded at commit 2853129 by printing ``_bits`` from this
-module's commands.
+module's commands.  ``HASWELL_BITS`` is the same table on a second kernel
+of the same machine, OpenBLAS's Haswell core without numpy's AVX-512
+loops (``SECOND_KERNEL``), recorded the same way at commit eabcfa2;
+``test_the_bits_hold_on_a_second_kernel`` runs the bit table test in a
+child process with those settings, so a change must keep its bits on
+both kernels.
 
 Floating-point results can differ with another numpy or BLAS build: the
 OpenBLAS kernel and numpy's SIMD loops are picked for the CPU at run
@@ -39,6 +44,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -169,6 +175,55 @@ BITS = {
 # numpy's version, OpenBLAS's core name and numpy's highest enabled SIMD target
 MACHINE = ("2.4.6", "SkylakeX", "AVX512_SPR")
 
+# ``BITS`` on a second kernel: the same machine with OPENBLAS_CORETYPE=Haswell
+# and NPY_DISABLE_CPU_FEATURES=X86_V4 set.  Every entry differs from BITS's.
+HASWELL_BITS = {
+    "grid-search/single_domain_em/run_protocols/0": (
+        "f53608d0f1cc66f84a7763be4382dea2be7ee7ff44a4acc3698042b500251f41"
+    ),
+    "grid-search/single_domain_em/run_protocols/1": (
+        "54ce6dde551c975628afd386328d1d41cfcc66bcca26495ac326a910d5823e95"
+    ),
+    "grid-search/single_domain_em/run_protocols/2": (
+        "8af1dfdae785a301465028e362390d3ec05c00e58288c0fdcaa7b616d232163e"
+    ),
+    "grid-search/single_domain_em/source": (
+        "08d72585912f15361cb193459cf20fa07ba42a75e206f6bcf61204812aa015b5"
+    ),
+    "lr-sweep/continual_adadem/run_protocols/0": (
+        "268c7f90132b53af418a957530b84ecb42ca3349352488dab388b9d1f03e7912"
+    ),
+    "lr-sweep/continual_adadem/source": (
+        "08d72585912f15361cb193459cf20fa07ba42a75e206f6bcf61204812aa015b5"
+    ),
+    "run/continual_adadem/run_protocols/0": (
+        "c34cdc15d4c6a3bceb2427355ef17950ee2718cb7370b6965699eba5c9ecdf40"
+    ),
+    "run/continual_adadem/source": (
+        "08d72585912f15361cb193459cf20fa07ba42a75e206f6bcf61204812aa015b5"
+    ),
+    "run/long_tail_noise/run_protocols/0": (
+        "10789313434ce236451edd597b2bf17fb7665d890599e6219fae66ab76a4b877"
+    ),
+    "run/long_tail_noise/source": (
+        "08d72585912f15361cb193459cf20fa07ba42a75e206f6bcf61204812aa015b5"
+    ),
+    "run/single_domain_em/run_protocols/0": (
+        "f2993c78b9714791918f198becdc8230f744bf15eb95ed13f88a742eccf348e0"
+    ),
+    "run/single_domain_em/source": (
+        "08d72585912f15361cb193459cf20fa07ba42a75e206f6bcf61204812aa015b5"
+    ),
+}
+HASWELL = ("2.4.6", "Haswell", "AVX512_SPR")
+
+# Each recorded kernel's machine and bit table, by OpenBLAS core name.  The
+# SIMD level reads AVX512_SPR on both kernels, so it cannot tell them apart.
+TABLES = {MACHINE[1]: (MACHINE, BITS), HASWELL[1]: (HASWELL, HASWELL_BITS)}
+
+# Set for the second-kernel run; each acts on that child process only.
+SECOND_KERNEL = {"OPENBLAS_CORETYPE": "Haswell", "NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+
 
 # (script under scripts/, the shipped config its CONFIG names)
 SCRIPTS = [
@@ -249,10 +304,10 @@ def _simd_level() -> str:
         return "unknown"
 
 
-def _machine_note() -> str:
+def _machine_note(machine=MACHINE) -> str:
     running = (np.__version__, _openblas_core(), _simd_level())
     return "recorded on numpy {} / {} / {}, running on numpy {} / {} / {}".format(
-        *MACHINE, *running
+        *machine, *running
     )
 
 
@@ -310,8 +365,30 @@ def test_cli_outputs_match_the_recorded_digests(tmp_path, monkeypatch, capsys):
 
 
 def test_computed_bits_match_the_recorded_table(tmp_path, monkeypatch, capsys):
+    # The table of the OpenBLAS kernel this process runs; BITS on a kernel
+    # with no table of its own.
     monkeypatch.chdir(tmp_path)
-    assert _bits(tmp_path, capsys, monkeypatch) == BITS, _machine_note()
+    machine, table = TABLES.get(_openblas_core(), (MACHINE, BITS))
+    assert _bits(tmp_path, capsys, monkeypatch) == table, _machine_note(machine)
+
+
+def test_the_bits_hold_on_a_second_kernel():
+    # The bit table test again, in a child process on the Haswell kernel
+    # and without numpy's AVX-512 loops; the child names the core it ran.
+    child = (
+        "import sys, pytest\n"
+        "code = pytest.main(['-q', '-p', 'no:cacheprovider', sys.argv[1]])\n"
+        "from test_golden import _openblas_core\n"
+        "print('core:', _openblas_core())\n"
+        "sys.exit(code)\n"
+    )
+    test = f"{Path(__file__).resolve()}::test_computed_bits_match_the_recorded_table"
+    result = subprocess.run(
+        [sys.executable, "-c", child, test], cwd=ROOT, env={**os.environ, **SECOND_KERNEL},
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
+    assert result.stdout.rstrip().endswith("core: Haswell"), result.stdout[-2000:]
 
 
 def test_a_mismatch_names_both_machines():

@@ -1027,6 +1027,60 @@ class TestStackedRows:
         frozen = softmax_rows(forward(source, X.reshape(64, 2)))
         assert probs[1].tobytes() == frozen.tobytes()
 
+    def test_a_model_that_diverges_mid_shift_stops_its_calls_alone(self, monkeypatch):
+        # Of four models over four batches, model 1's loss gradients turn
+        # NaN at batch 1, and model 2's first step overflows its
+        # parameters, so its logits at batch 1 are not finite.  Each makes
+        # its plugin and SGD calls up to there, the other two make all of
+        # theirs, every batch in model order, and they keep the bits of
+        # their own one-model runs.
+        calls = []
+
+        class Recording:
+            def __init__(self, k, poison=lambda batch, grads: None):
+                self.k, self.poison, self.batch = k, poison, -1
+
+            def batch_eval(self, Z, P):
+                self.batch += 1
+                calls.append(("eval", self.k))
+                grads = EmPlugin().batch_eval(Z, P)
+                self.poison(self.batch, grads)
+                return grads
+
+        def nan_from_batch_1(batch, grads):
+            if batch >= 1:
+                grads[0, 0] = np.nan
+
+        def huge(batch, grads):
+            grads[...] = 1e300
+
+        X = 2.0 * Rng(3).normals(4 * 16 * 2).reshape(4, 16, 2)
+        source = init_mlp(3, 2, 6, Rng(4), INIT_SCALE)
+        theta = np.stack([source.theta] * 4)
+        rows, step = [row.ctypes.data for row in theta], demkit.model.sgd_step
+
+        def recorded(row, g, cfg, state):
+            calls.append(("sgd", rows.index(row.ctypes.data)))
+            step(row, g, cfg, state)
+
+        monkeypatch.setattr(demkit.model, "sgd_step", recorded)
+        cfg = SgdConfig(lr=0.1, momentum=0.9)
+        cfgs = [cfg, cfg, SgdConfig(lr=1e300), cfg]
+        plugins = [Recording(0), Recording(1, nan_from_batch_1), Recording(2, huge), Recording(3)]
+        errors = adapt_stream(source, theta, X, plugins, cfgs, lambda i, P: None)
+        assert [(e.stage, e.batch) if e else None for e in errors] == [
+            None, ("loss gradients", 1), ("logits", 1), None
+        ]
+        expected = [("eval", k) for k in range(4)] + [("sgd", k) for k in range(4)]
+        expected += [("eval", 0), ("eval", 1), ("eval", 3), ("sgd", 0), ("sgd", 3)]
+        expected += [("eval", 0), ("eval", 3), ("sgd", 0), ("sgd", 3)] * 2
+        assert calls == expected
+        monkeypatch.undo()
+        for k in (0, 3):
+            alone = source.copy()
+            _adapt(alone, X, EmPlugin(), cfg)
+            assert theta[k].tobytes() == alone.theta.tobytes()
+
     def test_each_model_steps_with_its_own_optimizer(self):
         # Models of one stack at different rates and momenta, lr = 0
         # among them, each keep the bits of their own one-model run.
@@ -1178,6 +1232,46 @@ class TestStepKernels:
         g = demkit.model._backward(X, dlogits, ws)
         assert g.tobytes() == demkit.model._backward(X, dlogits, stacked)[0].tobytes()
         assert math.copysign(1.0, g[0]) == 1.0
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_a_stacks_backward_gives_each_model_its_own_bits(self, arch):
+        # A stack sums its output-bias gradient over a copy of its logit
+        # gradients held in ws.P; whatever P held, each model's gradient
+        # is the bits of its own one-model call, for gradients passed in
+        # or already in ws.G, as adapt_stream passes them.
+        model, K, n = self._make(arch), 4, 64
+        theta = Rng(13).normals(K * model.theta.size).reshape(K, -1)
+        (X,) = self._shifts([(1, n)], seed=14)
+        X = X[0]
+        dlogits = 3.0 * Rng(15).normals(K * n * model.C).reshape(K, n, model.C)
+        ws = demkit.model._Workspace(model, n, theta)
+        for given in (dlogits, ws.G):
+            demkit.model._forward(X, ws)
+            ws.G[...] = dlogits
+            ws.P[...] = np.nan
+            g = demkit.model._backward(X, given, ws)
+            for k in range(K):
+                alone = model.copy()
+                alone.theta[:] = theta[k]
+                assert g[k].tobytes() == backward(alone, X, dlogits[k]).tobytes()
+
+    def test_a_stacks_backward_allocates_no_copy_of_the_stack(self):
+        # The stacked bias sum's copy lives in ws.P: the traced peak of a
+        # step stays below half of one K x n x C buffer.
+        model, K, n = self._make("mlp"), 4, 4096
+        theta = np.stack([model.theta] * K)
+        X = Rng(16).normals(n * 2).reshape(n, 2)
+        ws = demkit.model._Workspace(model, n, theta)
+        demkit.model._forward(X, ws)
+        ws.G[...] = 1.0
+        demkit.model._backward(X, ws.G, ws)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            demkit.model._backward(X, ws.G, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ws.G.nbytes // 2, peak
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
     def test_adapt_stream_matches_inline_arithmetic(self, arch):

@@ -4,6 +4,7 @@ import functools
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demkit import numkit
+from demkit.bench import long_tail_priors
 from demkit.numkit import (
     Rng,
     _extended,
@@ -256,6 +258,46 @@ def _reduction_inputs():
         yield Z
 
 
+def _special_rows(C: int, rng) -> list:
+    """Rows of ``C`` logits whose maxima are ties, zeros of either sign in
+    either order, infinities or NaN, below which sit entries of -1 or
+    less, and one plain row."""
+    rows = []
+    every = slice(None)
+    for setting in [
+        [(0, 2.0), (C - 1, 2.0)],
+        [(0, 0.0), (C - 1, -0.0)],
+        [(0, -0.0), (C - 1, 0.0)],
+        [(every, -0.0)],
+        [(every, 0.0)],
+        [(C // 2, math.inf)],
+        [(0, -math.inf)],
+        [(every, -math.inf)],
+        [(every, math.inf)],
+        [(C // 2, math.nan)],
+        [(0, math.nan), (C - 1, math.inf)],
+        [],
+    ]:
+        row = -1.0 - np.abs(rng.standard_normal(C))
+        for where, value in setting:
+            row[where] = value
+        rows.append(row)
+    return rows
+
+
+def _special_inputs():
+    """Matrices of :func:`_special_rows`, one row and many, and ``K x n x
+    C`` stacks of them, for C = 2, 3, 10 and 1000."""
+    rng = np.random.default_rng(21)
+    for C in (2, 3, 10, 1000):
+        rows = np.array(_special_rows(C, rng))
+        for row in rows:
+            yield row[None, :]
+        yield rows
+        yield np.stack([rows, rows[::-1], rng.permutation(rows)])
+        yield rows[None, :1]
+
+
 class TestReductionKernels:
     """The kernels reduce with ``np.maximum.reduce``/``np.add.reduce`` and an
     in-place ``exp`` and divide; each keeps the bits of the method-call
@@ -293,6 +335,45 @@ class TestReductionKernels:
             assert _softmax_rows(Z, block) is block
             assert block.tobytes() == softmax_rows(Z).tobytes()
             assert np.all(buf[0] == 7.0) and np.all(buf[-1] == 7.0)
+
+    def test_class_major_maxima_keep_the_row_wise_bits(self):
+        # The kernels take each row's maximum over a class-major copy;
+        # every call form gives the bits of the row-wise expression, for
+        # matrices and stacks, on the rows where the order of a maximum
+        # could show: ties, zero maxima of either sign, infinities, NaN.
+        for Z in _special_inputs():
+            with np.errstate(invalid="ignore"):
+                e = np.exp(Z - np.maximum.reduce(Z, axis=-1, keepdims=True))
+                expected = (e / np.add.reduce(e, axis=-1, keepdims=True)).tobytes()
+                before = Z.tobytes()
+                assert _softmax_rows(Z).tobytes() == expected
+                in_place = Z.copy()
+                assert _softmax_rows(in_place, in_place) is in_place
+                assert in_place.tobytes() == expected
+                out = np.full_like(Z, 7.0)
+                assert _softmax_rows(Z, out) is out
+                assert out.tobytes() == expected and Z.tobytes() == before
+                if Z.ndim == 2:
+                    m = np.maximum.reduce(Z, axis=1, keepdims=True)
+                    s = np.add.reduce(np.exp(Z - m), axis=1, keepdims=True)
+                    lse = (m + np.log(s))[:, 0]
+                    assert _logsumexp_rows(Z).tobytes() == lse.tobytes()
+                    assert Z.tobytes() == before
+
+    def test_a_stack_with_its_own_out_allocates_no_copy_of_the_stack(self):
+        # A stack called with a separate out holds the class-major copy of
+        # its logits there; a fresh copy would add the stack's size to the
+        # traced peak.
+        Z = np.random.default_rng(3).standard_normal((4, 2048, 10))
+        out = np.empty_like(Z)
+        _softmax_rows(Z, out)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            _softmax_rows(Z, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < Z.nbytes // 2, peak
 
     def test_inputs_are_read_not_written(self):
         Z = np.array([[0.5, -0.0, 2.0], [3.0, 3.0, 3.0]])
@@ -554,6 +635,22 @@ class TestRng:
             Rng(0).integers(1, 3, 3)
 
     @pytest.mark.parametrize(
+        "lo, hi, message",
+        [(0.5, 3, "lo must be an integer, got 0.5"), (0, 3.0, "hi must be an integer, got 3.0"),
+         (False, 3, "lo must be an integer, got False")],
+        ids=["float-lo", "float-hi", "bool-lo"],
+    )
+    def test_integers_bounds_must_be_integers(self, lo, hi, message):
+        # A float bound used to give floats: integers(3, 0.5, 3) returned
+        # [2. 1.5 0.5].  The refusal comes before any draw.
+        rng = Rng(0)
+        with pytest.raises(ValueError, match=message):
+            rng.integers(3, lo, hi)
+        assert rng.counter == 0
+        same = Rng(0).integers(4, 2, 6).tolist()
+        assert Rng(0).integers(4, np.int64(2), np.int32(6)).tolist() == same
+
+    @pytest.mark.parametrize(
         "draw, message",
         [(lambda: Rng(1.5), "seed must be an integer, got 1.5"),
          (lambda: Rng(True), "seed must be an integer, got True"),
@@ -583,6 +680,37 @@ class TestRng:
     def test_categorical_degenerate_simplex(self):
         draws = Rng(1).categorical([0.0, 1.0, 0.0], 100)
         assert np.all(draws == 1)
+
+    @pytest.mark.parametrize(
+        "p",
+        [[0.5, 0.6], [1.5, -0.5], [0.2, -0.0, 0.7], [1.0 + 2e-9], [1.0 - 2e-9, 0.0]],
+        ids=["over", "negative", "under", "over-by-2e-9", "under-by-2e-9"],
+    )
+    def test_categorical_refuses_a_vector_that_is_not_a_simplex(self, p):
+        # [0.5, 0.6] used to draw class 1 with probability 0.5; the
+        # refusal comes before any draw.
+        rng = Rng(0)
+        with pytest.raises(ValueError, match="non-negative and sum to 1 within 1e-09"):
+            rng.categorical(p, 3)
+        assert rng.counter == 0
+
+    def test_categorical_takes_the_priors_its_callers_build(self):
+        # The stream's long-tail priors, at every class count from 2 to
+        # 1000 and skews up to 1e6, and the uniform priors cli builds as
+        # np.full(C, 1 / C), sum to 1 within the tolerance, and their
+        # draws keep the bits of the unchecked sampler.
+        def unchecked(p, u):
+            cdf = np.cumsum(p)
+            cdf[-1] = 1.0
+            return np.minimum(np.searchsorted(cdf, u, side="right"), len(p) - 1)
+
+        for C in range(2, 1001):
+            priors = [long_tail_priors(C, rho) for rho in (1.0, 10.0, 1e3, 1e6)]
+            for p in priors + [np.full(C, 1 / C)]:
+                assert abs(float(np.cumsum(p)[-1]) - 1.0) <= numkit._SIMPLEX_TOL / 100, C
+                if C % 97 == 2:
+                    draws = Rng(C).categorical(p, 50)
+                    assert draws.tolist() == unchecked(p, Rng(C).uniforms(50)).tolist()
 
     def test_permutation_is_a_permutation(self):
         perm = Rng(23).permutation(1000)
