@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import _integer, _row_fsums, _softmax, as_matrix, as_vector, validated_labels
+from .numkit import _classes, _row_fsums, _softmax, as_matrix, as_vector, validated_labels
 
 __all__ = [
     "MecState",
@@ -121,8 +121,7 @@ def delta(z) -> float:
 
 def mec_init(C: int, pi: float) -> MecState:
     """Fresh calibrator: a C x C table with every entry 1/C."""
-    if _integer(C, "C") < 2:
-        raise ValueError(f"need at least two classes, got {C}")
+    _classes(C)
     if not 0.0 < pi <= 1.0:
         raise ValueError(f"momentum pi must lie in (0, 1], got {pi}")
     return MecState(np.full((C, C), 1.0 / C), pi=pi)

@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import DivergenceError, SgdConfig, adapt_stream, step_bytes
-from .numkit import NORMAL_BOUND, Rng, _integer, as_matrix, as_vector, validated_labels
+from .numkit import NORMAL_BOUND, Rng, _classes, _integer, as_matrix, as_vector, validated_labels
 
 __all__ = [
     "MixtureSpec",
@@ -93,8 +93,7 @@ class MixtureSpec:
     d = 2  # the plane; a constant, not a field
 
     def __post_init__(self):
-        if _integer(self.C, "C") < 2:
-            raise ValueError(f"need at least two classes, got {self.C}")
+        _classes(self.C)
         if not (0 < self.radius < math.inf and 0 < self.sigma < math.inf):
             raise ValueError(f"need finite radius and sigma > 0, got {self.radius}, {self.sigma}")
 
@@ -236,8 +235,7 @@ class ProtocolResult:
 def circle_means(C: int, radius: float) -> np.ndarray:
     """C class means evenly spaced on a circle of the given radius; ``C``
     must be an integer of at least 2 (``ValueError`` otherwise)."""
-    if _integer(C, "C") < 2:
-        raise ValueError(f"need at least two classes, got {C}")
+    _classes(C)
     angles = 2.0 * math.pi * np.arange(C) / C
     return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
@@ -251,8 +249,7 @@ def long_tail_priors(C: int, rho: float) -> np.ndarray:
     """
     if rho < 1:
         raise ValueError(f"rho must be >= 1, got {rho}")
-    if _integer(C, "C") < 2:
-        raise ValueError(f"need at least two classes, got {C}")
+    _classes(C)
     raw = rho ** (-np.arange(C) / (C - 1))
     return raw / np.sum(raw)
 

@@ -71,7 +71,9 @@ from . import bench as _bench
 from . import em_losses as _em
 from . import model as _model
 from . import search as _search
-from .numkit import Rng, _softmax, _softmax_rows, finite_diff_grad, rel_err, softmax
+from .numkit import (
+    Rng, _central_differences, _softmax, _softmax_rows, finite_diff_grad, rel_err, softmax
+)
 
 EXIT_OK = 0
 EXIT_BAD_HYPERPARAMS = 2
@@ -598,7 +600,10 @@ def _ce_grads(Z: np.ndarray, targets) -> np.ndarray:
 
 
 def _end_to_end_cases(rng: Rng):
-    """Parameter-space gradient checks through both architectures."""
+    """Parameter-space gradient checks, one per model and loss: a loss maps a
+    batch's logits and probabilities to its logit gradients and the per-row
+    values they differentiate, checked by ``finite_diff_grad``'s kernel over
+    ``theta``, each value computed on a copy of the model."""
     C, d, h, n = 4, 3, 5, 6
     X = (rng.uniforms(n * d).reshape(n, d) - 0.5) * 4.0
     targets = rng.integers(n, 0, C)
@@ -607,66 +612,43 @@ def _end_to_end_cases(rng: Rng):
         "mlp": _model.init_mlp(C, d, h, rng, scale=0.7),
     }
     dem_cfg = _em.DemConfig(1.3, 0.4)
-    # Each loss's logit gradients, as a plugin's batch_eval gives them (the
-    # cross-entropy's kernel builds its own softmax), with the per-row loss
-    # values they differentiate.
-    losses = {
-        "em": (_model.EmPlugin().batch_eval, _em.em_row_values),
-        "dem": (_model.DemPlugin(dem_cfg).batch_eval, lambda Z: _em.dem_row_values(Z, dem_cfg)),
-        "cross_entropy": (
-            lambda Z, P: _ce_grads(Z, targets),
-            lambda Z: _model._ce_row_values(Z, targets),
-        ),
-    }
+    em, dem = _model.EmPlugin(), _model.DemPlugin(dem_cfg)
 
-    def param_fd(model, objective):
-        """Central differences of ``objective`` over every entry of ``theta``."""
-        theta = model.theta
-        oracle = np.zeros_like(theta)
-        for i in range(theta.size):
-            orig = theta[i]
-            theta[i] = orig + 1e-5
-            hi = objective()
-            theta[i] = orig - 1e-5
-            lo = objective()
-            theta[i] = orig
-            oracle[i] = (hi - lo) / 2e-5
-        return oracle
-
-    for mname, model in models.items():
-        for lname, (batch_eval, values) in losses.items():
-            Z = _model.forward(model, X)
-            grad = _model.backward(model, X, batch_eval(Z, _softmax_rows(Z)))
-
-            def objective(m=model, values=values):
-                return float(np.mean(values(_model.forward(m, X))))
-
-            yield f"{mname}/{lname}", grad, param_fd(model, objective)
-
-        # AdaDEM end to end: the calibrator rows and per-sample deltas are
-        # constants under differentiation, so the oracle perturbs the
-        # parameters of an objective that keeps them frozen at the values
-        # the analytic gradient used.
+    def adadem(Z, P):
+        # The step runs on a copy of a warmed-up calibrator; replaying its
+        # update freezes the rows and deltas, constants under differentiation.
         state = _ad.mec_init(C, DEFAULT_CONFIG["loss"]["pi"])
         warm = (rng.uniforms(4 * C).reshape(4, C) - 0.5) * 6.0
         _ad.adadem_rows(warm, _softmax_rows(warm), state)
-        Z0 = _model.forward(model, X)
-        P0 = _softmax_rows(Z0)
-        grad = _model.backward(model, X, _ad.adadem_rows(Z0, P0, state.copy()))
-        labels0 = np.argmax(P0, axis=1)
-        replay = state.copy()
-        _ad.mec_update(replay, P0, labels0)
-        c_rows = replay.table[labels0]
-        d_vals = np.maximum(
-            np.asarray([_ad.delta(z) for z in Z0]), _ad.DELTA_FLOOR
-        )[:, None]
+        grads = _ad.adadem_rows(Z, P, state.copy())
+        labels = np.argmax(P, axis=1)
+        _ad.mec_update(state, P, labels)
+        c_rows = state.table[labels]
+        d_vals = np.maximum(np.asarray([_ad.delta(z) for z in Z]), _ad.DELTA_FLOOR)[:, None]
+        return grads, lambda V: (
+            -np.sum((_softmax_rows(V) - c_rows) * V, axis=1, keepdims=True) / d_vals
+        )
 
-        def frozen_objective(m=model, c_rows=c_rows, d_vals=d_vals):
-            Zt = _model.forward(m, X)
-            Pt = _softmax_rows(Zt)
-            return float(np.mean(-np.sum((Pt - c_rows) * Zt, axis=1, keepdims=True) / d_vals))
+    losses = {
+        "em": lambda Z, P: (em.batch_eval(Z, P), _em.em_row_values),
+        "dem": lambda Z, P: (dem.batch_eval(Z, P), lambda V: _em.dem_row_values(V, dem_cfg)),
+        "cross_entropy": lambda Z, P: (
+            _ce_grads(Z, targets), lambda V: _model._ce_row_values(V, targets)
+        ),
+        "adadem": adadem,
+    }
+    for mname, model in models.items():
+        for lname, loss in losses.items():
+            Z = _model.forward(model, X)
+            grads, values = loss(Z, _softmax_rows(Z))
+            probe = model.copy()
 
-        yield f"{mname}/adadem", grad, param_fd(model, frozen_objective)
+            def objective(theta):
+                probe.theta[:] = theta
+                return float(np.mean(values(_model.forward(probe, X))))
+
+            oracle = _central_differences(objective, model.theta, 1e-5)
+            yield f"{mname}/{lname}", _model.backward(model, X, grads), oracle
 
 
 def cmd_gradcheck(args) -> None:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import _logsumexp, _logsumexp_rows, _scaled, _softmax, _softmax_rows, as_vector
+from .numkit import _classes, _logsumexp, _logsumexp_rows, _scaled, _softmax, _softmax_rows, as_vector
 
 __all__ = [
     "LossEval",
@@ -242,8 +242,7 @@ def boundary_second_derivative(tau: float, alpha: float, C: int) -> float:
     """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    if C < 2:
-        raise ValueError(f"need at least two classes, got {C}")
+    _classes(C)
     return (1.0 - 1.0 / C) * (alpha / C - 2.0 / (tau * C))
 
 
@@ -266,8 +265,7 @@ def reward_curve(C: int, cfg: DemConfig, m_grid) -> list[tuple[float, float, flo
     Scanning m from below 0 to large values traces how the loss treats
     samples from maximally uncertain to fully confident.
     """
-    if C < 2:
-        raise ValueError(f"need at least two classes, got {C}")
+    _classes(C)
     rows = []
     for m in m_grid:
         z = np.zeros(C)

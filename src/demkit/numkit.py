@@ -7,14 +7,14 @@ Conventions used throughout the package:
   row-major layout,
 * public functions validate their input once, at the entry point
   (``as_vector``/``as_matrix``: shape, length, finiteness), and then
-  hand it to private kernels (``_logsumexp``, ``_softmax`` and the
-  ``_``-prefixed helpers of the loss modules), which assume validated
-  float64 input and check nothing.  Code that has already validated a
-  vector calls the kernels directly instead of validating it again.
+  hand it to private kernels (``_logsumexp``, ``_softmax``,
+  ``_central_differences`` and the ``_``-prefixed helpers of the loss
+  modules), which assume validated float64 input and check nothing.
+  Code that has already validated a vector calls the kernels directly.
 
 Besides the small linear-algebra helpers this module provides a
-numerically stable softmax / log-sum-exp pair, a central-finite-difference
-gradient oracle used by the test suites of every other module, a
+numerically stable softmax / log-sum-exp pair, the one central-difference
+gradient oracle (``gradcheck`` and the test suites of every other module), a
 vectorized row sum with ``math.fsum``'s bits (``_row_fsums``), and a
 seeded counter-based pseudo-random generator whose output is identical
 across runs and platforms.
@@ -94,6 +94,12 @@ def _integer(value, name: str):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _classes(C) -> None:
+    """``ValueError`` unless the class count ``C`` is an integer of at least 2."""
+    if _integer(C, "C") < 2:
+        raise ValueError(f"need at least two classes, got {C}")
 
 
 def logsumexp(z) -> float:
@@ -230,7 +236,11 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], z, h: float = 1e-5) -> np
     """
     if not (h > 0 and math.isfinite(h)):
         raise ValueError(f"step must be positive and finite, got {h}")
-    z = as_vector(z)
+    return _central_differences(f, as_vector(z), h)
+
+
+def _central_differences(f: Callable[[np.ndarray], float], z: np.ndarray, h: float) -> np.ndarray:
+    """Kernel of :func:`finite_diff_grad`: ``z`` validated, ``h`` positive and finite."""
     grad = np.empty_like(z)
     step = np.zeros_like(z)
     for i in range(z.shape[0]):
@@ -420,10 +430,14 @@ class Rng:
         return out[:n]
 
     def integers(self, n: int, lo: int, hi: int) -> np.ndarray:
-        """``n`` integers uniform on [lo, hi); ``lo`` and ``hi`` must be
-        integers (``ValueError`` otherwise)."""
-        if _integer(lo, "lo") >= _integer(hi, "hi"):
+        """``n`` integers uniform on [lo, hi): integer bounds within int64,
+        at most ``2**53`` apart so that every one can be drawn (``ValueError``
+        otherwise, before any draw)."""
+        lo, hi = int(_integer(lo, "lo")), int(_integer(hi, "hi"))
+        if lo >= hi:
             raise ValueError("empty integer range")
+        if lo < -(2**63) or hi >= 2**63 or hi - lo > 2**53:
+            raise ValueError(f"integer range [{lo}, {hi}) must lie in int64 and span at most 2**53")
         span = hi - lo
         return lo + np.minimum((self.uniforms(n) * span).astype(np.int64), span - 1)
 
@@ -436,7 +450,8 @@ class Rng:
         sum's rounding never leaves a uniform past the last class.
         """
         p = as_vector(p)
-        cdf = np.cumsum(p)
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, refused below
+            cdf = np.cumsum(p)
         low, total = float(np.minimum.reduce(p)), float(cdf[-1])
         if low < 0 or not abs(total - 1.0) <= _SIMPLEX_TOL:
             raise ValueError(

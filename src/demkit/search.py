@@ -206,8 +206,6 @@ def lr_sweep(model, data, factory, sgd: SgdConfig, lrs) -> LrSweepResult:
     lrs = list(lrs)
     if not lrs:
         raise ValueError("need at least one learning rate")
-    if any(lr < 0 for lr in lrs):
-        raise ValueError("learning rates must be non-negative")
     rates = list(dict.fromkeys([0.0, *lrs]))
     sgds = [replace(sgd, lr=lr) for lr in rates]
     runs = run_chunked(model, data.spec, data, [factory] * len(rates), sgds)

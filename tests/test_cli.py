@@ -567,6 +567,55 @@ class TestGradcheckCommand:
         assert names == [f"{m}/{l}" for m in ("linear", "mlp")
                          for l in ("em", "dem", "cross_entropy", "adadem")]
 
+    def test_one_oracle_kernel_call_per_model_and_loss(self, monkeypatch):
+        # The parameter-space cases call finite_diff_grad's kernel over each
+        # model's theta, 2 models x 4 losses; the logit-space cases call the
+        # public oracle, 5 per trial, the count the benchmark's trace checks.
+        from demkit import cli
+
+        kernel, public = [], []
+        real_kernel, real_public = cli._central_differences, cli.finite_diff_grad
+
+        def counted_kernel(f, z, h):
+            kernel.append(z.size)
+            return real_kernel(f, z, h)
+
+        def counted_public(*args, **kwargs):
+            public.append(None)
+            return real_public(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_central_differences", counted_kernel)
+        monkeypatch.setattr(cli, "finite_diff_grad", counted_public)
+        assert main(["gradcheck", "--trials", "3"]) == EXIT_OK
+        assert kernel == [4 * 3 + 4] * 4 + [5 * 3 + 5 + 4 * 5 + 4] * 4
+        assert len(public) == 15
+
+    def test_the_end_to_end_cases_never_write_a_model(self, monkeypatch):
+        # Each value runs on a copy of the model, so each model's theta can
+        # be read-only.  An oracle that perturbed the model itself could
+        # put back the same bits afterwards, so the bytes alone would not
+        # show it.
+        from demkit import cli
+        from demkit.numkit import Rng
+
+        made = []
+
+        def recorded(init):
+            def make(*args, **kwargs):
+                model = init(*args, **kwargs)
+                model.theta.flags.writeable = False
+                made.append((model, model.theta.tobytes()))
+                return model
+            return make
+
+        for name in ("init_linear", "init_mlp"):
+            monkeypatch.setattr(cli._model, name, recorded(getattr(cli._model, name)))
+        names = []
+        for name, _, _ in cli._end_to_end_cases(Rng(0).derive("end-to-end")):
+            names.append(name)
+            assert [m.theta.tobytes() for m, _ in made] == [b for _, b in made], name
+        assert len(made) == 2 and len(names) == 8
+
     def test_corrupted_gradient_fails_with_exit_3(self, monkeypatch, capsys):
         from demkit import cli
 

@@ -207,8 +207,18 @@ class TestValidityRegion:
     def test_boundary_second_derivative_rejects_bad_args(self):
         with pytest.raises(ValueError):
             boundary_second_derivative(0.0, 1.0, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least two classes, got 1"):
             boundary_second_derivative(1.0, 1.0, 1)
+
+    @pytest.mark.parametrize("C", [10.0, np.float64(3.0), True])
+    def test_the_class_count_must_be_an_integer(self, C):
+        # Both used to take a float C: boundary_second_derivative computed
+        # with it, and reward_curve raised numpy's TypeError.
+        with pytest.raises(ValueError, match="C must be an integer"):
+            boundary_second_derivative(1.0, 1.0, C)
+        with pytest.raises(ValueError, match="C must be an integer"):
+            reward_curve(C, DemConfig(1.0, 1.0), [0.0])
+        assert boundary_second_derivative(1.0, 1.0, np.int64(10)) == -0.09000000000000001
 
     @given(
         st.floats(min_value=0.05, max_value=3.0),
@@ -317,7 +327,7 @@ class TestRewardCurve:
         assert all(b >= a for a, b in zip(p, p[1:]))
 
     def test_rejects_tiny_class_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least two classes, got 1"):
             reward_curve(1, DemConfig(1.0, 1.0), [0.0])
 
 

@@ -17,6 +17,7 @@ from demkit import numkit
 from demkit.bench import long_tail_priors
 from demkit.numkit import (
     Rng,
+    _central_differences,
     _extended,
     _logsumexp,
     _logsumexp_rows,
@@ -229,6 +230,21 @@ class TestFiniteDiff:
             assert not any(np.shares_memory(v, w) for w in kept[:j])
         # z + step turns the other coordinates' -0.0 into +0.0; z - step keeps it.
         assert not np.signbit(kept[2][0]) and np.signbit(kept[3][0])
+
+    def test_the_kernel_gives_the_public_bits(self):
+        # gradcheck's parameter-space cases call the kernel on a model's
+        # theta; on finite input it is the public oracle, bit for bit.
+        rng = Rng(4)
+        z = (rng.uniforms(7) - 0.5) * 8.0
+        z[2] = -0.0
+        kept = z.copy()
+
+        def f(v):
+            return float(np.add.reduce(np.exp(v) * np.sin(3.0 * v)))
+
+        for h in (1e-5, 1e-3):
+            assert _central_differences(f, z, h).tobytes() == finite_diff_grad(f, z, h).tobytes()
+        assert z.tobytes() == kept.tobytes()
 
     @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -1e-5])
     def test_rejects_a_step_that_is_not_positive_and_finite(self, h):
@@ -651,6 +667,30 @@ class TestRng:
         assert Rng(0).integers(4, np.int64(2), np.int32(6)).tolist() == same
 
     @pytest.mark.parametrize(
+        "lo, hi",
+        [(0, 2**53 + 1), (-(2**52), 2**52 + 1), (0, 2**64), (2**70, 2**70 + 5),
+         (-(2**63) - 1, 0), (2**63 - 1, 2**63)],
+        ids=["span", "span-across-zero", "hi-past-uint64", "both-past-int64", "lo-below-int64",
+             "hi-at-2**63"],
+    )
+    def test_integers_refuses_a_range_it_cannot_draw_uniformly(self, lo, hi):
+        # Above a span of 2**53 some integers were never drawn; a bound
+        # outside int64 gave garbage after a cast warning, or raised
+        # OverflowError after the counter had moved.
+        rng = Rng(0)
+        with pytest.raises(ValueError, match=r"must lie in int64 and span at most 2\*\*53"):
+            rng.integers(3, lo, hi)
+        assert rng.counter == 0
+
+    def test_integers_draws_up_to_a_span_of_2_53_and_the_int64_edges(self):
+        u = Rng(5).uniforms(4)
+        for lo, hi in [(0, 2**53), (2**63 - 2**53, 2**63 - 1), (-(2**63), -(2**63) + 2**53)]:
+            draws = Rng(5).integers(4, lo, hi)
+            assert draws.dtype == np.int64
+            span = hi - lo
+            assert draws.tolist() == [lo + min(int(x * span), span - 1) for x in u.tolist()]
+
+    @pytest.mark.parametrize(
         "draw, message",
         [(lambda: Rng(1.5), "seed must be an integer, got 1.5"),
          (lambda: Rng(True), "seed must be an integer, got True"),
@@ -692,6 +732,16 @@ class TestRng:
         rng = Rng(0)
         with pytest.raises(ValueError, match="non-negative and sum to 1 within 1e-09"):
             rng.categorical(p, 3)
+        assert rng.counter == 0
+
+    def test_categorical_refuses_an_overflowing_sum_without_a_warning(self):
+        # np.cumsum's overflow warning used to come first, so under
+        # filterwarnings = error a caller saw it instead of the ValueError.
+        rng = Rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="got smallest 1e\\+308, sum inf"):
+                rng.categorical([1e308, 1e308], 2)
         assert rng.counter == 0
 
     def test_categorical_takes_the_priors_its_callers_build(self):

@@ -6,10 +6,17 @@ functions; the traced run checks those counts.  The tracer wraps only the
 public functions a module defines itself, so a renamed or privatised
 function reads 0 calls and fails those checks, which this suite does not
 run.  This test reads both files, so the suite fails on such a change too.
+
+The benchmark also checks each command's output against
+``perfbench/reference.json``; the ``gradcheck`` workload's stdout is
+checked here at two of its seeds, so a moved byte fails the suite, not
+only the benchmark's ``correct`` flag.
 """
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -79,3 +86,17 @@ def test_gradcheck_makes_the_benchmark_count_of_oracle_calls_per_trial(monkeypat
     monkeypatch.setattr(cli, "finite_diff_grad", counted)
     assert cli.main(["gradcheck", "--trials", "3", "--seed", "0"]) == cli.EXIT_OK
     assert len(calls) == 3 * per_trial
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gradcheck_stdout_matches_the_benchmark_reference(seed, capsys):
+    from demkit import cli
+
+    workload = _load("workloads").gradcheck_scalar(seed)
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    assert cli.main([workload.command, *workload.args]) == cli.EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == reference["digests"][workload.name][str(seed)]["stdout"], (
+        f"gradcheck {' '.join(workload.args)} differs from the digest recorded on"
+        f" {reference['recorded_on']}"
+    )
