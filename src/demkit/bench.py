@@ -72,6 +72,7 @@ __all__ = [
     "run_protocols",
     "run_chunked",
     "succeeded",
+    "named_results",
     "run_protocol",
 ]
 
@@ -599,6 +600,15 @@ def succeeded(run) -> ProtocolResult:
     if isinstance(run, DivergenceError):
         raise run
     return run
+
+
+def named_results(runs, names):
+    """:func:`succeeded` on each of ``runs`` as the caller reads them, a
+    :class:`DivergenceError`'s message ending with its name in ``names``."""
+    for run, name in zip(runs, names):
+        if isinstance(run, DivergenceError):
+            run.args = (f"{run} ({name})",)
+        yield succeeded(run)
 
 
 def run_protocol(source_model, shift_data, mode: str, plugin_factory, cfg: SgdConfig) -> ProtocolResult:

@@ -699,7 +699,8 @@ def cmd_run(args) -> None:
     model, data = prepared_experiment(cfg)
     # the baseline is lr-sweep's: the same protocol at lr = 0, stacked with the run
     runs = _bench.run_chunked(model, data.spec, data, [factory] * 2, [sgd, replace(sgd, lr=0.0)])
-    result, base = map(_bench.succeeded, runs)
+    names = (f"the run at lr={sgd.lr:.9g}", "the baseline at lr=0")
+    result, base = _bench.named_results(runs, names)
 
     rows = [
         _metrics_row(f"shift{i}", data.spec.shifts[i], rep, base.per_shift[i].accuracy)

@@ -239,9 +239,10 @@ def boundary_second_derivative(tau: float, alpha: float, C: int) -> float:
     Returns ``(1 - 1/C) (alpha/C - 2/(tau C))``, which is non-positive
     exactly on the valid side ``tau <= 2/alpha``: negative curvature at
     the uniform point means a unique argmax stays locally rewarded.
+    ``tau`` must be positive and both finite, as :class:`DemConfig` asks.
     """
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    if not (0 < tau < math.inf and math.isfinite(alpha)):
+        raise ValueError(f"need a finite positive tau and a finite alpha, got {tau}, {alpha}")
     _classes(C)
     return (1.0 - 1.0 / C) * (alpha / C - 2.0 / (tau * C))
 
@@ -263,16 +264,19 @@ def reward_curve(C: int, cfg: DemConfig, m_grid) -> list[tuple[float, float, flo
     ``(m, p_max, reward)`` where ``p_max = softmax(z)_1`` and the reward
     is the negative gradient of the configured loss at that coordinate.
     Scanning m from below 0 to large values traces how the loss treats
-    samples from maximally uncertain to fully confident.
+    samples from maximally uncertain to fully confident.  Margins must
+    be finite (``ValueError``).
     """
     _classes(C)
     rows = []
-    for m in m_grid:
+    for m in map(float, m_grid):
+        if not math.isfinite(m):
+            raise ValueError(f"margins must be finite, got {m}")
         z = np.zeros(C)
-        z[0] = float(m)
+        z[0] = m
         reward = -float(_dem_grad(z, cfg)[0])
         p_max = float(_softmax(z)[0])
-        rows.append((float(m), p_max, reward))
+        rows.append((m, p_max, reward))
     return rows
 
 

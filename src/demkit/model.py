@@ -1,41 +1,32 @@
-"""Tiny differentiable classifiers and the online adaptation loop.
+"""Tiny differentiable classifiers, and the one step loop that trains and
+adapts them.
 
 Experiments run a one-hidden-layer rectifier MLP; a linear softmax head
 remains for ``gradcheck`` and the tests.  Backpropagation is written out
-by hand: every loss in this package exposes exact per-sample gradients with
-respect to the logits, and ``backward`` chains them into parameter
+by hand: every loss in this package exposes exact per-sample gradients
+with respect to the logits, and ``backward`` chains them into parameter
 gradients with mean reduction over the batch, so the learning-rate scale
 is batch-size invariant.
 
-Each model stores its parameters in one float64 vector ``theta``; the
-weight matrices and biases are reshaped views of it.  Gradients, SGD
-velocity and updates are flat vectors laid out like ``theta``, and
-``sgd_step`` moves such a vector in place: a model's own ``theta``, or
-row ``k`` of a ``(K, P)`` array that stacks ``K`` models of one
-architecture.  ``adapt_stream`` adapts such a stack over one shift of
-unlabeled batches: per batch the models predict, the caller's hook
-scores the predictions, each model's loss plugin turns its logits into
-per-sample gradients, and each row takes one SGD step with its model's
-own settings.  One model is the stack of ``K = 1``.  Plugins wrap the
-losses a config's ``loss.name`` names: classical EM, decoupled EM, and
-AdaDEM, which carries its calibrator state through the whole stream.
-Source training's cross-entropy is the kernel ``_ce_rows``.
+Each model stores its parameters in one float64 vector ``theta``, whose
+views are its weight matrices and biases; gradients and SGD velocity are
+laid out like it.  ``K`` models of one architecture stack as the rows of
+a ``(K, P)`` array.  ``_step_loop`` is the one step loop: per batch the
+forward pass, a writer of the logit gradients, the backward pass and one
+``sgd_step`` per model.  ``train_source`` runs it with the cross-entropy
+kernel ``_ce_rows`` through the stack trainer ``_train_stack``, which
+can also fit ``K`` sources on their own data at once; ``adapt_stream``
+runs it over one shift of unlabeled batches, where the caller's hook
+scores the predictions and each model's loss plugin (classical EM,
+decoupled EM, or AdaDEM, whose calibrator state lives through the
+stream) writes its gradients.
 
-Validation follows the convention of :mod:`demkit.numkit`: the public
-functions validate their input once (finite float64 inputs of the
-model's input width; ``adapt_stream`` checks a whole shift at once) and
-hand it to the private kernels ``_forward`` and ``_backward``, which
-check nothing.  The kernels are the only forward and backward pass, and
-they write into a :class:`_Workspace` instead of allocating.  A
-workspace over a ``(K, P)`` stack gives every buffer a leading axis of
-``K``, and the kernels then run each step once for all ``K`` models
-with the operations, and so the bits, of ``K`` one-model steps.  The
-step loops (``train_source``, ``adapt_stream``) build their workspaces
-once per call and run ``_forward`` and ``_backward`` once per step; the
-public ``forward`` and ``backward`` run them on a fresh workspace, so
-what they return belongs to the caller.  ``sgd_step`` likewise writes
-``lr * v`` into a scratch vector of its :class:`SgdState`.
-``step_bytes`` counts these per model.
+Validation follows :mod:`demkit.numkit`: the public functions validate
+their input once and hand it to the private kernels ``_forward`` and
+``_backward``, the only forward and backward pass, which check nothing
+and write into a :class:`_Workspace` instead of allocating.  On a stack
+they run each step once for all ``K`` models with the operations, and so
+the bits, of ``K`` one-model steps (``step_bytes``: its bytes per model).
 """
 
 from __future__ import annotations
@@ -88,10 +79,8 @@ def _pack(*arrays):
 
 
 class LinearSoftmax:
-    """Logits = W x + b with W of shape C x d.
-
-    ``theta`` holds ``W`` then ``b``; both are views of it.
-    """
+    """Logits = W x + b with W of shape C x d; ``theta`` holds ``W`` then
+    ``b``, both views of it."""
 
     _names = ("W", "b")
 
@@ -107,11 +96,8 @@ class LinearSoftmax:
 
 
 class Mlp:
-    """Logits = W2 relu(W1 x + b1) + b2.
-
-    ``theta`` holds ``W1``, ``b1``, ``W2``, ``b2`` in that order, each a
-    view of it.
-    """
+    """Logits = W2 relu(W1 x + b1) + b2; ``theta`` holds ``W1``, ``b1``,
+    ``W2``, ``b2`` in that order, each a view of it."""
 
     _names = ("W1", "b1", "W2", "b2")
 
@@ -176,39 +162,36 @@ class _Workspace:
     and the views of the parameters ``theta`` that its kernels read.
 
     ``theta`` is ``model.theta``, or a C-contiguous ``(K, P)`` stack of
-    vectors laid out like it, which gives every buffer below a leading
-    axis of ``K``, one slice per stacked model.
+    vectors like it, which gives every buffer below a leading axis ``K``.
 
     Row buffers hold one batch: the logits ``Z`` (``n x C``), their
     probabilities ``P`` (``n x C``; :func:`adapt_stream` writes them),
-    the MLP's hidden activations ``A`` (``n x hidden``; zero columns
-    wide for the linear model), which the backward pass overwrites with
-    the hidden gradient once it has read them, the scaled logit
-    gradients ``G`` and the rectifier mask ``M``.  On a stack the
-    backward pass also overwrites ``P``: ``P_rows`` is its memory as an
-    ``n x K x C`` array, into which the pass copies ``G_rows``, ``G``
-    with its row axis first, to sum the output-bias gradient over the
-    rows in order, ``n`` passes of ``K x C``.  So ``P`` holds a batch's
-    probabilities from the softmax that writes them until that batch's
-    backward pass, and nobody reads it from then until the next softmax.
-    A one-model workspace (``train_source``, the public ``backward``)
-    sums ``G`` itself, leaves ``P`` alone and has neither view.  ``g`` is
-    the parameter gradient laid out like ``theta``, and ``grads`` are its
-    views shaped like the model's arrays (``W``, ``b`` or ``W1``, ``b1``,
-    ``W2``, ``b2``).  The kernels read each weight matrix transposed over
-    its last two axes (``W1T``, ``W2T``) and each bias as a row that
-    broadcasts over the batch (``b1``, ``b2``); the linear model is a
-    head alone, ``W2`` and ``b2`` holding its ``W`` and ``b``.
+    the MLP's hidden activations ``A`` (``n x hidden``; zero columns wide
+    for the linear model), which the backward pass overwrites with the
+    hidden gradient once it has read them, the scaled logit gradients
+    ``G`` and the rectifier mask ``M``.  On a stack the backward pass sums
+    the output-bias gradient over the rows in order, ``n`` passes of ``K
+    x C``: it copies ``G_rows``, ``G`` with its row axis first, into
+    ``P_rows``, ``P``'s memory as an ``n x K x C`` array, so ``P`` holds a
+    batch's probabilities only until then.  A one-model workspace sums
+    ``G`` itself and has neither view.  ``g`` is the parameter gradient
+    laid out like ``theta``, and ``grads`` its views shaped like the
+    model's arrays.  The kernels read each weight matrix transposed over
+    its last two axes (``W1T``, ``W2T``) and each bias as a row (``b1``,
+    ``b2``); the linear model is a head alone, ``W2`` and ``b2`` holding
+    its ``W`` and ``b``.
 
-    ``product`` is the kernels' matrix product, ``np.matmul``, which
-    broadcasts over ``K``; it writes into an ``out`` that is always one
-    of the C-contiguous float64 buffers above.  :func:`train_source`
-    sets ``np.dot`` on its one-model workspaces of more than one row
-    (see there).
+    ``product`` is the kernels' matrix product: ``np.dot`` on one model
+    of more than one row, with less dispatch than ``np.matmul`` on these
+    small matrices; ``np.matmul``, which broadcasts over ``K``, on a
+    stack, and on one row, where ``np.dot`` multiplies 1 x 1 operands as
+    scalars and so keeps the sign of an exact zero product that
+    ``np.matmul``'s sum from ``+0.0`` drops.  On C-contiguous rows the two
+    gave the same bits on the tested BLAS (``TestStepKernels``).  Every
+    ``out`` is a C-contiguous float64 buffer above.
     """
 
-    def __init__(self, model, n: int, theta: np.ndarray | None = None):
-        theta = model.theta if theta is None else theta
+    def __init__(self, model, n: int, theta: np.ndarray):
         lead, arrays = theta.shape[:-1], _arrays(model)
         self.mlp = isinstance(model, Mlp)
         C, h = model.C, _hidden(model)
@@ -226,7 +209,7 @@ class _Workspace:
         self.P_rows = self.P.reshape(self.G_rows.shape) if lead else None
         self.g = np.empty(theta.shape)
         self.grads = _views(self.g, arrays)
-        self.product = np.matmul
+        self.product = np.matmul if lead or n == 1 else np.dot
 
 
 def _hidden(model) -> int:
@@ -263,7 +246,8 @@ def _forward(X: np.ndarray, ws: _Workspace) -> np.ndarray:
 def _backward(X: np.ndarray, dlogits: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Kernel of :func:`backward`: the flat gradient, written into ``ws.g``
     (returned).  ``ws`` holds what ``_forward(X, ws)`` wrote; ``dlogits``
-    may be ``ws.G`` itself.
+    may be ``ws.G`` itself.  On a stack ``X`` is one ``n x d`` batch, or
+    ``K x n x d``, one per model.
 
     The head's gradients read the activations first; the hidden gradient
     then takes their buffer.  A stack's output-bias gradient is summed
@@ -274,7 +258,7 @@ def _backward(X: np.ndarray, dlogits: np.ndarray, ws: _Workspace) -> np.ndarray:
     are ``ws.product``, as in :func:`_forward`.
     """
     product = ws.product
-    G = np.divide(dlogits, X.shape[0], out=ws.G)
+    G = np.divide(dlogits, X.shape[-2], out=ws.G)
     if ws.mlp:
         gW1, gb1, gW2, gb2 = ws.grads
         product(ws.GT, ws.A, out=gW2)
@@ -298,7 +282,7 @@ def _backward(X: np.ndarray, dlogits: np.ndarray, ws: _Workspace) -> np.ndarray:
 def forward(model, X) -> np.ndarray:
     """Batch logits, shape n x C."""
     X = _validated_input(model, X)
-    return _forward(X, _Workspace(model, X.shape[0]))
+    return _forward(X, _Workspace(model, X.shape[0], model.theta))
 
 
 def backward(model, X, dlogits) -> np.ndarray:
@@ -314,16 +298,16 @@ def backward(model, X, dlogits) -> np.ndarray:
         raise ValueError(
             f"dlogits must be {X.shape[0]} x {model.C} (batch x classes), got {dlogits.shape}"
         )
-    ws = _Workspace(model, X.shape[0])
+    ws = _Workspace(model, X.shape[0], model.theta)
     _forward(X, ws)
     return _backward(X, dlogits, ws)
 
 
 def _ce_rows(Z: np.ndarray, hot: np.ndarray, G: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """The one cross-entropy logit gradient, run by every :func:`train_source`
+    """The one cross-entropy logit gradient, run by every source training
     step and checked by ``gradcheck``: ``softmax(Z)`` less 1 at each row's
     target, written into ``G`` (returned), whose flat view is ``flat``, with
-    ``hot`` holding each row's target as a flat position ``i * C + target``."""
+    ``hot`` holding each row's target as its flat position in ``G``."""
     _softmax_rows(Z, G)
     flat[hot] -= 1.0
     return G
@@ -422,140 +406,136 @@ class DivergenceError(FloatingPointError):
     def __init__(self, stage: str, batch: int, shift: int | None = None):
         where = f"batch {batch}" if shift is None else f"shift {shift}, batch {batch}"
         super().__init__(f"adaptation diverged at {where}: non-finite {stage}")
-        self.stage = stage
-        self.batch = batch
-        self.shift = shift
+        self.stage, self.batch, self.shift = stage, batch, shift
+
+
+def _step_loop(batches, write) -> None:
+    """The one step loop, which source training and adaptation run.  For
+    the ``i``-th ``(X, ws, rest)`` of ``batches``: the forward pass of
+    ``X`` into ``ws``; ``write(i, ws, rest)``, which writes the logit
+    gradients into ``ws.G`` and returns the ``(theta, g, cfg, state)`` of
+    each model to step, ``g`` its view of ``ws.g``; the backward pass;
+    and one :func:`sgd_step` per model, in order.  It ends once ``write``
+    returns no model."""
+    for i, (X, ws, rest) in enumerate(batches):
+        _forward(X, ws)
+        live = write(i, ws, rest)
+        if not live:
+            return
+        _backward(X, ws.G, ws)
+        for theta, g, cfg, state in live:
+            sgd_step(theta, g, cfg, state)
+
+
+def _train_stack(model, theta, X, y, epochs: int, cfg: SgdConfig, rngs, batch_size: int) -> None:
+    """Source training of the models whose parameters are ``theta``, in
+    place: the unchecked kernel of :func:`train_source`.
+
+    ``theta`` is one vector laid out like ``model.theta``, with ``X`` an
+    ``n x d`` matrix, ``y`` its labels and one generator in ``rngs``; or
+    a C-contiguous ``(K, P)`` stack, with ``X`` of shape ``(K, n, d)``,
+    ``y`` of ``(K, n)`` and ``K`` generators.  Each epoch, each model
+    shuffles its rows with its generator into one buffer, and each row's
+    target into its flat position in its batch's ``ws.G`` (no ``n x C``
+    array); then :func:`_step_loop` steps each model once per batch of
+    ``batch_size`` rows, a short one last, with :func:`_ce_rows`, ``cfg``
+    and the model's own :class:`SgdState`, giving each the bits of its
+    own one-model call.  A non-finite parameter at an epoch's end raises
+    ``FloatingPointError`` naming the epoch, and on a stack the model.
+    """
+    lead, n, C, K = theta.shape[:-1], X.shape[-2], model.C, len(rngs)
+    size = min(batch_size, n)
+    full = _Workspace(model, size, theta)
+    last = _Workspace(model, n % size, theta) if n % size else full
+    # Row i of an epoch's order sits at row i % size of its batch, whose
+    # logits start at flat position (i % size) * C of the batch's G; on a
+    # stack, model k's start k * rows * C later, rows being the batch's.
+    slots = np.arange(n) % size * C
+    if lead:
+        rows = np.minimum(size, n - np.arange(n) // size * size)
+        slots = slots + np.arange(K)[:, None] * rows * C
+    Xo, hot = np.empty(X.shape), np.empty(slots.shape, np.intp)
+    shuffles = list(zip(rngs, X.reshape(K, n, -1), Xo.reshape(K, n, -1),
+                        y.reshape(K, n), slots.reshape(K, n), hot.reshape(K, n)))
+    # Per workspace, its flat G and each model's step on it; per batch, its
+    # rows of Xo, its workspace and its rows of hot.
+    states = [SgdState() for _ in range(K)]
+    per_ws = {ws: (ws.G.reshape(-1), list(zip(theta.reshape(K, -1), ws.g.reshape(K, -1),
+                                             [cfg] * K, states))) for ws in (full, last)}
+    batches = [(Xo[..., start : start + size, :], full if start + size <= n else last,
+                hot[..., start : start + size]) for start in range(0, n, size)]
+
+    def write(i, ws, targets):
+        flat, steps = per_ws[ws]
+        _ce_rows(ws.Z, targets, ws.G, flat)
+        return steps
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            for rng, Xk, Xo_k, yk, slots_k, hot_k in shuffles:
+                order = rng.permutation(n)
+                np.take(Xk, order, axis=0, out=Xo_k)
+                np.add(slots_k, yk[order], out=hot_k)
+            _step_loop(batches, write)
+            finite = np.isfinite(theta).all(axis=-1)
+            if not finite.all():
+                model_k = f" of model {np.argmin(finite)}" if lead else ""
+                raise FloatingPointError(f"source training diverged in epoch {epoch}{model_k}")
 
 
 def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int):
     """Mini-batch supervised training on labeled data; returns the model.
 
     Shuffles with the supplied generator each epoch, so a fixed seed
-    yields bit-identical parameters.  ``epochs = 0`` leaves the model
-    unchanged.  ``X`` and ``y`` are validated once: ``y`` must hold one
-    integer label in ``[0, C)`` per row of ``X`` (``ValueError``
-    otherwise).
-
-    Each epoch refills in place one shuffled copy of ``X`` and one
-    vector of each row's target as a flat position in its batch's
-    logits, so no ``n x C`` array is held.  A step runs the forward pass
-    once, writes its logit gradients into its workspace with
-    :func:`_ce_rows` (no loss values), and the backward pass reuses
-    the forward activations.  Steps write into a :class:`_Workspace`
-    sized once per call, and a short last batch into a second.  Each
-    of more than one row multiplies with ``np.dot``, which reaches the
-    BLAS call with less dispatch than ``np.matmul`` on these small
-    matrices; on the C-contiguous rows fed here the two were observed
-    to give the same bits on the tested BLAS, which ``TestStepKernels``
-    in ``tests/test_model.py`` checks against a one-model stack.  A
-    one-row batch keeps ``np.matmul``: ``np.dot`` multiplies 1 x 1
-    operands as scalars, so an exact zero product keeps a sign that
-    ``np.matmul``'s sum from ``+0.0`` drops.  The views each
-    step reads (its rows of the shuffled copy, its slice of target
-    positions, its workspace and that workspace's logit gradient as one
-    flat vector) are built once per call, and each epoch refills what
-    they view.  ``batch_size < 1``, ``epochs < 0`` and non-integers raise
-    ``ValueError``.  Non-finite parameters, checked once per epoch with
-    numpy's overflow and invalid-value warnings silenced, raise
-    ``FloatingPointError`` naming the epoch.
+    yields bit-identical parameters; ``epochs = 0`` leaves the model
+    unchanged.  ``X``, ``y`` (an integer label in ``[0, C)`` per row),
+    ``batch_size >= 1`` and ``epochs >= 0`` are validated once
+    (``ValueError``); then :func:`_train_stack` steps ``model.theta``.
     """
     if _integer(batch_size, "batch_size") < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if _integer(epochs, "epochs") < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
     X = _validated_input(model, X)
-    n, C = X.shape[0], model.C
-    if n == 0:
+    if X.shape[0] == 0:
         raise ValueError("empty training set")
-    y = validated_labels(y, (n,), C)
-    size = min(batch_size, n)
-    full = _Workspace(model, size)
-    last = _Workspace(model, n % size) if n % size else full
-    for ws in (full, last):
-        if ws.G.shape[0] > 1:
-            ws.product = np.dot
-    state = SgdState()
-    # Row i of an epoch's order sits at row i % size of its batch, whose
-    # logits start at flat position (i % size) * C of the batch's G.
-    slots = np.arange(n) % size * C
-    Xo, hot = np.empty(X.shape), np.empty(n, np.intp)
-    # Each step's rows of Xo and hot, its workspace and its flat G.
-    batches = []
-    for start in range(0, n, size):
-        rows, ws = slice(start, start + size), full if start + size <= n else last
-        batches.append((Xo[rows], hot[rows], ws, ws.G.reshape(-1)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
-            order = rng.permutation(n)
-            np.take(X, order, axis=0, out=Xo)
-            np.add(slots, y[order], out=hot)
-            for Xb, targets, ws, flat in batches:
-                G = _ce_rows(_forward(Xb, ws), targets, ws.G, flat)
-                sgd_step(model.theta, _backward(Xb, G, ws), cfg, state)
-            if not np.isfinite(model.theta).all():
-                raise FloatingPointError(f"source training diverged in epoch {epoch}")
+    y = validated_labels(y, X.shape[:1], model.C)
+    _train_stack(model, model.theta, X, y, epochs, cfg, [rng], batch_size)
     return model
 
 
 def adapt_stream(model, theta: np.ndarray, X, plugins, cfgs, score) -> list:
-    """Online adaptation of ``K`` stacked models: predict, score, update,
-    repeat.
+    """Online adaptation of ``K`` stacked models over one shift: predict,
+    score, update, repeat, as :func:`_step_loop` steps.
 
-    ``model`` gives the architecture (its parameters are not read), and
-    row ``k`` of ``theta``, a C-contiguous float64 ``(K, P)`` array laid
-    out like ``model.theta``, is model ``k``'s parameters, which the call
-    steps in place.  ``X`` is one shift's unlabeled inputs, a ``B x n x
-    d`` array of ``B`` batches of ``n`` rows, so the loop never sees a
-    label.  For each batch ``X[i]`` the models first predict: the loop
-    writes their probabilities ``softmax_rows(Z)`` into ``P``, the
-    C-contiguous float64 ``K x n x C`` buffer of the :class:`_Workspace`
-    it builds for the call, and calls ``score(i, P)``, which may read
-    ``P`` and must not write into it.  Then for each model ``k``
-    ``plugins[k].batch_eval(Z[k], P[k])`` turns its logits and
-    probabilities into the ``n x C`` matrix of per-sample loss gradients
-    with respect to the logits (gradients only: nothing here reads a loss
-    value), and one :func:`sgd_step` with ``cfgs[k]`` moves ``theta[k]``.
-
-    The K-model contract: the forward pass, the row softmax, the
+    ``model`` gives the architecture (its parameters are not read); row
+    ``k`` of ``theta``, a C-contiguous float64 ``(K, P)`` array laid out
+    like ``model.theta``, is model ``k``'s parameters, stepped in place.
+    ``X`` is the shift's unlabeled inputs, ``B`` batches of ``n`` rows
+    (``B x n x d``).  For batch ``X[i]`` the loop writes the stack's
+    probabilities ``softmax_rows(Z)`` into ``P``, its workspace's
+    C-contiguous ``K x n x C`` buffer, the same array for every batch,
+    which the batch's backward pass overwrites, and calls ``score(i, P)``,
+    which copies what it needs and writes nothing into it.  Then each
+    model ``k`` whose plugin is not ``None`` writes its gradients
+    ``plugins[k].batch_eval(Z[k], P[k])``, an ``n x C`` matrix (no loss
+    values; a plugin neither keeps nor writes into ``Z[k]`` or ``P[k]``),
+    and takes one :func:`sgd_step` with ``cfgs[k]`` and a
+    :class:`SgdState` fresh for the call, so momentum never carries over
+    from one shift to the next.  The forward pass, the softmax, the
     finiteness checks and the backward pass run once per batch for the
-    whole stack, on buffers with a leading axis of ``K``, and give each
-    model the bits its own one-model run gives.  ``plugins[k].batch_eval``
-    and ``sgd_step`` run once per model and batch, in model order, each
-    model with its own :class:`SgdConfig` and a fresh :class:`SgdState`
-    per call.  A model whose plugin is ``None`` is carried along and
-    takes neither.
+    whole stack, and each model gets the bits of its own one-model run.
+    ``X``, ``theta``, ``plugins`` and ``cfgs`` are validated before the
+    first step (``ValueError``); a strided ``theta`` is refused, since
+    steps on its rows' views could land in copies.
 
-    The hook gets the same ``P`` for every batch, and the batch's own
-    backward pass overwrites it, so the hook copies what it needs of a
-    batch before it returns.  ``X``, ``theta``, ``plugins`` and ``cfgs``
-    are validated once, before the first step (``ValueError``); a strided ``theta`` is
-    refused, since its rows' views, and the steps on them, could be
-    copies.
-
-    The plugin contract: ``P[k]`` and ``Z[k]`` are workspace buffers that
-    the batch's backward pass (``P``) or the next batch (``Z``)
-    overwrites, so a plugin reads them during ``batch_eval`` and neither
-    keeps nor writes into them.
-
-    Each live model's views of the workspace and of ``theta``, its bound
-    ``batch_eval``, its :class:`SgdConfig` and its :class:`SgdState` are
-    built once per call; the per-batch loops walk that list, with the
-    finiteness flags as Python lists, and drop a model from it once it
-    diverges.
-
-    Each call starts from fresh SGD states, so momentum never carries
-    over from one call to the next: a continual protocol, which calls
-    this once per shift, resets momentum at every shift while the models
-    and the plugins' states carry over.
-
-    Returns one entry per model: ``None``, or the
-    :class:`DivergenceError` naming the stage and batch of the model's
-    first non-finite logits or loss gradients.  A diverged model takes
-    no further plugin or SGD call, its later probabilities are
-    meaningless, and the loop ends early once every model has diverged.
-    Those checks are the only report of a diverging step: numpy's
-    overflow and invalid-value warnings are silenced for the loop,
-    scoring hook included, since a step that overflows fails one of them.
+    Returns one entry per model: ``None``, or the :class:`DivergenceError`
+    naming the stage and batch of its first non-finite logits or loss
+    gradients.  A diverged model takes no further plugin or SGD call, its
+    later probabilities mean nothing, and the loop ends once every model
+    has diverged.  Those checks are the only report of a diverging step:
+    numpy's overflow and invalid-value warnings are silenced for the
+    loop, scoring hook included.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3:
@@ -572,33 +552,34 @@ def adapt_stream(model, theta: np.ndarray, X, plugins, cfgs, score) -> list:
     if len(cfgs) != K:
         raise ValueError(f"need one SgdConfig per stacked model, {K}, got {len(cfgs)}")
     ws = _Workspace(model, n, theta)
-    # Per live model, built once: its index, its views of the step's
-    # buffers and of theta, its loss, its SgdConfig and its SgdState.
+    # Per live model, built once: its index, its views of Z, P and G, its
+    # loss, and its step: its theta row, gradient view, config and state.
     live = [
         (k, ws.Z[k], ws.P[k], ws.G[k], plugins[k].batch_eval,
-         theta[k], ws.g[k], cfgs[k], SgdState())
+         (theta[k], ws.g[k], cfgs[k], SgdState()))
         for k in range(K) if plugins[k] is not None
     ]
-    errors = [None] * K
+    errors, steps = [None] * K, [m[-1] for m in live]
+
+    def write(i, ws, _):
+        Z = ws.Z
+        score(i, _softmax_rows(Z, ws.P))
+        finite = np.isfinite(Z).all(axis=(1, 2)).tolist()
+        for k, Zk, Pk, Gk, batch_eval, _ in live:
+            if finite[k]:
+                Gk[...] = batch_eval(Zk, Pk)
+            else:
+                errors[k] = DivergenceError("logits", i)
+        finite = np.isfinite(ws.G).all(axis=(1, 2)).tolist()
+        for k, *_ in live:
+            if errors[k] is None and not finite[k]:
+                errors[k] = DivergenceError("loss gradients", i)
+        kept = [m for m in live if errors[m[0]] is None]
+        if len(kept) < len(live):
+            live[:], steps[:] = kept, [m[-1] for m in kept]
+        return steps
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, Xi in enumerate(X):
-            if not live:
-                break
-            Z = _forward(Xi, ws)
-            score(i, _softmax_rows(Z, ws.P))
-            finite = np.isfinite(Z).all(axis=(1, 2)).tolist()
-            for k, Zk, Pk, Gk, batch_eval, *_ in live:
-                if finite[k]:
-                    Gk[...] = batch_eval(Zk, Pk)
-                else:
-                    errors[k] = DivergenceError("logits", i)
-            finite = np.isfinite(ws.G).all(axis=(1, 2)).tolist()
-            for k, *_ in live:
-                if errors[k] is None and not finite[k]:
-                    errors[k] = DivergenceError("loss gradients", i)
-            live = [m for m in live if errors[m[0]] is None]
-            if live:
-                _backward(Xi, ws.G, ws)
-                for *_, row, g, cfg, state in live:
-                    sgd_step(row, g, cfg, state)
+        if live:
+            _step_loop(((Xi, ws, None) for Xi in X), write)
     return errors

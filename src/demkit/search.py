@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bench import run_chunked, succeeded
+from .bench import named_results, run_chunked
 from .em_losses import ConfigError, DemConfig, validate_config
 from .model import DemPlugin, DivergenceError, SgdConfig
 
@@ -164,18 +164,20 @@ def grid_search(model, data, grid: GridSpec, sgd: SgdConfig) -> GridResult:
     classical point tau = alpha = 1, when it is valid, are then scored in
     one pass over the full stream, which holds one shift at a time.  The
     points run stacked in grid order by ``bench.run_chunked``; a diverging
-    point raises its ``DivergenceError`` before any later chunk runs.
+    point raises its ``DivergenceError``, naming the point and the pass,
+    before any later chunk runs.
     """
     k = max(1, round(data.spec.batches_per_shift * grid.subset_fraction))
     subset = list(data.leading(k))
 
-    def accuracies(shifts, points) -> list:
+    def accuracies(shifts, points, where) -> list:
         factories = [functools.partial(DemPlugin, DemConfig(tau, alpha)) for tau, alpha in points]
         runs = run_chunked(model, data.spec, shifts, factories, [sgd] * len(points))
-        return [succeeded(run).accuracy for run in runs]
+        names = (f"grid point tau={t:.9g}, alpha={a:.9g}, on the {where}" for t, a in points)
+        return [run.accuracy for run in named_results(runs, names)]
 
     points = grid_points(grid)
-    scores = iter(accuracies(subset, [(t, a) for t, a, ok in points if ok]))
+    scores = iter(accuracies(subset, [(t, a) for t, a, ok in points if ok], "leading subset"))
     table = [TrialResult(t, a, ok, next(scores) if ok else None) for t, a, ok in points]
     best = max(
         (r for r in table if r.valid),
@@ -183,9 +185,11 @@ def grid_search(model, data, grid: GridSpec, sgd: SgdConfig) -> GridResult:
     )
     classical = next((r for r in table if r.valid and (r.tau, r.alpha) == (1.0, 1.0)), None)
     if classical is None:
-        (best_full,) = accuracies(data, [(best.tau, best.alpha)])
+        (best_full,) = accuracies(data, [(best.tau, best.alpha)], "full stream")
         return GridResult(best, table, best_full, None, None)
-    best_full, classical_full = accuracies(data, [(best.tau, best.alpha), (1.0, 1.0)])
+    best_full, classical_full = accuracies(
+        data, [(best.tau, best.alpha), (1.0, 1.0)], "full stream"
+    )
     return GridResult(best, table, best_full, classical.accuracy, classical_full)
 
 

@@ -843,6 +843,28 @@ class TestRunCommand:
         assert "numeric failure: adaptation diverged at shift 0, batch " in err
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
+    def test_divergence_names_the_run_or_its_baseline(self, tmp_path, capsys, monkeypatch):
+        # The run diverges at lr 1e308.  The baseline at lr = 0 cannot, so
+        # a patched chunk runner hands run a diverged baseline entry.
+        cfg = small_config(tmp_path, optimizer={"lr": 1e308, "momentum": 0.9, "scope": "all"})
+        assert main(["run", "--config", str(cfg)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "demkit: numeric failure: adaptation diverged at shift 0, batch 1: "
+            "non-finite logits (the run at lr=1e+308)\n"
+        )
+        chunked = demkit.bench.run_chunked
+
+        def baseline_diverges(model, spec, data, factories, cfgs):
+            yield next(chunked(model, spec, data, factories[:1], cfgs[:1]))
+            yield demkit.model.DivergenceError("logits", 2, 0)
+
+        monkeypatch.setattr(demkit.bench, "run_chunked", baseline_diverges)
+        assert main(["run", "--config", str(small_config(tmp_path))]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "demkit: numeric failure: adaptation diverged at shift 0, batch 2: "
+            "non-finite logits (the baseline at lr=0)\n"
+        )
+
     def test_divergence_removes_previous_outputs(self, tmp_path):
         assert main(["run", "--config", str(small_config(tmp_path))]) == EXIT_OK
         out = tmp_path / "out"
@@ -1113,8 +1135,22 @@ class TestStackedSweeps:
             assert sizes == chunks
             errors.append(capsys.readouterr().err)
         assert errors == [
-            "demkit: numeric failure: adaptation diverged at shift 1, batch 1: non-finite logits\n"
+            "demkit: numeric failure: adaptation diverged at shift 1, batch 1: non-finite logits"
+            " (grid point tau=0.5, alpha=1.5, on the leading subset)\n"
         ] * 2
+
+    def test_divergence_on_the_full_stream_names_that_pass(self, tmp_path, capsys):
+        # One batch per shift is the subset, on which every point adapts;
+        # the best point then diverges in the full stream's fourth batch.
+        grid = {**self.GRID, "tau_max": 1.0, "alpha_min": 1.0, "alpha_max": 1.5,
+                "subset_fraction": 0.25}
+        cfg = small_config(tmp_path, stream=self.STREAM, grid=grid,
+                           loss={"name": "dem"}, optimizer={"lr": 1e64, "momentum": 0.9})
+        assert main(["grid-search", "--config", str(cfg)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "demkit: numeric failure: adaptation diverged at shift 0, batch 3: non-finite logits"
+            " (grid point tau=1, alpha=1.5, on the full stream)\n"
+        )
 
     def _lr_sweep_outputs(self, tmp_path, cfg, monkeypatch, K):
         """``lr-sweep``'s outputs and chunk sizes with ``stack_size`` at ``K``."""

@@ -210,6 +210,13 @@ class TestValidityRegion:
         with pytest.raises(ValueError, match="need at least two classes, got 1"):
             boundary_second_derivative(1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("tau, alpha", [(math.nan, 1.0), (1.0, math.inf), (math.inf, 0.0),
+                                            (1.0, -math.inf), (1.0, math.nan)])
+    def test_boundary_second_derivative_refuses_a_non_finite_pair(self, tau, alpha):
+        # It used to return nan or inf; DemConfig refuses the same pairs.
+        with pytest.raises(ValueError, match="need a finite positive tau and a finite alpha"):
+            boundary_second_derivative(tau, alpha, 10)
+
     @pytest.mark.parametrize("C", [10.0, np.float64(3.0), True])
     def test_the_class_count_must_be_an_integer(self, C):
         # Both used to take a float C: boundary_second_derivative computed
@@ -329,6 +336,12 @@ class TestRewardCurve:
     def test_rejects_tiny_class_count(self):
         with pytest.raises(ValueError, match="need at least two classes, got 1"):
             reward_curve(1, DemConfig(1.0, 1.0), [0.0])
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_margin_that_is_not_finite(self, m):
+        # It used to return the row (nan, nan, nan) for a NaN margin.
+        with pytest.raises(ValueError, match="margins must be finite"):
+            reward_curve(3, DemConfig(1.0, 1.0), [0.0, m])
 
 
 class TestBatchedRows:
