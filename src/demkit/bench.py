@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import DivergenceError, SgdConfig, adapt_stream, step_bytes
-from .numkit import NORMAL_BOUND, Rng, _classes, _integer, as_matrix, as_vector, validated_labels
+from .numkit import NORMAL_BOUND, Rng, _classes, _integer, _positive, as_matrix, as_vector, validated_labels
 
 __all__ = [
     "MixtureSpec",
@@ -95,8 +95,8 @@ class MixtureSpec:
 
     def __post_init__(self):
         _classes(self.C)
-        if not (0 < self.radius < math.inf and 0 < self.sigma < math.inf):
-            raise ValueError(f"need finite radius and sigma > 0, got {self.radius}, {self.sigma}")
+        _positive(self.radius, "radius")
+        _positive(self.sigma, "sigma")
 
     @cached_property
     def means(self) -> np.ndarray:
@@ -161,8 +161,7 @@ class StreamSpec:
             raise ValueError("continual mode needs at least two shifts")
         if min(_integer(getattr(self, k), k) for k in ("batches_per_shift", "batch_size")) < 1:
             raise ValueError("batches_per_shift and batch_size must be positive")
-        if not self.label_rho >= 1:
-            raise ValueError(f"label_rho must be >= 1, got {self.label_rho}")
+        _label_ratio(self.label_rho)
         object.__setattr__(self, "shifts", shifts)
 
 
@@ -233,10 +232,17 @@ class ProtocolResult:
         return _report(sum(self.confusion), self.total)
 
 
+def _label_ratio(rho: float) -> None:
+    """``ValueError`` unless the label ratio ``rho`` is finite and at least 1."""
+    if not 1 <= rho < math.inf:
+        raise ValueError(f"label_rho must be finite and >= 1, got {rho}")
+
+
 def circle_means(C: int, radius: float) -> np.ndarray:
     """C class means evenly spaced on a circle of the given radius; ``C``
-    must be an integer of at least 2 (``ValueError`` otherwise)."""
+    and ``radius`` must pass :class:`MixtureSpec`'s checks (``ValueError``)."""
     _classes(C)
+    _positive(radius, "radius")
     angles = 2.0 * math.pi * np.arange(C) / C
     return radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
@@ -245,11 +251,10 @@ def long_tail_priors(C: int, rho: float) -> np.ndarray:
     """Exponential long-tail priors with ``prior_0 / prior_{C-1} = rho``.
 
     ``prior_k`` is proportional to ``rho ** (-k / (C - 1))``, so the
-    ratio of consecutive priors is constant.  ``C`` must be an integer of
-    at least 2 and ``rho`` at least 1 (``ValueError`` otherwise).
+    ratio of consecutive priors is constant.  ``C`` and ``rho`` must pass
+    the checks of :class:`MixtureSpec` and :class:`StreamSpec` (``ValueError``).
     """
-    if rho < 1:
-        raise ValueError(f"rho must be >= 1, got {rho}")
+    _label_ratio(rho)
     _classes(C)
     raw = rho ** (-np.arange(C) / (C - 1))
     return raw / np.sum(raw)

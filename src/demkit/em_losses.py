@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import _classes, _logsumexp, _logsumexp_rows, _scaled, _softmax, _softmax_rows, as_vector
+from .numkit import _classes, _logsumexp, _logsumexp_rows, _positive, _scaled, _softmax, _softmax_rows, as_vector
 
 __all__ = [
     "LossEval",
@@ -208,10 +208,9 @@ def cadf_tempered_eval(z, tau: float) -> LossEval:
 
     The gradient is ``-(1/tau) p_{tau,i} (T_tau + z_i + tau)`` where
     ``p_tau = softmax(z / tau)``; at ``tau = 1`` this reduces to the
-    negated CADF reward.
+    negated CADF reward.  ``tau`` must be finite and positive.
     """
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    _positive(tau, "temperature tau")
     z = _logits(z)
     return LossEval(_cadf_tempered_value(z, tau), _cadf_tempered_grad(z, tau))
 
@@ -219,18 +218,18 @@ def cadf_tempered_eval(z, tau: float) -> LossEval:
 def validate_config(tau: float, alpha: float) -> bool:
     """Whether (tau, alpha) lies in the valid region.
 
-    True iff both are finite, ``tau > 0`` and either ``alpha = 0`` (the
-    pure-CADF ablation, always admitted) or ``tau <= 2/alpha`` with a
-    1e-12 slack so grids that land exactly on the boundary are kept.  A
-    NaN or infinite tau or alpha is never valid: ``tau = inf`` at
-    ``alpha = 0`` and ``alpha = inf`` at a tiny tau would otherwise pass
-    and give NaN gradients.
+    True iff the temperature ``tau`` is finite and positive, ``alpha`` is
+    finite and either ``alpha = 0`` (the pure-CADF ablation, admitted) or
+    ``tau <= 2/alpha`` with a 1e-12 slack so grids that land exactly on
+    the boundary are kept.  A NaN or infinite tau or alpha is never
+    valid: ``tau = inf`` at ``alpha = 0`` and ``alpha = inf`` at a tiny
+    tau would otherwise pass and give NaN gradients.
     """
-    if not (tau > 0 and math.isfinite(tau) and math.isfinite(alpha)):
+    try:
+        _positive(tau, "temperature tau")
+    except ValueError:
         return False
-    if alpha == 0:
-        return True
-    return tau <= 2.0 / alpha + VALIDITY_SLACK
+    return math.isfinite(alpha) and (alpha == 0 or tau <= 2.0 / alpha + VALIDITY_SLACK)
 
 
 def boundary_second_derivative(tau: float, alpha: float, C: int) -> float:
@@ -239,10 +238,11 @@ def boundary_second_derivative(tau: float, alpha: float, C: int) -> float:
     Returns ``(1 - 1/C) (alpha/C - 2/(tau C))``, which is non-positive
     exactly on the valid side ``tau <= 2/alpha``: negative curvature at
     the uniform point means a unique argmax stays locally rewarded.
-    ``tau`` must be positive and both finite, as :class:`DemConfig` asks.
+    ``tau`` must be finite and positive and ``alpha`` finite (``ValueError``).
     """
-    if not (0 < tau < math.inf and math.isfinite(alpha)):
-        raise ValueError(f"need a finite positive tau and a finite alpha, got {tau}, {alpha}")
+    _positive(tau, "temperature tau")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     _classes(C)
     return (1.0 - 1.0 / C) * (alpha / C - 2.0 / (tau * C))
 

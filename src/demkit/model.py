@@ -37,7 +37,7 @@ import numpy as np
 
 from . import adadem as _adadem
 from . import em_losses as _em
-from .numkit import _integer, _logsumexp, _logsumexp_rows, _softmax_rows, as_matrix, validated_labels
+from .numkit import _classes, _integer, _logsumexp, _logsumexp_rows, _softmax_rows, as_matrix, validated_labels
 
 __all__ = [
     "LinearSoftmax",
@@ -118,9 +118,10 @@ def _arrays(model) -> list:
 
 
 def _check_sizes(C: int, d: int) -> None:
-    """``ValueError`` unless ``C >= 2`` classes and ``d >= 1`` inputs, both integers."""
-    if _integer(C, "C") < 2 or _integer(d, "d") < 1:
-        raise ValueError(f"need at least two classes and one input, got C={C}, d={d}")
+    """``ValueError`` unless ``C`` passes ``numkit._classes`` and ``d >= 1`` is an integer."""
+    _classes(C)
+    if _integer(d, "d") < 1:
+        raise ValueError(f"need at least one input, got d={d}")
 
 
 def init_linear(C: int, d: int, rng=None, scale: float = 0.0) -> LinearSoftmax:

@@ -102,6 +102,12 @@ def _classes(C) -> None:
         raise ValueError(f"need at least two classes, got {C}")
 
 
+def _positive(value, name: str) -> None:
+    """``ValueError`` unless ``value`` is finite and positive; NaN is not."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def logsumexp(z) -> float:
     """Stable ``log(sum(exp(z)))`` via the max-shift trick.
 
@@ -234,8 +240,7 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], z, h: float = 1e-5) -> np
     of ``z`` elsewhere reaches ``f`` as ``+0.0`` in the first array and
     as ``-0.0`` in the second.
     """
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError(f"step must be positive and finite, got {h}")
+    _positive(h, "step")
     return _central_differences(f, as_vector(z), h)
 
 

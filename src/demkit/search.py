@@ -31,6 +31,7 @@ import numpy as np
 from .bench import named_results, run_chunked
 from .em_losses import ConfigError, DemConfig, validate_config
 from .model import DemPlugin, DivergenceError, SgdConfig
+from .numkit import _positive
 
 __all__ = [
     "GridSpec",
@@ -38,20 +39,19 @@ __all__ = [
     "GridResult",
     "LrSweepResult",
     "GRID_MAX_POINTS",
-    "axis_steps",
     "grid_axis",
     "grid_points",
     "grid_search",
     "lr_sweep",
 ]
 
-GRID_MAX_POINTS = 100_000  # the largest (tau, alpha) grid; the default has 441
+GRID_MAX_POINTS = 100_000  # the largest grid or axis; the default (tau, alpha) grid has 441
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular search grid and the labeled-subset fraction for scoring:
-    at most ``GRID_MAX_POINTS`` points, at least one of them valid."""
+    """Rectangular grid of two :func:`grid_axis` axes and the labeled-subset fraction
+    for scoring: at most ``GRID_MAX_POINTS`` points, at least one of them valid."""
 
     tau_min: float
     tau_max: float
@@ -61,18 +61,12 @@ class GridSpec:
     subset_fraction: float
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
         if not 0.0 < self.subset_fraction <= 1.0:
             raise ValueError(
                 f"subset_fraction must lie in (0, 1], got {self.subset_fraction}"
             )
-        if self.tau_max < self.tau_min or self.alpha_max < self.alpha_min:
-            raise ValueError("grid bounds are inverted")
-        n_tau = axis_steps(self.tau_min, self.tau_max, self.step)
-        n_alpha = axis_steps(self.alpha_min, self.alpha_max, self.step)
-        # An overflowed (inf) or undefined (NaN) count fails the comparison.
-        if not (n_tau + 1) * (n_alpha + 1) <= GRID_MAX_POINTS:
+        n_tau = len(grid_axis(self.tau_min, self.tau_max, self.step))
+        if n_tau * len(grid_axis(self.alpha_min, self.alpha_max, self.step)) > GRID_MAX_POINTS:
             raise ValueError(f"the grid has more than {GRID_MAX_POINTS} points")
         if not any(ok for _, _, ok in grid_points(self)):
             raise ConfigError("the grid contains no valid (tau, alpha) points")
@@ -113,16 +107,13 @@ class LrSweepResult:
         return max(finite, key=lambda row: row[1], default=(math.nan, math.nan))
 
 
-def axis_steps(lo: float, hi: float, step: float) -> float:
-    """The whole steps that fit in ``[lo, hi]``, ``inf`` or NaN if it has no
-    count.  The 1e-9 slack keeps a step that divides the range from losing
-    its last point, as ``(0.3 - 0.0) / 0.1`` is 2.9999999999999996."""
-    return float(np.floor((hi - lo) / step + 1e-9))
-
-
 def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
-    """``lo`` and the :func:`axis_steps` whole steps above it; every point
-    of a finite axis is finite.
+    """``lo`` and the whole steps above it that fit in ``[lo, hi]``, all
+    finite, or ``ValueError`` naming the axis, before anything is allocated,
+    for a step that is not positive and finite, ``hi < lo``, or more than
+    ``GRID_MAX_POINTS`` points, as a NaN or infinite count is.  The 1e-9
+    slack keeps a step that divides the range from losing its last point,
+    as ``(0.3 - 0.0) / 0.1`` is 2.9999999999999996.
 
     A point below ``2**52`` in size is rounded to 12 decimals, so that a
     step such as 0.1 lands on round values.  A larger point is a whole
@@ -131,8 +122,15 @@ def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
     never passes ``hi``, as ``lo + step * i`` can round past it at the
     top of the float range.
     """
+    axis = f"grid axis [{lo}, {hi}] at step {step}"
+    _positive(step, f"{axis}: step")
+    if hi < lo:
+        raise ValueError(f"{axis}: grid bounds are inverted")
+    steps = (hi - lo) / step + 1e-9
+    if not steps < GRID_MAX_POINTS:  # NaN fails the comparison too
+        raise ValueError(f"{axis}: the grid has more than {GRID_MAX_POINTS} points")
     with np.errstate(over="ignore"):
-        points = lo + step * np.arange(int(axis_steps(lo, hi, step)) + 1)
+        points = lo + step * np.arange(int(steps) + 1)
     small = np.abs(points) < 2.0 ** 52
     points[small] = np.round(points[small], 12)
     np.minimum(points, hi, out=points, where=~small)

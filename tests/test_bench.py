@@ -89,6 +89,15 @@ class TestGeometry:
             circle_means(C, 1.0)
         assert circle_means(np.int64(5), 1.0).tobytes() == circle_means(5, 1.0).tobytes()
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_circle_means_refuses_the_radii_the_mixture_refuses(self, radius):
+        # circle_means(3, nan) used to return NaN means.
+        message = re.escape(f"radius must be positive and finite, got {radius}")
+        with pytest.raises(ValueError, match=message):
+            circle_means(3, radius)
+        with pytest.raises(ValueError, match=message):
+            MixtureSpec(3, radius, 1.0)
+
     def test_circle_means_radius(self):
         m = circle_means(10, 4.0)
         np.testing.assert_allclose(np.linalg.norm(m, axis=1), 4.0, atol=1e-12)

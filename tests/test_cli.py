@@ -484,7 +484,10 @@ class TestRewardCurveCommand:
         # for 3e10 points; both are refused before a point is computed.
         out = tmp_path / "x.csv"
         assert main(["reward-curve", "--m-step", step, "--out", str(out)]) == EXIT_USAGE
-        assert capsys.readouterr().err == "demkit: bad grid: more than 100000 points\n"
+        assert capsys.readouterr().err == (
+            f"demkit: grid axis [0.0, 30.0] at step {float(step)}:"
+            " the grid has more than 100000 points\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("c", [MAX_CLASSES + 1, 10**15])
@@ -524,7 +527,7 @@ class TestRewardCurveCommand:
         assert all(math.isfinite(float(x)) for row in rows for x in row)
 
     def test_grid_of_the_largest_point_count_is_written(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("demkit.cli.REWARD_CURVE_MAX_POINTS", 5)
+        monkeypatch.setattr("demkit.search.GRID_MAX_POINTS", 5)
         out = tmp_path / "x.csv"
         base = ["reward-curve", "--m-step", "1", "--out", str(out)]
         assert main(base + ["--m-max", "4"]) == EXIT_OK
@@ -1403,8 +1406,16 @@ class TestSettingsFailFast:
     @pytest.mark.parametrize(
         "grid, code, message",
         [
-            ({"tau_min": 2.0, "tau_max": 1.0}, EXIT_USAGE, "grid bounds are inverted"),
-            ({"step": 5e-324}, EXIT_USAGE, "the grid has more than 100000 points"),
+            (
+                {"tau_min": 2.0, "tau_max": 1.0},
+                EXIT_USAGE,
+                "grid axis [2.0, 1.0] at step 0.1: grid bounds are inverted",
+            ),
+            (
+                {"step": 5e-324},
+                EXIT_USAGE,
+                "grid axis [0.0, 2.0] at step 5e-324: the grid has more than 100000 points",
+            ),
             ({"step": 1e-4}, EXIT_USAGE, "the grid has more than 100000 points"),
             (
                 {"tau_min": 3.0, "tau_max": 4.0, "alpha_min": 2.0, "alpha_max": 2.0},

@@ -210,11 +210,18 @@ class TestValidityRegion:
         with pytest.raises(ValueError, match="need at least two classes, got 1"):
             boundary_second_derivative(1.0, 1.0, 1)
 
-    @pytest.mark.parametrize("tau, alpha", [(math.nan, 1.0), (1.0, math.inf), (math.inf, 0.0),
-                                            (1.0, -math.inf), (1.0, math.nan)])
-    def test_boundary_second_derivative_refuses_a_non_finite_pair(self, tau, alpha):
+    @pytest.mark.parametrize(
+        "tau, alpha, message",
+        [(math.nan, 1.0, "temperature tau must be positive and finite, got nan"),
+         (1.0, math.inf, "alpha must be finite, got inf"),
+         (math.inf, 0.0, "temperature tau must be positive and finite, got inf"),
+         (1.0, -math.inf, "alpha must be finite, got -inf"),
+         (1.0, math.nan, "alpha must be finite, got nan")],
+        ids=["nan-1.0", "1.0-inf", "inf-0.0", "1.0--inf", "1.0-nan"],
+    )
+    def test_boundary_second_derivative_refuses_a_non_finite_pair(self, tau, alpha, message):
         # It used to return nan or inf; DemConfig refuses the same pairs.
-        with pytest.raises(ValueError, match="need a finite positive tau and a finite alpha"):
+        with pytest.raises(ValueError, match=message):
             boundary_second_derivative(tau, alpha, 10)
 
     @pytest.mark.parametrize("C", [10.0, np.float64(3.0), True])

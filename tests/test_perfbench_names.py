@@ -10,9 +10,12 @@ run.  This test reads both files, so the suite fails on such a change too.
 The benchmark also checks each command's output against
 ``perfbench/reference.json``; the ``gradcheck`` workload's stdout is
 checked here at two of its seeds, so a moved byte fails the suite, not
-only the benchmark's ``correct`` flag.
+only the benchmark's ``correct`` flag.  Every demkit import in the
+benchmark's files must resolve as well: ``perfbench/test_perfbench.py``
+imports names inside its tests, which this suite does not run.
 """
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -44,6 +47,40 @@ def traced_names() -> list:
             if stat == "calls":
                 names.add(name)
     return sorted(names | {"cli.prepared_experiment", "cli.main"})
+
+
+def demkit_imports() -> list:
+    """``(file, module, name)`` for each ``from demkit... import name`` in
+    ``perfbench/*.py``, and ``(file, module, None)`` for each ``import
+    demkit...``, wherever in the file the statement stands."""
+    found = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "demkit":
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [
+                    (path.name, alias.name, None)
+                    for alias in node.names
+                    if alias.name.split(".")[0] == "demkit"
+                ]
+    return found
+
+
+def test_the_imports_include_the_grid_names():
+    found = demkit_imports()
+    assert ("test_perfbench.py", "demkit.search", "GridSpec") in found
+    assert ("test_perfbench.py", "demkit.search", "grid_points") in found
+
+
+@pytest.mark.parametrize(
+    "where, module, name", demkit_imports(), ids=lambda part: str(part)
+)
+def test_each_demkit_import_of_the_benchmark_resolves(where, module, name):
+    imported = importlib.import_module(module)
+    if name is not None and not hasattr(imported, name):
+        # ``from package import name`` also finds a submodule.
+        importlib.import_module(f"{module}.{name}")
 
 
 def test_the_names_include_the_step_and_loss_functions():

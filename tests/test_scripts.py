@@ -11,6 +11,7 @@ and seed.
 import copy
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -45,6 +46,20 @@ def test_reward_curves_runs(tmp_path, monkeypatch, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "m,p_max,reward_tau_0.5,reward_tau_1,reward_tau_1.5,reward_tau_2"
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "0.5", "1"]
+
+
+@pytest.mark.parametrize("step", ["0", "1e-9"])
+def test_reward_curves_refuses_a_bad_step_before_building_the_axis(step, monkeypatch):
+    # --m-step 0 ended in a ZeroDivisionError, and 1e-9 asked numpy for a
+    # 224 GiB axis; both are refused before any point is allocated.
+    def no_axis(*args, **kwargs):
+        raise AssertionError("the axis was allocated")
+
+    script = load_script("reward_curves")
+    monkeypatch.setattr(sys, "argv", ["reward_curves.py", "--m-step", step])
+    monkeypatch.setattr(np, "arange", no_axis)
+    with pytest.raises(ValueError, match=re.escape(f"grid axis [0.0, 30.0] at step {float(step)}:")):
+        script.main()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for the (tau, alpha) grid search and the lr sensitivity sweep."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,6 @@ from demkit.search import (
     GridSpec,
     LrSweepResult,
     TrialResult,
-    axis_steps,
     grid_axis,
     grid_points,
     grid_search,
@@ -82,9 +82,21 @@ class TestGridSpec:
             lo = float(rng.uniform(-1.0, 1.0) * scale)
             step = float(rng.uniform(0.01, 1.0) * scale)
             hi = lo + step * float(rng.integers(0, 60)) + float(rng.uniform(0.0, step))
-            points = lo + step * np.arange(int(axis_steps(lo, hi, step)) + 1)
+            points = lo + step * np.arange(int(np.floor((hi - lo) / step + 1e-9)) + 1)
             if np.abs(points).max() < 2.0**52:
                 assert grid_axis(lo, hi, step).tobytes() == np.round(points, 12).tobytes()
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0),
+         (math.inf, math.inf), (-1.7976931348623157e308, 1.7976931348623157e308)],
+        ids=["nan-max", "nan-min", "inf-max", "inf-min", "inf-both", "overflowing-range"],
+    )
+    def test_axis_without_a_finite_count_is_refused(self, lo, hi):
+        # grid_axis(0.0, nan, 0.1) used to raise "cannot convert float NaN
+        # to integer", and an infinite count an OverflowError.
+        with pytest.raises(ValueError, match=re.escape(f"grid axis [{lo}, {hi}] at step 0.1:")):
+            grid_axis(lo, hi, 0.1)
 
     def test_point_count_bound_counts_the_listed_points(self, monkeypatch):
         # step 0.6 on [0, 1] lists 2 x 2 points; a rounded count said 3 x 3.
@@ -97,7 +109,7 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             _grid(step=0.0)
-        with pytest.raises(ValueError, match="step must be positive"):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
             _grid(step=math.nan)
         with pytest.raises(ValueError):
             _grid(subset_fraction=0.0)
