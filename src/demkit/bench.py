@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import DivergenceError, SgdConfig, adapt_stream, step_bytes
-from .numkit import NORMAL_BOUND, Rng, _classes, _integer, _positive, as_matrix, as_vector, validated_labels
+from .numkit import NORMAL_BOUND, Rng, _classes, _count, _integer, _positive, as_matrix, as_vector, validated_labels
 
 __all__ = [
     "MixtureSpec",
@@ -143,7 +143,9 @@ class ShiftSpec:
 class StreamSpec:
     """An ordered shift sequence, how many batches of ``batch_size`` rows
     each contributes, and the label distribution:
-    ``long_tail_priors(C, label_rho)``, uniform at ``label_rho = 1``."""
+    ``long_tail_priors(C, label_rho)``, uniform at ``label_rho = 1``.
+    ``batches_per_shift`` and ``batch_size`` are integers of at least 1
+    (``numkit._count``; ``ValueError`` otherwise)."""
 
     mode: str
     shifts: tuple
@@ -159,8 +161,8 @@ class StreamSpec:
             raise ValueError("stream needs at least one shift")
         if self.mode == "continual" and len(shifts) < 2:
             raise ValueError("continual mode needs at least two shifts")
-        if min(_integer(getattr(self, k), k) for k in ("batches_per_shift", "batch_size")) < 1:
-            raise ValueError("batches_per_shift and batch_size must be positive")
+        _count(self.batches_per_shift, "batches_per_shift", 1)
+        _count(self.batch_size, "batch_size", 1)
         _label_ratio(self.label_rho)
         object.__setattr__(self, "shifts", shifts)
 
@@ -262,9 +264,9 @@ def long_tail_priors(C: int, rho: float) -> np.ndarray:
 
 def sample_batch(mix: MixtureSpec, priors, n: int, rng: Rng):
     """Draw ``n`` labeled points: label from ``priors``, feature from the
-    label's Gaussian."""
-    if _integer(n, "n") < 1:
-        raise ValueError(f"need a positive sample count, got {n}")
+    label's Gaussian.  ``n`` must be an integer of at least 1
+    (``numkit._count``; ``ValueError`` otherwise)."""
+    _count(n, "n", 1)
     priors = as_vector(priors)
     y = rng.categorical(priors, n)
     X = mix.means[y] + mix.sigma * rng.normals(n * mix.d).reshape(n, mix.d)

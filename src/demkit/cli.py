@@ -72,7 +72,7 @@ from . import em_losses as _em
 from . import model as _model
 from . import search as _search
 from .numkit import (
-    Rng, _central_differences, _softmax, _softmax_rows, finite_diff_grad, rel_err, softmax
+    Rng, _central_differences, _count, _softmax, _softmax_rows, finite_diff_grad, rel_err, softmax
 )
 
 EXIT_OK = 0
@@ -525,7 +525,7 @@ METRICS_HEADER = (
 def cmd_reward_curve(args) -> None:
     cfg = _em.DemConfig(args.tau, args.alpha)
     if args.c > MAX_CLASSES:
-        raise UsageError(f"bad grid: --c is {args.c}, more than {MAX_CLASSES}")
+        raise UsageError(f"too large: --c is {args.c}, more than {MAX_CLASSES}")
     rows = _em.reward_curve(args.c, cfg, _search.grid_axis(args.m_min, args.m_max, args.m_step))
     write_csv(args.out, REWARD_CURVE_HEADER, ([fmt9(m), fmt9(p), fmt9(r)] for m, p, r in rows))
     print(f"reward-curve: wrote {len(rows)} points to {args.out}")
@@ -647,8 +647,7 @@ def _end_to_end_cases(rng: Rng):
 
 
 def cmd_gradcheck(args) -> None:
-    if args.trials < 1:
-        raise UsageError("gradcheck: --trials must be at least 1")
+    _count(args.trials, "--trials", 1)
     rng = Rng(args.seed)
     # np.maximum keeps a NaN error, which fails the check below; the
     # builtin max(0.0, nan) would drop it.

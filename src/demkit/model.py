@@ -37,7 +37,7 @@ import numpy as np
 
 from . import adadem as _adadem
 from . import em_losses as _em
-from .numkit import _classes, _integer, _logsumexp, _logsumexp_rows, _softmax_rows, as_matrix, validated_labels
+from .numkit import _classes, _count, _logsumexp, _logsumexp_rows, _softmax_rows, as_matrix, validated_labels
 
 __all__ = [
     "LinearSoftmax",
@@ -118,10 +118,10 @@ def _arrays(model) -> list:
 
 
 def _check_sizes(C: int, d: int) -> None:
-    """``ValueError`` unless ``C`` passes ``numkit._classes`` and ``d >= 1`` is an integer."""
+    """``ValueError`` unless ``C`` passes ``numkit._classes`` and the input
+    width ``d`` is an integer of at least 1 (``numkit._count``)."""
     _classes(C)
-    if _integer(d, "d") < 1:
-        raise ValueError(f"need at least one input, got d={d}")
+    _count(d, "d", 1)
 
 
 def init_linear(C: int, d: int, rng=None, scale: float = 0.0) -> LinearSoftmax:
@@ -138,11 +138,12 @@ def init_mlp(C: int, d: int, hidden: int, rng, scale: float) -> Mlp:
     """MLP with normal-initialized weights and zero biases.
 
     The output layer is scaled down by sqrt(hidden) so initial logits
-    stay O(1) regardless of width.
+    stay O(1) regardless of width.  ``C`` and ``d`` must pass
+    :func:`_check_sizes`, and ``hidden`` must be an integer of at least 1
+    (``numkit._count``; ``ValueError`` otherwise).
     """
     _check_sizes(C, d)
-    if _integer(hidden, "hidden width") < 1:
-        raise ValueError(f"hidden width must be positive, got {hidden}")
+    _count(hidden, "hidden width", 1)
     W1 = scale * rng.normals(hidden * d).reshape(hidden, d)
     W2 = scale * rng.normals(C * hidden).reshape(C, hidden) / np.sqrt(hidden)
     return Mlp(W1, np.zeros(hidden), W2, np.zeros(C))
@@ -489,14 +490,13 @@ def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int)
 
     Shuffles with the supplied generator each epoch, so a fixed seed
     yields bit-identical parameters; ``epochs = 0`` leaves the model
-    unchanged.  ``X``, ``y`` (an integer label in ``[0, C)`` per row),
-    ``batch_size >= 1`` and ``epochs >= 0`` are validated once
-    (``ValueError``); then :func:`_train_stack` steps ``model.theta``.
+    unchanged.  ``X``, ``y`` (an integer label in ``[0, C)`` per row) and
+    the integer counts ``batch_size >= 1`` and ``epochs >= 0``
+    (``numkit._count``) are validated once (``ValueError``); then
+    :func:`_train_stack` steps ``model.theta``.
     """
-    if _integer(batch_size, "batch_size") < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    if _integer(epochs, "epochs") < 0:
-        raise ValueError(f"epochs must be non-negative, got {epochs}")
+    _count(batch_size, "batch_size", 1)
+    _count(epochs, "epochs", 0)
     X = _validated_input(model, X)
     if X.shape[0] == 0:
         raise ValueError("empty training set")

@@ -11,6 +11,11 @@ Conventions used throughout the package:
   ``_central_differences`` and the ``_``-prefixed helpers of the loss
   modules), which assume validated float64 input and check nothing.
   Code that has already validated a vector calls the kernels directly.
+* each scalar rule has one owner here: ``_count`` (an integer, not a
+  bool, of at least a given least value: a draw count, a width, a batch
+  size, ``epochs``), ``_classes`` (the class count ``C``, a ``_count`` of
+  at least 2) and ``_positive`` (finite and positive: a temperature, a
+  step, a radius).  Each refusal names the setting and its value.
 
 Besides the small linear-algebra helpers this module provides a
 numerically stable softmax / log-sum-exp pair, the one central-difference
@@ -96,10 +101,16 @@ def _integer(value, name: str):
     return value
 
 
+def _count(value, name: str, least: int) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` passes :func:`_integer`
+    and is at least ``least``; the one check of every integer count."""
+    if _integer(value, name) < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+
+
 def _classes(C) -> None:
-    """``ValueError`` unless the class count ``C`` is an integer of at least 2."""
-    if _integer(C, "C") < 2:
-        raise ValueError(f"need at least two classes, got {C}")
+    """``ValueError`` unless the class count ``C`` is a :func:`_count` of at least 2."""
+    _count(C, "C", 2)
 
 
 def _positive(value, name: str) -> None:
@@ -405,9 +416,9 @@ class Rng:
         self._start = 0
 
     def uniforms(self, n: int) -> np.ndarray:
-        """``n`` doubles uniform on [0, 1), 53-bit resolution."""
-        if _integer(n, "n") < 0:
-            raise ValueError("block size must be non-negative")
+        """``n`` doubles uniform on [0, 1), 53-bit resolution; ``n`` must be
+        an integer of at least 0 (:func:`_count`)."""
+        _count(n, "n", 0)
         off = self.counter - self._start
         if off < 0 or off + n > self._block.shape[0]:
             size = max(n, _BLOCK)
@@ -421,9 +432,9 @@ class Rng:
 
     def normals(self, n: int) -> np.ndarray:
         """``n`` standard normal draws via Box-Muller, none larger than
-        ``NORMAL_BOUND`` in absolute value."""
-        if _integer(n, "n") < 0:
-            raise ValueError("block size must be non-negative")
+        ``NORMAL_BOUND`` in absolute value; ``n`` must be an integer of at
+        least 0 (:func:`_count`)."""
+        _count(n, "n", 0)
         pairs = (n + 1) // 2
         # u1 = (k + 1) 2^-53 lives in (0, 1], so the log below is always
         # finite; adding 2^-53 to k 2^-53 is exact.

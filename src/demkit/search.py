@@ -126,10 +126,10 @@ def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
     _positive(step, f"{axis}: step")
     if hi < lo:
         raise ValueError(f"{axis}: grid bounds are inverted")
-    steps = (hi - lo) / step + 1e-9
-    if not steps < GRID_MAX_POINTS:  # NaN fails the comparison too
-        raise ValueError(f"{axis}: the grid has more than {GRID_MAX_POINTS} points")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # numpy-scalar bounds can overflow to an inf count
+        steps = (hi - lo) / step + 1e-9
+        if not steps < GRID_MAX_POINTS:  # NaN fails the comparison too
+            raise ValueError(f"{axis}: the grid has more than {GRID_MAX_POINTS} points")
         points = lo + step * np.arange(int(steps) + 1)
     small = np.abs(points) < 2.0 ** 52
     points[small] = np.round(points[small], 12)

@@ -118,7 +118,7 @@ class TestMecState:
     @pytest.mark.parametrize(
         "C, message",
         [(3.0, "C must be an integer, got 3.0"), (True, "C must be an integer, got True"),
-         (np.float64(2.0), "C must be an integer"), (1, "need at least two classes, got 1")],
+         (np.float64(2.0), "C must be an integer"), (1, "C must be at least 2, got 1")],
         ids=["float", "bool", "numpy-float", "one-class"],
     )
     def test_init_checks_the_class_count(self, C, message):

@@ -85,7 +85,7 @@ class TestGeometry:
     @pytest.mark.parametrize("C", [2.5, 4.0, False, 1, 0])
     def test_circle_means_takes_an_integer_class_count_of_at_least_two(self, C):
         # circle_means(2.5, 1.0) used to return 3 means, not evenly spaced.
-        with pytest.raises(ValueError, match="C must be an integer|at least two classes"):
+        with pytest.raises(ValueError, match="C must be an integer|C must be at least 2"):
             circle_means(C, 1.0)
         assert circle_means(np.int64(5), 1.0).tobytes() == circle_means(5, 1.0).tobytes()
 
@@ -193,7 +193,7 @@ class TestSampleBatch:
     @pytest.mark.parametrize(
         "n, message",
         [(3.0, "n must be an integer, got 3.0"), (True, "n must be an integer, got True"),
-         (np.float64(3.0), "n must be an integer"), (-2, "need a positive sample count, got -2")],
+         (np.float64(3.0), "n must be an integer"), (-2, "n must be at least 1, got -2")],
         ids=["float", "bool", "numpy-float", "negative"],
     )
     def test_takes_an_integer_sample_count(self, n, message):

@@ -502,7 +502,7 @@ class TestRewardCurveCommand:
         argv = ["reward-curve", "--c", str(c), "--m-max", "0", "--out", str(out)]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            f"demkit: bad grid: --c is {c}, more than {MAX_CLASSES}\n"
+            f"demkit: too large: --c is {c}, more than {MAX_CLASSES}\n"
         )
         assert not out.exists()
 
@@ -713,8 +713,9 @@ class TestGradcheckCommand:
         ]
         assert captured.err == "demkit: numeric failure: gradcheck failed for: dem\n"
 
-    def test_zero_trials_is_usage_error(self):
+    def test_zero_trials_is_usage_error(self, capsys):
         assert main(["gradcheck", "--trials", "0"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "demkit: --trials must be at least 1, got 0\n"
 
 
 class TestRunCommand:

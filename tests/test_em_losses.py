@@ -207,7 +207,7 @@ class TestValidityRegion:
     def test_boundary_second_derivative_rejects_bad_args(self):
         with pytest.raises(ValueError):
             boundary_second_derivative(0.0, 1.0, 10)
-        with pytest.raises(ValueError, match="need at least two classes, got 1"):
+        with pytest.raises(ValueError, match="C must be at least 2, got 1"):
             boundary_second_derivative(1.0, 1.0, 1)
 
     @pytest.mark.parametrize(
@@ -341,7 +341,7 @@ class TestRewardCurve:
         assert all(b >= a for a, b in zip(p, p[1:]))
 
     def test_rejects_tiny_class_count(self):
-        with pytest.raises(ValueError, match="need at least two classes, got 1"):
+        with pytest.raises(ValueError, match="C must be at least 2, got 1"):
             reward_curve(1, DemConfig(1.0, 1.0), [0.0])
 
     @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])

@@ -83,12 +83,12 @@ class TestInitAndForward:
         "build, message",
         [(lambda: init_mlp(3.0, 2, 4, Rng(0), INIT_SCALE), "C must be an integer, got 3.0"),
          (lambda: init_mlp(3, 2.0, 4, Rng(0), INIT_SCALE), "d must be an integer, got 2.0"),
-         (lambda: init_mlp(1, 2, 4, Rng(0), INIT_SCALE), "need at least two classes, got 1"),
-         (lambda: init_mlp(3, 0, 4, Rng(0), INIT_SCALE), "need at least one input, got d=0"),
+         (lambda: init_mlp(1, 2, 4, Rng(0), INIT_SCALE), "C must be at least 2, got 1"),
+         (lambda: init_mlp(3, 0, 4, Rng(0), INIT_SCALE), "d must be at least 1, got 0"),
          (lambda: init_linear(True, 2), "C must be an integer, got True"),
          (lambda: init_linear(3, np.float64(2.0)), "d must be an integer"),
-         (lambda: init_linear(1, 2), "need at least two classes, got 1"),
-         (lambda: init_linear(3, 0), "need at least one input, got d=0")],
+         (lambda: init_linear(1, 2), "C must be at least 2, got 1"),
+         (lambda: init_linear(3, 0), "d must be at least 1, got 0")],
         ids=["mlp-float-C", "mlp-float-d", "mlp-one-class", "mlp-no-inputs",
              "linear-bool-C", "linear-float-d", "linear-one-class", "linear-no-inputs"],
     )

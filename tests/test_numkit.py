@@ -696,7 +696,7 @@ class TestRng:
          (lambda: Rng(True), "seed must be an integer, got True"),
          (lambda: Rng(0).uniforms(2.5), "n must be an integer, got 2.5"),
          (lambda: Rng(0).normals(2.0), "n must be an integer, got 2.0"),
-         (lambda: Rng(0).normals(-1), "block size must be non-negative"),
+         (lambda: Rng(0).normals(-1), "n must be at least 0, got -1"),
          (lambda: Rng(0).integers(np.float64(2.0), 0, 3), "n must be an integer"),
          (lambda: Rng(0).categorical([0.5, 0.5], 1.0), "n must be an integer, got 1.0"),
          (lambda: Rng(0).permutation(3.0), "n must be an integer, got 3.0")],
