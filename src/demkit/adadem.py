@@ -119,12 +119,18 @@ def delta(z) -> float:
     return math.fsum(abs(x) for x in (p * (z + 1.0 - s)).tolist())
 
 
+def _momentum(pi: float) -> float:
+    """The calibrator's momentum ``pi``, refused unless it lies in (0, 1]:
+    the one check of the rule, for ``mec_init`` and ``model.AdaDemPlugin``."""
+    if not 0.0 < pi <= 1.0:
+        raise ValueError(f"momentum pi must lie in (0, 1], got {pi}")
+    return pi
+
+
 def mec_init(C: int, pi: float) -> MecState:
     """Fresh calibrator: a C x C table with every entry 1/C."""
     _classes(C)
-    if not 0.0 < pi <= 1.0:
-        raise ValueError(f"momentum pi must lie in (0, 1], got {pi}")
-    return MecState(np.full((C, C), 1.0 / C), pi=pi)
+    return MecState(np.full((C, C), 1.0 / C), pi=_momentum(pi))
 
 
 def mec_update(state: MecState, probs, pseudo_labels) -> MecState:

@@ -371,9 +371,19 @@ class Stream:
 
 
 def kl_divergence(p, q) -> float:
-    """KL(p || q) with ``1e-12`` added to both arguments, then renormalized."""
-    p = as_vector(p) + 1e-12
-    q = as_vector(q) + 1e-12
+    """KL(p || q) with ``1e-12`` added to both arguments, then renormalized.
+
+    ``p`` and ``q`` must be non-negative vectors of one length
+    (``ValueError`` otherwise, the shapes named): they are not broadcast.
+    """
+    p = as_vector(p)
+    q = as_vector(q)
+    if p.shape != q.shape:
+        raise ValueError(f"kl_divergence needs operands of one shape, got {p.shape} and {q.shape}")
+    if p.min() < 0.0 or q.min() < 0.0:
+        raise ValueError("kl_divergence needs non-negative entries")
+    p = p + 1e-12
+    q = q + 1e-12
     p = p / np.sum(p)
     q = q / np.sum(q)
     return float(np.sum(p * np.log(p / q)))

@@ -51,6 +51,7 @@ schema violation (exit 64).  A number setting refuses an integer literal
 too large for a float, such as ``1`` followed by 400 zeros (exit 64);
 integer settings such as ``seed`` take any JSON integer up to Python's
 limit on integer literals (4,300 digits by default; a longer one exits 64).
+A config file is read as UTF-8, and one that is not exits 64.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ from . import em_losses as _em
 from . import model as _model
 from . import search as _search
 from .numkit import (
-    Rng, _central_differences, _count, _softmax, _softmax_rows, finite_diff_grad, rel_err, softmax
+    Rng, _central_differences, _count, _softmax, _softmax_rows, finite_diff_grad, rel_err
 )
 
 EXIT_OK = 0
@@ -399,7 +400,7 @@ def _defaults(node: dict):
 DEFAULT_CONFIG = _defaults(SCHEMA)
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Config problems that are the caller's fault: exit 64."""
 
 
@@ -411,20 +412,29 @@ def _finite_number(text: str) -> float:
     return x
 
 
-def load_config(path: str) -> dict:
+def _integer_literal(text: str) -> int:
+    """A JSON integer literal, refusing one longer than Python's digit limit."""
     try:
-        with open(path) as fh:
-            user = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
-        errors = sorted(_schema_errors(SCHEMA, user), key=lambda e: e[0])
-    except OSError as exc:
-        raise UsageError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config is not valid JSON: {exc}") from exc
-    except ValueError as exc:  # int() refuses a literal longer than Python's limit
+        return int(text)
+    except ValueError as exc:
         limit = sys.get_int_max_str_digits()
         raise UsageError(
             f"config holds an integer literal longer than the {limit}-digit limit"
         ) from exc
+
+
+def load_config(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            user = json.load(fh, parse_float=_finite_number, parse_int=_integer_literal,
+                             parse_constant=_finite_number)
+        errors = sorted(_schema_errors(SCHEMA, user), key=lambda e: e[0])
+    except OSError as exc:
+        raise UsageError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config is not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise UsageError("config is nested too deeply to read") from exc
     if errors:
@@ -570,21 +580,30 @@ def _gradcheck_cases(rng: Rng, trials: int):
             finite_diff_grad(lambda v: _model._cross_entropy_value(v, target), z),
         )
 
-        state = _ad.mec_init(C, DEFAULT_CONFIG["loss"]["pi"])
-        batch = (rng.uniforms(3 * C).reshape(3, C) - 0.5) * 10.0
-        _ad.adadem_rows(batch, _softmax_rows(batch), state)
-        frozen = state.copy()
-        analytic = _ad.adadem_rows(z[None, :], _softmax_rows(z[None, :]), state)[0]
-        p = softmax(z)
-        k = int(np.argmax(p))
-        _ad.mec_update(frozen, p[None, :], [k])
-        c_row = frozen.table[k].copy()
-        d_val = max(_ad.delta(z), _ad.DELTA_FLOOR)
+        warm = (rng.uniforms(3 * C).reshape(3, C) - 0.5) * 10.0
+        grads, c_rows, deltas = _frozen_adadem(z[None, :], _softmax_rows(z[None, :]), warm)
 
-        def frozen_value(v, c_row=c_row, d_val=d_val):
+        def frozen_value(v, c_row=c_rows[0], d_val=deltas[0]):
             return float(-np.dot(_softmax(v) - c_row, v) / d_val)
 
-        yield "adadem", analytic, finite_diff_grad(frozen_value, z)
+        yield "adadem", grads[0], finite_diff_grad(frozen_value, z)
+
+
+def _frozen_adadem(Z: np.ndarray, P: np.ndarray, warm: np.ndarray):
+    """AdaDEM's logit gradients of ``Z``'s rows, with their constants.
+
+    A fresh calibrator warms up on the ``warm`` rows, the step runs on a
+    copy of it, and replaying the step's update freezes what AdaDEM holds
+    constant under differentiation: returns the gradients, the MEC rows
+    ``table[argmax P]`` and the floored deltas, one per row of ``Z``.
+    """
+    state = _ad.mec_init(Z.shape[1], DEFAULT_CONFIG["loss"]["pi"])
+    _ad.adadem_rows(warm, _softmax_rows(warm), state)
+    grads = _ad.adadem_rows(Z, P, state.copy())
+    labels = np.argmax(P, axis=1)
+    _ad.mec_update(state, P, labels)
+    deltas = np.maximum(np.asarray([_ad.delta(z) for z in Z]), _ad.DELTA_FLOOR)
+    return grads, state.table[labels], deltas
 
 
 def _ce_grads(Z: np.ndarray, targets) -> np.ndarray:
@@ -610,18 +629,10 @@ def _end_to_end_cases(rng: Rng):
     em, dem = _model.EmPlugin(), _model.DemPlugin(dem_cfg)
 
     def adadem(Z, P):
-        # The step runs on a copy of a warmed-up calibrator; replaying its
-        # update freezes the rows and deltas, constants under differentiation.
-        state = _ad.mec_init(C, DEFAULT_CONFIG["loss"]["pi"])
         warm = (rng.uniforms(4 * C).reshape(4, C) - 0.5) * 6.0
-        _ad.adadem_rows(warm, _softmax_rows(warm), state)
-        grads = _ad.adadem_rows(Z, P, state.copy())
-        labels = np.argmax(P, axis=1)
-        _ad.mec_update(state, P, labels)
-        c_rows = state.table[labels]
-        d_vals = np.maximum(np.asarray([_ad.delta(z) for z in Z]), _ad.DELTA_FLOOR)[:, None]
+        grads, c_rows, deltas = _frozen_adadem(Z, P, warm)
         return grads, lambda V: (
-            -np.sum((_softmax_rows(V) - c_rows) * V, axis=1, keepdims=True) / d_vals
+            -np.sum((_softmax_rows(V) - c_rows) * V, axis=1, keepdims=True) / deltas[:, None]
         )
 
     losses = {
@@ -869,9 +880,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except UsageError as exc:
-        print(f"demkit: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except _em.ConfigError as exc:
         print(f"demkit: {exc}", file=sys.stderr)
         return EXIT_BAD_HYPERPARAMS

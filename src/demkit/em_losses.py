@@ -21,7 +21,9 @@ and the whole family implemented here is built from them:
 
 The *reward* of class i is the negative partial derivative of the loss
 with respect to logit i; positive rewards drive that logit up under
-gradient descent.  ``validate_config`` and ``boundary_second_derivative``
+gradient descent.  The CADF reward ``p_i (T + z_i + 1)`` is
+``-cadf_tempered_eval(z, 1.0).grad`` and the GMC reward ``-p_i`` is
+``-softmax(z)``.  ``validate_config`` and ``boundary_second_derivative``
 implement the validity region of the (tau, alpha) plane: for alpha > 0
 the decoupled loss keeps the argmax direction locally rewarded only while
 tau <= 2/alpha.
@@ -61,8 +63,6 @@ __all__ = [
     "conditional_entropy",
     "cadf",
     "gmc",
-    "cadf_reward",
-    "gmc_reward",
     "em_eval",
     "detached_em_eval",
     "cadf_tempered_eval",
@@ -175,16 +175,6 @@ def cadf(z) -> float:
 def gmc(z) -> float:
     """Gradient mitigation calibrator ``Q(z) = logsumexp(z)``."""
     return _logsumexp(_logits(z))
-
-
-def cadf_reward(z) -> np.ndarray:
-    """Per-class reward of the CADF term, ``p_i (T + z_i + 1)``, ``-grad T_tau`` at tau = 1."""
-    return -_cadf_tempered_grad(_logits(z), 1.0)
-
-
-def gmc_reward(z) -> np.ndarray:
-    """Per-class reward of the GMC term, ``-p_i`` (a uniform penalty)."""
-    return -_softmax(_logits(z))
 
 
 def em_eval(z) -> LossEval:

@@ -385,10 +385,11 @@ class DemPlugin:
 
 class AdaDemPlugin:
     """AdaDEM; owns a MecState, created on the first batch and threaded
-    across every batch it sees."""
+    across every batch it sees.  ``pi`` must lie in (0, 1] (``ValueError``
+    when the plugin is built)."""
 
     def __init__(self, pi: float):
-        self.pi = pi
+        self.pi = _adadem._momentum(pi)
         self.state = None
 
     def batch_eval(self, Z: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -469,6 +469,17 @@ class TestKlDivergence:
         v = kl_divergence([1.0, 0.0], [0.5, 0.5])
         assert np.isfinite(v) and v > 0.0
 
+    @pytest.mark.parametrize("p, q", [([0.5, 0.5], [1.0]), ([1.0], [0.5, 0.5])])
+    def test_refuses_vectors_of_different_lengths(self, p, q):
+        shapes = f"got ({len(p)},) and ({len(q)},)"
+        with pytest.raises(ValueError, match=re.escape(shapes)):
+            kl_divergence(p, q)
+
+    @pytest.mark.parametrize("p, q", [([-1.0, 2.0], [0.5, 0.5]), ([0.5, 0.5], [1.5, -0.5])])
+    def test_refuses_negative_entries(self, p, q):
+        with pytest.raises(ValueError, match="non-negative"):
+            kl_divergence(p, q)
+
 
 def metrics(probs, labels):
     """The oracle that the protocols' reports are checked against: the

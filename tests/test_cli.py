@@ -284,6 +284,15 @@ class TestLoadConfig:
             f"demkit: config holds an integer literal longer than the {limit}-digit limit\n"
         )
 
+    def test_config_that_is_not_utf8_exit_64(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"output_dir": "\xff"}')
+        assert main(["run", "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "demkit: config is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+            "in position 16: invalid start byte\n"
+        )
+
 
 def _schema_nodes(node=SCHEMA, path=()):
     """Every ``(path, node)`` of ``SCHEMA``, the root included."""

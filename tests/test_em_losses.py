@@ -19,7 +19,6 @@ from demkit.em_losses import (
     DemConfig,
     boundary_second_derivative,
     cadf,
-    cadf_reward,
     cadf_tempered_eval,
     conditional_entropy,
     dem_eval,
@@ -30,7 +29,6 @@ from demkit.em_losses import (
     em_row_values,
     em_rows,
     gmc,
-    gmc_reward,
     reward_curve,
     validate_config,
 )
@@ -91,18 +89,17 @@ class TestCadfAndGmc:
         # p uniform and z constant k gives T = -k.
         assert abs(cadf(np.full(4, 2.5)) + 2.5) < 1e-12
 
+    # The CADF reward is the negated gradient of the CADF at tau = 1.
     def test_cadf_reward_formula(self):
         z = np.array([0.3, -1.0, 2.0])
         p = softmax(z)
         t = -float(np.dot(p, z))
-        np.testing.assert_allclose(cadf_reward(z), p * (t + z + 1.0), rtol=0, atol=0)
+        reward = -cadf_tempered_eval(z, 1.0).grad
+        np.testing.assert_allclose(reward, p * (t + z + 1.0), rtol=0, atol=0)
 
     def test_cadf_reward_uniform_entries(self):
-        np.testing.assert_allclose(cadf_reward(np.zeros(5)), np.full(5, 0.2), atol=1e-15)
-
-    def test_gmc_reward_is_negative_softmax(self):
-        z = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(gmc_reward(z), -softmax(z))
+        reward = -cadf_tempered_eval(np.zeros(5), 1.0).grad
+        np.testing.assert_allclose(reward, np.full(5, 0.2), atol=1e-15)
 
 
 class TestEmGradient:
@@ -424,8 +421,6 @@ SCALAR_ENTRY_POINTS = {
     "conditional_entropy": (conditional_entropy, True),
     "cadf": (cadf, True),
     "gmc": (gmc, True),
-    "cadf_reward": (cadf_reward, True),
-    "gmc_reward": (gmc_reward, True),
     "em_eval": (em_eval, True),
     "detached_em_eval": (detached_em_eval, True),
     "cadf_tempered_eval": (lambda z: cadf_tempered_eval(z, 0.7), True),

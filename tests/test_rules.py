@@ -4,12 +4,13 @@ reaches that check.
 The rules and their owners: a grid axis (``search.grid_axis``), the
 temperature ``tau`` (``numkit._positive``, finite and positive), the class
 count ``C`` (``numkit._classes``), every other integer count
-(``numkit._count``) and the label ratio ``rho`` (``bench._label_ratio``).
-Each test drives every entry point of one rule with NaN, +-inf, 0 and a
-negative value (a count: a value just below its least, -1, a float, a bool
-and a numpy float), and each must refuse it with ``ValueError`` naming the
-value.  ``filterwarnings = error`` fails a test on any numpy warning
-raised on the way, too.
+(``numkit._count``), the label ratio ``rho`` (``bench._label_ratio``) and
+the calibrator momentum ``pi`` (``adadem._momentum``).  Each test drives
+every entry point of one rule with NaN, +-inf, 0 and a negative value (a
+count: a value just below its least, -1, a float, a bool and a numpy
+float; the momentum: also a value above 1), and each must refuse it with
+``ValueError`` naming the value.  ``filterwarnings = error`` fails a test
+on any numpy warning raised on the way, too.
 """
 
 import ast
@@ -24,6 +25,7 @@ import pytest
 
 import demkit
 from demkit import cli
+from demkit.adadem import mec_init
 from demkit.bench import MixtureSpec, ShiftSpec, StreamSpec, long_tail_priors, sample_batch
 from demkit.em_losses import (
     ConfigError,
@@ -32,7 +34,7 @@ from demkit.em_losses import (
     cadf_tempered_eval,
     reward_curve,
 )
-from demkit.model import SgdConfig, init_linear, init_mlp, train_source
+from demkit.model import AdaDemPlugin, SgdConfig, init_linear, init_mlp, train_source
 from demkit.numkit import Rng
 from demkit.search import GRID_MAX_POINTS, GridSpec, grid_axis
 
@@ -109,6 +111,16 @@ def test_label_ratio_rule(rho):
         StreamSpec("single_domain", (ShiftSpec("translate"),), 1, 1, rho)
     with _message(refused):
         long_tail_priors(4, rho)
+
+
+@pytest.mark.parametrize("pi", BAD_FLOATS + [1.5], ids=BAD_IDS + ["above-one"])
+def test_momentum_rule(pi):
+    # The plugin refuses a bad pi when it is built, not at its first batch.
+    refused = f"momentum pi must lie in (0, 1], got {pi}"
+    with _message(refused):
+        mec_init(3, pi)
+    with _message(refused):
+        AdaDemPlugin(pi)
 
 
 def _train(**counts):
