@@ -23,8 +23,8 @@ import argparse
 import statistics
 from pathlib import Path
 
-from demkit.cli import load_config, plugin_factory_from, prepared_experiment, sgd_config
-from demkit.search import GridSpec, grid_search, lr_sweep
+from demkit.cli import load_config, plugin_factory_from, prepared_experiment
+from demkit.search import grid_search, lr_sweep
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "continual_adadem.json"
 
@@ -38,13 +38,13 @@ def main() -> None:
     for seed in range(args.seeds):
         cfg = load_config(str(CONFIG))
         cfg["seed"] = seed
-        model, data = prepared_experiment(cfg)
-        sgd = sgd_config(cfg)
+        model, plan = prepared_experiment(cfg)
+        data, sgd = plan.data, plan.sgd
         cfg["loss"]["name"] = "em"
         lr_em, acc_em = lr_sweep(model, data, plugin_factory_from(cfg), sgd, cfg["lrs"]).best
         cfg["loss"]["name"] = "adadem"
         lr_ada, acc_ada = lr_sweep(model, data, plugin_factory_from(cfg), sgd, cfg["lrs"]).best
-        dem = grid_search(model, data, GridSpec(**cfg["grid"]), sgd)
+        dem = grid_search(model, data, plan.grid, sgd)
 
         em_accs.append(acc_em)
         ada_accs.append(acc_ada)

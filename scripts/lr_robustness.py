@@ -18,7 +18,7 @@ import csv
 import statistics
 from pathlib import Path
 
-from demkit.cli import load_config, plugin_factory_from, prepared_experiment, sgd_config
+from demkit.cli import load_config, plugin_factory_from, prepared_experiment
 from demkit.search import lr_sweep
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "single_domain_em.json"
@@ -37,10 +37,10 @@ def main() -> None:
     for seed in range(args.seeds):
         cfg = load_config(str(CONFIG))
         cfg["seed"] = seed
-        model, data = prepared_experiment(cfg)
+        model, plan = prepared_experiment(cfg)
         for name in LOSSES:
             cfg["loss"]["name"] = name
-            res = lr_sweep(model, data, plugin_factory_from(cfg), sgd_config(cfg), cfg["lrs"])
+            res = lr_sweep(model, plan.data, plugin_factory_from(cfg), plan.sgd, cfg["lrs"])
             counts[name].append(res.tolerance_count)
             print(
                 f"{seed:>4} {name:>7} {res.baseline:>9.4f} "

@@ -71,11 +71,18 @@ class MecState:
     over samples pseudo-labeled k, updated with momentum ``pi`` (new
     observations weighted ``pi``, history ``1 - pi``).  Rows start at the
     uniform distribution and remain on the simplex because every update
-    is a convex combination of simplex vectors.
+    is a convex combination of simplex vectors.  A table that is not
+    square, or a ``pi`` outside (0, 1], raises ``ValueError``.
     """
 
     table: np.ndarray
     pi: float
+
+    def __post_init__(self):
+        _momentum(self.pi)
+        shape = np.shape(self.table)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"the calibrator table must be C x C, got shape {shape}")
 
     @property
     def C(self) -> int:
@@ -121,7 +128,7 @@ def delta(z) -> float:
 
 def _momentum(pi: float) -> float:
     """The calibrator's momentum ``pi``, refused unless it lies in (0, 1]:
-    the one check of the rule, for ``mec_init`` and ``model.AdaDemPlugin``."""
+    the one check of the rule, for ``MecState`` and ``model.AdaDemPlugin``."""
     if not 0.0 < pi <= 1.0:
         raise ValueError(f"momentum pi must lie in (0, 1], got {pi}")
     return pi
@@ -130,7 +137,7 @@ def _momentum(pi: float) -> float:
 def mec_init(C: int, pi: float) -> MecState:
     """Fresh calibrator: a C x C table with every entry 1/C."""
     _classes(C)
-    return MecState(np.full((C, C), 1.0 / C), pi=_momentum(pi))
+    return MecState(np.full((C, C), 1.0 / C), pi)
 
 
 def mec_update(state: MecState, probs, pseudo_labels) -> MecState:

@@ -8,17 +8,18 @@ Subcommands:
 * ``grid-search``   - exhaustive (tau, alpha) search from a JSON config,
 * ``lr-sweep``      - learning-rate sensitivity sweep from a JSON config.
 
-The CLI keeps configs and files: it loads and validates a config, builds
-its library objects (``prepared_experiment``, ``plugin_factory_from``,
-``sgd_config``, ``search.GridSpec``), and writes tables, summaries and
-standard output.  The experiments are the library's: ``run`` stacks its
+The CLI keeps configs and files: it loads a config, builds its library
+objects (``experiment_plan``, run by ``prepared_experiment`` before the
+source model is trained), and writes tables, summaries and standard
+output.  The experiments are the library's: ``run`` stacks its
 adaptation and its lr = 0 baseline through ``bench.run_chunked``, and
 ``grid-search`` and ``lr-sweep`` call ``search.grid_search`` and
 ``search.lr_sweep``, which run their protocols and rank them.
 
 Exit codes: 0 success, 2 invalid hyperparameters (the (tau, alpha)
-validity region), 3 numeric or assertion failure, 64 usage or schema
-error.  A command returns nothing or raises, and ``main`` alone reports a
+validity region, and a grid with no valid point), 3 numeric or
+assertion failure, 64 usage, schema or any other config error.  A
+command returns nothing or raises, and ``main`` alone reports a
 failure: one line on standard error, ``demkit: <message>``, or
 ``demkit: numeric failure: <message>`` for exit 3.  All floats are printed
 with 9 significant digits and files are written atomically, so re-running
@@ -31,16 +32,21 @@ created exits 64 before any work.
 Configs are JSON objects validated against a strict schema (unknown keys
 and non-finite numbers are rejected); every key is optional and falls
 back to the default that ``SCHEMA`` carries for it as a ``"default"``
-annotation (``DEFAULT_CONFIG`` is read from those annotations).  Config
-sections go to the library types as they are: ``bench.MixtureSpec``
-takes ``mixture``'s ``C``, ``radius`` and ``sigma``, ``bench.StreamSpec``
-takes ``stream``'s settings and ``label_rho``, and ``bench.ShiftSpec``'s
-own defaults fill a shift's omitted magnitude and level.  The loss, the
-optimizer, the grid and the ``bench.Stream`` (which refuses inputs that
-can overflow) are built before source training, so a bad one fails at
-once.  The ``loss`` section admits the unsupervised family only (em, dem,
-adadem) - the adaptation loop never sees labels, which flow exclusively
-to metrics and, for grid search scoring, to the held subset.
+annotation (``DEFAULT_CONFIG`` is read from those annotations).  The
+schema checks shape only: types, enums, constants, required keys and
+non-empty lists and strings, and no numeric bound.  Each value rule has
+one owner in the library, and ``experiment_plan`` builds every library
+object a config implies, whatever the command and the loss, before any
+training: config sections go to the library types as they are
+(``bench.MixtureSpec`` takes ``mixture``'s ``C``, ``radius`` and
+``sigma``, ``bench.StreamSpec`` takes ``stream``'s settings and
+``label_rho``, and ``bench.ShiftSpec``'s own defaults fill a shift's
+omitted magnitude and level), and a refusal is raised again with the
+config section before its message (``source: momentum must lie in [0,
+1), got 1.0``).  The ``loss`` section admits the unsupervised family
+only (em, dem, adadem) - the adaptation loop never sees labels, which
+flow exclusively to metrics and, for grid search scoring, to the held
+subset.
 
 ``SCHEMA`` is JSON Schema (draft 2020-12), so any JSON Schema tool can
 check a config.  The CLI checks it with ``_schema_errors``, a walker over
@@ -64,6 +70,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,7 +80,8 @@ from . import em_losses as _em
 from . import model as _model
 from . import search as _search
 from .numkit import (
-    Rng, _central_differences, _count, _softmax, _softmax_rows, finite_diff_grad, rel_err
+    Rng, _central_differences, _count, _nonnegative, _softmax, _softmax_rows, finite_diff_grad,
+    rel_err,
 )
 
 EXIT_OK = 0
@@ -170,16 +178,16 @@ SCHEMA = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "seed": {"type": "integer", "minimum": 0, "default": 0},
+        "seed": {"type": "integer", "default": 0},
         "output_dir": {"type": "string", "minLength": 1, "default": "demkit-out"},
         "mixture": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "C": {"type": "integer", "minimum": 2, "default": 10},
+                "C": {"type": "integer", "default": 10},
                 "d": {"const": 2, "default": 2},
-                "radius": {"type": "number", "exclusiveMinimum": 0, "default": 4.0},
-                "sigma": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+                "radius": {"type": "number", "default": 4.0},
+                "sigma": {"type": "number", "default": 1.0},
             },
         },
         "source": {
@@ -187,15 +195,13 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "arch": {"const": "mlp"},
-                "hidden": {"type": "integer", "minimum": 1, "default": 32},
-                "epochs": {"type": "integer", "minimum": 0, "default": 300},
-                "n": {"type": "integer", "minimum": 1, "default": 5000},
-                "lr": {"type": "number", "minimum": 0, "default": 0.05},
-                "momentum": {
-                    "type": "number", "minimum": 0, "exclusiveMaximum": 1, "default": 0.9
-                },
-                "batch_size": {"type": "integer", "minimum": 1, "default": 64},
-                "init_scale": {"type": "number", "minimum": 0, "default": 0.5},
+                "hidden": {"type": "integer", "default": 32},
+                "epochs": {"type": "integer", "default": 300},
+                "n": {"type": "integer", "default": 5000},
+                "lr": {"type": "number", "default": 0.05},
+                "momentum": {"type": "number", "default": 0.9},
+                "batch_size": {"type": "integer", "default": 64},
+                "init_scale": {"type": "number", "default": 0.5},
             },
         },
         "stream": {
@@ -213,11 +219,7 @@ SCHEMA = {
                         "properties": {
                             "kind": {"enum": list(_bench.SHIFT_KINDS)},
                             "magnitude": {"type": "number"},
-                            "level": {
-                                "type": "integer",
-                                "minimum": min(_bench.LEVEL_MULTIPLIERS),
-                                "maximum": max(_bench.LEVEL_MULTIPLIERS),
-                            },
+                            "level": {"type": "integer"},
                         },
                     },
                     # Three separate dicts: ``[d] * 3`` would alias one.
@@ -227,19 +229,17 @@ SCHEMA = {
                         {"kind": "rotate2d", "magnitude": 0.5, "level": 2},
                     ],
                 },
-                "batches_per_shift": {"type": "integer", "minimum": 1, "default": 60},
-                "batch_size": {"type": "integer", "minimum": 1, "default": 64},
-                "label_rho": {"type": "number", "minimum": 1, "default": 1.0},
+                "batches_per_shift": {"type": "integer", "default": 60},
+                "batch_size": {"type": "integer", "default": 64},
+                "label_rho": {"type": "number", "default": 1.0},
             },
         },
         "optimizer": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "lr": {"type": "number", "minimum": 0, "default": 0.001},
-                "momentum": {
-                    "type": "number", "minimum": 0, "exclusiveMaximum": 1, "default": 0.9
-                },
+                "lr": {"type": "number", "default": 0.001},
+                "momentum": {"type": "number", "default": 0.9},
                 "scope": {"const": "all"},
             },
         },
@@ -249,10 +249,10 @@ SCHEMA = {
             "properties": {
                 "name": {"enum": ["em", "dem", "adadem"], "default": "em"},
                 "tau": {"type": "number", "default": 1.0},
-                "alpha": {"type": "number", "minimum": 0, "default": 1.0},
+                "alpha": {"type": "number", "default": 1.0},
                 "variant": {"const": "full"},
                 "norm": {"const": "L1"},
-                "pi": {"type": "number", "exclusiveMinimum": 0, "maximum": 1, "default": 0.1},
+                "pi": {"type": "number", "default": 0.1},
                 "mec_alpha": {"const": 1.0},
                 "delta_source": {"const": "cadf"},
                 "direction": {"const": "minimize"},
@@ -262,23 +262,18 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "tau_min": {"type": "number", "minimum": 0, "default": 0.0},
-                "tau_max": {"type": "number", "minimum": 0, "default": 2.0},
-                "alpha_min": {"type": "number", "minimum": 0, "default": 0.0},
-                "alpha_max": {"type": "number", "minimum": 0, "default": 2.0},
-                "step": {"type": "number", "exclusiveMinimum": 0, "default": 0.1},
-                "subset_fraction": {
-                    "type": "number",
-                    "exclusiveMinimum": 0,
-                    "maximum": 1,
-                    "default": 0.2,
-                },
+                "tau_min": {"type": "number", "default": 0.0},
+                "tau_max": {"type": "number", "default": 2.0},
+                "alpha_min": {"type": "number", "default": 0.0},
+                "alpha_max": {"type": "number", "default": 2.0},
+                "step": {"type": "number", "default": 0.1},
+                "subset_fraction": {"type": "number", "default": 0.2},
             },
         },
         "lrs": {
             "type": "array",
             "minItems": 1,
-            "items": {"type": "number", "minimum": 0},
+            "items": {"type": "number"},
             "default": [1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 1e-1],
         },
     },
@@ -329,7 +324,6 @@ def _schema_errors(node: dict, x, path: tuple = ()):
     large for a float is an error jsonschema does not report: every
     number setting is used as a float.
     """
-    number = _JSON_TYPES["number"](x)
     for key, want in node.items():
         match key:
             case "$schema" | "default":
@@ -345,18 +339,6 @@ def _schema_errors(node: dict, x, path: tuple = ()):
             case "const":
                 if not _same(x, want):
                     yield path, f"{want!r} was expected"
-            case "minimum":
-                if number and x < want:
-                    yield path, f"{_shown(x)} is less than the minimum of {want!r}"
-            case "maximum":
-                if number and x > want:
-                    yield path, f"{_shown(x)} is greater than the maximum of {want!r}"
-            case "exclusiveMinimum":
-                if number and x <= want:
-                    yield path, f"{_shown(x)} is less than or equal to the minimum of {want!r}"
-            case "exclusiveMaximum":
-                if number and x >= want:
-                    yield path, f"{_shown(x)} is greater than or equal to the maximum of {want!r}"
             case "minLength" | "minItems":
                 if isinstance(x, str if key == "minLength" else list) and len(x) < want:
                     yield path, f"{_shown(x)} {'should be non-empty' if want == 1 else 'is too short'}"
@@ -473,50 +455,85 @@ def _check_sizes(cfg: dict) -> None:
 # --------------------------------------------------------------------------
 
 
-def build_source_model(cfg: dict, mix: _bench.MixtureSpec, rng: Rng):
-    s = cfg["source"]
+class Plan(NamedTuple):
+    """Every library object a config implies, built by :func:`experiment_plan`:
+    the stream (with its mixture), the source and adaptation optimizers,
+    the loss plugin factory and the (tau, alpha) grid."""
+
+    data: _bench.Stream
+    source_sgd: _model.SgdConfig
+    sgd: _model.SgdConfig
+    factory: Callable
+    grid: _search.GridSpec
+
+
+def _built(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a ``ValueError`` it raises is raised again,
+    of the same type, with the config ``section`` before its message."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise type(exc)(f"{section}: {exc}") from exc
+
+
+def experiment_plan(cfg: dict) -> Plan:
+    """The :class:`Plan` of a loaded config, whatever the command and the loss.
+
+    Each setting is checked by its one library owner as its object is
+    built, so a refused config raises here, before any training, with
+    the section that holds the setting before the owner's message.  The
+    stream draws no data here."""
+    m, src, s, opt = cfg["mixture"], cfg["source"], cfg["stream"], cfg["optimizer"]
+    _built("seed", _count, cfg["seed"], "seed", 0)
+    rng = Rng(cfg["seed"])
+    mix = _built("mixture", _bench.MixtureSpec, m["C"], m["radius"], m["sigma"])
+    shifts = [
+        _built(f"stream/shifts/{i}", _bench.ShiftSpec, **sh) for i, sh in enumerate(s["shifts"])
+    ]
+    spec = _built("stream", _bench.StreamSpec, **{**s, "shifts": shifts})
+    data = _built("stream", _bench.Stream, mix, spec, rng.derive("stream"))
+    source_sgd = _built("source", _model.SgdConfig, src["lr"], src["momentum"])
+    for name, least in (("hidden", 1), ("n", 1), ("epochs", 0), ("batch_size", 1)):
+        _built("source", _count, src[name], name, least)
+    _built("source", _nonnegative, src["init_scale"], "init_scale")
+    sgd = _built("optimizer", _model.SgdConfig, opt["lr"], opt["momentum"])
+    for i, lr in enumerate(cfg["lrs"]):  # lr-sweep's optimizer at each rate
+        _built(f"lrs/{i}", replace, sgd, lr=lr)
+    factory = _built("loss", plugin_factory_from, cfg)
+    grid = _built("grid", _search.GridSpec, **cfg["grid"])
+    return Plan(data, source_sgd, sgd, factory, grid)
+
+
+def build_source_model(cfg: dict, plan: Plan):
+    s, mix, rng = cfg["source"], plan.data.mix, Rng(cfg["seed"])
     uniform = np.full(mix.C, 1.0 / mix.C)
     X, y = _bench.sample_batch(mix, uniform, s["n"], rng.derive("source-data"))
     model = _model.init_mlp(mix.C, mix.d, s["hidden"], rng.derive("source-init"), s["init_scale"])
-    train_cfg = _model.SgdConfig(lr=s["lr"], momentum=s["momentum"])
     _model.train_source(
-        model, X, y, s["epochs"], train_cfg, rng.derive("source-train"), s["batch_size"]
+        model, X, y, s["epochs"], plan.source_sgd, rng.derive("source-train"), s["batch_size"]
     )
     return model
 
 
 def plugin_factory_from(cfg: dict):
-    """A zero-argument factory building a fresh loss plugin per call."""
+    """A zero-argument factory building a fresh plugin of the config's loss
+    per call.  ``DemConfig`` and the ``pi`` rule check the loss settings
+    whatever the loss name, so a config is valid for every loss or none."""
     loss = cfg["loss"]
-    name = loss["name"]
-    if name == "em":
-        return _model.EmPlugin
-    if name == "dem":
-        dem_cfg = _em.DemConfig(loss["tau"], loss["alpha"])
-        return lambda: _model.DemPlugin(dem_cfg)
-    return lambda: _model.AdaDemPlugin(pi=loss["pi"])
-
-
-def sgd_config(cfg: dict) -> _model.SgdConfig:
-    """The adaptation optimizer of a config."""
-    return _model.SgdConfig(cfg["optimizer"]["lr"], cfg["optimizer"]["momentum"])
+    dem_cfg = _em.DemConfig(loss["tau"], loss["alpha"])
+    pi = _ad._momentum(loss["pi"])
+    return {"em": _model.EmPlugin, "dem": lambda: _model.DemPlugin(dem_cfg),
+            "adadem": lambda: _model.AdaDemPlugin(pi)}[loss["name"]]
 
 
 def prepared_experiment(cfg: dict):
-    """Source model and stream for a config, deterministically.
+    """The source model and the :class:`Plan` of a config, deterministically.
 
-    The ``bench.Stream`` is built first, so inputs that can overflow raise
-    ``ValueError`` before any training; it draws no data here, and each
-    pass a protocol makes over it draws each shift when it reaches it."""
-    rng = Rng(cfg["seed"])
-    m, s = cfg["mixture"], cfg["stream"]
-    mix = _bench.MixtureSpec(m["C"], m["radius"], m["sigma"])
-    shifts = tuple(_bench.ShiftSpec(**sh) for sh in s["shifts"])
-    sspec = _bench.StreamSpec(
-        s["mode"], shifts, s["batches_per_shift"], s["batch_size"], s["label_rho"]
-    )
-    data = _bench.Stream(mix, sspec, rng.derive("stream"))
-    return build_source_model(cfg, mix, rng), data
+    The plan is built first, so a refused config raises before any
+    training; its stream draws no data here, and each pass a protocol
+    makes over it draws each shift when it reaches it."""
+    plan = experiment_plan(cfg)
+    return build_source_model(cfg, plan), plan
 
 
 # --------------------------------------------------------------------------
@@ -696,12 +713,19 @@ def _metrics_row(label: str, shift, report, baseline: float) -> list[str]:
     ]
 
 
-def cmd_run(args) -> None:
+def _config_experiment(args, table: str):
+    """The config of a config command, its ``output_dir``, the source model
+    and the :class:`Plan`: the config is loaded, the command's previous
+    ``table`` and summary are removed, and only then does
+    ``prepared_experiment`` build the plan and train the source model."""
     cfg = load_config(args.config)
-    out = cfg["output_dir"]
-    remove_outputs(out, "metrics.csv")
-    factory, sgd = plugin_factory_from(cfg), sgd_config(cfg)
-    model, data = prepared_experiment(cfg)
+    remove_outputs(cfg["output_dir"], table)
+    return cfg, cfg["output_dir"], *prepared_experiment(cfg)
+
+
+def cmd_run(args) -> None:
+    cfg, out, model, plan = _config_experiment(args, "metrics.csv")
+    data, sgd, factory = plan.data, plan.sgd, plan.factory
     # the baseline is lr-sweep's: the same protocol at lr = 0, stacked with the run
     runs = _bench.run_chunked(model, data.spec, data, [factory] * 2, [sgd, replace(sgd, lr=0.0)])
     names = (f"the run at lr={sgd.lr:.9g}", "the baseline at lr=0")
@@ -732,14 +756,9 @@ def cmd_run(args) -> None:
 
 
 def cmd_grid_search(args) -> None:
-    cfg = load_config(args.config)
-    out = cfg["output_dir"]
-    remove_outputs(out, "grid.csv")
-    # built before source training, so that a bad grid fails at once
-    grid, sgd = _search.GridSpec(**cfg["grid"]), sgd_config(cfg)
-    model, data = prepared_experiment(cfg)
+    cfg, out, model, plan = _config_experiment(args, "grid.csv")
     best, table, best_full, classical_subset, classical_full = _search.grid_search(
-        model, data, grid, sgd
+        model, plan.data, plan.grid, plan.sgd
     )
 
     write_csv(
@@ -787,13 +806,8 @@ def cmd_grid_search(args) -> None:
 
 
 def cmd_lr_sweep(args) -> None:
-    cfg = load_config(args.config)
-    out = cfg["output_dir"]
-    remove_outputs(out, "lr_sweep.csv")
-    # built before source training, so that a bad loss fails at once
-    factory, sgd = plugin_factory_from(cfg), sgd_config(cfg)
-    model, data = prepared_experiment(cfg)
-    result = _search.lr_sweep(model, data, factory, sgd, cfg["lrs"])
+    cfg, out, model, plan = _config_experiment(args, "lr_sweep.csv")
+    result = _search.lr_sweep(model, plan.data, plan.factory, plan.sgd, cfg["lrs"])
     if not math.isfinite(result.baseline):
         raise FloatingPointError("lr-sweep: non-finite baseline")
 

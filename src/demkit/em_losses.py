@@ -95,8 +95,9 @@ class ConfigError(ValueError):
 class DemConfig:
     """Decoupled-EM configuration: temperature and GMC weight.
 
-    Both must be finite.  ``alpha = 0`` (pure tempered CADF) is always
-    admitted; for ``alpha > 0`` the pair must satisfy ``tau <= 2/alpha``.
+    Both must be finite and ``alpha`` non-negative.  ``alpha = 0`` (pure
+    tempered CADF) is always admitted; for ``alpha > 0`` the pair must
+    satisfy ``tau <= 2/alpha``.
     An invalid pair is rejected at construction with a ``ConfigError``
     naming the violated bound, so the losses taking a ``DemConfig`` never
     check it.
@@ -108,11 +109,13 @@ class DemConfig:
     def __post_init__(self):
         if validate_config(self.tau, self.alpha):
             return
-        if math.isfinite(self.tau) and math.isfinite(self.alpha):
+        if not (math.isfinite(self.tau) and math.isfinite(self.alpha)):
+            need = "requires finite tau and alpha"
+        elif self.alpha < 0:
+            need = "requires alpha >= 0"
+        else:
             bound = 2.0 / self.alpha if self.alpha else float("inf")
             need = f"requires tau > 0 and, for alpha > 0, tau <= 2/alpha = {bound:.6g}"
-        else:
-            need = "requires finite tau and alpha"
         raise ConfigError(f"invalid hyperparameters tau={self.tau}, alpha={self.alpha}: {need}")
 
 
@@ -209,17 +212,17 @@ def validate_config(tau: float, alpha: float) -> bool:
     """Whether (tau, alpha) lies in the valid region.
 
     True iff the temperature ``tau`` is finite and positive, ``alpha`` is
-    finite and either ``alpha = 0`` (the pure-CADF ablation, admitted) or
-    ``tau <= 2/alpha`` with a 1e-12 slack so grids that land exactly on
-    the boundary are kept.  A NaN or infinite tau or alpha is never
-    valid: ``tau = inf`` at ``alpha = 0`` and ``alpha = inf`` at a tiny
-    tau would otherwise pass and give NaN gradients.
+    finite and non-negative, and either ``alpha = 0`` (the pure-CADF
+    ablation, admitted) or ``tau <= 2/alpha`` with a 1e-12 slack so grids
+    that land exactly on the boundary are kept.  A NaN or infinite tau or
+    alpha is never valid: ``tau = inf`` at ``alpha = 0`` and ``alpha =
+    inf`` at a tiny tau would otherwise pass and give NaN gradients.
     """
     try:
         _positive(tau, "temperature tau")
     except ValueError:
         return False
-    return math.isfinite(alpha) and (alpha == 0 or tau <= 2.0 / alpha + VALIDITY_SLACK)
+    return 0 <= alpha < math.inf and (alpha == 0 or tau <= 2.0 / alpha + VALIDITY_SLACK)
 
 
 def boundary_second_derivative(tau: float, alpha: float, C: int) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import adadem as _adadem
 from . import em_losses as _em
-from .numkit import _classes, _count, _logsumexp, _logsumexp_rows, _softmax_rows, as_matrix, validated_labels
+from .numkit import _classes, _count, _logsumexp, _logsumexp_rows, _nonnegative, _softmax_rows, as_matrix, validated_labels
 
 __all__ = [
     "LinearSoftmax",
@@ -117,16 +117,19 @@ def _arrays(model) -> list:
     return [getattr(model, name) for name in model._names]
 
 
-def _check_sizes(C: int, d: int) -> None:
-    """``ValueError`` unless ``C`` passes ``numkit._classes`` and the input
-    width ``d`` is an integer of at least 1 (``numkit._count``)."""
+def _check_init(C: int, d: int, scale: float) -> None:
+    """``ValueError`` unless ``C`` passes ``numkit._classes``, the input
+    width ``d`` is an integer of at least 1 (``numkit._count``) and the
+    weight ``scale`` is finite and non-negative (``numkit._nonnegative``)."""
     _classes(C)
     _count(d, "d", 1)
+    _nonnegative(scale, "scale")
 
 
 def init_linear(C: int, d: int, rng=None, scale: float = 0.0) -> LinearSoftmax:
-    """Linear model; zero-initialized by default (uniform predictions)."""
-    _check_sizes(C, d)
+    """Linear model; zero-initialized by default (uniform predictions).
+    ``C``, ``d`` and ``scale`` must pass :func:`_check_init`."""
+    _check_init(C, d, scale)
     if rng is not None and scale > 0.0:
         W = scale * rng.normals(C * d).reshape(C, d)
     else:
@@ -138,11 +141,11 @@ def init_mlp(C: int, d: int, hidden: int, rng, scale: float) -> Mlp:
     """MLP with normal-initialized weights and zero biases.
 
     The output layer is scaled down by sqrt(hidden) so initial logits
-    stay O(1) regardless of width.  ``C`` and ``d`` must pass
-    :func:`_check_sizes`, and ``hidden`` must be an integer of at least 1
+    stay O(1) regardless of width.  ``C``, ``d`` and ``scale`` must pass
+    :func:`_check_init`, and ``hidden`` must be an integer of at least 1
     (``numkit._count``; ``ValueError`` otherwise).
     """
-    _check_sizes(C, d)
+    _check_init(C, d, scale)
     _count(hidden, "hidden width", 1)
     W1 = scale * rng.normals(hidden * d).reshape(hidden, d)
     W2 = scale * rng.normals(C * hidden).reshape(C, hidden) / np.sqrt(hidden)
@@ -329,16 +332,15 @@ def _ce_row_values(Z: np.ndarray, targets: np.ndarray) -> np.ndarray:
 class SgdConfig:
     """SGD with optional heavy-ball momentum.
 
-    ``lr`` must be finite and non-negative; ``lr = 0`` leaves the model
-    untouched, which gives the no-adapt baseline.
+    ``lr`` must be finite and non-negative (``numkit._nonnegative``);
+    ``lr = 0`` leaves the model untouched, which gives the no-adapt baseline.
     """
 
     lr: float
     momentum: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.lr < np.inf:
-            raise ValueError(f"learning rate must be finite and non-negative, got {self.lr}")
+        _nonnegative(self.lr, "learning rate")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 

@@ -13,9 +13,11 @@ Conventions used throughout the package:
   Code that has already validated a vector calls the kernels directly.
 * each scalar rule has one owner here: ``_count`` (an integer, not a
   bool, of at least a given least value: a draw count, a width, a batch
-  size, ``epochs``), ``_classes`` (the class count ``C``, a ``_count`` of
-  at least 2) and ``_positive`` (finite and positive: a temperature, a
-  step, a radius).  Each refusal names the setting and its value.
+  size, ``epochs``, a seed), ``_classes`` (the class count ``C``, a
+  ``_count`` of at least 2), ``_positive`` (finite and positive: a
+  temperature, a step, a radius) and ``_nonnegative`` (finite and at
+  least 0: a learning rate, an init scale, a grid's lower bounds).  Each
+  refusal names the setting and its value.
 
 Besides the small linear-algebra helpers this module provides a
 numerically stable softmax / log-sum-exp pair, the one central-difference
@@ -117,6 +119,12 @@ def _positive(value, name: str) -> None:
     """``ValueError`` unless ``value`` is finite and positive; NaN is not."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _nonnegative(value, name: str) -> None:
+    """``ValueError`` unless ``value`` is finite and at least 0; NaN is not."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def logsumexp(z) -> float:

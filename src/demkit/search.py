@@ -31,7 +31,7 @@ import numpy as np
 from .bench import named_results, run_chunked
 from .em_losses import ConfigError, DemConfig, validate_config
 from .model import DemPlugin, DivergenceError, SgdConfig
-from .numkit import _positive
+from .numkit import _nonnegative, _positive
 
 __all__ = [
     "GridSpec",
@@ -51,7 +51,8 @@ GRID_MAX_POINTS = 100_000  # the largest grid or axis; the default (tau, alpha) 
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular grid of two :func:`grid_axis` axes and the labeled-subset fraction
-    for scoring: at most ``GRID_MAX_POINTS`` points, at least one of them valid."""
+    for scoring: lower bounds finite and non-negative (``numkit._nonnegative``),
+    at most ``GRID_MAX_POINTS`` points, at least one of them valid."""
 
     tau_min: float
     tau_max: float
@@ -61,6 +62,8 @@ class GridSpec:
     subset_fraction: float
 
     def __post_init__(self):
+        _nonnegative(self.tau_min, "tau_min")
+        _nonnegative(self.alpha_min, "alpha_min")
         if not 0.0 < self.subset_fraction <= 1.0:
             raise ValueError(
                 f"subset_fraction must lie in (0, 1], got {self.subset_fraction}"
@@ -130,7 +133,8 @@ def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
         steps = (hi - lo) / step + 1e-9
         if not steps < GRID_MAX_POINTS:  # NaN fails the comparison too
             raise ValueError(f"{axis}: the grid has more than {GRID_MAX_POINTS} points")
-        points = lo + step * np.arange(int(steps) + 1)
+        # a float range: a JSON integer step past int64 cannot scale an int64 one
+        points = lo + step * np.arange(int(steps) + 1, dtype=np.float64)
     small = np.abs(points) < 2.0 ** 52
     points[small] = np.round(points[small], 12)
     np.minimum(points, hi, out=points, where=~small)

@@ -133,6 +133,19 @@ class TestMecState:
         with pytest.raises(ValueError):
             mec_init(3, pi=1.5)
 
+    @pytest.mark.parametrize(
+        "table", [np.full((3, 2), 0.5), np.full(3, 1 / 3), np.full((2, 2, 2), 0.5)],
+        ids=["3x2", "vector", "three-axes"],
+    )
+    def test_a_table_that_is_not_square_is_refused(self, table):
+        with pytest.raises(ValueError, match=r"table must be C x C, got shape \("):
+            MecState(table, PI)
+
+    def test_a_state_built_directly_checks_its_momentum(self):
+        # pi = 2.0 wrote the non-probability row [1.590, -0.280, -0.310].
+        with pytest.raises(ValueError, match=r"momentum pi must lie in \(0, 1\], got 2.0"):
+            MecState(np.full((3, 3), 1 / 3), pi=2.0)
+
     def test_one_update_reference(self):
         # Row 0 pulled from uniform toward [0.7, 0.2, 0.1] with pi = 0.1.
         state = mec_init(3, PI)

@@ -5,20 +5,23 @@ one subprocess test covers the real interpreter entry point.
 """
 
 import ast
+import copy
 import dataclasses
 import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
@@ -38,13 +41,12 @@ from demkit.cli import (
     UsageError,
     _schema_errors,
     _shown,
+    experiment_plan,
     fmt9,
     jround,
     load_config,
     main,
-    plugin_factory_from,
     prepared_experiment,
-    sgd_config,
     vec9,
 )
 from demkit.search import LrSweepResult, lr_sweep
@@ -153,23 +155,9 @@ class TestLoadConfig:
         # SCHEMA spells neither the stream modes nor the level range, and
         # the messages that name them keep their text.
         stream = SCHEMA["properties"]["stream"]["properties"]
-        level = stream["shifts"]["items"]["properties"]["level"]
         assert stream["mode"]["enum"] == list(demkit.bench.MODES)
-        levels = demkit.bench.LEVEL_MULTIPLIERS
-        assert (level["minimum"], level["maximum"]) == (min(levels), max(levels))
-        errors = [
-            message
-            for config in (
-                {"stream": {"mode": "episodic"}},
-                {"stream": {"shifts": [{"kind": "translate", "level": 0}]}},
-                {"stream": {"shifts": [{"kind": "translate", "level": 6}]}},
-            )
-            for _, message in _schema_errors(SCHEMA, config)
-        ]
-        assert errors == [
-            "'episodic' is not one of ['single_domain', 'continual']",
-            "0 is less than the minimum of 1",
-            "6 is greater than the maximum of 5",
+        assert list(_schema_errors(SCHEMA, {"stream": {"mode": "episodic"}})) == [
+            (("stream", "mode"), "'episodic' is not one of ['single_domain', 'continual']")
         ]
         with pytest.raises(ValueError, match=r"^level must be 1-5, got 6$"):
             demkit.bench.ShiftSpec("translate", 1.0, 6)
@@ -268,7 +256,7 @@ class TestLoadConfig:
         )
 
     def test_integer_settings_take_large_integers(self, tmp_path):
-        # Only number settings are bounded; a seed is used as an integer.
+        # A seed is used as an integer: any JSON integer of at least 0 runs.
         cfg = small_config(tmp_path, seed=10**30)
         assert main(["run", "--config", str(cfg)]) == EXIT_OK
         assert (tmp_path / "out" / "summary.json").exists()
@@ -360,9 +348,6 @@ def _weighted(common, weight, rare):
     return st.sampled_from([common] * weight + [rare]).flatmap(lambda s: s)
 
 
-_BOUNDS = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
-
-
 def _instances(node):
     """Values for a schema node: mostly shaped like it, sometimes any JSON."""
     if "properties" in node:
@@ -374,13 +359,12 @@ def _instances(node):
     elif "items" in node:
         shaped = st.lists(_instances(node["items"]), max_size=3)
     else:
-        # The node's own values and numbers on and around its bounds.
+        # The node's own values.
         named = list(node.get("enum", [])) + ([node["const"]] if "const" in node else [])
         # jsonschema takes 1 for a constant 1.0, so the integral value of
         # each float constant is drawn as well.
         named += [int(c) for c in named if isinstance(c, float) and c.is_integer()]
-        near = [node[k] + d for k in _BOUNDS if k in node for d in (-1, -0.5, 0, 0.5)]
-        shaped = st.sampled_from(named + near) | _SCALARS if named + near else _SCALARS
+        shaped = st.sampled_from(named) | _SCALARS if named else _SCALARS
     return _weighted(shaped, 7, _JSON)
 
 
@@ -407,8 +391,11 @@ class TestSchemaValidator:
                 list(_schema_errors(node, probe))
 
     def test_unhandled_keyword_raises(self):
+        # The schema checks shape; a numeric bound belongs to a library owner.
         with pytest.raises(KeyError, match="'pattern' is not supported"):
             list(_schema_errors({"type": "string", "pattern": "x"}, "y"))
+        with pytest.raises(KeyError, match="'minimum' is not supported"):
+            list(_schema_errors({"type": "number", "minimum": 0}, 1))
         with pytest.raises(KeyError, match="'additionalProperties'"):
             list(_schema_errors({"additionalProperties": True}, {}))
 
@@ -422,18 +409,14 @@ class TestSchemaValidator:
         [
             ([], (), "[] is not of type 'object'"),
             ({"b": 1, "a": 2}, (), "Additional properties are not allowed ('a', 'b' were unexpected)"),
-            ({"seed": -1}, ("seed",), "-1 is less than the minimum of 0"),
+            ({"seed": True}, ("seed",), "True is not of type 'integer'"),
             ({"output_dir": ""}, ("output_dir",), "'' should be non-empty"),
             ({"lrs": []}, ("lrs",), "[] should be non-empty"),
             ({"lrs": [0.1, "x"]}, ("lrs", 1), "'x' is not of type 'number'"),
             ({"mixture": {"d": 3}}, ("mixture", "d"), "2 was expected"),
-            (
-                {"source": {"momentum": 1}},
-                ("source", "momentum"),
-                "1 is greater than or equal to the maximum of 1",
-            ),
-            ({"grid": {"step": 0}}, ("grid", "step"), "0 is less than or equal to the minimum of 0"),
-            ({"loss": {"pi": 1.5}}, ("loss", "pi"), "1.5 is greater than the maximum of 1"),
+            ({"source": {"momentum": "1"}}, ("source", "momentum"), "'1' is not of type 'number'"),
+            ({"grid": {"step": None}}, ("grid", "step"), "None is not of type 'number'"),
+            ({"loss": {"pi": [1.5]}}, ("loss", "pi"), "[1.5] is not of type 'number'"),
             ({"loss": {"name": "ce"}}, ("loss", "name"), "'ce' is not one of ['em', 'dem', 'adadem']"),
             ({"stream": {"shifts": [{}]}}, ("stream", "shifts", 0), "'kind' is a required property"),
         ],
@@ -768,11 +751,11 @@ class TestRunCommand:
         (runs,) = calls
         assert len(runs) == 2
         cfg = load_config(str(cfg_path))
-        model, data = prepared_experiment(cfg)
-        factory, sgd = plugin_factory_from(cfg), sgd_config(cfg)
+        model, plan = prepared_experiment(cfg)
+        data, sgd = plan.data, plan.sgd
         for got, lr in zip(runs, (sgd.lr, 0.0)):
             want = demkit.bench.run_protocol(
-                model, data, data.spec.mode, factory, replace(sgd, lr=lr)
+                model, data, data.spec.mode, plan.factory, replace(sgd, lr=lr)
             )
             for name in ("confusion", "sums"):
                 a, b = getattr(got, name), getattr(want, name)
@@ -1202,9 +1185,9 @@ class TestStackedSweeps:
         # exits 3 as search.lr_sweep's NaN baseline rule has it.
         cfg_path = small_config(tmp_path, stream=self.STREAM, lrs=[1e-3, 5e-3])
         cfg = load_config(str(cfg_path))
-        model, data = prepared_experiment(cfg)
-        sgd = sgd_config(cfg)
-        clean = lr_sweep(model, data, plugin_factory_from(cfg), sgd, cfg["lrs"])
+        model, plan = prepared_experiment(cfg)
+        data, sgd = plan.data, plan.sgd
+        clean = lr_sweep(model, data, plan.factory, sgd, cfg["lrs"])
         made = []
 
         class NanForTheFirst:
@@ -1337,7 +1320,8 @@ def test_overflowing_shift_exit_64_before_source_training(tmp_path, capsys, monk
     })
     assert main([command, "--config", str(cfg)]) == EXIT_USAGE
     assert capsys.readouterr().err == (
-        "demkit: rotate2d at magnitude 1e+308, level 5: the effective magnitude is not finite\n"
+        "demkit: stream/shifts/0: rotate2d at magnitude 1e+308, level 5: "
+        "the effective magnitude is not finite\n"
     )
 
 
@@ -1380,38 +1364,65 @@ def test_inputs_that_can_overflow_exit_64_before_source_training(
     monkeypatch.setattr("demkit.cli.build_source_model", fail)
     cfg = small_config(tmp_path, **overrides)
     assert main([command, "--config", str(cfg)]) == EXIT_USAGE
-    assert capsys.readouterr().err == f"demkit: {message}\n"
+    assert capsys.readouterr().err == f"demkit: stream: {message}\n"
 
 
 def test_inputs_with_a_finite_bound_are_drawn_finite(tmp_path, monkeypatch):
     # Huge settings whose bound is finite pass the check, and their
     # inputs are finite.
-    monkeypatch.setattr("demkit.cli.build_source_model", lambda cfg, mix, rng: None)
     for overrides in (
         {"stream": _one_shift({"kind": "feature_scale", "magnitude": 1e306, "level": 5})},
         {"stream": _one_shift({"kind": "feature_noise", "magnitude": 1e306, "level": 5})},
         {"mixture": {"C": 5, "radius": 4.0, "sigma": 1e307}},
     ):
-        _, data = prepared_experiment(load_config(str(small_config(tmp_path, **overrides))))
-        assert all(np.isfinite(X).all() for X, _ in data)
+        plan = experiment_plan(load_config(str(small_config(tmp_path, **overrides))))
+        assert all(np.isfinite(X).all() for X, _ in plan.data)
 
 
 class TestSettingsFailFast:
     """A bad loss, grid or size is refused before source training: with
-    ``prepared_experiment`` failing, the command still exits 2 or 64."""
+    ``build_source_model`` failing, the command still exits 2 or 64."""
 
     @pytest.fixture(autouse=True)
     def no_training(self, monkeypatch):
-        def fail(cfg):
+        def fail(*args):
             raise AssertionError("source training started")
 
-        monkeypatch.setattr("demkit.cli.prepared_experiment", fail)
+        monkeypatch.setattr("demkit.cli.build_source_model", fail)
 
     @pytest.mark.parametrize("command", ["run", "lr-sweep"])
     def test_invalid_dem_config_exit_2(self, tmp_path, capsys, command):
         cfg = small_config(tmp_path, loss={"name": "dem", "tau": 2.0, "alpha": 2.0})
         assert main([command, "--config", str(cfg)]) == EXIT_BAD_HYPERPARAMS
         assert "invalid hyperparameters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "grid-search", "lr-sweep"])
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"loss": {"name": name, "tau": 2.0, "alpha": 2.0}},
+                "loss: invalid hyperparameters tau=2.0, alpha=2.0: "
+                "requires tau > 0 and, for alpha > 0, tau <= 2/alpha = 1",
+            )
+            for name in ("em", "adadem")
+        ] + [
+            (
+                {"grid": {"tau_min": 3.0, "tau_max": 4.0, "alpha_min": 2.0, "alpha_max": 2.0}},
+                "grid: the grid contains no valid (tau, alpha) points",
+            ),
+        ],
+        ids=["em-pair", "adadem-pair", "grid-without-a-valid-point"],
+    )
+    def test_validity_does_not_depend_on_the_command(
+        self, tmp_path, capsys, command, overrides, message
+    ):
+        # By decision: em and adadem read no (tau, alpha), and run and
+        # lr-sweep read no grid, but a config refused on one command is
+        # refused on all three.
+        cfg = small_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg)]) == EXIT_BAD_HYPERPARAMS
+        assert capsys.readouterr().err == f"demkit: {message}\n"
 
     @pytest.mark.parametrize(
         "grid, code, message",
@@ -1438,7 +1449,7 @@ class TestSettingsFailFast:
     def test_bad_grid(self, tmp_path, capsys, grid, code, message):
         cfg = small_config(tmp_path, grid=grid)
         assert main(["grid-search", "--config", str(cfg)]) == code
-        assert capsys.readouterr().err == f"demkit: {message}\n"
+        assert capsys.readouterr().err == f"demkit: grid: {message}\n"
 
     @pytest.mark.parametrize("command", ["run", "grid-search", "lr-sweep"])
     @pytest.mark.parametrize(
@@ -1536,6 +1547,185 @@ class TestSettingsFailFast:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == EXIT_USAGE
         assert "config too large: stream rows" in capsys.readouterr().err
+
+    # One case per numeric bound the schema used to carry: (config
+    # overrides, exit code, stderr message).  Each value is refused by its
+    # library owner, with its config section first, on every command.
+    OUT_OF_RANGE = {
+        "seed": ({"seed": -1}, EXIT_USAGE, "seed: seed must be at least 0, got -1"),
+        "mixture-C": ({"mixture": {"C": 1}}, EXIT_USAGE, "mixture: C must be at least 2, got 1"),
+        "mixture-radius": (
+            {"mixture": {"radius": 0}}, EXIT_USAGE,
+            "mixture: radius must be positive and finite, got 0",
+        ),
+        "mixture-sigma": (
+            {"mixture": {"sigma": -1.0}}, EXIT_USAGE,
+            "mixture: sigma must be positive and finite, got -1.0",
+        ),
+        "source-hidden": (
+            {"source": {"hidden": 0}}, EXIT_USAGE, "source: hidden must be at least 1, got 0"
+        ),
+        "source-epochs": (
+            {"source": {"epochs": -1}}, EXIT_USAGE, "source: epochs must be at least 0, got -1"
+        ),
+        "source-n": ({"source": {"n": 0}}, EXIT_USAGE, "source: n must be at least 1, got 0"),
+        "source-lr": (
+            {"source": {"lr": -0.5}}, EXIT_USAGE,
+            "source: learning rate must be finite and non-negative, got -0.5",
+        ),
+        "source-momentum-below": (
+            {"source": {"momentum": -0.1}}, EXIT_USAGE,
+            "source: momentum must lie in [0, 1), got -0.1",
+        ),
+        "source-momentum-above": (
+            {"source": {"momentum": 1}}, EXIT_USAGE, "source: momentum must lie in [0, 1), got 1"
+        ),
+        "source-batch_size": (
+            {"source": {"batch_size": 0}}, EXIT_USAGE,
+            "source: batch_size must be at least 1, got 0",
+        ),
+        "source-init_scale": (
+            {"source": {"init_scale": -1}}, EXIT_USAGE,
+            "source: init_scale must be finite and non-negative, got -1",
+        ),
+        "stream-level-below": (
+            {"stream": {"shifts": [{"kind": "translate", "level": 0}]}}, EXIT_USAGE,
+            "stream/shifts/0: level must be 1-5, got 0",
+        ),
+        "stream-level-above": (
+            {"stream": {"shifts": [{"kind": "translate"}, {"kind": "translate", "level": 6}]}},
+            EXIT_USAGE, "stream/shifts/1: level must be 1-5, got 6",
+        ),
+        "stream-batches_per_shift": (
+            {"stream": {"batches_per_shift": 0}}, EXIT_USAGE,
+            "stream: batches_per_shift must be at least 1, got 0",
+        ),
+        "stream-batch_size": (
+            {"stream": {"batch_size": 0}}, EXIT_USAGE,
+            "stream: batch_size must be at least 1, got 0",
+        ),
+        "stream-label_rho": (
+            {"stream": {"label_rho": 0.5}}, EXIT_USAGE,
+            "stream: label_rho must be finite and >= 1, got 0.5",
+        ),
+        "optimizer-lr": (
+            {"optimizer": {"lr": -1}}, EXIT_USAGE,
+            "optimizer: learning rate must be finite and non-negative, got -1",
+        ),
+        "optimizer-momentum-below": (
+            {"optimizer": {"momentum": -1}}, EXIT_USAGE,
+            "optimizer: momentum must lie in [0, 1), got -1",
+        ),
+        "optimizer-momentum-above": (
+            {"optimizer": {"momentum": 1.0}}, EXIT_USAGE,
+            "optimizer: momentum must lie in [0, 1), got 1.0",
+        ),
+        "loss-alpha": (
+            {"loss": {"name": "em", "alpha": -1}}, EXIT_BAD_HYPERPARAMS,
+            "loss: invalid hyperparameters tau=1.0, alpha=-1: requires alpha >= 0",
+        ),
+        "loss-pi-zero": (
+            {"loss": {"name": "em", "pi": 0}}, EXIT_USAGE,
+            "loss: momentum pi must lie in (0, 1], got 0",
+        ),
+        "loss-pi-above": (
+            {"loss": {"name": "adadem", "pi": 1.5}}, EXIT_USAGE,
+            "loss: momentum pi must lie in (0, 1], got 1.5",
+        ),
+        "grid-tau_min": (
+            {"grid": {"tau_min": -1}}, EXIT_USAGE,
+            "grid: tau_min must be finite and non-negative, got -1",
+        ),
+        "grid-tau_max": (
+            {"grid": {"tau_max": -1}}, EXIT_USAGE,
+            "grid: grid axis [0.0, -1] at step 0.1: grid bounds are inverted",
+        ),
+        "grid-alpha_min": (
+            {"grid": {"alpha_min": -0.5}}, EXIT_USAGE,
+            "grid: alpha_min must be finite and non-negative, got -0.5",
+        ),
+        "grid-alpha_max": (
+            {"grid": {"alpha_max": -1.0}}, EXIT_USAGE,
+            "grid: grid axis [0.0, -1.0] at step 0.1: grid bounds are inverted",
+        ),
+        "grid-step": (
+            {"grid": {"step": 0}}, EXIT_USAGE,
+            "grid: grid axis [0.0, 2.0] at step 0: step must be positive and finite, got 0",
+        ),
+        "grid-subset_fraction-zero": (
+            {"grid": {"subset_fraction": 0}}, EXIT_USAGE,
+            "grid: subset_fraction must lie in (0, 1], got 0",
+        ),
+        "grid-subset_fraction-above": (
+            {"grid": {"subset_fraction": 1.5}}, EXIT_USAGE,
+            "grid: subset_fraction must lie in (0, 1], got 1.5",
+        ),
+        "lrs": (
+            {"lrs": [1e-3, -1]}, EXIT_USAGE,
+            "lrs/1: learning rate must be finite and non-negative, got -1",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["run", "grid-search", "lr-sweep"])
+    @pytest.mark.parametrize("case", OUT_OF_RANGE)
+    def test_out_of_range_setting_is_refused_by_its_owner(self, tmp_path, capsys, command, case):
+        overrides, code, message = self.OUT_OF_RANGE[case]
+        cfg = small_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg)]) == code
+        assert capsys.readouterr().err == f"demkit: {message}\n"
+
+
+# The sections a refusal of ``experiment_plan`` names first.
+_SECTION = re.compile(r"(seed|mixture|stream/shifts/\d+|stream|source|optimizer|lrs/\d+|loss|grid): ")
+# Values of the right types for each setting: its enum or constant, or extremes.
+_INTEGERS = [0, -1, 10**30]
+_NUMBERS = [0, -1, 1e308, -1e308, 10**30]
+
+
+def _extreme_settings(node=SCHEMA, path=(), value=DEFAULT_CONFIG):
+    """Every ``(path, value)`` that sets one setting of the default config,
+    an entry of a default list included, to a value of its type."""
+    if "properties" in node:
+        for key, sub in node["properties"].items():
+            yield from _extreme_settings(sub, path + (key,), value.get(key, {}) if value else {})
+    elif "items" in node:
+        for i, item in enumerate(value):
+            yield from _extreme_settings(node["items"], path + (i,), item)
+    elif "enum" in node or "const" in node:
+        yield from ((path, v) for v in node.get("enum", [node.get("const")]))
+    else:
+        extremes = {"integer": _INTEGERS, "number": _NUMBERS, "string": []}[node["type"]]
+        yield from ((path, v) for v in extremes)
+
+
+# One to three settings at a time, the rest at their defaults, so that a
+# refusal in an early section seldom hides a later one.
+_EXTREME_CONFIGS = st.lists(st.sampled_from(list(_extreme_settings())), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXTREME_CONFIGS)
+def test_every_config_is_planned_or_refused_naming_its_section(settings_):
+    # Not through load_config: its size bounds refuse only sizes too large
+    # to allocate, and the schema passes every value drawn here.
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    for path, value in settings_:
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    assert list(_schema_errors(SCHEMA, cfg)) == []
+    trained = []
+    with mock.patch("demkit.cli.build_source_model", lambda cfg, plan: trained.append(plan)):
+        try:
+            _, plan = prepared_experiment(cfg)
+        except ValueError as exc:
+            assert _SECTION.match(str(exc)), str(exc)
+            assert trained == []
+            event(f"refused at {_SECTION.match(str(exc))[1]}")
+        else:
+            assert trained == [plan]
+            event("planned")
 
 
 @pytest.mark.parametrize(

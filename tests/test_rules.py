@@ -3,17 +3,22 @@ reaches that check.
 
 The rules and their owners: a grid axis (``search.grid_axis``), the
 temperature ``tau`` (``numkit._positive``, finite and positive), the class
-count ``C`` (``numkit._classes``), every other integer count
-(``numkit._count``), the label ratio ``rho`` (``bench._label_ratio``) and
-the calibrator momentum ``pi`` (``adadem._momentum``).  Each test drives
-every entry point of one rule with NaN, +-inf, 0 and a negative value (a
-count: a value just below its least, -1, a float, a bool and a numpy
-float; the momentum: also a value above 1), and each must refuse it with
-``ValueError`` naming the value.  ``filterwarnings = error`` fails a test
-on any numpy warning raised on the way, too.
+count ``C`` (``numkit._classes``), every other integer count, the seed of
+a config included (``numkit._count``), a learning rate, an init scale and
+a grid's lower bounds (``numkit._nonnegative``, finite and at least 0),
+the DEM weight ``alpha`` (``em_losses.DemConfig``), the label ratio ``rho``
+(``bench._label_ratio``) and the calibrator momentum ``pi``
+(``adadem._momentum``).  Each test drives every entry point of one rule,
+the CLI's ``experiment_plan`` among them where a config setting reaches
+the rule, with NaN, +-inf and a negative value, and with 0 where 0 breaks
+the rule (a count: a value just below its least, -1, a float, a bool and
+a numpy float; the momentum: also a value above 1), and each must refuse
+it with ``ValueError`` naming the value.  ``filterwarnings = error`` fails
+a test on any numpy warning raised on the way, too.
 """
 
 import ast
+import copy
 import importlib.util
 import math
 import re
@@ -25,7 +30,7 @@ import pytest
 
 import demkit
 from demkit import cli
-from demkit.adadem import mec_init
+from demkit.adadem import MecState, mec_init
 from demkit.bench import MixtureSpec, ShiftSpec, StreamSpec, long_tail_priors, sample_batch
 from demkit.em_losses import (
     ConfigError,
@@ -33,6 +38,7 @@ from demkit.em_losses import (
     boundary_second_derivative,
     cadf_tempered_eval,
     reward_curve,
+    validate_config,
 )
 from demkit.model import AdaDemPlugin, SgdConfig, init_linear, init_mlp, train_source
 from demkit.numkit import Rng
@@ -48,9 +54,20 @@ def _message(text: str):
     return pytest.raises(ValueError, match=re.escape(text))
 
 
+def _planned(section: str, key: str | None, value):
+    """``cli.experiment_plan`` of the default config with ``value`` at
+    ``section``'s ``key`` (a top-level setting when ``key`` is None)."""
+    cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+    if key is None:
+        cfg[section] = value
+    else:
+        cfg[section][key] = value
+    return cli.experiment_plan(cfg)
+
+
 GRID_CASES = [(0.0, 2.0, step, "step must be positive and finite") for step in BAD_FLOATS] + [
-    # numpy-scalar bounds whose difference overflows to an infinite count
-    (np.float64(-1e308), np.float64(1e308), np.float64(0.1),
+    # numpy-scalar bounds whose span over the step overflows to an infinite count
+    (np.float64(0.0), np.float64(1e308), np.float64(0.1),
      f"the grid has more than {GRID_MAX_POINTS} points"),
 ]
 
@@ -115,12 +132,60 @@ def test_label_ratio_rule(rho):
 
 @pytest.mark.parametrize("pi", BAD_FLOATS + [1.5], ids=BAD_IDS + ["above-one"])
 def test_momentum_rule(pi):
-    # The plugin refuses a bad pi when it is built, not at its first batch.
+    # The plugin refuses a bad pi when it is built, not at its first batch,
+    # and a calibrator built directly refuses it too.
     refused = f"momentum pi must lie in (0, 1], got {pi}"
     with _message(refused):
         mec_init(3, pi)
     with _message(refused):
+        MecState(np.full((3, 3), 1 / 3), pi)
+    with _message(refused):
         AdaDemPlugin(pi)
+    with _message(f"loss: {refused}"):
+        _planned("loss", "pi", pi)
+
+
+NONNEGATIVE = [math.nan, math.inf, -math.inf, -1.0]
+NONNEGATIVE_IDS = ["nan", "inf", "-inf", "negative"]
+
+# (setting as the refusal names it, an entry point taking it)
+NONNEGATIVE_ENTRY_POINTS = {
+    "SgdConfig-lr": ("learning rate", SgdConfig),
+    "init_mlp-scale": ("scale", lambda v: init_mlp(3, 2, 4, Rng(0), v)),
+    "init_linear-scale": ("scale", lambda v: init_linear(3, 2, Rng(0), v)),
+    "GridSpec-tau_min": ("tau_min", lambda v: GridSpec(v, 2.0, 0.0, 2.0, 0.1, 1.0)),
+    "GridSpec-alpha_min": ("alpha_min", lambda v: GridSpec(0.1, 2.0, v, 2.0, 0.1, 1.0)),
+    "plan-source-lr": ("source: learning rate", lambda v: _planned("source", "lr", v)),
+    "plan-source-init_scale": ("source: init_scale", lambda v: _planned("source", "init_scale", v)),
+    "plan-optimizer-lr": ("optimizer: learning rate", lambda v: _planned("optimizer", "lr", v)),
+    "plan-lrs": ("lrs/0: learning rate", lambda v: _planned("lrs", None, [v])),
+    "plan-grid-tau_min": ("grid: tau_min", lambda v: _planned("grid", "tau_min", v)),
+    "plan-grid-alpha_min": ("grid: alpha_min", lambda v: _planned("grid", "alpha_min", v)),
+}
+
+
+@pytest.mark.parametrize("entry", NONNEGATIVE_ENTRY_POINTS)
+def test_nonnegative_rule(entry):
+    name, call = NONNEGATIVE_ENTRY_POINTS[entry]
+    for value in NONNEGATIVE:
+        with _message(f"{name} must be finite and non-negative, got {value}"):
+            call(value)
+    call(0.0)
+
+
+@pytest.mark.parametrize("alpha", NONNEGATIVE, ids=NONNEGATIVE_IDS)
+def test_alpha_rule(alpha):
+    # A ConfigError (exit 2), whatever the loss the config names.
+    need = "requires alpha >= 0" if alpha == -1.0 else "requires finite tau and alpha"
+    refused = f"invalid hyperparameters tau=1.0, alpha={alpha}: {need}"
+    assert not validate_config(1.0, alpha)
+    with pytest.raises(ConfigError, match=re.escape(refused)):
+        DemConfig(1.0, alpha)
+    with pytest.raises(ConfigError, match=re.escape(f"loss: {refused}")):
+        _planned("loss", "alpha", alpha)
+    assert validate_config(1.0, 0.0)
+    DemConfig(1.0, 0.0)
+    _planned("loss", "alpha", 0.0)
 
 
 def _train(**counts):
@@ -157,6 +222,7 @@ COUNT_ENTRY_POINTS = {
     ),
     "sample_batch-n": ("n", 1, lambda v: sample_batch(MIX, np.full(3, 1 / 3), v, Rng(0))),
     "gradcheck-trials": ("--trials", 1, _gradcheck),
+    "plan-seed": ("seed", 0, lambda v: _planned("seed", None, v)),
 }
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from demkit.cli import jround, load_config, main
+from demkit.cli import experiment_plan, jround, load_config, main
 from demkit.search import GridResult, LrSweepResult, TrialResult, grid_search
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,7 +74,7 @@ def test_each_seed_runs_the_shipped_config_with_only_the_seed_replaced(
 
     def recording(cfg):
         seen.append(copy.deepcopy(cfg))
-        return "model", "data"
+        return "model", experiment_plan(cfg)
 
     point = TrialResult(1.0, 1.0, True, 0.5)
     monkeypatch.setattr(script, "prepared_experiment", recording)

@@ -89,14 +89,27 @@ class TestGridSpec:
     @pytest.mark.parametrize(
         "lo, hi",
         [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0),
-         (math.inf, math.inf), (-1.7976931348623157e308, 1.7976931348623157e308)],
-        ids=["nan-max", "nan-min", "inf-max", "inf-min", "inf-both", "overflowing-range"],
+         (math.inf, math.inf), (-1.7976931348623157e308, 1.7976931348623157e308),
+         (np.float64(-1e308), np.float64(1e308))],
+        ids=["nan-max", "nan-min", "inf-max", "inf-min", "inf-both", "overflowing-range",
+             "numpy-overflowing-range"],
     )
     def test_axis_without_a_finite_count_is_refused(self, lo, hi):
         # grid_axis(0.0, nan, 0.1) used to raise "cannot convert float NaN
         # to integer", and an infinite count an OverflowError.
         with pytest.raises(ValueError, match=re.escape(f"grid axis [{lo}, {hi}] at step 0.1:")):
             grid_axis(lo, hi, 0.1)
+
+    @pytest.mark.parametrize(
+        "lo, hi, step, expected",
+        [(0, 2, 10**30, [0.0]), (10**30, 10**30, 1, [1e30]), (0, 2, 1, [0.0, 1.0, 2.0])],
+        ids=["step", "bounds", "small"],
+    )
+    def test_integer_settings_give_float_points(self, lo, hi, step, expected):
+        # A JSON integer setting past int64 scaled an int64 range and
+        # raised numpy's OverflowError.
+        axis = grid_axis(lo, hi, step)
+        assert axis.dtype == np.float64 and axis.tolist() == expected
 
     def test_point_count_bound_counts_the_listed_points(self, monkeypatch):
         # step 0.6 on [0, 1] lists 2 x 2 points; a rounded count said 3 x 3.
@@ -117,6 +130,9 @@ class TestGridSpec:
             _grid(subset_fraction=1.1)
         with pytest.raises(ValueError):
             _grid(tau_min=2.0, tau_max=1.0)
+        for bound in ("tau_min", "alpha_min"):
+            with pytest.raises(ValueError, match=f"{bound} must be finite and non-negative"):
+                _grid(**{bound: -0.5})
         _grid(subset_fraction=1.0)  # full-data scoring is legal
 
     @pytest.mark.parametrize("step", [5e-324, 1e-300, 1e-4])
