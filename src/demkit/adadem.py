@@ -123,7 +123,7 @@ def delta(z) -> float:
     z = as_vector(z, min_len=2)
     p = _softmax(z)
     s = float(np.dot(p, z))
-    return math.fsum(abs(x) for x in (p * (z + 1.0 - s)).tolist())
+    return math.fsum(np.abs(p * (z + 1.0 - s)).tolist())
 
 
 def _momentum(pi: float) -> float:

@@ -99,6 +99,11 @@ MAX_CLASSES = 1_000
 MAX_HIDDEN = 1_024
 MAX_SOURCE_ROWS = 1_000_000
 MAX_STREAM_ROWS = 1_000_000
+# The largest array one batch implies, ``rows x max(C, hidden)`` floats
+# (128 MiB): the shipped configs' 64-row batches of 32 hidden units are
+# 2,048.  Each bound above may hold while their product does not: 1,000
+# classes in one batch of 1,000,000 rows is 8 GB of logits.
+MAX_BATCH_FLOATS = 2**24
 
 
 def fmt9(x: float) -> str:
@@ -434,15 +439,27 @@ def load_config(path: str) -> dict:
 
 
 def _check_sizes(cfg: dict) -> None:
-    s = cfg["stream"]
+    s, src = cfg["stream"], cfg["source"]
+    width = max(cfg["mixture"]["C"], src["hidden"])
+    wide = "max(mixture/C, source/hidden)"
     sizes = (
         ("mixture/C", cfg["mixture"]["C"], MAX_CLASSES),
-        ("source/hidden", cfg["source"]["hidden"], MAX_HIDDEN),
-        ("source/n", cfg["source"]["n"], MAX_SOURCE_ROWS),
+        ("source/hidden", src["hidden"], MAX_HIDDEN),
+        ("source/n", src["n"], MAX_SOURCE_ROWS),
         (
             "stream rows (shifts x batches_per_shift x batch_size)",
             len(s["shifts"]) * s["batches_per_shift"] * s["batch_size"],
             MAX_STREAM_ROWS,
+        ),
+        (
+            f"stream batch array (stream/batch_size x {wide})",
+            s["batch_size"] * width,
+            MAX_BATCH_FLOATS,
+        ),
+        (
+            f"source batch array (min(source/batch_size, source/n) x {wide})",
+            min(src["batch_size"], src["n"]) * width,
+            MAX_BATCH_FLOATS,
         ),
     )
     for name, size, bound in sizes:
@@ -609,18 +626,17 @@ def _gradcheck_cases(rng: Rng, trials: int):
 def _frozen_adadem(Z: np.ndarray, P: np.ndarray, warm: np.ndarray):
     """AdaDEM's logit gradients of ``Z``'s rows, with their constants.
 
-    A fresh calibrator warms up on the ``warm`` rows, the step runs on a
-    copy of it, and replaying the step's update freezes what AdaDEM holds
-    constant under differentiation: returns the gradients, the MEC rows
-    ``table[argmax P]`` and the floored deltas, one per row of ``Z``.
+    A fresh calibrator warms up on the ``warm`` rows and then takes the
+    analytic step on ``Z``.  What AdaDEM holds constant under
+    differentiation is the calibrator as it stands after that step:
+    returns the gradients, its MEC rows ``table[argmax P]`` and the
+    floored deltas, one per row of ``Z``.
     """
     state = _ad.mec_init(Z.shape[1], DEFAULT_CONFIG["loss"]["pi"])
     _ad.adadem_rows(warm, _softmax_rows(warm), state)
-    grads = _ad.adadem_rows(Z, P, state.copy())
-    labels = np.argmax(P, axis=1)
-    _ad.mec_update(state, P, labels)
+    grads = _ad.adadem_rows(Z, P, state)
     deltas = np.maximum(np.asarray([_ad.delta(z) for z in Z]), _ad.DELTA_FLOOR)
-    return grads, state.table[labels], deltas
+    return grads, state.table[np.argmax(P, axis=1)], deltas
 
 
 def _ce_grads(Z: np.ndarray, targets) -> np.ndarray:
@@ -634,7 +650,9 @@ def _end_to_end_cases(rng: Rng):
     """Parameter-space gradient checks, one per model and loss: a loss maps a
     batch's logits and probabilities to its logit gradients and the per-row
     values they differentiate, checked by ``finite_diff_grad``'s kernel over
-    ``theta``, each value computed on a copy of the model."""
+    ``theta``.  Each case validates ``X`` once, in its ``forward``; every
+    perturbed value then runs the kernel ``model._forward`` on one
+    workspace over a copy of ``theta``."""
     C, d, h, n = 4, 3, 5, 6
     X = (rng.uniforms(n * d).reshape(n, d) - 0.5) * 4.0
     targets = rng.integers(n, 0, C)
@@ -664,11 +682,12 @@ def _end_to_end_cases(rng: Rng):
         for lname, loss in losses.items():
             Z = _model.forward(model, X)
             grads, values = loss(Z, _softmax_rows(Z))
-            probe = model.copy()
+            probe = model.theta.copy()
+            ws = _model._Workspace(model, n, probe)
 
             def objective(theta):
-                probe.theta[:] = theta
-                return float(np.mean(values(_model.forward(probe, X))))
+                probe[:] = theta
+                return float(np.mean(values(_model._forward(X, ws))))
 
             oracle = _central_differences(objective, model.theta, 1e-5)
             yield f"{mname}/{lname}", _model.backward(model, X, grads), oracle
@@ -677,13 +696,14 @@ def _end_to_end_cases(rng: Rng):
 def cmd_gradcheck(args) -> None:
     _count(args.trials, "--trials", 1)
     rng = Rng(args.seed)
-    # np.maximum keeps a NaN error, which fails the check below; the
-    # builtin max(0.0, nan) would drop it.
+    # A NaN error is kept, and fails the check below; the builtin
+    # max(0.0, nan) would drop it.
     worst: dict[str, float] = {}
     for name, analytic, oracle in itertools.chain(
         _gradcheck_cases(rng, args.trials), _end_to_end_cases(rng.derive("end-to-end"))
     ):
-        worst[name] = float(np.maximum(worst.get(name, 0.0), rel_err(analytic, oracle)))
+        err, was = rel_err(analytic, oracle), worst.get(name, 0.0)
+        worst[name] = err if err > was or math.isnan(err) else was
 
     failed = []
     for name in sorted(worst):

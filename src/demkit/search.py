@@ -71,7 +71,7 @@ class GridSpec:
         n_tau = len(grid_axis(self.tau_min, self.tau_max, self.step))
         if n_tau * len(grid_axis(self.alpha_min, self.alpha_max, self.step)) > GRID_MAX_POINTS:
             raise ValueError(f"the grid has more than {GRID_MAX_POINTS} points")
-        if not any(ok for _, _, ok in grid_points(self)):
+        if not any(ok for _, _, ok in _points(self)):
             raise ConfigError("the grid contains no valid (tau, alpha) points")
 
 
@@ -147,9 +147,15 @@ def grid_points(grid: GridSpec) -> list:
     tau = 0 rows are dropped outright (no temperature to evaluate);
     remaining validity is decided by ``validate_config`` alone.
     """
+    return list(_points(grid))
+
+
+def _points(grid: GridSpec):
+    """The triples of :func:`grid_points`, one at a time, so that
+    ``GridSpec``'s check can stop at the first valid one."""
     taus = [float(tau) for tau in grid_axis(grid.tau_min, grid.tau_max, grid.step) if tau > 0.0]
     alphas = list(map(float, grid_axis(grid.alpha_min, grid.alpha_max, grid.step)))
-    return [(tau, alpha, validate_config(tau, alpha)) for tau in taus for alpha in alphas]
+    return ((tau, alpha, validate_config(tau, alpha)) for tau in taus for alpha in alphas)
 
 
 def grid_search(model, data, grid: GridSpec, sgd: SgdConfig) -> GridResult:

@@ -586,8 +586,8 @@ class TestGradcheckCommand:
         assert len(public) == 15
 
     def test_the_end_to_end_cases_never_write_a_model(self, monkeypatch):
-        # Each value runs on a copy of the model, so each model's theta can
-        # be read-only.  An oracle that perturbed the model itself could
+        # Each value runs on a copy of the model's theta, so each model's
+        # theta can be read-only.  An oracle that perturbed the model itself could
         # put back the same bits afterwards, so the bytes alone would not
         # show it.
         from demkit import cli
@@ -610,6 +610,41 @@ class TestGradcheckCommand:
             names.append(name)
             assert [m.theta.tobytes() for m, _ in made] == [b for _, b in made], name
         assert len(made) == 2 and len(names) == 8
+
+    @pytest.mark.parametrize("n", [1, 6])
+    @pytest.mark.parametrize("C", range(2, 9))
+    def test_frozen_adadem_has_the_bits_of_a_replayed_step(self, C, n):
+        # The oracle reads its constants from the calibrator the analytic
+        # step has just updated.  The reference, ``replayed``, is the
+        # earlier version: the step ran on a copy, and the checked
+        # mec_update replayed it on the original.  Both run _mec_update on
+        # the same P and labels, so every output keeps its bits.
+        from demkit import adadem as ad
+        from demkit.cli import _frozen_adadem
+        from demkit.numkit import Rng, _softmax, _softmax_rows
+
+        def scalar_delta(z):
+            p = _softmax(z)
+            s = float(np.dot(p, z))
+            return math.fsum(abs(x) for x in (p * (z + 1.0 - s)).tolist())
+
+        def replayed(Z, P, warm):
+            state = ad.mec_init(Z.shape[1], DEFAULT_CONFIG["loss"]["pi"])
+            ad.adadem_rows(warm, _softmax_rows(warm), state)
+            grads = ad.adadem_rows(Z, P, state.copy())
+            labels = np.argmax(P, axis=1)
+            ad.mec_update(state, P, labels)
+            deltas = np.maximum(np.asarray([scalar_delta(z) for z in Z]), ad.DELTA_FLOOR)
+            return grads, state.table[labels], deltas
+
+        rng = Rng(100 * C + n)
+        for _ in range(20):
+            Z = (rng.uniforms(n * C).reshape(n, C) - 0.5) * 16.0
+            warm = (rng.uniforms(3 * C).reshape(3, C) - 0.5) * 10.0
+            P = _softmax_rows(Z)
+            got, want = _frozen_adadem(Z, P, warm), replayed(Z, P, warm)
+            assert [a.shape for a in got] == [(n, C), (n, C), (n,)]
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
 
     def test_corrupted_gradient_fails_with_exit_3(self, monkeypatch, capsys):
         from demkit import cli
@@ -1464,8 +1499,21 @@ class TestSettingsFailFast:
                 "stream rows (shifts x batches_per_shift x batch_size) is 1000002,"
                 " more than 1000000",
             ),
+            (
+                # Every other bound holds; the logits alone would take 8 GB.
+                {"mixture": {"C": 1000},
+                 "stream": {"shifts": [{"kind": "translate"}], "batches_per_shift": 1,
+                            "batch_size": 10**6}},
+                "stream batch array (stream/batch_size x max(mixture/C, source/hidden))"
+                " is 1000000000, more than 16777216",
+            ),
+            (
+                {"source": {"hidden": 1024, "n": 10**6, "batch_size": 10**6}},
+                "source batch array (min(source/batch_size, source/n) x"
+                " max(mixture/C, source/hidden)) is 1024000000, more than 16777216",
+            ),
         ],
-        ids=["classes", "hidden", "source-rows", "stream-rows"],
+        ids=["classes", "hidden", "source-rows", "stream-rows", "stream-batch", "source-batch"],
     )
     def test_oversized_config_exit_64(self, tmp_path, capsys, command, overrides, message):
         cfg = small_config(tmp_path, **overrides)
@@ -1536,6 +1584,23 @@ class TestSettingsFailFast:
             ours = _sorted_errors(_schema_errors(SCHEMA, config))
             assert ours == _jsonschema_errors(config)
             assert all(len(m) < 160 for _, m in ours)
+
+    @pytest.mark.parametrize("rows, loads", [(2**14, True), (2**14 + 1, False)])
+    def test_one_batch_at_the_bound_loads(self, tmp_path, rows, loads):
+        # 2**14 rows of 1,024 hidden units is 2**24 floats, the bound
+        # itself.  The source batch is min(batch_size, n) rows: a
+        # batch_size above n asks for no larger array than n.
+        path = small_config(
+            tmp_path,
+            source={"hidden": 1024, "n": rows, "batch_size": 10**6},
+            stream={"shifts": [{"kind": "translate"}], "batches_per_shift": 1,
+                    "batch_size": rows},
+        )
+        if loads:
+            assert load_config(str(path))["stream"]["batch_size"] == rows
+        else:
+            with pytest.raises(UsageError, match=r"^config too large: stream batch array"):
+                load_config(str(path))
 
     def test_shipped_config_with_a_huge_stream_exit_64(self, tmp_path, capsys):
         # This config used to end in numpy's "Unable to allocate 931. TiB"

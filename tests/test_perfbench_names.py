@@ -9,10 +9,12 @@ run.  This test reads both files, so the suite fails on such a change too.
 
 The benchmark also checks each command's output against
 ``perfbench/reference.json``; the ``gradcheck`` workload's stdout is
-checked here at two of its seeds, so a moved byte fails the suite, not
-only the benchmark's ``correct`` flag.  Every demkit import in the
-benchmark's files must resolve as well: ``perfbench/test_perfbench.py``
-imports names inside its tests, which this suite does not run.
+checked here at two of its seeds, and every output of the two protocol
+workloads at seed 0 (about 4 s of the suite on a 2-core Xeon), so a moved
+byte fails the suite, not only the benchmark's ``correct`` flag.  Every
+demkit import in the benchmark's files must resolve as well:
+``perfbench/test_perfbench.py`` imports names inside its tests, which this
+suite does not run.
 """
 
 import ast
@@ -136,4 +138,26 @@ def test_gradcheck_stdout_matches_the_benchmark_reference(seed, capsys):
     assert digest == reference["digests"][workload.name][str(seed)]["stdout"], (
         f"gradcheck {' '.join(workload.args)} differs from the digest recorded on"
         f" {reference['recorded_on']}"
+    )
+
+
+@pytest.mark.parametrize("name", ["grid-continual-dem", "lrsweep-adadem-long"])
+def test_protocol_workload_outputs_match_the_benchmark_reference(name, tmp_path, capsys):
+    """The command's stdout and every file it writes, at seed 0, against
+    the digests the benchmark checks, with ``output_dir`` under ``tmp_path``
+    as the benchmark's runner sets it in a fresh directory."""
+    from demkit import cli
+
+    workload = _load("workloads").make(name, 0)
+    out_dir = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**workload.config, "output_dir": str(out_dir)}))
+    assert cli.main([workload.command, "--config", str(config)]) == cli.EXIT_OK
+    outputs = {"stdout": capsys.readouterr().out.encode()}
+    outputs.update((path.name, path.read_bytes()) for path in sorted(out_dir.iterdir()))
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    assert {
+        output: hashlib.sha256(data).hexdigest() for output, data in outputs.items()
+    } == reference["digests"][name]["0"], (
+        f"{name} at seed 0 differs from the digests recorded on {reference['recorded_on']}"
     )

@@ -272,6 +272,30 @@ class TestGridSearch:
         with pytest.raises(ConfigError, match="no valid"):
             _grid(tau_min=3.0, tau_max=4.0, alpha_min=2.0, alpha_max=2.0, step=0.5)
 
+    def test_the_validity_check_lists_no_grid(self, monkeypatch):
+        # The check stops at the first valid point: the default grid's
+        # first point, (0.1, 0.0), is valid, so one validate_config call
+        # decides it, and grid_points, which lists every point, is never
+        # called.
+        import demkit.search as search
+
+        def refused(grid):
+            raise AssertionError("the validity check listed the grid")
+
+        calls = []
+
+        def counted(tau, alpha):
+            calls.append((tau, alpha))
+            return validate_config(tau, alpha)
+
+        monkeypatch.setattr(search, "grid_points", refused)
+        monkeypatch.setattr(search, "validate_config", counted)
+        _grid()
+        assert calls == [(0.1, 0.0)]
+        with pytest.raises(ConfigError, match="no valid"):
+            _grid(tau_min=3.0, tau_max=4.0, alpha_min=2.0, alpha_max=2.0, step=0.5)
+        assert len(calls) == 1 + 3
+
     def test_table_rows_are_trial_results_in_grid_order(self, monkeypatch):
         _, table, *_ = _grid_search(monkeypatch, lambda t, a: t + a, _grid(step=1.0))
         assert all(isinstance(r, TrialResult) for r in table)
