@@ -71,8 +71,10 @@ class MecState:
     over samples pseudo-labeled k, updated with momentum ``pi`` (new
     observations weighted ``pi``, history ``1 - pi``).  Rows start at the
     uniform distribution and remain on the simplex because every update
-    is a convex combination of simplex vectors.  A table that is not
-    square, or a ``pi`` outside (0, 1], raises ``ValueError``.
+    is a convex combination of simplex vectors.  The table is held as
+    ``numkit.as_matrix`` gives it, float64 (a float64 array is kept, not
+    copied); a table that is not square or not finite, or a ``pi`` outside
+    (0, 1], raises ``ValueError``.
     """
 
     table: np.ndarray
@@ -83,6 +85,7 @@ class MecState:
         shape = np.shape(self.table)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"the calibrator table must be C x C, got shape {shape}")
+        self.table = as_matrix(self.table)
 
     @property
     def C(self) -> int:

@@ -265,9 +265,12 @@ def long_tail_priors(C: int, rho: float) -> np.ndarray:
 def sample_batch(mix: MixtureSpec, priors, n: int, rng: Rng):
     """Draw ``n`` labeled points: label from ``priors``, feature from the
     label's Gaussian.  ``n`` must be an integer of at least 1
-    (``numkit._count``; ``ValueError`` otherwise)."""
+    (``numkit._count``) and ``priors`` hold one probability per class of
+    ``mix`` (``ValueError`` otherwise)."""
     _count(n, "n", 1)
     priors = as_vector(priors)
+    if priors.shape[0] != mix.C:
+        raise ValueError(f"need one prior per class, {mix.C}, got {priors.shape[0]}")
     y = rng.categorical(priors, n)
     X = mix.means[y] + mix.sigma * rng.normals(n * mix.d).reshape(n, mix.d)
     return X, y

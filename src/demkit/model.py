@@ -13,13 +13,12 @@ views are its weight matrices and biases; gradients and SGD velocity are
 laid out like it.  ``K`` models of one architecture stack as the rows of
 a ``(K, P)`` array.  ``_step_loop`` is the one step loop: per batch the
 forward pass, a writer of the logit gradients, the backward pass and one
-``sgd_step`` per model.  ``train_source`` runs it with the cross-entropy
-kernel ``_ce_rows`` through the stack trainer ``_train_stack``, which
-can also fit ``K`` sources on their own data at once; ``adapt_stream``
-runs it over one shift of unlabeled batches, where the caller's hook
-scores the predictions and each model's loss plugin (classical EM,
-decoupled EM, or AdaDEM, whose calibrator state lives through the
-stream) writes its gradients.
+``sgd_step`` per model.  ``train_source`` runs it on one model with the
+cross-entropy kernel ``_ce_rows``; ``adapt_stream`` runs it on a stack
+over one shift of unlabeled batches, where the caller's hook scores the
+predictions and each model's loss plugin (classical EM, decoupled EM,
+or AdaDEM, whose calibrator state lives through the stream) writes its
+gradients.
 
 Validation follows :mod:`demkit.numkit`: the public functions validate
 their input once and hand it to the private kernels ``_forward`` and
@@ -251,8 +250,7 @@ def _forward(X: np.ndarray, ws: _Workspace) -> np.ndarray:
 def _backward(X: np.ndarray, dlogits: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Kernel of :func:`backward`: the flat gradient, written into ``ws.g``
     (returned).  ``ws`` holds what ``_forward(X, ws)`` wrote; ``dlogits``
-    may be ``ws.G`` itself.  On a stack ``X`` is one ``n x d`` batch, or
-    ``K x n x d``, one per model.
+    may be ``ws.G`` itself.  On a stack ``X`` is one ``n x d`` batch.
 
     The head's gradients read the activations first; the hidden gradient
     then takes their buffer.  A stack's output-bias gradient is summed
@@ -432,43 +430,41 @@ def _step_loop(batches, write) -> None:
             sgd_step(theta, g, cfg, state)
 
 
-def _train_stack(model, theta, X, y, epochs: int, cfg: SgdConfig, rngs, batch_size: int) -> None:
-    """Source training of the models whose parameters are ``theta``, in
-    place: the unchecked kernel of :func:`train_source`.
+def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int):
+    """Mini-batch supervised training on labeled data; returns the model.
 
-    ``theta`` is one vector laid out like ``model.theta``, with ``X`` an
-    ``n x d`` matrix, ``y`` its labels and one generator in ``rngs``; or
-    a C-contiguous ``(K, P)`` stack, with ``X`` of shape ``(K, n, d)``,
-    ``y`` of ``(K, n)`` and ``K`` generators.  Each epoch, each model
-    shuffles its rows with its generator into one buffer, and each row's
-    target into its flat position in its batch's ``ws.G`` (no ``n x C``
-    array); then :func:`_step_loop` steps each model once per batch of
+    Shuffles with the supplied generator each epoch, so a fixed seed
+    yields bit-identical parameters; ``epochs = 0`` leaves the model
+    unchanged.  ``X``, ``y`` (an integer label in ``[0, C)`` per row) and
+    the integer counts ``batch_size >= 1`` and ``epochs >= 0``
+    (``numkit._count``) are validated once (``ValueError``).  Each epoch
+    shuffles the rows into one buffer, and each row's target into its
+    flat position in its batch's ``ws.G`` (no ``n x C`` array); then
+    :func:`_step_loop` steps ``model.theta`` in place once per batch of
     ``batch_size`` rows, a short one last, with :func:`_ce_rows`, ``cfg``
-    and the model's own :class:`SgdState`, giving each the bits of its
-    own one-model call.  A non-finite parameter at an epoch's end raises
-    ``FloatingPointError`` naming the epoch, and on a stack the model.
+    and one :class:`SgdState`.  A non-finite parameter at an epoch's end
+    raises ``FloatingPointError`` naming the epoch.
     """
-    lead, n, C, K = theta.shape[:-1], X.shape[-2], model.C, len(rngs)
-    size = min(batch_size, n)
+    _count(batch_size, "batch_size", 1)
+    _count(epochs, "epochs", 0)
+    X = _validated_input(model, X)
+    n = X.shape[0]
+    if n == 0:
+        raise ValueError("empty training set")
+    y = validated_labels(y, (n,), model.C)
+    theta, size = model.theta, min(batch_size, n)
     full = _Workspace(model, size, theta)
     last = _Workspace(model, n % size, theta) if n % size else full
     # Row i of an epoch's order sits at row i % size of its batch, whose
-    # logits start at flat position (i % size) * C of the batch's G; on a
-    # stack, model k's start k * rows * C later, rows being the batch's.
-    slots = np.arange(n) % size * C
-    if lead:
-        rows = np.minimum(size, n - np.arange(n) // size * size)
-        slots = slots + np.arange(K)[:, None] * rows * C
-    Xo, hot = np.empty(X.shape), np.empty(slots.shape, np.intp)
-    shuffles = list(zip(rngs, X.reshape(K, n, -1), Xo.reshape(K, n, -1),
-                        y.reshape(K, n), slots.reshape(K, n), hot.reshape(K, n)))
-    # Per workspace, its flat G and each model's step on it; per batch, its
+    # logits start at flat position (i % size) * C of the batch's G.
+    slots = np.arange(n) % size * model.C
+    Xo, hot = np.empty(X.shape), np.empty(n, np.intp)
+    # Per workspace, its flat G and the model's step on it; per batch, its
     # rows of Xo, its workspace and its rows of hot.
-    states = [SgdState() for _ in range(K)]
-    per_ws = {ws: (ws.G.reshape(-1), list(zip(theta.reshape(K, -1), ws.g.reshape(K, -1),
-                                             [cfg] * K, states))) for ws in (full, last)}
-    batches = [(Xo[..., start : start + size, :], full if start + size <= n else last,
-                hot[..., start : start + size]) for start in range(0, n, size)]
+    state = SgdState()
+    per_ws = {ws: (ws.G.reshape(-1), [(theta, ws.g, cfg, state)]) for ws in (full, last)}
+    batches = [(Xo[start : start + size], full if start + size <= n else last,
+                hot[start : start + size]) for start in range(0, n, size)]
 
     def write(i, ws, targets):
         flat, steps = per_ws[ws]
@@ -477,34 +473,12 @@ def _train_stack(model, theta, X, y, epochs: int, cfg: SgdConfig, rngs, batch_si
 
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
-            for rng, Xk, Xo_k, yk, slots_k, hot_k in shuffles:
-                order = rng.permutation(n)
-                np.take(Xk, order, axis=0, out=Xo_k)
-                np.add(slots_k, yk[order], out=hot_k)
+            order = rng.permutation(n)
+            np.take(X, order, axis=0, out=Xo)
+            np.add(slots, y[order], out=hot)
             _step_loop(batches, write)
-            finite = np.isfinite(theta).all(axis=-1)
-            if not finite.all():
-                model_k = f" of model {np.argmin(finite)}" if lead else ""
-                raise FloatingPointError(f"source training diverged in epoch {epoch}{model_k}")
-
-
-def train_source(model, X, y, epochs: int, cfg: SgdConfig, rng, batch_size: int):
-    """Mini-batch supervised training on labeled data; returns the model.
-
-    Shuffles with the supplied generator each epoch, so a fixed seed
-    yields bit-identical parameters; ``epochs = 0`` leaves the model
-    unchanged.  ``X``, ``y`` (an integer label in ``[0, C)`` per row) and
-    the integer counts ``batch_size >= 1`` and ``epochs >= 0``
-    (``numkit._count``) are validated once (``ValueError``); then
-    :func:`_train_stack` steps ``model.theta``.
-    """
-    _count(batch_size, "batch_size", 1)
-    _count(epochs, "epochs", 0)
-    X = _validated_input(model, X)
-    if X.shape[0] == 0:
-        raise ValueError("empty training set")
-    y = validated_labels(y, X.shape[:1], model.C)
-    _train_stack(model, model.theta, X, y, epochs, cfg, [rng], batch_size)
+            if not np.isfinite(theta).all():
+                raise FloatingPointError(f"source training diverged in epoch {epoch}")
     return model
 
 

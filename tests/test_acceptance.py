@@ -59,8 +59,8 @@ from demkit.model import (
     DivergenceError,
     EmPlugin,
     SgdConfig,
-    _train_stack,
     init_mlp,
+    train_source,
 )
 from demkit.numkit import Rng, rel_err, softmax_rows
 from demkit.search import GridSpec, grid_search, lr_sweep
@@ -92,20 +92,17 @@ CONTINUAL = StreamSpec(
 
 @pytest.fixture(scope="module")
 def sources():
-    """The three source models, trained in one stack: each model gets the
-    bits of its own ``train_source`` call on its own data and generators."""
-    mix, rngs = MIXTURE, [Rng(seed) for seed in SEEDS]
-    priors = np.full(mix.C, 1.0 / mix.C)
-    data = [sample_batch(mix, priors, 5000, rng.derive("source-data")) for rng in rngs]
-    models = [init_mlp(mix.C, mix.d, 32, rng.derive("source-init"), 0.5) for rng in rngs]
-    theta = np.stack([model.theta for model in models])
-    _train_stack(
-        models[0], theta, np.stack([X for X, _ in data]), np.stack([y for _, y in data]), 300,
-        SgdConfig(lr=0.05, momentum=0.9), [rng.derive("source-train") for rng in rngs], 64,
-    )
-    for model, row in zip(models, theta):
-        model.theta[:] = row
-    return {seed: (mix, model) for seed, model in zip(SEEDS, models)}
+    """The three source models, one ``train_source`` call each, on each
+    seed's own data and generators."""
+    mix, priors, models = MIXTURE, np.full(MIXTURE.C, 1.0 / MIXTURE.C), {}
+    for seed in SEEDS:
+        rng = Rng(seed)
+        X, y = sample_batch(mix, priors, 5000, rng.derive("source-data"))
+        model = init_mlp(mix.C, mix.d, 32, rng.derive("source-init"), 0.5)
+        train_source(model, X, y, 300, SgdConfig(lr=0.05, momentum=0.9),
+                     rng.derive("source-train"), 64)
+        models[seed] = (mix, model)
+    return models
 
 
 def _stream(mix, spec, seed):

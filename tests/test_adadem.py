@@ -146,6 +146,39 @@ class TestMecState:
         with pytest.raises(ValueError, match=r"momentum pi must lie in \(0, 1\], got 2.0"):
             MecState(np.full((3, 3), 1 / 3), pi=2.0)
 
+    def test_a_float64_table_is_held_not_copied(self, monkeypatch):
+        # mec_init builds its table float64, so building the state copies nothing.
+        table = np.full((3, 3), 1 / 3)
+        assert MecState(table, PI).table is table
+        seen = []
+        monkeypatch.setattr(adadem, "as_matrix", lambda t: seen.append(t) or numkit.as_matrix(t))
+        state = mec_init(3, PI)
+        assert len(seen) == 1 and state.table is seen[0]
+        assert state.table.dtype == np.float64
+
+    def test_a_list_table_becomes_float64(self):
+        # A list table failed at the first read of .C.
+        state = MecState([[0.5, 0.5], [0.5, 0.5]], PI)
+        assert state.C == 2 and state.table.dtype == np.float64
+        mec_update(state, np.array([[0.9, 0.1]]), [0])
+        np.testing.assert_array_equal(state.table[0], 0.9 * 0.5 + 0.1 * np.array([0.9, 0.1]))
+
+    def test_an_integer_table_becomes_float64(self):
+        # An integer table failed at the first mec_update, which cannot
+        # cast the float64 EMA into int64.
+        state = MecState(np.ones((2, 2), dtype=np.int64), pi=1.0)
+        assert state.table.dtype == np.float64
+        mec_update(state, np.array([[0.9, 0.1]]), [0])
+        np.testing.assert_array_equal(state.table, [[0.9, 0.1], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_a_non_finite_table_is_refused(self, bad):
+        # A NaN table made adadem_rows return NaN gradients without a word.
+        table = np.full((3, 3), 1 / 3)
+        table[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MecState(table, PI)
+
     def test_one_update_reference(self):
         # Row 0 pulled from uniform toward [0.7, 0.2, 0.1] with pi = 0.1.
         state = mec_init(3, PI)

@@ -190,6 +190,13 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             sample_batch(MIX, np.full(10, 0.1), 0, Rng(0))
 
+    @pytest.mark.parametrize("count", [4, 2], ids=["more-than-C", "fewer-than-C"])
+    def test_refuses_priors_not_one_per_class(self, count):
+        # 4 priors on 3 classes raised IndexError from the means, and 2
+        # drew classes 0 and 1 alone.
+        with pytest.raises(ValueError, match=f"need one prior per class, 3, got {count}"):
+            sample_batch(MixtureSpec(3, 4.0, 1.0), np.full(count, 1 / count), 8, Rng(0))
+
     @pytest.mark.parametrize(
         "n, message",
         [(3.0, "n must be an integer, got 3.0"), (True, "n must be an integer, got True"),

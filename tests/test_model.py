@@ -664,43 +664,10 @@ class TestTrainSource:
             train_source(init_linear(3, 2), np.zeros((0, 2)), np.zeros(0, dtype=int),
                          1, SgdConfig(lr=0.1), Rng(0), SOURCE_BATCH)
 
-
-class TestStackTrainer:
-    """Source training is one step loop over a stack of ``K`` models, each
-    with its own data, labels and generator; :func:`train_source` is its
-    one-model call."""
-
-    CFG = SgdConfig(lr=0.2, momentum=0.9)
-
-    @staticmethod
-    def _stack(arch, K, rows):
-        """``K`` models of ``arch`` and their own data: ``(models, X, y)``."""
-        if arch == "linear":
-            models = [init_linear(3, 2, Rng(k), scale=0.5) for k in range(K)]
-        else:
-            models = [init_mlp(3, 2, 6, Rng(k), INIT_SCALE) for k in range(K)]
-        X = np.stack([2.0 * Rng(20 + k).normals(rows * 2).reshape(rows, 2) for k in range(K)])
-        y = np.stack([Rng(30 + k).integers(rows, 0, 3) for k in range(K)])
-        return models, X, y
-
-    @pytest.mark.parametrize("arch", ["linear", "mlp"])
-    @pytest.mark.parametrize("rows", [50, 49], ids=["short-last-batch", "one-row-batch"])
-    def test_each_stacked_model_gets_the_bits_of_its_own_call(self, arch, rows):
-        # Batches of 16 rows leave a last batch of 2 rows, or of 1, where
-        # the one-model call multiplies with np.matmul as the stack does.
-        models, X, y = self._stack(arch, 3, rows)
-        theta = np.stack([m.theta for m in models])
-        rngs = [Rng(10 + k) for k in range(3)]
-        demkit.model._train_stack(models[0], theta, X, y, 3, self.CFG, rngs, 16)
-        for k, model in enumerate(models):
-            alone = train_source(model.copy(), X[k], y[k], 3, self.CFG, Rng(10 + k), 16)
-            assert theta[k].tobytes() == alone.theta.tobytes(), k
-            assert theta[k].tobytes() != model.theta.tobytes(), k
-
-    def test_source_steps_are_one_sgd_step_per_model_and_batch(self, monkeypatch):
-        # As the benchmark counts them: ceil(n / b) * epochs sgd_step calls
-        # per model, each while source training runs and none inside the
-        # public adapt_stream.
+    def test_source_steps_are_one_sgd_step_per_batch(self, monkeypatch):
+        # As the benchmark counts them: ceil(n / b) * epochs sgd_step calls,
+        # each while source training runs and none inside the public
+        # adapt_stream.
         active, calls = set(), []
         step = demkit.model.sgd_step
 
@@ -720,37 +687,11 @@ class TestStackTrainer:
         monkeypatch.setattr(demkit.model, "sgd_step", recorded)
         monkeypatch.setattr(demkit.model, "adapt_stream", within("adapt", adapt_stream))
         train = within("train", demkit.model.train_source)
-        stack = within("train", demkit.model._train_stack)
-        models, X, y = self._stack("mlp", 3, 50)
-        train(models[0], X[0], y[0], 3, self.CFG, Rng(10), 16)
+        X = 2.0 * Rng(20).normals(50 * 2).reshape(50, 2)
+        y = Rng(30).integers(50, 0, 3)
+        model = init_mlp(3, 2, 6, Rng(0), INIT_SCALE)
+        train(model, X, y, 3, SgdConfig(lr=0.2, momentum=0.9), Rng(10), 16)
         assert calls == [{"train"}] * (4 * 3)
-        calls.clear()
-        theta = np.stack([m.theta for m in models])
-        stack(models[0], theta, X, y, 3, self.CFG, [Rng(10 + k) for k in range(3)], 16)
-        assert calls == [{"train"}] * (3 * 4 * 3)
-
-    def test_a_diverging_stacked_model_is_named_with_its_epoch(self):
-        # Model 1's inputs of 1e200 overflow its logits in epoch 0; the
-        # stack raises once, at the epoch's end, and no numpy warning.
-        models, X, y = self._stack("mlp", 3, 50)
-        X[1] *= 1e200
-        theta = np.stack([m.theta for m in models])
-        rngs = [Rng(10 + k) for k in range(3)]
-        with pytest.raises(FloatingPointError) as info:
-            demkit.model._train_stack(models[0], theta, X, y, 3, self.CFG, rngs, 16)
-        assert str(info.value) == "source training diverged in epoch 0 of model 1"
-        assert np.isfinite(theta[[0, 2]]).all()
-
-    @pytest.mark.parametrize("arch", ["linear", "mlp"])
-    def test_the_workspace_picks_its_product_from_its_shape(self, arch):
-        # np.dot on one model of more than one row; np.matmul on one row,
-        # and on any stack.
-        model = self._stack(arch, 1, 2)[0][0]
-        for n in (1, 2, 64):
-            one = demkit.model._Workspace(model, n, model.theta)
-            assert one.product is (np.dot if n > 1 else np.matmul), n
-            stack = demkit.model._Workspace(model, n, model.theta[None].copy())
-            assert stack.product is np.matmul, n
 
 
 class TestAdaptStream:
@@ -1220,6 +1161,17 @@ class TestStepKernels:
         """One ``B x n x 2`` input array per ``(B, n)`` in ``shapes``."""
         rng = Rng(seed)
         return [2.0 * rng.normals(B * n * 2).reshape(B, n, 2) for B, n in shapes]
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_the_workspace_picks_its_product_from_its_shape(self, arch):
+        # np.dot on one model of more than one row; np.matmul on one row,
+        # and on any stack.
+        model = self._make(arch)
+        for n in (1, 2, 64):
+            one = demkit.model._Workspace(model, n, model.theta)
+            assert one.product is (np.dot if n > 1 else np.matmul), n
+            stack = demkit.model._Workspace(model, n, model.theta[None].copy())
+            assert stack.product is np.matmul, n
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
     def test_train_source_matches_inline_arithmetic(self, arch):
